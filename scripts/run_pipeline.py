@@ -29,7 +29,7 @@ def main():
         "--out", str(corpus), "--tasks-out", str(WORK / "tasks"))
     run("ingest", "--corpus", str(corpus), "--min-freq", "1", "--out", str(vocab))
     run("align", "--corpus", str(corpus), "--vocab", str(vocab),
-        "--out", str(WORK / "aligned.jsonl"), "--threads", "2")
+        "--out", str(WORK / "aligned.jsonl"))
     run("gen-examples", "--corpus", str(corpus), "--vocab", str(vocab),
         "--seed", SEED, "--out", str(WORK / "examples.jsonl"))
     cfg = WORK / "train.json"

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .corpus import NUM_SPECIAL, Corpus, Document, Triple, Vocab, triple_token_ids
@@ -170,23 +169,30 @@ def tfidf_vector(token_ids: list[int], index: TfIdfIndex) -> SparseVec:
     return SparseVec.from_weights(weights)
 
 
+def triple_vectors(triples: list[Triple], index: TfIdfIndex, vocab: Vocab) -> list[SparseVec]:
+    """TF-IDF vector of each triple serialized as text, in infobox order."""
+    return [tfidf_vector(triple_token_ids(triple, vocab), index) for triple in triples]
+
+
 def retrieve_triples(
     fragment: Fragment,
     candidates: list[Triple],
+    candidate_vecs: list[SparseVec],
     index: TfIdfIndex,
-    vocab: Vocab,
     tau: float = DEFAULT_TAU,
     k_max: int = DEFAULT_K_MAX,
 ) -> AlignedFragment:
     """Entity-local retrieval: candidates are the fragment's own infobox triples.
 
-    Keeps candidates scoring >= tau, sorted by score descending with ties in
+    `candidate_vecs` are the candidates' TF-IDF vectors (`triple_vectors`),
+    computed once per document rather than once per fragment. Keeps
+    candidates scoring >= tau, sorted by score descending with ties in
     infobox order, truncated to k_max.
     """
     fvec = tfidf_vector(fragment.token_ids, index)
     scored: list[tuple[Triple, float]] = []
-    for triple in candidates:
-        score = cosine(fvec, tfidf_vector(triple_token_ids(triple, vocab), index))
+    for triple, tvec in zip(candidates, candidate_vecs):
+        score = cosine(fvec, tvec)
         if score >= tau:
             scored.append((triple, score))
     scored.sort(key=lambda ts: -ts[1])  # stable: ties keep infobox order
@@ -200,25 +206,30 @@ def align_corpus(
     k_max: int = DEFAULT_K_MAX,
     max_fragment_len: int = DEFAULT_MAX_FRAGMENT_LEN,
     index: TfIdfIndex | None = None,
-    threads: int = 1,
+    fragments: dict[str, list[Fragment]] | None = None,
 ) -> list[AlignedFragment]:
-    """Fragment, index, and retrieve for every document; output in corpus order."""
-    fragments = fragment_corpus(corpus, vocab, max_fragment_len)
+    """Fragment, index, and retrieve for every document; output in corpus order.
+
+    Pass `fragments` (from `fragment_corpus` over this corpus) to skip
+    fragmenting again.
+    """
+    if fragments is None:
+        fragments = fragment_corpus(corpus, vocab, max_fragment_len)
     if index is None:
         index = build_tfidf_index(corpus, vocab, max_fragment_len, fragments=fragments)
-
-    def align_doc(doc: Document) -> list[AlignedFragment]:
-        return [
-            retrieve_triples(frag, doc.infobox, index, vocab, tau, k_max)
+    aligned: list[AlignedFragment] = []
+    for doc in corpus:
+        vecs = triple_vectors(doc.infobox, index, vocab)
+        aligned.extend(
+            retrieve_triples(frag, doc.infobox, vecs, index, tau, k_max)
             for frag in fragments[doc.entity_id]
-        ]
+        )
+    return aligned
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_doc = list(pool.map(align_doc, corpus.documents))
-    else:
-        per_doc = [align_doc(doc) for doc in corpus.documents]
-    return [af for doc_afs in per_doc for af in doc_afs]
+
+def unaligned_corpus(corpus: Corpus, fragments: dict[str, list[Fragment]]) -> list[AlignedFragment]:
+    """Every fragment paired with no triples, in corpus order (text-only modes)."""
+    return [AlignedFragment(fragment=f, triples=[]) for doc in corpus for f in fragments[doc.entity_id]]
 
 
 def alignment_coverage(

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .align import AlignedFragment, align_corpus, fragment_corpus, write_aligned
+from .align import align_corpus, fragment_corpus, unaligned_corpus, write_aligned
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import (
     Corpus,
@@ -72,6 +72,9 @@ USER_ERRORS = (
     json.JSONDecodeError,
     ValueError,
 )
+
+
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,15 +165,12 @@ def cmd_align(args) -> int:
     vocab = _load_vocab(args.vocab)
     man = _manifest(
         args, "align",
-        {"tau": args.tau, "k_max": args.k_max, "max_fragment_len": args.max_fragment_len,
-         "threads": args.threads},
+        {"tau": args.tau, "k_max": args.k_max, "max_fragment_len": args.max_fragment_len},
         [args.corpus, args.vocab], [args.out],
         extra={"vocab_hash": vocab.hash_hex()},
     )
     man.write(manifest_path_for(args.out))
-    aligned = align_corpus(
-        corpus, vocab, args.tau, args.k_max, args.max_fragment_len, threads=args.threads
-    )
+    aligned = align_corpus(corpus, vocab, args.tau, args.k_max, args.max_fragment_len)
     write_aligned(aligned, args.out)
     return 0
 
@@ -192,12 +192,9 @@ def cmd_gen_examples(args) -> int:
     )
     man.write(manifest_path_for(args.out))
     if cfg.mode == "hklm" and not cfg.ablation().drop_triples:
-        aligned = align_corpus(
-            corpus, vocab, cfg.tau, cfg.k_max, cfg.max_fragment_len, threads=args.threads
-        )
+        aligned = align_corpus(corpus, vocab, cfg.tau, cfg.k_max, cfg.max_fragment_len)
     else:
-        frags = fragment_corpus(corpus, vocab, cfg.max_fragment_len)
-        aligned = [AlignedFragment(fragment=f, triples=[]) for doc in corpus for f in frags[doc.entity_id]]
+        aligned = unaligned_corpus(corpus, fragment_corpus(corpus, vocab, cfg.max_fragment_len))
     examples, stats = generate_pretrain_examples(
         corpus, aligned, vocab, cfg.sampler_config(), cfg.ablation()
     )
@@ -225,10 +222,14 @@ def cmd_pretrain(args) -> int:
     metrics_path = os.path.join(args.out, "metrics.jsonl")
     vocab_path = os.path.join(args.out, "vocab.json")
     inputs = [args.corpus] + ([args.config] if args.config else [])
+    # A multithreaded BLAS may sum in another order, so the checkpoint bytes
+    # depend on these; null means unset.
+    blas_env = {name: os.environ.get(name) for name in BLAS_THREAD_ENV}
     man = _manifest(args, "pretrain", config.to_json(), inputs,
-                    [ckpt_path, metrics_path, vocab_path], seed=args.seed)
+                    [ckpt_path, metrics_path, vocab_path], seed=args.seed,
+                    extra={"blas_thread_env": blas_env})
     man.write(os.path.join(args.out, "manifest.json"))
-    result = run_pretraining(config, corpus, threads=args.threads or 1)
+    result = run_pretraining(config, corpus)
     _write_vocab(result.vocab, vocab_path)
     save_checkpoint(ckpt_path, result.params, result.model_config, result.vocab.hash_hex())
     write_metrics(result.metrics, metrics_path)
@@ -314,7 +315,6 @@ def build_parser() -> _Parser:
     al.add_argument("--tau", type=float, default=0.05)
     al.add_argument("--k-max", type=int, default=8, dest="k_max")
     al.add_argument("--max-fragment-len", type=int, default=400, dest="max_fragment_len")
-    al.add_argument("--threads", type=int, default=1)
     al.set_defaults(fn=cmd_align)
 
     ge = sub.add_parser("gen-examples", help="assemble corrupted pretraining examples")
@@ -335,7 +335,6 @@ def build_parser() -> _Parser:
     ge.add_argument("--triple-keep-fraction", type=float, default=1.0, dest="triple_keep_fraction")
     ge.add_argument("--value-noise", action="store_true", dest="value_noise")
     ge.add_argument("--debug-sidecar", action="store_true", dest="debug_sidecar")
-    ge.add_argument("--threads", type=int, default=1)
     ge.set_defaults(fn=cmd_gen_examples)
 
     pt = sub.add_parser("pretrain", help="run the pretraining pipeline end to end")
@@ -345,7 +344,6 @@ def build_parser() -> _Parser:
     pt.add_argument("--config", default=None, help="JSON file mirroring TrainConfig fields")
     pt.add_argument("--steps", type=int, default=None)
     pt.add_argument("--mode", choices=("plain", "hklm"), default=None)
-    pt.add_argument("--threads", type=int, default=None)
     pt.set_defaults(fn=cmd_pretrain)
 
     for name, helptext in (("finetune", "fine-tune a task adapter"), ("eval", "evaluate a task adapter")):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
+import string
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -103,36 +105,15 @@ class Corpus:
 # ---------------------------------------------------------------------------
 
 _CJK_RANGES = ((0x4E00, 0x9FFF), (0x3400, 0x4DBF), (0xF900, 0xFAFF))
-
-
-def _is_cjk(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
+_CJK_CLASS = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES)
+# Each CJK character is its own token; runs of everything else stay joined.
+_CORE_PIECE = re.compile(f"[{_CJK_CLASS}]|[^{_CJK_CLASS}]+")
+# ASCII-only: str.lower would also fold non-ASCII letters such as "É".
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 
 
 def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
-
-
-def _lower_ascii(s: str) -> str:
-    return "".join(chr(ord(c) + 32) if "A" <= c <= "Z" else c for c in s)
-
-
-def _split_core(core: str) -> list[str]:
-    # Each CJK character is its own token; runs of everything else stay joined.
-    parts: list[str] = []
-    buf: list[str] = []
-    for ch in core:
-        if _is_cjk(ch):
-            if buf:
-                parts.append("".join(buf))
-                buf = []
-            parts.append(ch)
-        else:
-            buf.append(ch)
-    if buf:
-        parts.append("".join(buf))
-    return parts
 
 
 def tokenize_text(text: str) -> list[str]:
@@ -143,18 +124,19 @@ def tokenize_text(text: str) -> list[str]:
     lowercased. Total: never raises.
     """
     tokens: list[str] = []
-    for chunk in text.split():
-        lead: list[str] = []
-        trail: list[str] = []
-        while chunk and _is_punct(chunk[0]):
-            lead.append(chunk[0])
-            chunk = chunk[1:]
-        while chunk and _is_punct(chunk[-1]):
-            trail.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(lead)
-        tokens.extend(_lower_ascii(p) for p in _split_core(chunk))
-        tokens.extend(reversed(trail))
+    for chunk in text.translate(_ASCII_LOWER).split():
+        # Letters and digits are never punctuation: most chunks need no peel.
+        if chunk[0].isalnum() and chunk[-1].isalnum():
+            tokens.extend(_CORE_PIECE.findall(chunk))
+            continue
+        start, end = 0, len(chunk)
+        while start < end and _is_punct(chunk[start]):
+            start += 1
+        while end > start and _is_punct(chunk[end - 1]):
+            end -= 1
+        tokens.extend(chunk[:start])
+        tokens.extend(_CORE_PIECE.findall(chunk, start, end))
+        tokens.extend(chunk[end:])
     return tokens
 
 
@@ -237,17 +219,15 @@ def build_vocab(corpus: Corpus, min_freq: int = 1) -> Vocab:
         raise CorpusError(f"min_freq must be >= 1, got {min_freq}")
     if len(corpus) == 0:
         raise CorpusError("cannot build a vocabulary from an empty corpus")
+    # Titles, predicates and headings recur across documents: tokenize each
+    # distinct text once and weight its tokens by how often the text occurs.
+    texts = Counter(text for doc in corpus for text in iter_document_texts(doc))
     counts: Counter[str] = Counter()
-    for doc in corpus:
-        for text in iter_document_texts(doc):
-            counts.update(tokenize_text(text))
+    for text, n in texts.items():
+        counts.update(tokenize_text(text) * n)
     kept = [(tok, n) for tok, n in counts.items() if n >= min_freq]
     kept.sort(key=lambda kv: (-kv[1], kv[0]))
     return Vocab.from_tokens([tok for tok, _ in kept], min_freq)
-
-
-def tokenize(text: str, vocab: Vocab) -> list[int]:
-    return vocab.encode(text)
 
 
 def triple_token_ids(triple: Triple, vocab: Vocab) -> list[int]:

@@ -335,6 +335,15 @@ def generate_pretrain_examples(
 
     predicates = corpus.predicates()
     headings_by_id = {doc.entity_id: doc.headings() for doc in corpus}
+    # Headings and triple elements repeat across fragments; tokenize each
+    # distinct string once. Callers only read the cached id lists.
+    encoded: dict[str, list[int]] = {}
+
+    def encode(text: str) -> list[int]:
+        ids = encoded.get(text)
+        if ids is None:
+            ids = encoded[text] = vocab.encode(text)
+        return ids
 
     examples: list[PretrainExample] = []
     for ab in ablated:
@@ -388,14 +397,14 @@ def generate_pretrain_examples(
 
         triple_id_lists: list[list[int]] = []
         for out_triple, noise in zip(serialized_triples, noise_flags):
-            subj = vocab.encode(out_triple.subject)
-            pred = vocab.encode(out_triple.predicate)
-            obj = vocab.encode(out_triple.object)
+            subj = encode(out_triple.subject)
+            pred = encode(out_triple.predicate)
+            obj = encode(out_triple.object)
             if noise:
                 obj = [UNK_ID] * len(obj)
             triple_id_lists.append(subj + pred + obj)
 
-        heading_ids = vocab.encode(heading) if ab.include_heading else None
+        heading_ids = encode(heading) if ab.include_heading else None
         if ab.include_heading:
             ids, layout = assemble_input(frag.token_ids, heading_ids, triple_id_lists, config.max_seq_len)
         else:

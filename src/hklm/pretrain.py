@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import AlignedFragment, align_corpus, build_tfidf_index, fragment_corpus
+from .align import AlignedFragment, align_corpus, build_tfidf_index, fragment_corpus, unaligned_corpus
 from .corpus import NUM_SPECIAL, Corpus, Vocab, build_vocab, derive_seed
 from .encoder import (
     Batch,
@@ -203,29 +203,29 @@ def split_corpus(corpus: Corpus, heldout_fraction: float, seed: int) -> tuple[Co
 
 
 def build_aligned(
-    config: TrainConfig, corpus: Corpus, vocab: Vocab, threads: int = 1
+    config: TrainConfig, corpus: Corpus, vocab: Vocab
 ) -> tuple[list[AlignedFragment], list[AlignedFragment]]:
     """Fragment and align both splits of the corpus.
 
-    The TF-IDF index is built from the training split only, so no held-out
-    statistics leak into the retrieval stage.
+    Each split is fragmented once. The TF-IDF index is built from the
+    training split only, so no held-out statistics leak into the retrieval
+    stage.
     """
     train_corpus, held_corpus = split_corpus(corpus, config.heldout_fraction, config.seed)
-    ablation = config.ablation()
+    train_frags = fragment_corpus(train_corpus, vocab, config.max_fragment_len)
+    held_frags = fragment_corpus(held_corpus, vocab, config.max_fragment_len)
+    if config.mode == "plain" or config.ablation().drop_triples:
+        return unaligned_corpus(train_corpus, train_frags), unaligned_corpus(held_corpus, held_frags)
 
-    def aligned_for(sub: Corpus, index) -> list[AlignedFragment]:
-        if config.mode == "plain" or ablation.drop_triples:
-            frags = fragment_corpus(sub, vocab, config.max_fragment_len)
-            return [AlignedFragment(fragment=f, triples=[]) for doc in sub for f in frags[doc.entity_id]]
+    index = build_tfidf_index(train_corpus, vocab, config.max_fragment_len, fragments=train_frags)
+
+    def aligned_for(sub: Corpus, frags) -> list[AlignedFragment]:
         return align_corpus(
             sub, vocab, config.tau, config.k_max, config.max_fragment_len,
-            index=index, threads=threads,
+            index=index, fragments=frags,
         )
 
-    index = None
-    if config.mode == "hklm" and not ablation.drop_triples:
-        index = build_tfidf_index(train_corpus, vocab, config.max_fragment_len)
-    return aligned_for(train_corpus, index), aligned_for(held_corpus, index)
+    return aligned_for(train_corpus, train_frags), aligned_for(held_corpus, held_frags)
 
 
 def epoch_sampler(config: TrainConfig, epoch: int) -> SamplerConfig:
@@ -243,10 +243,10 @@ def epoch_sampler(config: TrainConfig, epoch: int) -> SamplerConfig:
 
 
 def build_examples(
-    config: TrainConfig, corpus: Corpus, vocab: Vocab, threads: int = 1, epoch: int = 0
+    config: TrainConfig, corpus: Corpus, vocab: Vocab, epoch: int = 0
 ) -> tuple[list[PretrainExample], list[PretrainExample]]:
     """One-shot example build: epoch-0 training stream plus held-out stream."""
-    train_aligned, held_aligned = build_aligned(config, corpus, vocab, threads)
+    train_aligned, held_aligned = build_aligned(config, corpus, vocab)
     ablation = config.ablation()
     train_ex, _ = generate_pretrain_examples(
         corpus, train_aligned, vocab, epoch_sampler(config, epoch), ablation
@@ -324,19 +324,18 @@ def unigram_baseline_accuracy(
     return sum(1 for t in held if t == top) / len(held)
 
 
-def run_pretraining(
-    config: TrainConfig, corpus: Corpus, progress=None, threads: int = 1
-) -> PretrainResult:
+def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> PretrainResult:
     """End-to-end fragment -> align -> corrupt -> train pipeline.
 
-    Deterministic given (config, corpus) for any thread count: every random
-    stream derives from config.seed and parallel alignment preserves order.
+    Deterministic given (config, corpus) and the BLAS thread count: every
+    random stream derives from config.seed, but a multithreaded BLAS may sum
+    GEMMs in another order, which moves the weights in the last bits.
     Raises DivergenceError on non-finite loss or gradients.
     """
     config.validate()
     t_start = time.monotonic()
     vocab = build_vocab(corpus, config.vocab_min_freq)
-    train_aligned, held_aligned = build_aligned(config, corpus, vocab, threads=threads)
+    train_aligned, held_aligned = build_aligned(config, corpus, vocab)
     ablation = config.ablation()
     train_ex, _ = generate_pretrain_examples(
         corpus, train_aligned, vocab, epoch_sampler(config, 0), ablation

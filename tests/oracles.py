@@ -5,6 +5,7 @@ bug in the library cannot hide in its own test oracle.
 """
 
 import math
+import unicodedata
 from collections import Counter
 
 
@@ -131,3 +132,46 @@ def count_terms(texts_tokens):
     for toks in texts_tokens:
         counts.update(toks)
     return counts
+
+
+_NAIVE_CJK_RANGES = ((0x4E00, 0x9FFF), (0x3400, 0x4DBF), (0xF900, 0xFAFF))
+
+
+def naive_tokenize(text):
+    """Character-by-character reference for the surface tokenizer: whitespace
+    split, leading/trailing punctuation peeled one character at a time, each
+    CJK character its own token, A-Z lowercased and nothing else."""
+
+    def is_punct(ch):
+        return unicodedata.category(ch).startswith("P")
+
+    def is_cjk(ch):
+        return any(lo <= ord(ch) <= hi for lo, hi in _NAIVE_CJK_RANGES)
+
+    def lower_ascii(s):
+        return "".join(chr(ord(c) + 32) if "A" <= c <= "Z" else c for c in s)
+
+    tokens = []
+    for chunk in text.split():
+        lead, trail = [], []
+        while chunk and is_punct(chunk[0]):
+            lead.append(chunk[0])
+            chunk = chunk[1:]
+        while chunk and is_punct(chunk[-1]):
+            trail.append(chunk[-1])
+            chunk = chunk[:-1]
+        parts, buf = [], []
+        for ch in chunk:
+            if is_cjk(ch):
+                if buf:
+                    parts.append("".join(buf))
+                    buf = []
+                parts.append(ch)
+            else:
+                buf.append(ch)
+        if buf:
+            parts.append("".join(buf))
+        tokens.extend(lead)
+        tokens.extend(lower_ascii(p) for p in parts)
+        tokens.extend(reversed(trail))
+    return tokens

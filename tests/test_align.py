@@ -16,8 +16,8 @@ from hklm.align import (
     fragment_document,
     retrieve_triples,
     tfidf_vector,
+    triple_vectors,
     write_aligned,
-    aligned_json_line,
 )
 from hklm.corpus import (
     SynthParams,
@@ -170,7 +170,7 @@ class TestRetrieval:
         index = build_tfidf_index(hand5_corpus, vocab, fragments=fragments)
         d3 = hand5_corpus.by_id("d3")
         frag = fragments["d3"][0]  # repeats "bronze bells"
-        aligned = retrieve_triples(frag, d3.infobox, index, vocab, tau=0.0)
+        aligned = retrieve_triples(frag, d3.infobox, triple_vectors(d3.infobox, index, vocab), index, tau=0.0)
         assert aligned.triples[0][0].predicate == "bells"
         # oracle agreement on every candidate's score
         all_frags, docs = hand_index_docs(hand5_corpus, vocab, fragments)
@@ -186,7 +186,8 @@ class TestRetrieval:
         fragments = fragment_corpus(hand5_corpus, vocab)
         index = build_tfidf_index(hand5_corpus, vocab, fragments=fragments)
         d1 = hand5_corpus.by_id("d1")
-        aligned = retrieve_triples(fragments["d1"][0], d1.infobox, index, vocab, tau=1.01)
+        vecs = triple_vectors(d1.infobox, index, vocab)
+        aligned = retrieve_triples(fragments["d1"][0], d1.infobox, vecs, index, tau=1.01)
         assert aligned.triples == []
 
     def test_tie_preserves_infobox_order(self):
@@ -202,7 +203,8 @@ class TestRetrieval:
         fragments = fragment_corpus(corpus, vocab)
         index = build_tfidf_index(corpus, vocab, fragments=fragments)
         doc = corpus.by_id("e")
-        aligned = retrieve_triples(fragments["e"][0], doc.infobox, index, vocab, tau=0.0)
+        vecs = triple_vectors(doc.infobox, index, vocab)
+        aligned = retrieve_triples(fragments["e"][0], doc.infobox, vecs, index, tau=0.0)
         assert [t.predicate for t, _ in aligned.triples] == ["aaa", "bbb"]
         assert aligned.triples[0][1] == pytest.approx(aligned.triples[1][1], abs=0)
 
@@ -221,12 +223,6 @@ class TestRetrieval:
             lo_set = {(t.predicate, t.object) for t, _ in a.triples}
             hi_set = {(t.predicate, t.object) for t, _ in b.triples}
             assert hi_set <= lo_set
-
-    def test_threads_do_not_change_output(self, synth20, synth20_vocab):
-        corpus, _ = synth20
-        a = align_corpus(corpus, synth20_vocab, threads=1)
-        b = align_corpus(corpus, synth20_vocab, threads=4)
-        assert [aligned_json_line(x) for x in a] == [aligned_json_line(x) for x in b]
 
     def test_deterministic_bytes(self, synth20, synth20_vocab, tmp_path):
         corpus, _ = synth20

@@ -96,12 +96,12 @@ class TestAlignAndExamples:
         man = json.loads((pipeline_dir / "ex.jsonl.manifest.json").read_text())
         assert man["extra"]["vocab_hash"] == vocab_hash
 
-    def test_threads_reproduce_bytes(self, pipeline_dir, tmp_path):
+    def test_align_rerun_identical(self, pipeline_dir, tmp_path):
         c = pipeline_dir / "c.jsonl"
         v = pipeline_dir / "vocab.json"
         a1, a2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"
-        assert run(["align", "--corpus", str(c), "--vocab", str(v), "--out", str(a1), "--threads", "1"]) == 0
-        assert run(["align", "--corpus", str(c), "--vocab", str(v), "--out", str(a2), "--threads", "4"]) == 0
+        assert run(["align", "--corpus", str(c), "--vocab", str(v), "--out", str(a1)]) == 0
+        assert run(["align", "--corpus", str(c), "--vocab", str(v), "--out", str(a2)]) == 0
         assert a1.read_bytes() == a2.read_bytes()
         assert a1.read_bytes() == (pipeline_dir / "aligned.jsonl").read_bytes()
 
@@ -115,13 +115,18 @@ class TestAlignAndExamples:
 
 
 class TestPretrainFinetune:
-    def test_full_chain_smoke(self, pipeline_dir, tmp_path):
+    def test_full_chain_smoke(self, pipeline_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         rundir = tmp_path / "run"
         code = run(["pretrain", "--corpus", str(pipeline_dir / "c.jsonl"), "--seed", "42",
                     "--steps", "6", "--config", str(self._cfg(tmp_path)), "--out", str(rundir)])
         assert code == 0
         for name in ("model.ckpt", "metrics.jsonl", "vocab.json", "manifest.json"):
             assert (rundir / name).exists()
+        blas_env = json.loads((rundir / "manifest.json").read_text())["extra"]["blas_thread_env"]
+        assert set(blas_env) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert blas_env["OPENBLAS_NUM_THREADS"] == "1" and blas_env["MKL_NUM_THREADS"] is None
         assert (rundir / "metrics.jsonl").read_text().strip()
 
         ft = tmp_path / "ft"

@@ -18,11 +18,10 @@ from hklm.corpus import (
     generate_synthetic_corpus,
     parse_corpus,
     serialize_corpus,
-    tokenize,
     tokenize_text,
 )
 from conftest import doc_line
-from oracles import count_terms
+from oracles import count_terms, naive_tokenize
 
 
 class TestParse:
@@ -84,11 +83,11 @@ class TestParse:
 
 class TestTokenizer:
     def test_punctuation_split(self, tiny_vocab):
-        ids = tokenize("The Palace Museum,", tiny_vocab)
+        ids = tiny_vocab.encode("The Palace Museum,")
         assert tiny_vocab.decode(ids) == ["the", "palace", "museum", ","]
 
     def test_empty(self, tiny_vocab):
-        assert tokenize("", tiny_vocab) == []
+        assert tiny_vocab.encode("") == []
 
     def test_cjk_single_tokens(self):
         assert tokenize_text("北京abc") == ["北", "京", "abc"]
@@ -104,25 +103,47 @@ class TestTokenizer:
         assert tokenize_text("well-known") == ["well-known"]
 
     def test_unknown_maps_to_unk(self, tiny_vocab):
-        assert tokenize("zzzzunseen", tiny_vocab) == [UNK_ID]
+        assert tiny_vocab.encode("zzzzunseen") == [UNK_ID]
 
     @given(st.lists(st.text(alphabet="abcdefgh", min_size=1, max_size=6), min_size=1, max_size=8))
     def test_roundtrip_ascii_words(self, words):
         text = " ".join(words)
         corpus = parse_corpus([doc_line("e1", "t", [("h", 1, [text])], [])])
         vocab = build_vocab(corpus, 1)
-        assert detokenize(tokenize(text, vocab), vocab) == text
+        assert detokenize(vocab.encode(text), vocab) == text
 
     @given(st.text(max_size=40))
     def test_total_and_deterministic(self, text):
         assert tokenize_text(text) == tokenize_text(text)
+
+    # ASCII letters of both cases, non-ASCII letters that str.lower would fold,
+    # both edges of every CJK range (一 鿿, 㐀 䶿, 豈 﫿) and the code points just
+    # outside them, Unicode punctuation, and mixed (also non-ASCII) whitespace.
+    _MIXED = (
+        "aZqQ"
+        "ÉéÀßẞİǅΣ"
+        + "".join(
+            chr(cp)
+            for lo, hi in ((0x4E00, 0x9FFF), (0x3400, 0x4DBF), (0xF900, 0xFAFF))
+            for cp in (lo - 1, lo, hi, hi + 1)
+        )
+        + "「」—…,.!?()'\"-"
+        " \t\n\u3000\u00a0\u2003\x1c"
+    )
+
+    @given(st.text(alphabet=_MIXED, max_size=30))
+    def test_matches_per_character_reference(self, text):
+        assert tokenize_text(text) == naive_tokenize(text)
+
+    def test_lowercases_ascii_only(self):
+        assert tokenize_text("ÉCOLE Straße 一A") == ["École", "straße", "一", "a"]
 
     def test_ids_always_in_range(self, synth20, synth20_vocab):
         corpus, _ = synth20
         for doc in corpus:
             for sec in doc.sections:
                 for para in sec.paragraphs:
-                    for t in tokenize(para, synth20_vocab):
+                    for t in synth20_vocab.encode(para):
                         assert 0 <= t < len(synth20_vocab)
 
 
@@ -131,7 +152,7 @@ class TestVocab:
         corpus = parse_corpus([doc_line("e1", "t", [("h", 1, ["park park park park park tree"])], [])])
         vocab = build_vocab(corpus, 6)
         assert "park" not in vocab.token_to_id
-        assert tokenize("park", vocab) == [UNK_ID]
+        assert vocab.encode("park") == [UNK_ID]
 
     def test_tie_broken_lexicographically(self):
         corpus = parse_corpus([doc_line("e1", "t", [("h", 1, ["zeta apple zeta apple"])], [])])

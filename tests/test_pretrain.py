@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from hklm import align, pretrain
 from hklm.checkpoint import save_checkpoint
 from hklm.corpus import SEP0_ID, SEPI_IDS, build_vocab, generate_synthetic_corpus
 from hklm.encoder import param_names
@@ -11,6 +13,7 @@ from hklm.pretrain import (
     DivergenceError,
     MetricsRecord,
     TrainConfig,
+    build_aligned,
     build_examples,
     evaluate_pretrain_heads,
     head_accuracy,
@@ -85,6 +88,44 @@ class TestSplit:
         assert [d.entity_id for d in a1] != [d.entity_id for d in b]
 
 
+class TestBuildAligned:
+    def test_fragments_each_split_once_and_triples_once_per_document(
+        self, synth20, synth20_vocab, monkeypatch
+    ):
+        corpus, _ = synth20
+        real_fragment = pretrain.fragment_corpus
+        real_triple_ids = align.triple_token_ids
+        fragmented: list[list[str]] = []
+        triple_ids_calls: Counter[int] = Counter()
+
+        def counting_fragment(sub, *args, **kwargs):
+            fragmented.append([doc.entity_id for doc in sub])
+            return real_fragment(sub, *args, **kwargs)
+
+        def counting_triple_ids(triple, vocab):
+            triple_ids_calls[id(triple)] += 1
+            return real_triple_ids(triple, vocab)
+
+        monkeypatch.setattr(pretrain, "fragment_corpus", counting_fragment)
+        monkeypatch.setattr(align, "fragment_corpus", counting_fragment)
+        monkeypatch.setattr(align, "triple_token_ids", counting_triple_ids)
+
+        cfg = small_cfg(max_fragment_len=48)
+        train, held = build_aligned(cfg, corpus, synth20_vocab)
+        train_corpus, held_corpus = split_corpus(corpus, cfg.heldout_fraction, cfg.seed)
+        assert fragmented == [
+            [doc.entity_id for doc in train_corpus],
+            [doc.entity_id for doc in held_corpus],
+        ]
+        # Documents hold several fragments each, so per-fragment work would show.
+        assert len(train) > 2 * len(train_corpus) and len(held) > 2 * len(held_corpus)
+        # A training triple is serialized once for the TF-IDF index and once
+        # for retrieval; a held-out triple only for retrieval.
+        expected = Counter({id(t): 2 for doc in train_corpus for t in doc.infobox})
+        expected.update(id(t) for doc in held_corpus for t in doc.infobox)
+        assert triple_ids_calls == expected
+
+
 class TestRunPretraining:
     def test_steps_zero_checkpoint_equals_init(self, corpus30, tmp_path):
         cfg = small_cfg(steps=0)
@@ -106,13 +147,6 @@ class TestRunPretraining:
             paths.append((ckpt, metrics))
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
-
-    def test_threads_do_not_change_result(self, corpus30, tmp_path):
-        cfg = small_cfg(steps=2)
-        r1 = run_pretraining(cfg, corpus30, threads=1)
-        r2 = run_pretraining(cfg, corpus30, threads=3)
-        for name in param_names(r1.model_config):
-            np.testing.assert_array_equal(r1.params[name], r2.params[name])
 
     def test_drop_both_lambda_mu_zero_trace_equals_plain(self, corpus30):
         hklm_cfg = small_cfg(
