@@ -277,48 +277,133 @@ def make_batch(examples: list[PretrainExample], dtype=np.float32) -> Batch:
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
+# The kernels below write into preallocated buffers (`out=`) instead of
+# allocating one temporary per operator, and GELU walks its input _BLOCK
+# elements at a time so that its temporaries stay in a core's L2 cache (an FFN
+# activation does not fit). Each kernel performs the floating-point operations
+# of the numpy expression in its docstring in the same order, so its results
+# are bit-identical to that expression's.
+_BLOCK = 32768
+
+
+def _blocks(*arrays):
+    """Matching _BLOCK-element slices of equally sized C-contiguous arrays."""
+    flat = [a.reshape(-1) for a in arrays]
+    for i in range(0, flat[0].size, _BLOCK):
+        yield [f[i:i + _BLOCK] for f in flat]
+
+
+def _gelu_tanh(x, out):
+    """out = tanh(C * (x + A * x * x * x))."""
+    np.multiply(x, _GELU_A, out=out)
+    out *= x
+    out *= x
+    out += x
+    out *= _GELU_C
+    np.tanh(out, out=out)
+
 
 def gelu_forward(x: np.ndarray):
-    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
-    return 0.5 * x * (1.0 + t), t
+    """(0.5 * x * (1.0 + t), t) with t = tanh(C * (x + A * x * x * x))."""
+    x = np.ascontiguousarray(x)
+    act = np.empty_like(x)
+    t = np.empty_like(x)
+    buf = np.empty(min(x.size, _BLOCK), dtype=x.dtype)
+    for xb, ab, tb in _blocks(x, act, t):
+        _gelu_tanh(xb, tb)
+        np.multiply(xb, 0.5, out=ab)
+        ab *= np.add(tb, 1.0, out=buf[: xb.size])
+    return act, t
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return gelu_forward(x)[0]
+def gelu_grad(x: np.ndarray, t: np.ndarray | None = None, dout: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * (C * (1.0 + 3 * A * x * x)),
+    the derivative of `gelu_forward` with its `t` (recomputed when None).
 
-
-def gelu_grad(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    if t is None:
-        t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+    Given the upstream gradient `dout` (C-contiguous, shaped like x), returns
+    dout * GELU'(x), written into `dout`.
+    """
+    x = np.ascontiguousarray(x)
+    t = gelu_forward(x)[1] if t is None else np.ascontiguousarray(t)
+    if dout is None:
+        dout = np.ones_like(x)  # 1.0 * g == g exactly
+    elif dout.shape != x.shape or not dout.flags.c_contiguous:
+        raise ModelError("gelu_grad: dout must be a C-contiguous array shaped like x")
+    a_buf = np.empty(min(x.size, _BLOCK), dtype=x.dtype)
+    b_buf = np.empty_like(a_buf)
+    for xb, tb, ob in _blocks(x, t, dout):
+        a, b = a_buf[: xb.size], b_buf[: xb.size]
+        np.multiply(xb, 0.5, out=a)
+        np.multiply(tb, tb, out=b)
+        np.subtract(1.0, b, out=b)
+        a *= b                      # 0.5 * x * (1 - t * t)
+        np.multiply(xb, 3.0 * _GELU_A, out=b)
+        b *= xb
+        b += 1.0
+        b *= _GELU_C
+        a *= b                      # ... * du
+        np.add(tb, 1.0, out=b)
+        b *= 0.5
+        b += a
+        ob *= b
+    return dout
 
 
 def layer_norm(x, g, b, eps):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xn = xc * inv
-    return xn * g + b, (xn, inv)
+    """xn * g + b with xn = (x - mean) * (1.0 / sqrt(var + eps)); returns it
+    with the cache (xn, inv)."""
+    xn = x - x.mean(axis=-1, keepdims=True)
+    out = np.multiply(xn, xn)
+    inv = out.mean(axis=-1, keepdims=True)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xn *= inv
+    np.multiply(xn, g, out=out)
+    out += b
+    return out, (xn, inv)
 
 
 def layer_norm_backward(dout, cache, g):
+    """dx = inv * (dxn - mean(dxn) - xn * mean(dxn * xn)) with dxn = dout * g,
+    plus the gain and bias gradients."""
     xn, inv = cache
     d = dout.shape[-1]
-    dg = (dout * xn).reshape(-1, d).sum(axis=0)
+    tmp = np.multiply(dout, xn)
+    dg = tmp.reshape(-1, d).sum(axis=0)
     db = dout.reshape(-1, d).sum(axis=0)
-    dxn = dout * g
-    m1 = dxn.mean(axis=-1, keepdims=True)
-    m2 = (dxn * xn).mean(axis=-1, keepdims=True)
-    dx = inv * (dxn - m1 - xn * m2)
+    dx = np.multiply(dout, g)
+    m1 = dx.mean(axis=-1, keepdims=True)
+    np.multiply(dx, xn, out=tmp)
+    m2 = tmp.mean(axis=-1, keepdims=True)
+    dx -= m1
+    np.multiply(xn, m2, out=tmp)
+    dx -= tmp
+    dx *= inv
     return dx, dg, db
 
 
 def softmax(x: np.ndarray, axis=-1) -> np.ndarray:
-    z = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    """exp(x - max) / sum(exp(x - max)) along axis."""
+    out = np.subtract(x, x.max(axis=axis, keepdims=True))
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def _softmax_backward(dout, probs):
+    """probs * (dout - sum(dout * probs)) along the last axis: the gradient
+    wrt the softmax input, written into dout."""
+    dout -= np.multiply(dout, probs).sum(axis=-1, keepdims=True)
+    dout *= probs
+    return dout
+
+
+def _affine(x, w, b):
+    """x @ w + b, the bias added in place."""
+    out = x @ w
+    out += b
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +452,20 @@ def encode(params, config: ModelConfig, batch: Batch, want_cache: bool = False):
     layer_caches = []
     for i in range(config.n_layers):
         p = f"layers.{i}."
-        q = split_heads(x @ params[p + "q_w"] + params[p + "q_b"])
-        k = split_heads(x @ params[p + "k_w"] + params[p + "k_b"])
-        v = split_heads(x @ params[p + "v_w"] + params[p + "v_b"])
+        q = split_heads(_affine(x, params[p + "q_w"], params[p + "q_b"]))
+        k = split_heads(_affine(x, params[p + "k_w"], params[p + "k_b"]))
+        v = split_heads(_affine(x, params[p + "v_w"], params[p + "v_b"]))
         scores = q @ k.transpose(0, 1, 3, 2)
         scores *= scale
         scores += attn_bias
         probs = softmax(scores)
         ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b * l, d)
-        attn_out = ctx @ params[p + "o_w"] + params[p + "o_b"]
+        attn_out = _affine(ctx, params[p + "o_w"], params[p + "o_b"])
         attn_out += x
         y, ln1_cache = layer_norm(attn_out, params[p + "ln1_g"], params[p + "ln1_b"], config.ln_eps)
-        ffn_pre = y @ params[p + "ffn_w1"] + params[p + "ffn_b1"]
+        ffn_pre = _affine(y, params[p + "ffn_w1"], params[p + "ffn_b1"])
         act, gelu_t = gelu_forward(ffn_pre)
-        ffn_out = act @ params[p + "ffn_w2"] + params[p + "ffn_b2"]
+        ffn_out = _affine(act, params[p + "ffn_w2"], params[p + "ffn_b2"])
         ffn_out += y
         z, ln2_cache = layer_norm(ffn_out, params[p + "ln2_g"], params[p + "ln2_b"], config.ln_eps)
         if want_cache:
@@ -403,20 +488,21 @@ def forward_batch(params, config: ModelConfig, batch: Batch, want_cache: bool = 
 
     # MLM head at masked positions: dense + GELU + layer norm + (tied) decoder.
     g = hidden[batch.mlm_b, batch.mlm_i]
-    mlm_pre = g @ params["mlm_w"] + params["mlm_b"]
-    mlm_act = gelu(mlm_pre)
+    mlm_pre = _affine(g, params["mlm_w"], params["mlm_b"])
+    mlm_act, mlm_gelu_t = gelu_forward(mlm_pre)
     mlm_h, mlm_ln_cache = layer_norm(mlm_act, params["mlm_ln_g"], params["mlm_ln_b"], config.ln_eps)
     out_w = params["tok_emb"].T if config.tie_mlm else params["mlm_out_w"]
-    mlm_logits = mlm_h @ out_w + params["mlm_out_b"]
+    mlm_logits = _affine(mlm_h, out_w, params["mlm_out_b"])
 
     tc_h = hidden[batch.tc_b, batch.tc_i]
-    tc_logits = tc_h @ params["tc_w"] + params["tc_b"]
+    tc_logits = _affine(tc_h, params["tc_w"], params["tc_b"])
     tmt_h = hidden[batch.tmt_b, batch.tmt_i]
-    tmt_logits = tmt_h @ params["tmt_w"] + params["tmt_b"]
+    tmt_logits = _affine(tmt_h, params["tmt_w"], params["tmt_b"])
 
     if want_cache:
         cache["mlm_g"] = g
         cache["mlm_pre"] = mlm_pre
+        cache["mlm_gelu_t"] = mlm_gelu_t
         cache["mlm_act"] = mlm_act
         cache["mlm_ln"] = mlm_ln_cache
         cache["mlm_h"] = mlm_h
@@ -424,41 +510,6 @@ def forward_batch(params, config: ModelConfig, batch: Batch, want_cache: bool = 
         cache["tmt_h"] = tmt_h
     return ForwardResult(hidden=hidden, mlm_logits=mlm_logits, tc_logits=tc_logits,
                          tmt_logits=tmt_logits, cache=cache)
-
-
-@dataclass
-class EncoderOutput:
-    """Hidden states of one example with the views the three heads read."""
-
-    hidden: np.ndarray  # (L, d)
-    example: PretrainExample
-
-    @property
-    def text_states(self) -> np.ndarray:
-        s, e = self.example.layout.text_span
-        return self.hidden[s:e]
-
-    @property
-    def heading_state(self) -> np.ndarray | None:
-        pos = self.example.layout.sep0_pos
-        return None if pos is None else self.hidden[pos]
-
-    @property
-    def triple_states(self) -> np.ndarray:
-        seps = self.example.layout.sep_positions()
-        return self.hidden[seps] if seps else np.zeros((0, self.hidden.shape[1]))
-
-
-def forward(params, config: ModelConfig, example: PretrainExample):
-    """Single-example convenience wrapper.
-
-    Returns (EncoderOutput, mlm logits at masked positions, per-triple tc
-    logits, tmt logits at [SEP0]).
-    """
-    batch = make_batch([example], dtype=config.np_dtype)
-    res = forward_batch(params, config, batch)
-    out = EncoderOutput(hidden=res.hidden[0], example=example)
-    return out, res.mlm_logits, res.tc_logits, res.tmt_logits
 
 
 # ---------------------------------------------------------------------------
@@ -526,22 +577,19 @@ def encoder_backward(params, config: ModelConfig, cache, d_hidden):
         c = cache["layers"][i]
         x, y = c["x"], c["y"]
 
-        dz_pre, dg2, db2 = layer_norm_backward(dx, c["ln2"], params[p + "ln2_g"])
+        d_ffn_out, dg2, db2 = layer_norm_backward(dx, c["ln2"], params[p + "ln2_g"])
         grads[p + "ln2_g"], grads[p + "ln2_b"] = dg2, db2
-        dy = dz_pre.copy()
-        d_ffn_out = dz_pre
         grads[p + "ffn_w2"] = c["act"].T @ d_ffn_out
         grads[p + "ffn_b2"] = d_ffn_out.sum(axis=0)
         d_act = d_ffn_out @ params[p + "ffn_w2"].T
-        d_ffn_pre = d_act * gelu_grad(c["ffn_pre"], c["gelu_t"])
+        d_ffn_pre = gelu_grad(c["ffn_pre"], c["gelu_t"], dout=d_act)
         grads[p + "ffn_w1"] = y.T @ d_ffn_pre
         grads[p + "ffn_b1"] = d_ffn_pre.sum(axis=0)
+        dy = d_ffn_out  # no read of d_ffn_out follows: accumulate in place
         dy += d_ffn_pre @ params[p + "ffn_w1"].T
 
-        dy_pre, dg1, db1 = layer_norm_backward(dy, c["ln1"], params[p + "ln1_g"])
+        d_attn_out, dg1, db1 = layer_norm_backward(dy, c["ln1"], params[p + "ln1_g"])
         grads[p + "ln1_g"], grads[p + "ln1_b"] = dg1, db1
-        dx_new = dy_pre.copy()
-        d_attn_out = dy_pre
         grads[p + "o_w"] = c["ctx"].T @ d_attn_out
         grads[p + "o_b"] = d_attn_out.sum(axis=0)
         d_ctx = np.ascontiguousarray(
@@ -551,16 +599,17 @@ def encoder_backward(params, config: ModelConfig, cache, d_hidden):
         probs, q, k, v = c["probs"], c["q"], c["k"], c["v"]
         d_probs = d_ctx @ v.transpose(0, 1, 3, 2)
         dv = probs.transpose(0, 1, 3, 2) @ d_ctx
-        d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
-        dq = (d_scores @ k) * scale
-        dk = (d_scores.transpose(0, 1, 3, 2) @ q) * scale
-
+        d_scores = _softmax_backward(d_probs, probs)
+        dq = d_scores @ k
+        dq *= scale
+        dk = d_scores.transpose(0, 1, 3, 2) @ q
+        dk *= scale
+        dx = d_attn_out  # no read of d_attn_out follows: accumulate in place
         for name, dmat in (("q", dq), ("k", dk), ("v", dv)):
             flat = np.ascontiguousarray(dmat.transpose(0, 2, 1, 3)).reshape(b * l, d)
             grads[p + name + "_w"] = x.T @ flat
             grads[p + name + "_b"] = flat.sum(axis=0)
-            dx_new += flat @ params[p + name + "_w"].T
-        dx = dx_new
+            dx += flat @ params[p + name + "_w"].T
 
     d_emb, dg0, db0 = layer_norm_backward(dx, cache["emb_ln"], params["emb_ln_g"])
     grads["emb_ln_g"], grads["emb_ln_b"] = dg0, db0
@@ -571,10 +620,19 @@ def encoder_backward(params, config: ModelConfig, cache, d_hidden):
     d_pos = np.zeros_like(params["pos_emb"])
     d_pos[:l] = d_emb.reshape(b, l, d).sum(axis=0)
     grads["pos_emb"] = d_pos
-    d_seg = np.zeros_like(params["seg_emb"])
-    np.add.at(d_seg, cache["seg"], d_emb)
-    grads["seg_emb"] = d_seg
+    grads["seg_emb"] = _segment_grad(d_emb, cache["seg"], params["seg_emb"])
     return grads
+
+
+def _segment_grad(d_emb, seg, seg_emb):
+    """The scatter-add of d_emb's rows into their segments' rows of a zero
+    seg_emb-shaped array. Each segment's row sum adds the rows in order to
+    zero, exactly as np.add.at does; with a handful of segments the masked
+    sums are far cheaper than the unbuffered scatter."""
+    d_seg = np.zeros_like(seg_emb)
+    for s in range(len(d_seg)):
+        d_seg[s] += d_emb[seg == s].sum(axis=0)
+    return d_seg
 
 
 def backward_batch(params, config: ModelConfig, batch: Batch, result: ForwardResult,
@@ -600,7 +658,7 @@ def backward_batch(params, config: ModelConfig, batch: Batch, result: ForwardRes
     d_mlm_h = d_mlm_logits @ out_w.T
     d_mlm_act, d_ln_g, d_ln_b = layer_norm_backward(d_mlm_h, cache["mlm_ln"], params["mlm_ln_g"])
     grads["mlm_ln_g"], grads["mlm_ln_b"] = d_ln_g, d_ln_b
-    d_mlm_pre = d_mlm_act * gelu_grad(cache["mlm_pre"])
+    d_mlm_pre = gelu_grad(cache["mlm_pre"], cache["mlm_gelu_t"], dout=d_mlm_act)
     grads["mlm_w"] = cache["mlm_g"].T @ d_mlm_pre
     grads["mlm_b"] = d_mlm_pre.sum(axis=0)
     d_g = d_mlm_pre @ params["mlm_w"].T
@@ -620,7 +678,7 @@ def backward_batch(params, config: ModelConfig, batch: Batch, result: ForwardRes
     for k, v in enc_grads.items():
         grads[k] = v
     if config.tie_mlm:
-        grads["tok_emb"] = grads["tok_emb"] + d_out_w.T
+        grads["tok_emb"] += d_out_w.T
     else:
         grads["mlm_out_w"] = d_out_w
 
@@ -630,9 +688,3 @@ def backward_batch(params, config: ModelConfig, batch: Batch, result: ForwardRes
             full[name] = np.zeros_like(params[name])
     return loss, full
 
-
-def backward(params, config: ModelConfig, example: PretrainExample, lam: float, mu: float):
-    """Single-example loss and exact parameter gradients."""
-    batch = make_batch([example], dtype=config.np_dtype)
-    result = forward_batch(params, config, batch, want_cache=True)
-    return backward_batch(params, config, batch, result, lam, mu)

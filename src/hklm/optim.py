@@ -47,17 +47,29 @@ def adamw_step(
     t = state.step
     bc1 = 1.0 - config.beta1**t
     bc2 = 1.0 - config.beta2**t
+    # The update below is
+    #   m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * (g * g)
+    #   p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps));  p -= lr * wd * p
+    # evaluated operation by operation in this order, with three temporaries
+    # per tensor reused in place instead of one per operator.
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        g_tmp = np.multiply(g, 1.0 - config.beta1)
         m *= config.beta1
-        m += (1.0 - config.beta1) * g
+        m += g_tmp
+        np.multiply(g, g, out=g_tmp)
+        g_tmp *= 1.0 - config.beta2
         v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p -= config.lr * (m_hat / (np.sqrt(v_hat) + config.eps))
+        v += g_tmp
+        denom = np.divide(v, bc2)
+        np.sqrt(denom, out=denom)
+        denom += config.eps
+        update = np.divide(m, bc1)
+        update /= denom
+        update *= config.lr
+        p -= update
         if config.weight_decay:
-            p -= config.lr * config.weight_decay * p
+            p -= np.multiply(p, config.lr * config.weight_decay, out=denom)
     return params

@@ -7,6 +7,8 @@ side-channel truth, so all five task schemes run without external data.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -342,6 +344,28 @@ def make_rank_data(
             universe.append((eid, vocab.encode_tokens(toks)))
     index = TfIdfIndex.from_token_docs([ids for _, ids in universe])
     uni_vecs = [tfidf_vector(ids, index) for _, ids in universe]
+    postings: dict[int, list[int]] = {}
+    for j, vec in enumerate(uni_vecs):
+        for term in vec.weights:
+            postings.setdefault(term, []).append(j)
+
+    def closest_others(eid, qvec, k):
+        """Universe indices of the k candidates of other entities ranked first
+        by (-cosine to qvec, index). A candidate sharing no term with the
+        query scores exactly 0.0 (so does one sharing only zero-weight
+        terms), so only those sharing a term are scored; zero scorers follow
+        the positive ones in universe order."""
+        shared = {j for term in qvec.weights for j in postings.get(term, ())}
+        positive = []
+        for j in shared:
+            if universe[j][0] != eid:
+                score = cosine(qvec, uni_vecs[j])
+                if score > 0.0:
+                    positive.append((-score, j))
+        picked = [j for _, j in heapq.nsmallest(k, positive)]
+        taken = set(picked)
+        zeros = (j for j, (cand_eid, _) in enumerate(universe) if cand_eid != eid and j not in taken)
+        return picked + list(itertools.islice(zeros, k - len(picked)))
 
     def build(recs, count, tag_prefix):
         rng = np.random.default_rng(derive_seed(seed, "rank", tag_prefix, dialog))
@@ -357,15 +381,7 @@ def make_rank_data(
                 query = turn1 + [SEP_ID] + query
             gold_ids = vocab.encode_tokens(gold_toks)
             qvec = tfidf_vector(query, index)
-            scored = sorted(
-                (
-                    (cosine(qvec, uni_vecs[j]), j)
-                    for j, (cand_eid, _) in enumerate(universe)
-                    if cand_eid != eid
-                ),
-                key=lambda sj: (-sj[0], sj[1]),
-            )
-            distractors = [universe[j][1] for _, j in scored[: n_candidates - 1]]
+            distractors = [universe[j][1] for j in closest_others(eid, qvec, n_candidates - 1)]
             gold_pos = int(rng.integers(0, len(distractors) + 1))
             candidates = distractors[:gold_pos] + [gold_ids] + distractors[gold_pos:]
             out.append(

@@ -1,12 +1,16 @@
 """Independent brute-force reference implementations used as oracles.
 
 Deliberately naive and written without reusing any package internals, so a
-bug in the library cannot hide in its own test oracle.
+bug in the library cannot hide in its own test oracle. The exception is the
+last section: verbatim copies of earlier, plainer implementations that the
+faster ones must reproduce bit for bit.
 """
 
 import math
 import unicodedata
 from collections import Counter
+
+import numpy as np
 
 
 def naive_tfidf_weight(term, doc_terms, all_docs):
@@ -175,3 +179,154 @@ def naive_tokenize(text):
         tokens.extend(lower_ascii(p) for p in parts)
         tokens.extend(reversed(trail))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Plain implementations replaced by faster, bit-identical ones
+# ---------------------------------------------------------------------------
+
+# Training-step kernels as plain numpy expressions, one temporary per operator
+# (formerly functions and inline expressions of hklm.encoder, and
+# hklm.optim.adamw_step).
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
+
+
+def gelu_forward(x: np.ndarray):
+    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
+    return 0.5 * x * (1.0 + t), t
+
+
+def gelu_grad(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    if t is None:
+        t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+
+
+def layer_norm(x, g, b, eps):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xn = xc * inv
+    return xn * g + b, (xn, inv)
+
+
+def layer_norm_backward(dout, cache, g):
+    xn, inv = cache
+    d = dout.shape[-1]
+    dg = (dout * xn).reshape(-1, d).sum(axis=0)
+    db = dout.reshape(-1, d).sum(axis=0)
+    dxn = dout * g
+    m1 = dxn.mean(axis=-1, keepdims=True)
+    m2 = (dxn * xn).mean(axis=-1, keepdims=True)
+    dx = inv * (dxn - m1 - xn * m2)
+    return dx, dg, db
+
+
+def softmax(x: np.ndarray, axis=-1) -> np.ndarray:
+    z = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_backward(d_probs, probs):
+    return probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
+
+
+def affine(x, w, b):
+    return x @ w + b
+
+
+def segment_grad(d_emb, seg, seg_emb):
+    d_seg = np.zeros_like(seg_emb)
+    np.add.at(d_seg, seg, d_emb)
+    return d_seg
+
+
+def adamw_step(params, grads, state, config):
+    """One in-place update; aborts (state untouched) on any non-finite gradient."""
+    from hklm.encoder import NonFiniteGradientError
+
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteGradientError(f"non-finite gradient in {name!r}")
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - config.beta1**t
+    bc2 = 1.0 - config.beta2**t
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= config.beta1
+        m += (1.0 - config.beta1) * g
+        v *= config.beta2
+        v += (1.0 - config.beta2) * (g * g)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        p -= config.lr * (m_hat / (np.sqrt(v_hat) + config.eps))
+        if config.weight_decay:
+            p -= config.lr * config.weight_decay * p
+    return params
+
+
+def make_rank_data(corpus, truth, vocab, seed, n_train=80, n_eval=40, n_candidates=30, dialog=False):
+    """Candidate ranking by scoring every query against the whole universe
+    and fully sorting (formerly hklm.tasks.make_rank_data)."""
+    from hklm.align import TfIdfIndex, cosine, tfidf_vector
+    from hklm.corpus import SEP_ID, derive_seed
+    from hklm.tasks import TaskExample, _entity_sentences, split_entities
+
+    by_id = {rec["entity_id"]: rec for rec in truth}
+    sentences = _entity_sentences(corpus)
+    train_recs, eval_recs = split_entities(truth, seed)
+
+    # candidate universe across entities, encoded once
+    universe: list[tuple[str, list[int]]] = []
+    for eid, sents in sorted(sentences.items()):
+        for heading, toks in sents:
+            universe.append((eid, vocab.encode_tokens(toks)))
+    index = TfIdfIndex.from_token_docs([ids for _, ids in universe])
+    uni_vecs = [tfidf_vector(ids, index) for _, ids in universe]
+
+    def build(recs, count, tag_prefix):
+        rng = np.random.default_rng(derive_seed(seed, "rank", tag_prefix, dialog))
+        out = []
+        usable = [r for r in recs if sentences.get(r["entity_id"])]
+        for i in range(count):
+            rec = usable[int(rng.integers(0, len(usable)))]
+            eid = rec["entity_id"]
+            heading, gold_toks = sentences[eid][int(rng.integers(0, len(sentences[eid])))]
+            query = vocab.encode_tokens([rec["name"], rec["kind"]]) + vocab.encode(heading)
+            if dialog:
+                turn1 = vocab.encode_tokens(["travellers", "near", rec["name"], rec["kind"]])
+                query = turn1 + [SEP_ID] + query
+            gold_ids = vocab.encode_tokens(gold_toks)
+            qvec = tfidf_vector(query, index)
+            scored = sorted(
+                (
+                    (cosine(qvec, uni_vecs[j]), j)
+                    for j, (cand_eid, _) in enumerate(universe)
+                    if cand_eid != eid
+                ),
+                key=lambda sj: (-sj[0], sj[1]),
+            )
+            distractors = [universe[j][1] for _, j in scored[: n_candidates - 1]]
+            gold_pos = int(rng.integers(0, len(distractors) + 1))
+            candidates = distractors[:gold_pos] + [gold_ids] + distractors[gold_pos:]
+            out.append(
+                TaskExample(
+                    example_id=f"{tag_prefix}{i:05d}",
+                    variant="rank",
+                    tokens=query,
+                    candidates=candidates,
+                    gold=gold_pos,
+                )
+            )
+        return out
+
+    prefix = "dlg" if dialog else "qa"
+    return build(train_recs, n_train, f"{prefix}-tr-"), build(eval_recs, n_eval, f"{prefix}-ev-")

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
+from hklm import encoder, pretrain
 from hklm.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from hklm.encoder import (
-    EncoderOutput,
     ModelConfig,
     ModelError,
     NonFiniteGradientError,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
     init_params,
     joint_loss,
@@ -20,6 +18,8 @@ from hklm.encoder import (
 )
 from hklm.examples import PretrainExample, SegmentLayout, assemble_input
 from hklm.optim import AdamWConfig, AdamWState, adamw_step
+from hklm.pretrain import TrainConfig, run_pretraining
+import oracles
 from oracles import naive_mean_nll
 
 V = 60
@@ -46,6 +46,16 @@ def plain_example():
     return PretrainExample(ids, layout, [(2, 26)], [], None, 0)
 
 
+def forward_one(params, cfg, example, want_cache=False):
+    batch = make_batch([example], dtype=cfg.np_dtype)
+    return forward_batch(params, cfg, batch, want_cache)
+
+
+def backward_one(params, cfg, example, lam, mu):
+    batch = make_batch([example], dtype=cfg.np_dtype)
+    return backward_batch(params, cfg, batch, forward_one(params, cfg, example, True), lam, mu)
+
+
 def tiny_config(**kw):
     base = dict(vocab_size=V, d_model=16, n_heads=2, n_layers=1, max_seq_len=64,
                 dtype="float64", init_std=0.35)
@@ -57,22 +67,24 @@ class TestForward:
     def test_shapes_and_views(self, rich_example):
         cfg = tiny_config()
         params = init_params(cfg, 0)
-        out, mlm_logits, tc_logits, tmt_logits = forward(params, cfg, rich_example)
-        assert out.hidden.shape == (len(rich_example.input_ids), cfg.d_model)
-        assert mlm_logits.shape == (2, V)
-        assert tc_logits.shape == (2, 2)
-        assert tmt_logits.shape == (1, 2)
-        assert out.text_states.shape == (4, cfg.d_model)
-        assert out.heading_state.shape == (cfg.d_model,)
-        assert out.triple_states.shape == (2, cfg.d_model)
+        res = forward_one(params, cfg, rich_example)
+        hidden, layout = res.hidden[0], rich_example.layout
+        assert hidden.shape == (len(rich_example.input_ids), cfg.d_model)
+        assert res.mlm_logits.shape == (2, V)
+        assert res.tc_logits.shape == (2, 2)
+        assert res.tmt_logits.shape == (1, 2)
+        text_start, text_end = layout.text_span
+        assert hidden[text_start:text_end].shape == (4, cfg.d_model)
+        assert hidden[layout.sep0_pos].shape == (cfg.d_model,)
+        assert hidden[layout.sep_positions()].shape == (2, cfg.d_model)
 
     def test_plain_mode_accepted(self, plain_example):
         cfg = tiny_config()
         params = init_params(cfg, 0)
-        out, mlm_logits, tc_logits, tmt_logits = forward(params, cfg, plain_example)
-        assert tc_logits.shape == (0, 2)
-        assert tmt_logits.shape == (0, 2)
-        assert out.heading_state is None
+        res = forward_one(params, cfg, plain_example)
+        assert res.tc_logits.shape == (0, 2)
+        assert res.tmt_logits.shape == (0, 2)
+        assert plain_example.layout.sep0_pos is None  # no heading state
 
     def test_zero_projections_degenerate_to_layernormed_embeddings(self, rich_example):
         cfg = tiny_config(n_layers=2)
@@ -135,14 +147,14 @@ class TestForward:
         params = init_params(cfg, 0)
         ex = mk_example(list(range(20, 30)), [30], [], [], [], 1, max_len=128)
         with pytest.raises(ModelError):
-            forward(params, cfg, ex)
+            forward_one(params, cfg, ex)
 
     def test_vocab_mismatch_rejected(self, rich_example):
         cfg = tiny_config()
         params = init_params(cfg, 0)
         bad = mk_example([V + 5], [30], [], [], [], 1)
         with pytest.raises(ModelError):
-            forward(params, cfg, bad)
+            forward_one(params, cfg, bad)
 
 
 class TestLoss:
@@ -223,7 +235,7 @@ class TestBackward:
     def test_unused_head_zero_grad(self, plain_example):
         cfg = tiny_config()
         params = init_params(cfg, 0)
-        _loss, grads = backward(params, cfg, plain_example, 1.0, 1.0)
+        _loss, grads = backward_one(params, cfg, plain_example, 1.0, 1.0)
         assert not grads["tc_w"].any()
         assert not grads["tc_b"].any()
         assert not grads["tmt_w"].any()
@@ -232,8 +244,8 @@ class TestBackward:
     def test_lambda_linearity(self, rich_example):
         cfg = tiny_config()
         params = init_params(cfg, 0)
-        _l1, g1 = backward(params, cfg, rich_example, 1.0, 1.0)
-        _l2, g2 = backward(params, cfg, rich_example, 2.0, 1.0)
+        _l1, g1 = backward_one(params, cfg, rich_example, 1.0, 1.0)
+        _l2, g2 = backward_one(params, cfg, rich_example, 2.0, 1.0)
         np.testing.assert_allclose(g2["tc_w"], 2.0 * g1["tc_w"], rtol=1e-12)
         np.testing.assert_allclose(g2["mlm_w"], g1["mlm_w"], rtol=0, atol=0)
 
@@ -349,3 +361,154 @@ class TestNumerics:
         out, _ = layer_norm(x, np.ones(8), np.zeros(8), 1e-12)
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-9)
         np.testing.assert_allclose((out**2).mean(axis=-1), 1.0, atol=1e-6)
+
+
+def assert_identical(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def kernel_input(shape, dtype, seed, scale=3.0):
+    return (np.random.default_rng(seed).normal(size=shape) * scale).astype(dtype)
+
+
+# One row; 1377 rows of the FFN width (21.5 GELU blocks); a 3-D activation;
+# the MLM head's d_model width; a vocabulary-wide row block.
+KERNEL_SHAPES = [(1, 512), (1377, 512), (3, 43, 512), (37, 128), (5, 2999)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+class TestKernelsMatchPlainNumpy:
+    """Every training-step kernel equals its plain numpy expression (kept in
+    tests/oracles.py) bit for bit, and leaves its inputs untouched."""
+
+    def test_gelu(self, shape, dtype):
+        x = kernel_input(shape, dtype, 0)
+        dout = kernel_input(shape, dtype, 1)
+        x0, dout0 = x.copy(), dout.copy()
+        act, t = encoder.gelu_forward(x)
+        want_act, want_t = oracles.gelu_forward(x)
+        assert_identical(act, want_act)
+        assert_identical(t, want_t)
+        assert_identical(encoder.gelu_grad(x), oracles.gelu_grad(x))
+        assert_identical(encoder.gelu_grad(x, t), oracles.gelu_grad(x, t))
+        d = dout.copy()
+        got = encoder.gelu_grad(x, t, dout=d)
+        assert got is d
+        assert_identical(got, dout * oracles.gelu_grad(x, t))
+        assert_identical(x, x0)
+        assert_identical(t, want_t)
+
+    def test_layer_norm(self, shape, dtype):
+        x = kernel_input(shape, dtype, 2) + 1.5
+        g = kernel_input(shape[-1:], dtype, 3, scale=1.0)
+        b = kernel_input(shape[-1:], dtype, 4, scale=1.0)
+        dout = kernel_input(shape, dtype, 5)
+        inputs = (x, g, b, dout)
+        before = [a.copy() for a in inputs]
+        out, (xn, inv) = encoder.layer_norm(x, g, b, 1e-5)
+        want_out, want_cache = oracles.layer_norm(x, g, b, 1e-5)
+        for got, want in zip((out, xn, inv), (want_out, *want_cache)):
+            assert_identical(got, want)
+        got = encoder.layer_norm_backward(dout, (xn, inv), g)
+        want = oracles.layer_norm_backward(dout, want_cache, g)
+        for got_part, want_part in zip(got, want):
+            assert_identical(got_part, want_part)
+        for a, a0 in zip(inputs + (xn, inv), before + list(want_cache)):
+            assert_identical(a, a0)
+
+    def test_softmax_and_its_backward(self, shape, dtype):
+        x = kernel_input(shape, dtype, 6)
+        x[..., -1] += encoder.NEG_INF  # a masked key column
+        d_probs = kernel_input(shape, dtype, 7)
+        x0, d_probs0 = x.copy(), d_probs.copy()
+        probs = encoder.softmax(x)
+        assert_identical(probs, oracles.softmax(x))
+        assert_identical(x, x0)
+        probs0 = probs.copy()
+        d = d_probs.copy()
+        got = encoder._softmax_backward(d, probs)
+        assert got is d
+        assert_identical(got, oracles.softmax_backward(d_probs, probs))
+        assert_identical(probs, probs0)
+        assert_identical(d_probs, d_probs0)
+
+    def test_segment_grad(self, shape, dtype):
+        d_emb = kernel_input(shape, dtype, 8).reshape(-1, shape[-1])
+        seg = np.random.default_rng(9).integers(0, 3, len(d_emb))
+        seg_emb = np.zeros((3, shape[-1]), dtype=dtype)
+        before = (d_emb.copy(), seg.copy())
+        got = encoder._segment_grad(d_emb, seg, seg_emb)
+        assert_identical(got, oracles.segment_grad(d_emb, seg, seg_emb))
+        assert_identical(d_emb, before[0])
+        assert np.array_equal(seg, before[1]) and not seg_emb.any()
+
+    def test_adamw_step(self, shape, dtype):
+        # "h" is float64 whatever the encoder's dtype, like a fine-tuning head
+        shapes = {"w": shape, "b": shape[-1:], "h": (shape[-1], 2)}
+        dtypes = {"w": dtype, "b": dtype, "h": np.float64}
+
+        def fresh():
+            params = {k: kernel_input(s, dtypes[k], i) for i, (k, s) in enumerate(shapes.items())}
+            return params, AdamWState.for_params(params)
+
+        got_p, got_s = fresh()
+        want_p, want_s = fresh()
+        for step, decay in enumerate((0.0, 0.01, 0.01)):
+            cfg = AdamWConfig(lr=1e-3 * (step + 1), weight_decay=decay)
+            grads = {
+                k: kernel_input(s, dtypes[k], 10 + step + i) for i, (k, s) in enumerate(shapes.items())
+            }
+            grads0 = {k: g.copy() for k, g in grads.items()}
+            adamw_step(got_p, grads, got_s, cfg)
+            oracles.adamw_step(want_p, grads0, want_s, cfg)
+            for k in shapes:
+                assert_identical(grads[k], grads0[k])
+        assert got_s.step == want_s.step == 3
+        for k in shapes:
+            assert_identical(got_p[k], want_p[k])
+            assert_identical(got_s.m[k], want_s.m[k])
+            assert_identical(got_s.v[k], want_s.v[k])
+
+
+def joint_train_config(**kw):
+    base = dict(mode="hklm", steps=5, eval_every=5, batch_size=16, max_fragment_len=48,
+                triples_per_example=1, weight_decay=0.01, seed=3, d_model=32, n_heads=2,
+                n_layers=2)
+    base.update(kw)
+    return TrainConfig(**base)
+
+
+def test_training_steps_match_plain_numpy_kernels(synth20, monkeypatch):
+    """Five joint training steps with the plain numpy kernels swapped in end at
+    the same bytes as with the blocked, in-place ones."""
+    corpus, _ = synth20
+    cfg = joint_train_config()
+    fast = run_pretraining(cfg, corpus)
+    for name in ("gelu_forward", "layer_norm", "layer_norm_backward", "softmax"):
+        monkeypatch.setattr(encoder, name, getattr(oracles, name))
+    monkeypatch.setattr(encoder, "gelu_grad", lambda x, t=None, dout=None: dout * oracles.gelu_grad(x, t))
+    monkeypatch.setattr(encoder, "_softmax_backward", oracles.softmax_backward)
+    monkeypatch.setattr(encoder, "_affine", oracles.affine)
+    monkeypatch.setattr(encoder, "_segment_grad", oracles.segment_grad)
+    monkeypatch.setattr(pretrain, "adamw_step", oracles.adamw_step)
+    plain = run_pretraining(cfg, corpus)
+    assert fast.loss_trace == plain.loss_trace
+    assert list(fast.params) == list(plain.params)
+    for name in fast.params:
+        assert_identical(fast.params[name], plain.params[name])
+
+
+def test_backward_leaves_forward_cache_intact(synth20):
+    """backward_batch twice on one ForwardResult: in-place gradient kernels must
+    not write into the activations the forward pass cached."""
+    corpus, _ = synth20
+    run = run_pretraining(joint_train_config(steps=2), corpus)
+    batch = make_batch(run.train_examples[:16])
+    res = forward_batch(run.params, run.model_config, batch, want_cache=True)
+    loss1, grads1 = backward_batch(run.params, run.model_config, batch, res, 1.0, 1.0)
+    loss2, grads2 = backward_batch(run.params, run.model_config, batch, res, 1.0, 1.0)
+    assert loss1 == loss2
+    for name in param_names(run.model_config):
+        assert_identical(grads2[name], grads1[name])

@@ -13,6 +13,7 @@ from hklm.tasks import (
     split_entities,
     write_task_data,
 )
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +159,20 @@ class TestRank:
                     all_para_ids.add(tuple(vocab.encode(p)[:24]))
         for ex in train:
             assert tuple(ex.candidates[ex.gold]) in all_para_ids
+
+
+    @pytest.mark.parametrize("dialog", [False, True])
+    @pytest.mark.parametrize("n_candidates", [1, 12, 60, 1000])
+    def test_matches_full_ranking(self, world, dialog, n_candidates):
+        # 60 candidates outnumber the positive scorers of some queries and
+        # 1000 the whole universe, so zero scorers fill the tail in order
+        corpus, truth, vocab = world
+        kwargs = dict(n_train=15, n_eval=8, n_candidates=n_candidates, dialog=dialog)
+        got = make_rank_data(corpus, truth, vocab, 5, **kwargs)
+        want = oracles.make_rank_data(corpus, truth, vocab, 5, **kwargs)
+        assert [[ex.to_json() for ex in part] for part in got] == [
+            [ex.to_json() for ex in part] for part in want
+        ]
 
 
 class TestIO:
