@@ -115,7 +115,12 @@ def cosine(a: SparseVec, b: SparseVec) -> float:
         return 0.0
     if len(b.weights) < len(a.weights):
         a, b = b, a
-    dot = sum(w * b.weights[t] for t, w in a.weights.items() if t in b.weights)
+    # A plain left-to-right sum (built-in sum compensates from Python 3.12),
+    # which tasks.make_rank_data reproduces with numpy.
+    dot = 0.0
+    for t, w in a.weights.items():
+        if t in b.weights:
+            dot += w * b.weights[t]
     return dot / (a.norm * b.norm)
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -242,21 +244,6 @@ def epoch_sampler(config: TrainConfig, epoch: int) -> SamplerConfig:
     return sampler
 
 
-def build_examples(
-    config: TrainConfig, corpus: Corpus, vocab: Vocab, epoch: int = 0
-) -> tuple[list[PretrainExample], list[PretrainExample]]:
-    """One-shot example build: epoch-0 training stream plus held-out stream."""
-    train_aligned, held_aligned = build_aligned(config, corpus, vocab)
-    ablation = config.ablation()
-    train_ex, _ = generate_pretrain_examples(
-        corpus, train_aligned, vocab, epoch_sampler(config, epoch), ablation
-    )
-    held_ex, _ = generate_pretrain_examples(
-        corpus, held_aligned, vocab, config.sampler_config(), ablation
-    )
-    return train_ex, held_ex
-
-
 def _length_bucketed_batches(
     examples: list[PretrainExample], batch_size: int, dtype
 ) -> list[Batch]:
@@ -324,6 +311,35 @@ def unigram_baseline_accuracy(
     return sum(1 for t in held if t == top) / len(held)
 
 
+# glibc's mallopt parameters (malloc.h) and its largest mmap threshold on
+# 64-bit platforms.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _retain_freed_heap() -> None:
+    """Let glibc keep freed heap memory in the process instead of returning it.
+
+    Training frees each step's activation cache (tens to hundreds of MB)
+    before the next forward allocates one of about the same size. By default
+    glibc hands a freed heap top back to the OS, and the next forward
+    page-faults every page of it in again. With arrays up to 32 MiB served
+    from the heap and no trimming, the next cache reuses those pages; the
+    peak resident size stays one cache. Process-wide, and a no-op on other C
+    libraries.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):  # not glibc
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+
+
 def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> PretrainResult:
     """End-to-end fragment -> align -> corrupt -> train pipeline.
 
@@ -347,6 +363,7 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
         raise ConfigError("no training examples were generated")
 
     model_cfg = config.model_config(len(vocab))
+    _retain_freed_heap()
     params = init_params_seeded(model_cfg, config.seed)
     opt_cfg = AdamWConfig(lr=config.effective_lr(), weight_decay=config.weight_decay)
     state = AdamWState.for_params(params)
@@ -390,6 +407,10 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
             epoch += 1
         return batches[int(schedule.pop(0))]
 
+    # Nothing of a step outlives it: a micro-batch's activation cache, the
+    # largest allocation of a step, dies once its backward returns, its
+    # gradients once summed, the step's sum when `accum` is reset. So no
+    # forward runs beside an earlier cache or an earlier step's gradients.
     step = 0
     while step < config.steps:
         accum = None
@@ -399,6 +420,7 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
             batch = next_batch()
             res = forward_batch(params, model_cfg, batch, want_cache=True)
             loss, grads = backward_batch(params, model_cfg, batch, res, config.lam, config.mu)
+            del res
             if not np.isfinite(loss.total):
                 raise DivergenceError(f"non-finite loss at step {step}: {loss}")
             breakdown += (loss.total, loss.mlm, loss.tc, loss.tmt)
@@ -408,6 +430,7 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
             else:
                 for name in accum:
                     accum[name] += grads[name]
+            del grads
         if config.grad_accum > 1:
             for name in accum:
                 accum[name] /= n_micro

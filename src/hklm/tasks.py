@@ -7,14 +7,12 @@ side-channel truth, so all five task schemes run without external data.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .align import TfIdfIndex, cosine, tfidf_vector
+from .align import SparseVec, TfIdfIndex, cosine, tfidf_vector
 from .corpus import (
     ATTRIBUTE_POOLS,
     ENT_ID,
@@ -309,11 +307,50 @@ def _entity_sentences(corpus: Corpus, max_len: int = 24) -> dict[str, list[tuple
         sents = []
         for sec in doc.sections:
             for para in sec.paragraphs:
-                toks = tokenize_text(para)[:max_len]
+                # Each whitespace chunk yields at least one token, so the
+                # first max_len chunks hold the first max_len tokens.
+                toks = tokenize_text(" ".join(para.split()[:max_len]))[:max_len]
                 if toks:
                     sents.append((sec.heading, toks))
         out[doc.entity_id] = sents
     return out
+
+
+class _ExactCosines:
+    """`cosine(qvec, vec)` for every vec of a fixed list at once, bit for bit.
+
+    `cosine` sums the products of the shorter vector's terms left to right.
+    Adding each query term's products into the candidates holding it, in the
+    query's term order, is that sum wherever the candidate has at least as
+    many terms as the query; shorter candidates sharing a term go through
+    `cosine` itself. A candidate sharing no positive-weight term scores 0.0.
+    """
+
+    def __init__(self, vecs: list[SparseVec]):
+        self.vecs = vecs
+        self.norms = np.array([vec.norm for vec in vecs])
+        self.n_terms = np.array([len(vec.weights) for vec in vecs])
+        # Term-major weights: each term's candidates and their weights.
+        lists: dict[int, tuple[list[int], list[float]]] = {}
+        for j, vec in enumerate(vecs):
+            for term, w in vec.weights.items():
+                rows, weights = lists.setdefault(term, ([], []))
+                rows.append(j)
+                weights.append(w)
+        self.postings = {t: (np.array(rows), np.array(ws)) for t, (rows, ws) in lists.items()}
+
+    def __call__(self, qvec: SparseVec) -> np.ndarray:
+        dot = np.zeros(len(self.vecs))
+        for term, w in qvec.weights.items():
+            if term in self.postings:
+                rows, weights = self.postings[term]
+                dot[rows] += w * weights
+        scores = np.zeros(len(self.vecs))
+        hit = np.flatnonzero(dot > 0.0)
+        scores[hit] = dot[hit] / (qvec.norm * self.norms[hit])
+        for j in hit[self.n_terms[hit] < len(qvec.weights)]:
+            scores[j] = cosine(qvec, self.vecs[j])
+        return scores
 
 
 def make_rank_data(
@@ -344,28 +381,19 @@ def make_rank_data(
             universe.append((eid, vocab.encode_tokens(toks)))
     index = TfIdfIndex.from_token_docs([ids for _, ids in universe])
     uni_vecs = [tfidf_vector(ids, index) for _, ids in universe]
-    postings: dict[int, list[int]] = {}
-    for j, vec in enumerate(uni_vecs):
-        for term in vec.weights:
-            postings.setdefault(term, []).append(j)
+    cosines = _ExactCosines(uni_vecs)
+    uni_eids = np.array([eid for eid, _ in universe])
 
     def closest_others(eid, qvec, k):
         """Universe indices of the k candidates of other entities ranked first
-        by (-cosine to qvec, index). A candidate sharing no term with the
-        query scores exactly 0.0 (so does one sharing only zero-weight
-        terms), so only those sharing a term are scored; zero scorers follow
-        the positive ones in universe order."""
-        shared = {j for term in qvec.weights for j in postings.get(term, ())}
-        positive = []
-        for j in shared:
-            if universe[j][0] != eid:
-                score = cosine(qvec, uni_vecs[j])
-                if score > 0.0:
-                    positive.append((-score, j))
-        picked = [j for _, j in heapq.nsmallest(k, positive)]
-        taken = set(picked)
-        zeros = (j for j, (cand_eid, _) in enumerate(universe) if cand_eid != eid and j not in taken)
-        return picked + list(itertools.islice(zeros, k - len(picked)))
+        by (-cosine to qvec, index); zero scorers follow the positive ones in
+        universe order."""
+        scores = cosines(qvec)
+        other = uni_eids != eid
+        positive = np.flatnonzero(other & (scores > 0.0))
+        picked = positive[np.argsort(-scores[positive], kind="stable")[:k]]
+        other[picked] = False
+        return picked.tolist() + np.flatnonzero(other)[: k - len(picked)].tolist()
 
     def build(recs, count, tag_prefix):
         rng = np.random.default_rng(derive_seed(seed, "rank", tag_prefix, dialog))

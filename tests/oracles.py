@@ -273,15 +273,32 @@ def adamw_step(params, grads, state, config):
     return params
 
 
+def entity_sentences(corpus, max_len=24):
+    """Per-entity (heading, first max_len tokens of each paragraph), with
+    each whole paragraph tokenized (formerly hklm.tasks._entity_sentences)."""
+    from hklm.corpus import tokenize_text
+
+    out = {}
+    for doc in corpus:
+        sents = []
+        for sec in doc.sections:
+            for para in sec.paragraphs:
+                toks = tokenize_text(para)[:max_len]
+                if toks:
+                    sents.append((sec.heading, toks))
+        out[doc.entity_id] = sents
+    return out
+
+
 def make_rank_data(corpus, truth, vocab, seed, n_train=80, n_eval=40, n_candidates=30, dialog=False):
     """Candidate ranking by scoring every query against the whole universe
     and fully sorting (formerly hklm.tasks.make_rank_data)."""
     from hklm.align import TfIdfIndex, cosine, tfidf_vector
     from hklm.corpus import SEP_ID, derive_seed
-    from hklm.tasks import TaskExample, _entity_sentences, split_entities
+    from hklm.tasks import TaskExample, split_entities
 
     by_id = {rec["entity_id"]: rec for rec in truth}
-    sentences = _entity_sentences(corpus)
+    sentences = entity_sentences(corpus)
     train_recs, eval_recs = split_entities(truth, seed)
 
     # candidate universe across entities, encoded once

@@ -1,4 +1,5 @@
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from hklm import align, pretrain
 from hklm.checkpoint import save_checkpoint
-from hklm.corpus import SEP0_ID, SEPI_IDS, build_vocab, generate_synthetic_corpus
+from hklm.corpus import SEP0_ID, SEPI_IDS, generate_synthetic_corpus
 from hklm.encoder import param_names
 from hklm.pretrain import (
     ConfigError,
@@ -14,7 +15,6 @@ from hklm.pretrain import (
     MetricsRecord,
     TrainConfig,
     build_aligned,
-    build_examples,
     evaluate_pretrain_heads,
     head_accuracy,
     init_params_seeded,
@@ -195,14 +195,54 @@ class TestRunPretraining:
         res = run_pretraining(cfg, corpus30)
         assert len(res.loss_trace) == 2
 
+    @pytest.mark.parametrize("grad_accum", [1, 2])
+    def test_step_buffers_freed_before_next_forward(self, corpus30, monkeypatch, grad_accum):
+        """When a training forward starts, every earlier activation cache is
+        gone, and so is every earlier gradient dict except the current step's
+        running sum (its first micro-batch's dict)."""
+        real_forward, real_backward = pretrain.forward_batch, pretrain.backward_batch
+        caches: list[weakref.ref] = []
+        grads: list[weakref.ref] = []
+        live_at_forward: list[tuple[list[int], list[int]]] = []
+
+        class Grads(dict):  # a plain dict cannot be weakly referenced
+            pass
+
+        def tracking_forward(params, model_cfg, batch, want_cache=False):
+            if want_cache:
+                live_at_forward.append((
+                    [i for i, ref in enumerate(caches) if ref() is not None],
+                    [i for i, ref in enumerate(grads) if ref() is not None],
+                ))
+            res = real_forward(params, model_cfg, batch, want_cache)
+            if want_cache:
+                caches.append(weakref.ref(res))
+            return res
+
+        def tracking_backward(*args):
+            loss, g = real_backward(*args)
+            g = Grads(g)
+            grads.append(weakref.ref(g))
+            return loss, g
+
+        monkeypatch.setattr(pretrain, "forward_batch", tracking_forward)
+        monkeypatch.setattr(pretrain, "backward_batch", tracking_backward)
+        steps = 3
+        res = run_pretraining(small_cfg(steps=steps, eval_every=2, grad_accum=grad_accum), corpus30)
+        assert len(res.loss_trace) == steps
+        assert len(live_at_forward) == steps * grad_accum
+        for n, (live_caches, live_grads) in enumerate(live_at_forward):
+            micro = n % grad_accum
+            assert live_caches == [], f"forward {n}"
+            assert live_grads == ([n - micro] if micro else []), f"forward {n}"
+
 
 class TestHeads:
     def test_random_init_binary_heads_near_chance(self, corpus30):
-        cfg = small_cfg(steps=0, heldout_fraction=0.5)
-        vocab = build_vocab(corpus30, 1)
-        train_ex, held_ex = build_examples(cfg, corpus30, vocab)
-        params = init_params_seeded(cfg.model_config(len(vocab)), cfg.seed)
-        ev = evaluate_pretrain_heads(params, cfg.model_config(len(vocab)), train_ex + held_ex)
+        res = run_pretraining(small_cfg(steps=0, heldout_fraction=0.5), corpus30)
+        ev = evaluate_pretrain_heads(
+            res.params, res.model_config, res.train_examples + res.held_examples
+        )
         assert ev["n_tc"] > 300 and ev["n_tmt"] > 80
         assert abs(ev["tc"] - 0.5) < 0.06
         assert abs(ev["tmt"] - 0.5) < 0.08
@@ -215,11 +255,8 @@ class TestHeads:
         assert (correct, total) == (4, 4)
 
     def test_no_support_returns_none(self, corpus30):
-        cfg = small_cfg(mode="plain", steps=0)
-        vocab = build_vocab(corpus30, 1)
-        train_ex, held_ex = build_examples(cfg, corpus30, vocab)
-        params = init_params_seeded(cfg.model_config(len(vocab)), cfg.seed)
-        ev = evaluate_pretrain_heads(params, cfg.model_config(len(vocab)), held_ex)
+        res = run_pretraining(small_cfg(mode="plain", steps=0), corpus30)
+        ev = evaluate_pretrain_heads(res.params, res.model_config, res.held_examples)
         assert ev["tc"] is None and ev["tmt"] is None
         assert ev["mlm"] is not None
 
@@ -231,8 +268,6 @@ class TestHeads:
         np.testing.assert_array_equal(res.params["tmt_w"], init["tmt_w"])
 
     def test_unigram_baseline_bounds(self, corpus30):
-        cfg = small_cfg(steps=0)
-        vocab = build_vocab(corpus30, 1)
-        train_ex, held_ex = build_examples(cfg, corpus30, vocab)
-        acc = unigram_baseline_accuracy(train_ex, held_ex)
+        res = run_pretraining(small_cfg(steps=0), corpus30)
+        acc = unigram_baseline_accuracy(res.train_examples, res.held_examples)
         assert 0.0 <= acc <= 0.5

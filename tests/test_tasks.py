@@ -1,10 +1,23 @@
+import numpy as np
 import pytest
 
-from hklm.corpus import ENT_ID, SEP_ID, UNK_ID, build_vocab, generate_synthetic_corpus
+from hklm.align import SparseVec, TfIdfIndex, cosine, tfidf_vector
+from hklm.corpus import (
+    ENT_ID,
+    SEP_ID,
+    UNK_ID,
+    Corpus,
+    Document,
+    Section,
+    build_vocab,
+    generate_synthetic_corpus,
+)
 from hklm.metrics import bio_tags_to_spans, is_valid_bio
 from hklm.tasks import (
     TaskError,
     TaskExample,
+    _entity_sentences,
+    _ExactCosines,
     make_et_data,
     make_ner_data,
     make_oie_data,
@@ -160,6 +173,40 @@ class TestRank:
         for ex in train:
             assert tuple(ex.candidates[ex.gold]) in all_para_ids
 
+
+    def test_sentences_match_whole_paragraph_tokenization(self, world):
+        corpus, _, _ = world
+        paragraphs = [
+            # chunks of several tokens each: punctuation peels, CJK runs
+            " ".join(["(a,", "b.c)", "——", "\u4e2d\u6587x", "«q»"] * 8),
+            "\tLead  ...  spaces\n\u3000and \u00a0 unicode\u2003whitespace " * 6,
+            " ".join(f"w{i}" for i in range(30)),  # more chunks than max_len
+            "short one",
+            " ".join("\u4e00\u4e01\u4e02" for _ in range(10)),  # 3 tokens a chunk
+        ]
+        crafted = Corpus(documents=[
+            Document("E1", "e1", [Section("Overview", 1, paragraphs)], []),
+            Document("E2", "e2", [Section("Edge", 1, ["", "  ", ". , ;"])], []),
+        ])
+        for c in (corpus, crafted):
+            assert _entity_sentences(c) == oracles.entity_sentences(c)
+        assert [len(toks) for _, toks in _entity_sentences(crafted)["E1"]] == [24, 24, 24, 2, 24]
+
+    def test_exact_cosines_equal_cosine_bit_for_bit(self, world):
+        corpus, _, vocab = world
+        docs = [
+            vocab.encode_tokens(toks)
+            for sents in _entity_sentences(corpus).values()
+            for _, toks in sents
+        ]
+        index = TfIdfIndex.from_token_docs(docs)
+        vecs = [tfidf_vector(ids, index) for ids in docs]
+        cosines = _ExactCosines(vecs)
+        # Each candidate as a query: many others are shorter, many longer.
+        short_query = tfidf_vector(vocab.encode("travellers near the river"), index)
+        for qvec in vecs + [short_query, SparseVec.from_weights({})]:
+            want = np.array([cosine(qvec, vec) for vec in vecs])
+            assert cosines(qvec).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dialog", [False, True])
     @pytest.mark.parametrize("n_candidates", [1, 12, 60, 1000])
