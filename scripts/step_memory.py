@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Where a pretraining step's memory goes, traced with tracemalloc.
 
-Runs a few joint pretraining steps on a synthetic corpus at the trend-study
-shape (d=128, 4 layers, 4 heads, batch 32, one triple per example) and prints
-one JSON line per training micro-batch:
+Runs a few joint pretraining steps on the seed-7, 200-entity synthetic corpus
+at the trend-study shape (d=128, 4 layers, 4 heads, batch 32, one triple per
+example) and prints one JSON line per training micro-batch:
 
 - `batch`: its shape, batch × tokens;
 - `live_mb`: traced memory when its forward starts (corpus, examples,
@@ -36,18 +36,15 @@ MB = 1e6
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--entities", type=int, default=200)
-    ap.add_argument("--corpus-seed", type=int, default=7)
     ap.add_argument("--steps", type=int, default=6)
     ap.add_argument("--max-fragment-len", type=int, default=48)
-    ap.add_argument("--grad-accum", type=int, default=1)
     args = ap.parse_args()
 
-    corpus, _ = generate_synthetic_corpus(args.corpus_seed, args.entities)
+    corpus, _ = generate_synthetic_corpus(7, 200)
     config = pretrain.TrainConfig(
         mode="hklm", steps=args.steps, eval_every=args.steps, batch_size=32,
         max_fragment_len=args.max_fragment_len, triples_per_example=1, seed=1,
-        d_model=128, n_layers=4, n_heads=4, grad_accum=args.grad_accum,
+        d_model=128, n_layers=4, n_heads=4,
     )
 
     def minor_faults():

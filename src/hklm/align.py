@@ -7,6 +7,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .corpus import NUM_SPECIAL, Corpus, Document, Triple, Vocab, triple_token_ids
 
 DEFAULT_MAX_FRAGMENT_LEN = 400
@@ -116,12 +118,49 @@ def cosine(a: SparseVec, b: SparseVec) -> float:
     if len(b.weights) < len(a.weights):
         a, b = b, a
     # A plain left-to-right sum (built-in sum compensates from Python 3.12),
-    # which tasks.make_rank_data reproduces with numpy.
+    # which ExactCosines reproduces with numpy.
     dot = 0.0
     for t, w in a.weights.items():
         if t in b.weights:
             dot += w * b.weights[t]
     return dot / (a.norm * b.norm)
+
+
+class ExactCosines:
+    """`cosine(qvec, vec)` for every vec of a fixed list at once, bit for bit.
+
+    `cosine` sums the products of the shorter vector's terms left to right.
+    Adding each query term's products into the candidates holding it, in the
+    query's term order, is that sum wherever the candidate has at least as
+    many terms as the query; shorter candidates sharing a term go through
+    `cosine` itself. A candidate sharing no positive-weight term scores 0.0.
+    """
+
+    def __init__(self, vecs: list[SparseVec]):
+        self.vecs = vecs
+        self.norms = np.array([vec.norm for vec in vecs])
+        self.n_terms = np.array([len(vec.weights) for vec in vecs])
+        # Term-major weights: each term's candidates and their weights.
+        lists: dict[int, tuple[list[int], list[float]]] = {}
+        for j, vec in enumerate(vecs):
+            for term, w in vec.weights.items():
+                rows, weights = lists.setdefault(term, ([], []))
+                rows.append(j)
+                weights.append(w)
+        self.postings = {t: (np.array(rows), np.array(ws)) for t, (rows, ws) in lists.items()}
+
+    def __call__(self, qvec: SparseVec) -> np.ndarray:
+        dot = np.zeros(len(self.vecs))
+        for term, w in qvec.weights.items():
+            if term in self.postings:
+                rows, weights = self.postings[term]
+                dot[rows] += w * weights
+        scores = np.zeros(len(self.vecs))
+        hit = np.flatnonzero(dot > 0.0)
+        scores[hit] = dot[hit] / (qvec.norm * self.norms[hit])
+        for j in hit[self.n_terms[hit] < len(qvec.weights)]:
+            scores[j] = cosine(qvec, self.vecs[j])
+        return scores
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import dataclasses
 import json
@@ -311,33 +312,53 @@ def unigram_baseline_accuracy(
     return sum(1 for t in held if t == top) / len(held)
 
 
-# glibc's mallopt parameters (malloc.h) and its largest mmap threshold on
-# 64-bit platforms.
+# glibc's mallopt parameters (malloc.h), its largest mmap threshold on 64-bit
+# platforms, and the trim threshold glibc pairs with it (twice the mmap
+# threshold) when it raises the threshold itself.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_MAX = 32 << 20
+_TRIM_THRESHOLD_AFTER = 2 * _MMAP_THRESHOLD_MAX
 
 
-def _retain_freed_heap() -> None:
-    """Let glibc keep freed heap memory in the process instead of returning it.
+def _glibc():
+    """The C library of this process if it is glibc, else None."""
+    try:
+        return ctypes.CDLL(None) if os.confstr("CS_GNU_LIBC_VERSION") else None
+    except (AttributeError, OSError, ValueError):  # no confstr, or no such name
+        return None
+
+
+@contextlib.contextmanager
+def _freed_heap_retained():
+    """Within the block, glibc keeps freed heap memory in the process.
 
     Training frees each step's activation cache (tens to hundreds of MB)
     before the next forward allocates one of about the same size. By default
     glibc hands a freed heap top back to the OS, and the next forward
     page-faults every page of it in again. With arrays up to 32 MiB served
     from the heap and no trimming, the next cache reuses those pages; the
-    peak resident size stays one cache. Process-wide, and a no-op on other C
-    libraries.
+    peak resident size stays one cache.
+
+    On exit the retained memory goes back to the OS (`malloc_trim`) and
+    trimming is back on, at the 64 MiB threshold glibc pairs with a 32 MiB
+    mmap threshold. The mmap threshold stays at 32 MiB, the ceiling of the
+    threshold glibc raises by itself as large arrays are freed, and that
+    raising stays off. A no-op on other C libraries.
     """
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, ValueError):  # not glibc
+    libc = _glibc()
+    if libc is None:
+        yield
         return
+    mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
+    malloc_trim.argtypes = (ctypes.c_size_t,)
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
     mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+    try:
+        yield
+    finally:
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_AFTER)
+        malloc_trim(0)
 
 
 def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> PretrainResult:
@@ -347,6 +368,10 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
     random stream derives from config.seed, but a multithreaded BLAS may sum
     GEMMs in another order, which moves the weights in the last bits.
     Raises DivergenceError on non-finite loss or gradients.
+
+    On glibc the training loop changes the C allocator's settings, and one
+    of them, a fixed 32 MiB mmap threshold, holds for the rest of the
+    process (see `_freed_heap_retained`).
     """
     config.validate()
     t_start = time.monotonic()
@@ -363,7 +388,6 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
         raise ConfigError("no training examples were generated")
 
     model_cfg = config.model_config(len(vocab))
-    _retain_freed_heap()
     params = init_params_seeded(model_cfg, config.seed)
     opt_cfg = AdamWConfig(lr=config.effective_lr(), weight_decay=config.weight_decay)
     state = AdamWState.for_params(params)
@@ -411,43 +435,44 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
     # largest allocation of a step, dies once its backward returns, its
     # gradients once summed, the step's sum when `accum` is reset. So no
     # forward runs beside an earlier cache or an earlier step's gradients.
-    step = 0
-    while step < config.steps:
-        accum = None
-        n_micro = 0
-        breakdown = np.zeros(4)
-        for _ in range(config.grad_accum):
-            batch = next_batch()
-            res = forward_batch(params, model_cfg, batch, want_cache=True)
-            loss, grads = backward_batch(params, model_cfg, batch, res, config.lam, config.mu)
-            del res
-            if not np.isfinite(loss.total):
-                raise DivergenceError(f"non-finite loss at step {step}: {loss}")
-            breakdown += (loss.total, loss.mlm, loss.tc, loss.tmt)
-            n_micro += 1
-            if accum is None:
-                accum = grads
-            else:
+    with _freed_heap_retained():
+        step = 0
+        while step < config.steps:
+            accum = None
+            n_micro = 0
+            breakdown = np.zeros(4)
+            for _ in range(config.grad_accum):
+                batch = next_batch()
+                res = forward_batch(params, model_cfg, batch, want_cache=True)
+                loss, grads = backward_batch(params, model_cfg, batch, res, config.lam, config.mu)
+                del res
+                if not np.isfinite(loss.total):
+                    raise DivergenceError(f"non-finite loss at step {step}: {loss}")
+                breakdown += (loss.total, loss.mlm, loss.tc, loss.tmt)
+                n_micro += 1
+                if accum is None:
+                    accum = grads
+                else:
+                    for name in accum:
+                        accum[name] += grads[name]
+                del grads
+            if config.grad_accum > 1:
                 for name in accum:
-                    accum[name] += grads[name]
-            del grads
-        if config.grad_accum > 1:
-            for name in accum:
-                accum[name] /= n_micro
-        breakdown /= n_micro
-        if config.warmup_steps > 0:
-            opt_cfg.lr = config.effective_lr() * min(1.0, (step + 1) / config.warmup_steps)
-        try:
-            adamw_step(params, accum, state, opt_cfg)
-        except NonFiniteGradientError as exc:
-            raise DivergenceError(f"non-finite gradient at step {step}: {exc}") from exc
-        step += 1
-        loss_trace.append(tuple(float(x) for x in breakdown))
-        if config.eval_every > 0 and (step % config.eval_every == 0 or step == config.steps):
-            if not metrics or metrics[-1].step != step:
-                record(step, breakdown)
-        if progress is not None:
-            progress(step, breakdown)
+                    accum[name] /= n_micro
+            breakdown /= n_micro
+            if config.warmup_steps > 0:
+                opt_cfg.lr = config.effective_lr() * min(1.0, (step + 1) / config.warmup_steps)
+            try:
+                adamw_step(params, accum, state, opt_cfg)
+            except NonFiniteGradientError as exc:
+                raise DivergenceError(f"non-finite gradient at step {step}: {exc}") from exc
+            step += 1
+            loss_trace.append(tuple(float(x) for x in breakdown))
+            if config.eval_every > 0 and (step % config.eval_every == 0 or step == config.steps):
+                if not metrics or metrics[-1].step != step:
+                    record(step, breakdown)
+            if progress is not None:
+                progress(step, breakdown)
 
     return PretrainResult(
         params=params,

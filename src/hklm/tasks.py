@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import SparseVec, TfIdfIndex, cosine, tfidf_vector
+from .align import ExactCosines, TfIdfIndex, tfidf_vector
 from .corpus import (
     ATTRIBUTE_POOLS,
     ENT_ID,
@@ -316,43 +316,6 @@ def _entity_sentences(corpus: Corpus, max_len: int = 24) -> dict[str, list[tuple
     return out
 
 
-class _ExactCosines:
-    """`cosine(qvec, vec)` for every vec of a fixed list at once, bit for bit.
-
-    `cosine` sums the products of the shorter vector's terms left to right.
-    Adding each query term's products into the candidates holding it, in the
-    query's term order, is that sum wherever the candidate has at least as
-    many terms as the query; shorter candidates sharing a term go through
-    `cosine` itself. A candidate sharing no positive-weight term scores 0.0.
-    """
-
-    def __init__(self, vecs: list[SparseVec]):
-        self.vecs = vecs
-        self.norms = np.array([vec.norm for vec in vecs])
-        self.n_terms = np.array([len(vec.weights) for vec in vecs])
-        # Term-major weights: each term's candidates and their weights.
-        lists: dict[int, tuple[list[int], list[float]]] = {}
-        for j, vec in enumerate(vecs):
-            for term, w in vec.weights.items():
-                rows, weights = lists.setdefault(term, ([], []))
-                rows.append(j)
-                weights.append(w)
-        self.postings = {t: (np.array(rows), np.array(ws)) for t, (rows, ws) in lists.items()}
-
-    def __call__(self, qvec: SparseVec) -> np.ndarray:
-        dot = np.zeros(len(self.vecs))
-        for term, w in qvec.weights.items():
-            if term in self.postings:
-                rows, weights = self.postings[term]
-                dot[rows] += w * weights
-        scores = np.zeros(len(self.vecs))
-        hit = np.flatnonzero(dot > 0.0)
-        scores[hit] = dot[hit] / (qvec.norm * self.norms[hit])
-        for j in hit[self.n_terms[hit] < len(qvec.weights)]:
-            scores[j] = cosine(qvec, self.vecs[j])
-        return scores
-
-
 def make_rank_data(
     corpus: Corpus,
     truth: list[dict],
@@ -381,7 +344,7 @@ def make_rank_data(
             universe.append((eid, vocab.encode_tokens(toks)))
     index = TfIdfIndex.from_token_docs([ids for _, ids in universe])
     uni_vecs = [tfidf_vector(ids, index) for _, ids in universe]
-    cosines = _ExactCosines(uni_vecs)
+    cosines = ExactCosines(uni_vecs)
     uni_eids = np.array([eid for eid, _ in universe])
 
     def closest_others(eid, qvec, k):

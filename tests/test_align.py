@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hklm.align import (
     AlignError,
+    ExactCosines,
     SparseVec,
     TfIdfIndex,
     align_corpus,
@@ -136,6 +138,18 @@ class TestTfIdf:
         a, b = SparseVec.from_weights(w1), SparseVec.from_weights(w2)
         assert cosine(a, b) == pytest.approx(cosine(b, a), abs=1e-12)
         assert -1e-9 <= cosine(a, b) <= 1 + 1e-9
+
+    def test_exact_cosines_equal_cosine_bit_for_bit(self, synth20, synth20_vocab):
+        corpus, _ = synth20
+        fragments = fragment_corpus(corpus, synth20_vocab, max_len=24)
+        _, docs = hand_index_docs(corpus, synth20_vocab, fragments)
+        index = TfIdfIndex.from_token_docs(docs)
+        vecs = [tfidf_vector(ids, index) for ids in docs]
+        cosines = ExactCosines(vecs)
+        # Each fragment or triple as a query: many others are shorter, many longer.
+        for qvec in vecs + [SparseVec.from_weights({})]:
+            want = np.array([cosine(qvec, vec) for vec in vecs])
+            assert cosines(qvec).tobytes() == want.tobytes()
 
     def test_full_matrix_matches_oracle(self, hand5_corpus):
         vocab = build_vocab(hand5_corpus, 1)

@@ -1,4 +1,5 @@
 import json
+import os
 import weakref
 from collections import Counter
 
@@ -235,6 +236,22 @@ class TestRunPretraining:
             micro = n % grad_accum
             assert live_caches == [], f"forward {n}"
             assert live_grads == ([n - micro] if micro else []), f"forward {n}"
+
+    @pytest.mark.skipif(pretrain._glibc() is None, reason="glibc only")
+    def test_freed_heap_retained_only_within_training(self):
+        def rss():
+            with open("/proc/self/statm") as fh:
+                return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        mib = 1 << 20
+        with pretrain._freed_heap_retained():
+            arrays = [np.ones(mib // 2) for _ in range(16)]  # 16 × 4 MiB, heap-served
+            held = rss()
+            del arrays
+            kept = rss()
+        after = rss()
+        assert held - kept < 8 * mib  # freed inside: kept in the process
+        assert kept - after > 48 * mib  # on exit: handed back to the OS
 
 
 class TestHeads:

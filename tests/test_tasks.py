@@ -1,7 +1,5 @@
-import numpy as np
 import pytest
 
-from hklm.align import SparseVec, TfIdfIndex, cosine, tfidf_vector
 from hklm.corpus import (
     ENT_ID,
     SEP_ID,
@@ -17,7 +15,6 @@ from hklm.tasks import (
     TaskError,
     TaskExample,
     _entity_sentences,
-    _ExactCosines,
     make_et_data,
     make_ner_data,
     make_oie_data,
@@ -173,7 +170,6 @@ class TestRank:
         for ex in train:
             assert tuple(ex.candidates[ex.gold]) in all_para_ids
 
-
     def test_sentences_match_whole_paragraph_tokenization(self, world):
         corpus, _, _ = world
         paragraphs = [
@@ -191,22 +187,6 @@ class TestRank:
         for c in (corpus, crafted):
             assert _entity_sentences(c) == oracles.entity_sentences(c)
         assert [len(toks) for _, toks in _entity_sentences(crafted)["E1"]] == [24, 24, 24, 2, 24]
-
-    def test_exact_cosines_equal_cosine_bit_for_bit(self, world):
-        corpus, _, vocab = world
-        docs = [
-            vocab.encode_tokens(toks)
-            for sents in _entity_sentences(corpus).values()
-            for _, toks in sents
-        ]
-        index = TfIdfIndex.from_token_docs(docs)
-        vecs = [tfidf_vector(ids, index) for ids in docs]
-        cosines = _ExactCosines(vecs)
-        # Each candidate as a query: many others are shorter, many longer.
-        short_query = tfidf_vector(vocab.encode("travellers near the river"), index)
-        for qvec in vecs + [short_query, SparseVec.from_weights({})]:
-            want = np.array([cosine(qvec, vec) for vec in vecs])
-            assert cosines(qvec).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dialog", [False, True])
     @pytest.mark.parametrize("n_candidates", [1, 12, 60, 1000])
