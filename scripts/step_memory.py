@@ -6,6 +6,8 @@ at the trend-study shape (d=128, 4 layers, 4 heads, batch 32, one triple per
 example) and prints one JSON line per training micro-batch:
 
 - `batch`: its shape, batch × tokens;
+- `rows` and `row_fraction`: R, the distinct token rows the MLM, TC and TMT
+  heads read (the rows the last block runs at), and R ÷ (batch × tokens);
 - `live_mb`: traced memory when its forward starts (corpus, examples,
   batches, parameters, AdamW moments, and whatever the previous step left);
 - `cache_mb`: what its forward added (the activation cache and the logits);
@@ -50,7 +52,7 @@ def main():
     def minor_faults():
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-    rows = []
+    records = []
     forward, backward = pretrain.forward_batch, pretrain.backward_batch
 
     def traced_forward(params, model_cfg, batch, want_cache=False):
@@ -60,8 +62,10 @@ def main():
         live = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         res = forward(params, model_cfg, batch, want_cache)
-        rows.append({
+        records.append({
             "batch": "x".join(map(str, batch.ids.shape)),
+            "rows": len(res.hidden),
+            "row_fraction": round(len(res.hidden) / batch.ids.size, 3),
             "live_mb": round(live / MB, 1),
             "cache_mb": round((tracemalloc.get_traced_memory()[0] - live) / MB, 1),
             "faults": faults,
@@ -70,9 +74,9 @@ def main():
 
     def traced_backward(*args, **kwargs):
         out = backward(*args, **kwargs)
-        rows[-1]["peak_mb"] = round(tracemalloc.get_traced_memory()[1] / MB, 1)
-        rows[-1]["faults"] = minor_faults() - rows[-1]["faults"]
-        print(json.dumps(rows[-1]), flush=True)
+        records[-1]["peak_mb"] = round(tracemalloc.get_traced_memory()[1] / MB, 1)
+        records[-1]["faults"] = minor_faults() - records[-1]["faults"]
+        print(json.dumps(records[-1]), flush=True)
         return out
 
     pretrain.forward_batch, pretrain.backward_batch = traced_forward, traced_backward
@@ -86,8 +90,8 @@ def main():
     params_mb = sum(p.nbytes for p in result.params.values()) / MB
     print(json.dumps({
         "params_and_moments_mb": round(3 * params_mb, 1),
-        "max_peak_mb": max(r["peak_mb"] for r in rows),
-        "left_mb": round(max(r["live_mb"] for r in rows) - rows[0]["live_mb"], 1),
+        "max_peak_mb": max(r["peak_mb"] for r in records),
+        "left_mb": round(max(r["live_mb"] for r in records) - records[0]["live_mb"], 1),
     }))
 
 

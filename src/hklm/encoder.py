@@ -77,11 +77,15 @@ class ModelConfig:
             "tie_mlm": self.tie_mlm,
             "dtype": self.dtype,
             "init_std": self.init_std,
+            "attn_init_std": self.attn_init_std,
+            "pos_init": self.pos_init,
+            "pos_init_scale": self.pos_init_scale,
             "ln_eps": self.ln_eps,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
+        """Fields a header lacks (older ones omit the init fields) take their defaults."""
         return cls(**obj)
 
 
@@ -95,8 +99,8 @@ def sinusoidal_table(n_pos: int, d: int) -> np.ndarray:
     return table
 
 
-def param_names(config: ModelConfig) -> list[str]:
-    """Declaration order of all parameter tensors; fixes checkpoint layout."""
+def encoder_param_names(config: ModelConfig) -> list[str]:
+    """The embedding and block tensors, without the pretraining heads."""
     names = ["tok_emb", "pos_emb", "seg_emb", "emb_ln_g", "emb_ln_b"]
     for i in range(config.n_layers):
         p = f"layers.{i}."
@@ -106,7 +110,12 @@ def param_names(config: ModelConfig) -> list[str]:
             p + "ffn_w1", p + "ffn_b1", p + "ffn_w2", p + "ffn_b2",
             p + "ln2_g", p + "ln2_b",
         ]
-    names += ["mlm_w", "mlm_b", "mlm_ln_g", "mlm_ln_b"]
+    return names
+
+
+def param_names(config: ModelConfig) -> list[str]:
+    """Declaration order of all parameter tensors; fixes checkpoint layout."""
+    names = encoder_param_names(config) + ["mlm_w", "mlm_b", "mlm_ln_g", "mlm_ln_b"]
     if not config.tie_mlm:
         names.append("mlm_out_w")
     names += ["mlm_out_b", "tc_w", "tc_b", "tmt_w", "tmt_b"]
@@ -413,19 +422,39 @@ def _affine(x, w, b):
 
 @dataclass
 class ForwardResult:
-    hidden: np.ndarray            # (B, L, d)
+    hidden: np.ndarray            # (R, d): the last hidden states at the rows the heads read
     mlm_logits: np.ndarray        # (M, V)
     tc_logits: np.ndarray         # (K, 2)
     tmt_logits: np.ndarray        # (T, 2)
     cache: dict | None = field(default=None, repr=False)
 
 
-def encode(params, config: ModelConfig, batch: Batch, want_cache: bool = False):
+def _check_rows(rows, n: int) -> np.ndarray:
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+        raise ModelError("rows must be a 1-D array of integer token indices")
+    rows = rows.astype(np.int64, copy=False)
+    ordered = np.sort(rows)
+    if rows.size and (ordered[0] < 0 or ordered[-1] >= n):
+        raise ModelError(f"row index outside the {n} tokens of the batch")
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ModelError("rows must be distinct")
+    return rows
+
+
+def encode(params, config: ModelConfig, batch: Batch, want_cache: bool = False, rows=None):
     """Run the encoder stack; returns hidden states (B, L, d) and (optionally)
     the activation cache needed for the backward pass.
 
     Internally the token axis is kept flat as (B*L, d) so each projection is a
     single GEMM; attention reshapes to (B, H, L, dh) views.
+
+    `rows`, distinct indices into that flat token axis, asks for the last
+    hidden states at those tokens only: the result is then (R, d), in the
+    order of `rows`. The last block still attends over every token, but its
+    output projection, residual, layer norms and feed-forward run on the R
+    rows alone, which is exact in real arithmetic (the row-subset GEMMs may
+    round differently in the last bits).
     """
     dt = config.np_dtype
     ids, seg, mask = batch.ids, batch.seg, batch.mask
@@ -434,6 +463,8 @@ def encode(params, config: ModelConfig, batch: Batch, want_cache: bool = False):
         raise ModelError(f"sequence length {l} exceeds max_seq_len {config.max_seq_len}")
     if int(ids.max(initial=0)) >= config.vocab_size:
         raise ModelError("token id outside the model vocabulary")
+    if rows is not None:
+        rows = _check_rows(rows, b * l)
     d, h = config.d_model, config.n_heads
     dh = d // h
     scale = 1.0 / math.sqrt(dh)
@@ -460,8 +491,11 @@ def encode(params, config: ModelConfig, batch: Batch, want_cache: bool = False):
         scores += attn_bias
         probs = softmax(scores)
         ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b * l, d)
+        res = x
+        if rows is not None and i == config.n_layers - 1:
+            ctx, res = ctx[rows], x[rows]
         attn_out = _affine(ctx, params[p + "o_w"], params[p + "o_b"])
-        attn_out += x
+        attn_out += res
         y, ln1_cache = layer_norm(attn_out, params[p + "ln1_g"], params[p + "ln1_b"], config.ln_eps)
         ffn_pre = _affine(y, params[p + "ffn_w1"], params[p + "ffn_b1"])
         act, gelu_t = gelu_forward(ffn_pre)
@@ -479,27 +513,43 @@ def encode(params, config: ModelConfig, batch: Batch, want_cache: bool = False):
     cache = None
     if want_cache:
         cache = {"emb_ln": emb_ln_cache, "layers": layer_caches,
-                 "ids": ids_flat, "seg": seg_flat, "b": b, "l": l}
-    return x.reshape(b, l, d), cache
+                 "ids": ids_flat, "seg": seg_flat, "b": b, "l": l, "rows": rows}
+    if rows is None:
+        return x.reshape(b, l, d), cache
+    if config.n_layers == 0:  # no block gathered the rows
+        x = x[rows]
+    return x, cache
+
+
+def head_rows(batch: Batch):
+    """The distinct flat token rows the MLM, TC and TMT heads read, sorted, and
+    each head's positions as indices into them."""
+    l = batch.ids.shape[1]
+    flat = [batch.mlm_b * l + batch.mlm_i, batch.tc_b * l + batch.tc_i,
+            batch.tmt_b * l + batch.tmt_i]
+    rows, inverse = np.unique(np.concatenate(flat), return_inverse=True)
+    return rows, np.split(inverse, np.cumsum([len(f) for f in flat[:2]]))
 
 
 def forward_batch(params, config: ModelConfig, batch: Batch, want_cache: bool = False) -> ForwardResult:
-    hidden, cache = encode(params, config, batch, want_cache)
+    rows, (mlm_r, tc_r, tmt_r) = head_rows(batch)
+    hidden, cache = encode(params, config, batch, want_cache, rows)
 
     # MLM head at masked positions: dense + GELU + layer norm + (tied) decoder.
-    g = hidden[batch.mlm_b, batch.mlm_i]
+    g = hidden[mlm_r]
     mlm_pre = _affine(g, params["mlm_w"], params["mlm_b"])
     mlm_act, mlm_gelu_t = gelu_forward(mlm_pre)
     mlm_h, mlm_ln_cache = layer_norm(mlm_act, params["mlm_ln_g"], params["mlm_ln_b"], config.ln_eps)
     out_w = params["tok_emb"].T if config.tie_mlm else params["mlm_out_w"]
     mlm_logits = _affine(mlm_h, out_w, params["mlm_out_b"])
 
-    tc_h = hidden[batch.tc_b, batch.tc_i]
+    tc_h = hidden[tc_r]
     tc_logits = _affine(tc_h, params["tc_w"], params["tc_b"])
-    tmt_h = hidden[batch.tmt_b, batch.tmt_i]
+    tmt_h = hidden[tmt_r]
     tmt_logits = _affine(tmt_h, params["tmt_w"], params["tmt_b"])
 
     if want_cache:
+        cache["head_rows"] = (mlm_r, tc_r, tmt_r)
         cache["mlm_g"] = g
         cache["mlm_pre"] = mlm_pre
         cache["mlm_gelu_t"] = mlm_gelu_t
@@ -562,15 +612,31 @@ def joint_loss(result: ForwardResult, batch: Batch, lam: float, mu: float):
 # ---------------------------------------------------------------------------
 
 
+def _scatter_rows(values, rows, n: int):
+    """A zero (n, d) array holding values' rows at the distinct indices rows."""
+    out = np.zeros((n, values.shape[1]), dtype=values.dtype)
+    out[rows] = values
+    return out
+
+
 def encoder_backward(params, config: ModelConfig, cache, d_hidden):
-    """Backpropagate d_hidden (B, L, d) through the encoder stack into a
-    gradient dict over the encoder parameters."""
+    """Backpropagate d_hidden, shaped like `encode`'s output ((B, L, d), or
+    (R, d) when it ran at `rows`), through the encoder stack into a gradient
+    dict over the encoder parameters.
+
+    At `rows` the last block's layer norms, feed-forward and output projection
+    backpropagate over the R rows alone; their gradient is scattered into the
+    full token axis only for the attention core and the blocks below.
+    """
     grads: dict[str, np.ndarray] = {}
-    b, l, d = d_hidden.shape
+    b, l, rows = cache["b"], cache["l"], cache["rows"]
+    d = config.d_model
     h = config.n_heads
     dh = d // h
     scale = 1.0 / math.sqrt(dh)
-    dx = d_hidden.reshape(b * l, d)
+    dx = d_hidden.reshape(-1, d)
+    if rows is not None and config.n_layers == 0:
+        dx = _scatter_rows(dx, rows, b * l)
 
     for i in reversed(range(config.n_layers)):
         p = f"layers.{i}."
@@ -592,9 +658,11 @@ def encoder_backward(params, config: ModelConfig, cache, d_hidden):
         grads[p + "ln1_g"], grads[p + "ln1_b"] = dg1, db1
         grads[p + "o_w"] = c["ctx"].T @ d_attn_out
         grads[p + "o_b"] = d_attn_out.sum(axis=0)
-        d_ctx = np.ascontiguousarray(
-            (d_attn_out @ params[p + "o_w"].T).reshape(b, l, h, dh).transpose(0, 2, 1, 3)
-        )
+        d_ctx = d_attn_out @ params[p + "o_w"].T
+        if rows is not None and i == config.n_layers - 1:
+            d_ctx = _scatter_rows(d_ctx, rows, b * l)
+            d_attn_out = _scatter_rows(d_attn_out, rows, b * l)
+        d_ctx = np.ascontiguousarray(d_ctx.reshape(b, l, h, dh).transpose(0, 2, 1, 3))
 
         probs, q, k, v = c["probs"], c["q"], c["k"], c["v"]
         d_probs = d_ctx @ v.transpose(0, 1, 3, 2)
@@ -649,6 +717,7 @@ def backward_batch(params, config: ModelConfig, batch: Batch, result: ForwardRes
 
     grads: dict[str, np.ndarray] = {}
     d_hidden = np.zeros_like(result.hidden)
+    mlm_r, tc_r, tmt_r = cache["head_rows"]
 
     # MLM head
     mlm_h = cache["mlm_h"]
@@ -662,17 +731,17 @@ def backward_batch(params, config: ModelConfig, batch: Batch, result: ForwardRes
     grads["mlm_w"] = cache["mlm_g"].T @ d_mlm_pre
     grads["mlm_b"] = d_mlm_pre.sum(axis=0)
     d_g = d_mlm_pre @ params["mlm_w"].T
-    np.add.at(d_hidden, (batch.mlm_b, batch.mlm_i), d_g)
+    np.add.at(d_hidden, mlm_r, d_g)
 
     # TC head
     grads["tc_w"] = cache["tc_h"].T @ d_tc_logits
     grads["tc_b"] = d_tc_logits.sum(axis=0)
-    np.add.at(d_hidden, (batch.tc_b, batch.tc_i), d_tc_logits @ params["tc_w"].T)
+    np.add.at(d_hidden, tc_r, d_tc_logits @ params["tc_w"].T)
 
     # TMT head
     grads["tmt_w"] = cache["tmt_h"].T @ d_tmt_logits
     grads["tmt_b"] = d_tmt_logits.sum(axis=0)
-    np.add.at(d_hidden, (batch.tmt_b, batch.tmt_i), d_tmt_logits @ params["tmt_w"].T)
+    np.add.at(d_hidden, tmt_r, d_tmt_logits @ params["tmt_w"].T)
 
     enc_grads = encoder_backward(params, config, cache, d_hidden)
     for k, v in enc_grads.items():

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CLS_ID, ENT_ID, REL_ID, SEP_ID, derive_seed
-from .encoder import Batch, ModelConfig, encode, encoder_backward
+from .encoder import Batch, ModelConfig, encode, encoder_backward, encoder_param_names
 from .metrics import bio_tags_to_spans, compute_task_metrics, is_valid_bio
 from .optim import AdamWConfig, AdamWState, adamw_step
 from .tasks import TaskExample
@@ -38,8 +38,9 @@ class FinetuneConfig:
     max_seq_len: int = 512
 
 
-def _clone_params(params) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in params.items()}
+def _clone_encoder(params, model_cfg: ModelConfig) -> dict[str, np.ndarray]:
+    """Copies of the encoder tensors; no adapter reads the pretraining heads."""
+    return {k: params[k].copy() for k in encoder_param_names(model_cfg)}
 
 
 def _pack(sequences: list[list[int]], dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -67,6 +68,11 @@ def _simple_batch(sequences: list[list[int]], dtype) -> Batch:
         tmt_b=empty_i, tmt_i=empty_i, tmt_label=empty_i, tmt_weight=empty_f,
         size=len(sequences),
     )
+
+
+def _cls_rows(batch: Batch) -> np.ndarray:
+    """The flat token rows of each sequence's [CLS], for `encode(rows=...)`."""
+    return np.arange(batch.size) * batch.ids.shape[1]
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -163,7 +169,7 @@ def finetune_token_classifier(
             if t not in tag_to_id:
                 raise FinetuneError(f"tag {t!r} outside the tag vocabulary")
     dt = model_cfg.np_dtype
-    params = _clone_params(pretrained_params)
+    params = _clone_encoder(pretrained_params, model_cfg)
     rng = np.random.default_rng(derive_seed(cfg.seed, "ner-head"))
     params["head_w"] = _head_normal(rng, model_cfg.d_model, len(tagset)).astype(dt)
     params["head_b"] = np.zeros(len(tagset), dtype=dt)
@@ -194,9 +200,6 @@ def finetune_token_classifier(
         d_h = d_logits @ params["head_w"].T
         enc_grads = encoder_backward(params, model_cfg, cache, d_h)
         grads.update(enc_grads)
-        for name in params:
-            if name not in grads:
-                grads[name] = np.zeros_like(params[name])
         return loss, grads
 
     _train_loop(params, model_cfg, train, cfg, step)
@@ -230,8 +233,8 @@ class EntityTyper:
             chunk = examples[start : start + batch_size]
             seqs = [[CLS_ID] + ex.tokens + [SEP_ID] for ex in chunk]
             batch = _simple_batch(seqs, dt)
-            h, _ = encode(self.params, self.model_config, batch)
-            logits = h[:, 0] @ self.params["head_w"] + self.params["head_b"]
+            cls, _ = encode(self.params, self.model_config, batch, rows=_cls_rows(batch))
+            logits = cls @ self.params["head_w"] + self.params["head_b"]
             probs = 1.0 / (1.0 + np.exp(-logits.astype(np.float64)))
             for row in probs:
                 out.append({self.label_set[j] for j in np.nonzero(row >= self.threshold)[0]})
@@ -251,7 +254,7 @@ def finetune_entity_typing(
     label_set = sorted({lab for ex in train for lab in ex.labels or []})
     lab_to_id = {lab: i for i, lab in enumerate(label_set)}
     dt = model_cfg.np_dtype
-    params = _clone_params(pretrained_params)
+    params = _clone_encoder(pretrained_params, model_cfg)
     rng = np.random.default_rng(derive_seed(cfg.seed, "et-head"))
     params["head_w"] = _head_normal(rng, model_cfg.d_model, len(label_set)).astype(dt)
     params["head_b"] = np.zeros(len(label_set), dtype=dt)
@@ -259,8 +262,7 @@ def finetune_entity_typing(
     def step(params, chunk):
         seqs = [[CLS_ID] + ex.tokens + [SEP_ID] for ex in chunk]
         batch = _simple_batch(seqs, dt)
-        h, cache = encode(params, model_cfg, batch, want_cache=True)
-        cls = h[:, 0]
+        cls, cache = encode(params, model_cfg, batch, want_cache=True, rows=_cls_rows(batch))
         logits = (cls @ params["head_w"] + params["head_b"]).astype(np.float64)
         probs = 1.0 / (1.0 + np.exp(-logits))
         y = np.zeros_like(probs)
@@ -275,12 +277,7 @@ def finetune_entity_typing(
             "head_w": cls.T @ d_logits,
             "head_b": d_logits.sum(axis=0),
         }
-        d_h = np.zeros_like(h)
-        d_h[:, 0] = d_logits @ params["head_w"].T
-        grads.update(encoder_backward(params, model_cfg, cache, d_h))
-        for name in params:
-            if name not in grads:
-                grads[name] = np.zeros_like(params[name])
+        grads.update(encoder_backward(params, model_cfg, cache, d_logits @ params["head_w"].T))
         return loss, grads
 
     _train_loop(params, model_cfg, train, cfg, step)
@@ -332,7 +329,7 @@ def finetune_span_stage1(
     pretrained_params, model_cfg: ModelConfig, train: list[TaskExample], cfg: FinetuneConfig
 ) -> SpanModel:
     dt = model_cfg.np_dtype
-    params = _clone_params(pretrained_params)
+    params = _clone_encoder(pretrained_params, model_cfg)
     rng = np.random.default_rng(derive_seed(cfg.seed, "oie1-head"))
     params["head_w"] = _head_normal(rng, model_cfg.d_model, 2).astype(dt)  # start, end
     params["head_b"] = np.zeros(2, dtype=dt)
@@ -361,9 +358,6 @@ def finetune_span_stage1(
         }
         d_h = d_logits @ params["head_w"].T
         grads.update(encoder_backward(params, model_cfg, cache, d_h))
-        for name in params:
-            if name not in grads:
-                grads[name] = np.zeros_like(params[name])
         return loss, grads
 
     _train_loop(params, model_cfg, train, cfg, step)
@@ -398,7 +392,7 @@ def finetune_span_stage2(
     pretrained_params, model_cfg: ModelConfig, train: list[TaskExample], cfg: FinetuneConfig
 ) -> SpanModel:
     dt = model_cfg.np_dtype
-    params = _clone_params(pretrained_params)
+    params = _clone_encoder(pretrained_params, model_cfg)
     rng = np.random.default_rng(derive_seed(cfg.seed, "oie2-head"))
     params["head_w"] = _head_normal(rng, model_cfg.d_model, 4).astype(dt)  # ss, se, os, oe
     params["head_b"] = np.zeros(4, dtype=dt)
@@ -442,9 +436,6 @@ def finetune_span_stage2(
         }
         d_h = d_logits @ params["head_w"].T
         grads.update(encoder_backward(params, model_cfg, cache, d_h))
-        for name in params:
-            if name not in grads:
-                grads[name] = np.zeros_like(params[name])
         return loss, grads
 
     _train_loop(params, model_cfg, items, cfg, step)
@@ -530,17 +521,13 @@ class Ranker:
         scores = []
         for start in range(0, len(seqs), batch_size):
             batch = _simple_batch(seqs[start : start + batch_size], dt)
-            h, _ = encode(self.params, cfg, batch)
-            logits = (h[:, 0] @ self.params["head_w"] + self.params["head_b"]).astype(np.float64)
+            cls, _ = encode(self.params, cfg, batch, rows=_cls_rows(batch))
+            logits = (cls @ self.params["head_w"] + self.params["head_b"]).astype(np.float64)
             z = logits - logits.max(axis=-1, keepdims=True)
             p = np.exp(z)
             p /= p.sum(axis=-1, keepdims=True)
             scores.extend(float(x) for x in p[:, 1])
         return scores
-
-    def rank(self, query: list[int], candidates: list[list[int]]) -> list[int]:
-        scores = self.score(query, candidates)
-        return sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
 
 
 def finetune_ranker(
@@ -552,7 +539,7 @@ def finetune_ranker(
 ) -> Ranker:
     """Binary relevance training on gold + sampled-negative pairs per query."""
     dt = model_cfg.np_dtype
-    params = _clone_params(pretrained_params)
+    params = _clone_encoder(pretrained_params, model_cfg)
     rng = np.random.default_rng(derive_seed(cfg.seed, "rank-head"))
     params["head_w"] = _head_normal(rng, model_cfg.d_model, 2).astype(dt)
     params["head_b"] = np.zeros(2, dtype=dt)
@@ -573,8 +560,7 @@ def finetune_ranker(
         ]
         labels = np.array([y for _q, _c, y in chunk], dtype=np.int64)
         batch = _simple_batch(seqs, dt)
-        h, cache = encode(params, model_cfg, batch, want_cache=True)
-        cls = h[:, 0]
+        cls, cache = encode(params, model_cfg, batch, want_cache=True, rows=_cls_rows(batch))
         logits = (cls @ params["head_w"] + params["head_b"]).astype(np.float64)
         z = logits - logits.max(axis=-1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
@@ -587,12 +573,7 @@ def finetune_ranker(
             "head_w": cls.T @ d_logits,
             "head_b": d_logits.sum(axis=0),
         }
-        d_h = np.zeros_like(h)
-        d_h[:, 0] = d_logits @ params["head_w"].T
-        grads.update(encoder_backward(params, model_cfg, cache, d_h))
-        for name in params:
-            if name not in grads:
-                grads[name] = np.zeros_like(params[name])
+        grads.update(encoder_backward(params, model_cfg, cache, d_logits @ params["head_w"].T))
         return loss, grads
 
     _train_loop(params, model_cfg, pairs, cfg, step)

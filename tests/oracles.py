@@ -347,3 +347,215 @@ def make_rank_data(corpus, truth, vocab, seed, n_train=80, n_eval=40, n_candidat
 
     prefix = "dlg" if dialog else "qa"
     return build(train_recs, n_train, f"{prefix}-tr-"), build(eval_recs, n_eval, f"{prefix}-ev-")
+
+
+# The encoder's forward and backward passes over every token (formerly
+# hklm.encoder.encode, forward_batch, encoder_backward and backward_batch,
+# before the last block ran only at the rows a head reads). The kernels they
+# call are the package's own, which the tests above hold to plain numpy.
+
+
+def encode(params, config, batch, want_cache: bool = False):
+    from hklm.encoder import NEG_INF, ModelError, _affine, gelu_forward, layer_norm, softmax
+
+    dt = config.np_dtype
+    ids, seg, mask = batch.ids, batch.seg, batch.mask
+    b, l = ids.shape
+    if l > config.max_seq_len:
+        raise ModelError(f"sequence length {l} exceeds max_seq_len {config.max_seq_len}")
+    if int(ids.max(initial=0)) >= config.vocab_size:
+        raise ModelError("token id outside the model vocabulary")
+    d, h = config.d_model, config.n_heads
+    dh = d // h
+    scale = 1.0 / math.sqrt(dh)
+    ids_flat = ids.reshape(-1)
+    seg_flat = seg.reshape(-1)
+
+    emb = params["tok_emb"][ids_flat] + params["seg_emb"][seg_flat]
+    emb.reshape(b, l, d)[:] += params["pos_emb"][:l][None]
+    x, emb_ln_cache = layer_norm(emb, params["emb_ln_g"], params["emb_ln_b"], config.ln_eps)
+
+    attn_bias = ((1.0 - mask) * NEG_INF)[:, None, None, :].astype(dt)
+
+    def split_heads(m):  # (B*L, d) -> contiguous (B, H, L, dh)
+        return np.ascontiguousarray(m.reshape(b, l, h, dh).transpose(0, 2, 1, 3))
+
+    layer_caches = []
+    for i in range(config.n_layers):
+        p = f"layers.{i}."
+        q = split_heads(_affine(x, params[p + "q_w"], params[p + "q_b"]))
+        k = split_heads(_affine(x, params[p + "k_w"], params[p + "k_b"]))
+        v = split_heads(_affine(x, params[p + "v_w"], params[p + "v_b"]))
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores *= scale
+        scores += attn_bias
+        probs = softmax(scores)
+        ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b * l, d)
+        attn_out = _affine(ctx, params[p + "o_w"], params[p + "o_b"])
+        attn_out += x
+        y, ln1_cache = layer_norm(attn_out, params[p + "ln1_g"], params[p + "ln1_b"], config.ln_eps)
+        ffn_pre = _affine(y, params[p + "ffn_w1"], params[p + "ffn_b1"])
+        act, gelu_t = gelu_forward(ffn_pre)
+        ffn_out = _affine(act, params[p + "ffn_w2"], params[p + "ffn_b2"])
+        ffn_out += y
+        z, ln2_cache = layer_norm(ffn_out, params[p + "ln2_g"], params[p + "ln2_b"], config.ln_eps)
+        if want_cache:
+            layer_caches.append(
+                {"x": x, "q": q, "k": k, "v": v, "probs": probs, "ctx": ctx,
+                 "ln1": ln1_cache, "y": y, "ffn_pre": ffn_pre, "gelu_t": gelu_t, "act": act,
+                 "ln2": ln2_cache}
+            )
+        x = z
+
+    cache = None
+    if want_cache:
+        cache = {"emb_ln": emb_ln_cache, "layers": layer_caches,
+                 "ids": ids_flat, "seg": seg_flat, "b": b, "l": l}
+    return x.reshape(b, l, d), cache
+
+
+def forward_batch(params, config, batch, want_cache: bool = False):
+    from hklm.encoder import ForwardResult, _affine, gelu_forward, layer_norm
+
+    hidden, cache = encode(params, config, batch, want_cache)
+
+    # MLM head at masked positions: dense + GELU + layer norm + (tied) decoder.
+    g = hidden[batch.mlm_b, batch.mlm_i]
+    mlm_pre = _affine(g, params["mlm_w"], params["mlm_b"])
+    mlm_act, mlm_gelu_t = gelu_forward(mlm_pre)
+    mlm_h, mlm_ln_cache = layer_norm(mlm_act, params["mlm_ln_g"], params["mlm_ln_b"], config.ln_eps)
+    out_w = params["tok_emb"].T if config.tie_mlm else params["mlm_out_w"]
+    mlm_logits = _affine(mlm_h, out_w, params["mlm_out_b"])
+
+    tc_h = hidden[batch.tc_b, batch.tc_i]
+    tc_logits = _affine(tc_h, params["tc_w"], params["tc_b"])
+    tmt_h = hidden[batch.tmt_b, batch.tmt_i]
+    tmt_logits = _affine(tmt_h, params["tmt_w"], params["tmt_b"])
+
+    if want_cache:
+        cache["mlm_g"] = g
+        cache["mlm_pre"] = mlm_pre
+        cache["mlm_gelu_t"] = mlm_gelu_t
+        cache["mlm_act"] = mlm_act
+        cache["mlm_ln"] = mlm_ln_cache
+        cache["mlm_h"] = mlm_h
+        cache["tc_h"] = tc_h
+        cache["tmt_h"] = tmt_h
+    return ForwardResult(hidden=hidden, mlm_logits=mlm_logits, tc_logits=tc_logits,
+                         tmt_logits=tmt_logits, cache=cache)
+
+
+def encoder_backward(params, config, cache, d_hidden):
+    from hklm.encoder import _segment_grad, _softmax_backward, gelu_grad, layer_norm_backward
+
+    grads: dict[str, np.ndarray] = {}
+    b, l, d = d_hidden.shape
+    h = config.n_heads
+    dh = d // h
+    scale = 1.0 / math.sqrt(dh)
+    dx = d_hidden.reshape(b * l, d)
+
+    for i in reversed(range(config.n_layers)):
+        p = f"layers.{i}."
+        c = cache["layers"][i]
+        x, y = c["x"], c["y"]
+
+        d_ffn_out, dg2, db2 = layer_norm_backward(dx, c["ln2"], params[p + "ln2_g"])
+        grads[p + "ln2_g"], grads[p + "ln2_b"] = dg2, db2
+        grads[p + "ffn_w2"] = c["act"].T @ d_ffn_out
+        grads[p + "ffn_b2"] = d_ffn_out.sum(axis=0)
+        d_act = d_ffn_out @ params[p + "ffn_w2"].T
+        d_ffn_pre = gelu_grad(c["ffn_pre"], c["gelu_t"], dout=d_act)
+        grads[p + "ffn_w1"] = y.T @ d_ffn_pre
+        grads[p + "ffn_b1"] = d_ffn_pre.sum(axis=0)
+        dy = d_ffn_out  # no read of d_ffn_out follows: accumulate in place
+        dy += d_ffn_pre @ params[p + "ffn_w1"].T
+
+        d_attn_out, dg1, db1 = layer_norm_backward(dy, c["ln1"], params[p + "ln1_g"])
+        grads[p + "ln1_g"], grads[p + "ln1_b"] = dg1, db1
+        grads[p + "o_w"] = c["ctx"].T @ d_attn_out
+        grads[p + "o_b"] = d_attn_out.sum(axis=0)
+        d_ctx = np.ascontiguousarray(
+            (d_attn_out @ params[p + "o_w"].T).reshape(b, l, h, dh).transpose(0, 2, 1, 3)
+        )
+
+        probs, q, k, v = c["probs"], c["q"], c["k"], c["v"]
+        d_probs = d_ctx @ v.transpose(0, 1, 3, 2)
+        dv = probs.transpose(0, 1, 3, 2) @ d_ctx
+        d_scores = _softmax_backward(d_probs, probs)
+        dq = d_scores @ k
+        dq *= scale
+        dk = d_scores.transpose(0, 1, 3, 2) @ q
+        dk *= scale
+        dx = d_attn_out  # no read of d_attn_out follows: accumulate in place
+        for name, dmat in (("q", dq), ("k", dk), ("v", dv)):
+            flat = np.ascontiguousarray(dmat.transpose(0, 2, 1, 3)).reshape(b * l, d)
+            grads[p + name + "_w"] = x.T @ flat
+            grads[p + name + "_b"] = flat.sum(axis=0)
+            dx += flat @ params[p + name + "_w"].T
+
+    d_emb, dg0, db0 = layer_norm_backward(dx, cache["emb_ln"], params["emb_ln_g"])
+    grads["emb_ln_g"], grads["emb_ln_b"] = dg0, db0
+
+    d_tok = np.zeros_like(params["tok_emb"])
+    np.add.at(d_tok, cache["ids"], d_emb)
+    grads["tok_emb"] = d_tok
+    d_pos = np.zeros_like(params["pos_emb"])
+    d_pos[:l] = d_emb.reshape(b, l, d).sum(axis=0)
+    grads["pos_emb"] = d_pos
+    grads["seg_emb"] = _segment_grad(d_emb, cache["seg"], params["seg_emb"])
+    return grads
+
+
+def backward_batch(params, config, batch, result, lam: float, mu: float):
+    from hklm.encoder import ModelError, gelu_grad, joint_loss, layer_norm_backward, param_names
+
+    if result.cache is None:
+        raise ModelError("forward_batch must be called with want_cache=True before backward")
+    cache = result.cache
+    loss, (d_mlm_logits, d_tc_logits, d_tmt_logits) = joint_loss(result, batch, lam, mu)
+    dt = config.np_dtype
+    d_mlm_logits = d_mlm_logits.astype(dt)
+    d_tc_logits = d_tc_logits.astype(dt)
+    d_tmt_logits = d_tmt_logits.astype(dt)
+
+    grads: dict[str, np.ndarray] = {}
+    d_hidden = np.zeros_like(result.hidden)
+
+    # MLM head
+    mlm_h = cache["mlm_h"]
+    out_w = params["tok_emb"].T if config.tie_mlm else params["mlm_out_w"]
+    grads["mlm_out_b"] = d_mlm_logits.sum(axis=0)
+    d_out_w = mlm_h.T @ d_mlm_logits
+    d_mlm_h = d_mlm_logits @ out_w.T
+    d_mlm_act, d_ln_g, d_ln_b = layer_norm_backward(d_mlm_h, cache["mlm_ln"], params["mlm_ln_g"])
+    grads["mlm_ln_g"], grads["mlm_ln_b"] = d_ln_g, d_ln_b
+    d_mlm_pre = gelu_grad(cache["mlm_pre"], cache["mlm_gelu_t"], dout=d_mlm_act)
+    grads["mlm_w"] = cache["mlm_g"].T @ d_mlm_pre
+    grads["mlm_b"] = d_mlm_pre.sum(axis=0)
+    d_g = d_mlm_pre @ params["mlm_w"].T
+    np.add.at(d_hidden, (batch.mlm_b, batch.mlm_i), d_g)
+
+    # TC head
+    grads["tc_w"] = cache["tc_h"].T @ d_tc_logits
+    grads["tc_b"] = d_tc_logits.sum(axis=0)
+    np.add.at(d_hidden, (batch.tc_b, batch.tc_i), d_tc_logits @ params["tc_w"].T)
+
+    # TMT head
+    grads["tmt_w"] = cache["tmt_h"].T @ d_tmt_logits
+    grads["tmt_b"] = d_tmt_logits.sum(axis=0)
+    np.add.at(d_hidden, (batch.tmt_b, batch.tmt_i), d_tmt_logits @ params["tmt_w"].T)
+
+    enc_grads = encoder_backward(params, config, cache, d_hidden)
+    for k, v in enc_grads.items():
+        grads[k] = v
+    if config.tie_mlm:
+        grads["tok_emb"] += d_out_w.T
+    else:
+        grads["mlm_out_w"] = d_out_w
+
+    full = {name: grads.get(name) for name in param_names(config)}
+    for name, g in full.items():
+        if g is None:
+            full[name] = np.zeros_like(params[name])
+    return loss, full

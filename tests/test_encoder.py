@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,8 @@ from hklm.encoder import (
     ModelError,
     NonFiniteGradientError,
     backward_batch,
+    encode,
+    encoder_backward,
     forward_batch,
     init_params,
     joint_loss,
@@ -68,7 +73,8 @@ class TestForward:
         cfg = tiny_config()
         params = init_params(cfg, 0)
         res = forward_one(params, cfg, rich_example)
-        hidden, layout = res.hidden[0], rich_example.layout
+        hidden, _ = encode(params, cfg, make_batch([rich_example], dtype=cfg.np_dtype))
+        hidden, layout = hidden[0], rich_example.layout
         assert hidden.shape == (len(rich_example.input_ids), cfg.d_model)
         assert res.mlm_logits.shape == (2, V)
         assert res.tc_logits.shape == (2, 2)
@@ -94,7 +100,7 @@ class TestForward:
                or ".ffn_w" in name or name.endswith("_b") and name.startswith("layers"):
                 params[name][:] = 0.0
         batch = make_batch([rich_example], dtype=np.float64)
-        res = forward_batch(params, cfg, batch)
+        hidden, _ = encode(params, cfg, batch)
         ids = np.array(rich_example.input_ids)
         seg = np.array(rich_example.layout.seg_ids)
         emb = params["tok_emb"][ids] + params["pos_emb"][: len(ids)] + params["seg_emb"][seg]
@@ -102,7 +108,7 @@ class TestForward:
         for i in range(cfg.n_layers):
             x, _ = layer_norm(x, params[f"layers.{i}.ln1_g"], params[f"layers.{i}.ln1_b"], cfg.ln_eps)
             x, _ = layer_norm(x, params[f"layers.{i}.ln2_g"], params[f"layers.{i}.ln2_b"], cfg.ln_eps)
-        np.testing.assert_allclose(res.hidden[0], x, atol=1e-12)
+        np.testing.assert_allclose(hidden[0], x, atol=1e-12)
 
     def test_uniform_attention_when_qk_zero(self, rich_example):
         cfg = tiny_config()
@@ -249,9 +255,12 @@ class TestBackward:
         np.testing.assert_allclose(g2["tc_w"], 2.0 * g1["tc_w"], rtol=1e-12)
         np.testing.assert_allclose(g2["mlm_w"], g1["mlm_w"], rtol=0, atol=0)
 
-    @pytest.mark.parametrize("tie", [True, False])
-    def test_gradcheck_small(self, rich_example, plain_example, tie):
-        cfg = tiny_config(n_layers=1, tie_mlm=tie)
+    @pytest.mark.parametrize("tie,n_layers", [
+        pytest.param(True, 1, id="True"), pytest.param(False, 1, id="False"),
+        pytest.param(True, 2, id="True-2layers"), pytest.param(False, 2, id="False-2layers"),
+    ])
+    def test_gradcheck_small(self, rich_example, plain_example, tie, n_layers):
+        cfg = tiny_config(n_layers=n_layers, tie_mlm=tie)
         params = init_params(cfg, 3)
         batch = make_batch([rich_example, plain_example], dtype=np.float64)
         res = forward_batch(params, cfg, batch, want_cache=True)
@@ -330,6 +339,25 @@ class TestCheckpoint:
         path2 = tmp_path / "m2.ckpt"
         save_checkpoint(path2, p2, cfg2, vh, opt_state=st2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_config_roundtrip_keeps_every_field(self, tmp_path):
+        cfg = ModelConfig(vocab_size=V, d_model=16, n_heads=2, n_layers=1, ffn_mult=2,
+                          max_seq_len=32, n_segments=4, tie_mlm=False, dtype="float64",
+                          init_std=0.05, attn_init_std=0.3, pos_init="normal",
+                          pos_init_scale=0.2, ln_eps=1e-6)
+        assert set(cfg.to_json()) == {f.name for f in dataclasses.fields(ModelConfig)}
+        assert ModelConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_params(cfg, 5), cfg, "x")
+        assert load_checkpoint(path)[1] == cfg
+
+    def test_header_without_init_fields_takes_defaults(self):
+        cfg = ModelConfig(vocab_size=V, d_model=16, n_heads=2, n_layers=1)
+        old_header = {k: v for k, v in cfg.to_json().items()
+                      if k not in ("attn_init_std", "pos_init", "pos_init_scale")}
+        loaded = ModelConfig.from_json(old_header)
+        assert loaded == cfg
+        assert (loaded.attn_init_std, loaded.pos_init, loaded.pos_init_scale) == (0.1, "sinusoidal", 0.05)
 
     def test_truncated_rejected(self, tmp_path):
         cfg = ModelConfig(vocab_size=V, d_model=16, n_heads=2, n_layers=1)
@@ -512,3 +540,81 @@ def test_backward_leaves_forward_cache_intact(synth20):
     assert loss1 == loss2
     for name in param_names(run.model_config):
         assert_identical(grads2[name], grads1[name])
+
+
+@pytest.fixture(scope="module")
+def mode_runs(synth20):
+    """Zero-step pretraining runs in each mode: their examples and vocabulary."""
+    corpus, _ = synth20
+    return {mode: run_pretraining(joint_train_config(mode=mode, steps=0, eval_every=0), corpus)
+            for mode in ("hklm", "plain")}
+
+
+def assert_grads_close(got, want, rtol):
+    """Each gradient within rtol of its tensor's largest entry. A key bias's
+    exact gradient is 0 (softmax ignores a shift shared by all keys), so both
+    sides hold rounding noise; it is held to the scale of its key weights."""
+    assert list(got) == list(want)
+    for name, w in want.items():
+        ref = want[name[:-1] + "w"] if name.endswith(".k_b") else w
+        assert np.abs(got[name] - w).max() <= rtol * np.abs(ref).max(), name
+
+
+class TestHeadRowsMatchFullRows:
+    """The last block run only at the rows the heads read gives, in float64,
+    the logits, losses and gradients of the full-row pass kept in
+    tests/oracles.py, within 1e-10 relative."""
+
+    @pytest.mark.parametrize("n_examples", [1, 8])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("tie", [True, False])
+    @pytest.mark.parametrize("mode", ["hklm", "plain"])
+    def test_joint_step(self, mode_runs, mode, tie, n_layers, n_examples):
+        run = mode_runs[mode]
+        cfg = dataclasses.replace(run.model_config, tie_mlm=tie, n_layers=n_layers, dtype="float64")
+        rng = np.random.default_rng(n_layers)
+        params = {k: v + rng.normal(0.0, 0.05, v.shape) for k, v in init_params(cfg, 4).items()}
+        batch = make_batch(run.train_examples[:n_examples], dtype=np.float64)
+        assert len(batch.mlm_b) and (mode == "plain" or len(batch.tc_b) and len(batch.tmt_b))
+
+        res = forward_batch(params, cfg, batch, want_cache=True)
+        want_res = oracles.forward_batch(params, cfg, batch, want_cache=True)
+        rows = encoder.head_rows(batch)[0]
+        assert res.hidden.shape == (len(rows), cfg.d_model) and len(rows) < batch.ids.size
+        np.testing.assert_allclose(res.hidden, want_res.hidden.reshape(-1, cfg.d_model)[rows],
+                                   rtol=0, atol=1e-10 * np.abs(want_res.hidden).max())
+        for got, want in ((res.mlm_logits, want_res.mlm_logits), (res.tc_logits, want_res.tc_logits),
+                          (res.tmt_logits, want_res.tmt_logits)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max(initial=0.0) <= 1e-10 * np.abs(want).max(initial=0.0)
+
+        loss, grads = backward_batch(params, cfg, batch, res, 0.7, 1.3)
+        want_loss, want_grads = oracles.backward_batch(params, cfg, batch, want_res, 0.7, 1.3)
+        for part in ("total", "mlm", "tc", "tmt"):
+            assert getattr(loss, part) == pytest.approx(getattr(want_loss, part), rel=1e-10, abs=0)
+        assert_grads_close(grads, want_grads, 1e-10)
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    def test_encode_at_rows_matches_full_rows(self, mode_runs, n_layers):
+        run = mode_runs["plain"]
+        cfg = dataclasses.replace(run.model_config, n_layers=n_layers, dtype="float64")
+        params = init_params(cfg, 6)
+        batch = make_batch(run.train_examples[:5], dtype=np.float64)
+        b, l = batch.ids.shape
+        rows = np.array([3 * l + 2, 0, b * l - 1, l])  # unsorted, across examples
+        hidden, cache = encode(params, cfg, batch, want_cache=True, rows=rows)
+        full, full_cache = oracles.encode(params, cfg, batch, want_cache=True)
+        d = cfg.d_model
+        np.testing.assert_allclose(hidden, full.reshape(-1, d)[rows], rtol=0, atol=1e-10)
+        d_hidden = np.random.default_rng(1).normal(size=hidden.shape)
+        d_full = np.zeros((b * l, d))
+        d_full[rows] = d_hidden
+        assert_grads_close(encoder_backward(params, cfg, cache, d_hidden),
+                           oracles.encoder_backward(params, cfg, full_cache, d_full.reshape(b, l, d)),
+                           1e-10)
+
+    @pytest.mark.parametrize("rows", [[0, 0], [-1], [10**6], [[0]], [0.0]])
+    def test_bad_rows_rejected(self, rich_example, rows):
+        cfg = tiny_config()
+        with pytest.raises(ModelError, match="rows|row index"):
+            encode(init_params(cfg, 0), cfg, make_batch([rich_example], dtype=np.float64), rows=rows)

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hklm import finetune
 from hklm.corpus import build_vocab, generate_synthetic_corpus
-from hklm.encoder import ModelConfig, init_params
+from hklm.encoder import ModelConfig, encoder_param_names, init_params
 from hklm.finetune import (
     FinetuneConfig,
     FinetuneError,
@@ -26,6 +29,8 @@ from hklm.finetune import (
 )
 from hklm.metrics import is_valid_bio
 from hklm.tasks import make_et_data, make_ner_data, make_oie_data, make_rank_data
+import oracles
+from test_encoder import assert_grads_close
 
 TAGSET = ["B-x", "B-y", "I-x", "I-y", "O"]
 
@@ -252,3 +257,91 @@ class TestAdapters:
         ranker = finetune_ranker(params, cfg, train, FinetuneConfig(epochs=1, seed=3))
         out = evaluate_rank(ranker, evals, dialog=True)
         assert set(out) == {"hits@1", "hits@3", "distinct-1", "distinct-2", "distinct-3", "distinct-4"}
+
+
+def test_adapters_hold_no_pretraining_heads(world):
+    corpus, truth, vocab, cfg, params = world
+    untied = dataclasses.replace(cfg, tie_mlm=False)
+    untied_params = init_params(untied, 0)
+    assert "mlm_out_w" in untied_params
+    ner, _ = make_ner_data(truth, vocab, 5, n_train=8, n_eval=2)
+    et, _ = make_et_data(truth, vocab, 5, n_train=8, n_eval=2)
+    oie, _ = make_oie_data(truth, vocab, 5, n_train=8, n_eval=2)
+    rank, _ = make_rank_data(corpus, truth, vocab, 5, n_train=4, n_eval=2, n_candidates=4)
+    for model_cfg, prm in ((cfg, params), (untied, untied_params)):
+        ft = FinetuneConfig(epochs=1, seed=4)
+        models = [
+            finetune_token_classifier(prm, model_cfg, ner, ft),
+            finetune_entity_typing(prm, model_cfg, et, ft),
+            finetune_span_stage1(prm, model_cfg, oie, ft),
+            finetune_span_stage2(prm, model_cfg, oie, ft),
+            finetune_ranker(prm, model_cfg, rank, ft),
+        ]
+        for model in models:
+            assert list(model.params) == encoder_param_names(model_cfg) + ["head_w", "head_b"]
+
+
+def full_row_encode(params, cfg, batch, want_cache=False, rows=None):
+    """`encode` through the full-row oracle; where the adapter asks for rows,
+    the [CLS] states."""
+    hidden, cache = oracles.encode(params, cfg, batch, want_cache)
+    if rows is None:
+        return hidden, cache
+    if cache is not None:
+        cache["rows"] = np.arange(batch.size) * batch.ids.shape[1]
+    return hidden[:, 0], cache
+
+
+def full_row_backward(params, cfg, cache, d_hidden):
+    """`encoder_backward` through the full-row oracle, d_hidden scattered to
+    the rows `full_row_encode` read."""
+    b, l, rows = cache["b"], cache["l"], cache.get("rows")
+    if rows is not None:
+        full = np.zeros((b * l, cfg.d_model), dtype=d_hidden.dtype)
+        full[rows] = d_hidden
+        d_hidden = full.reshape(b, l, cfg.d_model)
+    return oracles.encoder_backward(params, cfg, cache, d_hidden)
+
+
+def first_step(monkeypatch, adapt, params, cfg, train):
+    """The adapter's loss and gradients on its first batch, and the adapter
+    with its initial head (the training loop is replaced by that one step)."""
+    out = {}
+
+    def one_step(params, model_cfg, items, ft_cfg, step_fn):
+        out["step"] = step_fn(params, items[: ft_cfg.batch_size])
+        return params
+
+    monkeypatch.setattr(finetune, "_train_loop", one_step)
+    model = adapt(params, cfg, train, FinetuneConfig(epochs=1, seed=3))
+    return out["step"], model
+
+
+@pytest.mark.parametrize("dtype,rtol", [("float64", 1e-10), ("float32", 1e-5)])
+def test_cls_row_steps_match_full_rows(world, monkeypatch, dtype, rtol):
+    """Entity typing and ranking run the last block at [CLS] only; their
+    fine-tuning steps and scores match the full-row encoder's."""
+    corpus, truth, vocab, cfg, _ = world
+    cfg = dataclasses.replace(cfg, n_layers=2, dtype=dtype)
+    rng = np.random.default_rng(2)
+    params = {k: (v + rng.normal(0.0, 0.05, v.shape)).astype(cfg.np_dtype)
+              for k, v in init_params(cfg, 1).items()}
+    et_train, et_eval = make_et_data(truth, vocab, 5, n_train=24, n_eval=12)
+    rank_train, rank_eval = make_rank_data(corpus, truth, vocab, 5, n_train=8, n_eval=3, n_candidates=6)
+    for adapt, train in ((finetune_entity_typing, et_train), (finetune_ranker, rank_train)):
+        (loss, grads), model = first_step(monkeypatch, adapt, params, cfg, train)
+        with monkeypatch.context() as m:
+            m.setattr(finetune, "encode", full_row_encode)
+            m.setattr(finetune, "encoder_backward", full_row_backward)
+            (want_loss, want_grads), want_model = first_step(m, adapt, params, cfg, train)
+            if adapt is finetune_entity_typing:
+                want_pred = want_model.predict(et_eval)
+            else:
+                want_scores = [want_model.score(ex.tokens, ex.candidates) for ex in rank_eval]
+        assert loss == pytest.approx(want_loss, rel=rtol, abs=0)
+        assert_grads_close(grads, want_grads, rtol)
+        if adapt is finetune_entity_typing:
+            assert model.predict(et_eval) == want_pred
+        else:
+            for ex, want in zip(rank_eval, want_scores):
+                np.testing.assert_allclose(model.score(ex.tokens, ex.candidates), want, rtol=rtol, atol=0)
