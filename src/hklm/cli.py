@@ -281,12 +281,6 @@ def cmd_finetune(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    # Fine-tuning in this toolkit is in-memory; eval re-runs fine-tuning
-    # deterministically from the pretrained checkpoint, then scores the data.
-    return cmd_finetune(args)
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="hklm", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -346,18 +340,17 @@ def build_parser() -> _Parser:
     pt.add_argument("--mode", choices=("plain", "hklm"), default=None)
     pt.set_defaults(fn=cmd_pretrain)
 
-    for name, helptext in (("finetune", "fine-tune a task adapter"), ("eval", "evaluate a task adapter")):
-        ft = sub.add_parser(name, help=helptext)
-        ft.add_argument("--checkpoint", required=True)
-        ft.add_argument("--task", choices=_TASKS, required=True)
-        ft.add_argument("--train", required=True)
-        ft.add_argument("--eval", required=True)
-        ft.add_argument("--out", required=True)
-        ft.add_argument("--seed", type=int, required=True)
-        ft.add_argument("--epochs", type=int, default=3)
-        ft.add_argument("--batch-size", type=int, default=16, dest="batch_size")
-        ft.add_argument("--lr", type=float, default=3e-4)
-        ft.set_defaults(fn=cmd_finetune if name == "finetune" else cmd_eval)
+    ft = sub.add_parser("finetune", help="fine-tune a task adapter and score it on --eval")
+    ft.add_argument("--checkpoint", required=True)
+    ft.add_argument("--task", choices=_TASKS, required=True)
+    ft.add_argument("--train", required=True)
+    ft.add_argument("--eval", required=True)
+    ft.add_argument("--out", required=True)
+    ft.add_argument("--seed", type=int, required=True)
+    ft.add_argument("--epochs", type=int, default=3)
+    ft.add_argument("--batch-size", type=int, default=16, dest="batch_size")
+    ft.add_argument("--lr", type=float, default=3e-4)
+    ft.set_defaults(fn=cmd_finetune)
 
     return p
 

@@ -186,10 +186,6 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
-def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.items()}
-
-
 # ---------------------------------------------------------------------------
 # Batches
 # ---------------------------------------------------------------------------

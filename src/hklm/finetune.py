@@ -1,7 +1,12 @@
 """Fine-tuning adapters for the five downstream task schemes.
 
-Each adapter puts a small head on the pretrained encoder, fine-tunes the
-whole stack with AdamW, and evaluates with the task's metric bundle:
+An adapter is a sequence builder, a row choice and a loss. The builder turns
+each training item into the token ids the encoder reads; the row choice says
+whether the head reads every token or [CLS] only; the loss maps the head's
+logits to a loss and its gradient. The rest is shared: `_new_adapter` clones
+the encoder and draws an affine head, `_train_loop` fine-tunes the whole stack
+with AdamW, and `_head_logits` scores sequences with the trained head. Each
+adapter then decodes the logits and evaluates with its task's metric bundle:
 token tagging (NER), multi-label typing on [CLS] with [ENT] markers, two-stage
 span extraction for open IE with [REL] markers, and [CLS]-scored candidate
 ranking shared by QA and dialogue.
@@ -33,14 +38,12 @@ class FinetuneConfig:
     epochs: int = 3
     batch_size: int = 16
     lr: float = 3e-4
-    weight_decay: float = 0.0
     seed: int = 0
     max_seq_len: int = 512
 
 
-def _clone_encoder(params, model_cfg: ModelConfig) -> dict[str, np.ndarray]:
-    """Copies of the encoder tensors; no adapter reads the pretraining heads."""
-    return {k: params[k].copy() for k in encoder_param_names(model_cfg)}
+def _wrap(tokens: list[int]) -> list[int]:
+    return [CLS_ID] + tokens + [SEP_ID]
 
 
 def _pack(sequences: list[list[int]], dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -81,23 +84,87 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _train_loop(params, model_cfg, items, cfg: FinetuneConfig, step_fn):
-    """Shared shuffle/batch/update skeleton. step_fn(params, batch_items) must
-    return (loss, grads over encoder+head params)."""
-    opt_cfg = AdamWConfig(lr=cfg.lr, weight_decay=cfg.weight_decay)
+def _new_adapter(pretrained_params, model_cfg: ModelConfig, seed: int, stream: str, n_out: int):
+    """Copies of the encoder tensors (no adapter reads the pretraining heads)
+    plus an affine head with `n_out` outputs, drawn from the adapter's own RNG
+    stream; that stream is returned for the adapter's later draws."""
+    dt = model_cfg.np_dtype
+    params = {k: pretrained_params[k].copy() for k in encoder_param_names(model_cfg)}
+    rng = np.random.default_rng(derive_seed(seed, stream))
+    params["head_w"] = rng.normal(0.0, 0.02, size=(model_cfg.d_model, n_out)).astype(dt)
+    params["head_b"] = np.zeros(n_out, dtype=dt)
+    return params, rng
+
+
+def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, at_cls: bool, loss_grad):
+    """Fine-tune `params` in place on `items`, (sequence, target) pairs, in
+    shuffled batches. Each step encodes the batch (the last block at [CLS]
+    only when `at_cls`), applies the head, takes the loss and its gradient
+    with respect to the float64 logits from `loss_grad(logits, targets,
+    batch)`, backpropagates through head and encoder and takes one AdamW step.
+    """
+    dt, d = model_cfg.np_dtype, model_cfg.d_model
+    opt_cfg = AdamWConfig(lr=cfg.lr)
     state = AdamWState.for_params(params)
     rng = np.random.default_rng(derive_seed(cfg.seed, "finetune-order"))
     for _epoch in range(cfg.epochs):
         order = rng.permutation(len(items))
         for start in range(0, len(order), cfg.batch_size):
             chunk = [items[int(i)] for i in order[start : start + cfg.batch_size]]
-            _loss, grads = step_fn(params, chunk)
+            batch = _simple_batch([seq for seq, _target in chunk], dt)
+            rows = _cls_rows(batch) if at_cls else None
+            h, cache = encode(params, model_cfg, batch, want_cache=True, rows=rows)
+            logits = (h @ params["head_w"] + params["head_b"]).astype(np.float64)
+            _loss, d_logits = loss_grad(logits, [target for _seq, target in chunk], batch)
+            d_logits = d_logits.astype(dt)
+            n_out = d_logits.shape[-1]
+            grads = {
+                "head_w": h.reshape(-1, d).T @ d_logits.reshape(-1, n_out),
+                "head_b": d_logits.reshape(-1, n_out).sum(axis=0),
+            }
+            grads.update(encoder_backward(params, model_cfg, cache, d_logits @ params["head_w"].T))
+            # The activation cache, a step's largest allocation, dies before
+            # the next forward runs.
+            del h, cache
             adamw_step(params, grads, state, opt_cfg)
-    return params
 
 
-def _head_normal(rng, *shape, std=0.02):
-    return rng.normal(0.0, std, size=shape)
+def _head_logits(params, cfg: ModelConfig, sequences: list[list[int]], at_cls: bool,
+                 batch_size: int = 32) -> list[np.ndarray]:
+    """Float64 head logits of each sequence, encoded `batch_size` at a time:
+    (L, k) over every row of its padded batch, or (k,) at [CLS] when `at_cls`."""
+    out = []
+    for start in range(0, len(sequences), batch_size):
+        batch = _simple_batch(sequences[start : start + batch_size], cfg.np_dtype)
+        h, _ = encode(params, cfg, batch, rows=_cls_rows(batch) if at_cls else None)
+        out.extend((h @ params["head_w"] + params["head_b"]).astype(np.float64))
+    return out
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _sigmoid_xent(logits: np.ndarray, y: np.ndarray, weight: np.ndarray):
+    """Weighted mean binary cross-entropy of independent sigmoid outputs, and
+    its gradient."""
+    probs = _sigmoid(logits)
+    n = weight.sum()
+    loss = float(-(weight * (y * np.log(np.maximum(probs, 1e-300))
+                             + (1 - y) * np.log(np.maximum(1 - probs, 1e-300)))).sum() / n)
+    return loss, weight * (probs - y) / n
+
+
+def _softmax_xent(x: np.ndarray, index: tuple):
+    """Mean cross-entropy of the softmax over x's last axis at the target
+    entries `index`, and its gradient with respect to x."""
+    z = x - x.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    n = logp[index].size
+    loss = float(-logp[index].sum() / n)
+    grad = np.exp(logp)
+    grad[index] -= 1.0
+    return loss, grad / n
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +202,20 @@ def decode_bio(token_logits: np.ndarray, tagset: list[str]) -> list[str]:
     return tags
 
 
+def _tag_loss(logits: np.ndarray, targets: list[list[int]], batch: Batch):
+    """Mean cross-entropy of the tag softmax at every token; `targets` holds
+    each sequence's tag ids, for its tokens after [CLS]."""
+    k = np.repeat(np.arange(len(targets)), [len(t) for t in targets])
+    pos = np.concatenate([np.arange(1, 1 + len(t)) for t in targets])
+    y = np.concatenate(targets)
+    probs = _softmax_rows(logits)
+    d_logits = np.zeros_like(probs)
+    d_logits[k, pos] = probs[k, pos]
+    d_logits[k, pos, y] -= 1.0
+    loss = float(-np.log(np.maximum(probs[k, pos, y], 1e-300)).sum() / len(y))
+    return loss, d_logits / len(y)
+
+
 @dataclass
 class TokenTagger:
     params: dict[str, np.ndarray]
@@ -142,17 +223,10 @@ class TokenTagger:
     tagset: list[str]
 
     def predict(self, examples: list[TaskExample], batch_size: int = 32) -> list[list[str]]:
-        out = []
-        dt = self.model_config.np_dtype
-        for start in range(0, len(examples), batch_size):
-            chunk = examples[start : start + batch_size]
-            seqs = [[CLS_ID] + ex.tokens + [SEP_ID] for ex in chunk]
-            batch = _simple_batch(seqs, dt)
-            h, _ = encode(self.params, self.model_config, batch)
-            logits = h @ self.params["head_w"] + self.params["head_b"]
-            for k, ex in enumerate(chunk):
-                out.append(decode_bio(logits[k, 1 : 1 + len(ex.tokens)], self.tagset))
-        return out
+        seqs = [_wrap(ex.tokens) for ex in examples]
+        logits = _head_logits(self.params, self.model_config, seqs, False, batch_size)
+        return [decode_bio(rows[1 : 1 + len(ex.tokens)], self.tagset)
+                for ex, rows in zip(examples, logits)]
 
 
 def finetune_token_classifier(
@@ -165,44 +239,16 @@ def finetune_token_classifier(
     tagset = tagset or build_tagset(train)
     tag_to_id = {t: i for i, t in enumerate(tagset)}
     for ex in train:
-        for t in ex.tags or []:
+        tags = ex.tags or []
+        if len(tags) != len(ex.tokens):
+            raise FinetuneError(
+                f"example {ex.example_id} has {len(tags)} tags for {len(ex.tokens)} tokens")
+        for t in tags:
             if t not in tag_to_id:
                 raise FinetuneError(f"tag {t!r} outside the tag vocabulary")
-    dt = model_cfg.np_dtype
-    params = _clone_encoder(pretrained_params, model_cfg)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "ner-head"))
-    params["head_w"] = _head_normal(rng, model_cfg.d_model, len(tagset)).astype(dt)
-    params["head_b"] = np.zeros(len(tagset), dtype=dt)
-
-    def step(params, chunk):
-        seqs = [[CLS_ID] + ex.tokens + [SEP_ID] for ex in chunk]
-        batch = _simple_batch(seqs, dt)
-        h, cache = encode(params, model_cfg, batch, want_cache=True)
-        logits = h @ params["head_w"] + params["head_b"]
-        b, l, _ = h.shape
-        probs = _softmax_rows(logits.astype(np.float64))
-        d_logits = np.zeros_like(probs)
-        loss = 0.0
-        n_tok = sum(len(ex.tokens) for ex in chunk)
-        for k, ex in enumerate(chunk):
-            for pos, tag in enumerate(ex.tags, start=1):
-                y = tag_to_id[tag]
-                loss -= np.log(max(probs[k, pos, y], 1e-300))
-                d_logits[k, pos] = probs[k, pos]
-                d_logits[k, pos, y] -= 1.0
-        d_logits /= n_tok
-        loss /= n_tok
-        d_logits = d_logits.astype(dt)
-        grads = {
-            "head_w": h.reshape(-1, model_cfg.d_model).T @ d_logits.reshape(-1, len(tagset)),
-            "head_b": d_logits.reshape(-1, len(tagset)).sum(axis=0),
-        }
-        d_h = d_logits @ params["head_w"].T
-        enc_grads = encoder_backward(params, model_cfg, cache, d_h)
-        grads.update(enc_grads)
-        return loss, grads
-
-    _train_loop(params, model_cfg, train, cfg, step)
+    params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "ner-head", len(tagset))
+    items = [(_wrap(ex.tokens), [tag_to_id[t] for t in ex.tags]) for ex in train]
+    _train_loop(params, model_cfg, items, cfg, at_cls=False, loss_grad=_tag_loss)
     return TokenTagger(params=params, model_config=model_cfg, tagset=tagset)
 
 
@@ -219,6 +265,15 @@ def evaluate_ner(tagger: TokenTagger, examples: list[TaskExample]) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _label_loss(logits: np.ndarray, targets: list[list[int]], batch: Batch):
+    """Mean sigmoid cross-entropy over every (sequence, label) pair; `targets`
+    holds each sequence's gold label ids."""
+    y = np.zeros_like(logits)
+    for k, labels in enumerate(targets):
+        y[k, labels] = 1.0
+    return _sigmoid_xent(logits, y, np.ones_like(y))
+
+
 @dataclass
 class EntityTyper:
     params: dict[str, np.ndarray]
@@ -227,18 +282,10 @@ class EntityTyper:
     threshold: float
 
     def predict(self, examples: list[TaskExample], batch_size: int = 32) -> list[set]:
-        out = []
-        dt = self.model_config.np_dtype
-        for start in range(0, len(examples), batch_size):
-            chunk = examples[start : start + batch_size]
-            seqs = [[CLS_ID] + ex.tokens + [SEP_ID] for ex in chunk]
-            batch = _simple_batch(seqs, dt)
-            cls, _ = encode(self.params, self.model_config, batch, rows=_cls_rows(batch))
-            logits = cls @ self.params["head_w"] + self.params["head_b"]
-            probs = 1.0 / (1.0 + np.exp(-logits.astype(np.float64)))
-            for row in probs:
-                out.append({self.label_set[j] for j in np.nonzero(row >= self.threshold)[0]})
-        return out
+        seqs = [_wrap(ex.tokens) for ex in examples]
+        logits = _head_logits(self.params, self.model_config, seqs, True, batch_size)
+        return [{self.label_set[j] for j in np.nonzero(_sigmoid(row) >= self.threshold)[0]}
+                for row in logits]
 
 
 def finetune_entity_typing(
@@ -253,34 +300,9 @@ def finetune_entity_typing(
             raise FinetuneError(f"example {ex.example_id} lacks an [ENT] pair")
     label_set = sorted({lab for ex in train for lab in ex.labels or []})
     lab_to_id = {lab: i for i, lab in enumerate(label_set)}
-    dt = model_cfg.np_dtype
-    params = _clone_encoder(pretrained_params, model_cfg)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "et-head"))
-    params["head_w"] = _head_normal(rng, model_cfg.d_model, len(label_set)).astype(dt)
-    params["head_b"] = np.zeros(len(label_set), dtype=dt)
-
-    def step(params, chunk):
-        seqs = [[CLS_ID] + ex.tokens + [SEP_ID] for ex in chunk]
-        batch = _simple_batch(seqs, dt)
-        cls, cache = encode(params, model_cfg, batch, want_cache=True, rows=_cls_rows(batch))
-        logits = (cls @ params["head_w"] + params["head_b"]).astype(np.float64)
-        probs = 1.0 / (1.0 + np.exp(-logits))
-        y = np.zeros_like(probs)
-        for k, ex in enumerate(chunk):
-            for lab in ex.labels:
-                y[k, lab_to_id[lab]] = 1.0
-        n = probs.size
-        loss = float(-(y * np.log(np.maximum(probs, 1e-300))
-                       + (1 - y) * np.log(np.maximum(1 - probs, 1e-300))).sum() / n)
-        d_logits = ((probs - y) / n).astype(dt)
-        grads = {
-            "head_w": cls.T @ d_logits,
-            "head_b": d_logits.sum(axis=0),
-        }
-        grads.update(encoder_backward(params, model_cfg, cache, d_logits @ params["head_w"].T))
-        return loss, grads
-
-    _train_loop(params, model_cfg, train, cfg, step)
+    params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "et-head", len(label_set))
+    items = [(_wrap(ex.tokens), [lab_to_id[lab] for lab in ex.labels]) for ex in train]
+    _train_loop(params, model_cfg, items, cfg, at_cls=True, loss_grad=_label_loss)
     return EntityTyper(params=params, model_config=model_cfg, label_set=label_set, threshold=threshold)
 
 
@@ -325,42 +347,29 @@ def _stage1_spans(start_p: np.ndarray, end_p: np.ndarray, theta: float, cap: int
     return sorted(chosen)
 
 
+def _span_loss(logits: np.ndarray, targets: list[tuple[int, list[int], list[int]]], batch: Batch):
+    """Stage 1: mean sigmoid cross-entropy of the start and end heads over each
+    sentence's tokens; a target is (token count, start rows, end rows)."""
+    y = np.zeros_like(logits)
+    weight = np.zeros_like(logits)
+    for k, (n_tokens, starts, ends) in enumerate(targets):
+        weight[k, 1 : 1 + n_tokens] = 1.0
+        y[k, starts, 0] = 1.0
+        y[k, ends, 1] = 1.0
+    return _sigmoid_xent(logits, y, weight)
+
+
 def finetune_span_stage1(
     pretrained_params, model_cfg: ModelConfig, train: list[TaskExample], cfg: FinetuneConfig
 ) -> SpanModel:
-    dt = model_cfg.np_dtype
-    params = _clone_encoder(pretrained_params, model_cfg)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "oie1-head"))
-    params["head_w"] = _head_normal(rng, model_cfg.d_model, 2).astype(dt)  # start, end
-    params["head_b"] = np.zeros(2, dtype=dt)
-
-    def step(params, chunk):
-        seqs = [[CLS_ID] + ex.tokens + [SEP_ID] for ex in chunk]
-        batch = _simple_batch(seqs, dt)
-        h, cache = encode(params, model_cfg, batch, want_cache=True)
-        logits = (h @ params["head_w"] + params["head_b"]).astype(np.float64)
-        probs = 1.0 / (1.0 + np.exp(-logits))
-        y = np.zeros_like(probs)
-        weight = np.zeros_like(probs)
-        for k, ex in enumerate(chunk):
-            weight[k, 1 : 1 + len(ex.tokens)] = 1.0
-            for tr in ex.triples:
-                s, e = tr["pred"]
-                y[k, 1 + s, 0] = 1.0
-                y[k, e, 1] = 1.0  # inclusive end position is e-1 in example space
-        n = weight.sum()
-        loss = float(-(weight * (y * np.log(np.maximum(probs, 1e-300))
-                                 + (1 - y) * np.log(np.maximum(1 - probs, 1e-300)))).sum() / n)
-        d_logits = (weight * (probs - y) / n).astype(dt)
-        grads = {
-            "head_w": h.reshape(-1, model_cfg.d_model).T @ d_logits.reshape(-1, 2),
-            "head_b": d_logits.reshape(-1, 2).sum(axis=0),
-        }
-        d_h = d_logits @ params["head_w"].T
-        grads.update(encoder_backward(params, model_cfg, cache, d_h))
-        return loss, grads
-
-    _train_loop(params, model_cfg, train, cfg, step)
+    params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "oie1-head", 2)  # start, end
+    # A predicate [s, e) starts at row 1 + s and ends at row e, after [CLS].
+    items = [
+        (_wrap(ex.tokens), (len(ex.tokens), [1 + tr["pred"][0] for tr in ex.triples],
+                            [tr["pred"][1] for tr in ex.triples]))
+        for ex in train
+    ]
+    _train_loop(params, model_cfg, items, cfg, at_cls=False, loss_grad=_span_loss)
     return SpanModel(params=params, model_config=model_cfg, stage=1)
 
 
@@ -388,57 +397,32 @@ def pointer_decode(start_scores: np.ndarray, end_scores: np.ndarray) -> tuple[in
     return st, int(end.argmax()) + 1
 
 
+def _pointer_loss(logits: np.ndarray, targets: list[list[int]], batch: Batch):
+    """Stage 2: mean cross-entropy of the four pointer softmaxes (subject
+    start, end, object start, end) over each sequence's tokens, padding
+    masked; `targets` holds the four target rows per sequence."""
+    t = np.array(targets, dtype=np.int64)
+    # (B, 4, L) and contiguous: numpy then sums each pointer's softmax over
+    # one contiguous row, pairwise, as for a 1-D row; a strided sum over the
+    # token axis adds in another order and rounds differently.
+    x = np.where(batch.mask.astype(bool)[:, None, :],
+                 np.ascontiguousarray(logits.transpose(0, 2, 1)), -np.inf)
+    loss, grad = _softmax_xent(x, (np.arange(len(t))[:, None], np.arange(4), t))
+    return loss, np.ascontiguousarray(grad.transpose(0, 2, 1))
+
+
 def finetune_span_stage2(
     pretrained_params, model_cfg: ModelConfig, train: list[TaskExample], cfg: FinetuneConfig
 ) -> SpanModel:
-    dt = model_cfg.np_dtype
-    params = _clone_encoder(pretrained_params, model_cfg)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "oie2-head"))
-    params["head_w"] = _head_normal(rng, model_cfg.d_model, 4).astype(dt)  # ss, se, os, oe
-    params["head_b"] = np.zeros(4, dtype=dt)
-
+    params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "oie2-head", 4)  # ss, se, os, oe
     items = []
     for ex in train:
         for tr in ex.triples:
-            items.append((ex, tr))
-
-    def step(params, chunk):
-        seqs = [_stage2_sequence(ex.tokens, tuple(tr["pred"])) for ex, tr in chunk]
-        batch = _simple_batch(seqs, dt)
-        h, cache = encode(params, model_cfg, batch, want_cache=True)
-        logits = (h @ params["head_w"] + params["head_b"]).astype(np.float64)
-        mask = batch.mask.astype(bool)
-        loss = 0.0
-        d_logits = np.zeros_like(logits)
-        for k, (ex, tr) in enumerate(chunk):
             pred = tuple(tr["pred"])
-            targets = [
-                _stage2_map_position(tr["subj"][0], pred),
-                _stage2_map_position(tr["subj"][1] - 1, pred),
-                _stage2_map_position(tr["obj"][0], pred),
-                _stage2_map_position(tr["obj"][1] - 1, pred),
-            ]
-            for role in range(4):
-                row = np.where(mask[k], logits[k, :, role], -np.inf)
-                z = row - row.max()
-                logp = z - np.log(np.exp(z).sum())
-                loss -= logp[targets[role]]
-                p = np.exp(logp)
-                p[~mask[k]] = 0.0
-                d_logits[k, :, role] = p
-                d_logits[k, targets[role], role] -= 1.0
-        n = 4 * len(chunk)
-        loss = float(loss / n)
-        d_logits = (d_logits / n).astype(dt)
-        grads = {
-            "head_w": h.reshape(-1, model_cfg.d_model).T @ d_logits.reshape(-1, 4),
-            "head_b": d_logits.reshape(-1, 4).sum(axis=0),
-        }
-        d_h = d_logits @ params["head_w"].T
-        grads.update(encoder_backward(params, model_cfg, cache, d_h))
-        return loss, grads
-
-    _train_loop(params, model_cfg, items, cfg, step)
+            bounds = (tr["subj"][0], tr["subj"][1] - 1, tr["obj"][0], tr["obj"][1] - 1)
+            targets = [_stage2_map_position(p, pred) for p in bounds]
+            items.append((_stage2_sequence(ex.tokens, pred), targets))
+    _train_loop(params, model_cfg, items, cfg, at_cls=False, loss_grad=_pointer_loss)
     return SpanModel(params=params, model_config=model_cfg, stage=2)
 
 
@@ -454,11 +438,7 @@ def extract_open_triples(
     cfg = stage1.model_config
     if len(tokens) + 2 > cfg.max_seq_len:
         raise FinetuneError("sentence longer than max_seq_len")
-    dt = cfg.np_dtype
-    batch = _simple_batch([[CLS_ID] + tokens + [SEP_ID]], dt)
-    h, _ = encode(stage1.params, cfg, batch)
-    logits = (h[0] @ stage1.params["head_w"] + stage1.params["head_b"]).astype(np.float64)
-    probs = 1.0 / (1.0 + np.exp(-logits))
+    probs = _sigmoid(_head_logits(stage1.params, cfg, [_wrap(tokens)], False)[0])
     inner = slice(1, 1 + len(tokens))
     spans = _stage1_spans(probs[inner, 0], probs[inner, 1], theta_span, span_cap)
 
@@ -466,9 +446,7 @@ def extract_open_triples(
     for s, e in spans:  # inclusive j -> exclusive end
         pred = (s, e + 1)
         seq = _stage2_sequence(tokens, pred)
-        b2 = _simple_batch([seq], dt)
-        h2, _ = encode(stage2.params, stage2.model_config, b2)
-        l2 = (h2[0] @ stage2.params["head_w"] + stage2.params["head_b"]).astype(np.float64)
+        l2 = _head_logits(stage2.params, stage2.model_config, [seq], False)[0]
 
         positions = [_stage2_map_position(p, pred) for p in range(len(tokens))]
         subj = pointer_decode(l2[positions, 0], l2[positions, 1])
@@ -501,6 +479,20 @@ def evaluate_oie(
 # ---------------------------------------------------------------------------
 
 
+def _pair_sequence(query: list[int], candidate: list[int], max_seq_len: int) -> list[int]:
+    """[CLS] query [SEP] candidate [SEP], the candidate cut to fit max_seq_len."""
+    budget = max_seq_len - 3 - len(query)
+    if budget < 1:
+        raise FinetuneError("query alone exceeds max_seq_len")
+    return [CLS_ID] + query + [SEP_ID] + candidate[:budget] + [SEP_ID]
+
+
+def _rank_loss(logits: np.ndarray, targets: list[int], batch: Batch):
+    """Mean cross-entropy of the relevant/irrelevant softmax; `targets` holds
+    each pair's 0/1 label."""
+    return _softmax_xent(logits, (np.arange(len(targets)), np.array(targets, dtype=np.int64)))
+
+
 @dataclass
 class Ranker:
     params: dict[str, np.ndarray]
@@ -511,23 +503,9 @@ class Ranker:
         if not candidates:
             raise FinetuneError("empty candidate list")
         cfg = self.model_config
-        dt = cfg.np_dtype
-        budget = cfg.max_seq_len - 3 - len(query)
-        if budget < 1:
-            raise FinetuneError("query alone exceeds max_seq_len")
-        seqs = [
-            [CLS_ID] + query + [SEP_ID] + cand[:budget] + [SEP_ID] for cand in candidates
-        ]
-        scores = []
-        for start in range(0, len(seqs), batch_size):
-            batch = _simple_batch(seqs[start : start + batch_size], dt)
-            cls, _ = encode(self.params, cfg, batch, rows=_cls_rows(batch))
-            logits = (cls @ self.params["head_w"] + self.params["head_b"]).astype(np.float64)
-            z = logits - logits.max(axis=-1, keepdims=True)
-            p = np.exp(z)
-            p /= p.sum(axis=-1, keepdims=True)
-            scores.extend(float(x) for x in p[:, 1])
-        return scores
+        seqs = [_pair_sequence(query, cand, cfg.max_seq_len) for cand in candidates]
+        probs = _softmax_rows(np.stack(_head_logits(self.params, cfg, seqs, True, batch_size)))
+        return [float(x) for x in probs[:, 1]]
 
 
 def finetune_ranker(
@@ -538,45 +516,15 @@ def finetune_ranker(
     n_negatives: int = 4,
 ) -> Ranker:
     """Binary relevance training on gold + sampled-negative pairs per query."""
-    dt = model_cfg.np_dtype
-    params = _clone_encoder(pretrained_params, model_cfg)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "rank-head"))
-    params["head_w"] = _head_normal(rng, model_cfg.d_model, 2).astype(dt)
-    params["head_b"] = np.zeros(2, dtype=dt)
-
-    budget = model_cfg.max_seq_len - 3
+    params, rng = _new_adapter(pretrained_params, model_cfg, cfg.seed, "rank-head", 2)
     pairs = []
     for ex in train:
         gold = ex.gold
-        pairs.append((ex.tokens, ex.candidates[gold], 1))
         neg_pool = [i for i in range(len(ex.candidates)) if i != gold]
         picked = rng.choice(len(neg_pool), size=min(n_negatives, len(neg_pool)), replace=False)
-        for i in picked:
-            pairs.append((ex.tokens, ex.candidates[neg_pool[int(i)]], 0))
-
-    def step(params, chunk):
-        seqs = [
-            [CLS_ID] + q + [SEP_ID] + c[: budget - len(q)] + [SEP_ID] for q, c, _y in chunk
-        ]
-        labels = np.array([y for _q, _c, y in chunk], dtype=np.int64)
-        batch = _simple_batch(seqs, dt)
-        cls, cache = encode(params, model_cfg, batch, want_cache=True, rows=_cls_rows(batch))
-        logits = (cls @ params["head_w"] + params["head_b"]).astype(np.float64)
-        z = logits - logits.max(axis=-1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        n = len(chunk)
-        loss = float(-logp[np.arange(n), labels].sum() / n)
-        d_logits = np.exp(logp)
-        d_logits[np.arange(n), labels] -= 1.0
-        d_logits = (d_logits / n).astype(dt)
-        grads = {
-            "head_w": cls.T @ d_logits,
-            "head_b": d_logits.sum(axis=0),
-        }
-        grads.update(encoder_backward(params, model_cfg, cache, d_logits @ params["head_w"].T))
-        return loss, grads
-
-    _train_loop(params, model_cfg, pairs, cfg, step)
+        for cand, label in [(gold, 1)] + [(neg_pool[int(i)], 0) for i in picked]:
+            pairs.append((_pair_sequence(ex.tokens, ex.candidates[cand], model_cfg.max_seq_len), label))
+    _train_loop(params, model_cfg, pairs, cfg, at_cls=True, loss_grad=_rank_loss)
     return Ranker(params=params, model_config=model_cfg)
 
 

@@ -138,13 +138,13 @@ class TestPretrainFinetune:
         rec = json.loads((ft / "metrics.jsonl").read_text().splitlines()[-1])
         assert rec["task"] == "ner" and "f1" in rec
 
-        ev = tmp_path / "ev"
-        code = run(["eval", "--checkpoint", str(rundir / "model.ckpt"), "--task", "ner",
+        ft2 = tmp_path / "ft2"
+        code = run(["finetune", "--checkpoint", str(rundir / "model.ckpt"), "--task", "ner",
                     "--train", str(pipeline_dir / "tasks" / "ner-train.jsonl"),
                     "--eval", str(pipeline_dir / "tasks" / "ner-eval.jsonl"),
-                    "--out", str(ev), "--seed", "3", "--epochs", "1"])
+                    "--out", str(ft2), "--seed", "3", "--epochs", "1"])
         assert code == 0
-        assert json.loads((ev / "metrics.jsonl").read_text().splitlines()[-1]) == rec
+        assert json.loads((ft2 / "metrics.jsonl").read_text().splitlines()[-1]) == rec
 
     def _cfg(self, tmp_path):
         p = tmp_path / "train.json"

@@ -28,7 +28,7 @@ from hklm.finetune import (
     rank_candidates,
 )
 from hklm.metrics import is_valid_bio
-from hklm.tasks import make_et_data, make_ner_data, make_oie_data, make_rank_data
+from hklm.tasks import TaskExample, make_et_data, make_ner_data, make_oie_data, make_rank_data
 import oracles
 from test_encoder import assert_grads_close
 
@@ -172,6 +172,13 @@ class TestAdapters:
         with pytest.raises(FinetuneError, match="tag"):
             finetune_token_classifier(params, cfg, train, FinetuneConfig(epochs=0), tagset=["O"])
 
+    def test_ner_tag_count_mismatch_rejected(self, world):
+        _, truth, vocab, cfg, params = world
+        train, _ = make_ner_data(truth, vocab, 5, n_train=4, n_eval=2)
+        train[1] = dataclasses.replace(train[1], tags=train[1].tags[:-1])
+        with pytest.raises(FinetuneError, match="tags for"):
+            finetune_token_classifier(params, cfg, train, FinetuneConfig(epochs=1))
+
     def test_all_o_predictions_zero_recall(self, world):
         corpus, truth, vocab, cfg, params = world
         _, evals = make_ner_data(truth, vocab, 5, n_train=4, n_eval=20)
@@ -243,6 +250,20 @@ class TestAdapters:
         assert scores == [0.5, 0.5, 0.5]
         assert ranking == [0, 1, 2]
 
+    def test_ranker_overlong_query_rejected(self):
+        # 14 query tokens leave no room for a candidate in 16 positions, in
+        # training as in scoring
+        cfg = ModelConfig(vocab_size=40, d_model=8, n_heads=2, n_layers=1, max_seq_len=16)
+        params = init_params(cfg, 0)
+        query = list(range(20, 34))
+        ex = TaskExample(example_id="q", variant="rank", tokens=query, candidates=[[34, 35], [36]], gold=0)
+        with pytest.raises(FinetuneError, match="query alone exceeds max_seq_len"):
+            finetune_ranker(params, cfg, [ex], FinetuneConfig(epochs=1))
+        ranker = Ranker(params=dict(params, head_w=np.zeros((cfg.d_model, 2), dtype=cfg.np_dtype),
+                                    head_b=np.zeros(2, dtype=cfg.np_dtype)), model_config=cfg)
+        with pytest.raises(FinetuneError, match="query alone exceeds max_seq_len"):
+            ranker.score(query, ex.candidates)
+
     def test_ranker_empty_candidates_rejected(self, world):
         _, _, _, cfg, params = world
         p = dict(params, head_w=np.zeros((cfg.d_model, 2), dtype=cfg.np_dtype),
@@ -303,18 +324,27 @@ def full_row_backward(params, cfg, cache, d_hidden):
     return oracles.encoder_backward(params, cfg, cache, d_hidden)
 
 
+TRAIN_LOOP = finetune._train_loop
+
+
 def first_step(monkeypatch, adapt, params, cfg, train):
-    """The adapter's loss and gradients on its first batch, and the adapter
-    with its initial head (the training loop is replaced by that one step)."""
+    """The adapter's loss and gradients on a batch of its first training
+    items, and the adapter with its initial head: the training loop runs that
+    one step, and the step's AdamW update only records the gradients."""
     out = {}
 
-    def one_step(params, model_cfg, items, ft_cfg, step_fn):
-        out["step"] = step_fn(params, items[: ft_cfg.batch_size])
-        return params
+    def one_step(params, model_cfg, items, ft_cfg, at_cls, loss_grad):
+        def recorded(logits, targets, batch):
+            out["loss"], d_logits = loss_grad(logits, targets, batch)
+            return out["loss"], d_logits
+
+        one_epoch = dataclasses.replace(ft_cfg, epochs=1)
+        TRAIN_LOOP(params, model_cfg, items[: ft_cfg.batch_size], one_epoch, at_cls, recorded)
 
     monkeypatch.setattr(finetune, "_train_loop", one_step)
+    monkeypatch.setattr(finetune, "adamw_step", lambda params, grads, state, opt_cfg: out.update(grads=grads))
     model = adapt(params, cfg, train, FinetuneConfig(epochs=1, seed=3))
-    return out["step"], model
+    return (out["loss"], out["grads"]), model
 
 
 @pytest.mark.parametrize("dtype,rtol", [("float64", 1e-10), ("float32", 1e-5)])
@@ -345,3 +375,100 @@ def test_cls_row_steps_match_full_rows(world, monkeypatch, dtype, rtol):
         else:
             for ex, want in zip(rank_eval, want_scores):
                 np.testing.assert_allclose(model.score(ex.tokens, ex.candidates), want, rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("adapt", [finetune_token_classifier, finetune_entity_typing, finetune_span_stage1,
+                                   finetune_span_stage2, finetune_ranker], ids=lambda f: f.__name__)
+def test_step_gradients_match_finite_differences(world, monkeypatch, adapt):
+    """A fine-tuning step's head and encoder gradients, in float64, match
+    central differences of the step's loss."""
+    corpus, truth, vocab, cfg, _ = world
+    cfg = dataclasses.replace(cfg, dtype="float64")
+    params = init_params(cfg, 1)
+    train = {
+        finetune_token_classifier: lambda: make_ner_data(truth, vocab, 5, n_train=8, n_eval=2),
+        finetune_entity_typing: lambda: make_et_data(truth, vocab, 5, n_train=8, n_eval=2),
+        finetune_span_stage1: lambda: make_oie_data(truth, vocab, 5, n_train=8, n_eval=2),
+        finetune_span_stage2: lambda: make_oie_data(truth, vocab, 5, n_train=4, n_eval=2),
+        finetune_ranker: lambda: make_rank_data(corpus, truth, vocab, 5, n_train=3, n_eval=2, n_candidates=4),
+    }[adapt]()[0]
+    (_, grads), model = first_step(monkeypatch, adapt, params, cfg, train)
+    new_adapter = finetune._new_adapter
+
+    def loss_at(adapter_params):
+        def with_params(*args):  # the adapter's own RNG stream, these tensors
+            _fresh, rng = new_adapter(*args)
+            return {k: v.copy() for k, v in adapter_params.items()}, rng
+
+        monkeypatch.setattr(finetune, "_new_adapter", with_params)
+        (loss, _), _ = first_step(monkeypatch, adapt, params, cfg, train)
+        return loss
+
+    probe = {"head_w": [(0, 0), (3, 1)], "head_b": [(0,), (1,)], "tok_emb": [(2, 0), (2, 5)],
+             "layers.0.ffn_w1": [(1, 2)], "emb_ln_g": [(4,)]}
+    eps = 1e-6
+    for name, entries in probe.items():
+        for i in entries:
+            p = {k: v.copy() for k, v in model.params.items()}
+            p[name][i] += eps
+            up = loss_at(p)
+            p[name][i] -= 2 * eps
+            down = loss_at(p)
+            assert grads[name][i] == pytest.approx((up - down) / (2 * eps), rel=1e-5, abs=1e-8), (name, i)
+
+
+def numeric_grad(loss, x, eps=1e-6):
+    """Central differences of the scalar loss(x) at every entry of x."""
+    grad = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        orig = x[i]
+        x[i] = orig + eps
+        up = loss(x)
+        x[i] = orig - eps
+        down = loss(x)
+        x[i] = orig
+        grad[i] = (up - down) / (2 * eps)
+    return grad
+
+
+# Each adapter's loss on random float64 logits: a batch of three sequences of
+# 6, 4 and 7 rows ([CLS], tokens, [SEP]), padded to 7.
+LENGTHS = [6, 4, 7]
+LOSS_CASES = {
+    "ner": (finetune._tag_loss, 5, [[0, 3, 4, 4], [1, 2], [4, 0, 0, 2, 3]]),
+    "et": (finetune._label_loss, 4, [[0, 2], [1], []]),
+    "oie1": (finetune._span_loss, 2, [(4, [1, 3], [2, 4]), (2, [1], [2]), (5, [2, 1], [5, 1])]),
+    "oie2": (finetune._pointer_loss, 4, [[1, 3, 4, 5], [0, 2, 2, 3], [6, 6, 1, 4]]),
+    "rank": (finetune._rank_loss, 2, [1, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOSS_CASES))
+def test_loss_grad_matches_finite_differences(case):
+    """Each adapter's `loss_grad` returns the gradient of its own loss with
+    respect to the logits, and no gradient where its loss reads nothing:
+    outside the NER tags, outside stage 1's tokens, at stage 2's padding."""
+    loss_grad, n_out, targets = LOSS_CASES[case]
+    rng = np.random.default_rng(11)
+    batch = finetune._simple_batch([[2] * n for n in LENGTHS], np.float64)
+    at_cls = case in ("et", "rank")
+    logits = rng.normal(0.0, 2.0, size=(3, n_out) if at_cls else (3, max(LENGTHS), n_out))
+    loss, d_logits = loss_grad(logits.copy(), targets, batch)
+    assert d_logits.shape == logits.shape and d_logits.dtype == np.float64
+    assert loss == loss_grad(logits.copy(), targets, batch)[0] > 0
+    want = numeric_grad(lambda x: loss_grad(x, targets, batch)[0], logits.copy())
+    np.testing.assert_allclose(d_logits, want, rtol=1e-6, atol=1e-9)
+    if case == "ner":
+        read = np.zeros(logits.shape[:2], dtype=bool)
+        for k, tags in enumerate(targets):
+            read[k, 1 : 1 + len(tags)] = True
+    elif case == "oie1":
+        read = np.zeros(logits.shape[:2], dtype=bool)
+        for k, (n_tokens, _starts, _ends) in enumerate(targets):
+            read[k, 1 : 1 + n_tokens] = True
+    elif case == "oie2":
+        read = batch.mask.astype(bool)
+    else:
+        read = np.ones(logits.shape[:-1], dtype=bool)
+    assert np.all(d_logits[~read] == 0.0)
+    assert np.all(np.abs(d_logits[read]).sum(axis=-1) > 0)
