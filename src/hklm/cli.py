@@ -210,12 +210,12 @@ def cmd_pretrain(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg_obj = json.load(fh)
-    cfg_obj["seed"] = args.seed  # flag beats config file
-    if args.steps is not None:
-        cfg_obj["steps"] = args.steps
-    if args.mode is not None:
-        cfg_obj["mode"] = args.mode
     config = TrainConfig.from_json(cfg_obj)
+    config.seed = args.seed  # flags beat the config file
+    if args.steps is not None:
+        config.steps = args.steps
+    if args.mode is not None:
+        config.mode = args.mode
     config.validate()
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "model.ckpt")
@@ -245,12 +245,14 @@ _TASKS = ("ner", "et", "oie", "qa", "dialog")
 def cmd_finetune(args) -> int:
     params, model_cfg, vocab_hash, _opt = load_checkpoint(args.checkpoint)
     train = read_task_data(args.train)
-    evals = read_task_data(args.eval) if args.eval else []
+    evals = read_task_data(args.eval)
+    if not evals:
+        raise FinetuneError(f"no examples in --eval file {args.eval}")
     cfg = FinetuneConfig(epochs=args.epochs, batch_size=args.batch_size,
                          lr=args.lr, seed=args.seed, max_seq_len=model_cfg.max_seq_len)
     os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.jsonl")
-    inputs = [args.checkpoint, args.train] + ([args.eval] if args.eval else [])
+    inputs = [args.checkpoint, args.train, args.eval]
     man = _manifest(
         args, "finetune",
         {"task": args.task, "epochs": args.epochs, "batch_size": args.batch_size, "lr": args.lr},
@@ -260,17 +262,17 @@ def cmd_finetune(args) -> int:
 
     if args.task == "ner":
         model = finetune_token_classifier(params, model_cfg, train, cfg)
-        metrics = evaluate_ner(model, evals) if evals else {}
+        metrics = evaluate_ner(model, evals)
     elif args.task == "et":
         model = finetune_entity_typing(params, model_cfg, train, cfg)
-        metrics = evaluate_et(model, evals) if evals else {}
+        metrics = evaluate_et(model, evals)
     elif args.task == "oie":
         stage1 = finetune_span_stage1(params, model_cfg, train, cfg)
         stage2 = finetune_span_stage2(params, model_cfg, train, cfg)
-        metrics = evaluate_oie(stage1, stage2, evals) if evals else {}
+        metrics = evaluate_oie(stage1, stage2, evals)
     elif args.task in ("qa", "dialog"):
         model = finetune_ranker(params, model_cfg, train, cfg)
-        metrics = evaluate_rank(model, evals, dialog=args.task == "dialog") if evals else {}
+        metrics = evaluate_rank(model, evals, dialog=args.task == "dialog")
     else:
         raise FinetuneError(f"unknown task {args.task!r}")
 

@@ -9,7 +9,8 @@ import re
 import string
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -110,6 +111,9 @@ _CJK_CLASS = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES)
 _CORE_PIECE = re.compile(f"[{_CJK_CLASS}]|[^{_CJK_CLASS}]+")
 # ASCII-only: str.lower would also fold non-ASCII letters such as "É".
 _ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+# Text of ASCII letters, digits and whitespace only has no punctuation to peel
+# and no CJK to split: its tokens are its lowercased whitespace chunks.
+_PLAIN_ASCII = re.compile(r"[0-9A-Za-z\s]*", re.ASCII)
 
 
 def _is_punct(ch: str) -> bool:
@@ -123,6 +127,8 @@ def tokenize_text(text: str) -> list[str]:
     its own token, CJK characters become single tokens, and ASCII letters are
     lowercased. Total: never raises.
     """
+    if text.isascii() and _PLAIN_ASCII.fullmatch(text):
+        return text.lower().split()
     tokens: list[str] = []
     for chunk in text.translate(_ASCII_LOWER).split():
         # Letters and digits are never punctuation: most chunks need no peel.
@@ -147,20 +153,32 @@ def tokenize_text(text: str) -> list[str]:
 
 @dataclass
 class Vocab:
-    """Token/id bijection with the fixed special-token prefix."""
+    """Token/id bijection with the fixed special-token prefix.
+
+    `encode` memoizes each text's ids, so a text is tokenized once per
+    vocabulary however often the pipeline encodes it. The memo is a cache,
+    not state: it takes no part in equality, `to_json` or `hash_hex`.
+    """
 
     token_to_id: dict[str, int]
     id_to_token: list[str]
     min_freq: int
+    _ids_by_text: dict[str, tuple[int, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.id_to_token)
 
     def encode(self, text: str) -> list[int]:
-        return [self.token_to_id.get(tok, UNK_ID) for tok in tokenize_text(text)]
+        """Ids of the text's tokens, [UNK] for unknown ones; a fresh list each call."""
+        ids = self._ids_by_text.get(text)
+        if ids is None:
+            ids = self._ids_by_text[text] = tuple(self.encode_tokens(tokenize_text(text)))
+        return list(ids)
 
     def encode_tokens(self, tokens: list[str]) -> list[int]:
-        return [self.token_to_id.get(tok, UNK_ID) for tok in tokens]
+        return list(map(self.token_to_id.get, tokens, repeat(UNK_ID)))
 
     def decode(self, ids: list[int]) -> list[str]:
         return [self.id_to_token[i] for i in ids]
@@ -222,12 +240,16 @@ def build_vocab(corpus: Corpus, min_freq: int = 1) -> Vocab:
     # Titles, predicates and headings recur across documents: tokenize each
     # distinct text once and weight its tokens by how often the text occurs.
     texts = Counter(text for doc in corpus for text in iter_document_texts(doc))
+    tokens = {text: tokenize_text(text) for text in texts}
     counts: Counter[str] = Counter()
     for text, n in texts.items():
-        counts.update(tokenize_text(text) * n)
+        counts.update(tokens[text] * n)
     kept = [(tok, n) for tok, n in counts.items() if n >= min_freq]
     kept.sort(key=lambda kv: (-kv[1], kv[0]))
-    return Vocab.from_tokens([tok for tok, _ in kept], min_freq)
+    vocab = Vocab.from_tokens([tok for tok, _ in kept], min_freq)
+    # The pipeline encodes exactly these texts next: keep their ids.
+    vocab._ids_by_text = {text: tuple(vocab.encode_tokens(toks)) for text, toks in tokens.items()}
+    return vocab
 
 
 def triple_token_ids(triple: Triple, vocab: Vocab) -> list[int]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,59 +116,45 @@ def assemble_input(
 
     Over-long sequences shed triples from the low-scored end first, then
     heading tokens; the [CLS]/text/[SEP0] core is never touched. When the
-    heading is None the plain-text form [CLS] text [SEP] is produced.
+    heading is None, [SEP0] and the heading are left out: the drop-headings
+    form [CLS] text ([SEPi] triple_i)*, or with no triples given the
+    plain-text form [CLS] text [SEP].
     """
-    if heading_ids is None:
-        if triple_ids:
-            raise ExampleError("plain-text form cannot carry triples")
-        ids = [CLS_ID] + list(text_ids) + [SEP_ID]
-        if len(ids) > max_seq_len:
-            raise ExampleError(f"text length {len(ids)} exceeds max_seq_len {max_seq_len}")
-        layout = SegmentLayout(
-            text_span=(1, 1 + len(text_ids)),
-            sep0_pos=None,
-            heading_span=(0, 0),
-            triples=[],
-            seg_ids=[SEG_TEXT] * len(ids),
-        )
-        return ids, layout
-
     if len(triple_ids) > MAX_TRIPLES_PER_EXAMPLE:
         raise ExampleError(f"at most {MAX_TRIPLES_PER_EXAMPLE} triples per example, got {len(triple_ids)}")
-    core = 1 + len(text_ids) + 1  # [CLS] text [SEP0]
+    ids = [CLS_ID, *text_ids]
+    text_span = (1, len(ids))
+    if heading_ids is None and not triple_ids:
+        ids.append(SEP_ID)
+        if len(ids) > max_seq_len:
+            raise ExampleError(f"text length {len(ids)} exceeds max_seq_len {max_seq_len}")
+        return ids, SegmentLayout(text_span, None, (0, 0), [], [SEG_TEXT] * len(ids))
+
+    sep0_pos = None if heading_ids is None else len(ids)
+    core = len(ids) if heading_ids is None else len(ids) + 1
     if core > max_seq_len:
         raise ExampleError(f"core length {core} exceeds max_seq_len {max_seq_len}")
-
-    triple_ids = list(triple_ids)
-    heading_ids = list(heading_ids)
-
-    def total_len() -> int:
-        return core + len(heading_ids) + sum(1 + len(t) for t in triple_ids)
-
-    while triple_ids and total_len() > max_seq_len:
-        triple_ids.pop()
-    while heading_ids and total_len() > max_seq_len:
-        heading_ids.pop()
-
-    ids = [CLS_ID] + list(text_ids) + [SEP0_ID] + heading_ids
-    seg = [SEG_TEXT] * (1 + len(text_ids)) + [SEG_HEADING] * (1 + len(heading_ids))
-    sep0_pos = 1 + len(text_ids)
-    heading_span = (sep0_pos + 1, sep0_pos + 1 + len(heading_ids))
+    n_triples = len(triple_ids)
+    total = core + len(heading_ids or ()) + n_triples + sum(map(len, triple_ids))
+    while n_triples and total > max_seq_len:
+        n_triples -= 1
+        total -= 1 + len(triple_ids[n_triples])
+    seg = [SEG_TEXT] * len(ids)
+    heading_span = (0, 0)
+    if heading_ids is not None:
+        # With every triple shed, the heading keeps what fits after the core.
+        ids.append(SEP0_ID)
+        ids.extend(heading_ids[: max_seq_len - core])
+        heading_span = (core, len(ids))
+        seg += [SEG_HEADING] * (len(ids) - len(seg))
     triples = []
-    for i, t in enumerate(triple_ids):
+    for i in range(n_triples):
         pos = len(ids)
         ids.append(SEPI_IDS[i])
-        ids.extend(t)
-        seg.extend([SEG_TRIPLES] * (1 + len(t)))
-        triples.append((pos, (pos + 1, pos + 1 + len(t))))
-    layout = SegmentLayout(
-        text_span=(1, 1 + len(text_ids)),
-        sep0_pos=sep0_pos,
-        heading_span=heading_span,
-        triples=triples,
-        seg_ids=seg,
-    )
-    return ids, layout
+        ids.extend(triple_ids[i])
+        triples.append((pos, (pos + 1, len(ids))))
+    seg += [SEG_TRIPLES] * (len(ids) - len(seg))
+    return ids, SegmentLayout(text_span, sep0_pos, heading_span, triples, seg)
 
 
 def corrupt_triple(
@@ -183,7 +169,7 @@ def corrupt_triple(
         if not alternatives:
             return triple, 1, True
         new_pred = alternatives[int(rng.integers(0, len(alternatives)))]
-        return replace(triple, predicate=new_pred), 0, False
+        return Triple(triple.subject, new_pred, triple.object), 0, False
     return triple, 1, False
 
 
@@ -209,30 +195,28 @@ def apply_mlm_mask(
     non-special id / stay put at the configured split. Three fixed-length
     draws keep the stream deterministic regardless of what gets selected.
     """
-    ids = np.asarray(input_ids, dtype=np.int64)
-    n = len(ids)
-    select_draw = rng.random(n)
-    action_draw = rng.random(n)
+    n = len(input_ids)
+    select_draw = rng.random(n).tolist()
+    action_draw = rng.random(n).tolist()
     random_ids = (
-        rng.integers(NUM_SPECIAL, vocab_size, size=n)
+        rng.integers(NUM_SPECIAL, vocab_size, size=n).tolist()
         if vocab_size > NUM_SPECIAL
-        else np.full(n, MASK_ID, dtype=np.int64)
+        else [MASK_ID] * n
     )
-    maskable = ids >= NUM_SPECIAL
-    selected = maskable & (select_draw < config.mask_prob)
-
-    masked = ids.copy()
-    labels: list[tuple[int, int]] = []
+    mask_prob = config.mask_prob
     mask_cut = config.mask_token_frac
     rand_cut = config.mask_token_frac + config.random_token_frac
-    for pos in np.nonzero(selected)[0]:
-        labels.append((int(pos), int(ids[pos])))
-        if action_draw[pos] < mask_cut:
-            masked[pos] = MASK_ID
-        elif action_draw[pos] < rand_cut:
-            masked[pos] = random_ids[pos]
-        # else: keep the original id
-    return masked.tolist(), labels
+    masked = list(input_ids)
+    labels: list[tuple[int, int]] = []
+    for pos, draw in enumerate(select_draw):
+        if draw < mask_prob and input_ids[pos] >= NUM_SPECIAL:
+            labels.append((pos, input_ids[pos]))
+            if action_draw[pos] < mask_cut:
+                masked[pos] = MASK_ID
+            elif action_draw[pos] < rand_cut:
+                masked[pos] = random_ids[pos]
+            # else: keep the original id
+    return masked, labels
 
 
 # ---------------------------------------------------------------------------
@@ -335,136 +319,69 @@ def generate_pretrain_examples(
 
     predicates = corpus.predicates()
     headings_by_id = {doc.entity_id: doc.headings() for doc in corpus}
-    # Headings and triple elements repeat across fragments; tokenize each
-    # distinct string once. Callers only read the cached id lists.
-    encoded: dict[str, list[int]] = {}
-
-    def encode(text: str) -> list[int]:
-        ids = encoded.get(text)
-        if ids is None:
-            ids = encoded[text] = vocab.encode(text)
-        return ids
-
+    vocab_size = len(vocab)
+    per_example = config.triples_per_example
     examples: list[PretrainExample] = []
     for ab in ablated:
         frag = ab.fragment
         ex_seed = derive_seed(config.seed, frag.entity_id, frag.index)
         rng = np.random.default_rng(ex_seed)
 
-        plain_form = not ab.include_heading and not ab.triples
-        if plain_form:
-            ids, layout = assemble_input(frag.token_ids, None, [], config.max_seq_len)
-            masked, mlm_labels = apply_mlm_mask(ids, len(vocab), rng, config)
-            examples.append(
-                PretrainExample(
-                    input_ids=masked,
-                    layout=layout,
-                    mlm_labels=mlm_labels,
-                    tc_labels=[],
-                    tmt_label=None,
-                    seed=ex_seed,
-                    debug={"heading": None, "predicates": []} if keep_debug else None,
-                )
-            )
-            stats.n_examples += 1
-            continue
-
         chosen = ab.triples
-        if config.triples_per_example is not None and len(chosen) > config.triples_per_example:
-            idx = sorted(
-                int(i)
-                for i in rng.choice(len(chosen), size=config.triples_per_example, replace=False)
-            )
-            chosen = [chosen[i] for i in idx]
+        if per_example is not None and len(chosen) > per_example:
+            picked = rng.choice(len(chosen), size=per_example, replace=False).tolist()
+            chosen = [chosen[i] for i in sorted(picked)]
 
         tmt_label: int | None = None
-        heading = frag.heading
+        heading = heading_ids = None
         if ab.include_heading:
             heading, tmt_label, skipped = corrupt_heading(
                 frag.heading, headings_by_id[frag.entity_id], rng, config.p_neg_tmt
             )
             stats.tmt_skips += skipped
+            heading_ids = vocab.encode(heading)
 
         tc_labels: list[int] = []
         serialized_triples: list[Triple] = []
-        noise_flags: list[bool] = []
+        triple_ids: list[list[int]] = []
         for triple, _score, noise in chosen:
             out_triple, label, skipped = corrupt_triple(triple, predicates, rng, config.p_neg_tc)
             stats.tc_skips += skipped
             tc_labels.append(label)
             serialized_triples.append(out_triple)
-            noise_flags.append(noise)
-
-        triple_id_lists: list[list[int]] = []
-        for out_triple, noise in zip(serialized_triples, noise_flags):
-            subj = encode(out_triple.subject)
-            pred = encode(out_triple.predicate)
-            obj = encode(out_triple.object)
+            obj = vocab.encode(out_triple.object)
             if noise:
                 obj = [UNK_ID] * len(obj)
-            triple_id_lists.append(subj + pred + obj)
+            triple_ids.append(vocab.encode(out_triple.subject) + vocab.encode(out_triple.predicate) + obj)
 
-        heading_ids = encode(heading) if ab.include_heading else None
-        if ab.include_heading:
-            ids, layout = assemble_input(frag.token_ids, heading_ids, triple_id_lists, config.max_seq_len)
-        else:
-            ids, layout = _assemble_headingless(frag.token_ids, triple_id_lists, config.max_seq_len)
+        # No heading and no triples gives the plain-text form.
+        ids, layout = assemble_input(frag.token_ids, heading_ids, triple_ids, config.max_seq_len)
         # Truncation may have shed low-scored triples; align the labels.
-        tc_labels = tc_labels[: len(layout.triples)]
-
-        masked, mlm_labels = apply_mlm_mask(ids, len(vocab), rng, config)
+        n_kept = len(layout.triples)
+        masked, mlm_labels = apply_mlm_mask(ids, vocab_size, rng, config)
         debug = None
-        if keep_debug:
+        if keep_debug and not ab.include_heading and not ab.triples:
+            debug = {"heading": None, "predicates": []}
+        elif keep_debug:
             debug = {
                 "heading": frag.heading,
-                "serialized_heading": heading if ab.include_heading else None,
-                "predicates": [t.predicate for t, _s, _n in chosen[: len(layout.triples)]],
-                "serialized_predicates": [t.predicate for t in serialized_triples[: len(layout.triples)]],
+                "serialized_heading": heading,
+                "predicates": [t.predicate for t, _s, _n in chosen[:n_kept]],
+                "serialized_predicates": [t.predicate for t in serialized_triples[:n_kept]],
             }
         examples.append(
             PretrainExample(
                 input_ids=masked,
                 layout=layout,
                 mlm_labels=mlm_labels,
-                tc_labels=tc_labels,
+                tc_labels=tc_labels[:n_kept],
                 tmt_label=tmt_label,
                 seed=ex_seed,
                 debug=debug,
             )
         )
-        stats.n_examples += 1
+    stats.n_examples += len(examples)
     return examples, stats
-
-
-def _assemble_headingless(
-    text_ids: list[int], triple_ids: list[list[int]], max_seq_len: int
-) -> tuple[list[int], SegmentLayout]:
-    """Layout for the drop-headings ablation: [CLS] text ([SEPi] triple)*."""
-    if len(triple_ids) > MAX_TRIPLES_PER_EXAMPLE:
-        raise ExampleError(f"at most {MAX_TRIPLES_PER_EXAMPLE} triples per example")
-    core = 1 + len(text_ids)
-    if core > max_seq_len:
-        raise ExampleError(f"core length {core} exceeds max_seq_len {max_seq_len}")
-    triple_ids = list(triple_ids)
-    while triple_ids and core + sum(1 + len(t) for t in triple_ids) > max_seq_len:
-        triple_ids.pop()
-    ids = [CLS_ID] + list(text_ids)
-    seg = [SEG_TEXT] * len(ids)
-    triples = []
-    for i, t in enumerate(triple_ids):
-        pos = len(ids)
-        ids.append(SEPI_IDS[i])
-        ids.extend(t)
-        seg.extend([SEG_TRIPLES] * (1 + len(t)))
-        triples.append((pos, (pos + 1, pos + 1 + len(t))))
-    layout = SegmentLayout(
-        text_span=(1, 1 + len(text_ids)),
-        sep0_pos=None,
-        heading_span=(0, 0),
-        triples=triples,
-        seg_ids=seg,
-    )
-    return ids, layout
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,8 @@ def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, at_c
     with respect to the float64 logits from `loss_grad(logits, targets,
     batch)`, backpropagates through head and encoder and takes one AdamW step.
     """
+    if not items:
+        raise FinetuneError("no training examples")
     dt, d = model_cfg.np_dtype, model_cfg.d_model
     opt_cfg = AdamWConfig(lr=cfg.lr)
     state = AdamWState.for_params(params)

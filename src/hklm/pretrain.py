@@ -36,6 +36,17 @@ class DivergenceError(RuntimeError):
     """Raised when training produces a non-finite loss or gradient."""
 
 
+# The Python types a JSON value may decode to for each TrainConfig field
+# annotation; an int is accepted where a float is expected.
+_JSON_FIELD_TYPES = {
+    "str": (str,),
+    "bool": (bool,),
+    "int": (int,),
+    "float": (int, float),
+    "int | None": (int, type(None)),
+}
+
+
 @dataclass
 class TrainConfig:
     mode: str = "hklm"  # "plain" or "hklm"
@@ -86,6 +97,10 @@ class TrainConfig:
             raise ConfigError(f"mode must be 'plain' or 'hklm', got {self.mode!r}")
         if self.lam < 0 or self.mu < 0:
             raise ConfigError("lam and mu must be nonnegative")
+        if not (self.lr > 0 and self.lr_scale > 0):
+            raise ConfigError("lr and lr_scale must be > 0")
+        if self.warmup_steps < 0 or self.eval_every < 0 or not self.weight_decay >= 0:
+            raise ConfigError("warmup_steps, eval_every and weight_decay must be >= 0")
         if self.mode == "plain" and (self.triple_keep_fraction != 1.0 or self.value_noise):
             raise ConfigError("triple_keep_fraction and value_noise require hklm mode")
         if self.steps < 0 or self.batch_size < 1 or self.grad_accum < 1:
@@ -142,11 +157,20 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(obj) - known
+        """Config from a JSON object of field values; every field is optional."""
+        if not isinstance(obj, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(obj).__name__}")
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(obj) - set(types)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in obj.items():
+            accepted = _JSON_FIELD_TYPES[types[name]]
+            # bool is a subclass of int, but true is not a step count.
+            if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+                raise ConfigError(f"config field {name!r} must be {types[name]}, got {json.dumps(value)}")
         return cls(**obj)
+
 
 
 @dataclass

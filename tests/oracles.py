@@ -559,3 +559,255 @@ def backward_batch(params, config, batch, result, lam: float, mu: float):
         if g is None:
             full[name] = np.zeros_like(params[name])
     return loss, full
+
+
+# Pretraining example generation with per-position numpy masking, a separate
+# headingless assembler and a per-call text -> ids dict (formerly
+# hklm.examples.apply_mlm_mask, assemble_input, _assemble_headingless and
+# generate_pretrain_examples). Texts are tokenized without the vocabulary's
+# memo, so the memo is checked too.
+
+
+def apply_mlm_mask(input_ids, vocab_size, rng, config):
+    from hklm.corpus import MASK_ID, NUM_SPECIAL
+
+    ids = np.asarray(input_ids, dtype=np.int64)
+    n = len(ids)
+    select_draw = rng.random(n)
+    action_draw = rng.random(n)
+    random_ids = (
+        rng.integers(NUM_SPECIAL, vocab_size, size=n)
+        if vocab_size > NUM_SPECIAL
+        else np.full(n, MASK_ID, dtype=np.int64)
+    )
+    maskable = ids >= NUM_SPECIAL
+    selected = maskable & (select_draw < config.mask_prob)
+
+    masked = ids.copy()
+    labels = []
+    mask_cut = config.mask_token_frac
+    rand_cut = config.mask_token_frac + config.random_token_frac
+    for pos in np.nonzero(selected)[0]:
+        labels.append((int(pos), int(ids[pos])))
+        if action_draw[pos] < mask_cut:
+            masked[pos] = MASK_ID
+        elif action_draw[pos] < rand_cut:
+            masked[pos] = random_ids[pos]
+    return masked.tolist(), labels
+
+
+def assemble_input(text_ids, heading_ids, triple_ids, max_seq_len):
+    from hklm.corpus import CLS_ID, MAX_TRIPLES_PER_EXAMPLE, SEP0_ID, SEP_ID, SEPI_IDS
+    from hklm.examples import SEG_HEADING, SEG_TEXT, SEG_TRIPLES, ExampleError, SegmentLayout
+
+    if heading_ids is None:
+        if triple_ids:
+            raise ExampleError("plain-text form cannot carry triples")
+        ids = [CLS_ID] + list(text_ids) + [SEP_ID]
+        if len(ids) > max_seq_len:
+            raise ExampleError(f"text length {len(ids)} exceeds max_seq_len {max_seq_len}")
+        layout = SegmentLayout(
+            text_span=(1, 1 + len(text_ids)),
+            sep0_pos=None,
+            heading_span=(0, 0),
+            triples=[],
+            seg_ids=[SEG_TEXT] * len(ids),
+        )
+        return ids, layout
+
+    if len(triple_ids) > MAX_TRIPLES_PER_EXAMPLE:
+        raise ExampleError(f"at most {MAX_TRIPLES_PER_EXAMPLE} triples per example, got {len(triple_ids)}")
+    core = 1 + len(text_ids) + 1
+    if core > max_seq_len:
+        raise ExampleError(f"core length {core} exceeds max_seq_len {max_seq_len}")
+
+    triple_ids = list(triple_ids)
+    heading_ids = list(heading_ids)
+
+    def total_len():
+        return core + len(heading_ids) + sum(1 + len(t) for t in triple_ids)
+
+    while triple_ids and total_len() > max_seq_len:
+        triple_ids.pop()
+    while heading_ids and total_len() > max_seq_len:
+        heading_ids.pop()
+
+    ids = [CLS_ID] + list(text_ids) + [SEP0_ID] + heading_ids
+    seg = [SEG_TEXT] * (1 + len(text_ids)) + [SEG_HEADING] * (1 + len(heading_ids))
+    sep0_pos = 1 + len(text_ids)
+    heading_span = (sep0_pos + 1, sep0_pos + 1 + len(heading_ids))
+    triples = []
+    for i, t in enumerate(triple_ids):
+        pos = len(ids)
+        ids.append(SEPI_IDS[i])
+        ids.extend(t)
+        seg.extend([SEG_TRIPLES] * (1 + len(t)))
+        triples.append((pos, (pos + 1, pos + 1 + len(t))))
+    layout = SegmentLayout(
+        text_span=(1, 1 + len(text_ids)),
+        sep0_pos=sep0_pos,
+        heading_span=heading_span,
+        triples=triples,
+        seg_ids=seg,
+    )
+    return ids, layout
+
+
+def assemble_headingless(text_ids, triple_ids, max_seq_len):
+    from hklm.corpus import CLS_ID, MAX_TRIPLES_PER_EXAMPLE, SEPI_IDS
+    from hklm.examples import SEG_TEXT, SEG_TRIPLES, ExampleError, SegmentLayout
+
+    if len(triple_ids) > MAX_TRIPLES_PER_EXAMPLE:
+        raise ExampleError(f"at most {MAX_TRIPLES_PER_EXAMPLE} triples per example")
+    core = 1 + len(text_ids)
+    if core > max_seq_len:
+        raise ExampleError(f"core length {core} exceeds max_seq_len {max_seq_len}")
+    triple_ids = list(triple_ids)
+    while triple_ids and core + sum(1 + len(t) for t in triple_ids) > max_seq_len:
+        triple_ids.pop()
+    ids = [CLS_ID] + list(text_ids)
+    seg = [SEG_TEXT] * len(ids)
+    triples = []
+    for i, t in enumerate(triple_ids):
+        pos = len(ids)
+        ids.append(SEPI_IDS[i])
+        ids.extend(t)
+        seg.extend([SEG_TRIPLES] * (1 + len(t)))
+        triples.append((pos, (pos + 1, pos + 1 + len(t))))
+    layout = SegmentLayout(
+        text_span=(1, 1 + len(text_ids)),
+        sep0_pos=None,
+        heading_span=(0, 0),
+        triples=triples,
+        seg_ids=seg,
+    )
+    return ids, layout
+
+
+def corrupt_triple(triple, predicates, rng, p_neg):
+    from dataclasses import replace
+
+    if rng.random() < p_neg:
+        alternatives = [p for p in predicates if p != triple.predicate]
+        if not alternatives:
+            return triple, 1, True
+        new_pred = alternatives[int(rng.integers(0, len(alternatives)))]
+        return replace(triple, predicate=new_pred), 0, False
+    return triple, 1, False
+
+
+def corrupt_heading(heading, doc_headings, rng, p_neg):
+    if rng.random() < p_neg:
+        alternatives = sorted(set(doc_headings) - {heading})
+        if not alternatives:
+            return heading, 1, True
+        return alternatives[int(rng.integers(0, len(alternatives)))], 0, False
+    return heading, 1, False
+
+
+def generate_pretrain_examples(corpus, aligned, vocab, config, ablation=None, keep_debug=False):
+    from hklm.corpus import UNK_ID, derive_seed, tokenize_text
+    from hklm.examples import AblationConfig, PretrainExample, apply_ablation
+
+    config.validate()
+    ablation = ablation or AblationConfig()
+    ablated, stats = apply_ablation(aligned, ablation, config.seed)
+
+    predicates = corpus.predicates()
+    headings_by_id = {doc.entity_id: doc.headings() for doc in corpus}
+    encoded = {}
+
+    def encode(text):
+        ids = encoded.get(text)
+        if ids is None:
+            ids = encoded[text] = vocab.encode_tokens(tokenize_text(text))
+        return ids
+
+    examples = []
+    for ab in ablated:
+        frag = ab.fragment
+        ex_seed = derive_seed(config.seed, frag.entity_id, frag.index)
+        rng = np.random.default_rng(ex_seed)
+
+        plain_form = not ab.include_heading and not ab.triples
+        if plain_form:
+            ids, layout = assemble_input(frag.token_ids, None, [], config.max_seq_len)
+            masked, mlm_labels = apply_mlm_mask(ids, len(vocab), rng, config)
+            examples.append(
+                PretrainExample(
+                    input_ids=masked,
+                    layout=layout,
+                    mlm_labels=mlm_labels,
+                    tc_labels=[],
+                    tmt_label=None,
+                    seed=ex_seed,
+                    debug={"heading": None, "predicates": []} if keep_debug else None,
+                )
+            )
+            stats.n_examples += 1
+            continue
+
+        chosen = ab.triples
+        if config.triples_per_example is not None and len(chosen) > config.triples_per_example:
+            idx = sorted(
+                int(i)
+                for i in rng.choice(len(chosen), size=config.triples_per_example, replace=False)
+            )
+            chosen = [chosen[i] for i in idx]
+
+        tmt_label = None
+        heading = frag.heading
+        if ab.include_heading:
+            heading, tmt_label, skipped = corrupt_heading(
+                frag.heading, headings_by_id[frag.entity_id], rng, config.p_neg_tmt
+            )
+            stats.tmt_skips += skipped
+
+        tc_labels = []
+        serialized_triples = []
+        noise_flags = []
+        for triple, _score, noise in chosen:
+            out_triple, label, skipped = corrupt_triple(triple, predicates, rng, config.p_neg_tc)
+            stats.tc_skips += skipped
+            tc_labels.append(label)
+            serialized_triples.append(out_triple)
+            noise_flags.append(noise)
+
+        triple_id_lists = []
+        for out_triple, noise in zip(serialized_triples, noise_flags):
+            subj = encode(out_triple.subject)
+            pred = encode(out_triple.predicate)
+            obj = encode(out_triple.object)
+            if noise:
+                obj = [UNK_ID] * len(obj)
+            triple_id_lists.append(subj + pred + obj)
+
+        heading_ids = encode(heading) if ab.include_heading else None
+        if ab.include_heading:
+            ids, layout = assemble_input(frag.token_ids, heading_ids, triple_id_lists, config.max_seq_len)
+        else:
+            ids, layout = assemble_headingless(frag.token_ids, triple_id_lists, config.max_seq_len)
+        tc_labels = tc_labels[: len(layout.triples)]
+
+        masked, mlm_labels = apply_mlm_mask(ids, len(vocab), rng, config)
+        debug = None
+        if keep_debug:
+            debug = {
+                "heading": frag.heading,
+                "serialized_heading": heading if ab.include_heading else None,
+                "predicates": [t.predicate for t, _s, _n in chosen[: len(layout.triples)]],
+                "serialized_predicates": [t.predicate for t in serialized_triples[: len(layout.triples)]],
+            }
+        examples.append(
+            PretrainExample(
+                input_ids=masked,
+                layout=layout,
+                mlm_labels=mlm_labels,
+                tc_labels=tc_labels,
+                tmt_label=tmt_label,
+                seed=ex_seed,
+                debug=debug,
+            )
+        )
+        stats.n_examples += 1
+    return examples, stats

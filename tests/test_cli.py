@@ -172,6 +172,71 @@ class TestPretrainFinetune:
         assert man["config"]["steps"] == 2
 
 
+def _assert_one_line_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+class TestMalformedInputs:
+    """Malformed input exits 1 with one `error:` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            [{"steps": 3}],
+            "steps",
+            None,
+            {"steps": "10"},
+            {"steps": 2.5},
+            {"batch_size": True},
+            {"lr": "1e-3"},
+            {"lr": False},
+            {"drop_headings": 1},
+            {"mode": 1},
+            {"triples_per_example": 1.5},
+            {"triples_per_example": "1"},
+            {"lr": -1},
+            {"lr": 0},
+            {"lr_scale": 0},
+            {"warmup_steps": -1},
+            {"eval_every": -1},
+            {"weight_decay": -0.01},
+            {"bogus_field": 1},
+        ],
+        ids=repr,
+    )
+    def test_bad_pretrain_config(self, pipeline_dir, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = run(["pretrain", "--corpus", str(pipeline_dir / "c.jsonl"), "--seed", "1",
+                    "--steps", "1", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        _assert_one_line_error(code, capsys)
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, pipeline_dir, tmp_path_factory):
+        rundir = tmp_path_factory.mktemp("tiny-run")
+        cfg = rundir / "cfg.json"
+        cfg.write_text(json.dumps({"d_model": 16, "n_layers": 1, "n_heads": 2,
+                                   "heldout_fraction": 0.15, "batch_size": 8}))
+        assert run(["pretrain", "--corpus", str(pipeline_dir / "c.jsonl"), "--seed", "1",
+                    "--steps", "1", "--config", str(cfg), "--out", str(rundir)]) == 0
+        return rundir / "model.ckpt"
+
+    @pytest.mark.parametrize("empty", ["train", "eval"])
+    @pytest.mark.parametrize("task", ["ner", "qa"])
+    def test_empty_task_file(self, pipeline_dir, checkpoint, tmp_path, capsys, task, empty):
+        files = {split: pipeline_dir / "tasks" / f"{task}-{split}.jsonl" for split in ("train", "eval")}
+        files[empty] = tmp_path / "empty.jsonl"
+        files[empty].write_text("\n")
+        code = run(["finetune", "--checkpoint", str(checkpoint), "--task", task,
+                    "--train", str(files["train"]), "--eval", str(files["eval"]),
+                    "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
+        _assert_one_line_error(code, capsys)
+        assert not (tmp_path / "ft" / "metrics.jsonl").exists()
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         assert run(["--version"]) == 0

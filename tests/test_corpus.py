@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hklm import corpus as corpus_module
 from hklm.corpus import (
     ALIAS_PREDICATE,
     NUM_SPECIAL,
@@ -16,6 +17,7 @@ from hklm.corpus import (
     derive_seed,
     detokenize,
     generate_synthetic_corpus,
+    iter_document_texts,
     parse_corpus,
     serialize_corpus,
     tokenize_text,
@@ -135,6 +137,12 @@ class TestTokenizer:
     def test_matches_per_character_reference(self, text):
         assert tokenize_text(text) == naive_tokenize(text)
 
+    # ASCII letters, digits and every ASCII whitespace character, including
+    # the separators (\x1c-\x1f) that str.split treats as whitespace.
+    @given(st.text(alphabet="aZq09 \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f", max_size=30))
+    def test_plain_ascii_matches_reference(self, text):
+        assert tokenize_text(text) == naive_tokenize(text)
+
     def test_lowercases_ascii_only(self):
         assert tokenize_text("ÉCOLE Straße 一A") == ["École", "straße", "一", "a"]
 
@@ -199,6 +207,71 @@ class TestVocab:
         assert tiny_vocab.id_to_token[:6] == ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[SEP0]"]
         assert tiny_vocab.id_to_token[6:14] == [f"[SEP{i}]" for i in range(1, 9)]
         assert tiny_vocab.id_to_token[14:16] == ["[ENT]", "[REL]"]
+
+
+class TestEncodeMemo:
+    """`Vocab.encode` memoizes each text's ids; the memo must be invisible."""
+
+    @staticmethod
+    def _texts(corpus):
+        return sorted({text for doc in corpus for text in iter_document_texts(doc)})
+
+    def test_fresh_list_each_call(self, tiny_vocab):
+        first = tiny_vocab.encode("The Palace Museum,")
+        second = tiny_vocab.encode("The Palace Museum,")
+        assert second == first and second is not first
+        first.append(UNK_ID)
+        assert tiny_vocab.encode("The Palace Museum,") == second
+        assert tiny_vocab.decode(second) == ["the", "palace", "museum", ","]
+
+    def test_equals_uncached_ids(self, synth20):
+        corpus, _ = synth20
+        vocab = build_vocab(corpus, 1)
+        unseen = ["zzzzunseen", "qqq Zzzz!", "北京", ""]
+        for text in self._texts(corpus) + unseen:
+            want = [vocab.token_to_id.get(tok, UNK_ID) for tok in tokenize_text(text)]
+            assert vocab.encode(text) == want
+            assert vocab.encode(text) == want  # a memo hit
+        assert vocab.encode("zzzzunseen") == [UNK_ID]
+        assert vocab.encode("qqq zzzz!") == [UNK_ID, UNK_ID, UNK_ID]
+
+    def test_memo_outside_equality_json_and_hash(self, tiny_corpus):
+        vocab = build_vocab(tiny_corpus, 1)
+        clone = Vocab.from_json(vocab.to_json())
+        assert clone == vocab  # one memo full, the other empty
+        before = (vocab.to_json(), vocab.hash_hex())
+        vocab.encode("some text never seen before")
+        assert (vocab.to_json(), vocab.hash_hex()) == before
+        assert clone == vocab
+        assert "_ids_by_text" not in repr(vocab)
+
+    def test_json_copy_encodes_like_built_vocab(self, synth20):
+        corpus, _ = synth20
+        vocab = build_vocab(corpus, 1)
+        clone = Vocab.from_json(json.loads(json.dumps(vocab.to_json())))
+        for text in self._texts(corpus) + ["zzzzunseen words", "Ab, cd."]:
+            assert clone.encode(text) == vocab.encode(text)
+
+    def test_each_text_tokenized_once_per_vocab(self, tiny_corpus, monkeypatch):
+        calls = Counter()
+        real = corpus_module.tokenize_text
+
+        def counting(text):
+            calls[text] += 1
+            return real(text)
+
+        monkeypatch.setattr(corpus_module, "tokenize_text", counting)
+        vocab = build_vocab(tiny_corpus, 1)
+        texts = self._texts(tiny_corpus)
+        assert sorted(calls) == texts and set(calls.values()) == {1}
+        for text in texts:
+            vocab.encode(text)
+        vocab.encode("zzzz unseen")
+        vocab.encode("zzzz unseen")
+        assert calls["zzzz unseen"] == 1 and set(calls.values()) == {1}
+        # The memo belongs to the vocabulary object, not the module.
+        Vocab.from_json(vocab.to_json()).encode(texts[0])
+        assert calls[texts[0]] == 2
 
 
 class TestSynthetic:

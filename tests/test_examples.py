@@ -1,11 +1,13 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hklm.align import align_corpus
 from hklm.corpus import (
     CLS_ID,
@@ -19,6 +21,7 @@ from hklm.corpus import (
     build_vocab,
     generate_synthetic_corpus,
 )
+from hklm.corpus import derive_seed
 from hklm.examples import (
     AblationConfig,
     ExampleError,
@@ -95,6 +98,55 @@ class TestAssemble:
     def test_too_many_triples_raises(self):
         with pytest.raises(ExampleError):
             assemble_input([20], [30], [[40]] * 9, 512)
+
+    def test_headingless_form(self):
+        ids, layout = assemble_input([20], None, [[40, 41], [50]], 64)
+        assert ids == [CLS_ID, 20, SEPI_IDS[0], 40, 41, SEPI_IDS[1], 50]
+        assert layout.sep0_pos is None
+        assert layout.heading_span == (0, 0)
+        assert layout.text_span == (1, 2)
+        assert layout.triples == [(2, (3, 5)), (5, (6, 7))]
+        assert layout.seg_ids == [0, 0, 2, 2, 2, 2, 2]
+        assert SEP0_ID not in ids and SEP_ID not in ids
+
+    def test_headingless_truncation_sheds_triples(self):
+        ids, layout = assemble_input([20], None, [[40, 41], [50, 51]], 5)
+        assert ids == [CLS_ID, 20, SEPI_IDS[0], 40, 41]
+        assert len(layout.triples) == 1
+        # Every triple cut: [CLS] text with no trailing [SEP], unlike the plain form.
+        ids2, layout2 = assemble_input([20, 21], None, [[40, 41]], 3)
+        assert ids2 == [CLS_ID, 20, 21]
+        assert layout2.triples == [] and layout2.sep0_pos is None
+        assert layout2.seg_ids == [0, 0, 0]
+
+    def test_headingless_core_overflow_raises(self):
+        with pytest.raises(ExampleError, match="core length"):
+            assemble_input(list(range(20, 40)), None, [[40]], 16)
+
+    def test_headingless_too_many_triples_raises(self):
+        with pytest.raises(ExampleError):
+            assemble_input([20], None, [[40]] * 9, 512)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.integers(16, 99), max_size=20),
+        st.one_of(st.none(), st.lists(st.integers(16, 99), max_size=4)),
+        st.lists(st.lists(st.integers(16, 99), min_size=1, max_size=4), max_size=8),
+        st.integers(16, 40),
+    )
+    def test_matches_reference_assemblers(self, text, heading, triples, max_len):
+        """All three forms equal the former separate assemblers, truncation
+        and errors included."""
+        try:
+            if heading is None and triples:
+                expected = oracles.assemble_headingless(text, triples, max_len)
+            else:
+                expected = oracles.assemble_input(text, heading, triples, max_len)
+        except ExampleError as exc:
+            with pytest.raises(ExampleError, match=re.escape(str(exc))):
+                assemble_input(text, heading, triples, max_len)
+            return
+        assert assemble_input(text, heading, triples, max_len) == expected
 
     @given(
         st.lists(st.integers(16, 99), min_size=1, max_size=20),
@@ -229,6 +281,21 @@ class TestMasking:
         for pos, orig in labels:
             assert masked[pos] == MASK_ID or masked[pos] >= NUM_SPECIAL
 
+    @pytest.mark.parametrize("vocab_size", [NUM_SPECIAL, NUM_SPECIAL + 1, 500])
+    @pytest.mark.parametrize("mask_prob", [0.0, 0.15, 1.0])
+    def test_matches_reference_and_draw_count(self, vocab_size, mask_prob):
+        cfg = self._cfg(mask_prob=mask_prob, mask_token_frac=0.5, random_token_frac=0.3, keep_frac=0.2)
+        source = np.random.default_rng(4)
+        for n in (0, 1, 7, 45, 300):
+            ids = [int(x) for x in source.integers(0, vocab_size + 4, n)]
+            rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+            got = apply_mlm_mask(ids, vocab_size, rng, cfg)
+            assert got == oracles.apply_mlm_mask(ids, vocab_size, ref_rng, cfg)
+            assert all(type(x) is int for x in got[0])
+            assert all(type(p) is int and type(o) is int for p, o in got[1])
+            # The same number of draws: the streams stay in step.
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_monte_carlo_rates(self):
         cfg = self._cfg()
         n_positions = 0
@@ -346,6 +413,64 @@ class TestGeneration:
     def test_conflicting_flags_rejected(self):
         with pytest.raises(ExampleError):
             AblationConfig(drop_triples=True, triple_keep_fraction=0.5).validate()
+
+
+class TestGenerationMatchesReference:
+    """Generation equals the former per-position numpy loop byte for byte,
+    debug records and statistics included."""
+
+    @pytest.fixture(scope="class")
+    def short_fragments(self):
+        # 48-token fragments under a 50-token budget: triples get cut for
+        # length, some of them all the way.
+        corpus, _ = generate_synthetic_corpus(11, 12)
+        vocab = build_vocab(corpus, 1)
+        return corpus, vocab, align_corpus(corpus, vocab, max_fragment_len=48)
+
+    CASES = {
+        "hklm": ({}, {}),
+        "plain": ({}, dict(drop_headings=True, drop_triples=True)),
+        "drop-headings": ({}, dict(drop_headings=True)),
+        "drop-triples": ({}, dict(drop_triples=True)),
+        "keep-half": ({}, dict(triple_keep_fraction=0.5)),
+        "value-noise": ({}, dict(value_noise=True)),
+        "one-per-example": (dict(triples_per_example=1), {}),
+        "two-per-example-noisy": (dict(triples_per_example=2), dict(value_noise=True, triple_keep_fraction=0.7)),
+        "all-negative": (dict(p_neg_tc=1.0, p_neg_tmt=1.0, mask_prob=0.5), {}),
+    }
+
+    @staticmethod
+    def _assert_same(got, want):
+        (got_ex, got_stats), (want_ex, want_stats) = got, want
+        assert [example_to_json(x) for x in got_ex] == [example_to_json(x) for x in want_ex]
+        assert [x.debug for x in got_ex] == [x.debug for x in want_ex]
+        assert got_ex == want_ex
+        assert got_stats == want_stats
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_case(self, synth_aligned, case):
+        corpus, vocab, aligned = synth_aligned
+        sampler_kw, ablation_kw = self.CASES[case]
+        for epoch_seed in (3, derive_seed(3, "epoch", 1)):  # two epochs' streams
+            cfg = SamplerConfig(seed=epoch_seed, **sampler_kw)
+            got = generate_pretrain_examples(
+                corpus, aligned, vocab, cfg, AblationConfig(**ablation_kw), keep_debug=True)
+            want = oracles.generate_pretrain_examples(
+                corpus, aligned, vocab, cfg, AblationConfig(**ablation_kw), keep_debug=True)
+            self._assert_same(got, want)
+
+    @pytest.mark.parametrize("drop_headings", [False, True])
+    def test_truncated_triples(self, short_fragments, drop_headings):
+        corpus, vocab, aligned = short_fragments
+        cfg = SamplerConfig(seed=5, max_seq_len=50)
+        ab = AblationConfig(drop_headings=drop_headings)
+        got = generate_pretrain_examples(corpus, aligned, vocab, cfg, ab, keep_debug=True)
+        want = oracles.generate_pretrain_examples(corpus, aligned, vocab, cfg, ab, keep_debug=True)
+        self._assert_same(got, want)
+        cut = [ex for ex, af in zip(got[0], aligned) if af.triples and not ex.layout.triples]
+        assert cut, "no example lost every triple to the length budget"
+        if drop_headings:
+            assert all(ex.input_ids[-1] != SEP_ID and ex.layout.sep0_pos is None for ex in cut)
 
 
 class TestExampleIO:

@@ -61,6 +61,12 @@ class TestConfig:
         again = TrainConfig.from_json(json.loads(json.dumps(cfg.to_json())))
         assert again == cfg
 
+    def test_int_accepted_for_float_and_optional_int(self):
+        cfg = TrainConfig.from_json({"lr": 1, "lr_scale": 2, "triples_per_example": 3})
+        assert (cfg.lr, cfg.lr_scale, cfg.triples_per_example) == (1, 2, 3)
+        cfg.validate()
+        assert TrainConfig.from_json({"triples_per_example": None}).triples_per_example is None
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             TrainConfig.from_json({"modex": 1})
