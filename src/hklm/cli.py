@@ -250,6 +250,7 @@ def cmd_finetune(args) -> int:
         raise FinetuneError(f"no examples in --eval file {args.eval}")
     cfg = FinetuneConfig(epochs=args.epochs, batch_size=args.batch_size,
                          lr=args.lr, seed=args.seed, max_seq_len=model_cfg.max_seq_len)
+    cfg.validate()
     os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.jsonl")
     inputs = [args.checkpoint, args.train, args.eval]

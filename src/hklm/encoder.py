@@ -438,6 +438,37 @@ def _check_rows(rows, n: int) -> np.ndarray:
     return rows
 
 
+def _query_slots(rows, b: int, l: int):
+    """Where each of `rows` sits in a grid of per-example query slots
+    (B, R_max): R_max, the most rows any one example has, and each row's flat
+    slot index. An example's rows take its slots in the order of `rows`."""
+    example = rows // l
+    counts = np.bincount(example, minlength=b)
+    r_max = int(counts.max(initial=0))
+    order = np.argsort(example, kind="stable")
+    rank = np.empty_like(rows)
+    rank[order] = np.arange(rows.size) - (np.cumsum(counts) - counts)[example[order]]
+    return r_max, example * r_max + rank
+
+
+def _scatter_rows(values, rows, n: int):
+    """A zero (n, d) array holding values' rows at the distinct indices rows."""
+    out = np.zeros((n, values.shape[1]), dtype=values.dtype)
+    out[rows] = values
+    return out
+
+
+def _split_heads(m, b: int, h: int):
+    """(B*n, d) -> contiguous (B, H, n, d/H)."""
+    return np.ascontiguousarray(m.reshape(b, -1, h, m.shape[1] // h).transpose(0, 2, 1, 3))
+
+
+def _merge_heads(m):
+    """(B, H, n, dh) -> (B*n, H*dh), the inverse of `_split_heads`."""
+    b, h, n, dh = m.shape
+    return np.ascontiguousarray(m.transpose(0, 2, 1, 3)).reshape(b * n, h * dh)
+
+
 def encode(params, config: ModelConfig, batch: Batch, want_cache: bool = False, rows=None):
     """Run the encoder stack; returns hidden states (B, L, d) and (optionally)
     the activation cache needed for the backward pass.
@@ -447,10 +478,14 @@ def encode(params, config: ModelConfig, batch: Batch, want_cache: bool = False, 
 
     `rows`, distinct indices into that flat token axis, asks for the last
     hidden states at those tokens only: the result is then (R, d), in the
-    order of `rows`. The last block still attends over every token, but its
-    output projection, residual, layer norms and feed-forward run on the R
-    rows alone, which is exact in real arithmetic (the row-subset GEMMs may
-    round differently in the last bits).
+    order of `rows`. The last block's keys and values still cover every
+    token, but its queries are built at the R rows alone and placed into
+    per-example slots (B, H, R_max, dh), R_max being the most rows any one
+    example has (padding slots are zero queries whose outputs are dropped).
+    Scores, softmax and the attention context then run over (B, H, R_max, L),
+    and the output projection, residual, layer norms and feed-forward over the
+    R rows. This is exact in real arithmetic; the row-subset GEMMs may round
+    differently in the last bits from a pass over every token.
     """
     dt = config.np_dtype
     ids, seg, mask = batch.ids, batch.seg, batch.mask
@@ -473,23 +508,28 @@ def encode(params, config: ModelConfig, batch: Batch, want_cache: bool = False, 
 
     attn_bias = ((1.0 - mask) * NEG_INF)[:, None, None, :].astype(dt)
 
-    def split_heads(m):  # (B*L, d) -> contiguous (B, H, L, dh)
-        return np.ascontiguousarray(m.reshape(b, l, h, dh).transpose(0, 2, 1, 3))
+    slot = None
+    if rows is not None:
+        r_max, slot = _query_slots(rows, b, l)
 
     layer_caches = []
     for i in range(config.n_layers):
         p = f"layers.{i}."
-        q = split_heads(_affine(x, params[p + "q_w"], params[p + "q_b"]))
-        k = split_heads(_affine(x, params[p + "k_w"], params[p + "k_b"]))
-        v = split_heads(_affine(x, params[p + "v_w"], params[p + "v_b"]))
+        at_rows = rows is not None and i == config.n_layers - 1
+        res = x[rows] if at_rows else x
+        q = _affine(res, params[p + "q_w"], params[p + "q_b"])
+        if at_rows:
+            q = _scatter_rows(q, slot, b * r_max)
+        q = _split_heads(q, b, h)
+        k = _split_heads(_affine(x, params[p + "k_w"], params[p + "k_b"]), b, h)
+        v = _split_heads(_affine(x, params[p + "v_w"], params[p + "v_b"]), b, h)
         scores = q @ k.transpose(0, 1, 3, 2)
         scores *= scale
         scores += attn_bias
         probs = softmax(scores)
-        ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b * l, d)
-        res = x
-        if rows is not None and i == config.n_layers - 1:
-            ctx, res = ctx[rows], x[rows]
+        ctx = _merge_heads(probs @ v)
+        if at_rows:
+            ctx = ctx[slot]
         attn_out = _affine(ctx, params[p + "o_w"], params[p + "o_b"])
         attn_out += res
         y, ln1_cache = layer_norm(attn_out, params[p + "ln1_g"], params[p + "ln1_b"], config.ln_eps)
@@ -509,7 +549,8 @@ def encode(params, config: ModelConfig, batch: Batch, want_cache: bool = False, 
     cache = None
     if want_cache:
         cache = {"emb_ln": emb_ln_cache, "layers": layer_caches,
-                 "ids": ids_flat, "seg": seg_flat, "b": b, "l": l, "rows": rows}
+                 "ids": ids_flat, "seg": seg_flat, "b": b, "l": l, "rows": rows,
+                 "slot": slot}
     if rows is None:
         return x.reshape(b, l, d), cache
     if config.n_layers == 0:  # no block gathered the rows
@@ -608,24 +649,21 @@ def joint_loss(result: ForwardResult, batch: Batch, lam: float, mu: float):
 # ---------------------------------------------------------------------------
 
 
-def _scatter_rows(values, rows, n: int):
-    """A zero (n, d) array holding values' rows at the distinct indices rows."""
-    out = np.zeros((n, values.shape[1]), dtype=values.dtype)
-    out[rows] = values
-    return out
-
-
 def encoder_backward(params, config: ModelConfig, cache, d_hidden):
     """Backpropagate d_hidden, shaped like `encode`'s output ((B, L, d), or
     (R, d) when it ran at `rows`), through the encoder stack into a gradient
     dict over the encoder parameters.
 
-    At `rows` the last block's layer norms, feed-forward and output projection
-    backpropagate over the R rows alone; their gradient is scattered into the
-    full token axis only for the attention core and the blocks below.
+    At `rows` the last block mirrors its forward pass: its layer norms,
+    feed-forward and output projection backpropagate over the R rows; the
+    context gradient goes into the per-example query slots, so the attention
+    backward (probabilities, softmax, queries and keys) runs over R_max query
+    rows per example; the query gradient is gathered back to the R rows for
+    the query weights. Only the key and value gradients, and the gradient
+    passed to the blocks below, cover every token.
     """
     grads: dict[str, np.ndarray] = {}
-    b, l, rows = cache["b"], cache["l"], cache["rows"]
+    b, l, rows, slot = cache["b"], cache["l"], cache["rows"], cache["slot"]
     d = config.d_model
     h = config.n_heads
     dh = d // h
@@ -655,12 +693,12 @@ def encoder_backward(params, config: ModelConfig, cache, d_hidden):
         grads[p + "o_w"] = c["ctx"].T @ d_attn_out
         grads[p + "o_b"] = d_attn_out.sum(axis=0)
         d_ctx = d_attn_out @ params[p + "o_w"].T
-        if rows is not None and i == config.n_layers - 1:
-            d_ctx = _scatter_rows(d_ctx, rows, b * l)
-            d_attn_out = _scatter_rows(d_attn_out, rows, b * l)
-        d_ctx = np.ascontiguousarray(d_ctx.reshape(b, l, h, dh).transpose(0, 2, 1, 3))
-
         probs, q, k, v = c["probs"], c["q"], c["k"], c["v"]
+        at_rows = rows is not None and i == config.n_layers - 1
+        if at_rows:  # into the (B, R_max) query slots
+            d_ctx = _scatter_rows(d_ctx, slot, b * probs.shape[2])
+        d_ctx = _split_heads(d_ctx, b, h)
+
         d_probs = d_ctx @ v.transpose(0, 1, 3, 2)
         dv = probs.transpose(0, 1, 3, 2) @ d_ctx
         d_scores = _softmax_backward(d_probs, probs)
@@ -668,9 +706,18 @@ def encoder_backward(params, config: ModelConfig, cache, d_hidden):
         dq *= scale
         dk = d_scores.transpose(0, 1, 3, 2) @ q
         dk *= scale
+
+        dq, xq = _merge_heads(dq), x
+        if at_rows:
+            dq, xq = dq[slot], x[rows]
+        grads[p + "q_w"] = xq.T @ dq
+        grads[p + "q_b"] = dq.sum(axis=0)
         dx = d_attn_out  # no read of d_attn_out follows: accumulate in place
-        for name, dmat in (("q", dq), ("k", dk), ("v", dv)):
-            flat = np.ascontiguousarray(dmat.transpose(0, 2, 1, 3)).reshape(b * l, d)
+        dx += dq @ params[p + "q_w"].T
+        if at_rows:
+            dx = _scatter_rows(dx, rows, b * l)
+        for name, dmat in (("k", dk), ("v", dv)):
+            flat = _merge_heads(dmat)
             grads[p + name + "_w"] = x.T @ flat
             grads[p + name + "_b"] = flat.sum(axis=0)
             dx += flat @ params[p + name + "_w"].T

@@ -14,6 +14,7 @@ ranking shared by QA and dialogue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,16 @@ class FinetuneConfig:
     lr: float = 3e-4
     seed: int = 0
     max_seq_len: int = 512
+
+    def validate(self) -> None:
+        """Reject settings that would train nothing or diverge, naming the
+        `hklm finetune` flag that sets each."""
+        if self.epochs < 1:
+            raise FinetuneError(f"--epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise FinetuneError(f"--batch-size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise FinetuneError(f"--lr must be finite and > 0, got {self.lr}")
 
 
 def _wrap(tokens: list[int]) -> list[int]:
@@ -103,6 +114,7 @@ def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, at_c
     with respect to the float64 logits from `loss_grad(logits, targets,
     batch)`, backpropagates through head and encoder and takes one AdamW step.
     """
+    cfg.validate()
     if not items:
         raise FinetuneError("no training examples")
     dt, d = model_cfg.np_dtype, model_cfg.d_model

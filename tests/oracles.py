@@ -353,10 +353,14 @@ def make_rank_data(corpus, truth, vocab, seed, n_train=80, n_eval=40, n_candidat
 # hklm.encoder.encode, forward_batch, encoder_backward and backward_batch,
 # before the last block ran only at the rows a head reads). The kernels they
 # call are the package's own, which the tests above hold to plain numpy.
+# encode and encoder_backward also take `rows`, as the package's did when its
+# last block ran its output projection, layer norms and feed-forward at those
+# rows but still built queries and attention at every token; without `rows`
+# they are the full pass.
 
 
-def encode(params, config, batch, want_cache: bool = False):
-    from hklm.encoder import NEG_INF, ModelError, _affine, gelu_forward, layer_norm, softmax
+def encode(params, config, batch, want_cache: bool = False, rows=None):
+    from hklm.encoder import NEG_INF, ModelError, _affine, _check_rows, gelu_forward, layer_norm, softmax
 
     dt = config.np_dtype
     ids, seg, mask = batch.ids, batch.seg, batch.mask
@@ -365,6 +369,8 @@ def encode(params, config, batch, want_cache: bool = False):
         raise ModelError(f"sequence length {l} exceeds max_seq_len {config.max_seq_len}")
     if int(ids.max(initial=0)) >= config.vocab_size:
         raise ModelError("token id outside the model vocabulary")
+    if rows is not None:
+        rows = _check_rows(rows, b * l)
     d, h = config.d_model, config.n_heads
     dh = d // h
     scale = 1.0 / math.sqrt(dh)
@@ -391,8 +397,11 @@ def encode(params, config, batch, want_cache: bool = False):
         scores += attn_bias
         probs = softmax(scores)
         ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b * l, d)
+        res = x
+        if rows is not None and i == config.n_layers - 1:
+            ctx, res = ctx[rows], x[rows]
         attn_out = _affine(ctx, params[p + "o_w"], params[p + "o_b"])
-        attn_out += x
+        attn_out += res
         y, ln1_cache = layer_norm(attn_out, params[p + "ln1_g"], params[p + "ln1_b"], config.ln_eps)
         ffn_pre = _affine(y, params[p + "ffn_w1"], params[p + "ffn_b1"])
         act, gelu_t = gelu_forward(ffn_pre)
@@ -410,8 +419,12 @@ def encode(params, config, batch, want_cache: bool = False):
     cache = None
     if want_cache:
         cache = {"emb_ln": emb_ln_cache, "layers": layer_caches,
-                 "ids": ids_flat, "seg": seg_flat, "b": b, "l": l}
-    return x.reshape(b, l, d), cache
+                 "ids": ids_flat, "seg": seg_flat, "b": b, "l": l, "rows": rows}
+    if rows is None:
+        return x.reshape(b, l, d), cache
+    if config.n_layers == 0:  # no block gathered the rows
+        x = x[rows]
+    return x, cache
 
 
 def forward_batch(params, config, batch, want_cache: bool = False):
@@ -446,14 +459,19 @@ def forward_batch(params, config, batch, want_cache: bool = False):
 
 
 def encoder_backward(params, config, cache, d_hidden):
-    from hklm.encoder import _segment_grad, _softmax_backward, gelu_grad, layer_norm_backward
+    from hklm.encoder import (
+        _scatter_rows, _segment_grad, _softmax_backward, gelu_grad, layer_norm_backward,
+    )
 
     grads: dict[str, np.ndarray] = {}
-    b, l, d = d_hidden.shape
+    b, l, rows = cache["b"], cache["l"], cache["rows"]
+    d = config.d_model
     h = config.n_heads
     dh = d // h
     scale = 1.0 / math.sqrt(dh)
-    dx = d_hidden.reshape(b * l, d)
+    dx = d_hidden.reshape(-1, d)
+    if rows is not None and config.n_layers == 0:
+        dx = _scatter_rows(dx, rows, b * l)
 
     for i in reversed(range(config.n_layers)):
         p = f"layers.{i}."
@@ -475,9 +493,11 @@ def encoder_backward(params, config, cache, d_hidden):
         grads[p + "ln1_g"], grads[p + "ln1_b"] = dg1, db1
         grads[p + "o_w"] = c["ctx"].T @ d_attn_out
         grads[p + "o_b"] = d_attn_out.sum(axis=0)
-        d_ctx = np.ascontiguousarray(
-            (d_attn_out @ params[p + "o_w"].T).reshape(b, l, h, dh).transpose(0, 2, 1, 3)
-        )
+        d_ctx = d_attn_out @ params[p + "o_w"].T
+        if rows is not None and i == config.n_layers - 1:
+            d_ctx = _scatter_rows(d_ctx, rows, b * l)
+            d_attn_out = _scatter_rows(d_attn_out, rows, b * l)
+        d_ctx = np.ascontiguousarray(d_ctx.reshape(b, l, h, dh).transpose(0, 2, 1, 3))
 
         probs, q, k, v = c["probs"], c["q"], c["k"], c["v"]
         d_probs = d_ctx @ v.transpose(0, 1, 3, 2)

@@ -173,10 +173,13 @@ class TestPretrainFinetune:
 
 
 def _assert_one_line_error(code, capsys):
-    err = capsys.readouterr().err
+    """Exit 1 with one `error:` line on stderr and nothing on stdout; returns
+    the line."""
+    out = capsys.readouterr()
     assert code == 1
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
-    assert "Traceback" not in err
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("error:")
+    assert "Traceback" not in out.err and not out.out
+    return out.err
 
 
 class TestMalformedInputs:
@@ -235,6 +238,19 @@ class TestMalformedInputs:
                     "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
         _assert_one_line_error(code, capsys)
         assert not (tmp_path / "ft" / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--epochs", "0"), ("--epochs", "-1"), ("--lr", "0"), ("--lr", "-1"), ("--lr", "nan"),
+         ("--batch-size", "0")],
+    )
+    def test_bad_finetune_flag(self, pipeline_dir, checkpoint, tmp_path, capsys, flag, value):
+        tasks = pipeline_dir / "tasks"
+        code = run(["finetune", "--checkpoint", str(checkpoint), "--task", "ner",
+                    "--train", str(tasks / "ner-train.jsonl"), "--eval", str(tasks / "ner-eval.jsonl"),
+                    "--out", str(tmp_path / "ft"), "--seed", "3", flag, value])
+        assert flag in _assert_one_line_error(code, capsys)
+        assert not (tmp_path / "ft").exists()
 
 
 class TestVersion:

@@ -22,6 +22,7 @@ from hklm.encoder import (
     softmax,
 )
 from hklm.examples import PretrainExample, SegmentLayout, assemble_input
+from hklm.finetune import _cls_rows
 from hklm.optim import AdamWConfig, AdamWState, adamw_step
 from hklm.pretrain import TrainConfig, run_pretraining
 import oracles
@@ -560,6 +561,12 @@ def assert_grads_close(got, want, rtol):
         assert np.abs(got[name] - w).max() <= rtol * np.abs(ref).max(), name
 
 
+def mixed_rows(b, l):
+    """Unsorted flat rows of a (b >= 5, l >= 6) batch: 3 rows of example 0 and
+    of example 3, out of order, 1 of examples 1 and 4, none of example 2."""
+    return np.array([3 * l + 2, 0, b * l - 1, 2, l, 3 * l, 1, 3 * l + 5])
+
+
 class TestHeadRowsMatchFullRows:
     """The last block run only at the rows the heads read gives, in float64,
     the logits, losses and gradients of the full-row pass kept in
@@ -612,6 +619,59 @@ class TestHeadRowsMatchFullRows:
         assert_grads_close(encoder_backward(params, cfg, cache, d_hidden),
                            oracles.encoder_backward(params, cfg, full_cache, d_full.reshape(b, l, d)),
                            1e-10)
+
+    @pytest.mark.parametrize("rows_of", ["mixed", "cls", "empty"])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_query_slots_match_full_attention_reference(self, mode_runs, n_layers, rows_of):
+        """At `rows`, attention from per-example query slots gives, in float64,
+        the hidden states and every encoder gradient of the reference in
+        tests/oracles.py, whose last block attends from every token, within
+        1e-10: on a padded batch, for unsorted rows with 0, 1 and 3 rows per
+        example, for each example's [CLS] (one slot) and for no rows."""
+        run = mode_runs["hklm"]
+        cfg = dataclasses.replace(run.model_config, n_layers=n_layers, dtype="float64")
+        rng = np.random.default_rng(n_layers)
+        params = {k: v + rng.normal(0.0, 0.05, v.shape) for k, v in init_params(cfg, 5).items()}
+        batch = make_batch(run.train_examples[:5], dtype=np.float64)
+        assert not batch.mask.all()
+        rows = {"mixed": mixed_rows(*batch.ids.shape), "cls": _cls_rows(batch),
+                "empty": np.zeros(0, dtype=np.int64)}[rows_of]
+        hidden, cache = encode(params, cfg, batch, want_cache=True, rows=rows)
+        want, want_cache = oracles.encode(params, cfg, batch, want_cache=True, rows=rows)
+        assert hidden.shape == want.shape == (len(rows), cfg.d_model)
+        np.testing.assert_allclose(hidden, want, rtol=0, atol=1e-10)
+        d_hidden = rng.normal(size=hidden.shape)
+        got_grads = encoder_backward(params, cfg, cache, d_hidden)
+        want_grads = oracles.encoder_backward(params, cfg, want_cache, d_hidden)
+        assert list(got_grads) == list(want_grads)
+        for name, want_grad in want_grads.items():
+            np.testing.assert_allclose(got_grads[name], want_grad, rtol=0, atol=1e-10, err_msg=name)
+
+    def test_last_block_attends_from_query_slots(self, mode_runs):
+        """At `rows` the last layer caches (B, H, R_max, L) attention
+        probabilities, R_max being the most rows one example has, and its query
+        slots hold each example's row queries in the order of `rows`, then
+        exact zeros."""
+        run = mode_runs["hklm"]
+        cfg = dataclasses.replace(run.model_config, dtype="float64")
+        params = init_params(cfg, 5)
+        p = f"layers.{cfg.n_layers - 1}."
+        params[p + "q_b"] += 0.5  # so a padding slot holding the bias alone is not zero
+        batch = make_batch(run.train_examples[:5], dtype=np.float64)
+        b, l = batch.ids.shape
+        for rows in (mixed_rows(b, l), _cls_rows(batch), encoder.head_rows(batch)[0]):
+            _, cache = encode(params, cfg, batch, want_cache=True, rows=rows)
+            last = cache["layers"][-1]
+            per_example = [[r for r in rows if r // l == k] for k in range(b)]
+            r_max = max(len(e) for e in per_example)
+            assert last["probs"].shape == (b, cfg.n_heads, r_max, l)
+            q = last["q"].transpose(0, 2, 1, 3).reshape(b, r_max, cfg.d_model)
+            for k, ex_rows in enumerate(per_example):
+                n = len(ex_rows)
+                want = last["x"][ex_rows] @ params[p + "q_w"] + params[p + "q_b"]
+                np.testing.assert_allclose(q[k, :n], want, rtol=0, atol=1e-12)
+                assert (q[k, n:] == 0.0).all()
+        assert r_max < l  # the head rows leave most query rows out
 
     @pytest.mark.parametrize("rows", [[0, 0], [-1], [10**6], [[0]], [0.0]])
     def test_bad_rows_rejected(self, rich_example, rows):

@@ -309,14 +309,14 @@ def full_row_encode(params, cfg, batch, want_cache=False, rows=None):
     if rows is None:
         return hidden, cache
     if cache is not None:
-        cache["rows"] = np.arange(batch.size) * batch.ids.shape[1]
+        cache["cls_rows"] = np.arange(batch.size) * batch.ids.shape[1]
     return hidden[:, 0], cache
 
 
 def full_row_backward(params, cfg, cache, d_hidden):
     """`encoder_backward` through the full-row oracle, d_hidden scattered to
     the rows `full_row_encode` read."""
-    b, l, rows = cache["b"], cache["l"], cache.get("rows")
+    b, l, rows = cache["b"], cache["l"], cache.get("cls_rows")
     if rows is not None:
         full = np.zeros((b * l, cfg.d_model), dtype=d_hidden.dtype)
         full[rows] = d_hidden
