@@ -12,6 +12,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .align import align_corpus, fragment_corpus, unaligned_corpus, write_aligned
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -27,6 +29,7 @@ from .corpus import (
     write_corpus,
     write_truth,
 )
+from .encoder import NonFiniteGradientError
 from .examples import ExampleError, generate_pretrain_examples, write_examples
 from .finetune import (
     FinetuneConfig,
@@ -95,8 +98,8 @@ def _write_vocab(vocab: Vocab, path) -> None:
         fh.write("\n")
 
 
-def _manifest(args, subcommand, config, inputs, outputs, seed=None, extra=None):
-    man = RunManifest(
+def _manifest(subcommand, config, inputs, outputs, seed=None, extra=None):
+    return RunManifest(
         subcommand=subcommand,
         config=config,
         inputs={str(p): sha256_file(p) for p in inputs},
@@ -104,7 +107,6 @@ def _manifest(args, subcommand, config, inputs, outputs, seed=None, extra=None):
         seed=seed,
         extra=extra or {},
     )
-    return man
 
 
 def cmd_synth_corpus(args) -> int:
@@ -125,7 +127,7 @@ def cmd_synth_corpus(args) -> int:
         ]
         outputs += task_files
     man = _manifest(
-        args, "synth-corpus",
+        "synth-corpus",
         {"entities": args.entities, "mention_fraction": args.mention_fraction,
          "marker_density": args.marker_density, "tasks_out": args.tasks_out},
         [], outputs, seed=args.seed,
@@ -152,7 +154,7 @@ def cmd_ingest(args) -> int:
     corpus = load_corpus(args.corpus)
     vocab = build_vocab(corpus, args.min_freq)
     man = _manifest(
-        args, "ingest", {"min_freq": args.min_freq}, [args.corpus], [args.out],
+        "ingest", {"min_freq": args.min_freq}, [args.corpus], [args.out],
         extra={"documents": len(corpus), "vocab_size": len(vocab), "vocab_hash": vocab.hash_hex()},
     )
     man.write(manifest_path_for(args.out))
@@ -164,7 +166,7 @@ def cmd_align(args) -> int:
     corpus = load_corpus(args.corpus)
     vocab = _load_vocab(args.vocab)
     man = _manifest(
-        args, "align",
+        "align",
         {"tau": args.tau, "k_max": args.k_max, "max_fragment_len": args.max_fragment_len},
         [args.corpus, args.vocab], [args.out],
         extra={"vocab_hash": vocab.hash_hex()},
@@ -187,16 +189,16 @@ def cmd_gen_examples(args) -> int:
     )
     cfg.validate()
     man = _manifest(
-        args, "gen-examples", cfg.to_json(), [args.corpus, args.vocab], [args.out],
+        "gen-examples", cfg.to_json(), [args.corpus, args.vocab], [args.out],
         seed=args.seed, extra={"vocab_hash": vocab.hash_hex()},
     )
     man.write(manifest_path_for(args.out))
-    if cfg.mode == "hklm" and not cfg.ablation().drop_triples:
-        aligned = align_corpus(corpus, vocab, cfg.tau, cfg.k_max, cfg.max_fragment_len)
-    else:
+    if cfg.ablation().drop_triples:
         aligned = unaligned_corpus(corpus, fragment_corpus(corpus, vocab, cfg.max_fragment_len))
+    else:
+        aligned = align_corpus(corpus, vocab, cfg.tau, cfg.k_max, cfg.max_fragment_len)
     examples, stats = generate_pretrain_examples(
-        corpus, aligned, vocab, cfg.sampler_config(), cfg.ablation()
+        corpus, aligned, vocab, cfg.sampler_config(), cfg.ablation(), keep_debug=args.debug_sidecar
     )
     write_examples(examples, args.out, vocab.hash_hex(), debug_sidecar=args.debug_sidecar)
     print(json.dumps({"examples": stats.n_examples, "tc_skips": stats.tc_skips,
@@ -225,7 +227,7 @@ def cmd_pretrain(args) -> int:
     # A multithreaded BLAS may sum in another order, so the checkpoint bytes
     # depend on these; null means unset.
     blas_env = {name: os.environ.get(name) for name in BLAS_THREAD_ENV}
-    man = _manifest(args, "pretrain", config.to_json(), inputs,
+    man = _manifest("pretrain", config.to_json(), inputs,
                     [ckpt_path, metrics_path, vocab_path], seed=args.seed,
                     extra={"blas_thread_env": blas_env})
     man.write(os.path.join(args.out, "manifest.json"))
@@ -255,7 +257,7 @@ def cmd_finetune(args) -> int:
     metrics_path = os.path.join(args.out, "metrics.jsonl")
     inputs = [args.checkpoint, args.train, args.eval]
     man = _manifest(
-        args, "finetune",
+        "finetune",
         {"task": args.task, "epochs": args.epochs, "batch_size": args.batch_size, "lr": args.lr},
         inputs, [metrics_path], seed=args.seed, extra={"vocab_hash": vocab_hash},
     )
@@ -365,8 +367,11 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
-    except DivergenceError as exc:
+        # Training stops at the first non-finite loss or gradient with exit 2;
+        # numpy's overflow warnings on the way there add nothing to that line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
+    except (DivergenceError, NonFiniteGradientError) as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 2
     except USER_ERRORS as exc:

@@ -321,18 +321,14 @@ def gelu_forward(x: np.ndarray):
     return act, t
 
 
-def gelu_grad(x: np.ndarray, t: np.ndarray | None = None, dout: np.ndarray | None = None) -> np.ndarray:
-    """0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * (C * (1.0 + 3 * A * x * x)),
-    the derivative of `gelu_forward` with its `t` (recomputed when None).
-
-    Given the upstream gradient `dout` (C-contiguous, shaped like x), returns
-    dout * GELU'(x), written into `dout`.
+def gelu_grad(x: np.ndarray, t: np.ndarray, dout: np.ndarray) -> np.ndarray:
+    """dout * GELU'(x), written into `dout` (C-contiguous, shaped like x), with
+    GELU'(x) = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * (C * (1.0 + 3 * A * x * x))
+    and t the second output of `gelu_forward(x)`.
     """
     x = np.ascontiguousarray(x)
-    t = gelu_forward(x)[1] if t is None else np.ascontiguousarray(t)
-    if dout is None:
-        dout = np.ones_like(x)  # 1.0 * g == g exactly
-    elif dout.shape != x.shape or not dout.flags.c_contiguous:
+    t = np.ascontiguousarray(t)
+    if dout.shape != x.shape or not dout.flags.c_contiguous:
         raise ModelError("gelu_grad: dout must be a C-contiguous array shaped like x")
     a_buf = np.empty(min(x.size, _BLOCK), dtype=x.dtype)
     b_buf = np.empty_like(a_buf)
@@ -469,17 +465,15 @@ def _merge_heads(m):
     return np.ascontiguousarray(m.transpose(0, 2, 1, 3)).reshape(b * n, h * dh)
 
 
-def encode(params, config: ModelConfig, batch: Batch, want_cache: bool = False, rows=None):
-    """Run the encoder stack; returns hidden states (B, L, d) and (optionally)
-    the activation cache needed for the backward pass.
+def encode(params, config: ModelConfig, batch: Batch, rows, want_cache: bool = False):
+    """Run the encoder stack; returns the last hidden states (R, d) at `rows`,
+    distinct indices into the flat (B*L) token axis, in the order of `rows`,
+    and (optionally) the activation cache needed for the backward pass.
 
     Internally the token axis is kept flat as (B*L, d) so each projection is a
-    single GEMM; attention reshapes to (B, H, L, dh) views.
-
-    `rows`, distinct indices into that flat token axis, asks for the last
-    hidden states at those tokens only: the result is then (R, d), in the
-    order of `rows`. The last block's keys and values still cover every
-    token, but its queries are built at the R rows alone and placed into
+    single GEMM; attention reshapes to (B, H, L, dh) views. Every block but the
+    last runs at every token. The last block's keys and values still cover
+    every token, but its queries are built at the R rows alone and placed into
     per-example slots (B, H, R_max, dh), R_max being the most rows any one
     example has (padding slots are zero queries whose outputs are dropped).
     Scores, softmax and the attention context then run over (B, H, R_max, L),
@@ -494,8 +488,7 @@ def encode(params, config: ModelConfig, batch: Batch, want_cache: bool = False, 
         raise ModelError(f"sequence length {l} exceeds max_seq_len {config.max_seq_len}")
     if int(ids.max(initial=0)) >= config.vocab_size:
         raise ModelError("token id outside the model vocabulary")
-    if rows is not None:
-        rows = _check_rows(rows, b * l)
+    rows = _check_rows(rows, b * l)
     d, h = config.d_model, config.n_heads
     dh = d // h
     scale = 1.0 / math.sqrt(dh)
@@ -507,18 +500,15 @@ def encode(params, config: ModelConfig, batch: Batch, want_cache: bool = False, 
     x, emb_ln_cache = layer_norm(emb, params["emb_ln_g"], params["emb_ln_b"], config.ln_eps)
 
     attn_bias = ((1.0 - mask) * NEG_INF)[:, None, None, :].astype(dt)
-
-    slot = None
-    if rows is not None:
-        r_max, slot = _query_slots(rows, b, l)
+    r_max, slot = _query_slots(rows, b, l)
 
     layer_caches = []
     for i in range(config.n_layers):
         p = f"layers.{i}."
-        at_rows = rows is not None and i == config.n_layers - 1
-        res = x[rows] if at_rows else x
+        last = i == config.n_layers - 1
+        res = x[rows] if last else x
         q = _affine(res, params[p + "q_w"], params[p + "q_b"])
-        if at_rows:
+        if last:
             q = _scatter_rows(q, slot, b * r_max)
         q = _split_heads(q, b, h)
         k = _split_heads(_affine(x, params[p + "k_w"], params[p + "k_b"]), b, h)
@@ -528,7 +518,7 @@ def encode(params, config: ModelConfig, batch: Batch, want_cache: bool = False, 
         scores += attn_bias
         probs = softmax(scores)
         ctx = _merge_heads(probs @ v)
-        if at_rows:
+        if last:
             ctx = ctx[slot]
         attn_out = _affine(ctx, params[p + "o_w"], params[p + "o_b"])
         attn_out += res
@@ -551,8 +541,6 @@ def encode(params, config: ModelConfig, batch: Batch, want_cache: bool = False, 
         cache = {"emb_ln": emb_ln_cache, "layers": layer_caches,
                  "ids": ids_flat, "seg": seg_flat, "b": b, "l": l, "rows": rows,
                  "slot": slot}
-    if rows is None:
-        return x.reshape(b, l, d), cache
     if config.n_layers == 0:  # no block gathered the rows
         x = x[rows]
     return x, cache
@@ -570,7 +558,7 @@ def head_rows(batch: Batch):
 
 def forward_batch(params, config: ModelConfig, batch: Batch, want_cache: bool = False) -> ForwardResult:
     rows, (mlm_r, tc_r, tmt_r) = head_rows(batch)
-    hidden, cache = encode(params, config, batch, want_cache, rows)
+    hidden, cache = encode(params, config, batch, rows, want_cache)
 
     # MLM head at masked positions: dense + GELU + layer norm + (tied) decoder.
     g = hidden[mlm_r]
@@ -650,17 +638,17 @@ def joint_loss(result: ForwardResult, batch: Batch, lam: float, mu: float):
 
 
 def encoder_backward(params, config: ModelConfig, cache, d_hidden):
-    """Backpropagate d_hidden, shaped like `encode`'s output ((B, L, d), or
-    (R, d) when it ran at `rows`), through the encoder stack into a gradient
-    dict over the encoder parameters.
+    """Backpropagate d_hidden, shaped like `encode`'s (R, d) output at its
+    `rows`, through the encoder stack into a gradient dict over the encoder
+    parameters.
 
-    At `rows` the last block mirrors its forward pass: its layer norms,
-    feed-forward and output projection backpropagate over the R rows; the
-    context gradient goes into the per-example query slots, so the attention
-    backward (probabilities, softmax, queries and keys) runs over R_max query
-    rows per example; the query gradient is gathered back to the R rows for
-    the query weights. Only the key and value gradients, and the gradient
-    passed to the blocks below, cover every token.
+    The last block mirrors its forward pass: its layer norms, feed-forward and
+    output projection backpropagate over the R rows; the context gradient goes
+    into the per-example query slots, so the attention backward (probabilities,
+    softmax, queries and keys) runs over R_max query rows per example; the
+    query gradient is gathered back to the R rows for the query weights. Only
+    the key and value gradients, and the gradient passed to the blocks below,
+    cover every token.
     """
     grads: dict[str, np.ndarray] = {}
     b, l, rows, slot = cache["b"], cache["l"], cache["rows"], cache["slot"]
@@ -668,8 +656,8 @@ def encoder_backward(params, config: ModelConfig, cache, d_hidden):
     h = config.n_heads
     dh = d // h
     scale = 1.0 / math.sqrt(dh)
-    dx = d_hidden.reshape(-1, d)
-    if rows is not None and config.n_layers == 0:
+    dx = d_hidden
+    if config.n_layers == 0:
         dx = _scatter_rows(dx, rows, b * l)
 
     for i in reversed(range(config.n_layers)):
@@ -694,8 +682,8 @@ def encoder_backward(params, config: ModelConfig, cache, d_hidden):
         grads[p + "o_b"] = d_attn_out.sum(axis=0)
         d_ctx = d_attn_out @ params[p + "o_w"].T
         probs, q, k, v = c["probs"], c["q"], c["k"], c["v"]
-        at_rows = rows is not None and i == config.n_layers - 1
-        if at_rows:  # into the (B, R_max) query slots
+        last = i == config.n_layers - 1
+        if last:  # into the (B, R_max) query slots
             d_ctx = _scatter_rows(d_ctx, slot, b * probs.shape[2])
         d_ctx = _split_heads(d_ctx, b, h)
 
@@ -708,13 +696,13 @@ def encoder_backward(params, config: ModelConfig, cache, d_hidden):
         dk *= scale
 
         dq, xq = _merge_heads(dq), x
-        if at_rows:
+        if last:
             dq, xq = dq[slot], x[rows]
         grads[p + "q_w"] = xq.T @ dq
         grads[p + "q_b"] = dq.sum(axis=0)
         dx = d_attn_out  # no read of d_attn_out follows: accumulate in place
         dx += dq @ params[p + "q_w"].T
-        if at_rows:
+        if last:
             dx = _scatter_rows(dx, rows, b * l)
         for name, dmat in (("k", dk), ("v", dv)):
             flat = _merge_heads(dmat)

@@ -77,10 +77,6 @@ class SegmentLayout:
     triples: list[tuple[int, tuple[int, int]]]  # ([SEPi] position, triple span)
     seg_ids: list[int]
 
-    @property
-    def length(self) -> int:
-        return len(self.seg_ids)
-
     def sep_positions(self) -> list[int]:
         return [pos for pos, _ in self.triples]
 
@@ -236,15 +232,6 @@ class AblationConfig:
             raise ExampleError(f"triple_keep_fraction must be in [0, 1], got {self.triple_keep_fraction}")
         if self.drop_triples and self.triple_keep_fraction < 1.0:
             raise ExampleError("drop_triples conflicts with triple_keep_fraction < 1")
-
-    @property
-    def is_identity(self) -> bool:
-        return (
-            not self.drop_headings
-            and not self.drop_triples
-            and self.triple_keep_fraction >= 1.0
-            and not self.value_noise
-        )
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """Fine-tuning adapters for the five downstream task schemes.
 
-An adapter is a sequence builder, a row choice and a loss. The builder turns
-each training item into the token ids the encoder reads; the row choice says
-whether the head reads every token or [CLS] only; the loss maps the head's
-logits to a loss and its gradient. The rest is shared: `_new_adapter` clones
+An adapter is a sequence builder, a row function and a loss. The builder turns
+each training item into the token ids the encoder reads; the row function
+names the flat token rows of a padded batch that the head reads ([CLS], the
+tokens between [CLS] and [SEP], or every real token), and the encoder's last
+block runs at those rows only; the loss maps the head's (R, k) logits at those
+rows to a loss and its gradient. The rest is shared: `_new_adapter` clones
 the encoder and draws an affine head, `_train_loop` fine-tunes the whole stack
 with AdamW, and `_head_logits` scores sequences with the trained head. Each
 adapter then decodes the logits and evaluates with its task's metric bundle:
@@ -84,9 +86,27 @@ def _simple_batch(sequences: list[list[int]], dtype) -> Batch:
     )
 
 
+# Row functions: the flat token rows of a padded batch that a head reads, in
+# sequence order, for `encode`.
+
+
 def _cls_rows(batch: Batch) -> np.ndarray:
-    """The flat token rows of each sequence's [CLS], for `encode(rows=...)`."""
+    """Each sequence's [CLS]."""
     return np.arange(batch.size) * batch.ids.shape[1]
+
+
+def _token_rows(batch: Batch) -> np.ndarray:
+    """Each sequence's tokens between its [CLS] and its final [SEP]."""
+    inner = batch.mask.astype(bool)
+    sep = inner.sum(axis=1) - 1
+    inner[:, 0] = False
+    inner[np.arange(batch.size), sep] = False
+    return np.flatnonzero(inner)
+
+
+def _real_rows(batch: Batch) -> np.ndarray:
+    """Every real (unpadded) token."""
+    return np.flatnonzero(batch.mask)
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -107,17 +127,17 @@ def _new_adapter(pretrained_params, model_cfg: ModelConfig, seed: int, stream: s
     return params, rng
 
 
-def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, at_cls: bool, loss_grad):
+def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, rows_of, loss_grad):
     """Fine-tune `params` in place on `items`, (sequence, target) pairs, in
-    shuffled batches. Each step encodes the batch (the last block at [CLS]
-    only when `at_cls`), applies the head, takes the loss and its gradient
-    with respect to the float64 logits from `loss_grad(logits, targets,
+    shuffled batches. Each step encodes the batch at the rows `rows_of(batch)`
+    names, applies the head there, takes the loss and its gradient with
+    respect to the float64 (R, k) logits from `loss_grad(logits, targets,
     batch)`, backpropagates through head and encoder and takes one AdamW step.
     """
     cfg.validate()
     if not items:
         raise FinetuneError("no training examples")
-    dt, d = model_cfg.np_dtype, model_cfg.d_model
+    dt = model_cfg.np_dtype
     opt_cfg = AdamWConfig(lr=cfg.lr)
     state = AdamWState.for_params(params)
     rng = np.random.default_rng(derive_seed(cfg.seed, "finetune-order"))
@@ -126,16 +146,11 @@ def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, at_c
         for start in range(0, len(order), cfg.batch_size):
             chunk = [items[int(i)] for i in order[start : start + cfg.batch_size]]
             batch = _simple_batch([seq for seq, _target in chunk], dt)
-            rows = _cls_rows(batch) if at_cls else None
-            h, cache = encode(params, model_cfg, batch, want_cache=True, rows=rows)
+            h, cache = encode(params, model_cfg, batch, rows_of(batch), want_cache=True)
             logits = (h @ params["head_w"] + params["head_b"]).astype(np.float64)
             _loss, d_logits = loss_grad(logits, [target for _seq, target in chunk], batch)
             d_logits = d_logits.astype(dt)
-            n_out = d_logits.shape[-1]
-            grads = {
-                "head_w": h.reshape(-1, d).T @ d_logits.reshape(-1, n_out),
-                "head_b": d_logits.reshape(-1, n_out).sum(axis=0),
-            }
+            grads = {"head_w": h.T @ d_logits, "head_b": d_logits.sum(axis=0)}
             grads.update(encoder_backward(params, model_cfg, cache, d_logits @ params["head_w"].T))
             # The activation cache, a step's largest allocation, dies before
             # the next forward runs.
@@ -143,30 +158,29 @@ def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, at_c
             adamw_step(params, grads, state, opt_cfg)
 
 
-def _head_logits(params, cfg: ModelConfig, sequences: list[list[int]], at_cls: bool,
-                 batch_size: int = 32) -> list[np.ndarray]:
-    """Float64 head logits of each sequence, encoded `batch_size` at a time:
-    (L, k) over every row of its padded batch, or (k,) at [CLS] when `at_cls`."""
-    out = []
+def _head_logits(params, cfg: ModelConfig, sequences: list[list[int]], rows_of,
+                 batch_size: int = 32) -> np.ndarray:
+    """Float64 head logits (R, k) at the rows `rows_of` names in each batch of
+    `batch_size` sequences, in sequence order; (0, k) for no sequences."""
+    out = [np.zeros((0, len(params["head_b"])))]
     for start in range(0, len(sequences), batch_size):
         batch = _simple_batch(sequences[start : start + batch_size], cfg.np_dtype)
-        h, _ = encode(params, cfg, batch, rows=_cls_rows(batch) if at_cls else None)
-        out.extend((h @ params["head_w"] + params["head_b"]).astype(np.float64))
-    return out
+        h, _ = encode(params, cfg, batch, rows_of(batch))
+        out.append((h @ params["head_w"] + params["head_b"]).astype(np.float64))
+    return np.concatenate(out)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _sigmoid_xent(logits: np.ndarray, y: np.ndarray, weight: np.ndarray):
-    """Weighted mean binary cross-entropy of independent sigmoid outputs, and
-    its gradient."""
+def _sigmoid_xent(logits: np.ndarray, y: np.ndarray):
+    """Mean binary cross-entropy of independent sigmoid outputs, and its
+    gradient."""
     probs = _sigmoid(logits)
-    n = weight.sum()
-    loss = float(-(weight * (y * np.log(np.maximum(probs, 1e-300))
-                             + (1 - y) * np.log(np.maximum(1 - probs, 1e-300)))).sum() / n)
-    return loss, weight * (probs - y) / n
+    loss = float(-(y * np.log(np.maximum(probs, 1e-300))
+                   + (1 - y) * np.log(np.maximum(1 - probs, 1e-300))).sum() / y.size)
+    return loss, (probs - y) / y.size
 
 
 def _softmax_xent(x: np.ndarray, index: tuple):
@@ -217,17 +231,9 @@ def decode_bio(token_logits: np.ndarray, tagset: list[str]) -> list[str]:
 
 
 def _tag_loss(logits: np.ndarray, targets: list[list[int]], batch: Batch):
-    """Mean cross-entropy of the tag softmax at every token; `targets` holds
-    each sequence's tag ids, for its tokens after [CLS]."""
-    k = np.repeat(np.arange(len(targets)), [len(t) for t in targets])
-    pos = np.concatenate([np.arange(1, 1 + len(t)) for t in targets])
-    y = np.concatenate(targets)
-    probs = _softmax_rows(logits)
-    d_logits = np.zeros_like(probs)
-    d_logits[k, pos] = probs[k, pos]
-    d_logits[k, pos, y] -= 1.0
-    loss = float(-np.log(np.maximum(probs[k, pos, y], 1e-300)).sum() / len(y))
-    return loss, d_logits / len(y)
+    """Mean cross-entropy of the tag softmax at every token row; `targets`
+    holds each sequence's tag ids."""
+    return _softmax_xent(logits, (np.arange(len(logits)), np.concatenate(targets)))
 
 
 @dataclass
@@ -238,9 +244,10 @@ class TokenTagger:
 
     def predict(self, examples: list[TaskExample], batch_size: int = 32) -> list[list[str]]:
         seqs = [_wrap(ex.tokens) for ex in examples]
-        logits = _head_logits(self.params, self.model_config, seqs, False, batch_size)
-        return [decode_bio(rows[1 : 1 + len(ex.tokens)], self.tagset)
-                for ex, rows in zip(examples, logits)]
+        logits = _head_logits(self.params, self.model_config, seqs, _token_rows, batch_size)
+        ends = np.cumsum([len(ex.tokens) for ex in examples])
+        return [decode_bio(logits[end - len(ex.tokens) : end], self.tagset)
+                for ex, end in zip(examples, ends)]
 
 
 def finetune_token_classifier(
@@ -262,7 +269,7 @@ def finetune_token_classifier(
                 raise FinetuneError(f"tag {t!r} outside the tag vocabulary")
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "ner-head", len(tagset))
     items = [(_wrap(ex.tokens), [tag_to_id[t] for t in ex.tags]) for ex in train]
-    _train_loop(params, model_cfg, items, cfg, at_cls=False, loss_grad=_tag_loss)
+    _train_loop(params, model_cfg, items, cfg, _token_rows, _tag_loss)
     return TokenTagger(params=params, model_config=model_cfg, tagset=tagset)
 
 
@@ -285,7 +292,7 @@ def _label_loss(logits: np.ndarray, targets: list[list[int]], batch: Batch):
     y = np.zeros_like(logits)
     for k, labels in enumerate(targets):
         y[k, labels] = 1.0
-    return _sigmoid_xent(logits, y, np.ones_like(y))
+    return _sigmoid_xent(logits, y)
 
 
 @dataclass
@@ -297,7 +304,7 @@ class EntityTyper:
 
     def predict(self, examples: list[TaskExample], batch_size: int = 32) -> list[set]:
         seqs = [_wrap(ex.tokens) for ex in examples]
-        logits = _head_logits(self.params, self.model_config, seqs, True, batch_size)
+        logits = _head_logits(self.params, self.model_config, seqs, _cls_rows, batch_size)
         return [{self.label_set[j] for j in np.nonzero(_sigmoid(row) >= self.threshold)[0]}
                 for row in logits]
 
@@ -316,7 +323,7 @@ def finetune_entity_typing(
     lab_to_id = {lab: i for i, lab in enumerate(label_set)}
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "et-head", len(label_set))
     items = [(_wrap(ex.tokens), [lab_to_id[lab] for lab in ex.labels]) for ex in train]
-    _train_loop(params, model_cfg, items, cfg, at_cls=True, loss_grad=_label_loss)
+    _train_loop(params, model_cfg, items, cfg, _cls_rows, _label_loss)
     return EntityTyper(params=params, model_config=model_cfg, label_set=label_set, threshold=threshold)
 
 
@@ -361,29 +368,28 @@ def _stage1_spans(start_p: np.ndarray, end_p: np.ndarray, theta: float, cap: int
     return sorted(chosen)
 
 
-def _span_loss(logits: np.ndarray, targets: list[tuple[int, list[int], list[int]]], batch: Batch):
-    """Stage 1: mean sigmoid cross-entropy of the start and end heads over each
-    sentence's tokens; a target is (token count, start rows, end rows)."""
-    y = np.zeros_like(logits)
-    weight = np.zeros_like(logits)
-    for k, (n_tokens, starts, ends) in enumerate(targets):
-        weight[k, 1 : 1 + n_tokens] = 1.0
-        y[k, starts, 0] = 1.0
-        y[k, ends, 1] = 1.0
-    return _sigmoid_xent(logits, y, weight)
+def _span_loss(logits: np.ndarray, targets: list[np.ndarray], batch: Batch):
+    """Stage 1: mean sigmoid cross-entropy of the start and end heads at every
+    token row; `targets` holds each sentence's (n, 2) start/end indicators."""
+    return _sigmoid_xent(logits, np.concatenate(targets))
+
+
+def _span_targets(ex: TaskExample) -> np.ndarray:
+    """(n, 2) start/end indicators of a sentence's tokens: a predicate [s, e)
+    starts at token s and ends at token e - 1."""
+    y = np.zeros((len(ex.tokens), 2))
+    for tr in ex.triples:
+        s, e = tr["pred"]
+        y[s, 0] = y[e - 1, 1] = 1.0
+    return y
 
 
 def finetune_span_stage1(
     pretrained_params, model_cfg: ModelConfig, train: list[TaskExample], cfg: FinetuneConfig
 ) -> SpanModel:
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "oie1-head", 2)  # start, end
-    # A predicate [s, e) starts at row 1 + s and ends at row e, after [CLS].
-    items = [
-        (_wrap(ex.tokens), (len(ex.tokens), [1 + tr["pred"][0] for tr in ex.triples],
-                            [tr["pred"][1] for tr in ex.triples]))
-        for ex in train
-    ]
-    _train_loop(params, model_cfg, items, cfg, at_cls=False, loss_grad=_span_loss)
+    items = [(_wrap(ex.tokens), _span_targets(ex)) for ex in train]
+    _train_loop(params, model_cfg, items, cfg, _token_rows, _span_loss)
     return SpanModel(params=params, model_config=model_cfg, stage=1)
 
 
@@ -413,16 +419,19 @@ def pointer_decode(start_scores: np.ndarray, end_scores: np.ndarray) -> tuple[in
 
 def _pointer_loss(logits: np.ndarray, targets: list[list[int]], batch: Batch):
     """Stage 2: mean cross-entropy of the four pointer softmaxes (subject
-    start, end, object start, end) over each sequence's tokens, padding
-    masked; `targets` holds the four target rows per sequence."""
+    start, end, object start, end) over each sequence's real tokens, whose
+    rows `logits` holds; `targets` holds the four target positions per
+    sequence."""
     t = np.array(targets, dtype=np.int64)
+    real = batch.mask.astype(bool)
+    padded = np.full(real.shape + (4,), -np.inf)
+    padded[real] = logits
     # (B, 4, L) and contiguous: numpy then sums each pointer's softmax over
     # one contiguous row, pairwise, as for a 1-D row; a strided sum over the
     # token axis adds in another order and rounds differently.
-    x = np.where(batch.mask.astype(bool)[:, None, :],
-                 np.ascontiguousarray(logits.transpose(0, 2, 1)), -np.inf)
+    x = np.ascontiguousarray(padded.transpose(0, 2, 1))
     loss, grad = _softmax_xent(x, (np.arange(len(t))[:, None], np.arange(4), t))
-    return loss, np.ascontiguousarray(grad.transpose(0, 2, 1))
+    return loss, grad.transpose(0, 2, 1)[real]
 
 
 def finetune_span_stage2(
@@ -436,7 +445,7 @@ def finetune_span_stage2(
             bounds = (tr["subj"][0], tr["subj"][1] - 1, tr["obj"][0], tr["obj"][1] - 1)
             targets = [_stage2_map_position(p, pred) for p in bounds]
             items.append((_stage2_sequence(ex.tokens, pred), targets))
-    _train_loop(params, model_cfg, items, cfg, at_cls=False, loss_grad=_pointer_loss)
+    _train_loop(params, model_cfg, items, cfg, _real_rows, _pointer_loss)
     return SpanModel(params=params, model_config=model_cfg, stage=2)
 
 
@@ -452,15 +461,14 @@ def extract_open_triples(
     cfg = stage1.model_config
     if len(tokens) + 2 > cfg.max_seq_len:
         raise FinetuneError("sentence longer than max_seq_len")
-    probs = _sigmoid(_head_logits(stage1.params, cfg, [_wrap(tokens)], False)[0])
-    inner = slice(1, 1 + len(tokens))
-    spans = _stage1_spans(probs[inner, 0], probs[inner, 1], theta_span, span_cap)
+    probs = _sigmoid(_head_logits(stage1.params, cfg, [_wrap(tokens)], _token_rows))
+    spans = _stage1_spans(probs[:, 0], probs[:, 1], theta_span, span_cap)
 
     triples = []
     for s, e in spans:  # inclusive j -> exclusive end
         pred = (s, e + 1)
         seq = _stage2_sequence(tokens, pred)
-        l2 = _head_logits(stage2.params, stage2.model_config, [seq], False)[0]
+        l2 = _head_logits(stage2.params, stage2.model_config, [seq], _real_rows)
 
         positions = [_stage2_map_position(p, pred) for p in range(len(tokens))]
         subj = pointer_decode(l2[positions, 0], l2[positions, 1])
@@ -518,7 +526,7 @@ class Ranker:
             raise FinetuneError("empty candidate list")
         cfg = self.model_config
         seqs = [_pair_sequence(query, cand, cfg.max_seq_len) for cand in candidates]
-        probs = _softmax_rows(np.stack(_head_logits(self.params, cfg, seqs, True, batch_size)))
+        probs = _softmax_rows(_head_logits(self.params, cfg, seqs, _cls_rows, batch_size))
         return [float(x) for x in probs[:, 1]]
 
 
@@ -538,7 +546,7 @@ def finetune_ranker(
         picked = rng.choice(len(neg_pool), size=min(n_negatives, len(neg_pool)), replace=False)
         for cand, label in [(gold, 1)] + [(neg_pool[int(i)], 0) for i in picked]:
             pairs.append((_pair_sequence(ex.tokens, ex.candidates[cand], model_cfg.max_seq_len), label))
-    _train_loop(params, model_cfg, pairs, cfg, at_cls=True, loss_grad=_rank_loss)
+    _train_loop(params, model_cfg, pairs, cfg, _cls_rows, _rank_loss)
     return Ranker(params=params, model_config=model_cfg)
 
 

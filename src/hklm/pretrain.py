@@ -7,7 +7,6 @@ import ctypes
 import dataclasses
 import json
 import os
-import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -183,10 +182,9 @@ class MetricsRecord:
     tc_acc: float | None
     tmt_acc: float | None
     mlm_acc: float | None
-    wallclock: float = 0.0
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        obj = {
+    def to_json(self) -> dict:
+        return {
             "step": self.step,
             "loss_total": self.loss_total,
             "loss_mlm": self.loss_mlm,
@@ -196,11 +194,6 @@ class MetricsRecord:
             "tmt_acc": self.tmt_acc,
             "mlm_acc": self.mlm_acc,
         }
-        # Timing is real wall-clock and would break byte-reproducibility of
-        # the metrics file, so it is opt-in.
-        if include_timing:
-            obj["wallclock"] = self.wallclock
-        return obj
 
 
 @dataclass
@@ -241,7 +234,7 @@ def build_aligned(
     train_corpus, held_corpus = split_corpus(corpus, config.heldout_fraction, config.seed)
     train_frags = fragment_corpus(train_corpus, vocab, config.max_fragment_len)
     held_frags = fragment_corpus(held_corpus, vocab, config.max_fragment_len)
-    if config.mode == "plain" or config.ablation().drop_triples:
+    if config.ablation().drop_triples:
         return unaligned_corpus(train_corpus, train_frags), unaligned_corpus(held_corpus, held_frags)
 
     index = build_tfidf_index(train_corpus, vocab, config.max_fragment_len, fragments=train_frags)
@@ -398,7 +391,6 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
     process (see `_freed_heap_retained`).
     """
     config.validate()
-    t_start = time.monotonic()
     vocab = build_vocab(corpus, config.vocab_min_freq)
     train_aligned, held_aligned = build_aligned(config, corpus, vocab)
     ablation = config.ablation()
@@ -437,7 +429,6 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
                 tc_acc=ev["tc"],
                 tmt_acc=ev["tmt"],
                 mlm_acc=ev["mlm"],
-                wallclock=time.monotonic() - t_start,
             )
         )
 
@@ -513,7 +504,7 @@ def init_params_seeded(model_cfg: ModelConfig, seed: int):
     return init_params(model_cfg, derive_seed(seed, "init"))
 
 
-def write_metrics(metrics: list[MetricsRecord], path, include_timing: bool = False) -> None:
+def write_metrics(metrics: list[MetricsRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in metrics:
-            fh.write(json.dumps(rec.to_json(include_timing)) + "\n")
+            fh.write(json.dumps(rec.to_json()) + "\n")

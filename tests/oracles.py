@@ -198,9 +198,7 @@ def gelu_forward(x: np.ndarray):
     return 0.5 * x * (1.0 + t), t
 
 
-def gelu_grad(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    if t is None:
-        t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
+def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 

@@ -113,6 +113,17 @@ class TestAlignAndExamples:
                     "--out", str(e2)]) == 0
         assert e2.read_bytes() == (pipeline_dir / "ex.jsonl").read_bytes()
 
+    def test_debug_sidecar_records_joint_serialization(self, pipeline_dir, tmp_path):
+        out = tmp_path / "ex.jsonl"
+        assert run(["gen-examples", "--corpus", str(pipeline_dir / "c.jsonl"),
+                    "--vocab", str(pipeline_dir / "vocab.json"), "--seed", "42",
+                    "--out", str(out), "--debug-sidecar"]) == 0
+        lines = [json.loads(line) for line in (tmp_path / "ex.jsonl.debug.jsonl").read_text().splitlines()]
+        assert len(lines) == len(read_examples(out)[0])
+        assert all(isinstance(rec["heading"], str) and "predicates" in rec for rec in lines)
+        assert any(rec["predicates"] for rec in lines)
+        assert out.read_bytes() == (pipeline_dir / "ex.jsonl").read_bytes()
+
 
 class TestPretrainFinetune:
     def test_full_chain_smoke(self, pipeline_dir, tmp_path, monkeypatch):
@@ -183,7 +194,8 @@ def _assert_one_line_error(code, capsys):
 
 
 class TestMalformedInputs:
-    """Malformed input exits 1 with one `error:` line, never a traceback."""
+    """Malformed input exits 1 with one `error:` line, a diverging run 2 with
+    one `divergence:` line; never a traceback."""
 
     @pytest.mark.parametrize(
         "config",
@@ -251,6 +263,18 @@ class TestMalformedInputs:
                     "--out", str(tmp_path / "ft"), "--seed", "3", flag, value])
         assert flag in _assert_one_line_error(code, capsys)
         assert not (tmp_path / "ft").exists()
+
+    def test_finetune_divergence(self, pipeline_dir, checkpoint, tmp_path, capsys, recwarn):
+        tasks = pipeline_dir / "tasks"
+        code = run(["finetune", "--checkpoint", str(checkpoint), "--task", "ner",
+                    "--train", str(tasks / "ner-train.jsonl"), "--eval", str(tasks / "ner-eval.jsonl"),
+                    "--out", str(tmp_path / "ft"), "--seed", "3", "--lr", "1e30"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert len(out.err.splitlines()) == 1 and out.err.startswith("divergence:")
+        assert "Traceback" not in out.err and not out.out
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "ft" / "metrics.jsonl").exists()
 
 
 class TestVersion:

@@ -74,8 +74,9 @@ class TestForward:
         cfg = tiny_config()
         params = init_params(cfg, 0)
         res = forward_one(params, cfg, rich_example)
-        hidden, _ = encode(params, cfg, make_batch([rich_example], dtype=cfg.np_dtype))
-        hidden, layout = hidden[0], rich_example.layout
+        batch = make_batch([rich_example], dtype=cfg.np_dtype)
+        hidden, _ = encode(params, cfg, batch, np.arange(batch.ids.size))
+        layout = rich_example.layout
         assert hidden.shape == (len(rich_example.input_ids), cfg.d_model)
         assert res.mlm_logits.shape == (2, V)
         assert res.tc_logits.shape == (2, 2)
@@ -101,7 +102,7 @@ class TestForward:
                or ".ffn_w" in name or name.endswith("_b") and name.startswith("layers"):
                 params[name][:] = 0.0
         batch = make_batch([rich_example], dtype=np.float64)
-        hidden, _ = encode(params, cfg, batch)
+        hidden, _ = encode(params, cfg, batch, np.arange(batch.ids.size))
         ids = np.array(rich_example.input_ids)
         seg = np.array(rich_example.layout.seg_ids)
         emb = params["tok_emb"][ids] + params["pos_emb"][: len(ids)] + params["seg_emb"][seg]
@@ -109,7 +110,7 @@ class TestForward:
         for i in range(cfg.n_layers):
             x, _ = layer_norm(x, params[f"layers.{i}.ln1_g"], params[f"layers.{i}.ln1_b"], cfg.ln_eps)
             x, _ = layer_norm(x, params[f"layers.{i}.ln2_g"], params[f"layers.{i}.ln2_b"], cfg.ln_eps)
-        np.testing.assert_allclose(hidden[0], x, atol=1e-12)
+        np.testing.assert_allclose(hidden, x, atol=1e-12)
 
     def test_uniform_attention_when_qk_zero(self, rich_example):
         cfg = tiny_config()
@@ -420,8 +421,7 @@ class TestKernelsMatchPlainNumpy:
         want_act, want_t = oracles.gelu_forward(x)
         assert_identical(act, want_act)
         assert_identical(t, want_t)
-        assert_identical(encoder.gelu_grad(x), oracles.gelu_grad(x))
-        assert_identical(encoder.gelu_grad(x, t), oracles.gelu_grad(x, t))
+        assert_identical(encoder.gelu_grad(x, t, np.ones_like(x)), oracles.gelu_grad(x, t))
         d = dout.copy()
         got = encoder.gelu_grad(x, t, dout=d)
         assert got is d
@@ -517,7 +517,7 @@ def test_training_steps_match_plain_numpy_kernels(synth20, monkeypatch):
     fast = run_pretraining(cfg, corpus)
     for name in ("gelu_forward", "layer_norm", "layer_norm_backward", "softmax"):
         monkeypatch.setattr(encoder, name, getattr(oracles, name))
-    monkeypatch.setattr(encoder, "gelu_grad", lambda x, t=None, dout=None: dout * oracles.gelu_grad(x, t))
+    monkeypatch.setattr(encoder, "gelu_grad", lambda x, t, dout: dout * oracles.gelu_grad(x, t))
     monkeypatch.setattr(encoder, "_softmax_backward", oracles.softmax_backward)
     monkeypatch.setattr(encoder, "_affine", oracles.affine)
     monkeypatch.setattr(encoder, "_segment_grad", oracles.segment_grad)

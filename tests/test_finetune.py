@@ -118,8 +118,8 @@ class TestEntityTyperLogic:
         from hklm.encoder import encode
 
         batch = _simple_batch([[2, 20, 14, 21, 14, 3]], cfg.np_dtype)
-        h, _ = encode(params, cfg, batch)
-        cls = h[0, 0]
+        h, _ = encode(params, cfg, batch, [0])
+        cls = h[0]
         w = np.zeros((8, len(labels)), dtype=cfg.np_dtype)
         for j, lab in enumerate(labels):
             scale = 10.0 if lab == gold_label else -10.0
@@ -302,26 +302,22 @@ def test_adapters_hold_no_pretraining_heads(world):
             assert list(model.params) == encoder_param_names(model_cfg) + ["head_w", "head_b"]
 
 
-def full_row_encode(params, cfg, batch, want_cache=False, rows=None):
-    """`encode` through the full-row oracle; where the adapter asks for rows,
-    the [CLS] states."""
+def full_row_encode(params, cfg, batch, rows, want_cache=False):
+    """`encode` through the full-row oracle: the last block at every token,
+    its hidden states gathered at `rows`."""
     hidden, cache = oracles.encode(params, cfg, batch, want_cache)
-    if rows is None:
-        return hidden, cache
     if cache is not None:
-        cache["cls_rows"] = np.arange(batch.size) * batch.ids.shape[1]
-    return hidden[:, 0], cache
+        cache["gathered"] = rows
+    return hidden.reshape(-1, cfg.d_model)[rows], cache
 
 
 def full_row_backward(params, cfg, cache, d_hidden):
     """`encoder_backward` through the full-row oracle, d_hidden scattered to
-    the rows `full_row_encode` read."""
-    b, l, rows = cache["b"], cache["l"], cache.get("cls_rows")
-    if rows is not None:
-        full = np.zeros((b * l, cfg.d_model), dtype=d_hidden.dtype)
-        full[rows] = d_hidden
-        d_hidden = full.reshape(b, l, cfg.d_model)
-    return oracles.encoder_backward(params, cfg, cache, d_hidden)
+    the rows `full_row_encode` gathered."""
+    b, l = cache["b"], cache["l"]
+    full = np.zeros((b * l, cfg.d_model), dtype=d_hidden.dtype)
+    full[cache["gathered"]] = d_hidden
+    return oracles.encoder_backward(params, cfg, cache, full.reshape(b, l, cfg.d_model))
 
 
 TRAIN_LOOP = finetune._train_loop
@@ -333,13 +329,13 @@ def first_step(monkeypatch, adapt, params, cfg, train):
     one step, and the step's AdamW update only records the gradients."""
     out = {}
 
-    def one_step(params, model_cfg, items, ft_cfg, at_cls, loss_grad):
+    def one_step(params, model_cfg, items, ft_cfg, rows_of, loss_grad):
         def recorded(logits, targets, batch):
             out["loss"], d_logits = loss_grad(logits, targets, batch)
             return out["loss"], d_logits
 
         one_epoch = dataclasses.replace(ft_cfg, epochs=1)
-        TRAIN_LOOP(params, model_cfg, items[: ft_cfg.batch_size], one_epoch, at_cls, recorded)
+        TRAIN_LOOP(params, model_cfg, items[: ft_cfg.batch_size], one_epoch, rows_of, recorded)
 
     monkeypatch.setattr(finetune, "_train_loop", one_step)
     monkeypatch.setattr(finetune, "adamw_step", lambda params, grads, state, opt_cfg: out.update(grads=grads))
@@ -347,34 +343,54 @@ def first_step(monkeypatch, adapt, params, cfg, train):
     return (out["loss"], out["grads"]), model
 
 
+def first_steps_and_predictions(monkeypatch, params, cfg, data):
+    """Each adapter's first-step loss and gradients, and its initial head's
+    predictions on the eval sets: NER tags, entity types, open-IE triples
+    (both stages) and ranking scores."""
+    steps, models = {}, {}
+    for name, adapt in (("ner", finetune_token_classifier), ("et", finetune_entity_typing),
+                        ("oie1", finetune_span_stage1), ("oie2", finetune_span_stage2),
+                        ("rank", finetune_ranker)):
+        steps[name], models[name] = first_step(monkeypatch, adapt, params, cfg, data[name.rstrip("12")][0])
+    predictions = {
+        "ner": models["ner"].predict(data["ner"][1]),
+        "et": models["et"].predict(data["et"][1]),
+        "oie": [extract_open_triples(models["oie1"], models["oie2"], ex.tokens) for ex in data["oie"][1]],
+        "rank": [models["rank"].score(ex.tokens, ex.candidates) for ex in data["rank"][1]],
+    }
+    return steps, predictions
+
+
 @pytest.mark.parametrize("dtype,rtol", [("float64", 1e-10), ("float32", 1e-5)])
-def test_cls_row_steps_match_full_rows(world, monkeypatch, dtype, rtol):
-    """Entity typing and ranking run the last block at [CLS] only; their
-    fine-tuning steps and scores match the full-row encoder's."""
+def test_row_steps_match_full_rows(world, monkeypatch, dtype, rtol):
+    """Every adapter runs the last block only at the rows its head reads; its
+    first fine-tuning step (loss and gradients) and its predictions match the
+    full-row encoder's, whose last block runs at every token."""
     corpus, truth, vocab, cfg, _ = world
     cfg = dataclasses.replace(cfg, n_layers=2, dtype=dtype)
     rng = np.random.default_rng(2)
     params = {k: (v + rng.normal(0.0, 0.05, v.shape)).astype(cfg.np_dtype)
               for k, v in init_params(cfg, 1).items()}
-    et_train, et_eval = make_et_data(truth, vocab, 5, n_train=24, n_eval=12)
-    rank_train, rank_eval = make_rank_data(corpus, truth, vocab, 5, n_train=8, n_eval=3, n_candidates=6)
-    for adapt, train in ((finetune_entity_typing, et_train), (finetune_ranker, rank_train)):
-        (loss, grads), model = first_step(monkeypatch, adapt, params, cfg, train)
-        with monkeypatch.context() as m:
-            m.setattr(finetune, "encode", full_row_encode)
-            m.setattr(finetune, "encoder_backward", full_row_backward)
-            (want_loss, want_grads), want_model = first_step(m, adapt, params, cfg, train)
-            if adapt is finetune_entity_typing:
-                want_pred = want_model.predict(et_eval)
-            else:
-                want_scores = [want_model.score(ex.tokens, ex.candidates) for ex in rank_eval]
-        assert loss == pytest.approx(want_loss, rel=rtol, abs=0)
+    data = {
+        "ner": make_ner_data(truth, vocab, 5, n_train=24, n_eval=12),
+        "et": make_et_data(truth, vocab, 5, n_train=24, n_eval=12),
+        "oie": make_oie_data(truth, vocab, 5, n_train=12, n_eval=6),
+        "rank": make_rank_data(corpus, truth, vocab, 5, n_train=8, n_eval=3, n_candidates=6),
+    }
+    steps, predictions = first_steps_and_predictions(monkeypatch, params, cfg, data)
+    with monkeypatch.context() as m:
+        m.setattr(finetune, "encode", full_row_encode)
+        m.setattr(finetune, "encoder_backward", full_row_backward)
+        want_steps, want_predictions = first_steps_and_predictions(m, params, cfg, data)
+    for name, (loss, grads) in steps.items():
+        want_loss, want_grads = want_steps[name]
+        assert loss == pytest.approx(want_loss, rel=rtol, abs=0), name
         assert_grads_close(grads, want_grads, rtol)
-        if adapt is finetune_entity_typing:
-            assert model.predict(et_eval) == want_pred
-        else:
-            for ex, want in zip(rank_eval, want_scores):
-                np.testing.assert_allclose(model.score(ex.tokens, ex.candidates), want, rtol=rtol, atol=0)
+    for task in ("ner", "et", "oie"):
+        assert predictions[task] == want_predictions[task], task
+    assert any(predictions["oie"])  # stage 2 decoded some predicate
+    for got, want in zip(predictions["rank"], want_predictions["rank"]):
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
 
 
 @pytest.mark.parametrize("adapt", [finetune_token_classifier, finetune_entity_typing, finetune_span_stage1,
@@ -431,44 +447,46 @@ def numeric_grad(loss, x, eps=1e-6):
     return grad
 
 
-# Each adapter's loss on random float64 logits: a batch of three sequences of
-# 6, 4 and 7 rows ([CLS], tokens, [SEP]), padded to 7.
+def span_indicators(n, starts, ends):
+    y = np.zeros((n, 2))
+    y[starts, 0] = 1.0
+    y[ends, 1] = 1.0
+    return y
+
+
+# Each adapter's row function and loss on random float64 logits at those rows,
+# for a batch of three sequences of 6, 4 and 7 rows ([CLS], tokens, [SEP]),
+# padded to 7.
 LENGTHS = [6, 4, 7]
+INNER = [7 * k + i for k, n in enumerate(LENGTHS) for i in range(1, n - 1)]
 LOSS_CASES = {
-    "ner": (finetune._tag_loss, 5, [[0, 3, 4, 4], [1, 2], [4, 0, 0, 2, 3]]),
-    "et": (finetune._label_loss, 4, [[0, 2], [1], []]),
-    "oie1": (finetune._span_loss, 2, [(4, [1, 3], [2, 4]), (2, [1], [2]), (5, [2, 1], [5, 1])]),
-    "oie2": (finetune._pointer_loss, 4, [[1, 3, 4, 5], [0, 2, 2, 3], [6, 6, 1, 4]]),
-    "rank": (finetune._rank_loss, 2, [1, 0, 0]),
+    "ner": (finetune._tag_loss, finetune._token_rows, INNER, 5,
+            [[0, 3, 4, 4], [1, 2], [4, 0, 0, 2, 3]]),
+    "et": (finetune._label_loss, finetune._cls_rows, [0, 7, 14], 4, [[0, 2], [1], []]),
+    "oie1": (finetune._span_loss, finetune._token_rows, INNER, 2,
+             [span_indicators(4, [0, 2], [1, 3]), span_indicators(2, [0], [1]),
+              span_indicators(5, [1, 0], [4, 0])]),
+    "oie2": (finetune._pointer_loss, finetune._real_rows,
+             [7 * k + i for k, n in enumerate(LENGTHS) for i in range(n)], 4,
+             [[1, 3, 4, 5], [0, 2, 2, 3], [6, 6, 1, 4]]),
+    "rank": (finetune._rank_loss, finetune._cls_rows, [0, 7, 14], 2, [1, 0, 0]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LOSS_CASES))
 def test_loss_grad_matches_finite_differences(case):
-    """Each adapter's `loss_grad` returns the gradient of its own loss with
-    respect to the logits, and no gradient where its loss reads nothing:
-    outside the NER tags, outside stage 1's tokens, at stage 2's padding."""
-    loss_grad, n_out, targets = LOSS_CASES[case]
+    """Each adapter's row function names the rows its loss reads (the NER
+    tags, stage 1's tokens, stage 2's real tokens, [CLS]), and its `loss_grad`
+    on (R, k) logits at those rows returns the gradient of its own loss, with
+    some gradient at every row."""
+    loss_grad, rows_of, want_rows, n_out, targets = LOSS_CASES[case]
     rng = np.random.default_rng(11)
     batch = finetune._simple_batch([[2] * n for n in LENGTHS], np.float64)
-    at_cls = case in ("et", "rank")
-    logits = rng.normal(0.0, 2.0, size=(3, n_out) if at_cls else (3, max(LENGTHS), n_out))
+    assert rows_of(batch).tolist() == want_rows
+    logits = rng.normal(0.0, 2.0, size=(len(want_rows), n_out))
     loss, d_logits = loss_grad(logits.copy(), targets, batch)
     assert d_logits.shape == logits.shape and d_logits.dtype == np.float64
     assert loss == loss_grad(logits.copy(), targets, batch)[0] > 0
     want = numeric_grad(lambda x: loss_grad(x, targets, batch)[0], logits.copy())
     np.testing.assert_allclose(d_logits, want, rtol=1e-6, atol=1e-9)
-    if case == "ner":
-        read = np.zeros(logits.shape[:2], dtype=bool)
-        for k, tags in enumerate(targets):
-            read[k, 1 : 1 + len(tags)] = True
-    elif case == "oie1":
-        read = np.zeros(logits.shape[:2], dtype=bool)
-        for k, (n_tokens, _starts, _ends) in enumerate(targets):
-            read[k, 1 : 1 + n_tokens] = True
-    elif case == "oie2":
-        read = batch.mask.astype(bool)
-    else:
-        read = np.ones(logits.shape[:-1], dtype=bool)
-    assert np.all(d_logits[~read] == 0.0)
-    assert np.all(np.abs(d_logits[read]).sum(axis=-1) > 0)
+    assert np.all(np.abs(d_logits).sum(axis=-1) > 0)

@@ -194,8 +194,6 @@ class TestRunPretraining:
                 "tc_acc", "tmt_acc", "mlm_acc",
             }
             assert np.isfinite(obj["loss_total"])
-            timed = m.to_json(include_timing=True)
-            assert timed["wallclock"] >= 0
 
     def test_grad_accumulation_runs(self, corpus30):
         cfg = small_cfg(steps=2, grad_accum=2)
