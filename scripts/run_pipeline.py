@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end pipeline smoke run through the CLI.
 
-Generates a small synthetic corpus with its five task sets, ingests it,
-aligns fragments with triples, materializes pretraining examples, pretrains
-briefly in joint mode, and fine-tunes + evaluates the NER adapter. All stages
-are seeded, so re-running reproduces every output byte for byte.
+Writes one training config, generates a small synthetic corpus with its five
+task sets, ingests it, writes the aligned fragments and first-epoch examples
+that pretraining under that config trains on, pretrains briefly in joint
+mode, and fine-tunes + evaluates the NER adapter. All stages are seeded, so
+re-running reproduces every output byte for byte.
 """
 
 import pathlib
@@ -24,22 +25,19 @@ def run(*args):
 def main():
     WORK.mkdir(parents=True, exist_ok=True)
     corpus = WORK / "corpus.jsonl"
-    vocab = WORK / "vocab.json"
-    run("synth-corpus", "--seed", SEED, "--entities", "40",
-        "--out", str(corpus), "--tasks-out", str(WORK / "tasks"))
-    run("ingest", "--corpus", str(corpus), "--min-freq", "1", "--out", str(vocab))
-    run("align", "--corpus", str(corpus), "--vocab", str(vocab),
-        "--out", str(WORK / "aligned.jsonl"))
-    run("gen-examples", "--corpus", str(corpus), "--vocab", str(vocab),
-        "--seed", SEED, "--out", str(WORK / "examples.jsonl"))
     cfg = WORK / "train.json"
     cfg.write_text(
         '{"d_model": 64, "n_layers": 2, "n_heads": 4, "steps": 300,\n'
         ' "eval_every": 100, "max_fragment_len": 48, "triples_per_example": 1,\n'
         ' "heldout_fraction": 0.1}\n'
     )
-    run("pretrain", "--corpus", str(corpus), "--seed", SEED,
-        "--config", str(cfg), "--out", str(WORK / "run"))
+    prep = ["--corpus", str(corpus), "--seed", SEED, "--config", str(cfg)]
+    run("synth-corpus", "--seed", SEED, "--entities", "40",
+        "--out", str(corpus), "--tasks-out", str(WORK / "tasks"))
+    run("ingest", "--corpus", str(corpus), "--min-freq", "1", "--out", str(WORK / "vocab.json"))
+    run("align", *prep, "--out", str(WORK / "aligned.jsonl"))
+    run("gen-examples", *prep, "--out", str(WORK / "examples.jsonl"))
+    run("pretrain", *prep, "--out", str(WORK / "run"))
     run("finetune", "--checkpoint", str(WORK / "run" / "model.ckpt"),
         "--task", "ner",
         "--train", str(WORK / "tasks" / "ner-train.jsonl"),

@@ -15,10 +15,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .align import align_corpus, fragment_corpus, unaligned_corpus, write_aligned
+from .align import write_aligned
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import (
-    Corpus,
     CorpusError,
     SynthParams,
     Vocab,
@@ -29,7 +28,6 @@ from .corpus import (
     write_corpus,
     write_truth,
 )
-from .encoder import NonFiniteGradientError
 from .examples import ExampleError, generate_pretrain_examples, write_examples
 from .finetune import (
     FinetuneConfig,
@@ -46,10 +44,12 @@ from .finetune import (
 )
 from .manifest import RunManifest, manifest_path_for, sha256_file
 from .metrics import MetricsError
+from .optim import DivergenceError
 from .pretrain import (
     ConfigError,
-    DivergenceError,
     TrainConfig,
+    build_aligned,
+    epoch_sampler,
     run_pretraining,
     write_metrics,
 )
@@ -85,11 +85,6 @@ class _Parser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         self.print_usage(sys.stderr)
         raise SystemExit(1)
-
-
-def _load_vocab(path) -> Vocab:
-    with open(path, encoding="utf-8") as fh:
-        return Vocab.from_json(json.load(fh))
 
 
 def _write_vocab(vocab: Vocab, path) -> None:
@@ -162,43 +157,50 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _train_config(args, mode=None, steps=None) -> TrainConfig:
+    """TrainConfig from --config (every field optional, defaults fill the
+    rest) with --seed and any given flag on top, validated."""
+    cfg_obj = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            cfg_obj = json.load(fh)
+    config = TrainConfig.from_json(cfg_obj)
+    config.seed = args.seed  # flags beat the config file
+    if mode is not None:
+        config.mode = mode
+    if steps is not None:
+        config.steps = steps
+    config.validate()
+    return config
+
+
+def _config_inputs(args) -> list:
+    return [args.corpus] + ([args.config] if args.config else [])
+
+
 def cmd_align(args) -> int:
     corpus = load_corpus(args.corpus)
-    vocab = _load_vocab(args.vocab)
-    man = _manifest(
-        "align",
-        {"tau": args.tau, "k_max": args.k_max, "max_fragment_len": args.max_fragment_len},
-        [args.corpus, args.vocab], [args.out],
-        extra={"vocab_hash": vocab.hash_hex()},
-    )
+    config = _train_config(args)
+    vocab = build_vocab(corpus, config.vocab_min_freq)
+    man = _manifest("align", config.to_json(), _config_inputs(args), [args.out],
+                    seed=args.seed, extra={"vocab_hash": vocab.hash_hex()})
     man.write(manifest_path_for(args.out))
-    aligned = align_corpus(corpus, vocab, args.tau, args.k_max, args.max_fragment_len)
-    write_aligned(aligned, args.out)
+    train_aligned, _ = build_aligned(config, corpus, vocab)
+    write_aligned(train_aligned, args.out)
     return 0
 
 
 def cmd_gen_examples(args) -> int:
     corpus = load_corpus(args.corpus)
-    vocab = _load_vocab(args.vocab)
-    cfg = TrainConfig(
-        mode=args.mode, seed=args.seed, tau=args.tau, k_max=args.k_max,
-        max_fragment_len=args.max_fragment_len, max_seq_len=args.max_seq_len,
-        mask_prob=args.mask_prob, p_neg_tc=args.p_neg_tc, p_neg_tmt=args.p_neg_tmt,
-        drop_headings=args.drop_headings, drop_triples=args.drop_triples,
-        triple_keep_fraction=args.triple_keep_fraction, value_noise=args.value_noise,
-    )
-    cfg.validate()
-    man = _manifest(
-        "gen-examples", cfg.to_json(), [args.corpus, args.vocab], [args.out],
-        seed=args.seed, extra={"vocab_hash": vocab.hash_hex()},
-    )
+    config = _train_config(args, args.mode)
+    vocab = build_vocab(corpus, config.vocab_min_freq)
+    man = _manifest("gen-examples", config.to_json(), _config_inputs(args), [args.out],
+                    seed=args.seed, extra={"vocab_hash": vocab.hash_hex()})
     man.write(manifest_path_for(args.out))
-    if cfg.ablation().drop_triples:
-        aligned = unaligned_corpus(corpus, fragment_corpus(corpus, vocab, cfg.max_fragment_len))
-    else:
-        aligned = align_corpus(corpus, vocab, cfg.tau, cfg.k_max, cfg.max_fragment_len)
+    train_aligned, _ = build_aligned(config, corpus, vocab)
     examples, stats = generate_pretrain_examples(
-        corpus, aligned, vocab, cfg.sampler_config(), cfg.ablation(), keep_debug=args.debug_sidecar
+        corpus, train_aligned, vocab, epoch_sampler(config, 0), config.ablation(),
+        keep_debug=args.debug_sidecar,
     )
     write_examples(examples, args.out, vocab.hash_hex(), debug_sidecar=args.debug_sidecar)
     print(json.dumps({"examples": stats.n_examples, "tc_skips": stats.tc_skips,
@@ -208,26 +210,15 @@ def cmd_gen_examples(args) -> int:
 
 def cmd_pretrain(args) -> int:
     corpus = load_corpus(args.corpus)
-    cfg_obj = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg_obj = json.load(fh)
-    config = TrainConfig.from_json(cfg_obj)
-    config.seed = args.seed  # flags beat the config file
-    if args.steps is not None:
-        config.steps = args.steps
-    if args.mode is not None:
-        config.mode = args.mode
-    config.validate()
+    config = _train_config(args, args.mode, args.steps)
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "model.ckpt")
     metrics_path = os.path.join(args.out, "metrics.jsonl")
     vocab_path = os.path.join(args.out, "vocab.json")
-    inputs = [args.corpus] + ([args.config] if args.config else [])
     # A multithreaded BLAS may sum in another order, so the checkpoint bytes
     # depend on these; null means unset.
     blas_env = {name: os.environ.get(name) for name in BLAS_THREAD_ENV}
-    man = _manifest("pretrain", config.to_json(), inputs,
+    man = _manifest("pretrain", config.to_json(), _config_inputs(args),
                     [ckpt_path, metrics_path, vocab_path], seed=args.seed,
                     extra={"blas_thread_env": blas_env})
     man.write(os.path.join(args.out, "manifest.json"))
@@ -307,40 +298,28 @@ def build_parser() -> _Parser:
     ing.add_argument("--out", required=True)
     ing.set_defaults(fn=cmd_ingest)
 
-    al = sub.add_parser("align", help="fragment documents and retrieve triples per fragment")
+    config_help = "JSON file mirroring TrainConfig fields"
+    al = sub.add_parser("align", help="write the aligned fragments of pretraining's training split")
     al.add_argument("--corpus", required=True)
-    al.add_argument("--vocab", required=True)
+    al.add_argument("--seed", type=int, required=True)
+    al.add_argument("--config", default=None, help=config_help)
     al.add_argument("--out", required=True)
-    al.add_argument("--tau", type=float, default=0.05)
-    al.add_argument("--k-max", type=int, default=8, dest="k_max")
-    al.add_argument("--max-fragment-len", type=int, default=400, dest="max_fragment_len")
     al.set_defaults(fn=cmd_align)
 
-    ge = sub.add_parser("gen-examples", help="assemble corrupted pretraining examples")
+    ge = sub.add_parser("gen-examples", help="write the examples of pretraining's first epoch")
     ge.add_argument("--corpus", required=True)
-    ge.add_argument("--vocab", required=True)
-    ge.add_argument("--out", required=True)
     ge.add_argument("--seed", type=int, required=True)
-    ge.add_argument("--mode", choices=("plain", "hklm"), default="hklm")
-    ge.add_argument("--tau", type=float, default=0.05)
-    ge.add_argument("--k-max", type=int, default=8, dest="k_max")
-    ge.add_argument("--max-fragment-len", type=int, default=400, dest="max_fragment_len")
-    ge.add_argument("--max-seq-len", type=int, default=512, dest="max_seq_len")
-    ge.add_argument("--mask-prob", type=float, default=0.15, dest="mask_prob")
-    ge.add_argument("--p-neg-tc", type=float, default=0.5, dest="p_neg_tc")
-    ge.add_argument("--p-neg-tmt", type=float, default=0.5, dest="p_neg_tmt")
-    ge.add_argument("--drop-headings", action="store_true", dest="drop_headings")
-    ge.add_argument("--drop-triples", action="store_true", dest="drop_triples")
-    ge.add_argument("--triple-keep-fraction", type=float, default=1.0, dest="triple_keep_fraction")
-    ge.add_argument("--value-noise", action="store_true", dest="value_noise")
+    ge.add_argument("--config", default=None, help=config_help)
+    ge.add_argument("--mode", choices=("plain", "hklm"), default=None)
     ge.add_argument("--debug-sidecar", action="store_true", dest="debug_sidecar")
+    ge.add_argument("--out", required=True)
     ge.set_defaults(fn=cmd_gen_examples)
 
     pt = sub.add_parser("pretrain", help="run the pretraining pipeline end to end")
     pt.add_argument("--corpus", required=True)
     pt.add_argument("--out", required=True)
     pt.add_argument("--seed", type=int, required=True)
-    pt.add_argument("--config", default=None, help="JSON file mirroring TrainConfig fields")
+    pt.add_argument("--config", default=None, help=config_help)
     pt.add_argument("--steps", type=int, default=None)
     pt.add_argument("--mode", choices=("plain", "hklm"), default=None)
     pt.set_defaults(fn=cmd_pretrain)
@@ -371,7 +350,7 @@ def run(argv=None) -> int:
         # numpy's overflow warnings on the way there add nothing to that line.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.fn(args)
-    except (DivergenceError, NonFiniteGradientError) as exc:
+    except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 2
     except USER_ERRORS as exc:

@@ -24,10 +24,6 @@ class ModelError(ValueError):
     pass
 
 
-class NonFiniteGradientError(RuntimeError):
-    pass
-
-
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -50,6 +46,9 @@ class ModelConfig:
     ln_eps: float = 1e-5
 
     def validate(self) -> None:
+        sizes = (self.d_model, self.n_heads, self.ffn_mult, self.max_seq_len, self.n_segments)
+        if min(sizes) < 1 or self.n_layers < 0:
+            raise ModelError("model sizes must be >= 1, n_layers >= 0")
         if self.d_model % self.n_heads != 0:
             raise ModelError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.vocab_size < NUM_SPECIAL:
@@ -122,67 +121,49 @@ def param_names(config: ModelConfig) -> list[str]:
     return names
 
 
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter tensor, in declaration order."""
+    d, f, v = config.d_model, config.d_ffn, config.vocab_size
+    by_leaf = {
+        "tok_emb": (v, d), "pos_emb": (config.max_seq_len, d), "seg_emb": (config.n_segments, d),
+        "ffn_w1": (d, f), "ffn_b1": (f,), "ffn_w2": (f, d), "mlm_out_w": (d, v), "mlm_out_b": (v,),
+        "tc_w": (d, 2), "tc_b": (2,), "tmt_w": (d, 2), "tmt_b": (2,),
+    }
+
+    def shape(name: str) -> tuple[int, ...]:
+        leaf = name.rsplit(".", 1)[-1]
+        # The rest are (d, d) projections and (d,) biases and layer-norm gains.
+        return by_leaf.get(leaf, (d, d) if leaf.endswith("_w") else (d,))
+
+    return {name: shape(name) for name in param_names(config)}
+
+
 def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
+    """Gains 1, biases 0, matrices normal (query/key projections at
+    attn_init_std) drawn in declaration order. The position table is a
+    scaled sinusoid, or normal and drawn before every other tensor."""
     config.validate()
     rng = np.random.default_rng(seed)
-    d, v = config.d_model, config.vocab_size
     dt = config.np_dtype
-
-    def normal(*shape):
-        return rng.normal(0.0, config.init_std, size=shape).astype(dt)
-
-    def attn_normal(*shape):
-        return rng.normal(0.0, config.attn_init_std, size=shape).astype(dt)
-
-    def zeros(*shape):
-        return np.zeros(shape, dtype=dt)
-
-    def ones(*shape):
-        return np.ones(shape, dtype=dt)
-
+    shapes = param_shapes(config)
     if config.pos_init == "sinusoidal":
-        pos_emb = (sinusoidal_table(config.max_seq_len, d) * config.pos_init_scale).astype(dt)
+        pos_emb = (sinusoidal_table(*shapes["pos_emb"]) * config.pos_init_scale).astype(dt)
     elif config.pos_init == "normal":
-        pos_emb = normal(config.max_seq_len, d)
+        pos_emb = rng.normal(0.0, config.init_std, size=shapes["pos_emb"]).astype(dt)
     else:
         raise ModelError(f"unknown pos_init {config.pos_init!r}")
-    params: dict[str, np.ndarray] = {
-        "tok_emb": normal(v, d),
-        "pos_emb": pos_emb,
-        "seg_emb": normal(config.n_segments, d),
-        "emb_ln_g": ones(d),
-        "emb_ln_b": zeros(d),
-    }
-    for i in range(config.n_layers):
-        p = f"layers.{i}."
-        params[p + "q_w"] = attn_normal(d, d)
-        params[p + "q_b"] = zeros(d)
-        params[p + "k_w"] = attn_normal(d, d)
-        params[p + "k_b"] = zeros(d)
-        params[p + "v_w"] = normal(d, d)
-        params[p + "v_b"] = zeros(d)
-        params[p + "o_w"] = normal(d, d)
-        params[p + "o_b"] = zeros(d)
-        params[p + "ln1_g"] = ones(d)
-        params[p + "ln1_b"] = zeros(d)
-        params[p + "ffn_w1"] = normal(d, config.d_ffn)
-        params[p + "ffn_b1"] = zeros(config.d_ffn)
-        params[p + "ffn_w2"] = normal(config.d_ffn, d)
-        params[p + "ffn_b2"] = zeros(d)
-        params[p + "ln2_g"] = ones(d)
-        params[p + "ln2_b"] = zeros(d)
-    params["mlm_w"] = normal(d, d)
-    params["mlm_b"] = zeros(d)
-    params["mlm_ln_g"] = ones(d)
-    params["mlm_ln_b"] = zeros(d)
-    if not config.tie_mlm:
-        params["mlm_out_w"] = normal(d, v)
-    params["mlm_out_b"] = zeros(v)
-    params["tc_w"] = normal(d, 2)
-    params["tc_b"] = zeros(2)
-    params["tmt_w"] = normal(d, 2)
-    params["tmt_b"] = zeros(2)
-    assert list(params.keys()) == param_names(config)
+    params: dict[str, np.ndarray] = {}
+    for name, shape in shapes.items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf == "pos_emb":
+            params[name] = pos_emb
+        elif leaf.endswith("_g"):
+            params[name] = np.ones(shape, dtype=dt)
+        elif len(shape) == 1:
+            params[name] = np.zeros(shape, dtype=dt)
+        else:
+            std = config.attn_init_std if leaf in ("q_w", "k_w") else config.init_std
+            params[name] = rng.normal(0.0, std, size=shape).astype(dt)
     return params
 
 

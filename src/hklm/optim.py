@@ -6,7 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import NonFiniteGradientError
+
+class DivergenceError(RuntimeError):
+    """Training met a non-finite loss or gradient; the message names the step."""
 
 
 @dataclass
@@ -42,7 +44,7 @@ def adamw_step(
     """One in-place update; aborts (state untouched) on any non-finite gradient."""
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"non-finite gradient in {name!r}")
+            raise DivergenceError(f"non-finite gradient in {name!r} at step {state.step}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - config.beta1**t

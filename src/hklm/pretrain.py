@@ -7,32 +7,26 @@ import ctypes
 import dataclasses
 import json
 import os
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .align import AlignedFragment, align_corpus, build_tfidf_index, fragment_corpus, unaligned_corpus
-from .corpus import NUM_SPECIAL, Corpus, Vocab, build_vocab, derive_seed
+from .corpus import Corpus, Vocab, build_vocab, derive_seed
 from .encoder import (
     Batch,
     ModelConfig,
-    NonFiniteGradientError,
     backward_batch,
     forward_batch,
     init_params,
     make_batch,
 )
 from .examples import AblationConfig, PretrainExample, SamplerConfig, generate_pretrain_examples
-from .optim import AdamWConfig, AdamWState, adamw_step
+from .optim import AdamWConfig, AdamWState, DivergenceError, adamw_step
 
 
 class ConfigError(ValueError):
     pass
-
-
-class DivergenceError(RuntimeError):
-    """Raised when training produces a non-finite loss or gradient."""
 
 
 # The Python types a JSON value may decode to for each TrainConfig field
@@ -253,8 +247,9 @@ def epoch_sampler(config: TrainConfig, epoch: int) -> SamplerConfig:
 
     Corruptions and masks are redrawn every epoch (deterministically from the
     master seed) so a small corpus cannot be beaten by memorizing one frozen
-    set of negatives. Epoch 0 uses the master seed itself, which keeps the
-    gen-examples file identical to the first epoch's stream.
+    set of negatives. Epoch 0 uses the master seed itself. `hklm gen-examples`
+    writes epoch 0's examples of the training split, the same records that
+    `run_pretraining` returns as `train_examples`.
     """
     sampler = config.sampler_config()
     if epoch > 0:
@@ -303,30 +298,6 @@ def evaluate_pretrain_heads(
         key: (totals[key][0] / totals[key][1] if totals[key][1] else None)
         for key in ("tc", "tmt", "mlm")
     } | {f"n_{key}": totals[key][1] for key in ("tc", "tmt", "mlm")}
-
-
-def restore_original_ids(ex: PretrainExample) -> list[int]:
-    ids = list(ex.input_ids)
-    for pos, orig in ex.mlm_labels:
-        ids[pos] = orig
-    return ids
-
-
-def unigram_baseline_accuracy(
-    train_examples: list[PretrainExample], held_examples: list[PretrainExample]
-) -> float:
-    """Accuracy of always predicting the most frequent training token at the
-    held-out masked positions."""
-    counts: Counter[int] = Counter()
-    for ex in train_examples:
-        counts.update(t for t in restore_original_ids(ex) if t >= NUM_SPECIAL)
-    if not counts:
-        return 0.0
-    top = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-    held = [orig for ex in held_examples for _, orig in ex.mlm_labels]
-    if not held:
-        return 0.0
-    return sum(1 for t in held if t == top) / len(held)
 
 
 # glibc's mallopt parameters (malloc.h), its largest mmap threshold on 64-bit
@@ -454,7 +425,6 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
         step = 0
         while step < config.steps:
             accum = None
-            n_micro = 0
             breakdown = np.zeros(4)
             for _ in range(config.grad_accum):
                 batch = next_batch()
@@ -464,7 +434,6 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
                 if not np.isfinite(loss.total):
                     raise DivergenceError(f"non-finite loss at step {step}: {loss}")
                 breakdown += (loss.total, loss.mlm, loss.tc, loss.tmt)
-                n_micro += 1
                 if accum is None:
                     accum = grads
                 else:
@@ -473,19 +442,15 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
                 del grads
             if config.grad_accum > 1:
                 for name in accum:
-                    accum[name] /= n_micro
-            breakdown /= n_micro
+                    accum[name] /= config.grad_accum
+            breakdown /= config.grad_accum
             if config.warmup_steps > 0:
                 opt_cfg.lr = config.effective_lr() * min(1.0, (step + 1) / config.warmup_steps)
-            try:
-                adamw_step(params, accum, state, opt_cfg)
-            except NonFiniteGradientError as exc:
-                raise DivergenceError(f"non-finite gradient at step {step}: {exc}") from exc
+            adamw_step(params, accum, state, opt_cfg)
             step += 1
             loss_trace.append(tuple(float(x) for x in breakdown))
             if config.eval_every > 0 and (step % config.eval_every == 0 or step == config.steps):
-                if not metrics or metrics[-1].step != step:
-                    record(step, breakdown)
+                record(step, breakdown)
             if progress is not None:
                 progress(step, breakdown)
 

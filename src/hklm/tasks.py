@@ -59,6 +59,11 @@ class TaskExample:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TaskExample":
+        if not isinstance(obj, dict):
+            raise TaskError(f"task record must be a JSON object, got {type(obj).__name__}")
+        missing = [key for key in ("id", "variant", "tokens") if key not in obj]
+        if missing:
+            raise TaskError(f"task record lacks {missing}")
         ex = cls(
             example_id=obj["id"],
             variant=obj["variant"],
@@ -84,9 +89,12 @@ def write_task_data(examples: list[TaskExample], path) -> None:
 def read_task_data(path) -> list[TaskExample]:
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                out.append(TaskExample.from_json(json.loads(line)))
+                try:
+                    out.append(TaskExample.from_json(json.loads(line)))
+                except (ValueError, TypeError) as exc:  # TaskError and JSONDecodeError included
+                    raise TaskError(f"{path} line {lineno}: {exc}") from exc
     return out
 
 

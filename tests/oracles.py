@@ -246,11 +246,11 @@ def segment_grad(d_emb, seg, seg_emb):
 
 def adamw_step(params, grads, state, config):
     """One in-place update; aborts (state untouched) on any non-finite gradient."""
-    from hklm.encoder import NonFiniteGradientError
+    from hklm.optim import DivergenceError
 
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"non-finite gradient in {name!r}")
+            raise DivergenceError(f"non-finite gradient in {name!r} at step {state.step}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - config.beta1**t
@@ -268,6 +268,76 @@ def adamw_step(params, grads, state, config):
         p -= config.lr * (m_hat / (np.sqrt(v_hat) + config.eps))
         if config.weight_decay:
             p -= config.lr * config.weight_decay * p
+    return params
+
+
+# Parameter initialization tensor by tensor (formerly hklm.encoder.init_params,
+# before it derived every shape from encoder.param_shapes).
+
+
+def init_params(config, seed: int):
+    from hklm.encoder import ModelError, param_names, sinusoidal_table
+
+    config.validate()
+    rng = np.random.default_rng(seed)
+    d, v = config.d_model, config.vocab_size
+    dt = config.np_dtype
+
+    def normal(*shape):
+        return rng.normal(0.0, config.init_std, size=shape).astype(dt)
+
+    def attn_normal(*shape):
+        return rng.normal(0.0, config.attn_init_std, size=shape).astype(dt)
+
+    def zeros(*shape):
+        return np.zeros(shape, dtype=dt)
+
+    def ones(*shape):
+        return np.ones(shape, dtype=dt)
+
+    if config.pos_init == "sinusoidal":
+        pos_emb = (sinusoidal_table(config.max_seq_len, d) * config.pos_init_scale).astype(dt)
+    elif config.pos_init == "normal":
+        pos_emb = normal(config.max_seq_len, d)
+    else:
+        raise ModelError(f"unknown pos_init {config.pos_init!r}")
+    params = {
+        "tok_emb": normal(v, d),
+        "pos_emb": pos_emb,
+        "seg_emb": normal(config.n_segments, d),
+        "emb_ln_g": ones(d),
+        "emb_ln_b": zeros(d),
+    }
+    for i in range(config.n_layers):
+        p = f"layers.{i}."
+        params[p + "q_w"] = attn_normal(d, d)
+        params[p + "q_b"] = zeros(d)
+        params[p + "k_w"] = attn_normal(d, d)
+        params[p + "k_b"] = zeros(d)
+        params[p + "v_w"] = normal(d, d)
+        params[p + "v_b"] = zeros(d)
+        params[p + "o_w"] = normal(d, d)
+        params[p + "o_b"] = zeros(d)
+        params[p + "ln1_g"] = ones(d)
+        params[p + "ln1_b"] = zeros(d)
+        params[p + "ffn_w1"] = normal(d, config.d_ffn)
+        params[p + "ffn_b1"] = zeros(config.d_ffn)
+        params[p + "ffn_w2"] = normal(config.d_ffn, d)
+        params[p + "ffn_b2"] = zeros(d)
+        params[p + "ln2_g"] = ones(d)
+        params[p + "ln2_b"] = zeros(d)
+    params["mlm_w"] = normal(d, d)
+    params["mlm_b"] = zeros(d)
+    params["mlm_ln_g"] = ones(d)
+    params["mlm_ln_b"] = zeros(d)
+    if not config.tie_mlm:
+        params["mlm_out_w"] = normal(d, v)
+    params["mlm_out_b"] = zeros(v)
+    params["tc_w"] = normal(d, 2)
+    params["tc_b"] = zeros(2)
+    params["tmt_w"] = normal(d, 2)
+    params["tmt_b"] = zeros(2)
+    assert list(params.keys()) == param_names(config)
     return params
 
 

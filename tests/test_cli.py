@@ -3,9 +3,12 @@ import json
 
 import pytest
 
+from hklm.align import aligned_json_line
 from hklm.cli import run
-from hklm.examples import read_examples
+from hklm.corpus import build_vocab, load_corpus
+from hklm.examples import example_to_json, read_examples
 from hklm.manifest import sha256_file
+from hklm.pretrain import TrainConfig, build_aligned, run_pretraining
 
 
 def sha(path):
@@ -20,11 +23,15 @@ def pipeline_dir(tmp_path_factory):
     assert run(["synth-corpus", "--seed", "42", "--entities", "10", "--out", str(c),
                 "--tasks-out", str(root / "tasks")]) == 0
     assert run(["ingest", "--corpus", str(c), "--min-freq", "1", "--out", str(root / "vocab.json")]) == 0
-    assert run(["align", "--corpus", str(c), "--vocab", str(root / "vocab.json"),
-                "--out", str(root / "aligned.jsonl")]) == 0
-    assert run(["gen-examples", "--corpus", str(c), "--vocab", str(root / "vocab.json"),
-                "--seed", "42", "--out", str(root / "ex.jsonl")]) == 0
+    (root / "train.json").write_text(json.dumps({"heldout_fraction": 0.15}))
+    assert run(["align", *_prep_flags(root), "--out", str(root / "aligned.jsonl")]) == 0
+    assert run(["gen-examples", *_prep_flags(root), "--out", str(root / "ex.jsonl")]) == 0
     return root
+
+
+def _prep_flags(root):
+    """`align` and `gen-examples` flags for the pipeline's corpus at seed 42."""
+    return ["--corpus", str(root / "c.jsonl"), "--seed", "42", "--config", str(root / "train.json")]
 
 
 class TestSynthCorpus:
@@ -97,32 +104,55 @@ class TestAlignAndExamples:
         assert man["extra"]["vocab_hash"] == vocab_hash
 
     def test_align_rerun_identical(self, pipeline_dir, tmp_path):
-        c = pipeline_dir / "c.jsonl"
-        v = pipeline_dir / "vocab.json"
         a1, a2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"
-        assert run(["align", "--corpus", str(c), "--vocab", str(v), "--out", str(a1)]) == 0
-        assert run(["align", "--corpus", str(c), "--vocab", str(v), "--out", str(a2)]) == 0
+        assert run(["align", *_prep_flags(pipeline_dir), "--out", str(a1)]) == 0
+        assert run(["align", *_prep_flags(pipeline_dir), "--out", str(a2)]) == 0
         assert a1.read_bytes() == a2.read_bytes()
         assert a1.read_bytes() == (pipeline_dir / "aligned.jsonl").read_bytes()
 
     def test_gen_examples_rerun_identical(self, pipeline_dir, tmp_path):
-        c = pipeline_dir / "c.jsonl"
-        v = pipeline_dir / "vocab.json"
         e2 = tmp_path / "e2.jsonl"
-        assert run(["gen-examples", "--corpus", str(c), "--vocab", str(v), "--seed", "42",
-                    "--out", str(e2)]) == 0
+        assert run(["gen-examples", *_prep_flags(pipeline_dir), "--out", str(e2)]) == 0
         assert e2.read_bytes() == (pipeline_dir / "ex.jsonl").read_bytes()
 
     def test_debug_sidecar_records_joint_serialization(self, pipeline_dir, tmp_path):
         out = tmp_path / "ex.jsonl"
-        assert run(["gen-examples", "--corpus", str(pipeline_dir / "c.jsonl"),
-                    "--vocab", str(pipeline_dir / "vocab.json"), "--seed", "42",
-                    "--out", str(out), "--debug-sidecar"]) == 0
+        assert run(["gen-examples", *_prep_flags(pipeline_dir), "--out", str(out), "--debug-sidecar"]) == 0
         lines = [json.loads(line) for line in (tmp_path / "ex.jsonl.debug.jsonl").read_text().splitlines()]
         assert len(lines) == len(read_examples(out)[0])
         assert all(isinstance(rec["heading"], str) and "predicates" in rec for rec in lines)
         assert any(rec["predicates"] for rec in lines)
         assert out.read_bytes() == (pipeline_dir / "ex.jsonl").read_bytes()
+
+    # Joint mode at the trend-study sampler settings, and plain mode.
+    PREP_CONFIGS = [
+        {"heldout_fraction": 0.15, "triples_per_example": 1, "max_fragment_len": 48},
+        {"heldout_fraction": 0.15, "mode": "plain", "max_fragment_len": 48},
+    ]
+
+    def _prep(self, pipeline_dir, tmp_path, command, obj):
+        """Runs `command` on the pipeline's corpus under config `obj`; returns
+        its output lines, the TrainConfig pretraining runs for it, and the
+        corpus."""
+        cfg, out = tmp_path / "prep.json", tmp_path / "out.jsonl"
+        cfg.write_text(json.dumps(obj))
+        corpus = pipeline_dir / "c.jsonl"
+        assert run([command, "--corpus", str(corpus), "--seed", "42", "--config", str(cfg),
+                    "--out", str(out)]) == 0
+        config = TrainConfig.from_json(dict(obj, seed=42, steps=0, d_model=16, n_heads=2, n_layers=1))
+        return out.read_text().splitlines(), config, load_corpus(corpus)
+
+    @pytest.mark.parametrize("obj", PREP_CONFIGS, ids=lambda obj: obj.get("mode", "hklm"))
+    def test_gen_examples_writes_pretrainings_first_epoch(self, pipeline_dir, tmp_path, obj):
+        lines, config, corpus = self._prep(pipeline_dir, tmp_path, "gen-examples", obj)
+        train_examples = run_pretraining(config, corpus).train_examples
+        assert lines[1:] == [json.dumps(example_to_json(ex)) for ex in train_examples]
+
+    @pytest.mark.parametrize("obj", PREP_CONFIGS, ids=lambda obj: obj.get("mode", "hklm"))
+    def test_align_writes_training_split(self, pipeline_dir, tmp_path, obj):
+        lines, config, corpus = self._prep(pipeline_dir, tmp_path, "align", obj)
+        train_aligned, _ = build_aligned(config, corpus, build_vocab(corpus, config.vocab_min_freq))
+        assert lines == [aligned_json_line(af) for af in train_aligned]
 
 
 class TestPretrainFinetune:
@@ -263,6 +293,49 @@ class TestMalformedInputs:
                     "--out", str(tmp_path / "ft"), "--seed", "3", flag, value])
         assert flag in _assert_one_line_error(code, capsys)
         assert not (tmp_path / "ft").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h["config"].update(bogus=1),
+            lambda h: h["config"].update(dtype="float16"),
+            lambda h: h.pop("config"),
+            lambda h: h["config"].update(d_model=14),  # over 16-wide tensors
+            lambda h: h["config"].update(n_heads=0),
+            lambda h: h["tensors"][0].update(shape=[1]),
+            lambda h: h.update(opt={"step": 1}),
+            lambda h: h["tensors"].append({"name": "extra", "shape": [1]}),
+            lambda h: h.update(tensors=None),
+        ],
+        ids=["unknown-key", "float16", "no-config", "narrow-d-model", "zero-heads", "shape", "no-moments",
+             "extra-tensor", "no-tensors"],
+    )
+    def test_malformed_checkpoint_header(self, pipeline_dir, checkpoint, tmp_path, capsys, edit):
+        header_line, tensors = checkpoint.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        edit(header)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + tensors)
+        tasks = pipeline_dir / "tasks"
+        code = run(["finetune", "--checkpoint", str(bad), "--task", "ner",
+                    "--train", str(tasks / "ner-train.jsonl"), "--eval", str(tasks / "ner-eval.jsonl"),
+                    "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
+        assert "checkpoint" in _assert_one_line_error(code, capsys)
+
+    @pytest.mark.parametrize(
+        "record",
+        [{"variant": "ner", "tokens": [20]}, {"id": "x", "tokens": [20]}, {"id": "x", "variant": "ner"},
+         {"id": "x", "variant": "ner", "tokens": 20}, [1, 2], "ner"],
+        ids=repr,
+    )
+    def test_malformed_task_record(self, pipeline_dir, checkpoint, tmp_path, capsys, record):
+        tasks = pipeline_dir / "tasks"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text((tasks / "ner-train.jsonl").read_text().splitlines()[0] + "\n" + json.dumps(record) + "\n")
+        code = run(["finetune", "--checkpoint", str(checkpoint), "--task", "ner",
+                    "--train", str(bad), "--eval", str(tasks / "ner-eval.jsonl"),
+                    "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
+        assert "line 2" in _assert_one_line_error(code, capsys)
 
     def test_finetune_divergence(self, pipeline_dir, checkpoint, tmp_path, capsys, recwarn):
         tasks = pipeline_dir / "tasks"

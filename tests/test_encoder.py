@@ -9,7 +9,6 @@ from hklm.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from hklm.encoder import (
     ModelConfig,
     ModelError,
-    NonFiniteGradientError,
     backward_batch,
     encode,
     encoder_backward,
@@ -23,7 +22,7 @@ from hklm.encoder import (
 )
 from hklm.examples import PretrainExample, SegmentLayout, assemble_input
 from hklm.finetune import _cls_rows
-from hklm.optim import AdamWConfig, AdamWState, adamw_step
+from hklm.optim import AdamWConfig, AdamWState, DivergenceError, adamw_step
 from hklm.pretrain import TrainConfig, run_pretraining
 import oracles
 from oracles import naive_mean_nll
@@ -308,7 +307,7 @@ class TestAdamW:
         params = {"w": np.ones(2)}
         state = AdamWState.for_params(params)
         before = params["w"].copy()
-        with pytest.raises(NonFiniteGradientError, match="w"):
+        with pytest.raises(DivergenceError, match="'w' at step 0"):
             adamw_step(params, {"w": np.array([1.0, np.nan])}, state, AdamWConfig())
         np.testing.assert_array_equal(params["w"], before)
         assert state.step == 0
@@ -353,6 +352,21 @@ class TestCheckpoint:
         save_checkpoint(path, init_params(cfg, 5), cfg, "x")
         assert load_checkpoint(path)[1] == cfg
 
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"tie_mlm": False}, {"pos_init": "normal"}, {"n_layers": 0, "dtype": "float64"},
+         {"pos_init": "normal", "tie_mlm": False, "dtype": "float64", "ffn_mult": 3, "n_segments": 4}],
+        ids=repr,
+    )
+    def test_init_params_matches_oracle(self, kw):
+        cfg = ModelConfig(**{"vocab_size": V, "d_model": 16, "n_heads": 2, "n_layers": 2,
+                             "max_seq_len": 20, **kw})
+        got, want = init_params(cfg, 11), oracles.init_params(cfg, 11)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].dtype == want[name].dtype
+            np.testing.assert_array_equal(got[name], want[name])
+
     def test_header_without_init_fields_takes_defaults(self):
         cfg = ModelConfig(vocab_size=V, d_model=16, n_heads=2, n_layers=1)
         old_header = {k: v for k, v in cfg.to_json().items()
@@ -369,6 +383,17 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_config_wider_than_tensors_rejected(self, tmp_path):
+        cfg = ModelConfig(vocab_size=V, d_model=8, n_heads=1, n_layers=1)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_params(cfg, 5), cfg, "x")
+        header_line, tensors = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["config"]["d_model"] = 7
+        path.write_bytes(json.dumps(header).encode() + b"\n" + tensors)
+        with pytest.raises(CheckpointError, match="tok_emb"):
             load_checkpoint(path)
 
     def test_wrong_format_rejected(self, tmp_path):

@@ -21,7 +21,6 @@ from hklm.pretrain import (
     init_params_seeded,
     run_pretraining,
     split_corpus,
-    unigram_baseline_accuracy,
     write_metrics,
 )
 
@@ -179,7 +178,7 @@ class TestRunPretraining:
 
     def test_divergence_aborts(self, corpus30):
         cfg = small_cfg(steps=50, lr=1e18, lr_scale=1e18)
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="at step"):
             run_pretraining(cfg, corpus30)
 
     def test_metrics_schema(self, corpus30):
@@ -287,8 +286,3 @@ class TestHeads:
         init = init_params_seeded(res.model_config, cfg.seed)
         np.testing.assert_array_equal(res.params["tc_w"], init["tc_w"])
         np.testing.assert_array_equal(res.params["tmt_w"], init["tmt_w"])
-
-    def test_unigram_baseline_bounds(self, corpus30):
-        res = run_pretraining(small_cfg(steps=0), corpus30)
-        acc = unigram_baseline_accuracy(res.train_examples, res.held_examples)
-        assert 0.0 <= acc <= 0.5
