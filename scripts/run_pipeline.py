@@ -2,9 +2,9 @@
 """End-to-end pipeline smoke run through the CLI.
 
 Writes one training config, generates a small synthetic corpus with its five
-task sets, ingests it, writes the aligned fragments and first-epoch examples
-that pretraining under that config trains on, pretrains briefly in joint
-mode, and fine-tunes + evaluates the NER adapter. All stages are seeded, so
+task sets, writes the aligned fragments and first-epoch examples that
+pretraining under that config trains on, pretrains briefly in joint mode,
+and fine-tunes + evaluates the NER adapter. All stages are seeded, so
 re-running reproduces every output byte for byte.
 """
 
@@ -34,7 +34,6 @@ def main():
     prep = ["--corpus", str(corpus), "--seed", SEED, "--config", str(cfg)]
     run("synth-corpus", "--seed", SEED, "--entities", "40",
         "--out", str(corpus), "--tasks-out", str(WORK / "tasks"))
-    run("ingest", "--corpus", str(corpus), "--min-freq", "1", "--out", str(WORK / "vocab.json"))
     run("align", *prep, "--out", str(WORK / "aligned.jsonl"))
     run("gen-examples", *prep, "--out", str(WORK / "examples.jsonl"))
     run("pretrain", *prep, "--out", str(WORK / "run"))

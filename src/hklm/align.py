@@ -183,16 +183,11 @@ class TfIdfIndex:
         return cls(n_docs=n, df=dict(df), idf=idf)
 
 
-def build_tfidf_index(
-    corpus: Corpus,
-    vocab: Vocab,
-    max_fragment_len: int = DEFAULT_MAX_FRAGMENT_LEN,
-    fragments: dict[str, list[Fragment]] | None = None,
-) -> TfIdfIndex:
+def build_tfidf_index(corpus: Corpus, vocab: Vocab, fragments: dict[str, list[Fragment]]) -> TfIdfIndex:
+    """Index over `fragments` (from `fragment_corpus` over this corpus) plus
+    every infobox triple of the corpus."""
     if len(corpus) == 0:
         raise AlignError("cannot index an empty corpus")
-    if fragments is None:
-        fragments = fragment_corpus(corpus, vocab, max_fragment_len)
     docs = [frag.token_ids for frags in fragments.values() for frag in frags]
     for doc in corpus:
         for triple in doc.infobox:
@@ -260,7 +255,7 @@ def align_corpus(
     if fragments is None:
         fragments = fragment_corpus(corpus, vocab, max_fragment_len)
     if index is None:
-        index = build_tfidf_index(corpus, vocab, max_fragment_len, fragments=fragments)
+        index = build_tfidf_index(corpus, vocab, fragments)
     aligned: list[AlignedFragment] = []
     for doc in corpus:
         vecs = triple_vectors(doc.infobox, index, vocab)
@@ -274,20 +269,6 @@ def align_corpus(
 def unaligned_corpus(corpus: Corpus, fragments: dict[str, list[Fragment]]) -> list[AlignedFragment]:
     """Every fragment paired with no triples, in corpus order (text-only modes)."""
     return [AlignedFragment(fragment=f, triples=[]) for doc in corpus for f in fragments[doc.entity_id]]
-
-
-def alignment_coverage(
-    corpus: Corpus,
-    vocab: Vocab,
-    tau: float = DEFAULT_TAU,
-    k_max: int = DEFAULT_K_MAX,
-    max_fragment_len: int = DEFAULT_MAX_FRAGMENT_LEN,
-) -> float:
-    """Fraction of fragments paired with at least one triple."""
-    aligned = align_corpus(corpus, vocab, tau, k_max, max_fragment_len)
-    if not aligned:
-        return 0.0
-    return sum(1 for af in aligned if af.triples) / len(aligned)
 
 
 def aligned_json_line(af: AlignedFragment) -> str:

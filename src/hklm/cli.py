@@ -24,7 +24,6 @@ from .corpus import (
     build_vocab,
     generate_synthetic_corpus,
     load_corpus,
-    load_truth,
     write_corpus,
     write_truth,
 )
@@ -145,18 +144,6 @@ def cmd_synth_corpus(args) -> int:
     return 0
 
 
-def cmd_ingest(args) -> int:
-    corpus = load_corpus(args.corpus)
-    vocab = build_vocab(corpus, args.min_freq)
-    man = _manifest(
-        "ingest", {"min_freq": args.min_freq}, [args.corpus], [args.out],
-        extra={"documents": len(corpus), "vocab_size": len(vocab), "vocab_hash": vocab.hash_hex()},
-    )
-    man.write(manifest_path_for(args.out))
-    _write_vocab(vocab, args.out)
-    return 0
-
-
 def _train_config(args, mode=None, steps=None) -> TrainConfig:
     """TrainConfig from --config (every field optional, defaults fill the
     rest) with --seed and any given flag on top, validated."""
@@ -232,13 +219,20 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-_TASKS = ("ner", "et", "oie", "qa", "dialog")
+# The task-record variant each --task trains and scores on.
+_TASK_VARIANT = {"ner": "ner", "et": "et", "oie": "oie", "qa": "rank", "dialog": "rank"}
 
 
 def cmd_finetune(args) -> int:
     params, model_cfg, vocab_hash, _opt = load_checkpoint(args.checkpoint)
     train = read_task_data(args.train)
     evals = read_task_data(args.eval)
+    variant = _TASK_VARIANT[args.task]
+    for path, examples in ((args.train, train), (args.eval, evals)):
+        for ex in examples:
+            if ex.variant != variant:
+                raise TaskError(f"{path}: record {ex.example_id!r} has variant {ex.variant!r},"
+                                f" --task {args.task} needs {variant!r}")
     if not evals:
         raise FinetuneError(f"no examples in --eval file {args.eval}")
     cfg = FinetuneConfig(epochs=args.epochs, batch_size=args.batch_size,
@@ -264,11 +258,9 @@ def cmd_finetune(args) -> int:
         stage1 = finetune_span_stage1(params, model_cfg, train, cfg)
         stage2 = finetune_span_stage2(params, model_cfg, train, cfg)
         metrics = evaluate_oie(stage1, stage2, evals)
-    elif args.task in ("qa", "dialog"):
+    else:  # qa, dialog
         model = finetune_ranker(params, model_cfg, train, cfg)
         metrics = evaluate_rank(model, evals, dialog=args.task == "dialog")
-    else:
-        raise FinetuneError(f"unknown task {args.task!r}")
 
     line = json.dumps({"task": args.task, **metrics})
     print(line)
@@ -291,12 +283,6 @@ def build_parser() -> _Parser:
     sc.add_argument("--tasks-out", default=None, dest="tasks_out",
                     help="also emit the five synthetic task sets into this directory")
     sc.set_defaults(fn=cmd_synth_corpus)
-
-    ing = sub.add_parser("ingest", help="validate a corpus and build its vocabulary")
-    ing.add_argument("--corpus", required=True)
-    ing.add_argument("--min-freq", type=int, default=1, dest="min_freq")
-    ing.add_argument("--out", required=True)
-    ing.set_defaults(fn=cmd_ingest)
 
     config_help = "JSON file mirroring TrainConfig fields"
     al = sub.add_parser("align", help="write the aligned fragments of pretraining's training split")
@@ -326,7 +312,7 @@ def build_parser() -> _Parser:
 
     ft = sub.add_parser("finetune", help="fine-tune a task adapter and score it on --eval")
     ft.add_argument("--checkpoint", required=True)
-    ft.add_argument("--task", choices=_TASKS, required=True)
+    ft.add_argument("--task", choices=tuple(_TASK_VARIANT), required=True)
     ft.add_argument("--train", required=True)
     ft.add_argument("--eval", required=True)
     ft.add_argument("--out", required=True)

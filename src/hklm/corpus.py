@@ -199,22 +199,12 @@ class Vocab:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Vocab":
-        if obj.get("format") != "hklm-vocab" or obj.get("version") != 1:
-            raise CorpusError("unrecognized vocab file format")
-        return cls.from_tokens(obj["tokens"], int(obj["min_freq"]))
-
-    @classmethod
     def from_tokens(cls, tokens: list[str], min_freq: int) -> "Vocab":
         id_to_token = SPECIAL_TOKENS + list(tokens)
         token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
         if len(token_to_id) != len(id_to_token):
             raise CorpusError("duplicate token in vocabulary")
         return cls(token_to_id=token_to_id, id_to_token=id_to_token, min_freq=min_freq)
-
-
-def detokenize(ids: list[int], vocab: Vocab) -> str:
-    return " ".join(vocab.decode(ids))
 
 
 def iter_document_texts(doc: Document):
@@ -432,7 +422,6 @@ ATTRIBUTE_POOLS: dict[str, list[str]] = {
 }
 ALIAS_PREDICATE = "also called"
 TYPE_PREDICATE = "listed kind"
-PREDICATES = sorted(list(ATTRIBUTE_POOLS) + [ALIAS_PREDICATE, TYPE_PREDICATE])
 
 # Relation verbs sprinkled into paragraphs as "<title> <verb> <object>" snippets;
 # the open-IE task set reuses them, so they must live in the corpus vocabulary.
@@ -444,30 +433,30 @@ _NAME_SYLLABLES = ["ka", "lo", "mi", "ra", "zu", "ne", "vi", "ta"]
 _ALIAS_SYLLABLES = ["so", "pe", "du", "gal", "ren", "ost", "yul", "bri"]
 
 
+# Desk-scale document shape: inclusive (low, high) ranges drawn per document
+# (sections, infobox triples), per section (paragraphs) and per paragraph
+# (words), and the chance that a paragraph mentions the title or carries a
+# relation snippet.
+SYNTH_SECTIONS = (2, 6)
+SYNTH_PARAGRAPHS = (2, 3)
+SYNTH_PARAGRAPH_LEN = (30, 50)
+SYNTH_TRIPLES = (4, 12)
+TITLE_MENTION_PROB = 0.6
+RELATION_SNIPPET_PROB = 0.35
+
+
 @dataclass
 class SynthParams:
     """Knobs for the synthetic corpus generator; defaults are desk scale."""
 
-    n_sections: tuple[int, int] = (2, 6)
-    n_paragraphs: tuple[int, int] = (2, 3)
-    paragraph_len: tuple[int, int] = (30, 50)
-    n_triples: tuple[int, int] = (4, 12)
     mention_fraction: float = 0.8
     marker_density: float = 0.35
-    title_mention_prob: float = 0.6
-    relation_snippet_prob: float = 0.35
 
     def validate(self) -> None:
-        for name in ("mention_fraction", "marker_density", "title_mention_prob", "relation_snippet_prob"):
+        for name in ("mention_fraction", "marker_density"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise CorpusError(f"{name} must be in [0, 1], got {val}")
-        for name in ("n_sections", "n_paragraphs", "paragraph_len", "n_triples"):
-            lo, hi = getattr(self, name)
-            if not (1 <= lo <= hi):
-                raise CorpusError(f"{name} range ({lo}, {hi}) is invalid")
-        if self.n_sections[1] > len(TOPICS):
-            raise CorpusError(f"n_sections upper bound exceeds topic pool size {len(TOPICS)}")
 
 
 def _pseudo_word(rng, syllables: list[str]) -> str:
@@ -505,7 +494,7 @@ def generate_synthetic_corpus(
         group = KIND_TO_GROUP[kind]
         type_path = [f"/{group}", f"/{group}/{kind}"]
 
-        n_sec = int(rng.integers(params.n_sections[0], params.n_sections[1] + 1))
+        n_sec = int(rng.integers(SYNTH_SECTIONS[0], SYNTH_SECTIONS[1] + 1))
         topics = [str(t) for t in rng.choice(TOPICS, size=n_sec, replace=False)]
         sections: list[Section] = []
         # Paragraphs are built as lists of atomic units (multi-token insertions
@@ -514,10 +503,10 @@ def generate_synthetic_corpus(
         title_mentions: list[list[int]] = []
         for si, topic in enumerate(topics):
             level = 1 if si == 0 or rng.random() >= 0.25 else 2
-            n_par = int(rng.integers(params.n_paragraphs[0], params.n_paragraphs[1] + 1))
+            n_par = int(rng.integers(SYNTH_PARAGRAPHS[0], SYNTH_PARAGRAPHS[1] + 1))
             paras: list[list[list[str]]] = []
             for pi in range(n_par):
-                n_tok = int(rng.integers(params.paragraph_len[0], params.paragraph_len[1] + 1))
+                n_tok = int(rng.integers(SYNTH_PARAGRAPH_LEN[0], SYNTH_PARAGRAPH_LEN[1] + 1))
                 markers = TOPIC_MARKERS[topic]
                 units = [
                     [
@@ -527,11 +516,11 @@ def generate_synthetic_corpus(
                     ]
                     for _ in range(n_tok)
                 ]
-                if rng.random() < params.title_mention_prob:
+                if rng.random() < TITLE_MENTION_PROB:
                     pos = int(rng.integers(0, len(units) + 1))
                     units.insert(pos, [name, kind])
                     title_mentions.append([si, pi])
-                if rng.random() < params.relation_snippet_prob:
+                if rng.random() < RELATION_SNIPPET_PROB:
                     verb = RELATION_VERBS[int(rng.integers(0, len(RELATION_VERBS)))]
                     pool = ATTRIBUTE_POOLS[sorted(ATTRIBUTE_POOLS)[int(rng.integers(0, len(ATTRIBUTE_POOLS)))]]
                     obj = pool[int(rng.integers(0, len(pool)))]
@@ -544,8 +533,7 @@ def generate_synthetic_corpus(
 
         # Infobox: alias and type always present, the rest sampled without
         # replacement from the attribute pools.
-        n_tr = int(rng.integers(params.n_triples[0], params.n_triples[1] + 1))
-        n_tr = min(n_tr, len(PREDICATES))
+        n_tr = int(rng.integers(SYNTH_TRIPLES[0], SYNTH_TRIPLES[1] + 1))
         alias = [_pseudo_word(rng, _ALIAS_SYLLABLES) for _ in range(2)]
         other_preds = [str(p) for p in rng.choice(sorted(ATTRIBUTE_POOLS), size=max(0, n_tr - 2), replace=False)]
         triples: list[Triple] = [

@@ -392,48 +392,6 @@ def example_to_json(ex: PretrainExample) -> dict:
     }
 
 
-def example_from_json(obj: dict) -> PretrainExample:
-    ids = list(obj["ids"])
-    seg = list(obj["seg"])
-    sep0 = obj["sep0"]
-    seps = list(obj["seps"])
-    n = len(ids)
-    if sep0 < 0:
-        # Plain form [CLS] text [SEP], or headingless ablation.
-        if seps:
-            text_end = seps[0]
-        elif n and ids[-1] == SEP_ID:
-            text_end = n - 1
-        else:
-            text_end = n
-        heading_span = (0, 0)
-        sep0_pos = None
-    else:
-        text_end = sep0
-        sep0_pos = sep0
-        heading_end = seps[0] if seps else n
-        heading_span = (sep0 + 1, heading_end)
-    triples = []
-    for j, pos in enumerate(seps):
-        end = seps[j + 1] if j + 1 < len(seps) else n
-        triples.append((pos, (pos + 1, end)))
-    layout = SegmentLayout(
-        text_span=(1, text_end),
-        sep0_pos=sep0_pos,
-        heading_span=heading_span,
-        triples=triples,
-        seg_ids=seg,
-    )
-    return PretrainExample(
-        input_ids=ids,
-        layout=layout,
-        mlm_labels=[(int(p), int(o)) for p, o in obj["mlm"]],
-        tc_labels=[int(x) for x in obj["tc"]],
-        tmt_label=None if obj["tmt"] < 0 else int(obj["tmt"]),
-        seed=int(obj["seed"]),
-    )
-
-
 def write_examples(
     examples: list[PretrainExample], path, vocab_hash: str, debug_sidecar: bool = False
 ) -> None:
@@ -445,28 +403,3 @@ def write_examples(
         with open(str(path) + ".debug.jsonl", "w", encoding="utf-8") as fh:
             for ex in examples:
                 fh.write(json.dumps(ex.debug or {}) + "\n")
-
-
-def read_examples(path) -> tuple[list[PretrainExample], str]:
-    """Returns (examples, vocab_hash); raises on version mismatch or truncation."""
-    with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise ExampleError("truncated or corrupt example file header") from exc
-        if header.get("format") != FORMAT_TAG:
-            raise ExampleError(f"unrecognized example file format {header.get('format')!r}")
-        if header.get("version") != FORMAT_VERSION:
-            raise ExampleError(
-                f"example file version {header.get('version')} != supported {FORMAT_VERSION}"
-            )
-        examples = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.endswith("\n"):
-                raise ExampleError(f"truncated example file at line {lineno}")
-            try:
-                examples.append(example_from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ExampleError(f"corrupt example record at line {lineno}") from exc
-    return examples, header["vocab_hash"]

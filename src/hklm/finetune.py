@@ -22,14 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CLS_ID, ENT_ID, REL_ID, SEP_ID, derive_seed
-from .encoder import Batch, ModelConfig, encode, encoder_backward, encoder_param_names
+from .encoder import Batch, ModelConfig, encode, encoder_backward, encoder_param_names, softmax
 from .metrics import bio_tags_to_spans, compute_task_metrics, is_valid_bio
 from .optim import AdamWConfig, AdamWState, adamw_step
 from .tasks import TaskExample
 
-DEFAULT_THETA_ET = 0.5
-DEFAULT_THETA_SPAN = 0.25
-DEFAULT_SPAN_CAP = 10
+# Entity typing predicts every label whose probability reaches THETA_ET.
+THETA_ET = 0.5
+# Open-IE stage 1 keeps predicate spans of at most SPAN_CAP + 1 tokens whose
+# start-times-end probability reaches THETA_SPAN.
+THETA_SPAN = 0.25
+SPAN_CAP = 10
+# Sampled negative candidates paired with each query's gold one in ranker training.
+N_NEGATIVES = 4
+# Sequences per batch when scoring.
+SCORE_BATCH = 32
 
 
 class FinetuneError(ValueError):
@@ -109,12 +116,6 @@ def _real_rows(batch: Batch) -> np.ndarray:
     return np.flatnonzero(batch.mask)
 
 
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _new_adapter(pretrained_params, model_cfg: ModelConfig, seed: int, stream: str, n_out: int):
     """Copies of the encoder tensors (no adapter reads the pretraining heads)
     plus an affine head with `n_out` outputs, drawn from the adapter's own RNG
@@ -158,13 +159,12 @@ def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, rows
             adamw_step(params, grads, state, opt_cfg)
 
 
-def _head_logits(params, cfg: ModelConfig, sequences: list[list[int]], rows_of,
-                 batch_size: int = 32) -> np.ndarray:
+def _head_logits(params, cfg: ModelConfig, sequences: list[list[int]], rows_of) -> np.ndarray:
     """Float64 head logits (R, k) at the rows `rows_of` names in each batch of
-    `batch_size` sequences, in sequence order; (0, k) for no sequences."""
+    SCORE_BATCH sequences, in sequence order; (0, k) for no sequences."""
     out = [np.zeros((0, len(params["head_b"])))]
-    for start in range(0, len(sequences), batch_size):
-        batch = _simple_batch(sequences[start : start + batch_size], cfg.np_dtype)
+    for start in range(0, len(sequences), SCORE_BATCH):
+        batch = _simple_batch(sequences[start : start + SCORE_BATCH], cfg.np_dtype)
         h, _ = encode(params, cfg, batch, rows_of(batch))
         out.append((h @ params["head_w"] + params["head_b"]).astype(np.float64))
     return np.concatenate(out)
@@ -242,9 +242,9 @@ class TokenTagger:
     model_config: ModelConfig
     tagset: list[str]
 
-    def predict(self, examples: list[TaskExample], batch_size: int = 32) -> list[list[str]]:
+    def predict(self, examples: list[TaskExample]) -> list[list[str]]:
         seqs = [_wrap(ex.tokens) for ex in examples]
-        logits = _head_logits(self.params, self.model_config, seqs, _token_rows, batch_size)
+        logits = _head_logits(self.params, self.model_config, seqs, _token_rows)
         ends = np.cumsum([len(ex.tokens) for ex in examples])
         return [decode_bio(logits[end - len(ex.tokens) : end], self.tagset)
                 for ex, end in zip(examples, ends)]
@@ -300,12 +300,11 @@ class EntityTyper:
     params: dict[str, np.ndarray]
     model_config: ModelConfig
     label_set: list[str]
-    threshold: float
 
-    def predict(self, examples: list[TaskExample], batch_size: int = 32) -> list[set]:
+    def predict(self, examples: list[TaskExample]) -> list[set]:
         seqs = [_wrap(ex.tokens) for ex in examples]
-        logits = _head_logits(self.params, self.model_config, seqs, _cls_rows, batch_size)
-        return [{self.label_set[j] for j in np.nonzero(_sigmoid(row) >= self.threshold)[0]}
+        logits = _head_logits(self.params, self.model_config, seqs, _cls_rows)
+        return [{self.label_set[j] for j in np.nonzero(_sigmoid(row) >= THETA_ET)[0]}
                 for row in logits]
 
 
@@ -314,7 +313,6 @@ def finetune_entity_typing(
     model_cfg: ModelConfig,
     train: list[TaskExample],
     cfg: FinetuneConfig,
-    threshold: float = DEFAULT_THETA_ET,
 ) -> EntityTyper:
     for ex in train:
         if ex.tokens.count(ENT_ID) != 2:
@@ -324,7 +322,7 @@ def finetune_entity_typing(
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "et-head", len(label_set))
     items = [(_wrap(ex.tokens), [lab_to_id[lab] for lab in ex.labels]) for ex in train]
     _train_loop(params, model_cfg, items, cfg, _cls_rows, _label_loss)
-    return EntityTyper(params=params, model_config=model_cfg, label_set=label_set, threshold=threshold)
+    return EntityTyper(params=params, model_config=model_cfg, label_set=label_set)
 
 
 def evaluate_et(typer: EntityTyper, examples: list[TaskExample]) -> dict:
@@ -347,7 +345,6 @@ class SpanModel:
 
     params: dict[str, np.ndarray]
     model_config: ModelConfig
-    stage: int
 
 
 def _stage1_spans(start_p: np.ndarray, end_p: np.ndarray, theta: float, cap: int):
@@ -390,7 +387,15 @@ def finetune_span_stage1(
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "oie1-head", 2)  # start, end
     items = [(_wrap(ex.tokens), _span_targets(ex)) for ex in train]
     _train_loop(params, model_cfg, items, cfg, _token_rows, _span_loss)
-    return SpanModel(params=params, model_config=model_cfg, stage=1)
+    return SpanModel(params=params, model_config=model_cfg)
+
+
+def _check_stage2_fits(tokens: list[int], cfg: ModelConfig) -> None:
+    """A stage-2 sequence wraps the sentence in [CLS] .. [SEP] and marks its
+    predicate with a [REL] pair: four tokens more than the sentence."""
+    if len(tokens) + 4 > cfg.max_seq_len:
+        raise FinetuneError(f"sentence of {len(tokens)} tokens plus 4 markers exceeds"
+                            f" max_seq_len {cfg.max_seq_len}")
 
 
 def _stage2_sequence(tokens: list[int], pred_span: tuple[int, int]) -> list[int]:
@@ -440,29 +445,23 @@ def finetune_span_stage2(
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "oie2-head", 4)  # ss, se, os, oe
     items = []
     for ex in train:
+        _check_stage2_fits(ex.tokens, model_cfg)
         for tr in ex.triples:
             pred = tuple(tr["pred"])
             bounds = (tr["subj"][0], tr["subj"][1] - 1, tr["obj"][0], tr["obj"][1] - 1)
             targets = [_stage2_map_position(p, pred) for p in bounds]
             items.append((_stage2_sequence(ex.tokens, pred), targets))
     _train_loop(params, model_cfg, items, cfg, _real_rows, _pointer_loss)
-    return SpanModel(params=params, model_config=model_cfg, stage=2)
+    return SpanModel(params=params, model_config=model_cfg)
 
 
-def extract_open_triples(
-    stage1: SpanModel,
-    stage2: SpanModel,
-    tokens: list[int],
-    theta_span: float = DEFAULT_THETA_SPAN,
-    span_cap: int = DEFAULT_SPAN_CAP,
-) -> list[dict]:
-    """Predicate spans above theta, then one subject and one object per
+def extract_open_triples(stage1: SpanModel, stage2: SpanModel, tokens: list[int]) -> list[dict]:
+    """Predicate spans above THETA_SPAN, then one subject and one object per
     predicate via argmax pointers (end constrained to start..)."""
     cfg = stage1.model_config
-    if len(tokens) + 2 > cfg.max_seq_len:
-        raise FinetuneError("sentence longer than max_seq_len")
+    _check_stage2_fits(tokens, cfg)
     probs = _sigmoid(_head_logits(stage1.params, cfg, [_wrap(tokens)], _token_rows))
-    spans = _stage1_spans(probs[:, 0], probs[:, 1], theta_span, span_cap)
+    spans = _stage1_spans(probs[:, 0], probs[:, 1], THETA_SPAN, SPAN_CAP)
 
     triples = []
     for s, e in spans:  # inclusive j -> exclusive end
@@ -477,16 +476,11 @@ def extract_open_triples(
     return triples
 
 
-def evaluate_oie(
-    stage1: SpanModel,
-    stage2: SpanModel,
-    examples: list[TaskExample],
-    theta_span: float = DEFAULT_THETA_SPAN,
-) -> dict:
+def evaluate_oie(stage1: SpanModel, stage2: SpanModel, examples: list[TaskExample]) -> dict:
     predictions = {}
     gold = {}
     for ex in examples:
-        pred = extract_open_triples(stage1, stage2, ex.tokens, theta_span)
+        pred = extract_open_triples(stage1, stage2, ex.tokens)
         predictions[ex.example_id] = [
             (tuple(t["subj"]), tuple(t["pred"]), tuple(t["obj"])) for t in pred
         ]
@@ -520,13 +514,13 @@ class Ranker:
     params: dict[str, np.ndarray]
     model_config: ModelConfig
 
-    def score(self, query: list[int], candidates: list[list[int]], batch_size: int = 32) -> list[float]:
+    def score(self, query: list[int], candidates: list[list[int]]) -> list[float]:
         """Positive-class probability of each (query [SEP] candidate) pair."""
         if not candidates:
             raise FinetuneError("empty candidate list")
         cfg = self.model_config
         seqs = [_pair_sequence(query, cand, cfg.max_seq_len) for cand in candidates]
-        probs = _softmax_rows(_head_logits(self.params, cfg, seqs, _cls_rows, batch_size))
+        probs = softmax(_head_logits(self.params, cfg, seqs, _cls_rows))
         return [float(x) for x in probs[:, 1]]
 
 
@@ -535,7 +529,6 @@ def finetune_ranker(
     model_cfg: ModelConfig,
     train: list[TaskExample],
     cfg: FinetuneConfig,
-    n_negatives: int = 4,
 ) -> Ranker:
     """Binary relevance training on gold + sampled-negative pairs per query."""
     params, rng = _new_adapter(pretrained_params, model_cfg, cfg.seed, "rank-head", 2)
@@ -543,7 +536,7 @@ def finetune_ranker(
     for ex in train:
         gold = ex.gold
         neg_pool = [i for i in range(len(ex.candidates)) if i != gold]
-        picked = rng.choice(len(neg_pool), size=min(n_negatives, len(neg_pool)), replace=False)
+        picked = rng.choice(len(neg_pool), size=min(N_NEGATIVES, len(neg_pool)), replace=False)
         for cand, label in [(gold, 1)] + [(neg_pool[int(i)], 0) for i in picked]:
             pairs.append((_pair_sequence(ex.tokens, ex.candidates[cand], model_cfg.max_seq_len), label))
     _train_loop(params, model_cfg, pairs, cfg, _cls_rows, _rank_loss)

@@ -231,7 +231,7 @@ def build_aligned(
     if config.ablation().drop_triples:
         return unaligned_corpus(train_corpus, train_frags), unaligned_corpus(held_corpus, held_frags)
 
-    index = build_tfidf_index(train_corpus, vocab, config.max_fragment_len, fragments=train_frags)
+    index = build_tfidf_index(train_corpus, vocab, train_frags)
 
     def aligned_for(sub: Corpus, frags) -> list[AlignedFragment]:
         return align_corpus(
@@ -278,13 +278,15 @@ def head_accuracy(logits: np.ndarray, labels: np.ndarray) -> tuple[int, int]:
     return int((pred == labels).sum()), int(len(labels))
 
 
-def evaluate_pretrain_heads(
-    params, model_config: ModelConfig, examples: list[PretrainExample], batch_size: int = 64
-) -> dict:
+# Examples per batch when evaluating the pretraining heads.
+_EVAL_BATCH = 64
+
+
+def evaluate_pretrain_heads(params, model_config: ModelConfig, examples: list[PretrainExample]) -> dict:
     """Inference-mode accuracy of the three heads over a fixed example set."""
     totals = {"tc": [0, 0], "tmt": [0, 0], "mlm": [0, 0]}
-    for start in range(0, len(examples), batch_size):
-        batch = make_batch(examples[start : start + batch_size], dtype=model_config.np_dtype)
+    for start in range(0, len(examples), _EVAL_BATCH):
+        batch = make_batch(examples[start : start + _EVAL_BATCH], dtype=model_config.np_dtype)
         res = forward_batch(params, model_config, batch)
         for key, logits, labels in (
             ("mlm", res.mlm_logits, batch.mlm_label),

@@ -98,9 +98,15 @@ def read_task_data(path) -> list[TaskExample]:
     return out
 
 
-def split_entities(truth: list[dict], seed: int, eval_fraction: float = 0.3):
+# Share of entities whose sentences go to the eval split.
+_EVAL_FRACTION = 0.3
+# Tokens of a paragraph's prefix that make one ranking candidate.
+_CANDIDATE_LEN = 24
+
+
+def split_entities(truth: list[dict], seed: int):
     order = np.random.default_rng(derive_seed(seed, "task-split")).permutation(len(truth))
-    n_eval = max(1, round(eval_fraction * len(truth)))
+    n_eval = max(1, round(_EVAL_FRACTION * len(truth)))
     eval_idx = set(int(i) for i in order[:n_eval])
     train = [t for i, t in enumerate(truth) if i not in eval_idx]
     evals = [t for i, t in enumerate(truth) if i in eval_idx]
@@ -154,12 +160,10 @@ def make_ner_data(
     n_eval: int = 120,
     surface: str = "both",
     distractor_fraction: float = 0.35,
-    typed: bool = True,
 ) -> tuple[list[TaskExample], list[TaskExample]]:
     """BIO-tagged sentences whose entity spans are corpus titles or aliases,
-    typed by the entity's kind group (or a single 'ent' type when typed is
-    False). surface='alias' yields the probe whose entities occur only in
-    infobox triples, never in free text.
+    typed by the entity's kind group. surface='alias' yields the probe whose
+    entities occur only in infobox triples, never in free text.
 
     A fraction of sentences fill the template slot with ordinary content
     words instead (all tags O), so the slot context alone cannot identify a
@@ -188,8 +192,7 @@ def make_ner_data(
             else:
                 rec = recs[int(rng.integers(0, len(recs)))]
                 span = _surface_tokens(rec, surface, rng)
-                group = rec["group"] if typed else "ent"
-                span_tags = [f"B-{group}"] + [f"I-{group}"] * (len(span) - 1)
+                span_tags = [f"B-{rec['group']}"] + [f"I-{rec['group']}"] * (len(span) - 1)
             tokens = list(prefix) + span + list(suffix)
             tags = ["O"] * len(prefix) + span_tags + ["O"] * len(suffix)
             out.append(
@@ -308,7 +311,7 @@ def make_oie_data(
     return build(train_recs, n_train, "oie-tr-"), build(eval_recs, n_eval, "oie-ev-")
 
 
-def _entity_sentences(corpus: Corpus, max_len: int = 24) -> dict[str, list[tuple[str, list[str]]]]:
+def _entity_sentences(corpus: Corpus) -> dict[str, list[tuple[str, list[str]]]]:
     """Per-entity candidate answer pool: (heading, paragraph-prefix tokens)."""
     out: dict[str, list[tuple[str, list[str]]]] = {}
     for doc in corpus:
@@ -316,8 +319,8 @@ def _entity_sentences(corpus: Corpus, max_len: int = 24) -> dict[str, list[tuple
         for sec in doc.sections:
             for para in sec.paragraphs:
                 # Each whitespace chunk yields at least one token, so the
-                # first max_len chunks hold the first max_len tokens.
-                toks = tokenize_text(" ".join(para.split()[:max_len]))[:max_len]
+                # first _CANDIDATE_LEN chunks hold the first _CANDIDATE_LEN tokens.
+                toks = tokenize_text(" ".join(para.split()[:_CANDIDATE_LEN]))[:_CANDIDATE_LEN]
                 if toks:
                     sents.append((sec.heading, toks))
         out[doc.entity_id] = sents

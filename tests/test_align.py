@@ -11,7 +11,6 @@ from hklm.align import (
     SparseVec,
     TfIdfIndex,
     align_corpus,
-    alignment_coverage,
     build_tfidf_index,
     cosine,
     fragment_corpus,
@@ -244,6 +243,12 @@ class TestRetrieval:
         write_aligned(align_corpus(corpus, synth20_vocab), p1)
         write_aligned(align_corpus(corpus, synth20_vocab), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def alignment_coverage(corpus, vocab, **kw):
+    """Fraction of `align_corpus`'s fragments paired with at least one triple."""
+    aligned = align_corpus(corpus, vocab, **kw)
+    return sum(1 for af in aligned if af.triples) / len(aligned)
 
 
 class TestCoverage:

@@ -6,7 +6,7 @@ import pytest
 from hklm.align import aligned_json_line
 from hklm.cli import run
 from hklm.corpus import build_vocab, load_corpus
-from hklm.examples import example_to_json, read_examples
+from hklm.examples import example_to_json
 from hklm.manifest import sha256_file
 from hklm.pretrain import TrainConfig, build_aligned, run_pretraining
 
@@ -22,7 +22,6 @@ def pipeline_dir(tmp_path_factory):
     c = root / "c.jsonl"
     assert run(["synth-corpus", "--seed", "42", "--entities", "10", "--out", str(c),
                 "--tasks-out", str(root / "tasks")]) == 0
-    assert run(["ingest", "--corpus", str(c), "--min-freq", "1", "--out", str(root / "vocab.json")]) == 0
     (root / "train.json").write_text(json.dumps({"heldout_fraction": 0.15}))
     assert run(["align", *_prep_flags(root), "--out", str(root / "aligned.jsonl")]) == 0
     assert run(["gen-examples", *_prep_flags(root), "--out", str(root / "ex.jsonl")]) == 0
@@ -42,6 +41,26 @@ class TestSynthCorpus:
         assert man["subcommand"] == "synth-corpus"
         assert man["seed"] == 42
         assert str(pipeline_dir / "c.jsonl") in man["outputs"]
+
+    # SHA-256 of each `synth-corpus --seed 42 --entities 10 --tasks-out` file:
+    # any change that moves the generator's random stream moves them.
+    DIGESTS = {
+        "c.jsonl": "675ca6be4af3a041b5e9be414940348aa761f21a2199824d0ca6355bbd686eee",
+        "c.truth.jsonl": "fc835cd6f8c77772ac5c997e72bac44ca41e0d9c647f2a7587aff4581f04ff32",
+        "tasks/ner-train.jsonl": "636d1326cdeee45893dec5951cf5788531788711a33cc8a5a01129c88fa35556",
+        "tasks/ner-eval.jsonl": "011e9e778e471de82542ded52e622bb2fbad1b84eff97bffa34ef2c09789649f",
+        "tasks/et-train.jsonl": "d61f107f6051945805317cec61b0e1d0a5c69d0be116aaeb41be07ecfb865d4b",
+        "tasks/et-eval.jsonl": "98ae839589a47c71d4f17852419f50cdd46d07c27518e422d05385b5d1f99265",
+        "tasks/oie-train.jsonl": "9ffb357d62952dcf99ecbe037a7a067352c89efecf5e775baea5ffc92ca9c893",
+        "tasks/oie-eval.jsonl": "1a33c28acd72a646657e8ea088786f9eedbdf5513210810eb98d9e52ca39b874",
+        "tasks/qa-train.jsonl": "ce66245dbeed26e42b5cb9e84b6368b7e798788405eff75258c80b0f12150926",
+        "tasks/qa-eval.jsonl": "eeca04ad30f46e8c4dbcefcd234867be36a3838e8e0b5426e1cbe9c2c640478d",
+        "tasks/dialog-train.jsonl": "d389613aa2365ec757c239f2163fcf0a9474677d82136da20b09bdb8392fe0d3",
+        "tasks/dialog-eval.jsonl": "12d42ede5f2287a7ffc9930dab044f72676b3d29ee2baa988c85b89a88f83c6a",
+    }
+
+    def test_outputs_match_pinned_digests(self, pipeline_dir):
+        assert {name: sha(pipeline_dir / name) for name in self.DIGESTS} == self.DIGESTS
 
     def test_task_sets_emitted(self, pipeline_dir):
         for task in ("ner", "et", "oie", "qa", "dialog"):
@@ -70,12 +89,13 @@ class TestErrors:
         assert "usage" in capsys.readouterr().err
 
     def test_missing_input_file_exit_one(self, tmp_path, capsys):
-        assert run(["ingest", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "v.json")]) == 1
+        assert run(["align", "--corpus", str(tmp_path / "nope.jsonl"), "--seed", "1",
+                    "--out", str(tmp_path / "a.jsonl")]) == 1
 
     def test_malformed_corpus_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{broken\n")
-        assert run(["ingest", "--corpus", str(bad), "--out", str(tmp_path / "v.json")]) == 1
+        assert run(["align", "--corpus", str(bad), "--seed", "1", "--out", str(tmp_path / "a.jsonl")]) == 1
         assert "line 1" in capsys.readouterr().err
 
     def test_divergence_exit_two(self, pipeline_dir, tmp_path):
@@ -98,10 +118,12 @@ class TestAlignAndExamples:
             assert sha256_file(path) == digest
 
     def test_example_file_readable_and_hash_consistent(self, pipeline_dir):
-        examples, vocab_hash = read_examples(pipeline_dir / "ex.jsonl")
-        assert examples
+        header, *records = (pipeline_dir / "ex.jsonl").read_text().splitlines()
+        header = json.loads(header)
+        assert (header["format"], header["version"]) == ("hklm-ex", 1)
+        assert records and all(set(json.loads(r)) >= {"ids", "seg", "mlm"} for r in records)
         man = json.loads((pipeline_dir / "ex.jsonl.manifest.json").read_text())
-        assert man["extra"]["vocab_hash"] == vocab_hash
+        assert man["extra"]["vocab_hash"] == header["vocab_hash"]
 
     def test_align_rerun_identical(self, pipeline_dir, tmp_path):
         a1, a2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"
@@ -119,7 +141,7 @@ class TestAlignAndExamples:
         out = tmp_path / "ex.jsonl"
         assert run(["gen-examples", *_prep_flags(pipeline_dir), "--out", str(out), "--debug-sidecar"]) == 0
         lines = [json.loads(line) for line in (tmp_path / "ex.jsonl.debug.jsonl").read_text().splitlines()]
-        assert len(lines) == len(read_examples(out)[0])
+        assert len(lines) == len(out.read_text().splitlines()) - 1  # minus the header
         assert all(isinstance(rec["heading"], str) and "predicates" in rec for rec in lines)
         assert any(rec["predicates"] for rec in lines)
         assert out.read_bytes() == (pipeline_dir / "ex.jsonl").read_bytes()
@@ -270,7 +292,7 @@ class TestMalformedInputs:
         return rundir / "model.ckpt"
 
     @pytest.mark.parametrize("empty", ["train", "eval"])
-    @pytest.mark.parametrize("task", ["ner", "qa"])
+    @pytest.mark.parametrize("task", ["ner", "et", "oie", "qa", "dialog"])
     def test_empty_task_file(self, pipeline_dir, checkpoint, tmp_path, capsys, task, empty):
         files = {split: pipeline_dir / "tasks" / f"{task}-{split}.jsonl" for split in ("train", "eval")}
         files[empty] = tmp_path / "empty.jsonl"
@@ -279,6 +301,21 @@ class TestMalformedInputs:
                     "--train", str(files["train"]), "--eval", str(files["eval"]),
                     "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
         _assert_one_line_error(code, capsys)
+        assert not (tmp_path / "ft" / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("split", ["train", "eval"])
+    @pytest.mark.parametrize("task, other", [("ner", "et"), ("et", "oie"), ("oie", "ner"),
+                                             ("qa", "ner"), ("dialog", "et")])
+    def test_task_file_of_another_variant(self, pipeline_dir, checkpoint, tmp_path, capsys,
+                                          task, other, split):
+        files = {s: pipeline_dir / "tasks" / f"{task}-{s}.jsonl" for s in ("train", "eval")}
+        files[split] = pipeline_dir / "tasks" / f"{other}-{split}.jsonl"
+        code = run(["finetune", "--checkpoint", str(checkpoint), "--task", task,
+                    "--train", str(files["train"]), "--eval", str(files["eval"]),
+                    "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
+        err = _assert_one_line_error(code, capsys)
+        want = "rank" if task in ("qa", "dialog") else task
+        assert str(files[split]) in err and f"{other!r}" in err and f"{want!r}" in err
         assert not (tmp_path / "ft" / "metrics.jsonl").exists()
 
     @pytest.mark.parametrize(

@@ -33,10 +33,8 @@ from hklm.examples import (
     assemble_input,
     corrupt_heading,
     corrupt_triple,
-    example_from_json,
     example_to_json,
     generate_pretrain_examples,
-    read_examples,
     write_examples,
 )
 
@@ -496,44 +494,27 @@ class TestExampleIO:
             )
         return out
 
+    @staticmethod
+    def _read(path):
+        """The header object and the record lines of an example file."""
+        header, *records = path.read_text().splitlines()
+        return json.loads(header), records
+
     def test_roundtrip_field_for_field(self, tmp_path):
         rng = np.random.default_rng(0)
         examples = self._random_examples(50, rng)
         path = tmp_path / "ex.jsonl"
         write_examples(examples, path, "cafe01")
-        back, vh = read_examples(path)
-        assert vh == "cafe01"
-        assert back == examples
+        header, records = self._read(path)
+        assert header == {"format": "hklm-ex", "version": 1, "vocab_hash": "cafe01"}
+        assert records == [json.dumps(example_to_json(ex)) for ex in examples]
 
     def test_empty_list_header_only(self, tmp_path):
         path = tmp_path / "ex.jsonl"
         write_examples([], path, "00")
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["format"] == "hklm-ex"
-        back, _ = read_examples(path)
-        assert back == []
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "ex.jsonl"
-        path.write_text('{"format": "hklm-ex", "version": 99, "vocab_hash": "x"}\n')
-        with pytest.raises(ExampleError, match="version"):
-            read_examples(path)
-
-    def test_wrong_format_rejected(self, tmp_path):
-        path = tmp_path / "ex.jsonl"
-        path.write_text('{"format": "nope", "version": 1, "vocab_hash": "x"}\n')
-        with pytest.raises(ExampleError, match="format"):
-            read_examples(path)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        rng = np.random.default_rng(1)
-        path = tmp_path / "ex.jsonl"
-        write_examples(self._random_examples(5, rng), path, "x")
-        data = path.read_bytes()
-        path.write_bytes(data[:-9])
-        with pytest.raises(ExampleError, match="truncated|corrupt"):
-            read_examples(path)
+        header, records = self._read(path)
+        assert header["format"] == "hklm-ex"
+        assert records == []
 
     def test_10k_roundtrip_checksum_stable(self, tmp_path):
         def checksum(seed):
@@ -541,8 +522,7 @@ class TestExampleIO:
             examples = self._random_examples(10000, rng)
             path = tmp_path / f"ex{seed}.jsonl"
             write_examples(examples, path, "h")
-            back, _ = read_examples(path)
-            assert back == examples
+            assert self._read(path)[1] == [json.dumps(example_to_json(ex)) for ex in examples]
             return hashlib.sha256(path.read_bytes()).hexdigest()
 
         assert checksum(7) == checksum(7)
@@ -550,4 +530,7 @@ class TestExampleIO:
     def test_plain_form_roundtrip(self):
         ids, layout = assemble_input([20, 21], None, [], 64)
         ex = PretrainExample(ids, layout, [(1, 20)], [], None, 5)
-        assert example_from_json(example_to_json(ex)) == ex
+        assert json.loads(json.dumps(example_to_json(ex))) == {
+            "ids": [CLS_ID, 20, 21, SEP_ID], "seg": [0, 0, 0, 0], "sep0": -1, "seps": [],
+            "mlm": [[1, 20]], "tc": [], "tmt": -1, "seed": 5,
+        }

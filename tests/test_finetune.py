@@ -110,7 +110,7 @@ class TestSpanPrimitives:
 class TestEntityTyperLogic:
     def _oracle_typer(self, labels, gold_label):
         # zero-layer model whose [CLS] state is known in closed form, with a
-        # head crafted to fire only on the gold label
+        # head crafted to fire only on the gold label (on none for None)
         cfg = ModelConfig(vocab_size=40, d_model=8, n_heads=2, n_layers=0, max_seq_len=16)
         params = init_params(cfg, 0)
         from hklm.encoder import layer_norm
@@ -126,7 +126,7 @@ class TestEntityTyperLogic:
             w[:, j] = scale * cls / float(cls @ cls)
         params["head_w"] = w
         params["head_b"] = np.zeros(len(labels), dtype=cfg.np_dtype)
-        return EntityTyper(params=params, model_config=cfg, label_set=labels, threshold=0.5)
+        return EntityTyper(params=params, model_config=cfg, label_set=labels)
 
     def test_single_label_oracle_accuracy_one(self):
         from hklm.tasks import TaskExample
@@ -139,8 +139,7 @@ class TestEntityTyperLogic:
     def test_unreachable_threshold_empty_predictions(self):
         from hklm.tasks import TaskExample
 
-        typer = self._oracle_typer(["a", "b"], "b")
-        typer.threshold = 1.01
+        typer = self._oracle_typer(["a", "b"], None)
         ex = TaskExample(example_id="x", variant="et", tokens=[20, 14, 21, 14], mention=(1, 4), labels=["b"])
         assert typer.predict([ex]) == [set()]
         out = evaluate_et(typer, [ex])
@@ -221,14 +220,29 @@ class TestAdapters:
         ex = evals[0]
         assert extract_open_triples(s1, s2, ex.tokens) == extract_open_triples(s1, s2, ex.tokens)
 
-    def test_oie_overlong_sentence_rejected(self, world):
-        _, _, _, cfg, params = world
-        from hklm.finetune import SpanModel
+    def test_oie_overlong_sentence_rejected(self):
+        # Stage 2 reads [CLS] sentence [SEP] with a [REL] pair: n + 4 tokens.
+        cfg = ModelConfig(vocab_size=40, d_model=8, n_heads=2, n_layers=1, max_seq_len=12)
+        params = init_params(cfg, 0)
 
-        s = SpanModel(params=dict(params, head_w=np.zeros((cfg.d_model, 2), dtype=cfg.np_dtype),
-                                  head_b=np.zeros(2, dtype=cfg.np_dtype)), model_config=cfg, stage=1)
+        def span_model(k):
+            zeros = dict(head_w=np.zeros((cfg.d_model, k), dtype=cfg.np_dtype),
+                         head_b=np.zeros(k, dtype=cfg.np_dtype))
+            return finetune.SpanModel(params=dict(params, **zeros), model_config=cfg)
+
+        # A zero stage-1 head scores every span 0.5 * 0.5 = THETA_SPAN, so
+        # stage 2 runs on each sentence that passes the guard.
+        s1, s2 = span_model(2), span_model(4)
+        assert extract_open_triples(s1, s2, list(range(20, 28)))
+        for n in (9, 10, 600):  # 9 and 10 fit with 2 markers, not with 4
+            with pytest.raises(FinetuneError, match="max_seq_len"):
+                extract_open_triples(s1, s2, list(range(20, 20 + n)))
+        ex = TaskExample(example_id="x", variant="oie", tokens=list(range(20, 29)),
+                         triples=[{"subj": [0, 1], "pred": [1, 2], "obj": [2, 3]}])
         with pytest.raises(FinetuneError, match="max_seq_len"):
-            extract_open_triples(s, s, list(range(16, 16 + 600)))
+            finetune_span_stage2(params, cfg, [ex], FinetuneConfig(epochs=1))
+        ex.tokens = ex.tokens[:8]
+        finetune_span_stage2(params, cfg, [ex], FinetuneConfig(epochs=1))
 
     def test_ranker_end_to_end(self, world):
         corpus, truth, vocab, cfg, params = world
