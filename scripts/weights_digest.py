@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""SHA-256 of every weight set a small seeded pretraining and fine-tuning run
+produces, as one JSON line.
+
+On the seed-3, 30-entity synthetic corpus it pretrains three times at d=32,
+2 layers, 30 steps of 16 examples (past an epoch boundary): joint (hklm)
+mode at `grad_accum` 1 and 2, and plain mode. Each run's checkpoint file
+(header and tensors) and `metrics.jsonl` are hashed. From the first joint run it then fine-tunes every adapter for one
+epoch (NER, entity typing, both open-IE stages, QA and dialogue ranking) and
+hashes each adapter's tensors in order. The BLAS thread variables are printed
+beside the digests: a multithreaded BLAS may sum GEMMs in another order, so
+compare lines taken under the same settings. Two versions of the code that
+print the same line train the same weights byte for byte:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/weights_digest.py
+"""
+
+import hashlib
+import json
+import os
+import tempfile
+from pathlib import Path
+
+from hklm import finetune, tasks
+from hklm.checkpoint import save_checkpoint
+from hklm.corpus import Corpus, generate_synthetic_corpus
+from hklm.pretrain import TrainConfig, run_pretraining, write_metrics
+
+SEED = 3
+ENTITIES = 30
+PRETRAIN = {
+    "joint": dict(mode="hklm"),
+    "joint_accum2": dict(mode="hklm", grad_accum=2),
+    "plain": dict(mode="plain"),
+}
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def sha256_file(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def sha256_params(params) -> str:
+    h = hashlib.sha256()
+    for name, arr in params.items():
+        h.update(f"{name} {arr.dtype} {arr.shape}\n".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def main():
+    corpus, truth = generate_synthetic_corpus(SEED, ENTITIES)
+    out = {"blas_env": {k: os.environ.get(k) for k in BLAS_ENV}}
+    joint = None
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, kw in PRETRAIN.items():
+            cfg = TrainConfig(steps=30, eval_every=10, batch_size=16, max_fragment_len=48,
+                              triples_per_example=1, seed=SEED, d_model=32, n_heads=2,
+                              n_layers=2, **kw)
+            res = run_pretraining(cfg, corpus)
+            ckpt, metrics = Path(tmp, name + ".ckpt"), Path(tmp, name + ".jsonl")
+            save_checkpoint(ckpt, res.params, res.model_config, res.vocab.hash_hex())
+            write_metrics(res.metrics, metrics)
+            out[name] = {"checkpoint": sha256_file(ckpt), "metrics": sha256_file(metrics)}
+            joint = joint or res
+
+    vocab, sub_corpus, sub_truth = joint.vocab, Corpus(documents=corpus.documents[:10]), truth[:10]
+    sets = {
+        "ner": tasks.make_ner_data(sub_truth, vocab, SEED, n_train=16, n_eval=4)[0],
+        "et": tasks.make_et_data(sub_truth, vocab, SEED, n_train=16, n_eval=4)[0],
+        "oie": tasks.make_oie_data(sub_truth, vocab, SEED, n_train=8, n_eval=4)[0],
+        "qa": tasks.make_rank_data(sub_corpus, sub_truth, vocab, SEED, n_train=6, n_eval=2,
+                                   n_candidates=6)[0],
+        "dialog": tasks.make_rank_data(sub_corpus, sub_truth, vocab, SEED, n_train=6, n_eval=2,
+                                       n_candidates=6, dialog=True)[0],
+    }
+    ft = finetune.FinetuneConfig(epochs=1, batch_size=4, seed=SEED)
+    adapters = {
+        "ner": (finetune.finetune_token_classifier, "ner"),
+        "et": (finetune.finetune_entity_typing, "et"),
+        "oie1": (finetune.finetune_span_stage1, "oie"),
+        "oie2": (finetune.finetune_span_stage2, "oie"),
+        "qa": (finetune.finetune_ranker, "qa"),
+        "dialog": (finetune.finetune_ranker, "dialog"),
+    }
+    for name, (adapt, task) in adapters.items():
+        model = adapt(joint.params, joint.model_config, sets[task], ft)
+        out["finetune_" + name] = sha256_params(model.params)
+    print(json.dumps(out, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

@@ -591,8 +591,3 @@ def write_truth(truths: list[dict], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in truths:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-
-
-def load_truth(path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]

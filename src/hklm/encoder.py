@@ -10,7 +10,7 @@ a residual connection and layer norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,22 +65,7 @@ class ModelConfig:
         return self.d_model * self.ffn_mult
 
     def to_json(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "ffn_mult": self.ffn_mult,
-            "max_seq_len": self.max_seq_len,
-            "n_segments": self.n_segments,
-            "tie_mlm": self.tie_mlm,
-            "dtype": self.dtype,
-            "init_std": self.init_std,
-            "attn_init_std": self.attn_init_std,
-            "pos_init": self.pos_init,
-            "pos_init_scale": self.pos_init_scale,
-            "ln_eps": self.ln_eps,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
@@ -167,9 +152,15 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
+
 # ---------------------------------------------------------------------------
 # Batches
 # ---------------------------------------------------------------------------
+
+# The pretraining heads, in the order their gradients reach the hidden states.
+HEADS = ("mlm", "tc", "tmt")
+# The arrays a Batch holds per head, each with one entry per target.
+_TARGET_PARTS = ("b", "i", "label", "weight")
 
 
 @dataclass
@@ -198,6 +189,21 @@ class Batch:
     tmt_weight: np.ndarray
     size: int
 
+    def targets(self, head: str) -> tuple[np.ndarray, ...]:
+        """A head's example, position, label and weight arrays."""
+        return tuple(getattr(self, f"{head}_{part}") for part in _TARGET_PARTS)
+
+
+def _head_targets(ex: PretrainExample) -> dict[str, list[tuple[int, int]]]:
+    """Each head's (position, label) targets in one example: the masked
+    tokens, the serialized triples' anchors and the title separator."""
+    title = ex.tmt_label is not None and ex.layout.sep0_pos is not None
+    return {
+        "mlm": ex.mlm_labels,
+        "tc": [(pos, label) for (pos, _span), label in zip(ex.layout.triples, ex.tc_labels)],
+        "tmt": [(ex.layout.sep0_pos, ex.tmt_label)] if title else [],
+    }
+
 
 def make_batch(examples: list[PretrainExample], dtype=np.float32) -> Batch:
     b = len(examples)
@@ -207,51 +213,24 @@ def make_batch(examples: list[PretrainExample], dtype=np.float32) -> Batch:
     ids = np.zeros((b, max_len), dtype=np.int64)
     seg = np.zeros((b, max_len), dtype=np.int64)
     mask = np.zeros((b, max_len), dtype=dtype)
-    mlm_b, mlm_i, mlm_label, mlm_w = [], [], [], []
-    tc_b, tc_i, tc_label, tc_w = [], [], [], []
-    tmt_b, tmt_i, tmt_label, tmt_w = [], [], [], []
+    columns = {head: ([], [], [], []) for head in HEADS}  # in the order of _TARGET_PARTS
     for k, ex in enumerate(examples):
         n = len(ex.input_ids)
         ids[k, :n] = ex.input_ids
         seg[k, :n] = ex.layout.seg_ids
         mask[k, :n] = 1.0
-        if ex.mlm_labels:
-            w = 1.0 / (b * len(ex.mlm_labels))
-            for pos, orig in ex.mlm_labels:
-                mlm_b.append(k)
-                mlm_i.append(pos)
-                mlm_label.append(orig)
-                mlm_w.append(w)
-        if ex.tc_labels:
-            w = 1.0 / (b * len(ex.tc_labels))
-            for (pos, _span), label in zip(ex.layout.triples, ex.tc_labels):
-                tc_b.append(k)
-                tc_i.append(pos)
-                tc_label.append(label)
-                tc_w.append(w)
-        if ex.tmt_label is not None and ex.layout.sep0_pos is not None:
-            tmt_b.append(k)
-            tmt_i.append(ex.layout.sep0_pos)
-            tmt_label.append(ex.tmt_label)
-            tmt_w.append(1.0 / b)
-    return Batch(
-        ids=ids,
-        seg=seg,
-        mask=mask,
-        mlm_b=np.asarray(mlm_b, dtype=np.int64),
-        mlm_i=np.asarray(mlm_i, dtype=np.int64),
-        mlm_label=np.asarray(mlm_label, dtype=np.int64),
-        mlm_weight=np.asarray(mlm_w, dtype=np.float64),
-        tc_b=np.asarray(tc_b, dtype=np.int64),
-        tc_i=np.asarray(tc_i, dtype=np.int64),
-        tc_label=np.asarray(tc_label, dtype=np.int64),
-        tc_weight=np.asarray(tc_w, dtype=np.float64),
-        tmt_b=np.asarray(tmt_b, dtype=np.int64),
-        tmt_i=np.asarray(tmt_i, dtype=np.int64),
-        tmt_label=np.asarray(tmt_label, dtype=np.int64),
-        tmt_weight=np.asarray(tmt_w, dtype=np.float64),
-        size=b,
-    )
+        for head, targets in _head_targets(ex).items():
+            col_b, col_i, col_label, col_weight = columns[head]
+            # The example's loss on the head is the mean over its own targets.
+            w = 1.0 / (b * len(targets)) if targets else 0.0
+            for pos, label in targets:
+                col_b.append(k)
+                col_i.append(pos)
+                col_label.append(label)
+                col_weight.append(w)
+    fields = {f"{head}_{part}": np.asarray(col, dtype=np.float64 if part == "weight" else np.int64)
+              for head, cols in columns.items() for part, col in zip(_TARGET_PARTS, cols)}
+    return Batch(ids=ids, seg=seg, mask=mask, size=b, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -388,18 +367,10 @@ def _affine(x, w, b):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Forward pass
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ForwardResult:
-    hidden: np.ndarray            # (R, d): the last hidden states at the rows the heads read
-    mlm_logits: np.ndarray        # (M, V)
-    tc_logits: np.ndarray         # (K, 2)
-    tmt_logits: np.ndarray        # (T, 2)
-    cache: dict | None = field(default=None, repr=False)
+def _affine_backward(x, w, d):
+    """The gradients of `_affine(x, w, b)` given d, the gradient wrt its
+    output: wrt w (x.T @ d), wrt b (d summed over rows) and wrt x (d @ w.T)."""
+    return x.T @ d, d.sum(axis=0), d @ w.T
 
 
 def _check_rows(rows, n: int) -> np.ndarray:
@@ -446,131 +417,276 @@ def _merge_heads(m):
     return np.ascontiguousarray(m.transpose(0, 2, 1, 3)).reshape(b * n, h * dh)
 
 
+# ---------------------------------------------------------------------------
+# Encoder sublayers
+# ---------------------------------------------------------------------------
+#
+# Each sublayer is a forward function, which returns its output and the cache
+# its backward needs, and beside it that backward, which takes the cache and
+# the gradient wrt the output, writes its parameters' gradients into `grads`
+# and returns the gradient wrt its input. Tokens are rows of a flat (B*L, d)
+# array, so each projection is a single GEMM.
+
+
+def _embed(params, config: ModelConfig, batch: Batch):
+    """LN(token + position + segment embedding) at every token, (B*L, d)."""
+    b, l = batch.ids.shape
+    ids, seg = batch.ids.reshape(-1), batch.seg.reshape(-1)
+    emb = params["tok_emb"][ids] + params["seg_emb"][seg]
+    emb.reshape(b, l, -1)[:] += params["pos_emb"][:l][None]
+    x, ln = layer_norm(emb, params["emb_ln_g"], params["emb_ln_b"], config.ln_eps)
+    return x, {"ids": ids, "seg": seg, "l": l, "ln": ln}
+
+
+def _embed_backward(params, c, dx, grads) -> None:
+    d_emb, grads["emb_ln_g"], grads["emb_ln_b"] = layer_norm_backward(dx, c["ln"], params["emb_ln_g"])
+    grads["tok_emb"] = np.zeros_like(params["tok_emb"])
+    np.add.at(grads["tok_emb"], c["ids"], d_emb)
+    l = c["l"]
+    grads["pos_emb"] = np.zeros_like(params["pos_emb"])
+    grads["pos_emb"][:l] = d_emb.reshape(-1, l, d_emb.shape[1]).sum(axis=0)
+    grads["seg_emb"] = _segment_grad(d_emb, c["seg"], params["seg_emb"])
+
+
+def _segment_grad(d_emb, seg, seg_emb):
+    """The scatter-add of d_emb's rows into their segments' rows of a zero
+    seg_emb-shaped array. Each segment's row sum adds the rows in order to
+    zero, exactly as np.add.at does; with a handful of segments the masked
+    sums are far cheaper than the unbuffered scatter."""
+    d_seg = np.zeros_like(seg_emb)
+    for s in range(len(d_seg)):
+        d_seg[s] += d_emb[seg == s].sum(axis=0)
+    return d_seg
+
+
+def _attention_core(q, k, v, bias):
+    """softmax(q @ k^T / sqrt(dh) + bias) @ v for (B, H, n, dh) queries,
+    (B, H, L, dh) keys and values and an additive (B, 1, 1, L) key mask: the
+    context (B, H, n, dh) and the probabilities (B, H, n, L)."""
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= 1.0 / math.sqrt(q.shape[-1])
+    scores += bias
+    probs = softmax(scores)
+    return probs @ v, probs
+
+
+def _attention_core_backward(d_ctx, q, k, v, probs):
+    """The query, key and value gradients of `_attention_core`."""
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    d_probs = d_ctx @ v.transpose(0, 1, 3, 2)
+    dv = probs.transpose(0, 1, 3, 2) @ d_ctx
+    d_scores = _softmax_backward(d_probs, probs)
+    dq = d_scores @ k
+    dq *= scale
+    dk = d_scores.transpose(0, 1, 3, 2) @ q
+    dk *= scale
+    return dq, dk, dv
+
+
+def _self_attention(params, config: ModelConfig, p: str, x, bias, rows=None):
+    """LN(res + attention @ o_w + o_b) for the block with parameter prefix p:
+    multi-head attention over x (B*L, d) under the key mask bias.
+
+    Without `rows` the queries, res = x and the output cover every token.
+    The last block passes `rows`: its queries are built at those rows alone,
+    x[rows] @ q_w + q_b, and placed into per-example slots (B, H, R_max, dh),
+    R_max being the most rows any one example has (padding slots are zero
+    queries whose outputs are dropped). The attention core then runs over
+    (B, H, R_max, L), and the context is gathered back to (R, d) in the order
+    of `rows` for the output projection, the residual res = x[rows] and the
+    layer norm. Keys and values cover every token either way.
+    """
+    b, l = bias.shape[0], bias.shape[-1]
+    h = config.n_heads
+    if rows is None:
+        res, slot = x, None
+        q = _affine(x, params[p + "q_w"], params[p + "q_b"])
+    else:
+        res = x[rows]
+        r_max, slot = _query_slots(rows, b, l)
+        q = _scatter_rows(_affine(res, params[p + "q_w"], params[p + "q_b"]), slot, b * r_max)
+    q = _split_heads(q, b, h)
+    k = _split_heads(_affine(x, params[p + "k_w"], params[p + "k_b"]), b, h)
+    v = _split_heads(_affine(x, params[p + "v_w"], params[p + "v_b"]), b, h)
+    ctx, probs = _attention_core(q, k, v, bias)
+    ctx = _merge_heads(ctx)
+    if rows is not None:
+        ctx = ctx[slot]
+    out = _affine(ctx, params[p + "o_w"], params[p + "o_b"])
+    out += res
+    y, ln = layer_norm(out, params[p + "ln1_g"], params[p + "ln1_b"], config.ln_eps)
+    return y, {"x": x, "rows": rows, "slot": slot, "q": q, "k": k, "v": v, "probs": probs,
+               "ctx": ctx, "ln1": ln}
+
+
+def _self_attention_backward(params, p: str, c, dy, grads):
+    """Mirrors `_self_attention`; returns the gradient wrt x at every token.
+    At `rows` the output projection backpropagates over the R rows, the
+    context gradient goes into the query slots, the attention core's backward
+    runs over R_max query rows per example, and the query gradient is
+    gathered back to the R rows for the query weights."""
+    d_out, grads[p + "ln1_g"], grads[p + "ln1_b"] = layer_norm_backward(dy, c["ln1"], params[p + "ln1_g"])
+    grads[p + "o_w"], grads[p + "o_b"], d_ctx = _affine_backward(c["ctx"], params[p + "o_w"], d_out)
+    x, rows, slot, probs = c["x"], c["rows"], c["slot"], c["probs"]
+    b, h = probs.shape[:2]
+    if rows is not None:
+        d_ctx = _scatter_rows(d_ctx, slot, b * probs.shape[2])
+    dq, dk, dv = _attention_core_backward(_split_heads(d_ctx, b, h), c["q"], c["k"], c["v"], probs)
+    dq, xq = _merge_heads(dq), x
+    if rows is not None:
+        dq, xq = dq[slot], x[rows]
+    grads[p + "q_w"], grads[p + "q_b"], dx_q = _affine_backward(xq, params[p + "q_w"], dq)
+    dx = d_out  # no read of d_out follows: accumulate in place
+    dx += dx_q
+    if rows is not None:
+        dx = _scatter_rows(dx, rows, len(x))
+    for name, dmat in (("k", dk), ("v", dv)):
+        w = p + name + "_w"
+        grads[w], grads[p + name + "_b"], dx_kv = _affine_backward(x, params[w], _merge_heads(dmat))
+        dx += dx_kv
+    return dx
+
+
+def _feed_forward(params, config: ModelConfig, p: str, y):
+    """LN(y + GELU(y @ ffn_w1 + ffn_b1) @ ffn_w2 + ffn_b2) for the block with
+    parameter prefix p, at the rows of y."""
+    pre = _affine(y, params[p + "ffn_w1"], params[p + "ffn_b1"])
+    act, gelu_t = gelu_forward(pre)
+    out = _affine(act, params[p + "ffn_w2"], params[p + "ffn_b2"])
+    out += y
+    z, ln = layer_norm(out, params[p + "ln2_g"], params[p + "ln2_b"], config.ln_eps)
+    return z, {"y": y, "ffn_pre": pre, "gelu_t": gelu_t, "act": act, "ln2": ln}
+
+
+def _feed_forward_backward(params, p: str, c, dz, grads):
+    d_out, grads[p + "ln2_g"], grads[p + "ln2_b"] = layer_norm_backward(dz, c["ln2"], params[p + "ln2_g"])
+    grads[p + "ffn_w2"], grads[p + "ffn_b2"], d_act = _affine_backward(c["act"], params[p + "ffn_w2"], d_out)
+    d_pre = gelu_grad(c["ffn_pre"], c["gelu_t"], dout=d_act)
+    grads[p + "ffn_w1"], grads[p + "ffn_b1"], dy = _affine_backward(c["y"], params[p + "ffn_w1"], d_pre)
+    d_out += dy  # no read of d_out follows: accumulate in place
+    return d_out
+
+
+# ---------------------------------------------------------------------------
+# Encoder
+# ---------------------------------------------------------------------------
+
+
 def encode(params, config: ModelConfig, batch: Batch, rows, want_cache: bool = False):
     """Run the encoder stack; returns the last hidden states (R, d) at `rows`,
     distinct indices into the flat (B*L) token axis, in the order of `rows`,
     and (optionally) the activation cache needed for the backward pass.
 
-    Internally the token axis is kept flat as (B*L, d) so each projection is a
-    single GEMM; attention reshapes to (B, H, L, dh) views. Every block but the
-    last runs at every token. The last block's keys and values still cover
-    every token, but its queries are built at the R rows alone and placed into
-    per-example slots (B, H, R_max, dh), R_max being the most rows any one
-    example has (padding slots are zero queries whose outputs are dropped).
-    Scores, softmax and the attention context then run over (B, H, R_max, L),
-    and the output projection, residual, layer norms and feed-forward over the
-    R rows. This is exact in real arithmetic; the row-subset GEMMs may round
-    differently in the last bits from a pass over every token.
+    The stack is the embedding sublayer, then per block a self-attention and
+    a feed-forward sublayer. Every block but the last runs at every token.
+    The last block's self-attention builds its queries at the R rows alone
+    and returns those rows (see `_self_attention`), so its feed-forward runs
+    at them too. This is exact in real arithmetic; the row-subset GEMMs may
+    round differently in the last bits from a pass over every token.
     """
-    dt = config.np_dtype
-    ids, seg, mask = batch.ids, batch.seg, batch.mask
-    b, l = ids.shape
+    b, l = batch.ids.shape
     if l > config.max_seq_len:
         raise ModelError(f"sequence length {l} exceeds max_seq_len {config.max_seq_len}")
-    if int(ids.max(initial=0)) >= config.vocab_size:
+    if int(batch.ids.max(initial=0)) >= config.vocab_size:
         raise ModelError("token id outside the model vocabulary")
     rows = _check_rows(rows, b * l)
-    d, h = config.d_model, config.n_heads
-    dh = d // h
-    scale = 1.0 / math.sqrt(dh)
-    ids_flat = ids.reshape(-1)
-    seg_flat = seg.reshape(-1)
-
-    emb = params["tok_emb"][ids_flat] + params["seg_emb"][seg_flat]
-    emb.reshape(b, l, d)[:] += params["pos_emb"][:l][None]
-    x, emb_ln_cache = layer_norm(emb, params["emb_ln_g"], params["emb_ln_b"], config.ln_eps)
-
-    attn_bias = ((1.0 - mask) * NEG_INF)[:, None, None, :].astype(dt)
-    r_max, slot = _query_slots(rows, b, l)
-
-    layer_caches = []
+    x, emb = _embed(params, config, batch)
+    bias = ((1.0 - batch.mask) * NEG_INF)[:, None, None, :].astype(config.np_dtype)
+    layers = []
     for i in range(config.n_layers):
         p = f"layers.{i}."
-        last = i == config.n_layers - 1
-        res = x[rows] if last else x
-        q = _affine(res, params[p + "q_w"], params[p + "q_b"])
-        if last:
-            q = _scatter_rows(q, slot, b * r_max)
-        q = _split_heads(q, b, h)
-        k = _split_heads(_affine(x, params[p + "k_w"], params[p + "k_b"]), b, h)
-        v = _split_heads(_affine(x, params[p + "v_w"], params[p + "v_b"]), b, h)
-        scores = q @ k.transpose(0, 1, 3, 2)
-        scores *= scale
-        scores += attn_bias
-        probs = softmax(scores)
-        ctx = _merge_heads(probs @ v)
-        if last:
-            ctx = ctx[slot]
-        attn_out = _affine(ctx, params[p + "o_w"], params[p + "o_b"])
-        attn_out += res
-        y, ln1_cache = layer_norm(attn_out, params[p + "ln1_g"], params[p + "ln1_b"], config.ln_eps)
-        ffn_pre = _affine(y, params[p + "ffn_w1"], params[p + "ffn_b1"])
-        act, gelu_t = gelu_forward(ffn_pre)
-        ffn_out = _affine(act, params[p + "ffn_w2"], params[p + "ffn_b2"])
-        ffn_out += y
-        z, ln2_cache = layer_norm(ffn_out, params[p + "ln2_g"], params[p + "ln2_b"], config.ln_eps)
+        y, attn = _self_attention(params, config, p, x, bias, rows if i == config.n_layers - 1 else None)
+        x, ffn = _feed_forward(params, config, p, y)
         if want_cache:
-            layer_caches.append(
-                {"x": x, "q": q, "k": k, "v": v, "probs": probs, "ctx": ctx,
-                 "ln1": ln1_cache, "y": y, "ffn_pre": ffn_pre, "gelu_t": gelu_t, "act": act,
-                 "ln2": ln2_cache}
-            )
-        x = z
-
-    cache = None
-    if want_cache:
-        cache = {"emb_ln": emb_ln_cache, "layers": layer_caches,
-                 "ids": ids_flat, "seg": seg_flat, "b": b, "l": l, "rows": rows,
-                 "slot": slot}
+            layers.append(attn | ffn)
     if config.n_layers == 0:  # no block gathered the rows
         x = x[rows]
-    return x, cache
+    return x, ({"emb": emb, "layers": layers, "rows": rows} if want_cache else None)
+
+
+def encoder_backward(params, config: ModelConfig, cache, d_hidden):
+    """Backpropagate d_hidden, shaped like `encode`'s (R, d) output at its
+    `rows`, through the encoder stack into a gradient dict over the encoder
+    parameters: each sublayer's backward, last to first. The last block's
+    feed-forward backpropagates over the R rows, and its self-attention
+    backward (see `_self_attention_backward`) returns the gradient at every
+    token to the blocks below.
+    """
+    grads: dict[str, np.ndarray] = {}
+    dx = d_hidden
+    if config.n_layers == 0:
+        dx = _scatter_rows(dx, cache["rows"], cache["emb"]["ids"].size)
+    for i in reversed(range(config.n_layers)):
+        p = f"layers.{i}."
+        c = cache["layers"][i]
+        dx = _feed_forward_backward(params, p, c, dx, grads)
+        dx = _self_attention_backward(params, p, c, dx, grads)
+    _embed_backward(params, cache["emb"], dx, grads)
+    return grads
+
+
+# ---------------------------------------------------------------------------
+# Pretraining heads and loss
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ForwardResult:
+    hidden: np.ndarray            # (R, d): the last hidden states at the rows the heads read
+    mlm_logits: np.ndarray        # (M, V)
+    tc_logits: np.ndarray         # (K, 2)
+    tmt_logits: np.ndarray        # (T, 2)
+    cache: dict | None = field(default=None, repr=False)
+
+    def logits(self, head: str) -> np.ndarray:
+        return getattr(self, f"{head}_logits")
 
 
 def head_rows(batch: Batch):
     """The distinct flat token rows the MLM, TC and TMT heads read, sorted, and
     each head's positions as indices into them."""
     l = batch.ids.shape[1]
-    flat = [batch.mlm_b * l + batch.mlm_i, batch.tc_b * l + batch.tc_i,
-            batch.tmt_b * l + batch.tmt_i]
+    flat = [ex * l + pos for ex, pos, _label, _weight in map(batch.targets, HEADS)]
     rows, inverse = np.unique(np.concatenate(flat), return_inverse=True)
-    return rows, np.split(inverse, np.cumsum([len(f) for f in flat[:2]]))
+    return rows, np.split(inverse, np.cumsum([len(f) for f in flat[:-1]]))
+
+
+def _mlm_decoder(params, config: ModelConfig):
+    """The MLM head's (d, V) output matrix: the token embeddings' transpose
+    when tied."""
+    return params["tok_emb"].T if config.tie_mlm else params["mlm_out_w"]
+
+
+def _mlm_head(params, config: ModelConfig, g):
+    """MLM logits at the masked rows g: dense + GELU + layer norm + decoder."""
+    pre = _affine(g, params["mlm_w"], params["mlm_b"])
+    act, gelu_t = gelu_forward(pre)
+    h, ln = layer_norm(act, params["mlm_ln_g"], params["mlm_ln_b"], config.ln_eps)
+    logits = _affine(h, _mlm_decoder(params, config), params["mlm_out_b"])
+    return logits, {"g": g, "pre": pre, "gelu_t": gelu_t, "h": h, "ln": ln}
+
+
+def _mlm_head_backward(params, config: ModelConfig, c, d_logits, grads):
+    """Mirrors `_mlm_head`; returns the gradients wrt g and wrt the decoder,
+    which `backward_batch` adds to the token embeddings' when tied."""
+    d_decoder, grads["mlm_out_b"], d_h = _affine_backward(c["h"], _mlm_decoder(params, config), d_logits)
+    d_act, grads["mlm_ln_g"], grads["mlm_ln_b"] = layer_norm_backward(d_h, c["ln"], params["mlm_ln_g"])
+    d_pre = gelu_grad(c["pre"], c["gelu_t"], dout=d_act)
+    grads["mlm_w"], grads["mlm_b"], d_g = _affine_backward(c["g"], params["mlm_w"], d_pre)
+    return d_g, d_decoder
 
 
 def forward_batch(params, config: ModelConfig, batch: Batch, want_cache: bool = False) -> ForwardResult:
-    rows, (mlm_r, tc_r, tmt_r) = head_rows(batch)
+    rows, head_r = head_rows(batch)
     hidden, cache = encode(params, config, batch, rows, want_cache)
-
-    # MLM head at masked positions: dense + GELU + layer norm + (tied) decoder.
-    g = hidden[mlm_r]
-    mlm_pre = _affine(g, params["mlm_w"], params["mlm_b"])
-    mlm_act, mlm_gelu_t = gelu_forward(mlm_pre)
-    mlm_h, mlm_ln_cache = layer_norm(mlm_act, params["mlm_ln_g"], params["mlm_ln_b"], config.ln_eps)
-    out_w = params["tok_emb"].T if config.tie_mlm else params["mlm_out_w"]
-    mlm_logits = _affine(mlm_h, out_w, params["mlm_out_b"])
-
-    tc_h = hidden[tc_r]
-    tc_logits = _affine(tc_h, params["tc_w"], params["tc_b"])
-    tmt_h = hidden[tmt_r]
-    tmt_logits = _affine(tmt_h, params["tmt_w"], params["tmt_b"])
-
+    head_in = {head: hidden[r] for head, r in zip(HEADS, head_r)}
+    logits = {}
+    logits["mlm"], mlm_cache = _mlm_head(params, config, head_in["mlm"])
+    for head in HEADS[1:]:  # TC and TMT: an affine map to two logits
+        logits[head] = _affine(head_in[head], params[head + "_w"], params[head + "_b"])
     if want_cache:
-        cache["head_rows"] = (mlm_r, tc_r, tmt_r)
-        cache["mlm_g"] = g
-        cache["mlm_pre"] = mlm_pre
-        cache["mlm_gelu_t"] = mlm_gelu_t
-        cache["mlm_act"] = mlm_act
-        cache["mlm_ln"] = mlm_ln_cache
-        cache["mlm_h"] = mlm_h
-        cache["tc_h"] = tc_h
-        cache["tmt_h"] = tmt_h
-    return ForwardResult(hidden=hidden, mlm_logits=mlm_logits, tc_logits=tc_logits,
-                         tmt_logits=tmt_logits, cache=cache)
-
-
-# ---------------------------------------------------------------------------
-# Loss
-# ---------------------------------------------------------------------------
+        cache.update(head_rows=head_r, head_in=head_in, mlm=mlm_cache)
+    return ForwardResult(hidden=hidden, cache=cache, **{f"{head}_logits": logits[head] for head in HEADS})
 
 
 @dataclass
@@ -603,169 +719,39 @@ def joint_loss(result: ForwardResult, batch: Batch, lam: float, mu: float):
     """Joint objective: mean MLM NLL + lam * mean TC NLL + mu * TMT NLL.
 
     Heads with no support contribute zero. Returns the breakdown plus the
-    (already task-weighted) logit gradients for the backward pass.
+    (already task-weighted) logit gradients for the backward pass, in the
+    order of HEADS.
     """
-    l_mlm, d_mlm = _weighted_nll(result.mlm_logits, batch.mlm_label, batch.mlm_weight)
-    l_tc, d_tc = _weighted_nll(result.tc_logits, batch.tc_label, batch.tc_weight)
-    l_tmt, d_tmt = _weighted_nll(result.tmt_logits, batch.tmt_label, batch.tmt_weight)
+    (l_mlm, d_mlm), (l_tc, d_tc), (l_tmt, d_tmt) = (
+        _weighted_nll(result.logits(head), *batch.targets(head)[2:]) for head in HEADS)
     total = l_mlm + lam * l_tc + mu * l_tmt
     grads = (d_mlm, lam * d_tc, mu * d_tmt)
     return LossBreakdown(total=total, mlm=l_mlm, tc=l_tc, tmt=l_tmt), grads
 
 
-# ---------------------------------------------------------------------------
-# Backward pass
-# ---------------------------------------------------------------------------
-
-
-def encoder_backward(params, config: ModelConfig, cache, d_hidden):
-    """Backpropagate d_hidden, shaped like `encode`'s (R, d) output at its
-    `rows`, through the encoder stack into a gradient dict over the encoder
-    parameters.
-
-    The last block mirrors its forward pass: its layer norms, feed-forward and
-    output projection backpropagate over the R rows; the context gradient goes
-    into the per-example query slots, so the attention backward (probabilities,
-    softmax, queries and keys) runs over R_max query rows per example; the
-    query gradient is gathered back to the R rows for the query weights. Only
-    the key and value gradients, and the gradient passed to the blocks below,
-    cover every token.
-    """
-    grads: dict[str, np.ndarray] = {}
-    b, l, rows, slot = cache["b"], cache["l"], cache["rows"], cache["slot"]
-    d = config.d_model
-    h = config.n_heads
-    dh = d // h
-    scale = 1.0 / math.sqrt(dh)
-    dx = d_hidden
-    if config.n_layers == 0:
-        dx = _scatter_rows(dx, rows, b * l)
-
-    for i in reversed(range(config.n_layers)):
-        p = f"layers.{i}."
-        c = cache["layers"][i]
-        x, y = c["x"], c["y"]
-
-        d_ffn_out, dg2, db2 = layer_norm_backward(dx, c["ln2"], params[p + "ln2_g"])
-        grads[p + "ln2_g"], grads[p + "ln2_b"] = dg2, db2
-        grads[p + "ffn_w2"] = c["act"].T @ d_ffn_out
-        grads[p + "ffn_b2"] = d_ffn_out.sum(axis=0)
-        d_act = d_ffn_out @ params[p + "ffn_w2"].T
-        d_ffn_pre = gelu_grad(c["ffn_pre"], c["gelu_t"], dout=d_act)
-        grads[p + "ffn_w1"] = y.T @ d_ffn_pre
-        grads[p + "ffn_b1"] = d_ffn_pre.sum(axis=0)
-        dy = d_ffn_out  # no read of d_ffn_out follows: accumulate in place
-        dy += d_ffn_pre @ params[p + "ffn_w1"].T
-
-        d_attn_out, dg1, db1 = layer_norm_backward(dy, c["ln1"], params[p + "ln1_g"])
-        grads[p + "ln1_g"], grads[p + "ln1_b"] = dg1, db1
-        grads[p + "o_w"] = c["ctx"].T @ d_attn_out
-        grads[p + "o_b"] = d_attn_out.sum(axis=0)
-        d_ctx = d_attn_out @ params[p + "o_w"].T
-        probs, q, k, v = c["probs"], c["q"], c["k"], c["v"]
-        last = i == config.n_layers - 1
-        if last:  # into the (B, R_max) query slots
-            d_ctx = _scatter_rows(d_ctx, slot, b * probs.shape[2])
-        d_ctx = _split_heads(d_ctx, b, h)
-
-        d_probs = d_ctx @ v.transpose(0, 1, 3, 2)
-        dv = probs.transpose(0, 1, 3, 2) @ d_ctx
-        d_scores = _softmax_backward(d_probs, probs)
-        dq = d_scores @ k
-        dq *= scale
-        dk = d_scores.transpose(0, 1, 3, 2) @ q
-        dk *= scale
-
-        dq, xq = _merge_heads(dq), x
-        if last:
-            dq, xq = dq[slot], x[rows]
-        grads[p + "q_w"] = xq.T @ dq
-        grads[p + "q_b"] = dq.sum(axis=0)
-        dx = d_attn_out  # no read of d_attn_out follows: accumulate in place
-        dx += dq @ params[p + "q_w"].T
-        if last:
-            dx = _scatter_rows(dx, rows, b * l)
-        for name, dmat in (("k", dk), ("v", dv)):
-            flat = _merge_heads(dmat)
-            grads[p + name + "_w"] = x.T @ flat
-            grads[p + name + "_b"] = flat.sum(axis=0)
-            dx += flat @ params[p + name + "_w"].T
-
-    d_emb, dg0, db0 = layer_norm_backward(dx, cache["emb_ln"], params["emb_ln_g"])
-    grads["emb_ln_g"], grads["emb_ln_b"] = dg0, db0
-
-    d_tok = np.zeros_like(params["tok_emb"])
-    np.add.at(d_tok, cache["ids"], d_emb)
-    grads["tok_emb"] = d_tok
-    d_pos = np.zeros_like(params["pos_emb"])
-    d_pos[:l] = d_emb.reshape(b, l, d).sum(axis=0)
-    grads["pos_emb"] = d_pos
-    grads["seg_emb"] = _segment_grad(d_emb, cache["seg"], params["seg_emb"])
-    return grads
-
-
-def _segment_grad(d_emb, seg, seg_emb):
-    """The scatter-add of d_emb's rows into their segments' rows of a zero
-    seg_emb-shaped array. Each segment's row sum adds the rows in order to
-    zero, exactly as np.add.at does; with a handful of segments the masked
-    sums are far cheaper than the unbuffered scatter."""
-    d_seg = np.zeros_like(seg_emb)
-    for s in range(len(d_seg)):
-        d_seg[s] += d_emb[seg == s].sum(axis=0)
-    return d_seg
-
-
 def backward_batch(params, config: ModelConfig, batch: Batch, result: ForwardResult,
                    lam: float, mu: float):
-    """Exact gradients of the joint loss wrt every parameter tensor."""
+    """Exact gradients of the joint loss wrt every parameter tensor, in
+    declaration order."""
     if result.cache is None:
         raise ModelError("forward_batch must be called with want_cache=True before backward")
     cache = result.cache
-    loss, (d_mlm_logits, d_tc_logits, d_tmt_logits) = joint_loss(result, batch, lam, mu)
-    dt = config.np_dtype
-    d_mlm_logits = d_mlm_logits.astype(dt)
-    d_tc_logits = d_tc_logits.astype(dt)
-    d_tmt_logits = d_tmt_logits.astype(dt)
+    loss, d_logits = joint_loss(result, batch, lam, mu)
+    d_logits = {head: d.astype(config.np_dtype) for head, d in zip(HEADS, d_logits)}
 
     grads: dict[str, np.ndarray] = {}
+    d_in = {}
+    d_in["mlm"], d_decoder = _mlm_head_backward(params, config, cache["mlm"], d_logits["mlm"], grads)
+    for head in HEADS[1:]:
+        grads[head + "_w"], grads[head + "_b"], d_in[head] = _affine_backward(
+            cache["head_in"][head], params[head + "_w"], d_logits[head])
     d_hidden = np.zeros_like(result.hidden)
-    mlm_r, tc_r, tmt_r = cache["head_rows"]
+    for head, r in zip(HEADS, cache["head_rows"]):
+        np.add.at(d_hidden, r, d_in[head])
 
-    # MLM head
-    mlm_h = cache["mlm_h"]
-    out_w = params["tok_emb"].T if config.tie_mlm else params["mlm_out_w"]
-    grads["mlm_out_b"] = d_mlm_logits.sum(axis=0)
-    d_out_w = mlm_h.T @ d_mlm_logits
-    d_mlm_h = d_mlm_logits @ out_w.T
-    d_mlm_act, d_ln_g, d_ln_b = layer_norm_backward(d_mlm_h, cache["mlm_ln"], params["mlm_ln_g"])
-    grads["mlm_ln_g"], grads["mlm_ln_b"] = d_ln_g, d_ln_b
-    d_mlm_pre = gelu_grad(cache["mlm_pre"], cache["mlm_gelu_t"], dout=d_mlm_act)
-    grads["mlm_w"] = cache["mlm_g"].T @ d_mlm_pre
-    grads["mlm_b"] = d_mlm_pre.sum(axis=0)
-    d_g = d_mlm_pre @ params["mlm_w"].T
-    np.add.at(d_hidden, mlm_r, d_g)
-
-    # TC head
-    grads["tc_w"] = cache["tc_h"].T @ d_tc_logits
-    grads["tc_b"] = d_tc_logits.sum(axis=0)
-    np.add.at(d_hidden, tc_r, d_tc_logits @ params["tc_w"].T)
-
-    # TMT head
-    grads["tmt_w"] = cache["tmt_h"].T @ d_tmt_logits
-    grads["tmt_b"] = d_tmt_logits.sum(axis=0)
-    np.add.at(d_hidden, tmt_r, d_tmt_logits @ params["tmt_w"].T)
-
-    enc_grads = encoder_backward(params, config, cache, d_hidden)
-    for k, v in enc_grads.items():
-        grads[k] = v
+    grads.update(encoder_backward(params, config, cache, d_hidden))
     if config.tie_mlm:
-        grads["tok_emb"] += d_out_w.T
+        grads["tok_emb"] += d_decoder.T
     else:
-        grads["mlm_out_w"] = d_out_w
-
-    full = {name: grads.get(name) for name in param_names(config)}
-    for name, g in full.items():
-        if g is None:
-            full[name] = np.zeros_like(params[name])
-    return loss, full
-
+        grads["mlm_out_w"] = d_decoder
+    return loss, {name: grads[name] for name in param_names(config)}

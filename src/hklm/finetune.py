@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CLS_ID, ENT_ID, REL_ID, SEP_ID, derive_seed
-from .encoder import Batch, ModelConfig, encode, encoder_backward, encoder_param_names, softmax
+from .encoder import (Batch, ModelConfig, _affine, _affine_backward, encode, encoder_backward,
+                      encoder_param_names, softmax)
 from .metrics import bio_tags_to_spans, compute_task_metrics, is_valid_bio
 from .optim import AdamWConfig, AdamWState, adamw_step
 from .tasks import TaskExample
@@ -148,11 +149,11 @@ def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, rows
             chunk = [items[int(i)] for i in order[start : start + cfg.batch_size]]
             batch = _simple_batch([seq for seq, _target in chunk], dt)
             h, cache = encode(params, model_cfg, batch, rows_of(batch), want_cache=True)
-            logits = (h @ params["head_w"] + params["head_b"]).astype(np.float64)
+            logits = _affine(h, params["head_w"], params["head_b"]).astype(np.float64)
             _loss, d_logits = loss_grad(logits, [target for _seq, target in chunk], batch)
-            d_logits = d_logits.astype(dt)
-            grads = {"head_w": h.T @ d_logits, "head_b": d_logits.sum(axis=0)}
-            grads.update(encoder_backward(params, model_cfg, cache, d_logits @ params["head_w"].T))
+            grads = {}
+            grads["head_w"], grads["head_b"], d_h = _affine_backward(h, params["head_w"], d_logits.astype(dt))
+            grads.update(encoder_backward(params, model_cfg, cache, d_h))
             # The activation cache, a step's largest allocation, dies before
             # the next forward runs.
             del h, cache
@@ -166,7 +167,7 @@ def _head_logits(params, cfg: ModelConfig, sequences: list[list[int]], rows_of) 
     for start in range(0, len(sequences), SCORE_BATCH):
         batch = _simple_batch(sequences[start : start + SCORE_BATCH], cfg.np_dtype)
         h, _ = encode(params, cfg, batch, rows_of(batch))
-        out.append((h @ params["head_w"] + params["head_b"]).astype(np.float64))
+        out.append(_affine(h, params["head_w"], params["head_b"]).astype(np.float64))
     return np.concatenate(out)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 from .align import AlignedFragment, align_corpus, build_tfidf_index, fragment_corpus, unaligned_corpus
 from .corpus import Corpus, Vocab, build_vocab, derive_seed
 from .encoder import (
+    HEADS,
     Batch,
     ModelConfig,
     backward_batch,
@@ -178,16 +179,7 @@ class MetricsRecord:
     mlm_acc: float | None
 
     def to_json(self) -> dict:
-        return {
-            "step": self.step,
-            "loss_total": self.loss_total,
-            "loss_mlm": self.loss_mlm,
-            "loss_tc": self.loss_tc,
-            "loss_tmt": self.loss_tmt,
-            "tc_acc": self.tc_acc,
-            "tmt_acc": self.tmt_acc,
-            "mlm_acc": self.mlm_acc,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -283,23 +275,18 @@ _EVAL_BATCH = 64
 
 
 def evaluate_pretrain_heads(params, model_config: ModelConfig, examples: list[PretrainExample]) -> dict:
-    """Inference-mode accuracy of the three heads over a fixed example set."""
-    totals = {"tc": [0, 0], "tmt": [0, 0], "mlm": [0, 0]}
+    """Inference-mode accuracy of the three heads over a fixed example set,
+    and each head's number of targets (`n_<head>`)."""
+    totals = {head: [0, 0] for head in HEADS}
     for start in range(0, len(examples), _EVAL_BATCH):
         batch = make_batch(examples[start : start + _EVAL_BATCH], dtype=model_config.np_dtype)
         res = forward_batch(params, model_config, batch)
-        for key, logits, labels in (
-            ("mlm", res.mlm_logits, batch.mlm_label),
-            ("tc", res.tc_logits, batch.tc_label),
-            ("tmt", res.tmt_logits, batch.tmt_label),
-        ):
-            c, t = head_accuracy(logits, labels)
-            totals[key][0] += c
-            totals[key][1] += t
-    return {
-        key: (totals[key][0] / totals[key][1] if totals[key][1] else None)
-        for key in ("tc", "tmt", "mlm")
-    } | {f"n_{key}": totals[key][1] for key in ("tc", "tmt", "mlm")}
+        for head in HEADS:
+            c, t = head_accuracy(res.logits(head), getattr(batch, f"{head}_label"))
+            totals[head][0] += c
+            totals[head][1] += t
+    return {head: (c / t if t else None) for head, (c, t) in totals.items()} | {
+        f"n_{head}": t for head, (_c, t) in totals.items()}
 
 
 # glibc's mallopt parameters (malloc.h), its largest mmap threshold on 64-bit
@@ -389,9 +376,7 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
     loss_trace: list[tuple[float, float, float, float]] = []
 
     def record(step: int, breakdown) -> None:
-        ev = evaluate_pretrain_heads(params, model_cfg, held_ex) if held_ex else {
-            "tc": None, "tmt": None, "mlm": None
-        }
+        ev = evaluate_pretrain_heads(params, model_cfg, held_ex) if held_ex else dict.fromkeys(HEADS)
         metrics.append(
             MetricsRecord(
                 step=step,

@@ -29,6 +29,10 @@ class TaskError(ValueError):
     pass
 
 
+# The fields a record of each variant needs beside `id`, `variant` and `tokens`.
+_VARIANT_FIELDS = {"ner": ("tags",), "et": ("labels",), "oie": ("triples",), "rank": ("candidates", "gold")}
+
+
 @dataclass
 class TaskExample:
     example_id: str
@@ -77,6 +81,9 @@ class TaskExample:
         )
         if ex.variant == "et" and ex.tokens.count(ENT_ID) != 2:
             raise TaskError(f"example {ex.example_id}: [ENT] markers must appear as a pair")
+        missing = [key for key in _VARIANT_FIELDS.get(ex.variant, ()) if obj.get(key) is None]
+        if missing:
+            raise TaskError(f"{ex.variant} record {ex.example_id} lacks {missing}")
         return ex
 
 
@@ -344,7 +351,6 @@ def make_rank_data(
     entities' sentences by TF-IDF similarity. Dialogue mode prepends a second
     turn and joins turns with [SEP].
     """
-    by_id = {rec["entity_id"]: rec for rec in truth}
     sentences = _entity_sentences(corpus)
     train_recs, eval_recs = split_entities(truth, seed)
 

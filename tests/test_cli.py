@@ -374,6 +374,23 @@ class TestMalformedInputs:
                     "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
         assert "line 2" in _assert_one_line_error(code, capsys)
 
+    @pytest.mark.parametrize("task, split, field", [("ner", "eval", "tags"), ("et", "eval", "labels"),
+                                                    ("oie", "train", "triples"), ("qa", "train", "gold")])
+    def test_task_record_without_its_variants_field(self, pipeline_dir, checkpoint, tmp_path, capsys,
+                                                    task, split, field):
+        files = {s: pipeline_dir / "tasks" / f"{task}-{s}.jsonl" for s in ("train", "eval")}
+        first, second = files[split].read_text().splitlines()[:2]
+        record = json.loads(second)
+        del record[field]
+        files[split] = tmp_path / "bad.jsonl"
+        files[split].write_text(first + "\n" + json.dumps(record) + "\n")
+        code = run(["finetune", "--checkpoint", str(checkpoint), "--task", task,
+                    "--train", str(files["train"]), "--eval", str(files["eval"]),
+                    "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
+        err = _assert_one_line_error(code, capsys)
+        assert str(files[split]) in err and "line 2" in err and repr(field) in err
+        assert not (tmp_path / "ft" / "metrics.jsonl").exists()
+
     def test_finetune_divergence(self, pipeline_dir, checkpoint, tmp_path, capsys, recwarn):
         tasks = pipeline_dir / "tasks"
         code = run(["finetune", "--checkpoint", str(checkpoint), "--task", "ner",

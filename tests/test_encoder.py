@@ -256,6 +256,23 @@ class TestBackward:
         np.testing.assert_allclose(g2["tc_w"], 2.0 * g1["tc_w"], rtol=1e-12)
         np.testing.assert_allclose(g2["mlm_w"], g1["mlm_w"], rtol=0, atol=0)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    @pytest.mark.parametrize("tie", [True, False])
+    def test_one_gradient_per_parameter(self, rich_example, plain_example, tie, n_layers, dtype):
+        """Exactly one gradient per parameter, in declaration order, shaped and
+        typed like it: also when a head has no target in the batch."""
+        cfg = tiny_config(n_layers=n_layers, tie_mlm=tie, dtype=dtype)
+        params = init_params(cfg, 1)
+        unmasked = mk_example(text=[20, 21], heading=[30], triples=[[40, 41]], mlm=[], tc=[1], tmt=0)
+        for examples in ([rich_example, plain_example], [plain_example], [unmasked]):
+            batch = make_batch(examples, dtype=cfg.np_dtype)
+            res = forward_batch(params, cfg, batch, want_cache=True)
+            _loss, grads = backward_batch(params, cfg, batch, res, 1.0, 1.0)
+            assert list(grads) == param_names(cfg)
+            for name, g in grads.items():
+                assert (g.shape, g.dtype) == (params[name].shape, params[name].dtype), name
+
     @pytest.mark.parametrize("tie,n_layers", [
         pytest.param(True, 1, id="True"), pytest.param(False, 1, id="False"),
         pytest.param(True, 2, id="True-2layers"), pytest.param(False, 2, id="False-2layers"),
