@@ -13,13 +13,21 @@ example) and prints one JSON line per training micro-batch:
 - `cache_mb`: what its forward added (the activation cache and the logits);
 - `peak_mb`: the peak from the start of its forward to the end of its
   backward;
+- `transient_mb`: `peak_mb` minus `live_mb` and `cache_mb`, what the backward
+  (loss included) holds above the forward's cache at its peak;
 - `faults`: the process's minor page faults over the same span (memory the
   allocator had returned to the OS and had to take back).
 
+Each held-out evaluation of the pretraining heads (`evaluate_pretrain_heads`,
+at the end of the run) gets a line too: its `examples`, its largest `batch`,
+the `live_mb` when it starts and its `peak_mb`.
+
 A last line sums it up: the parameters plus AdamW moments, the largest
-`peak_mb`, and `left_mb`, the largest `live_mb` minus that of the first
-forward: what one step keeps alive into the next. Run it from the repository
-root against any checkout's `src/` to compare two versions:
+`peak_mb` of a step and of an evaluation (`eval_peak_mb`), the largest
+`cache_mb` plus `transient_mb` of one step (`max_step_mb`), and `left_mb`, the
+largest `live_mb` minus that of the first forward: what one step keeps alive
+into the next. Run it from the repository root against any checkout's `src/`
+to compare two versions:
 
     PYTHONPATH=src python3 scripts/step_memory.py --steps 6
     PYTHONPATH=src python3 scripts/step_memory.py --steps 3 --max-fragment-len 400
@@ -52,11 +60,13 @@ def main():
     def minor_faults():
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-    records = []
+    records, evals = [], []
     forward, backward = pretrain.forward_batch, pretrain.backward_batch
+    evaluate = pretrain.evaluate_pretrain_heads
 
     def traced_forward(params, model_cfg, batch, want_cache=False):
         if not want_cache:  # held-out evaluation
+            evals[-1]["batch"] = max(evals[-1]["batch"], batch.ids.shape, key=lambda s: s[0] * s[1])
             return forward(params, model_cfg, batch, want_cache)
         faults = minor_faults()
         live = tracemalloc.get_traced_memory()[0]
@@ -74,23 +84,42 @@ def main():
 
     def traced_backward(*args, **kwargs):
         out = backward(*args, **kwargs)
-        records[-1]["peak_mb"] = round(tracemalloc.get_traced_memory()[1] / MB, 1)
-        records[-1]["faults"] = minor_faults() - records[-1]["faults"]
-        print(json.dumps(records[-1]), flush=True)
+        rec = records[-1]
+        rec["peak_mb"] = round(tracemalloc.get_traced_memory()[1] / MB, 1)
+        rec["transient_mb"] = round(rec["peak_mb"] - rec["live_mb"] - rec["cache_mb"], 1)
+        rec["faults"] = minor_faults() - rec["faults"]
+        print(json.dumps(rec), flush=True)
         return out
 
-    pretrain.forward_batch, pretrain.backward_batch = traced_forward, traced_backward
+    def traced_evaluate(params, model_cfg, examples):
+        evals.append({"eval": "heads", "examples": len(examples), "batch": (0, 0),
+                      "live_mb": round(tracemalloc.get_traced_memory()[0] / MB, 1)})
+        tracemalloc.reset_peak()
+        out = evaluate(params, model_cfg, examples)
+        evals[-1]["peak_mb"] = round(tracemalloc.get_traced_memory()[1] / MB, 1)
+        evals[-1]["batch"] = "x".join(map(str, evals[-1]["batch"]))
+        print(json.dumps(evals[-1]), flush=True)
+        return out
+
+    patched = {"forward_batch": traced_forward, "backward_batch": traced_backward,
+               "evaluate_pretrain_heads": traced_evaluate}
+    saved = {name: getattr(pretrain, name) for name in patched}
+    for name, fn in patched.items():
+        setattr(pretrain, name, fn)
     tracemalloc.start()
     try:
         result = pretrain.run_pretraining(config, corpus)
     finally:
         tracemalloc.stop()
-        pretrain.forward_batch, pretrain.backward_batch = forward, backward
+        for name, fn in saved.items():
+            setattr(pretrain, name, fn)
 
     params_mb = sum(p.nbytes for p in result.params.values()) / MB
     print(json.dumps({
         "params_and_moments_mb": round(3 * params_mb, 1),
         "max_peak_mb": max(r["peak_mb"] for r in records),
+        "eval_peak_mb": max((e["peak_mb"] for e in evals), default=None),
+        "max_step_mb": max(round(r["cache_mb"] + r["transient_mb"], 1) for r in records),
         "left_mb": round(max(r["live_mb"] for r in records) - records[0]["live_mb"], 1),
     }))
 

@@ -281,18 +281,25 @@ def gelu_forward(x: np.ndarray):
     return act, t
 
 
-def gelu_grad(x: np.ndarray, t: np.ndarray, dout: np.ndarray) -> np.ndarray:
+def gelu_grad(x: np.ndarray, t: np.ndarray, dout: np.ndarray, act: np.ndarray | None = None) -> np.ndarray:
     """dout * GELU'(x), written into `dout` (C-contiguous, shaped like x), with
     GELU'(x) = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * (C * (1.0 + 3 * A * x * x))
     and t the second output of `gelu_forward(x)`.
+
+    Given `act` (C-contiguous, shaped like x; it may be t itself), the same
+    pass also writes GELU(x) into it, with `gelu_forward`'s operations, so a
+    backward can re-derive the GELU output instead of keeping it from the
+    forward.
     """
     x = np.ascontiguousarray(x)
     t = np.ascontiguousarray(t)
-    if dout.shape != x.shape or not dout.flags.c_contiguous:
-        raise ModelError("gelu_grad: dout must be a C-contiguous array shaped like x")
+    for out, name in ((dout, "dout"), (act, "act")):
+        if out is not None and (out.shape != x.shape or not out.flags.c_contiguous):
+            raise ModelError(f"gelu_grad: {name} must be a C-contiguous array shaped like x")
     a_buf = np.empty(min(x.size, _BLOCK), dtype=x.dtype)
     b_buf = np.empty_like(a_buf)
-    for xb, tb, ob in _blocks(x, t, dout):
+    outs = (dout,) if act is None else (dout, act)
+    for xb, tb, ob, *act_b in _blocks(x, t, *outs):
         a, b = a_buf[: xb.size], b_buf[: xb.size]
         np.multiply(xb, 0.5, out=a)
         np.multiply(tb, tb, out=b)
@@ -307,6 +314,10 @@ def gelu_grad(x: np.ndarray, t: np.ndarray, dout: np.ndarray) -> np.ndarray:
         b *= 0.5
         b += a
         ob *= b
+        for gb in act_b:            # GELU(x); t's last read is above, so act may be t
+            np.add(tb, 1.0, out=a)
+            np.multiply(xb, 0.5, out=gb)
+            gb *= a
     return dout
 
 
@@ -344,9 +355,26 @@ def layer_norm_backward(dout, cache, g):
     return dx, dg, db
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True). numpy reduces each row on its own, so
+    with many short rows (attention scores: B*H*n rows of L keys) a loop of
+    np.maximum over the L columns, each a pass over every row, is several
+    times faster and takes the same, exact, maximum. With few rows per key
+    (batch-1 scoring, a [CLS] row per example) the loop's per-column
+    overhead costs more than the reduction, which is kept there."""
+    n = x.shape[-1]
+    if n < 2 or x.size < 8 * n * n:  # fewer than 8 rows per key
+        return x.max(axis=-1, keepdims=True)
+    m = x[..., :1].copy()
+    for j in range(1, n):
+        np.maximum(m, x[..., j : j + 1], out=m)
+    return m
+
+
 def softmax(x: np.ndarray, axis=-1) -> np.ndarray:
     """exp(x - max) / sum(exp(x - max)) along axis."""
-    out = np.subtract(x, x.max(axis=axis, keepdims=True))
+    m = _row_max(x) if axis in (-1, x.ndim - 1) else x.max(axis=axis, keepdims=True)
+    out = np.subtract(x, m)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
     return out
@@ -367,10 +395,35 @@ def _affine(x, w, b):
     return out
 
 
+def _affine_param_grads(x, d):
+    """The weight and bias gradients of `_affine(x, w, b)` given d, the
+    gradient wrt its output: x.T @ d and d summed over rows."""
+    return x.T @ d, d.sum(axis=0)
+
+
 def _affine_backward(x, w, d):
-    """The gradients of `_affine(x, w, b)` given d, the gradient wrt its
-    output: wrt w (x.T @ d), wrt b (d summed over rows) and wrt x (d @ w.T)."""
-    return x.T @ d, d.sum(axis=0), d @ w.T
+    """`_affine_param_grads`, then the gradient wrt x (d @ w.T)."""
+    return *_affine_param_grads(x, d), d @ w.T
+
+
+def _add_rows_at(out, rows, values) -> None:
+    """np.add.at(out, rows, values) for a C-contiguous 2-D `out`: the same
+    additions into each element in the same order, made as one scatter over
+    the flat array, which numpy runs several times faster than a row
+    scatter (most of all when rows repeat, as frequent token ids do)."""
+    d = out.shape[1]
+    flat = (np.asarray(rows, dtype=np.int64)[:, None] * d + np.arange(d)).reshape(-1)
+    np.add.at(out.reshape(-1), flat, np.ascontiguousarray(values).reshape(-1))
+
+
+def _take(cache: dict, key: str):
+    """Remove and return cache[key]. A backward consumes the activation cache
+    as it reads it, so a second backward over one cache finds it gone."""
+    try:
+        return cache.pop(key)
+    except KeyError:
+        raise ModelError("activation cache already consumed by a backward pass;"
+                         " run the forward pass again") from None
 
 
 def _check_rows(rows, n: int) -> np.ndarray:
@@ -424,8 +477,10 @@ def _merge_heads(m):
 # Each sublayer is a forward function, which returns its output and the cache
 # its backward needs, and beside it that backward, which takes the cache and
 # the gradient wrt the output, writes its parameters' gradients into `grads`
-# and returns the gradient wrt its input. Tokens are rows of a flat (B*L, d)
-# array, so each projection is a single GEMM.
+# and returns the gradient wrt its input. A backward pops each cache entry as
+# it reads it, so the activations of the layers above are freed while the
+# backward runs on down. Tokens are rows of a flat (B*L, d) array, so each
+# projection is a single GEMM.
 
 
 def _embed(params, config: ModelConfig, batch: Batch):
@@ -439,13 +494,13 @@ def _embed(params, config: ModelConfig, batch: Batch):
 
 
 def _embed_backward(params, c, dx, grads) -> None:
-    d_emb, grads["emb_ln_g"], grads["emb_ln_b"] = layer_norm_backward(dx, c["ln"], params["emb_ln_g"])
+    d_emb, grads["emb_ln_g"], grads["emb_ln_b"] = layer_norm_backward(dx, c.pop("ln"), params["emb_ln_g"])
     grads["tok_emb"] = np.zeros_like(params["tok_emb"])
-    np.add.at(grads["tok_emb"], c["ids"], d_emb)
-    l = c["l"]
+    _add_rows_at(grads["tok_emb"], c.pop("ids"), d_emb)
+    l = c.pop("l")
     grads["pos_emb"] = np.zeros_like(params["pos_emb"])
     grads["pos_emb"][:l] = d_emb.reshape(-1, l, d_emb.shape[1]).sum(axis=0)
-    grads["seg_emb"] = _segment_grad(d_emb, c["seg"], params["seg_emb"])
+    grads["seg_emb"] = _segment_grad(d_emb, c.pop("seg"), params["seg_emb"])
 
 
 def _segment_grad(d_emb, seg, seg_emb):
@@ -525,13 +580,14 @@ def _self_attention_backward(params, p: str, c, dy, grads):
     context gradient goes into the query slots, the attention core's backward
     runs over R_max query rows per example, and the query gradient is
     gathered back to the R rows for the query weights."""
-    d_out, grads[p + "ln1_g"], grads[p + "ln1_b"] = layer_norm_backward(dy, c["ln1"], params[p + "ln1_g"])
-    grads[p + "o_w"], grads[p + "o_b"], d_ctx = _affine_backward(c["ctx"], params[p + "o_w"], d_out)
-    x, rows, slot, probs = c["x"], c["rows"], c["slot"], c["probs"]
-    b, h = probs.shape[:2]
+    d_out, grads[p + "ln1_g"], grads[p + "ln1_b"] = layer_norm_backward(dy, c.pop("ln1"), params[p + "ln1_g"])
+    grads[p + "o_w"], grads[p + "o_b"], d_ctx = _affine_backward(c.pop("ctx"), params[p + "o_w"], d_out)
+    x, rows, slot = c.pop("x"), c.pop("rows"), c.pop("slot")
+    b, h, n_queries = c["probs"].shape[:3]
     if rows is not None:
-        d_ctx = _scatter_rows(d_ctx, slot, b * probs.shape[2])
-    dq, dk, dv = _attention_core_backward(_split_heads(d_ctx, b, h), c["q"], c["k"], c["v"], probs)
+        d_ctx = _scatter_rows(d_ctx, slot, b * n_queries)
+    dq, dk, dv = _attention_core_backward(
+        _split_heads(d_ctx, b, h), c.pop("q"), c.pop("k"), c.pop("v"), c.pop("probs"))
     dq, xq = _merge_heads(dq), x
     if rows is not None:
         dq, xq = dq[slot], x[rows]
@@ -549,20 +605,28 @@ def _self_attention_backward(params, p: str, c, dy, grads):
 
 def _feed_forward(params, config: ModelConfig, p: str, y):
     """LN(y + GELU(y @ ffn_w1 + ffn_b1) @ ffn_w2 + ffn_b2) for the block with
-    parameter prefix p, at the rows of y."""
+    parameter prefix p, at the rows of y. The cache keeps the GELU input and
+    its tanh, not its output: the backward re-derives that (one multiply per
+    element) instead of holding a third FFN-wide array per block."""
     pre = _affine(y, params[p + "ffn_w1"], params[p + "ffn_b1"])
     act, gelu_t = gelu_forward(pre)
     out = _affine(act, params[p + "ffn_w2"], params[p + "ffn_b2"])
     out += y
     z, ln = layer_norm(out, params[p + "ln2_g"], params[p + "ln2_b"], config.ln_eps)
-    return z, {"y": y, "ffn_pre": pre, "gelu_t": gelu_t, "act": act, "ln2": ln}
+    return z, {"y": y, "ffn_pre": pre, "gelu_t": gelu_t, "ln2": ln}
 
 
 def _feed_forward_backward(params, p: str, c, dz, grads):
-    d_out, grads[p + "ln2_g"], grads[p + "ln2_b"] = layer_norm_backward(dz, c["ln2"], params[p + "ln2_g"])
-    grads[p + "ffn_w2"], grads[p + "ffn_b2"], d_act = _affine_backward(c["act"], params[p + "ffn_w2"], d_out)
-    d_pre = gelu_grad(c["ffn_pre"], c["gelu_t"], dout=d_act)
-    grads[p + "ffn_w1"], grads[p + "ffn_b1"], dy = _affine_backward(c["y"], params[p + "ffn_w1"], d_pre)
+    """Mirrors `_feed_forward`. The GELU-derivative pass also writes the GELU
+    output, bit for bit the forward's, over the cached tanh (read for the
+    last time there); the ffn_w2 gradient is taken from it after that."""
+    d_out, grads[p + "ln2_g"], grads[p + "ln2_b"] = layer_norm_backward(dz, c.pop("ln2"), params[p + "ln2_g"])
+    d_act = d_out @ params[p + "ffn_w2"].T
+    act = c.pop("gelu_t")
+    d_pre = gelu_grad(c.pop("ffn_pre"), act, dout=d_act, act=act)
+    grads[p + "ffn_w2"], grads[p + "ffn_b2"] = _affine_param_grads(act, d_out)
+    del act
+    grads[p + "ffn_w1"], grads[p + "ffn_b1"], dy = _affine_backward(c.pop("y"), params[p + "ffn_w1"], d_pre)
     d_out += dy  # no read of d_out follows: accumulate in place
     return d_out
 
@@ -611,17 +675,21 @@ def encoder_backward(params, config: ModelConfig, cache, d_hidden):
     feed-forward backpropagates over the R rows, and its self-attention
     backward (see `_self_attention_backward`) returns the gradient at every
     token to the blocks below.
+
+    The backward consumes `cache`, freeing each activation once read; a
+    second backward over the same cache raises ModelError.
     """
     grads: dict[str, np.ndarray] = {}
+    layers, emb, rows = _take(cache, "layers"), _take(cache, "emb"), _take(cache, "rows")
     dx = d_hidden
     if config.n_layers == 0:
-        dx = _scatter_rows(dx, cache["rows"], cache["emb"]["ids"].size)
+        dx = _scatter_rows(dx, rows, emb["ids"].size)
     for i in reversed(range(config.n_layers)):
         p = f"layers.{i}."
-        c = cache["layers"][i]
+        c = layers.pop()  # emptied by the two backwards, then freed
         dx = _feed_forward_backward(params, p, c, dx, grads)
         dx = _self_attention_backward(params, p, c, dx, grads)
-    _embed_backward(params, cache["emb"], dx, grads)
+    _embed_backward(params, emb, dx, grads)
     return grads
 
 
@@ -669,10 +737,10 @@ def _mlm_head(params, config: ModelConfig, g):
 def _mlm_head_backward(params, config: ModelConfig, c, d_logits, grads):
     """Mirrors `_mlm_head`; returns the gradients wrt g and wrt the decoder,
     which `backward_batch` adds to the token embeddings' when tied."""
-    d_decoder, grads["mlm_out_b"], d_h = _affine_backward(c["h"], _mlm_decoder(params, config), d_logits)
-    d_act, grads["mlm_ln_g"], grads["mlm_ln_b"] = layer_norm_backward(d_h, c["ln"], params["mlm_ln_g"])
-    d_pre = gelu_grad(c["pre"], c["gelu_t"], dout=d_act)
-    grads["mlm_w"], grads["mlm_b"], d_g = _affine_backward(c["g"], params["mlm_w"], d_pre)
+    d_decoder, grads["mlm_out_b"], d_h = _affine_backward(c.pop("h"), _mlm_decoder(params, config), d_logits)
+    d_act, grads["mlm_ln_g"], grads["mlm_ln_b"] = layer_norm_backward(d_h, c.pop("ln"), params["mlm_ln_g"])
+    d_pre = gelu_grad(c.pop("pre"), c.pop("gelu_t"), dout=d_act)
+    grads["mlm_w"], grads["mlm_b"], d_g = _affine_backward(c.pop("g"), params["mlm_w"], d_pre)
     return d_g, d_decoder
 
 
@@ -701,16 +769,18 @@ def _weighted_nll(logits: np.ndarray, labels: np.ndarray, weights: np.ndarray):
     """Mean-weighted NLL plus its gradient wrt the logits (already weighted).
 
     Accumulated in float64 regardless of the model dtype so the loss
-    decomposition identity holds tightly.
+    decomposition identity holds tightly. One float64 copy of the logits
+    becomes the log-probabilities, then the gradient, in place: at the MLM
+    head's (M, V) this is the largest allocation of a backward.
     """
     if logits.shape[0] == 0:
         return 0.0, np.zeros_like(logits, dtype=np.float64)
-    logits = logits.astype(np.float64)
-    z = logits - logits.max(axis=-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    logp = logits.astype(np.float64)  # a copy, whatever the dtype
+    logp -= logp.max(axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
     nll = -(logp[np.arange(len(labels)), labels] * weights).sum()
-    probs = np.exp(logp)
-    dlogits = probs * weights[:, None]
+    dlogits = np.exp(logp, out=logp)
+    dlogits *= weights[:, None]
     dlogits[np.arange(len(labels)), labels] -= weights
     return float(nll), dlogits
 
@@ -732,22 +802,24 @@ def joint_loss(result: ForwardResult, batch: Batch, lam: float, mu: float):
 def backward_batch(params, config: ModelConfig, batch: Batch, result: ForwardResult,
                    lam: float, mu: float):
     """Exact gradients of the joint loss wrt every parameter tensor, in
-    declaration order."""
+    declaration order. Like `encoder_backward` it consumes the activation
+    cache: a second backward over one ForwardResult raises ModelError."""
     if result.cache is None:
         raise ModelError("forward_batch must be called with want_cache=True before backward")
     cache = result.cache
+    head_in, head_r, mlm_cache = _take(cache, "head_in"), _take(cache, "head_rows"), _take(cache, "mlm")
     loss, d_logits = joint_loss(result, batch, lam, mu)
     d_logits = {head: d.astype(config.np_dtype) for head, d in zip(HEADS, d_logits)}
 
     grads: dict[str, np.ndarray] = {}
     d_in = {}
-    d_in["mlm"], d_decoder = _mlm_head_backward(params, config, cache["mlm"], d_logits["mlm"], grads)
+    d_in["mlm"], d_decoder = _mlm_head_backward(params, config, mlm_cache, d_logits["mlm"], grads)
     for head in HEADS[1:]:
         grads[head + "_w"], grads[head + "_b"], d_in[head] = _affine_backward(
-            cache["head_in"][head], params[head + "_w"], d_logits[head])
+            head_in.pop(head), params[head + "_w"], d_logits[head])
     d_hidden = np.zeros_like(result.hidden)
-    for head, r in zip(HEADS, cache["head_rows"]):
-        np.add.at(d_hidden, r, d_in[head])
+    for head, r in zip(HEADS, head_r):
+        _add_rows_at(d_hidden, r, d_in[head])
 
     grads.update(encoder_backward(params, config, cache, d_hidden))
     if config.tie_mlm:

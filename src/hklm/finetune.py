@@ -153,10 +153,9 @@ def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, rows
             _loss, d_logits = loss_grad(logits, [target for _seq, target in chunk], batch)
             grads = {}
             grads["head_w"], grads["head_b"], d_h = _affine_backward(h, params["head_w"], d_logits.astype(dt))
+            # The backward frees the activation cache, a step's largest
+            # allocation, as it reads it.
             grads.update(encoder_backward(params, model_cfg, cache, d_h))
-            # The activation cache, a step's largest allocation, dies before
-            # the next forward runs.
-            del h, cache
             adamw_step(params, grads, state, opt_cfg)
 
 
@@ -456,32 +455,35 @@ def finetune_span_stage2(
     return SpanModel(params=params, model_config=model_cfg)
 
 
-def extract_open_triples(stage1: SpanModel, stage2: SpanModel, tokens: list[int]) -> list[dict]:
-    """Predicate spans above THETA_SPAN, then one subject and one object per
-    predicate via argmax pointers (end constrained to start..)."""
+def extract_open_triples(stage1: SpanModel, stage2: SpanModel, sentences: list[list[int]]) -> list[list[dict]]:
+    """Each sentence's triples: its predicate spans above THETA_SPAN, then one
+    subject and one object per predicate via argmax pointers (end constrained
+    to start..). Stage 1 scores every sentence in one `_head_logits` call,
+    stage 2 every (sentence, predicate) sequence in another."""
     cfg = stage1.model_config
-    _check_stage2_fits(tokens, cfg)
-    probs = _sigmoid(_head_logits(stage1.params, cfg, [_wrap(tokens)], _token_rows))
-    spans = _stage1_spans(probs[:, 0], probs[:, 1], THETA_SPAN, SPAN_CAP)
+    for tokens in sentences:
+        _check_stage2_fits(tokens, cfg)
+    probs = _sigmoid(_head_logits(stage1.params, cfg, [_wrap(tokens) for tokens in sentences], _token_rows))
+    jobs = []  # (sentence index, predicate span [s, e)); stage 1 gives inclusive (i, j)
+    for k, (tokens, end) in enumerate(zip(sentences, np.cumsum([len(t) for t in sentences]))):
+        p = probs[end - len(tokens) : end]
+        jobs += [(k, (i, j + 1)) for i, j in _stage1_spans(p[:, 0], p[:, 1], THETA_SPAN, SPAN_CAP)]
 
-    triples = []
-    for s, e in spans:  # inclusive j -> exclusive end
-        pred = (s, e + 1)
-        seq = _stage2_sequence(tokens, pred)
-        l2 = _head_logits(stage2.params, stage2.model_config, [seq], _real_rows)
-
-        positions = [_stage2_map_position(p, pred) for p in range(len(tokens))]
-        subj = pointer_decode(l2[positions, 0], l2[positions, 1])
-        obj = pointer_decode(l2[positions, 2], l2[positions, 3])
-        triples.append({"subj": list(subj), "pred": list(pred), "obj": list(obj)})
+    seqs = [_stage2_sequence(sentences[k], pred) for k, pred in jobs]
+    logits = _head_logits(stage2.params, stage2.model_config, seqs, _real_rows)
+    triples = [[] for _ in sentences]
+    for (k, pred), start in zip(jobs, np.cumsum([0] + [len(seq) for seq in seqs])):
+        positions = [start + _stage2_map_position(p, pred) for p in range(len(sentences[k]))]
+        subj = pointer_decode(logits[positions, 0], logits[positions, 1])
+        obj = pointer_decode(logits[positions, 2], logits[positions, 3])
+        triples[k].append({"subj": list(subj), "pred": list(pred), "obj": list(obj)})
     return triples
 
 
 def evaluate_oie(stage1: SpanModel, stage2: SpanModel, examples: list[TaskExample]) -> dict:
     predictions = {}
     gold = {}
-    for ex in examples:
-        pred = extract_open_triples(stage1, stage2, ex.tokens)
+    for ex, pred in zip(examples, extract_open_triples(stage1, stage2, [ex.tokens for ex in examples])):
         predictions[ex.example_id] = [
             (tuple(t["subj"]), tuple(t["pred"]), tuple(t["obj"])) for t in pred
         ]

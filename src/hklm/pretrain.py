@@ -270,16 +270,19 @@ def head_accuracy(logits: np.ndarray, labels: np.ndarray) -> tuple[int, int]:
     return int((pred == labels).sum()), int(len(labels))
 
 
-# Examples per batch when evaluating the pretraining heads.
-_EVAL_BATCH = 64
+# Examples per batch when evaluating the pretraining heads: the default
+# training batch, so that with length-bucketed batches no evaluation forward
+# is larger than a training step's.
+_EVAL_BATCH = 32
 
 
 def evaluate_pretrain_heads(params, model_config: ModelConfig, examples: list[PretrainExample]) -> dict:
     """Inference-mode accuracy of the three heads over a fixed example set,
-    and each head's number of targets (`n_<head>`)."""
+    and each head's number of targets (`n_<head>`). The examples run in
+    length-bucketed batches, as in training, so padding stays low and the
+    largest batch is no longer than the longest examples need."""
     totals = {head: [0, 0] for head in HEADS}
-    for start in range(0, len(examples), _EVAL_BATCH):
-        batch = make_batch(examples[start : start + _EVAL_BATCH], dtype=model_config.np_dtype)
+    for batch in _length_bucketed_batches(examples, _EVAL_BATCH, model_config.np_dtype):
         res = forward_batch(params, model_config, batch)
         for head in HEADS:
             c, t = head_accuracy(res.logits(head), getattr(batch, f"{head}_label"))
@@ -405,9 +408,10 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
         return batches[int(schedule.pop(0))]
 
     # Nothing of a step outlives it: a micro-batch's activation cache, the
-    # largest allocation of a step, dies once its backward returns, its
-    # gradients once summed, the step's sum when `accum` is reset. So no
-    # forward runs beside an earlier cache or an earlier step's gradients.
+    # largest allocation of a step, is freed by its backward as it is read,
+    # its logits die with `res`, its gradients once summed, the step's sum
+    # when `accum` is reset. So no forward runs beside an earlier cache or an
+    # earlier step's gradients.
     with _freed_heap_retained():
         step = 0
         while step < config.steps:

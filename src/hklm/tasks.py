@@ -84,7 +84,22 @@ class TaskExample:
         missing = [key for key in _VARIANT_FIELDS.get(ex.variant, ()) if obj.get(key) is None]
         if missing:
             raise TaskError(f"{ex.variant} record {ex.example_id} lacks {missing}")
+        if ex.variant == "rank" and not (isinstance(ex.gold, int) and 0 <= ex.gold < len(ex.candidates)):
+            raise TaskError(f"rank record {ex.example_id}: gold {ex.gold!r} is not the index of one of"
+                            f" its {len(ex.candidates)} candidates")
+        for triple in ex.triples if ex.variant == "oie" else ():
+            for role in ("subj", "pred", "obj"):
+                span = triple.get(role) if isinstance(triple, dict) else None
+                if not _is_span(span, len(ex.tokens)):
+                    raise TaskError(f"oie record {ex.example_id}: {role} {span!r} is not a span"
+                                    f" [s, e) with 0 <= s < e <= {len(ex.tokens)}")
         return ex
+
+
+def _is_span(span, n: int) -> bool:
+    """Whether span is [s, e], integers with 0 <= s < e <= n."""
+    return (isinstance(span, list) and len(span) == 2 and all(isinstance(i, int) for i in span)
+            and 0 <= span[0] < span[1] <= n)
 
 
 def write_task_data(examples: list[TaskExample], path) -> None:

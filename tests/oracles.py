@@ -234,6 +234,19 @@ def softmax_backward(d_probs, probs):
     return probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
 
 
+def weighted_nll(logits, labels, weights):
+    if logits.shape[0] == 0:
+        return 0.0, np.zeros_like(logits, dtype=np.float64)
+    logits = logits.astype(np.float64)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    nll = -(logp[np.arange(len(labels)), labels] * weights).sum()
+    probs = np.exp(logp)
+    dlogits = probs * weights[:, None]
+    dlogits[np.arange(len(labels)), labels] -= weights
+    return float(nll), dlogits
+
+
 def affine(x, w, b):
     return x @ w + b
 
@@ -899,3 +912,33 @@ def generate_pretrain_examples(corpus, aligned, vocab, config, ablation=None, ke
         )
         stats.n_examples += 1
     return examples, stats
+
+
+# Open-IE extraction of one sentence, a batch-1 stage-1 call and one batch-1
+# stage-2 call per predicate (formerly hklm.finetune.extract_open_triples,
+# before it scored every sentence of a call in one stage-1 and one stage-2
+# batch).
+
+
+def extract_open_triples(stage1, stage2, tokens):
+    from hklm.finetune import (
+        SPAN_CAP, THETA_SPAN, _check_stage2_fits, _head_logits, _real_rows, _sigmoid, _stage1_spans,
+        _stage2_map_position, _stage2_sequence, _token_rows, _wrap, pointer_decode,
+    )
+
+    cfg = stage1.model_config
+    _check_stage2_fits(tokens, cfg)
+    probs = _sigmoid(_head_logits(stage1.params, cfg, [_wrap(tokens)], _token_rows))
+    spans = _stage1_spans(probs[:, 0], probs[:, 1], THETA_SPAN, SPAN_CAP)
+
+    triples = []
+    for s, e in spans:  # inclusive j -> exclusive end
+        pred = (s, e + 1)
+        seq = _stage2_sequence(tokens, pred)
+        l2 = _head_logits(stage2.params, stage2.model_config, [seq], _real_rows)
+
+        positions = [_stage2_map_position(p, pred) for p in range(len(tokens))]
+        subj = pointer_decode(l2[positions, 0], l2[positions, 1])
+        obj = pointer_decode(l2[positions, 2], l2[positions, 3])
+        triples.append({"subj": list(subj), "pred": list(pred), "obj": list(obj)})
+    return triples

@@ -391,6 +391,27 @@ class TestMalformedInputs:
         assert str(files[split]) in err and "line 2" in err and repr(field) in err
         assert not (tmp_path / "ft" / "metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("task, field, edit", [
+        ("qa", "gold", lambda record: record.update(gold=99)),
+        ("oie", "pred", lambda record: record["triples"][0].update(pred=[0, 99])),
+    ], ids=["qa-gold-99", "oie-pred-0-99"])
+    def test_task_record_index_out_of_range(self, pipeline_dir, checkpoint, tmp_path, capsys,
+                                            task, field, edit):
+        """A rank gold outside the candidates and a span past the tokens are
+        rejected when the file is read, not hit as an IndexError in training."""
+        files = {s: pipeline_dir / "tasks" / f"{task}-{s}.jsonl" for s in ("train", "eval")}
+        first, second = files["train"].read_text().splitlines()[:2]
+        record = json.loads(second)
+        edit(record)
+        files["train"] = tmp_path / "bad.jsonl"
+        files["train"].write_text(first + "\n" + json.dumps(record) + "\n")
+        code = run(["finetune", "--checkpoint", str(checkpoint), "--task", task,
+                    "--train", str(files["train"]), "--eval", str(files["eval"]),
+                    "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
+        err = _assert_one_line_error(code, capsys)
+        assert str(files["train"]) in err and "line 2" in err and field in err and "99" in err
+        assert not (tmp_path / "ft" / "metrics.jsonl").exists()
+
     def test_finetune_divergence(self, pipeline_dir, checkpoint, tmp_path, capsys, recwarn):
         tasks = pipeline_dir / "tasks"
         code = run(["finetune", "--checkpoint", str(checkpoint), "--task", "ner",

@@ -470,6 +470,17 @@ class TestKernelsMatchPlainNumpy:
         assert_identical(got, dout * oracles.gelu_grad(x, t))
         assert_identical(x, x0)
         assert_identical(t, want_t)
+        # The same pass re-derives the forward's output, into a buffer of its
+        # own or over the tanh it reads.
+        d, act = dout.copy(), np.empty_like(x)
+        assert encoder.gelu_grad(x, t, dout=d, act=act) is d
+        assert_identical(d, dout * oracles.gelu_grad(x, t))
+        assert_identical(act, want_act)
+        d, t_over = dout.copy(), t.copy()
+        encoder.gelu_grad(x, t_over, dout=d, act=t_over)
+        assert_identical(d, dout * oracles.gelu_grad(x, t))
+        assert_identical(t_over, want_act)
+        assert_identical(x, x0)
 
     def test_layer_norm(self, shape, dtype):
         x = kernel_input(shape, dtype, 2) + 1.5
@@ -543,6 +554,64 @@ class TestKernelsMatchPlainNumpy:
             assert_identical(got_s.v[k], want_s.v[k])
 
 
+# Attention-score shapes on both sides of softmax's switch to a column loop
+# for the row max (8 rows per key): a joint-short training step, batch-1
+# scoring, one [CLS] query row per example, and 8 * L rows exactly and less.
+SOFTMAX_SHAPES = [(32, 4, 43, 43), (1, 4, 11, 11), (32, 4, 1, 59), (40, 5), (39, 5), (3, 1)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", SOFTMAX_SHAPES)
+def test_softmax_row_max_matches_plain_numpy(shape, dtype):
+    """softmax equals the plain numpy expression bit for bit whichever way it
+    takes the row max: with masked key columns, a fully masked row, many
+    ties and zeros of both signs."""
+    x = np.round(kernel_input(shape, dtype, 11, scale=2.0))  # small integers: ties in every row
+    x[..., ::3] += encoder.NEG_INF  # masked key columns
+    x.reshape(-1, shape[-1])[0] = encoder.NEG_INF  # a fully masked row
+    x.reshape(-1)[1::7] = -0.0
+    x0 = x.copy()
+    assert np.array_equal(encoder._row_max(x), x.max(axis=-1, keepdims=True))
+    assert_identical(encoder.softmax(x), oracles.softmax(x))
+    assert_identical(x, x0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n, d, vocab", [(1376, 128, 900), (50, 8, 3), (7, 5, 1), (0, 4, 6)])
+def test_add_rows_at_matches_row_scatter(n, d, vocab, dtype):
+    """The flat scatter adds into each element in the order np.add.at's row
+    scatter does: equal bytes, with Zipf-distributed (heavily repeated) row
+    ids, into a zero array and into one that already holds values."""
+    rng = np.random.default_rng(n)
+    rows = np.minimum(rng.zipf(1.3, n), vocab) - 1
+    values = kernel_input((n, d), dtype, 12)
+    values0 = values.copy()
+    for start in (np.zeros((vocab, d), dtype=dtype), kernel_input((vocab, d), dtype, 13)):
+        got, want = start.copy(), start.copy()
+        encoder._add_rows_at(got, rows, values)
+        np.add.at(want, rows, values)
+        assert_identical(got, want)
+    assert_identical(values, values0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(272, 770), (1, 2), (5, 2999), (0, 7)])
+def test_weighted_nll_matches_plain_numpy(shape, dtype):
+    """The in-place loss and logit gradient equal the plain expression's bytes
+    and leave the logits untouched, in float32 and in float64 (where the
+    float64 copy must still be a copy)."""
+    logits = kernel_input(shape, dtype, 14)
+    rng = np.random.default_rng(15)
+    labels = rng.integers(0, shape[1], shape[0])
+    weights = rng.uniform(0.01, 0.1, shape[0])
+    logits0 = logits.copy()
+    loss, grad = encoder._weighted_nll(logits, labels, weights)
+    want_loss, want_grad = oracles.weighted_nll(logits, labels, weights)
+    assert loss == want_loss
+    assert_identical(grad, want_grad)
+    assert_identical(logits, logits0)
+
+
 def joint_train_config(**kw):
     base = dict(mode="hklm", steps=5, eval_every=5, batch_size=16, max_fragment_len=48,
                 triples_per_example=1, weight_decay=0.01, seed=3, d_model=32, n_heads=2,
@@ -559,10 +628,18 @@ def test_training_steps_match_plain_numpy_kernels(synth20, monkeypatch):
     fast = run_pretraining(cfg, corpus)
     for name in ("gelu_forward", "layer_norm", "layer_norm_backward", "softmax"):
         monkeypatch.setattr(encoder, name, getattr(oracles, name))
-    monkeypatch.setattr(encoder, "gelu_grad", lambda x, t, dout: dout * oracles.gelu_grad(x, t))
+
+    def plain_gelu_grad(x, t, dout, act=None):
+        d = dout * oracles.gelu_grad(x, t)
+        if act is not None:  # the forward's GELU output, re-derived from x alone
+            act[...] = oracles.gelu_forward(x)[0]
+        return d
+
+    monkeypatch.setattr(encoder, "gelu_grad", plain_gelu_grad)
     monkeypatch.setattr(encoder, "_softmax_backward", oracles.softmax_backward)
     monkeypatch.setattr(encoder, "_affine", oracles.affine)
     monkeypatch.setattr(encoder, "_segment_grad", oracles.segment_grad)
+    monkeypatch.setattr(encoder, "_weighted_nll", oracles.weighted_nll)
     monkeypatch.setattr(pretrain, "adamw_step", oracles.adamw_step)
     plain = run_pretraining(cfg, corpus)
     assert fast.loss_trace == plain.loss_trace
@@ -571,18 +648,35 @@ def test_training_steps_match_plain_numpy_kernels(synth20, monkeypatch):
         assert_identical(fast.params[name], plain.params[name])
 
 
-def test_backward_leaves_forward_cache_intact(synth20):
-    """backward_batch twice on one ForwardResult: in-place gradient kernels must
-    not write into the activations the forward pass cached."""
+def test_backward_consumes_forward_cache(synth20):
+    """A backward frees the activation cache as it reads it: every entry of the
+    ForwardResult's cache and of each layer's and the embedding's cache is
+    gone afterwards, and a second backward over it raises ModelError, as does
+    encoder_backward over a cache an earlier one consumed. A fresh forward
+    then gives the same loss and gradient bytes. (That no in-place kernel
+    writes a cached array before its last read is held by the plain-numpy
+    kernel tests and the gradient checks.)"""
     corpus, _ = synth20
     run = run_pretraining(joint_train_config(steps=2), corpus)
+    params, cfg = run.params, run.model_config
     batch = make_batch(run.train_examples[:16])
-    res = forward_batch(run.params, run.model_config, batch, want_cache=True)
-    loss1, grads1 = backward_batch(run.params, run.model_config, batch, res, 1.0, 1.0)
-    loss2, grads2 = backward_batch(run.params, run.model_config, batch, res, 1.0, 1.0)
+    res = forward_batch(params, cfg, batch, want_cache=True)
+    parts = [res.cache["emb"], res.cache["mlm"], *res.cache["layers"]]
+    loss1, grads1 = backward_batch(params, cfg, batch, res, 1.0, 1.0)
+    assert res.cache == {} and all(part == {} for part in parts)
+    with pytest.raises(ModelError, match="consumed"):
+        backward_batch(params, cfg, batch, res, 1.0, 1.0)
+    loss2, grads2 = backward_batch(params, cfg, batch, forward_batch(params, cfg, batch, want_cache=True),
+                                   1.0, 1.0)
     assert loss1 == loss2
-    for name in param_names(run.model_config):
+    for name in param_names(cfg):
         assert_identical(grads2[name], grads1[name])
+
+    hidden, cache = encode(params, cfg, batch, encoder.head_rows(batch)[0], want_cache=True)
+    encoder_backward(params, cfg, cache, np.ones_like(hidden))
+    assert cache == {}
+    with pytest.raises(ModelError, match="consumed"):
+        encoder_backward(params, cfg, cache, np.ones_like(hidden))
 
 
 @pytest.fixture(scope="module")

@@ -218,7 +218,36 @@ class TestAdapters:
         s1 = finetune_span_stage1(params, cfg, train, FinetuneConfig(epochs=1, seed=2))
         s2 = finetune_span_stage2(params, cfg, train, FinetuneConfig(epochs=1, seed=2))
         ex = evals[0]
-        assert extract_open_triples(s1, s2, ex.tokens) == extract_open_triples(s1, s2, ex.tokens)
+        assert extract_open_triples(s1, s2, [ex.tokens]) == extract_open_triples(s1, s2, [ex.tokens])
+
+    def test_oie_batched_scoring_matches_one_sentence_at_a_time(self, world, monkeypatch):
+        """extract_open_triples scores every stage-1 sequence in one
+        _head_logits call and every stage-2 sequence in another, and gives
+        each sentence the triples it gets when scored alone, one batch-1 call
+        per sequence (tests/oracles.py): for trained heads, and for zero
+        heads, under which every token is a one-token predicate
+        (0.5 * 0.5 = THETA_SPAN) with the first token as subject and object."""
+        corpus, truth, vocab, cfg, params = world
+        train, evals = make_oie_data(truth, vocab, 5, n_train=30, n_eval=40)
+        sentences = [ex.tokens for ex in evals]
+        assert len(sentences) > finetune.SCORE_BATCH
+        trained = (finetune_span_stage1(params, cfg, train, FinetuneConfig(epochs=4, lr=3e-3, seed=2)),
+                   finetune_span_stage2(params, cfg, train, FinetuneConfig(epochs=2, lr=3e-3, seed=2)))
+        zero = tuple(finetune.SpanModel(params=dict(m.params, head_w=np.zeros_like(m.params["head_w"]),
+                                                    head_b=np.zeros_like(m.params["head_b"])),
+                                        model_config=cfg) for m in trained)
+        calls = []
+        head_logits = finetune._head_logits
+        monkeypatch.setattr(finetune, "_head_logits", lambda *a: calls.append(len(a[2])) or head_logits(*a))
+        for s1, s2 in (trained, zero):
+            calls.clear()
+            batched = extract_open_triples(s1, s2, sentences)
+            assert calls == [len(sentences), sum(map(len, batched))]
+            assert any(batched)
+            assert batched == [oracles.extract_open_triples(s1, s2, tokens) for tokens in sentences]
+        assert batched == [[{"subj": [0, 1], "pred": [i, i + 1], "obj": [0, 1]} for i in range(len(tokens))]
+                           for tokens in sentences]
+        assert extract_open_triples(*zero, []) == []
 
     def test_oie_overlong_sentence_rejected(self):
         # Stage 2 reads [CLS] sentence [SEP] with a [REL] pair: n + 4 tokens.
@@ -233,10 +262,10 @@ class TestAdapters:
         # A zero stage-1 head scores every span 0.5 * 0.5 = THETA_SPAN, so
         # stage 2 runs on each sentence that passes the guard.
         s1, s2 = span_model(2), span_model(4)
-        assert extract_open_triples(s1, s2, list(range(20, 28)))
+        assert extract_open_triples(s1, s2, [list(range(20, 28))])[0]
         for n in (9, 10, 600):  # 9 and 10 fit with 2 markers, not with 4
             with pytest.raises(FinetuneError, match="max_seq_len"):
-                extract_open_triples(s1, s2, list(range(20, 20 + n)))
+                extract_open_triples(s1, s2, [list(range(20, 28)), list(range(20, 20 + n))])
         ex = TaskExample(example_id="x", variant="oie", tokens=list(range(20, 29)),
                          triples=[{"subj": [0, 1], "pred": [1, 2], "obj": [2, 3]}])
         with pytest.raises(FinetuneError, match="max_seq_len"):
@@ -369,7 +398,7 @@ def first_steps_and_predictions(monkeypatch, params, cfg, data):
     predictions = {
         "ner": models["ner"].predict(data["ner"][1]),
         "et": models["et"].predict(data["et"][1]),
-        "oie": [extract_open_triples(models["oie1"], models["oie2"], ex.tokens) for ex in data["oie"][1]],
+        "oie": extract_open_triples(models["oie1"], models["oie2"], [ex.tokens for ex in data["oie"][1]]),
         "rank": [models["rank"].score(ex.tokens, ex.candidates) for ex in data["rank"][1]],
     }
     return steps, predictions

@@ -267,6 +267,33 @@ class TestHeads:
         assert abs(ev["tc"] - 0.5) < 0.06
         assert abs(ev["tmt"] - 0.5) < 0.08
 
+    def test_evaluation_runs_on_length_bucketed_batches(self, corpus30, monkeypatch):
+        """Held-out evaluation runs its examples in order of length, at most
+        _EVAL_BATCH to a batch, each batch as wide as its longest example,
+        and counts what evaluating them one at a time counts."""
+        res = run_pretraining(small_cfg(steps=2, heldout_fraction=0.5), corpus30)
+        examples = res.train_examples + res.held_examples
+        shapes = []
+        forward = pretrain.forward_batch
+
+        def recording(params, cfg, batch, *args):
+            shapes.append(batch.ids.shape)
+            return forward(params, cfg, batch, *args)
+
+        monkeypatch.setattr(pretrain, "forward_batch", recording)
+        ev = evaluate_pretrain_heads(res.params, res.model_config, examples)
+        lengths = sorted(len(ex.input_ids) for ex in examples)
+        size = pretrain._EVAL_BATCH
+        assert len(examples) > 2 * size
+        assert shapes == [(len(lengths[i : i + size]), lengths[i : i + size][-1])
+                          for i in range(0, len(lengths), size)]
+        one_by_one = [evaluate_pretrain_heads(res.params, res.model_config, [ex]) for ex in examples]
+        for head in ("mlm", "tc", "tmt"):
+            n = [e[f"n_{head}"] for e in one_by_one]
+            assert ev[f"n_{head}"] == sum(n)
+            correct = sum(round(e[head] * k) for e, k in zip(one_by_one, n) if k)
+            assert ev[head] == correct / sum(n)
+
     def test_oracle_logits_give_accuracy_one(self):
         labels = np.array([0, 1, 1, 0])
         logits = np.zeros((4, 2))

@@ -214,3 +214,39 @@ class TestIO:
     def test_et_without_pair_rejected(self):
         with pytest.raises(TaskError, match="ENT"):
             TaskExample.from_json({"id": "x", "variant": "et", "tokens": [ENT_ID, 20]})
+
+    def test_generated_oie_and_rank_records_read_back(self, world, tmp_path):
+        corpus, truth, vocab = world
+        oie, _ = make_oie_data(truth, vocab, 3, n_train=20, n_eval=5)
+        rank, _ = make_rank_data(corpus, truth, vocab, 3, n_train=6, n_eval=2, n_candidates=5)
+        for name, records in (("oie", oie), ("rank", rank)):
+            write_task_data(records, tmp_path / name)
+            assert read_task_data(tmp_path / name) == records
+
+    @pytest.mark.parametrize("gold, ok", [(0, True), (2, True), (3, False), (-1, False), (99, False),
+                                          ("0", False), (1.0, False)])
+    def test_rank_gold_must_index_a_candidate(self, gold, ok):
+        record = {"id": "x", "variant": "rank", "tokens": [20], "candidates": [[21], [22], [23]], "gold": gold}
+        if ok:
+            assert TaskExample.from_json(record).gold == gold
+        else:
+            with pytest.raises(TaskError, match="gold"):
+                TaskExample.from_json(record)
+
+    @pytest.mark.parametrize("span, ok", [([0, 4], True), ([3, 4], True), ([0, 1], True), ([2, 2], False),
+                                          ([3, 2], False), ([-1, 1], False), ([0, 5], False), ([0, 99], False),
+                                          ([1], False), ([0, 1, 2], False), ([0.0, 1], False), ("01", False),
+                                          (None, False)])
+    @pytest.mark.parametrize("role", ["subj", "pred", "obj"])
+    def test_oie_spans_must_lie_in_the_tokens(self, role, span, ok):
+        triple = {"subj": [0, 1], "pred": [1, 2], "obj": [2, 4]} | {role: span}
+        record = {"id": "x", "variant": "oie", "tokens": [20, 21, 22, 23], "triples": [triple]}
+        if ok:
+            assert TaskExample.from_json(record).triples == [triple]
+        else:
+            with pytest.raises(TaskError, match=role):
+                TaskExample.from_json(record)
+
+    def test_oie_triple_must_be_an_object(self):
+        with pytest.raises(TaskError, match="subj"):
+            TaskExample.from_json({"id": "x", "variant": "oie", "tokens": [20], "triples": [[0, 1]]})
