@@ -23,7 +23,9 @@ from pathlib import Path
 
 from hklm import finetune, tasks
 from hklm.checkpoint import save_checkpoint
+from hklm.cli import BLAS_THREAD_ENV
 from hklm.corpus import Corpus, generate_synthetic_corpus
+from hklm.manifest import sha256_file
 from hklm.pretrain import TrainConfig, run_pretraining, write_metrics
 
 SEED = 3
@@ -33,11 +35,6 @@ PRETRAIN = {
     "joint_accum2": dict(mode="hklm", grad_accum=2),
     "plain": dict(mode="plain"),
 }
-BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def sha256_params(params) -> str:
@@ -50,7 +47,7 @@ def sha256_params(params) -> str:
 
 def main():
     corpus, truth = generate_synthetic_corpus(SEED, ENTITIES)
-    out = {"blas_env": {k: os.environ.get(k) for k in BLAS_ENV}}
+    out = {"blas_env": {k: os.environ.get(k) for k in BLAS_THREAD_ENV}}
     joint = None
     with tempfile.TemporaryDirectory() as tmp:
         for name, kw in PRETRAIN.items():

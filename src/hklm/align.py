@@ -11,10 +11,6 @@ import numpy as np
 
 from .corpus import NUM_SPECIAL, Corpus, Document, Triple, Vocab, triple_token_ids
 
-DEFAULT_MAX_FRAGMENT_LEN = 400
-DEFAULT_TAU = 0.05
-DEFAULT_K_MAX = 8
-
 
 class AlignError(ValueError):
     pass
@@ -39,7 +35,7 @@ class AlignedFragment:
     triples: list[tuple[Triple, float]]  # score-descending
 
 
-def fragment_document(doc: Document, vocab: Vocab, max_len: int = DEFAULT_MAX_FRAGMENT_LEN) -> list[Fragment]:
+def fragment_document(doc: Document, vocab: Vocab, max_len: int) -> list[Fragment]:
     """Greedy packing of paragraphs into fragments, never crossing sections.
 
     A paragraph longer than max_len is split at token boundaries; every
@@ -88,7 +84,7 @@ def fragment_document(doc: Document, vocab: Vocab, max_len: int = DEFAULT_MAX_FR
     return fragments
 
 
-def fragment_corpus(corpus: Corpus, vocab: Vocab, max_len: int = DEFAULT_MAX_FRAGMENT_LEN) -> dict[str, list[Fragment]]:
+def fragment_corpus(corpus: Corpus, vocab: Vocab, max_len: int) -> dict[str, list[Fragment]]:
     return {doc.entity_id: fragment_document(doc, vocab, max_len) for doc in corpus}
 
 
@@ -218,8 +214,8 @@ def retrieve_triples(
     candidates: list[Triple],
     candidate_vecs: list[SparseVec],
     index: TfIdfIndex,
-    tau: float = DEFAULT_TAU,
-    k_max: int = DEFAULT_K_MAX,
+    tau: float,
+    k_max: int,
 ) -> AlignedFragment:
     """Entity-local retrieval: candidates are the fragment's own infobox triples.
 
@@ -241,21 +237,14 @@ def retrieve_triples(
 def align_corpus(
     corpus: Corpus,
     vocab: Vocab,
-    tau: float = DEFAULT_TAU,
-    k_max: int = DEFAULT_K_MAX,
-    max_fragment_len: int = DEFAULT_MAX_FRAGMENT_LEN,
-    index: TfIdfIndex | None = None,
-    fragments: dict[str, list[Fragment]] | None = None,
+    fragments: dict[str, list[Fragment]],
+    index: TfIdfIndex,
+    tau: float,
+    k_max: int,
 ) -> list[AlignedFragment]:
-    """Fragment, index, and retrieve for every document; output in corpus order.
-
-    Pass `fragments` (from `fragment_corpus` over this corpus) to skip
-    fragmenting again.
-    """
-    if fragments is None:
-        fragments = fragment_corpus(corpus, vocab, max_fragment_len)
-    if index is None:
-        index = build_tfidf_index(corpus, vocab, fragments)
+    """Retrieve the triples of every fragment in `fragments` (from
+    `fragment_corpus` over this corpus) against `index`; output in corpus
+    order."""
     aligned: list[AlignedFragment] = []
     for doc in corpus:
         vecs = triple_vectors(doc.infobox, index, vocab)

@@ -53,6 +53,7 @@ from .pretrain import (
     write_metrics,
 )
 from .tasks import (
+    RankPool,
     TaskError,
     make_et_data,
     make_ner_data,
@@ -131,12 +132,13 @@ def cmd_synth_corpus(args) -> int:
     write_truth(truth, truth_path)
     if args.tasks_out:
         vocab = build_vocab(corpus, 1)
+        pool = RankPool(corpus, vocab)
         sets = {
             "ner": make_ner_data(truth, vocab, args.seed),
             "et": make_et_data(truth, vocab, args.seed),
             "oie": make_oie_data(truth, vocab, args.seed),
-            "qa": make_rank_data(corpus, truth, vocab, args.seed),
-            "dialog": make_rank_data(corpus, truth, vocab, args.seed, dialog=True),
+            "qa": make_rank_data(pool, truth, vocab, args.seed),
+            "dialog": make_rank_data(pool, truth, vocab, args.seed, dialog=True),
         }
         for task, (train, evals) in sets.items():
             write_task_data(train, os.path.join(args.tasks_out, f"{task}-train.jsonl"))

@@ -55,6 +55,10 @@ class ModelConfig:
             raise ModelError("vocab_size smaller than the special-token block")
         if self.dtype not in ("float32", "float64"):
             raise ModelError(f"unsupported dtype {self.dtype}")
+        if self.pos_init not in ("sinusoidal", "normal"):
+            raise ModelError(f"unknown pos_init {self.pos_init!r}")
+        if not (self.init_std >= 0 and self.attn_init_std >= 0):
+            raise ModelError("init_std and attn_init_std must be >= 0")
 
     @property
     def np_dtype(self):
@@ -133,10 +137,8 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     shapes = param_shapes(config)
     if config.pos_init == "sinusoidal":
         pos_emb = (sinusoidal_table(*shapes["pos_emb"]) * config.pos_init_scale).astype(dt)
-    elif config.pos_init == "normal":
-        pos_emb = rng.normal(0.0, config.init_std, size=shapes["pos_emb"]).astype(dt)
     else:
-        raise ModelError(f"unknown pos_init {config.pos_init!r}")
+        pos_emb = rng.normal(0.0, config.init_std, size=shapes["pos_emb"]).astype(dt)
     params: dict[str, np.ndarray] = {}
     for name, shape in shapes.items():
         leaf = name.rsplit(".", 1)[-1]
@@ -205,20 +207,31 @@ def _head_targets(ex: PretrainExample) -> dict[str, list[tuple[int, int]]]:
     }
 
 
+def pad_tokens(sequences: list[list[int]], dtype, segments=None) -> tuple[np.ndarray, ...]:
+    """(ids, seg, mask) of token lists padded to the longest one: token ids,
+    segment ids (`segments`, one list per sequence; 0 everywhere without
+    them) and 1.0 at every real token, all 0 at padding."""
+    b = len(sequences)
+    max_len = max(len(s) for s in sequences)
+    ids = np.zeros((b, max_len), dtype=np.int64)
+    seg = np.zeros((b, max_len), dtype=np.int64)
+    mask = np.zeros((b, max_len), dtype=dtype)
+    for k, s in enumerate(sequences):
+        ids[k, : len(s)] = s
+        mask[k, : len(s)] = 1.0
+        if segments is not None:
+            seg[k, : len(s)] = segments[k]
+    return ids, seg, mask
+
+
 def make_batch(examples: list[PretrainExample], dtype=np.float32) -> Batch:
     b = len(examples)
     if b == 0:
         raise ModelError("empty batch")
-    max_len = max(len(ex.input_ids) for ex in examples)
-    ids = np.zeros((b, max_len), dtype=np.int64)
-    seg = np.zeros((b, max_len), dtype=np.int64)
-    mask = np.zeros((b, max_len), dtype=dtype)
+    ids, seg, mask = pad_tokens([ex.input_ids for ex in examples], dtype,
+                                [ex.layout.seg_ids for ex in examples])
     columns = {head: ([], [], [], []) for head in HEADS}  # in the order of _TARGET_PARTS
     for k, ex in enumerate(examples):
-        n = len(ex.input_ids)
-        ids[k, :n] = ex.input_ids
-        seg[k, :n] = ex.layout.seg_ids
-        mask[k, :n] = 1.0
         for head, targets in _head_targets(ex).items():
             col_b, col_i, col_label, col_weight = columns[head]
             # The example's loss on the head is the mean over its own targets.

@@ -49,7 +49,8 @@ class SamplerConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("mask_prob", "p_neg_tc", "p_neg_tmt"):
+        rates = ("mask_prob", "mask_token_frac", "random_token_frac", "keep_frac", "p_neg_tc", "p_neg_tmt")
+        for name in rates:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ExampleError(f"{name} must be in [0, 1], got {v}")

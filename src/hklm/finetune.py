@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import CLS_ID, ENT_ID, REL_ID, SEP_ID, derive_seed
 from .encoder import (Batch, ModelConfig, _affine, _affine_backward, encode, encoder_backward,
-                      encoder_param_names, softmax)
+                      encoder_param_names, pad_tokens, softmax)
 from .metrics import bio_tags_to_spans, compute_task_metrics, is_valid_bio
 from .optim import AdamWConfig, AdamWState, adamw_step
 from .tasks import TaskExample
@@ -67,26 +67,12 @@ def _wrap(tokens: list[int]) -> list[int]:
     return [CLS_ID] + tokens + [SEP_ID]
 
 
-def _pack(sequences: list[list[int]], dtype) -> tuple[np.ndarray, np.ndarray]:
-    b = len(sequences)
-    max_len = max(len(s) for s in sequences)
-    ids = np.zeros((b, max_len), dtype=np.int64)
-    mask = np.zeros((b, max_len), dtype=dtype)
-    for k, s in enumerate(sequences):
-        ids[k, : len(s)] = s
-        mask[k, : len(s)] = 1.0
-    return ids, mask
-
-
 def _simple_batch(sequences: list[list[int]], dtype) -> Batch:
     """Batch with segment 0 everywhere and no pretraining-head positions."""
-    ids, mask = _pack(sequences, dtype)
     empty_i = np.zeros(0, dtype=np.int64)
     empty_f = np.zeros(0, dtype=np.float64)
     return Batch(
-        ids=ids,
-        seg=np.zeros_like(ids),
-        mask=mask,
+        *pad_tokens(sequences, dtype),  # ids, seg, mask
         mlm_b=empty_i, mlm_i=empty_i, mlm_label=empty_i, mlm_weight=empty_f,
         tc_b=empty_i, tc_i=empty_i, tc_label=empty_i, tc_weight=empty_f,
         tmt_b=empty_i, tmt_i=empty_i, tmt_label=empty_i, tmt_weight=empty_f,

@@ -6,13 +6,14 @@ import contextlib
 import ctypes
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .align import AlignedFragment, align_corpus, build_tfidf_index, fragment_corpus, unaligned_corpus
-from .corpus import Corpus, Vocab, build_vocab, derive_seed
+from .corpus import MAX_TRIPLES_PER_EXAMPLE, NUM_SPECIAL, Corpus, Vocab, build_vocab, derive_seed
 from .encoder import (
     HEADS,
     Batch,
@@ -43,6 +44,10 @@ _JSON_FIELD_TYPES = {
 
 @dataclass
 class TrainConfig:
+    """Every setting of a pretraining run, flat as `--config` files hold
+    them. The model, sampler and KG-ablation configs take the fields they
+    share with it by name."""
+
     mode: str = "hklm"  # "plain" or "hklm"
     lam: float = 1.0
     mu: float = 1.0
@@ -87,6 +92,10 @@ class TrainConfig:
     value_noise: bool = False
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.mode not in ("plain", "hklm"):
             raise ConfigError(f"mode must be 'plain' or 'hklm', got {self.mode!r}")
         if self.lam < 0 or self.mu < 0:
@@ -101,47 +110,39 @@ class TrainConfig:
             raise ConfigError("steps must be >= 0, batch_size and grad_accum >= 1")
         if not 0.0 < self.heldout_fraction < 1.0:
             raise ConfigError("heldout_fraction must be in (0, 1)")
+        if self.vocab_min_freq < 1 or self.max_fragment_len < 16:
+            raise ConfigError("vocab_min_freq must be >= 1 and max_fragment_len >= 16")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
+        if self.k_max < 1:
+            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
+        # Retrieval keeps at most k_max triples, of which an example
+        # serializes at most triples_per_example.
+        per_example = self.triples_per_example
+        serialized = self.k_max if per_example is None else min(self.k_max, per_example)
+        if serialized > MAX_TRIPLES_PER_EXAMPLE:
+            raise ConfigError(f"an example may serialize at most {MAX_TRIPLES_PER_EXAMPLE} triples;"
+                              f" k_max {self.k_max} and triples_per_example {per_example}"
+                              f" allow {serialized}")
+        self.model_config(NUM_SPECIAL).validate()
         self.ablation().validate()
         self.sampler_config().validate()
 
+    def _shared(self, cls, **values):
+        """A `cls` holding this config's fields of the same name, plus `values`."""
+        names = {f.name for f in dataclasses.fields(cls)} & {f.name for f in dataclasses.fields(self)}
+        return cls(**{name: getattr(self, name) for name in names}, **values)
+
     def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size,
-            d_model=self.d_model,
-            n_heads=self.n_heads,
-            n_layers=self.n_layers,
-            ffn_mult=self.ffn_mult,
-            max_seq_len=self.max_seq_len,
-            tie_mlm=self.tie_mlm,
-            dtype=self.dtype,
-            init_std=self.init_std,
-            attn_init_std=self.attn_init_std,
-            pos_init=self.pos_init,
-            pos_init_scale=self.pos_init_scale,
-        )
+        return self._shared(ModelConfig, vocab_size=vocab_size)
 
     def sampler_config(self) -> SamplerConfig:
-        return SamplerConfig(
-            mask_prob=self.mask_prob,
-            mask_token_frac=self.mask_token_frac,
-            random_token_frac=self.random_token_frac,
-            keep_frac=self.keep_frac,
-            p_neg_tc=self.p_neg_tc,
-            p_neg_tmt=self.p_neg_tmt,
-            max_seq_len=self.max_seq_len,
-            triples_per_example=self.triples_per_example,
-            seed=self.seed,
-        )
+        return self._shared(SamplerConfig)
 
     def ablation(self) -> AblationConfig:
         if self.mode == "plain":
             return AblationConfig(drop_headings=True, drop_triples=True)
-        return AblationConfig(
-            drop_headings=self.drop_headings,
-            drop_triples=self.drop_triples,
-            triple_keep_fraction=self.triple_keep_fraction,
-            value_noise=self.value_noise,
-        )
+        return self._shared(AblationConfig)
 
     def effective_lr(self) -> float:
         return self.lr * self.lr_scale
@@ -224,14 +225,8 @@ def build_aligned(
         return unaligned_corpus(train_corpus, train_frags), unaligned_corpus(held_corpus, held_frags)
 
     index = build_tfidf_index(train_corpus, vocab, train_frags)
-
-    def aligned_for(sub: Corpus, frags) -> list[AlignedFragment]:
-        return align_corpus(
-            sub, vocab, config.tau, config.k_max, config.max_fragment_len,
-            index=index, fragments=frags,
-        )
-
-    return aligned_for(train_corpus, train_frags), aligned_for(held_corpus, held_frags)
+    return (align_corpus(train_corpus, vocab, train_frags, index, config.tau, config.k_max),
+            align_corpus(held_corpus, vocab, held_frags, index, config.tau, config.k_max))
 
 
 def epoch_sampler(config: TrainConfig, epoch: int) -> SamplerConfig:

@@ -135,6 +135,30 @@ def split_entities(truth: list[dict], seed: int):
     return train, evals
 
 
+def _task_sets(truth, seed, task, prefix, n_train, n_eval, example, *seed_parts, keep=None):
+    """(train, eval) sets of one task over the entity split of `truth`.
+
+    Each split draws from its own stream, `derive_seed(seed, task, id_prefix,
+    *seed_parts)`, where `id_prefix` is `<prefix>-tr-` or `<prefix>-ev-`; its
+    examples are `example(recs, rng, example_id)` over the split's records
+    (those `keep` accepts, when given), with ids numbered from `id_prefix`00000.
+    """
+    def build(recs, count, split):
+        id_prefix = f"{prefix}-{split}-"
+        rng = np.random.default_rng(derive_seed(seed, task, id_prefix, *seed_parts))
+        recs = [rec for rec in recs if keep is None or keep(rec)]
+        return [example(recs, rng, f"{id_prefix}{i:05d}") for i in range(count)]
+
+    train_recs, eval_recs = split_entities(truth, seed)
+    return build(train_recs, n_train, "tr"), build(eval_recs, n_eval, "ev")
+
+
+def _attribute_words(vocab: Vocab) -> list[str]:
+    """The words of the corpus generator's attribute values that `vocab` holds, sorted."""
+    words = {w for pool in ATTRIBUTE_POOLS.values() for val in pool for w in val.split()}
+    return sorted(words & set(vocab.token_to_id))
+
+
 # Sentence templates assembled from corpus-vocabulary words only.
 _NER_TEMPLATES = [
     (["many", "visitors", "near"], ["in", "autumn"]),
@@ -193,41 +217,29 @@ def make_ner_data(
     """
     if surface not in ("title", "alias", "both"):
         raise TaskError(f"unknown surface {surface!r}")
-    train_recs, eval_recs = split_entities(truth, seed)
-    filler_pool = sorted(
-        {w for pool in ATTRIBUTE_POOLS.values() for val in pool for w in val.split()}
-        & set(vocab.token_to_id)
-    )
+    filler_pool = _attribute_words(vocab)
     templates = _usable_templates(_NER_TEMPLATES, vocab)
 
-    def build(recs, count, tag_prefix):
-        rng = np.random.default_rng(derive_seed(seed, "ner", tag_prefix))
-        out = []
-        for i in range(count):
-            prefix, suffix = templates[int(rng.integers(0, len(templates)))]
-            if rng.random() < distractor_fraction:
-                span = [
-                    filler_pool[int(rng.integers(0, len(filler_pool)))]
-                    for _ in range(int(rng.integers(1, 3)))
-                ]
-                span_tags = ["O"] * len(span)
-            else:
-                rec = recs[int(rng.integers(0, len(recs)))]
-                span = _surface_tokens(rec, surface, rng)
-                span_tags = [f"B-{rec['group']}"] + [f"I-{rec['group']}"] * (len(span) - 1)
-            tokens = list(prefix) + span + list(suffix)
-            tags = ["O"] * len(prefix) + span_tags + ["O"] * len(suffix)
-            out.append(
-                TaskExample(
-                    example_id=f"{tag_prefix}{i:05d}",
-                    variant="ner",
-                    tokens=vocab.encode_tokens(tokens),
-                    tags=tags,
-                )
-            )
-        return out
+    def example(recs, rng, example_id):
+        prefix, suffix = templates[int(rng.integers(0, len(templates)))]
+        if rng.random() < distractor_fraction:
+            span = [
+                filler_pool[int(rng.integers(0, len(filler_pool)))]
+                for _ in range(int(rng.integers(1, 3)))
+            ]
+            span_tags = ["O"] * len(span)
+        else:
+            rec = recs[int(rng.integers(0, len(recs)))]
+            span = _surface_tokens(rec, surface, rng)
+            span_tags = [f"B-{rec['group']}"] + [f"I-{rec['group']}"] * (len(span) - 1)
+        return TaskExample(
+            example_id=example_id,
+            variant="ner",
+            tokens=vocab.encode_tokens(list(prefix) + span + list(suffix)),
+            tags=["O"] * len(prefix) + span_tags + ["O"] * len(suffix),
+        )
 
-    return build(train_recs, n_train, "ner-tr-"), build(eval_recs, n_eval, "ner-ev-")
+    return _task_sets(truth, seed, "ner", "ner", n_train, n_eval, example)
 
 
 def make_et_data(
@@ -239,36 +251,29 @@ def make_et_data(
 ) -> tuple[list[TaskExample], list[TaskExample]]:
     """Entity-typing sentences: the mention is bracketed by an [ENT] pair and
     the gold label set is the entity's hierarchical type path."""
-    train_recs, eval_recs = split_entities(truth, seed)
     templates = _usable_templates(_ET_TEMPLATES, vocab)
 
-    def build(recs, count, tag_prefix):
-        rng = np.random.default_rng(derive_seed(seed, "et", tag_prefix))
-        out = []
-        for i in range(count):
-            rec = recs[int(rng.integers(0, len(recs)))]
-            prefix, suffix = templates[int(rng.integers(0, len(templates)))]
-            mention = [rec["name"], rec["kind"]]
-            tokens = (
-                vocab.encode_tokens(prefix)
-                + [ENT_ID]
-                + vocab.encode_tokens(mention)
-                + [ENT_ID]
-                + vocab.encode_tokens(suffix)
-            )
-            m_start = len(prefix)
-            out.append(
-                TaskExample(
-                    example_id=f"{tag_prefix}{i:05d}",
-                    variant="et",
-                    tokens=tokens,
-                    mention=(m_start, m_start + len(mention) + 2),
-                    labels=list(rec["type_path"]),
-                )
-            )
-        return out
+    def example(recs, rng, example_id):
+        rec = recs[int(rng.integers(0, len(recs)))]
+        prefix, suffix = templates[int(rng.integers(0, len(templates)))]
+        mention = [rec["name"], rec["kind"]]
+        tokens = (
+            vocab.encode_tokens(prefix)
+            + [ENT_ID]
+            + vocab.encode_tokens(mention)
+            + [ENT_ID]
+            + vocab.encode_tokens(suffix)
+        )
+        m_start = len(prefix)
+        return TaskExample(
+            example_id=example_id,
+            variant="et",
+            tokens=tokens,
+            mention=(m_start, m_start + len(mention) + 2),
+            labels=list(rec["type_path"]),
+        )
 
-    return build(train_recs, n_train, "et-tr-"), build(eval_recs, n_eval, "et-ev-")
+    return _task_sets(truth, seed, "et", "et", n_train, n_eval, example)
 
 
 def make_oie_data(
@@ -280,11 +285,7 @@ def make_oie_data(
 ) -> tuple[list[TaskExample], list[TaskExample]]:
     """Open-IE sentences built as '<title> <verb> <title>' clauses with exact
     token spans; roughly a third carry two clauses sharing the subject."""
-    train_recs, eval_recs = split_entities(truth, seed)
-    pool_words = sorted(
-        {w for pool in ATTRIBUTE_POOLS.values() for val in pool for w in val.split()}
-        & set(vocab.token_to_id)
-    )
+    pool_words = _attribute_words(vocab)
 
     def clause_obj(rng, recs):
         # objects alternate between other entities and attribute-pool words
@@ -293,44 +294,38 @@ def make_oie_data(
             return [other["name"], other["kind"]]
         return ["the", pool_words[int(rng.integers(0, len(pool_words)))]]
 
-    def build(recs, count, tag_prefix):
-        rng = np.random.default_rng(derive_seed(seed, "oie", tag_prefix))
-        out = []
-        for i in range(count):
-            rec = recs[int(rng.integers(0, len(recs)))]
-            subj = [rec["name"], rec["kind"]]
-            tokens = ["the"] + subj
-            subj_span = (1, 3)
-            triples = []
-            n_clauses = 2 if rng.random() < 0.35 else 1
-            for c in range(n_clauses):
-                if c > 0:
-                    tokens.append("and")
-                verb = RELATION_VERBS[int(rng.integers(0, len(RELATION_VERBS)))]
-                pred_start = len(tokens)
-                tokens.append(verb)
-                obj = clause_obj(rng, recs)
-                obj_start = len(tokens) + (1 if obj[0] == "the" else 0)
-                obj_core = obj[1:] if obj[0] == "the" else obj
-                tokens.extend(obj)
-                triples.append(
-                    {
-                        "subj": list(subj_span),
-                        "pred": [pred_start, pred_start + 1],
-                        "obj": [obj_start, obj_start + len(obj_core)],
-                    }
-                )
-            out.append(
-                TaskExample(
-                    example_id=f"{tag_prefix}{i:05d}",
-                    variant="oie",
-                    tokens=vocab.encode_tokens(tokens),
-                    triples=triples,
-                )
+    def example(recs, rng, example_id):
+        rec = recs[int(rng.integers(0, len(recs)))]
+        subj = [rec["name"], rec["kind"]]
+        tokens = ["the"] + subj
+        subj_span = (1, 3)
+        triples = []
+        n_clauses = 2 if rng.random() < 0.35 else 1
+        for c in range(n_clauses):
+            if c > 0:
+                tokens.append("and")
+            verb = RELATION_VERBS[int(rng.integers(0, len(RELATION_VERBS)))]
+            pred_start = len(tokens)
+            tokens.append(verb)
+            obj = clause_obj(rng, recs)
+            obj_start = len(tokens) + (1 if obj[0] == "the" else 0)
+            obj_core = obj[1:] if obj[0] == "the" else obj
+            tokens.extend(obj)
+            triples.append(
+                {
+                    "subj": list(subj_span),
+                    "pred": [pred_start, pred_start + 1],
+                    "obj": [obj_start, obj_start + len(obj_core)],
+                }
             )
-        return out
+        return TaskExample(
+            example_id=example_id,
+            variant="oie",
+            tokens=vocab.encode_tokens(tokens),
+            triples=triples,
+        )
 
-    return build(train_recs, n_train, "oie-tr-"), build(eval_recs, n_eval, "oie-ev-")
+    return _task_sets(truth, seed, "oie", "oie", n_train, n_eval, example)
 
 
 def _entity_sentences(corpus: Corpus) -> dict[str, list[tuple[str, list[str]]]]:
@@ -349,8 +344,36 @@ def _entity_sentences(corpus: Corpus) -> dict[str, list[tuple[str, list[str]]]]:
     return out
 
 
+class RankPool:
+    """The ranking sets' candidates over one corpus, built once for QA and
+    dialogue: each entity's (heading, paragraph-prefix tokens) sentences,
+    every sentence encoded as a candidate of its entity, and the candidates'
+    own TF-IDF index and exact cosines."""
+
+    def __init__(self, corpus: Corpus, vocab: Vocab):
+        self.sentences = _entity_sentences(corpus)
+        universe = [(eid, vocab.encode_tokens(toks))
+                    for eid, sents in sorted(self.sentences.items()) for _heading, toks in sents]
+        self.candidates = [ids for _, ids in universe]
+        self.eids = np.array([eid for eid, _ in universe])
+        self.index = TfIdfIndex.from_token_docs(self.candidates)
+        self.cosines = ExactCosines([tfidf_vector(ids, self.index) for ids in self.candidates])
+
+    def closest_others(self, eid, query: list[int], k: int) -> list[list[int]]:
+        """The k candidates of entities other than `eid` ranked first by
+        (-cosine to the query, pool order); zero scorers follow the positive
+        ones in pool order."""
+        scores = self.cosines(tfidf_vector(query, self.index))
+        other = self.eids != eid
+        positive = np.flatnonzero(other & (scores > 0.0))
+        picked = positive[np.argsort(-scores[positive], kind="stable")[:k]]
+        other[picked] = False
+        return [self.candidates[j]
+                for j in picked.tolist() + np.flatnonzero(other)[: k - len(picked)].tolist()]
+
+
 def make_rank_data(
-    corpus: Corpus,
+    corpus: Corpus | RankPool,
     truth: list[dict],
     vocab: Vocab,
     seed: int,
@@ -364,59 +387,29 @@ def make_rank_data(
     The query names an entity and a topic; the gold candidate is a paragraph
     prefix of that entity under that topic, distractors are the closest other
     entities' sentences by TF-IDF similarity. Dialogue mode prepends a second
-    turn and joins turns with [SEP].
+    turn and joins turns with [SEP]. `corpus` may be given as its `RankPool`
+    (built with `vocab`), which QA and dialogue sets can then share.
     """
-    sentences = _entity_sentences(corpus)
-    train_recs, eval_recs = split_entities(truth, seed)
+    pool = corpus if isinstance(corpus, RankPool) else RankPool(corpus, vocab)
+    sentences = pool.sentences
 
-    # candidate universe across entities, encoded once
-    universe: list[tuple[str, list[int]]] = []
-    for eid, sents in sorted(sentences.items()):
-        for heading, toks in sents:
-            universe.append((eid, vocab.encode_tokens(toks)))
-    index = TfIdfIndex.from_token_docs([ids for _, ids in universe])
-    uni_vecs = [tfidf_vector(ids, index) for _, ids in universe]
-    cosines = ExactCosines(uni_vecs)
-    uni_eids = np.array([eid for eid, _ in universe])
+    def example(recs, rng, example_id):
+        rec = recs[int(rng.integers(0, len(recs)))]
+        eid = rec["entity_id"]
+        heading, gold_toks = sentences[eid][int(rng.integers(0, len(sentences[eid])))]
+        query = vocab.encode_tokens([rec["name"], rec["kind"]]) + vocab.encode(heading)
+        if dialog:
+            turn1 = vocab.encode_tokens(["travellers", "near", rec["name"], rec["kind"]])
+            query = turn1 + [SEP_ID] + query
+        distractors = pool.closest_others(eid, query, n_candidates - 1)
+        gold_pos = int(rng.integers(0, len(distractors) + 1))
+        return TaskExample(
+            example_id=example_id,
+            variant="rank",
+            tokens=query,
+            candidates=distractors[:gold_pos] + [vocab.encode_tokens(gold_toks)] + distractors[gold_pos:],
+            gold=gold_pos,
+        )
 
-    def closest_others(eid, qvec, k):
-        """Universe indices of the k candidates of other entities ranked first
-        by (-cosine to qvec, index); zero scorers follow the positive ones in
-        universe order."""
-        scores = cosines(qvec)
-        other = uni_eids != eid
-        positive = np.flatnonzero(other & (scores > 0.0))
-        picked = positive[np.argsort(-scores[positive], kind="stable")[:k]]
-        other[picked] = False
-        return picked.tolist() + np.flatnonzero(other)[: k - len(picked)].tolist()
-
-    def build(recs, count, tag_prefix):
-        rng = np.random.default_rng(derive_seed(seed, "rank", tag_prefix, dialog))
-        out = []
-        usable = [r for r in recs if sentences.get(r["entity_id"])]
-        for i in range(count):
-            rec = usable[int(rng.integers(0, len(usable)))]
-            eid = rec["entity_id"]
-            heading, gold_toks = sentences[eid][int(rng.integers(0, len(sentences[eid])))]
-            query = vocab.encode_tokens([rec["name"], rec["kind"]]) + vocab.encode(heading)
-            if dialog:
-                turn1 = vocab.encode_tokens(["travellers", "near", rec["name"], rec["kind"]])
-                query = turn1 + [SEP_ID] + query
-            gold_ids = vocab.encode_tokens(gold_toks)
-            qvec = tfidf_vector(query, index)
-            distractors = [universe[j][1] for j in closest_others(eid, qvec, n_candidates - 1)]
-            gold_pos = int(rng.integers(0, len(distractors) + 1))
-            candidates = distractors[:gold_pos] + [gold_ids] + distractors[gold_pos:]
-            out.append(
-                TaskExample(
-                    example_id=f"{tag_prefix}{i:05d}",
-                    variant="rank",
-                    tokens=query,
-                    candidates=candidates,
-                    gold=gold_pos,
-                )
-            )
-        return out
-
-    prefix = "dlg" if dialog else "qa"
-    return build(train_recs, n_train, f"{prefix}-tr-"), build(eval_recs, n_eval, f"{prefix}-ev-")
+    return _task_sets(truth, seed, "rank", "dlg" if dialog else "qa", n_train, n_eval, example,
+                      dialog, keep=lambda rec: sentences.get(rec["entity_id"]))

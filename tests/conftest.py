@@ -3,10 +3,23 @@ import json
 import pytest
 from hypothesis import settings
 
+from hklm.align import align_corpus, build_tfidf_index, fragment_corpus
 from hklm.corpus import build_vocab, generate_synthetic_corpus, parse_corpus
+from hklm.pretrain import TrainConfig
 
 settings.register_profile("default", deadline=None, max_examples=50)
 settings.load_profile("default")
+
+
+# Pretraining's default fragment length and retrieval thresholds.
+DEFAULTS = TrainConfig()
+
+
+def align_whole(corpus, vocab, tau=DEFAULTS.tau, k_max=DEFAULTS.k_max,
+                max_len=DEFAULTS.max_fragment_len):
+    """`align_corpus` over the whole corpus, fragmented and indexed as one split."""
+    fragments = fragment_corpus(corpus, vocab, max_len)
+    return align_corpus(corpus, vocab, fragments, build_tfidf_index(corpus, vocab, fragments), tau, k_max)
 
 
 def doc_line(entity_id, title, sections, infobox):

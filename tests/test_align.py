@@ -10,7 +10,6 @@ from hklm.align import (
     ExactCosines,
     SparseVec,
     TfIdfIndex,
-    align_corpus,
     build_tfidf_index,
     cosine,
     fragment_corpus,
@@ -27,7 +26,7 @@ from hklm.corpus import (
     parse_corpus,
     triple_token_ids,
 )
-from conftest import doc_line
+from conftest import DEFAULTS, align_whole, doc_line
 from oracles import naive_cosine, naive_tfidf_vector
 
 
@@ -152,7 +151,7 @@ class TestTfIdf:
 
     def test_full_matrix_matches_oracle(self, hand5_corpus):
         vocab = build_vocab(hand5_corpus, 1)
-        fragments = fragment_corpus(hand5_corpus, vocab)
+        fragments = fragment_corpus(hand5_corpus, vocab, DEFAULTS.max_fragment_len)
         all_frags, docs = hand_index_docs(hand5_corpus, vocab, fragments)
         index = build_tfidf_index(hand5_corpus, vocab, fragments=fragments)
         assert index.n_docs == len(docs) == 15
@@ -164,7 +163,7 @@ class TestTfIdf:
 
     def test_frozen_cosine_fragment2_triple4(self, hand5_corpus):
         vocab = build_vocab(hand5_corpus, 1)
-        fragments = fragment_corpus(hand5_corpus, vocab)
+        fragments = fragment_corpus(hand5_corpus, vocab, DEFAULTS.max_fragment_len)
         all_frags, docs = hand_index_docs(hand5_corpus, vocab, fragments)
         index = build_tfidf_index(hand5_corpus, vocab, fragments=fragments)
         triples = [t for doc in hand5_corpus for t in doc.infobox]
@@ -179,11 +178,12 @@ class TestTfIdf:
 class TestRetrieval:
     def test_repeated_object_ranks_first(self, hand5_corpus):
         vocab = build_vocab(hand5_corpus, 1)
-        fragments = fragment_corpus(hand5_corpus, vocab)
+        fragments = fragment_corpus(hand5_corpus, vocab, DEFAULTS.max_fragment_len)
         index = build_tfidf_index(hand5_corpus, vocab, fragments=fragments)
         d3 = hand5_corpus.by_id("d3")
         frag = fragments["d3"][0]  # repeats "bronze bells"
-        aligned = retrieve_triples(frag, d3.infobox, triple_vectors(d3.infobox, index, vocab), index, tau=0.0)
+        vecs = triple_vectors(d3.infobox, index, vocab)
+        aligned = retrieve_triples(frag, d3.infobox, vecs, index, tau=0.0, k_max=DEFAULTS.k_max)
         assert aligned.triples[0][0].predicate == "bells"
         # oracle agreement on every candidate's score
         all_frags, docs = hand_index_docs(hand5_corpus, vocab, fragments)
@@ -196,11 +196,11 @@ class TestRetrieval:
 
     def test_unreachable_threshold_empty(self, hand5_corpus):
         vocab = build_vocab(hand5_corpus, 1)
-        fragments = fragment_corpus(hand5_corpus, vocab)
+        fragments = fragment_corpus(hand5_corpus, vocab, DEFAULTS.max_fragment_len)
         index = build_tfidf_index(hand5_corpus, vocab, fragments=fragments)
         d1 = hand5_corpus.by_id("d1")
         vecs = triple_vectors(d1.infobox, index, vocab)
-        aligned = retrieve_triples(fragments["d1"][0], d1.infobox, vecs, index, tau=1.01)
+        aligned = retrieve_triples(fragments["d1"][0], d1.infobox, vecs, index, 1.01, DEFAULTS.k_max)
         assert aligned.triples == []
 
     def test_tie_preserves_infobox_order(self):
@@ -213,25 +213,25 @@ class TestRetrieval:
         )]
         corpus = parse_corpus(lines)
         vocab = build_vocab(corpus, 1)
-        fragments = fragment_corpus(corpus, vocab)
+        fragments = fragment_corpus(corpus, vocab, DEFAULTS.max_fragment_len)
         index = build_tfidf_index(corpus, vocab, fragments=fragments)
         doc = corpus.by_id("e")
         vecs = triple_vectors(doc.infobox, index, vocab)
-        aligned = retrieve_triples(fragments["e"][0], doc.infobox, vecs, index, tau=0.0)
+        aligned = retrieve_triples(fragments["e"][0], doc.infobox, vecs, index, 0.0, DEFAULTS.k_max)
         assert [t.predicate for t, _ in aligned.triples] == ["aaa", "bbb"]
         assert aligned.triples[0][1] == pytest.approx(aligned.triples[1][1], abs=0)
 
     def test_k_max_truncation(self, synth20, synth20_vocab):
         corpus, _ = synth20
-        for af in align_corpus(corpus, synth20_vocab, tau=0.0, k_max=3):
+        for af in align_whole(corpus, synth20_vocab, tau=0.0, k_max=3):
             assert len(af.triples) <= 3
             scores = [s for _, s in af.triples]
             assert scores == sorted(scores, reverse=True)
 
     def test_monotone_in_tau(self, synth20, synth20_vocab):
         corpus, _ = synth20
-        lo = align_corpus(corpus, synth20_vocab, tau=0.02)
-        hi = align_corpus(corpus, synth20_vocab, tau=0.3)
+        lo = align_whole(corpus, synth20_vocab, tau=0.02)
+        hi = align_whole(corpus, synth20_vocab, tau=0.3)
         for a, b in zip(lo, hi):
             lo_set = {(t.predicate, t.object) for t, _ in a.triples}
             hi_set = {(t.predicate, t.object) for t, _ in b.triples}
@@ -240,14 +240,14 @@ class TestRetrieval:
     def test_deterministic_bytes(self, synth20, synth20_vocab, tmp_path):
         corpus, _ = synth20
         p1, p2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"
-        write_aligned(align_corpus(corpus, synth20_vocab), p1)
-        write_aligned(align_corpus(corpus, synth20_vocab), p2)
+        write_aligned(align_whole(corpus, synth20_vocab), p1)
+        write_aligned(align_whole(corpus, synth20_vocab), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
 def alignment_coverage(corpus, vocab, **kw):
-    """Fraction of `align_corpus`'s fragments paired with at least one triple."""
-    aligned = align_corpus(corpus, vocab, **kw)
+    """Fraction of `align_whole`'s fragments paired with at least one triple."""
+    aligned = align_whole(corpus, vocab, **kw)
     return sum(1 for af in aligned if af.triples) / len(aligned)
 
 
@@ -264,7 +264,7 @@ class TestCoverage:
         cov = alignment_coverage(corpus, vocab, tau=0.05)
 
         truth_by_id = {rec["entity_id"]: rec for rec in truth}
-        fragments = fragment_corpus(corpus, vocab)
+        fragments = fragment_corpus(corpus, vocab, DEFAULTS.max_fragment_len)
         n_frag = 0
         n_alignable = 0
         for doc in corpus:

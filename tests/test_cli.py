@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from hklm import tasks
 from hklm.align import aligned_json_line
 from hklm.cli import run
 from hklm.corpus import build_vocab, load_corpus
@@ -61,6 +62,14 @@ class TestSynthCorpus:
 
     def test_outputs_match_pinned_digests(self, pipeline_dir):
         assert {name: sha(pipeline_dir / name) for name in self.DIGESTS} == self.DIGESTS
+
+    def test_tasks_out_builds_one_rank_pool(self, tmp_path, monkeypatch):
+        calls = []
+        real = tasks._entity_sentences
+        monkeypatch.setattr(tasks, "_entity_sentences", lambda corpus: calls.append(1) or real(corpus))
+        assert run(["synth-corpus", "--seed", "7", "--entities", "6", "--out", str(tmp_path / "c.jsonl"),
+                    "--tasks-out", str(tmp_path / "tasks")]) == 0
+        assert len(calls) == 1
 
     def test_task_sets_emitted(self, pipeline_dir):
         for task in ("ner", "et", "oie", "qa", "dialog"):
@@ -271,6 +280,26 @@ class TestMalformedInputs:
             {"eval_every": -1},
             {"weight_decay": -0.01},
             {"bogus_field": 1},
+            # Python's json reads NaN and Infinity; 1e400 reads as inf.
+            {"lam": float("nan")},
+            {"lam": float("inf")},
+            {"lr": float("inf")},
+            {"mask_token_frac": float("nan")},
+            {"init_std": float("nan")},
+            {"pos_init_scale": float("inf")},
+            {"tau": float("nan")},
+            {"tau": -1},
+            {"tau": 1.5},
+            {"k_max": 0},
+            {"k_max": 12},
+            {"triples_per_example": 9, "k_max": 9},
+            {"d_model": 30, "n_heads": 4},
+            {"pos_init": "uniform"},
+            {"init_std": -0.02},
+            {"attn_init_std": -1},
+            {"mask_token_frac": 1.2, "random_token_frac": -0.3},
+            {"vocab_min_freq": 0},
+            {"max_fragment_len": 8},
         ],
         ids=repr,
     )
@@ -279,7 +308,9 @@ class TestMalformedInputs:
         cfg.write_text(json.dumps(config))
         code = run(["pretrain", "--corpus", str(pipeline_dir / "c.jsonl"), "--seed", "1",
                     "--steps", "1", "--config", str(cfg), "--out", str(tmp_path / "run")])
-        _assert_one_line_error(code, capsys)
+        err = _assert_one_line_error(code, capsys)
+        assert not isinstance(config, dict) or any(name in err for name in config)
+        assert not (tmp_path / "run").exists()  # rejected before data preparation
 
     @pytest.fixture(scope="class")
     def checkpoint(self, pipeline_dir, tmp_path_factory):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hklm.align import align_corpus
+from conftest import align_whole
 from hklm.corpus import (
     CLS_ID,
     MASK_ID,
@@ -43,7 +43,7 @@ from hklm.examples import (
 def synth_aligned():
     corpus, _ = generate_synthetic_corpus(11, 12)
     vocab = build_vocab(corpus, 1)
-    aligned = align_corpus(corpus, vocab)
+    aligned = align_whole(corpus, vocab)
     return corpus, vocab, aligned
 
 
@@ -423,7 +423,7 @@ class TestGenerationMatchesReference:
         # length, some of them all the way.
         corpus, _ = generate_synthetic_corpus(11, 12)
         vocab = build_vocab(corpus, 1)
-        return corpus, vocab, align_corpus(corpus, vocab, max_fragment_len=48)
+        return corpus, vocab, align_whole(corpus, vocab, max_len=48)
 
     CASES = {
         "hklm": ({}, {}),

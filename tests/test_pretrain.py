@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import weakref
@@ -9,7 +10,8 @@ import pytest
 from hklm import align, pretrain
 from hklm.checkpoint import save_checkpoint
 from hklm.corpus import SEP0_ID, SEPI_IDS, generate_synthetic_corpus
-from hklm.encoder import param_names
+from hklm.encoder import ModelConfig, param_names
+from hklm.examples import AblationConfig, SamplerConfig
 from hklm.pretrain import (
     ConfigError,
     DivergenceError,
@@ -69,6 +71,17 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             TrainConfig.from_json({"modex": 1})
+
+    def test_sub_configs_take_every_field_but_their_own(self):
+        # A field renamed on one side alone would silently keep its default.
+        names = {f.name for f in dataclasses.fields(TrainConfig)}
+        for cls, own in ((ModelConfig, {"vocab_size", "n_segments", "ln_eps"}),
+                         (SamplerConfig, set()), (AblationConfig, set())):
+            assert {f.name for f in dataclasses.fields(cls)} - names == own
+
+    def test_triples_serialized_per_example_bound_the_retrieval_cap(self):
+        TrainConfig(k_max=12, triples_per_example=8).validate()
+        TrainConfig(k_max=8, triples_per_example=12).validate()
 
     def test_effective_lr(self):
         assert small_cfg(lr=3e-5, lr_scale=10.0).effective_lr() == pytest.approx(3e-4)

@@ -12,6 +12,7 @@ from hklm.corpus import (
 )
 from hklm.metrics import bio_tags_to_spans, is_valid_bio
 from hklm.tasks import (
+    RankPool,
     TaskError,
     TaskExample,
     _entity_sentences,
@@ -200,6 +201,14 @@ class TestRank:
         assert [[ex.to_json() for ex in part] for part in got] == [
             [ex.to_json() for ex in part] for part in want
         ]
+
+    def test_shared_pool_gives_the_same_sets(self, world):
+        corpus, truth, vocab = world
+        pool = RankPool(corpus, vocab)
+        for dialog in (False, True):
+            kwargs = dict(n_train=6, n_eval=3, n_candidates=8, dialog=dialog)
+            assert (make_rank_data(pool, truth, vocab, 5, **kwargs)
+                    == make_rank_data(corpus, truth, vocab, 5, **kwargs))
 
 
 class TestIO:
