@@ -2,10 +2,12 @@
 """SHA-256 of every weight set a small seeded pretraining and fine-tuning run
 produces, as one JSON line.
 
-On the seed-3, 30-entity synthetic corpus it pretrains three times at d=32,
+On the seed-3, 30-entity synthetic corpus it pretrains six times at d=32,
 2 layers, 30 steps of 16 examples (past an epoch boundary): joint (hklm)
-mode at `grad_accum` 1 and 2, and plain mode. Each run's checkpoint file
-(header and tensors) and `metrics.jsonl` are hashed. From the first joint run it then fine-tunes every adapter for one
+mode at `grad_accum` 1 and 2, plain mode, and three KG-degraded joint arms
+(half the retrieved triples kept, objects noised, headings dropped). Each
+run's checkpoint file (header and tensors) and `metrics.jsonl` are hashed.
+From the first joint run it then fine-tunes every adapter for one
 epoch (NER, entity typing, both open-IE stages, QA and dialogue ranking) and
 hashes each adapter's tensors in order. The BLAS thread variables are printed
 beside the digests: a multithreaded BLAS may sum GEMMs in another order, so
@@ -34,6 +36,9 @@ PRETRAIN = {
     "joint": dict(mode="hklm"),
     "joint_accum2": dict(mode="hklm", grad_accum=2),
     "plain": dict(mode="plain"),
+    "half_kg": dict(mode="hklm", triple_keep_fraction=0.5),
+    "noisy_kg": dict(mode="hklm", value_noise=True),
+    "drop_headings": dict(mode="hklm", drop_headings=True),
 }
 
 

@@ -188,11 +188,10 @@ def cmd_gen_examples(args) -> int:
     man.write(manifest_path_for(args.out))
     train_aligned, _ = build_aligned(config, corpus, vocab)
     examples, stats = generate_pretrain_examples(
-        corpus, train_aligned, vocab, epoch_sampler(config, 0), config.ablation(),
-        keep_debug=args.debug_sidecar,
+        corpus, train_aligned, vocab, epoch_sampler(config, 0), keep_debug=args.debug_sidecar
     )
     write_examples(examples, args.out, vocab.hash_hex(), debug_sidecar=args.debug_sidecar)
-    print(json.dumps({"examples": stats.n_examples, "tc_skips": stats.tc_skips,
+    print(json.dumps({"examples": len(examples), "tc_skips": stats.tc_skips,
                       "tmt_skips": stats.tmt_skips}))
     return 0
 

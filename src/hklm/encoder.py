@@ -664,7 +664,7 @@ def encode(params, config: ModelConfig, batch: Batch, rows, want_cache: bool = F
     b, l = batch.ids.shape
     if l > config.max_seq_len:
         raise ModelError(f"sequence length {l} exceeds max_seq_len {config.max_seq_len}")
-    if int(batch.ids.max(initial=0)) >= config.vocab_size:
+    if int(batch.ids.min(initial=0)) < 0 or int(batch.ids.max(initial=0)) >= config.vocab_size:
         raise ModelError("token id outside the model vocabulary")
     rows = _check_rows(rows, b * l)
     x, emb = _embed(params, config, batch)

@@ -21,7 +21,7 @@ from .corpus import (
     Vocab,
     derive_seed,
 )
-from .align import AlignedFragment, Fragment
+from .align import AlignedFragment
 
 SEG_TEXT = 0
 SEG_HEADING = 1
@@ -46,10 +46,18 @@ class SamplerConfig:
     # retrieved triple still gets serialized while the per-anchor
     # classification stays at a learnable width.
     triples_per_example: int | None = None
+    # KG ablation: serialize no heading or no triple, keep each retrieved
+    # triple with this probability, or hide the object of each kept triple
+    # behind [UNK] with probability 1/2.
+    drop_headings: bool = False
+    drop_triples: bool = False
+    triple_keep_fraction: float = 1.0
+    value_noise: bool = False
     seed: int = 0
 
     def validate(self) -> None:
-        rates = ("mask_prob", "mask_token_frac", "random_token_frac", "keep_frac", "p_neg_tc", "p_neg_tmt")
+        rates = ("mask_prob", "mask_token_frac", "random_token_frac", "keep_frac", "p_neg_tc", "p_neg_tmt",
+                 "triple_keep_fraction")
         for name in rates:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -61,6 +69,8 @@ class SamplerConfig:
             raise ExampleError("max_seq_len must be >= 16")
         if self.triples_per_example is not None and self.triples_per_example < 1:
             raise ExampleError("triples_per_example must be >= 1 when set")
+        if self.drop_triples and self.triple_keep_fraction < 1.0:
+            raise ExampleError("drop_triples conflicts with triple_keep_fraction < 1")
 
 
 @dataclass
@@ -95,12 +105,8 @@ class PretrainExample:
 
 @dataclass
 class GenStats:
-    n_examples: int = 0
     tc_skips: int = 0
     tmt_skips: int = 0
-    triples_kept: int = 0
-    triples_dropped: int = 0
-    objects_noised: int = 0
 
 
 def assemble_input(
@@ -217,73 +223,8 @@ def apply_mlm_mask(
 
 
 # ---------------------------------------------------------------------------
-# Ablation and example generation
+# Example generation
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class AblationConfig:
-    drop_headings: bool = False
-    drop_triples: bool = False
-    triple_keep_fraction: float = 1.0
-    value_noise: bool = False
-
-    def validate(self) -> None:
-        if not 0.0 <= self.triple_keep_fraction <= 1.0:
-            raise ExampleError(f"triple_keep_fraction must be in [0, 1], got {self.triple_keep_fraction}")
-        if self.drop_triples and self.triple_keep_fraction < 1.0:
-            raise ExampleError("drop_triples conflicts with triple_keep_fraction < 1")
-
-
-@dataclass
-class AblatedFragment:
-    fragment: Fragment
-    include_heading: bool
-    triples: list[tuple[Triple, float, bool]]  # (triple, score, noise_object)
-
-
-def apply_ablation(
-    aligned: list[AlignedFragment], ablation: AblationConfig, master_seed: int
-) -> tuple[list[AblatedFragment], GenStats]:
-    """Structural KG-degradation pass over the aligned stream.
-
-    Keep/noise coins use rng streams derived separately from the corruption
-    and masking streams, so keep_fraction=1 with no noise is bit-identical
-    to the unablated pipeline.
-    """
-    ablation.validate()
-    stats = GenStats()
-    out: list[AblatedFragment] = []
-    for af in aligned:
-        frag = af.fragment
-        triples: list[tuple[Triple, float, bool]] = []
-        if not ablation.drop_triples:
-            kept = list(af.triples)
-            if ablation.triple_keep_fraction < 1.0:
-                krng = np.random.default_rng(
-                    derive_seed(master_seed, "keep", frag.entity_id, frag.index)
-                )
-                kept = [ts for ts in kept if krng.random() < ablation.triple_keep_fraction]
-                stats.triples_dropped += len(af.triples) - len(kept)
-            noise_flags = [False] * len(kept)
-            if ablation.value_noise:
-                nrng = np.random.default_rng(
-                    derive_seed(master_seed, "noise", frag.entity_id, frag.index)
-                )
-                noise_flags = [nrng.random() < 0.5 for _ in kept]
-                stats.objects_noised += sum(noise_flags)
-            triples = [(t, s, nf) for (t, s), nf in zip(kept, noise_flags)]
-            stats.triples_kept += len(triples)
-        else:
-            stats.triples_dropped += len(af.triples)
-        out.append(
-            AblatedFragment(
-                fragment=frag,
-                include_heading=not ablation.drop_headings,
-                triples=triples,
-            )
-        )
-    return out, stats
 
 
 def generate_pretrain_examples(
@@ -291,38 +232,44 @@ def generate_pretrain_examples(
     aligned: list[AlignedFragment],
     vocab: Vocab,
     config: SamplerConfig,
-    ablation: AblationConfig | None = None,
     keep_debug: bool = False,
 ) -> tuple[list[PretrainExample], GenStats]:
-    """Corrupt, serialize, and mask every aligned fragment.
+    """Degrade, corrupt, serialize, and mask every aligned fragment.
 
     Per-example rng seeds derive from (master seed, entity_id, fragment
     index), so generation order and parallelism cannot change the output.
-    Corruption draws happen before masking draws; structural ablation uses
-    its own derived streams.
+    The KG ablation's keep and noise coins come from streams of their own,
+    so keep_fraction=1 with no noise is bit-identical to no ablation.
+    Corruption draws happen before masking draws.
     """
     config.validate()
-    ablation = ablation or AblationConfig()
-    ablated, stats = apply_ablation(aligned, ablation, config.seed)
-
+    stats = GenStats()
     predicates = corpus.predicates()
     headings_by_id = {doc.entity_id: doc.headings() for doc in corpus}
     vocab_size = len(vocab)
     per_example = config.triples_per_example
     examples: list[PretrainExample] = []
-    for ab in ablated:
-        frag = ab.fragment
+    for af in aligned:
+        frag = af.fragment
+        triples = [] if config.drop_triples else [t for t, _score in af.triples]
+        if config.triple_keep_fraction < 1.0:
+            krng = np.random.default_rng(derive_seed(config.seed, "keep", frag.entity_id, frag.index))
+            triples = [t for t in triples if krng.random() < config.triple_keep_fraction]
+        noised = [False] * len(triples)
+        if config.value_noise:
+            nrng = np.random.default_rng(derive_seed(config.seed, "noise", frag.entity_id, frag.index))
+            noised = [nrng.random() < 0.5 for _ in triples]
+        chosen = list(zip(triples, noised))
+
         ex_seed = derive_seed(config.seed, frag.entity_id, frag.index)
         rng = np.random.default_rng(ex_seed)
-
-        chosen = ab.triples
         if per_example is not None and len(chosen) > per_example:
             picked = rng.choice(len(chosen), size=per_example, replace=False).tolist()
             chosen = [chosen[i] for i in sorted(picked)]
 
         tmt_label: int | None = None
         heading = heading_ids = None
-        if ab.include_heading:
+        if not config.drop_headings:
             heading, tmt_label, skipped = corrupt_heading(
                 frag.heading, headings_by_id[frag.entity_id], rng, config.p_neg_tmt
             )
@@ -332,7 +279,7 @@ def generate_pretrain_examples(
         tc_labels: list[int] = []
         serialized_triples: list[Triple] = []
         triple_ids: list[list[int]] = []
-        for triple, _score, noise in chosen:
+        for triple, noise in chosen:
             out_triple, label, skipped = corrupt_triple(triple, predicates, rng, config.p_neg_tc)
             stats.tc_skips += skipped
             tc_labels.append(label)
@@ -348,13 +295,13 @@ def generate_pretrain_examples(
         n_kept = len(layout.triples)
         masked, mlm_labels = apply_mlm_mask(ids, vocab_size, rng, config)
         debug = None
-        if keep_debug and not ab.include_heading and not ab.triples:
+        if keep_debug and config.drop_headings and not chosen:
             debug = {"heading": None, "predicates": []}
         elif keep_debug:
             debug = {
                 "heading": frag.heading,
                 "serialized_heading": heading,
-                "predicates": [t.predicate for t, _s, _n in chosen[:n_kept]],
+                "predicates": [t.predicate for t, _noise in chosen[:n_kept]],
                 "serialized_predicates": [t.predicate for t in serialized_triples[:n_kept]],
             }
         examples.append(
@@ -368,7 +315,6 @@ def generate_pretrain_examples(
                 debug=debug,
             )
         )
-    stats.n_examples += len(examples)
     return examples, stats
 
 

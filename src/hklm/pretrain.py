@@ -23,7 +23,7 @@ from .encoder import (
     init_params,
     make_batch,
 )
-from .examples import AblationConfig, PretrainExample, SamplerConfig, generate_pretrain_examples
+from .examples import PretrainExample, SamplerConfig, generate_pretrain_examples
 from .optim import AdamWConfig, AdamWState, DivergenceError, adamw_step
 
 
@@ -45,8 +45,8 @@ _JSON_FIELD_TYPES = {
 @dataclass
 class TrainConfig:
     """Every setting of a pretraining run, flat as `--config` files hold
-    them. The model, sampler and KG-ablation configs take the fields they
-    share with it by name."""
+    them. The model and sampler configs take the fields they share with it
+    by name."""
 
     mode: str = "hklm"  # "plain" or "hklm"
     lam: float = 1.0
@@ -85,7 +85,7 @@ class TrainConfig:
     p_neg_tc: float = 0.5
     p_neg_tmt: float = 0.5
     triples_per_example: int | None = None
-    # KG ablation / degradation switches
+    # sampler: KG ablation switches
     drop_headings: bool = False
     drop_triples: bool = False
     triple_keep_fraction: float = 1.0
@@ -125,24 +125,21 @@ class TrainConfig:
                               f" k_max {self.k_max} and triples_per_example {per_example}"
                               f" allow {serialized}")
         self.model_config(NUM_SPECIAL).validate()
-        self.ablation().validate()
         self.sampler_config().validate()
 
     def _shared(self, cls, **values):
-        """A `cls` holding this config's fields of the same name, plus `values`."""
+        """A `cls` holding this config's fields of the same name, with `values` over them."""
         names = {f.name for f in dataclasses.fields(cls)} & {f.name for f in dataclasses.fields(self)}
-        return cls(**{name: getattr(self, name) for name in names}, **values)
+        return cls(**{name: getattr(self, name) for name in names} | values)
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         return self._shared(ModelConfig, vocab_size=vocab_size)
 
     def sampler_config(self) -> SamplerConfig:
-        return self._shared(SamplerConfig)
-
-    def ablation(self) -> AblationConfig:
+        """Plain mode serializes the text alone: no heading and no triple."""
         if self.mode == "plain":
-            return AblationConfig(drop_headings=True, drop_triples=True)
-        return self._shared(AblationConfig)
+            return self._shared(SamplerConfig, drop_headings=True, drop_triples=True)
+        return self._shared(SamplerConfig)
 
     def effective_lr(self) -> float:
         return self.lr * self.lr_scale
@@ -221,7 +218,7 @@ def build_aligned(
     train_corpus, held_corpus = split_corpus(corpus, config.heldout_fraction, config.seed)
     train_frags = fragment_corpus(train_corpus, vocab, config.max_fragment_len)
     held_frags = fragment_corpus(held_corpus, vocab, config.max_fragment_len)
-    if config.ablation().drop_triples:
+    if config.sampler_config().drop_triples:
         return unaligned_corpus(train_corpus, train_frags), unaligned_corpus(held_corpus, held_frags)
 
     index = build_tfidf_index(train_corpus, vocab, train_frags)
@@ -351,13 +348,8 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
     config.validate()
     vocab = build_vocab(corpus, config.vocab_min_freq)
     train_aligned, held_aligned = build_aligned(config, corpus, vocab)
-    ablation = config.ablation()
-    train_ex, _ = generate_pretrain_examples(
-        corpus, train_aligned, vocab, epoch_sampler(config, 0), ablation
-    )
-    held_ex, _ = generate_pretrain_examples(
-        corpus, held_aligned, vocab, config.sampler_config(), ablation
-    )
+    train_ex, _ = generate_pretrain_examples(corpus, train_aligned, vocab, epoch_sampler(config, 0))
+    held_ex, _ = generate_pretrain_examples(corpus, held_aligned, vocab, config.sampler_config())
     if not train_ex:
         raise ConfigError("no training examples were generated")
 
@@ -395,7 +387,7 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
         if not schedule:
             if epoch > 0:  # fresh corruptions and masks for the new epoch
                 regen, _ = generate_pretrain_examples(
-                    corpus, train_aligned, vocab, epoch_sampler(config, epoch), ablation
+                    corpus, train_aligned, vocab, epoch_sampler(config, epoch)
                 )
                 batches = _length_bucketed_batches(regen, config.batch_size, model_cfg.np_dtype)
             schedule = list(order_rng.permutation(len(batches)))

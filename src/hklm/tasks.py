@@ -79,6 +79,11 @@ class TaskExample:
             candidates=obj.get("candidates"),
             gold=obj.get("gold"),
         )
+        for seq in [ex.tokens, *(ex.candidates or ())]:
+            bad = [t for t in seq if type(t) is not int or t < 0]  # JSON true is not token 1
+            if bad:
+                raise TaskError(f"{ex.variant} record {ex.example_id}: token {json.dumps(bad[0])}"
+                                " is not a nonnegative integer id")
         if ex.variant == "et" and ex.tokens.count(ENT_ID) != 2:
             raise TaskError(f"example {ex.example_id}: [ENT] markers must appear as a pair")
         missing = [key for key in _VARIANT_FIELDS.get(ex.variant, ()) if obj.get(key) is None]

@@ -663,8 +663,9 @@ def backward_batch(params, config, batch, result, lam: float, mu: float):
 
 
 # Pretraining example generation with per-position numpy masking, a separate
-# headingless assembler and a per-call text -> ids dict (formerly
-# hklm.examples.apply_mlm_mask, assemble_input, _assemble_headingless and
+# headingless assembler, a per-call text -> ids dict and the KG ablation as a
+# pass of its own over the aligned stream (formerly hklm.examples.apply_mlm_mask,
+# assemble_input, _assemble_headingless, apply_ablation and
 # generate_pretrain_examples). Texts are tokenized without the vocabulary's
 # memo, so the memo is checked too.
 
@@ -806,13 +807,34 @@ def corrupt_heading(heading, doc_headings, rng, p_neg):
     return heading, 1, False
 
 
-def generate_pretrain_examples(corpus, aligned, vocab, config, ablation=None, keep_debug=False):
+def apply_ablation(aligned, config):
+    """(fragment, include_heading, [(triple, score, noise_object)]) per aligned fragment."""
+    from hklm.corpus import derive_seed
+
+    out = []
+    for af in aligned:
+        frag = af.fragment
+        triples = []
+        if not config.drop_triples:
+            kept = list(af.triples)
+            if config.triple_keep_fraction < 1.0:
+                krng = np.random.default_rng(derive_seed(config.seed, "keep", frag.entity_id, frag.index))
+                kept = [ts for ts in kept if krng.random() < config.triple_keep_fraction]
+            noise_flags = [False] * len(kept)
+            if config.value_noise:
+                nrng = np.random.default_rng(derive_seed(config.seed, "noise", frag.entity_id, frag.index))
+                noise_flags = [nrng.random() < 0.5 for _ in kept]
+            triples = [(t, s, nf) for (t, s), nf in zip(kept, noise_flags)]
+        out.append((frag, not config.drop_headings, triples))
+    return out
+
+
+def generate_pretrain_examples(corpus, aligned, vocab, config, keep_debug=False):
     from hklm.corpus import UNK_ID, derive_seed, tokenize_text
-    from hklm.examples import AblationConfig, PretrainExample, apply_ablation
+    from hklm.examples import GenStats, PretrainExample
 
     config.validate()
-    ablation = ablation or AblationConfig()
-    ablated, stats = apply_ablation(aligned, ablation, config.seed)
+    stats = GenStats()
 
     predicates = corpus.predicates()
     headings_by_id = {doc.entity_id: doc.headings() for doc in corpus}
@@ -825,12 +847,11 @@ def generate_pretrain_examples(corpus, aligned, vocab, config, ablation=None, ke
         return ids
 
     examples = []
-    for ab in ablated:
-        frag = ab.fragment
+    for frag, include_heading, ablated_triples in apply_ablation(aligned, config):
         ex_seed = derive_seed(config.seed, frag.entity_id, frag.index)
         rng = np.random.default_rng(ex_seed)
 
-        plain_form = not ab.include_heading and not ab.triples
+        plain_form = not include_heading and not ablated_triples
         if plain_form:
             ids, layout = assemble_input(frag.token_ids, None, [], config.max_seq_len)
             masked, mlm_labels = apply_mlm_mask(ids, len(vocab), rng, config)
@@ -845,10 +866,9 @@ def generate_pretrain_examples(corpus, aligned, vocab, config, ablation=None, ke
                     debug={"heading": None, "predicates": []} if keep_debug else None,
                 )
             )
-            stats.n_examples += 1
             continue
 
-        chosen = ab.triples
+        chosen = ablated_triples
         if config.triples_per_example is not None and len(chosen) > config.triples_per_example:
             idx = sorted(
                 int(i)
@@ -858,7 +878,7 @@ def generate_pretrain_examples(corpus, aligned, vocab, config, ablation=None, ke
 
         tmt_label = None
         heading = frag.heading
-        if ab.include_heading:
+        if include_heading:
             heading, tmt_label, skipped = corrupt_heading(
                 frag.heading, headings_by_id[frag.entity_id], rng, config.p_neg_tmt
             )
@@ -883,8 +903,8 @@ def generate_pretrain_examples(corpus, aligned, vocab, config, ablation=None, ke
                 obj = [UNK_ID] * len(obj)
             triple_id_lists.append(subj + pred + obj)
 
-        heading_ids = encode(heading) if ab.include_heading else None
-        if ab.include_heading:
+        heading_ids = encode(heading) if include_heading else None
+        if include_heading:
             ids, layout = assemble_input(frag.token_ids, heading_ids, triple_id_lists, config.max_seq_len)
         else:
             ids, layout = assemble_headingless(frag.token_ids, triple_id_lists, config.max_seq_len)
@@ -895,7 +915,7 @@ def generate_pretrain_examples(corpus, aligned, vocab, config, ablation=None, ke
         if keep_debug:
             debug = {
                 "heading": frag.heading,
-                "serialized_heading": heading if ab.include_heading else None,
+                "serialized_heading": heading if include_heading else None,
                 "predicates": [t.predicate for t, _s, _n in chosen[: len(layout.triples)]],
                 "serialized_predicates": [t.predicate for t in serialized_triples[: len(layout.triples)]],
             }
@@ -910,7 +930,6 @@ def generate_pretrain_examples(corpus, aligned, vocab, config, ablation=None, ke
                 debug=debug,
             )
         )
-        stats.n_examples += 1
     return examples, stats
 
 

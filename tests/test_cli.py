@@ -443,6 +443,25 @@ class TestMalformedInputs:
         assert str(files["train"]) in err and "line 2" in err and field in err and "99" in err
         assert not (tmp_path / "ft" / "metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("task, bad", [("ner", -3), ("ner", True), ("ner", 2.7), ("qa", -3)],
+                             ids=["ner-negative", "ner-true", "ner-fraction", "qa-candidate-negative"])
+    def test_task_record_with_a_bad_token_id(self, pipeline_dir, checkpoint, tmp_path, capsys, task, bad):
+        """Token ids, of the tokens and of each rank candidate, are integers
+        >= 0: -3 would read the embedding table from its end, true would read
+        as id 1 and 2.7 as id 2."""
+        files = {s: pipeline_dir / "tasks" / f"{task}-{s}.jsonl" for s in ("train", "eval")}
+        first, *rest = files["train"].read_text().splitlines()
+        record = json.loads(first)
+        (record["candidates"][-1] if task == "qa" else record["tokens"])[0] = bad
+        files["train"] = tmp_path / "bad.jsonl"
+        files["train"].write_text("\n".join([json.dumps(record), *rest]) + "\n")
+        code = run(["finetune", "--checkpoint", str(checkpoint), "--task", task,
+                    "--train", str(files["train"]), "--eval", str(files["eval"]),
+                    "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
+        err = _assert_one_line_error(code, capsys)
+        assert str(files["train"]) in err and "line 1" in err and json.dumps(bad) in err
+        assert not (tmp_path / "ft" / "metrics.jsonl").exists()
+
     def test_finetune_divergence(self, pipeline_dir, checkpoint, tmp_path, capsys, recwarn):
         tasks = pipeline_dir / "tasks"
         code = run(["finetune", "--checkpoint", str(checkpoint), "--task", "ner",

@@ -163,6 +163,13 @@ class TestForward:
         with pytest.raises(ModelError):
             forward_one(params, cfg, bad)
 
+    def test_negative_token_id_rejected(self):
+        cfg = tiny_config()
+        params = init_params(cfg, 0)
+        bad = mk_example([20, -3], [30], [], [], [], 1)
+        with pytest.raises(ModelError, match="vocabulary"):
+            forward_one(params, cfg, bad)
+
 
 class TestLoss:
     def test_lambda_mu_zero_reduces_to_mlm(self, rich_example):

@@ -23,12 +23,10 @@ from hklm.corpus import (
 )
 from hklm.corpus import derive_seed
 from hklm.examples import (
-    AblationConfig,
     ExampleError,
     PretrainExample,
     SamplerConfig,
     SegmentLayout,
-    apply_ablation,
     apply_mlm_mask,
     assemble_input,
     corrupt_heading,
@@ -322,8 +320,8 @@ class TestGeneration:
     def test_label_soundness_via_debug(self, synth_aligned):
         corpus, vocab, aligned = synth_aligned
         cfg = SamplerConfig(seed=3)
-        examples, stats = generate_pretrain_examples(corpus, aligned, vocab, cfg, keep_debug=True)
-        assert stats.n_examples == len(examples) == len(aligned)
+        examples, _ = generate_pretrain_examples(corpus, aligned, vocab, cfg, keep_debug=True)
+        assert len(examples) == len(aligned)
         n_neg_tc = n_neg_tmt = 0
         for ex in examples:
             assert (ex.tmt_label == 0) == (ex.debug["serialized_heading"] != ex.debug["heading"])
@@ -354,49 +352,53 @@ class TestGeneration:
 
     def test_drop_headings_removes_sep0(self, synth_aligned):
         corpus, vocab, aligned = synth_aligned
-        ab = AblationConfig(drop_headings=True)
-        examples, _ = generate_pretrain_examples(corpus, aligned, vocab, SamplerConfig(seed=3), ab)
+        examples, _ = generate_pretrain_examples(corpus, aligned, vocab, SamplerConfig(seed=3, drop_headings=True))
         for ex in examples:
             assert SEP0_ID not in ex.input_ids
             assert ex.tmt_label is None
 
     def test_drop_triples_removes_sepi(self, synth_aligned):
         corpus, vocab, aligned = synth_aligned
-        ab = AblationConfig(drop_triples=True)
-        examples, _ = generate_pretrain_examples(corpus, aligned, vocab, SamplerConfig(seed=3), ab)
+        examples, _ = generate_pretrain_examples(corpus, aligned, vocab, SamplerConfig(seed=3, drop_triples=True))
         for ex in examples:
             assert not set(SEPI_IDS) & set(ex.input_ids)
             assert ex.tc_labels == []
 
     def test_drop_both_equals_plain_form(self, synth_aligned):
         corpus, vocab, aligned = synth_aligned
-        ab = AblationConfig(drop_headings=True, drop_triples=True)
-        examples, _ = generate_pretrain_examples(corpus, aligned, vocab, SamplerConfig(seed=3), ab)
+        cfg = SamplerConfig(seed=3, drop_headings=True, drop_triples=True)
+        examples, _ = generate_pretrain_examples(corpus, aligned, vocab, cfg)
         for ex in examples:
             assert ex.input_ids[0] == CLS_ID and ex.input_ids[-1] == SEP_ID
             assert ex.layout.sep0_pos is None and not ex.layout.triples
 
     def test_identity_ablation_is_noop(self, synth_aligned):
+        # Below 1 the keep coins are drawn, from a stream of their own; the
+        # largest float below 1 keeps every triple.
         corpus, vocab, aligned = synth_aligned
         cfg = SamplerConfig(seed=3)
-        plainab = AblationConfig(triple_keep_fraction=1.0, value_noise=False)
-        a, _ = generate_pretrain_examples(corpus, aligned, vocab, cfg, None)
-        b, _ = generate_pretrain_examples(corpus, aligned, vocab, cfg, plainab)
+        keep_all = SamplerConfig(seed=3, triple_keep_fraction=float(np.nextafter(1.0, 0.0)))
+        a, _ = generate_pretrain_examples(corpus, aligned, vocab, cfg)
+        b, _ = generate_pretrain_examples(corpus, aligned, vocab, keep_all)
         assert [example_to_json(x) for x in a] == [example_to_json(x) for x in b]
 
     def test_keep_fraction_count(self, synth_aligned):
         corpus, vocab, aligned = synth_aligned
         total = sum(len(af.triples) for af in aligned)
-        ablated, stats = apply_ablation(aligned, AblationConfig(triple_keep_fraction=0.5), 3)
-        kept = sum(len(ab.triples) for ab in ablated)
-        assert stats.triples_kept == kept
-        assert abs(kept / total - 0.5) < 0.1
+
+        def serialized(**kw):
+            # Long enough that the length budget sheds no triple.
+            cfg = SamplerConfig(seed=3, max_seq_len=4096, **kw)
+            examples, _ = generate_pretrain_examples(corpus, aligned, vocab, cfg)
+            return sum(len(ex.layout.triples) for ex in examples)
+
+        assert serialized() == total
+        assert abs(serialized(triple_keep_fraction=0.5) / total - 0.5) < 0.1
 
     def test_value_noise_replaces_objects_with_unk(self, synth_aligned):
         corpus, vocab, aligned = synth_aligned
-        ab = AblationConfig(value_noise=True)
-        cfg = SamplerConfig(seed=3, mask_prob=0.0, p_neg_tc=0.0, p_neg_tmt=0.0)
-        examples, _ = generate_pretrain_examples(corpus, aligned, vocab, cfg, ab)
+        cfg = SamplerConfig(seed=3, mask_prob=0.0, p_neg_tc=0.0, p_neg_tmt=0.0, value_noise=True)
+        examples, _ = generate_pretrain_examples(corpus, aligned, vocab, cfg)
         aligned_iter = iter(aligned)
         n_noised = 0
         for ex, af in zip(examples, aligned_iter):
@@ -410,7 +412,7 @@ class TestGeneration:
 
     def test_conflicting_flags_rejected(self):
         with pytest.raises(ExampleError):
-            AblationConfig(drop_triples=True, triple_keep_fraction=0.5).validate()
+            SamplerConfig(drop_triples=True, triple_keep_fraction=0.5).validate()
 
 
 class TestGenerationMatchesReference:
@@ -426,15 +428,15 @@ class TestGenerationMatchesReference:
         return corpus, vocab, align_whole(corpus, vocab, max_len=48)
 
     CASES = {
-        "hklm": ({}, {}),
-        "plain": ({}, dict(drop_headings=True, drop_triples=True)),
-        "drop-headings": ({}, dict(drop_headings=True)),
-        "drop-triples": ({}, dict(drop_triples=True)),
-        "keep-half": ({}, dict(triple_keep_fraction=0.5)),
-        "value-noise": ({}, dict(value_noise=True)),
-        "one-per-example": (dict(triples_per_example=1), {}),
-        "two-per-example-noisy": (dict(triples_per_example=2), dict(value_noise=True, triple_keep_fraction=0.7)),
-        "all-negative": (dict(p_neg_tc=1.0, p_neg_tmt=1.0, mask_prob=0.5), {}),
+        "hklm": {},
+        "plain": dict(drop_headings=True, drop_triples=True),
+        "drop-headings": dict(drop_headings=True),
+        "drop-triples": dict(drop_triples=True),
+        "keep-half": dict(triple_keep_fraction=0.5),
+        "value-noise": dict(value_noise=True),
+        "one-per-example": dict(triples_per_example=1),
+        "two-per-example-noisy": dict(triples_per_example=2, value_noise=True, triple_keep_fraction=0.7),
+        "all-negative": dict(p_neg_tc=1.0, p_neg_tmt=1.0, mask_prob=0.5),
     }
 
     @staticmethod
@@ -448,22 +450,18 @@ class TestGenerationMatchesReference:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_case(self, synth_aligned, case):
         corpus, vocab, aligned = synth_aligned
-        sampler_kw, ablation_kw = self.CASES[case]
         for epoch_seed in (3, derive_seed(3, "epoch", 1)):  # two epochs' streams
-            cfg = SamplerConfig(seed=epoch_seed, **sampler_kw)
-            got = generate_pretrain_examples(
-                corpus, aligned, vocab, cfg, AblationConfig(**ablation_kw), keep_debug=True)
-            want = oracles.generate_pretrain_examples(
-                corpus, aligned, vocab, cfg, AblationConfig(**ablation_kw), keep_debug=True)
+            cfg = SamplerConfig(seed=epoch_seed, **self.CASES[case])
+            got = generate_pretrain_examples(corpus, aligned, vocab, cfg, keep_debug=True)
+            want = oracles.generate_pretrain_examples(corpus, aligned, vocab, cfg, keep_debug=True)
             self._assert_same(got, want)
 
     @pytest.mark.parametrize("drop_headings", [False, True])
     def test_truncated_triples(self, short_fragments, drop_headings):
         corpus, vocab, aligned = short_fragments
-        cfg = SamplerConfig(seed=5, max_seq_len=50)
-        ab = AblationConfig(drop_headings=drop_headings)
-        got = generate_pretrain_examples(corpus, aligned, vocab, cfg, ab, keep_debug=True)
-        want = oracles.generate_pretrain_examples(corpus, aligned, vocab, cfg, ab, keep_debug=True)
+        cfg = SamplerConfig(seed=5, max_seq_len=50, drop_headings=drop_headings)
+        got = generate_pretrain_examples(corpus, aligned, vocab, cfg, keep_debug=True)
+        want = oracles.generate_pretrain_examples(corpus, aligned, vocab, cfg, keep_debug=True)
         self._assert_same(got, want)
         cut = [ex for ex, af in zip(got[0], aligned) if af.triples and not ex.layout.triples]
         assert cut, "no example lost every triple to the length budget"

@@ -11,7 +11,7 @@ from hklm import align, pretrain
 from hklm.checkpoint import save_checkpoint
 from hklm.corpus import SEP0_ID, SEPI_IDS, generate_synthetic_corpus
 from hklm.encoder import ModelConfig, param_names
-from hklm.examples import AblationConfig, SamplerConfig
+from hklm.examples import SamplerConfig
 from hklm.pretrain import (
     ConfigError,
     DivergenceError,
@@ -76,7 +76,7 @@ class TestConfig:
         # A field renamed on one side alone would silently keep its default.
         names = {f.name for f in dataclasses.fields(TrainConfig)}
         for cls, own in ((ModelConfig, {"vocab_size", "n_segments", "ln_eps"}),
-                         (SamplerConfig, set()), (AblationConfig, set())):
+                         (SamplerConfig, set())):
             assert {f.name for f in dataclasses.fields(cls)} - names == own
 
     def test_triples_serialized_per_example_bound_the_retrieval_cap(self):
@@ -252,6 +252,34 @@ class TestRunPretraining:
             micro = n % grad_accum
             assert live_caches == [], f"forward {n}"
             assert live_grads == ([n - micro] if micro else []), f"forward {n}"
+
+    @pytest.mark.parametrize("grad_accum", [1, 2])
+    def test_weights_after_step_k_equal_a_k_step_run(self, corpus30, monkeypatch, grad_accum):
+        """A k-step run is a snapshot of a longer run: warmup, the epoch order
+        and each epoch's corruptions and masks depend on the step and the
+        epoch, never on `steps`. So a schedule that does (LR decay) fails."""
+        ks, steps = (5, 14), 16
+        cfg = small_cfg(max_fragment_len=48, batch_size=32, warmup_steps=8, eval_every=0,
+                        grad_accum=grad_accum)
+        real_step = pretrain.adamw_step
+        snapshots = {}
+
+        def snapshotting_step(params, grads, state, opt_cfg):
+            real_step(params, grads, state, opt_cfg)
+            if state.step in ks:
+                snapshots[state.step] = {name: arr.copy() for name, arr in params.items()}
+
+        monkeypatch.setattr(pretrain, "adamw_step", snapshotting_step)
+        res = run_pretraining(dataclasses.replace(cfg, steps=steps), corpus30)
+        per_epoch = -(-len(res.train_examples) // cfg.batch_size)
+        # One snapshot before the first epoch boundary, one after it.
+        assert ks[0] * grad_accum <= per_epoch < ks[1] * grad_accum
+        monkeypatch.setattr(pretrain, "adamw_step", real_step)
+        for k in ks:
+            short = run_pretraining(dataclasses.replace(cfg, steps=k), corpus30).params
+            assert list(short) == list(snapshots[k])
+            for name, arr in short.items():
+                np.testing.assert_array_equal(arr, snapshots[k][name], err_msg=f"step {k}: {name}")
 
     @pytest.mark.skipif(pretrain._glibc() is None, reason="glibc only")
     def test_freed_heap_retained_only_within_training(self):

@@ -10,18 +10,33 @@ from hklm.cli import BLAS_THREAD_ENV
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_weights_digest_prints_one_line_of_digests():
+def run_script(name, *args) -> list[str]:
+    """The stdout lines of scripts/`name` run against this checkout's src/."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "weights_digest.py")],
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, env=env, check=True)
-    lines = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_weights_digest_prints_one_line_of_digests():
+    lines = run_script("weights_digest.py")
     assert len(lines) == 1
     out = json.loads(lines[0])
     blas_env = out.pop("blas_env")
     assert set(blas_env) == set(BLAS_THREAD_ENV) and blas_env["OPENBLAS_NUM_THREADS"] == "1"
-    runs = [out.pop(name) for name in ("joint", "joint_accum2", "plain")]
+    runs = [out.pop(name) for name in ("joint", "joint_accum2", "plain", "half_kg", "noisy_kg", "drop_headings")]
     assert all(set(run) == {"checkpoint", "metrics"} for run in runs)
     assert set(out) == {f"finetune_{name}" for name in ("ner", "et", "oie1", "oie2", "qa", "dialog")}
     digests = list(out.values()) + [digest for run in runs for digest in run.values()]
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest in digests)
+
+
+def test_step_memory_prints_a_line_per_micro_batch_and_evaluation_and_a_summary():
+    *steps, evaluation, summary = map(json.loads, run_script("step_memory.py", "--steps", "1"))
+    assert len(steps) == 1
+    assert set(steps[0]) == {"batch", "rows", "row_fraction", "live_mb", "cache_mb", "peak_mb",
+                             "transient_mb", "faults"}
+    assert evaluation["eval"] == "heads" and evaluation["examples"] > 0
+    assert set(summary) == {"params_and_moments_mb", "max_peak_mb", "eval_peak_mb", "max_step_mb",
+                            "left_mb"}
