@@ -26,9 +26,9 @@ from pathlib import Path
 from hklm import finetune, tasks
 from hklm.checkpoint import save_checkpoint
 from hklm.cli import BLAS_THREAD_ENV
-from hklm.corpus import Corpus, generate_synthetic_corpus
+from hklm.corpus import Corpus, generate_synthetic_corpus, write_jsonl
 from hklm.manifest import sha256_file
-from hklm.pretrain import TrainConfig, run_pretraining, write_metrics
+from hklm.pretrain import TrainConfig, run_pretraining
 
 SEED = 3
 ENTITIES = 30
@@ -62,7 +62,7 @@ def main():
             res = run_pretraining(cfg, corpus)
             ckpt, metrics = Path(tmp, name + ".ckpt"), Path(tmp, name + ".jsonl")
             save_checkpoint(ckpt, res.params, res.model_config, res.vocab.hash_hex())
-            write_metrics(res.metrics, metrics)
+            write_jsonl(metrics, (rec.to_json() for rec in res.metrics))
             out[name] = {"checkpoint": sha256_file(ckpt), "metrics": sha256_file(metrics)}
             joint = joint or res
 

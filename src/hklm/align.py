@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -260,22 +259,13 @@ def unaligned_corpus(corpus: Corpus, fragments: dict[str, list[Fragment]]) -> li
     return [AlignedFragment(fragment=f, triples=[]) for doc in corpus for f in fragments[doc.entity_id]]
 
 
-def aligned_json_line(af: AlignedFragment) -> str:
-    return json.dumps(
-        {
-            "entity_id": af.fragment.entity_id,
-            "heading": af.fragment.heading,
-            "tokens": af.fragment.token_ids,
-            "triples": [
-                {"s": t.subject, "p": t.predicate, "o": t.object, "score": float(f"{score:.9g}")}
-                for t, score in af.triples
-            ],
-        },
-        ensure_ascii=False,
-    )
-
-
-def write_aligned(aligned: list[AlignedFragment], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for af in aligned:
-            fh.write(aligned_json_line(af) + "\n")
+def aligned_to_json(af: AlignedFragment) -> dict:
+    return {
+        "entity_id": af.fragment.entity_id,
+        "heading": af.fragment.heading,
+        "tokens": af.fragment.token_ids,
+        "triples": [
+            {"s": t.subject, "p": t.predicate, "o": t.object, "score": float(f"{score:.9g}")}
+            for t, score in af.triples
+        ],
+    }

@@ -1,8 +1,9 @@
 """Command-line entry point wiring the pipeline into subcommands.
 
 Every stochastic subcommand requires an explicit --seed; every run writes a
-RunManifest next to its outputs before producing them. Exit codes: 0 success,
-1 usage/config/serialization errors, 2 training divergence.
+manifest (`manifest.write_manifest`) next to its outputs before producing
+them, and every JSON-lines output goes through `corpus.write_jsonl`. Exit
+codes: 0 success, 1 usage/config/serialization errors, 2 training divergence.
 """
 
 from __future__ import annotations
@@ -15,19 +16,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .align import write_aligned
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .corpus import (
-    CorpusError,
-    SynthParams,
-    Vocab,
-    build_vocab,
-    generate_synthetic_corpus,
-    load_corpus,
-    write_corpus,
-    write_truth,
-)
-from .examples import ExampleError, generate_pretrain_examples, write_examples
+from .align import aligned_to_json
+from .checkpoint import load_checkpoint, save_checkpoint
+from .corpus import SynthParams, build_vocab, generate_synthetic_corpus, load_corpus, write_jsonl
+from .examples import generate_pretrain_examples, write_examples
 from .finetune import (
     FinetuneConfig,
     FinetuneError,
@@ -41,17 +33,9 @@ from .finetune import (
     finetune_span_stage2,
     finetune_token_classifier,
 )
-from .manifest import RunManifest, manifest_path_for, sha256_file
-from .metrics import MetricsError
+from .manifest import manifest_path_for, write_manifest
 from .optim import DivergenceError
-from .pretrain import (
-    ConfigError,
-    TrainConfig,
-    build_aligned,
-    epoch_sampler,
-    run_pretraining,
-    write_metrics,
-)
+from .pretrain import TrainConfig, build_aligned, epoch_sampler, run_pretraining
 from .tasks import (
     RankPool,
     TaskError,
@@ -60,21 +44,10 @@ from .tasks import (
     make_oie_data,
     make_rank_data,
     read_task_data,
-    write_task_data,
 )
 
-USER_ERRORS = (
-    CorpusError,
-    ConfigError,
-    ExampleError,
-    FinetuneError,
-    TaskError,
-    MetricsError,
-    CheckpointError,
-    OSError,
-    json.JSONDecodeError,
-    ValueError,
-)
+# Every error class of the package, and json.JSONDecodeError, is a ValueError.
+USER_ERRORS = (OSError, ValueError)
 
 
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -87,21 +60,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _write_vocab(vocab: Vocab, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(vocab.to_json(), fh, ensure_ascii=False)
-        fh.write("\n")
-
-
-def _manifest(subcommand, config, inputs, outputs, seed=None, extra=None):
-    return RunManifest(
-        subcommand=subcommand,
-        config=config,
-        inputs={str(p): sha256_file(p) for p in inputs},
-        outputs=[str(p) for p in outputs],
-        seed=seed,
-        extra=extra or {},
-    )
+# The task-record variant each task set holds and each --task trains and
+# scores on.
+_TASK_VARIANT = {"ner": "ner", "et": "et", "oie": "oie", "qa": "rank", "dialog": "rank"}
 
 
 def cmd_synth_corpus(args) -> int:
@@ -112,24 +73,20 @@ def cmd_synth_corpus(args) -> int:
     corpus, truth = generate_synthetic_corpus(args.seed, args.entities, params)
     truth_path = args.out.rsplit(".jsonl", 1)[0] + ".truth.jsonl" if args.out.endswith(".jsonl") else args.out + ".truth.jsonl"
     outputs = [args.out, truth_path]
-    task_files = []
+    task_paths = {}  # task -> its train and eval file paths
     if args.tasks_out:
         os.makedirs(args.tasks_out, exist_ok=True)
-        task_files = [
-            os.path.join(args.tasks_out, f"{task}-{split}.jsonl")
-            for task in ("ner", "et", "oie", "qa", "dialog")
-            for split in ("train", "eval")
-        ]
-        outputs += task_files
-    man = _manifest(
-        "synth-corpus",
+        task_paths = {task: [os.path.join(args.tasks_out, f"{task}-{split}.jsonl") for split in ("train", "eval")]
+                      for task in _TASK_VARIANT}
+        outputs += [path for pair in task_paths.values() for path in pair]
+    write_manifest(
+        manifest_path_for(args.out), "synth-corpus",
         {"entities": args.entities, "mention_fraction": args.mention_fraction,
          "marker_density": args.marker_density, "tasks_out": args.tasks_out},
         [], outputs, seed=args.seed,
     )
-    man.write(manifest_path_for(args.out))
-    write_corpus(corpus, args.out)
-    write_truth(truth, truth_path)
+    write_jsonl(args.out, (doc.to_json() for doc in corpus))
+    write_jsonl(truth_path, truth)
     if args.tasks_out:
         vocab = build_vocab(corpus, 1)
         pool = RankPool(corpus, vocab)
@@ -140,9 +97,9 @@ def cmd_synth_corpus(args) -> int:
             "qa": make_rank_data(pool, truth, vocab, args.seed),
             "dialog": make_rank_data(pool, truth, vocab, args.seed, dialog=True),
         }
-        for task, (train, evals) in sets.items():
-            write_task_data(train, os.path.join(args.tasks_out, f"{task}-train.jsonl"))
-            write_task_data(evals, os.path.join(args.tasks_out, f"{task}-eval.jsonl"))
+        for task, splits in sets.items():
+            for path, examples in zip(task_paths[task], splits):
+                write_jsonl(path, (ex.to_json() for ex in examples))
     return 0
 
 
@@ -167,30 +124,34 @@ def _config_inputs(args) -> list:
     return [args.corpus] + ([args.config] if args.config else [])
 
 
-def cmd_align(args) -> int:
+def _aligned_training_split(args, mode=None):
+    """The prologue of `align` and `gen-examples`: loads the corpus, builds the
+    config and vocab, writes the manifest of args.out, and aligns the training
+    split. Returns (corpus, config, vocab, the training split's aligned
+    fragments)."""
     corpus = load_corpus(args.corpus)
-    config = _train_config(args)
+    config = _train_config(args, mode)
     vocab = build_vocab(corpus, config.vocab_min_freq)
-    man = _manifest("align", config.to_json(), _config_inputs(args), [args.out],
-                    seed=args.seed, extra={"vocab_hash": vocab.hash_hex()})
-    man.write(manifest_path_for(args.out))
+    write_manifest(manifest_path_for(args.out), args.subcommand, config.to_json(), _config_inputs(args),
+                   [args.out], seed=args.seed, extra={"vocab_hash": vocab.hash_hex()})
     train_aligned, _ = build_aligned(config, corpus, vocab)
-    write_aligned(train_aligned, args.out)
+    return corpus, config, vocab, train_aligned
+
+
+def cmd_align(args) -> int:
+    _, _, _, train_aligned = _aligned_training_split(args)
+    write_jsonl(args.out, map(aligned_to_json, train_aligned))
     return 0
 
 
 def cmd_gen_examples(args) -> int:
-    corpus = load_corpus(args.corpus)
-    config = _train_config(args, args.mode)
-    vocab = build_vocab(corpus, config.vocab_min_freq)
-    man = _manifest("gen-examples", config.to_json(), _config_inputs(args), [args.out],
-                    seed=args.seed, extra={"vocab_hash": vocab.hash_hex()})
-    man.write(manifest_path_for(args.out))
-    train_aligned, _ = build_aligned(config, corpus, vocab)
+    corpus, config, vocab, train_aligned = _aligned_training_split(args, args.mode)
     examples, stats = generate_pretrain_examples(
         corpus, train_aligned, vocab, epoch_sampler(config, 0), keep_debug=args.debug_sidecar
     )
-    write_examples(examples, args.out, vocab.hash_hex(), debug_sidecar=args.debug_sidecar)
+    write_examples(examples, args.out, vocab.hash_hex())
+    if args.debug_sidecar:
+        write_jsonl(args.out + ".debug.jsonl", (ex.debug or {} for ex in examples))
     print(json.dumps({"examples": len(examples), "tc_skips": stats.tc_skips,
                       "tmt_skips": stats.tmt_skips}))
     return 0
@@ -206,22 +167,16 @@ def cmd_pretrain(args) -> int:
     # A multithreaded BLAS may sum in another order, so the checkpoint bytes
     # depend on these; null means unset.
     blas_env = {name: os.environ.get(name) for name in BLAS_THREAD_ENV}
-    man = _manifest("pretrain", config.to_json(), _config_inputs(args),
-                    [ckpt_path, metrics_path, vocab_path], seed=args.seed,
-                    extra={"blas_thread_env": blas_env})
-    man.write(os.path.join(args.out, "manifest.json"))
+    write_manifest(os.path.join(args.out, "manifest.json"), "pretrain", config.to_json(), _config_inputs(args),
+                   [ckpt_path, metrics_path, vocab_path], seed=args.seed, extra={"blas_thread_env": blas_env})
     result = run_pretraining(config, corpus)
-    _write_vocab(result.vocab, vocab_path)
+    write_jsonl(vocab_path, [result.vocab.to_json()])
     save_checkpoint(ckpt_path, result.params, result.model_config, result.vocab.hash_hex())
-    write_metrics(result.metrics, metrics_path)
+    write_jsonl(metrics_path, (rec.to_json() for rec in result.metrics))
     if result.metrics:
         last = result.metrics[-1]
         print(json.dumps(last.to_json()))
     return 0
-
-
-# The task-record variant each --task trains and scores on.
-_TASK_VARIANT = {"ner": "ner", "et": "et", "oie": "oie", "qa": "rank", "dialog": "rank"}
 
 
 def cmd_finetune(args) -> int:
@@ -236,18 +191,16 @@ def cmd_finetune(args) -> int:
                                 f" --task {args.task} needs {variant!r}")
     if not evals:
         raise FinetuneError(f"no examples in --eval file {args.eval}")
-    cfg = FinetuneConfig(epochs=args.epochs, batch_size=args.batch_size,
-                         lr=args.lr, seed=args.seed, max_seq_len=model_cfg.max_seq_len)
+    cfg = FinetuneConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr, seed=args.seed)
     cfg.validate()
     os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.jsonl")
     inputs = [args.checkpoint, args.train, args.eval]
-    man = _manifest(
-        "finetune",
+    write_manifest(
+        os.path.join(args.out, "manifest.json"), "finetune",
         {"task": args.task, "epochs": args.epochs, "batch_size": args.batch_size, "lr": args.lr},
         inputs, [metrics_path], seed=args.seed, extra={"vocab_hash": vocab_hash},
     )
-    man.write(os.path.join(args.out, "manifest.json"))
 
     if args.task == "ner":
         model = finetune_token_classifier(params, model_cfg, train, cfg)
@@ -285,28 +238,24 @@ def build_parser() -> _Parser:
                     help="also emit the five synthetic task sets into this directory")
     sc.set_defaults(fn=cmd_synth_corpus)
 
-    config_help = "JSON file mirroring TrainConfig fields"
-    al = sub.add_parser("align", help="write the aligned fragments of pretraining's training split")
-    al.add_argument("--corpus", required=True)
-    al.add_argument("--seed", type=int, required=True)
-    al.add_argument("--config", default=None, help=config_help)
+    # The options of the subcommands that read a corpus under a TrainConfig.
+    prep = argparse.ArgumentParser(add_help=False)
+    prep.add_argument("--corpus", required=True)
+    prep.add_argument("--seed", type=int, required=True)
+    prep.add_argument("--config", default=None, help="JSON file mirroring TrainConfig fields")
+
+    al = sub.add_parser("align", parents=[prep], help="write the aligned fragments of pretraining's training split")
     al.add_argument("--out", required=True)
     al.set_defaults(fn=cmd_align)
 
-    ge = sub.add_parser("gen-examples", help="write the examples of pretraining's first epoch")
-    ge.add_argument("--corpus", required=True)
-    ge.add_argument("--seed", type=int, required=True)
-    ge.add_argument("--config", default=None, help=config_help)
+    ge = sub.add_parser("gen-examples", parents=[prep], help="write the examples of pretraining's first epoch")
     ge.add_argument("--mode", choices=("plain", "hklm"), default=None)
     ge.add_argument("--debug-sidecar", action="store_true", dest="debug_sidecar")
     ge.add_argument("--out", required=True)
     ge.set_defaults(fn=cmd_gen_examples)
 
-    pt = sub.add_parser("pretrain", help="run the pretraining pipeline end to end")
-    pt.add_argument("--corpus", required=True)
+    pt = sub.add_parser("pretrain", parents=[prep], help="run the pretraining pipeline end to end")
     pt.add_argument("--out", required=True)
-    pt.add_argument("--seed", type=int, required=True)
-    pt.add_argument("--config", default=None, help=config_help)
     pt.add_argument("--steps", type=int, default=None)
     pt.add_argument("--mode", choices=("plain", "hklm"), default=None)
     pt.set_defaults(fn=cmd_pretrain)

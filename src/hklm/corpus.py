@@ -339,23 +339,17 @@ def parse_corpus(lines) -> Corpus:
     return Corpus(documents=documents)
 
 
-def document_json_line(doc: Document) -> str:
-    return json.dumps(doc.to_json(), ensure_ascii=False)
-
-
-def serialize_corpus(corpus: Corpus) -> list[str]:
-    return [document_json_line(doc) for doc in corpus]
-
-
 def load_corpus(path) -> Corpus:
     with open(path, encoding="utf-8") as fh:
         return parse_corpus(fh)
 
 
-def write_corpus(corpus: Corpus, path) -> None:
+def write_jsonl(path, records) -> None:
+    """Writes each record as one line of UTF-8 JSON, non-ASCII text unescaped:
+    the one writer of every JSON-lines file."""
     with open(path, "w", encoding="utf-8") as fh:
-        for line in serialize_corpus(corpus):
-            fh.write(line + "\n")
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def derive_seed(*parts) -> int:
@@ -585,9 +579,3 @@ def generate_synthetic_corpus(
         )
 
     return Corpus(documents=documents), truths
-
-
-def write_truth(truths: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in truths:
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")

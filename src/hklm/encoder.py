@@ -384,12 +384,11 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return m
 
 
-def softmax(x: np.ndarray, axis=-1) -> np.ndarray:
-    """exp(x - max) / sum(exp(x - max)) along axis."""
-    m = _row_max(x) if axis in (-1, x.ndim - 1) else x.max(axis=axis, keepdims=True)
-    out = np.subtract(x, m)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """exp(x - max) / sum(exp(x - max)) along the last axis."""
+    out = np.subtract(x, _row_max(x))
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    out /= out.sum(axis=-1, keepdims=True)
     return out
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +19,7 @@ from .corpus import (
     Triple,
     Vocab,
     derive_seed,
+    write_jsonl,
 )
 from .align import AlignedFragment
 
@@ -339,14 +339,7 @@ def example_to_json(ex: PretrainExample) -> dict:
     }
 
 
-def write_examples(
-    examples: list[PretrainExample], path, vocab_hash: str, debug_sidecar: bool = False
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"format": FORMAT_TAG, "version": FORMAT_VERSION, "vocab_hash": vocab_hash}) + "\n")
-        for ex in examples:
-            fh.write(json.dumps(example_to_json(ex)) + "\n")
-    if debug_sidecar:
-        with open(str(path) + ".debug.jsonl", "w", encoding="utf-8") as fh:
-            for ex in examples:
-                fh.write(json.dumps(ex.debug or {}) + "\n")
+def write_examples(examples: list[PretrainExample], path, vocab_hash: str) -> None:
+    """The format header line, then one line per example."""
+    header = {"format": FORMAT_TAG, "version": FORMAT_VERSION, "vocab_hash": vocab_hash}
+    write_jsonl(path, [header, *map(example_to_json, examples)])

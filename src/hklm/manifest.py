@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 
 from . import __version__
 
@@ -18,31 +17,22 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    config: dict
-    inputs: dict[str, str]  # path -> sha256 of files actually read
-    outputs: list[str]
-    seed: int | None = None
-    tool_version: str = __version__
-    extra: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "tool_version": self.tool_version,
-            "seed": self.seed,
-            "config": self.config,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            **({"extra": self.extra} if self.extra else {}),
-        }
-
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def write_manifest(path, subcommand: str, config: dict, inputs, outputs, seed=None, extra=None) -> None:
+    """Writes one run's manifest as sorted, indented JSON: the SHA-256 of each
+    file in `inputs` (the files the run reads), the paths in `outputs`, and
+    `extra` when it is not empty."""
+    manifest = {
+        "subcommand": subcommand,
+        "tool_version": __version__,
+        "seed": seed,
+        "config": config,
+        "inputs": {str(p): sha256_file(p) for p in inputs},
+        "outputs": [str(p) for p in outputs],
+        **({"extra": extra} if extra else {}),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def manifest_path_for(output_path) -> str:

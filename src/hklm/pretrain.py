@@ -445,9 +445,3 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
 
 def init_params_seeded(model_cfg: ModelConfig, seed: int):
     return init_params(model_cfg, derive_seed(seed, "init"))
-
-
-def write_metrics(metrics: list[MetricsRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in metrics:
-            fh.write(json.dumps(rec.to_json()) + "\n")

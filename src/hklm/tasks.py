@@ -39,7 +39,6 @@ class TaskExample:
     variant: str  # ner | et | oie | rank
     tokens: list[int]
     tags: list[str] | None = None                 # ner: BIO per token
-    mention: tuple[int, int] | None = None        # et: [ENT] pair positions
     labels: list[str] | None = None               # et: gold label set
     triples: list[dict] | None = None             # oie: span triples
     candidates: list[list[int]] | None = None     # rank: candidate sequences
@@ -49,8 +48,6 @@ class TaskExample:
         obj = {"id": self.example_id, "variant": self.variant, "tokens": self.tokens}
         if self.tags is not None:
             obj["tags"] = self.tags
-        if self.mention is not None:
-            obj["mention"] = list(self.mention)
         if self.labels is not None:
             obj["labels"] = self.labels
         if self.triples is not None:
@@ -73,7 +70,6 @@ class TaskExample:
             variant=obj["variant"],
             tokens=list(obj["tokens"]),
             tags=obj.get("tags"),
-            mention=tuple(obj["mention"]) if "mention" in obj else None,
             labels=obj.get("labels"),
             triples=obj.get("triples"),
             candidates=obj.get("candidates"),
@@ -89,28 +85,22 @@ class TaskExample:
         missing = [key for key in _VARIANT_FIELDS.get(ex.variant, ()) if obj.get(key) is None]
         if missing:
             raise TaskError(f"{ex.variant} record {ex.example_id} lacks {missing}")
-        if ex.variant == "rank" and not (isinstance(ex.gold, int) and 0 <= ex.gold < len(ex.candidates)):
-            raise TaskError(f"rank record {ex.example_id}: gold {ex.gold!r} is not the index of one of"
-                            f" its {len(ex.candidates)} candidates")
+        if ex.variant == "rank" and not (type(ex.gold) is int and 0 <= ex.gold < len(ex.candidates)):
+            raise TaskError(f"rank record {ex.example_id}: gold {json.dumps(ex.gold)} is not the index of"
+                            f" one of its {len(ex.candidates)} candidates")
         for triple in ex.triples if ex.variant == "oie" else ():
             for role in ("subj", "pred", "obj"):
                 span = triple.get(role) if isinstance(triple, dict) else None
                 if not _is_span(span, len(ex.tokens)):
-                    raise TaskError(f"oie record {ex.example_id}: {role} {span!r} is not a span"
+                    raise TaskError(f"oie record {ex.example_id}: {role} {json.dumps(span)} is not a span"
                                     f" [s, e) with 0 <= s < e <= {len(ex.tokens)}")
         return ex
 
 
 def _is_span(span, n: int) -> bool:
-    """Whether span is [s, e], integers with 0 <= s < e <= n."""
-    return (isinstance(span, list) and len(span) == 2 and all(isinstance(i, int) for i in span)
+    """Whether span is [s, e], integers (not booleans) with 0 <= s < e <= n."""
+    return (isinstance(span, list) and len(span) == 2 and all(type(i) is int for i in span)
             and 0 <= span[0] < span[1] <= n)
-
-
-def write_task_data(examples: list[TaskExample], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(ex.to_json()) + "\n")
 
 
 def read_task_data(path) -> list[TaskExample]:
@@ -269,14 +259,7 @@ def make_et_data(
             + [ENT_ID]
             + vocab.encode_tokens(suffix)
         )
-        m_start = len(prefix)
-        return TaskExample(
-            example_id=example_id,
-            variant="et",
-            tokens=tokens,
-            mention=(m_start, m_start + len(mention) + 2),
-            labels=list(rec["type_path"]),
-        )
+        return TaskExample(example_id=example_id, variant="et", tokens=tokens, labels=list(rec["type_path"]))
 
     return _task_sets(truth, seed, "et", "et", n_train, n_eval, example)
 

@@ -10,6 +10,7 @@ from hklm.align import (
     ExactCosines,
     SparseVec,
     TfIdfIndex,
+    aligned_to_json,
     build_tfidf_index,
     cosine,
     fragment_corpus,
@@ -17,7 +18,6 @@ from hklm.align import (
     retrieve_triples,
     tfidf_vector,
     triple_vectors,
-    write_aligned,
 )
 from hklm.corpus import (
     SynthParams,
@@ -25,6 +25,7 @@ from hklm.corpus import (
     generate_synthetic_corpus,
     parse_corpus,
     triple_token_ids,
+    write_jsonl,
 )
 from conftest import DEFAULTS, align_whole, doc_line
 from oracles import naive_cosine, naive_tfidf_vector
@@ -240,8 +241,8 @@ class TestRetrieval:
     def test_deterministic_bytes(self, synth20, synth20_vocab, tmp_path):
         corpus, _ = synth20
         p1, p2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"
-        write_aligned(align_whole(corpus, synth20_vocab), p1)
-        write_aligned(align_whole(corpus, synth20_vocab), p2)
+        write_jsonl(p1, map(aligned_to_json, align_whole(corpus, synth20_vocab)))
+        write_jsonl(p2, map(aligned_to_json, align_whole(corpus, synth20_vocab)))
         assert p1.read_bytes() == p2.read_bytes()
 
 

@@ -4,9 +4,9 @@ import json
 import pytest
 
 from hklm import tasks
-from hklm.align import aligned_json_line
+from hklm.align import aligned_to_json
 from hklm.cli import run
-from hklm.corpus import build_vocab, load_corpus
+from hklm.corpus import build_vocab, load_corpus, write_jsonl
 from hklm.examples import example_to_json
 from hklm.manifest import sha256_file
 from hklm.pretrain import TrainConfig, build_aligned, run_pretraining
@@ -50,8 +50,8 @@ class TestSynthCorpus:
         "c.truth.jsonl": "fc835cd6f8c77772ac5c997e72bac44ca41e0d9c647f2a7587aff4581f04ff32",
         "tasks/ner-train.jsonl": "636d1326cdeee45893dec5951cf5788531788711a33cc8a5a01129c88fa35556",
         "tasks/ner-eval.jsonl": "011e9e778e471de82542ded52e622bb2fbad1b84eff97bffa34ef2c09789649f",
-        "tasks/et-train.jsonl": "d61f107f6051945805317cec61b0e1d0a5c69d0be116aaeb41be07ecfb865d4b",
-        "tasks/et-eval.jsonl": "98ae839589a47c71d4f17852419f50cdd46d07c27518e422d05385b5d1f99265",
+        "tasks/et-train.jsonl": "46b464f7c4ce86c6fda76652422711a1ef82e893c908b024611ba8e45a3d9b2e",
+        "tasks/et-eval.jsonl": "2b5a0dc484a59baf950db406bb6bfa8a1bac478f687aa1110fb511f0011c870c",
         "tasks/oie-train.jsonl": "9ffb357d62952dcf99ecbe037a7a067352c89efecf5e775baea5ffc92ca9c893",
         "tasks/oie-eval.jsonl": "1a33c28acd72a646657e8ea088786f9eedbdf5513210810eb98d9e52ca39b874",
         "tasks/qa-train.jsonl": "ce66245dbeed26e42b5cb9e84b6368b7e798788405eff75258c80b0f12150926",
@@ -155,6 +155,37 @@ class TestAlignAndExamples:
         assert any(rec["predicates"] for rec in lines)
         assert out.read_bytes() == (pipeline_dir / "ex.jsonl").read_bytes()
 
+    def test_debug_sidecar_writes_non_ascii_unescaped(self, pipeline_dir, tmp_path):
+        heading = "Frühgeschichte – 歴史"
+        corpus = load_corpus(pipeline_dir / "c.jsonl")
+        for doc in corpus:
+            doc.sections[0].heading = heading
+        c, out = tmp_path / "c.jsonl", tmp_path / "ex.jsonl"
+        write_jsonl(c, (doc.to_json() for doc in corpus))
+        assert run(["gen-examples", "--corpus", str(c), "--seed", "42", "--config", str(pipeline_dir / "train.json"),
+                    "--out", str(out), "--debug-sidecar"]) == 0
+        raw = (tmp_path / "ex.jsonl.debug.jsonl").read_bytes()
+        assert heading.encode("utf-8") in raw and b"\\u" not in raw
+        assert heading in {json.loads(line)["heading"] for line in raw.decode("utf-8").splitlines()}
+
+    # SHA-256 of the `align`, `gen-examples`, `gen-examples --debug-sidecar`
+    # and `pretrain --steps 0` outputs on the pipeline's corpus and config.
+    DIGESTS = {
+        "aligned.jsonl": "688fba938f8161d772394f800990504033aa35b332d9894466fa19752503a715",
+        "ex.jsonl": "4cb565c0f5ca8c1db16a841dd7df2d8c6dc07624f4f41fd63592cedc6e8a5507",
+        "ex.jsonl.debug.jsonl": "cb5dfba476dec98b42ee4993ed95803aee618c3ef519b4c69d2c149ae4396f9e",
+        "vocab.json": "1ecfac86cdb02d6599cdbe0cb61e89bbf32926bbe90051bf80ba5f90d4b8a585",
+    }
+
+    def test_outputs_match_pinned_digests(self, pipeline_dir, tmp_path):
+        assert run(["gen-examples", *_prep_flags(pipeline_dir), "--out", str(tmp_path / "ex.jsonl"),
+                    "--debug-sidecar"]) == 0
+        assert run(["pretrain", *_prep_flags(pipeline_dir), "--steps", "0", "--out", str(tmp_path / "run")]) == 0
+        paths = {"aligned.jsonl": pipeline_dir / "aligned.jsonl", "ex.jsonl": pipeline_dir / "ex.jsonl",
+                 "ex.jsonl.debug.jsonl": tmp_path / "ex.jsonl.debug.jsonl",
+                 "vocab.json": tmp_path / "run" / "vocab.json"}
+        assert {name: sha(path) for name, path in paths.items()} == self.DIGESTS
+
     # Joint mode at the trend-study sampler settings, and plain mode.
     PREP_CONFIGS = [
         {"heldout_fraction": 0.15, "triples_per_example": 1, "max_fragment_len": 48},
@@ -183,7 +214,7 @@ class TestAlignAndExamples:
     def test_align_writes_training_split(self, pipeline_dir, tmp_path, obj):
         lines, config, corpus = self._prep(pipeline_dir, tmp_path, "align", obj)
         train_aligned, _ = build_aligned(config, corpus, build_vocab(corpus, config.vocab_min_freq))
-        assert lines == [aligned_json_line(af) for af in train_aligned]
+        assert lines == [json.dumps(aligned_to_json(af), ensure_ascii=False) for af in train_aligned]
 
 
 class TestPretrainFinetune:
@@ -422,14 +453,17 @@ class TestMalformedInputs:
         assert str(files[split]) in err and "line 2" in err and repr(field) in err
         assert not (tmp_path / "ft" / "metrics.jsonl").exists()
 
-    @pytest.mark.parametrize("task, field, edit", [
-        ("qa", "gold", lambda record: record.update(gold=99)),
-        ("oie", "pred", lambda record: record["triples"][0].update(pred=[0, 99])),
-    ], ids=["qa-gold-99", "oie-pred-0-99"])
+    @pytest.mark.parametrize("task, field, edit, shown", [
+        ("qa", "gold", lambda record: record.update(gold=99), "99"),
+        ("oie", "pred", lambda record: record["triples"][0].update(pred=[0, 99]), "99"),
+        ("qa", "gold", lambda record: record.update(gold=True), "true"),
+        ("oie", "pred", lambda record: record["triples"][0].update(pred=[False, True]), "[false, true]"),
+    ], ids=["qa-gold-99", "oie-pred-0-99", "qa-gold-true", "oie-pred-false-true"])
     def test_task_record_index_out_of_range(self, pipeline_dir, checkpoint, tmp_path, capsys,
-                                            task, field, edit):
+                                            task, field, edit, shown):
         """A rank gold outside the candidates and a span past the tokens are
-        rejected when the file is read, not hit as an IndexError in training."""
+        rejected when the file is read, not hit as an IndexError in training;
+        so are booleans, which would read as indices 0 and 1."""
         files = {s: pipeline_dir / "tasks" / f"{task}-{s}.jsonl" for s in ("train", "eval")}
         first, second = files["train"].read_text().splitlines()[:2]
         record = json.loads(second)
@@ -440,7 +474,7 @@ class TestMalformedInputs:
                     "--train", str(files["train"]), "--eval", str(files["eval"]),
                     "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
         err = _assert_one_line_error(code, capsys)
-        assert str(files["train"]) in err and "line 2" in err and field in err and "99" in err
+        assert str(files["train"]) in err and "line 2" in err and field in err and shown in err
         assert not (tmp_path / "ft" / "metrics.jsonl").exists()
 
     @pytest.mark.parametrize("task, bad", [("ner", -3), ("ner", True), ("ner", 2.7), ("qa", -3)],

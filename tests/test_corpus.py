@@ -17,9 +17,10 @@ from hklm.corpus import (
     derive_seed,
     generate_synthetic_corpus,
     iter_document_texts,
+    load_corpus,
     parse_corpus,
-    serialize_corpus,
     tokenize_text,
+    write_jsonl,
 )
 from conftest import doc_line
 from oracles import count_terms, naive_tokenize
@@ -80,10 +81,13 @@ class TestParse:
         with pytest.raises(CorpusError, match="level"):
             parse_corpus([line])
 
-    def test_roundtrip_identity(self, synth20):
+    def test_roundtrip_identity(self, synth20, tmp_path):
         corpus, _ = synth20
-        again = parse_corpus(serialize_corpus(corpus))
-        assert serialize_corpus(again) == serialize_corpus(corpus)
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write_jsonl(first, (doc.to_json() for doc in corpus))
+        again = load_corpus(first)
+        write_jsonl(second, (doc.to_json() for doc in again))
+        assert second.read_bytes() == first.read_bytes()
         assert [d.to_json() for d in again] == [d.to_json() for d in corpus]
 
 
@@ -279,10 +283,12 @@ class TestEncodeMemo:
 
 
 class TestSynthetic:
-    def test_deterministic_bytes(self):
+    def test_deterministic_bytes(self, tmp_path):
         a, ta = generate_synthetic_corpus(1, 3)
         b, tb = generate_synthetic_corpus(1, 3)
-        assert serialize_corpus(a) == serialize_corpus(b)
+        write_jsonl(tmp_path / "a.jsonl", (doc.to_json() for doc in a))
+        write_jsonl(tmp_path / "b.jsonl", (doc.to_json() for doc in b))
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
         assert ta == tb
 
     def test_mention_fraction_one(self):

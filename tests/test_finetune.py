@@ -132,7 +132,7 @@ class TestEntityTyperLogic:
         from hklm.tasks import TaskExample
 
         typer = self._oracle_typer(["a", "b", "c"], "b")
-        ex = TaskExample(example_id="x", variant="et", tokens=[20, 14, 21, 14], mention=(1, 4), labels=["b"])
+        ex = TaskExample(example_id="x", variant="et", tokens=[20, 14, 21, 14], labels=["b"])
         out = evaluate_et(typer, [ex])
         assert out["accuracy"] == 1.0 and out["micro_f1"] == 1.0
 
@@ -140,7 +140,7 @@ class TestEntityTyperLogic:
         from hklm.tasks import TaskExample
 
         typer = self._oracle_typer(["a", "b"], None)
-        ex = TaskExample(example_id="x", variant="et", tokens=[20, 14, 21, 14], mention=(1, 4), labels=["b"])
+        ex = TaskExample(example_id="x", variant="et", tokens=[20, 14, 21, 14], labels=["b"])
         assert typer.predict([ex]) == [set()]
         out = evaluate_et(typer, [ex])
         assert out["macro_f1"] == 0.0
@@ -149,7 +149,7 @@ class TestEntityTyperLogic:
         _, _, _, cfg, params = world
         from hklm.tasks import TaskExample
 
-        bad = TaskExample(example_id="x", variant="et", tokens=[20, 21], mention=(0, 2), labels=["a"])
+        bad = TaskExample(example_id="x", variant="et", tokens=[20, 21], labels=["a"])
         with pytest.raises(FinetuneError, match="ENT"):
             finetune_entity_typing(params, cfg, [bad], FinetuneConfig(epochs=0))
 

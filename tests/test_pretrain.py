@@ -9,7 +9,7 @@ import pytest
 
 from hklm import align, pretrain
 from hklm.checkpoint import save_checkpoint
-from hklm.corpus import SEP0_ID, SEPI_IDS, generate_synthetic_corpus
+from hklm.corpus import SEP0_ID, SEPI_IDS, generate_synthetic_corpus, write_jsonl
 from hklm.encoder import ModelConfig, param_names
 from hklm.examples import SamplerConfig
 from hklm.pretrain import (
@@ -23,7 +23,6 @@ from hklm.pretrain import (
     init_params_seeded,
     run_pretraining,
     split_corpus,
-    write_metrics,
 )
 
 
@@ -162,7 +161,7 @@ class TestRunPretraining:
             ckpt = tmp_path / f"run{run}.ckpt"
             metrics = tmp_path / f"run{run}.jsonl"
             save_checkpoint(ckpt, res.params, res.model_config, res.vocab.hash_hex())
-            write_metrics(res.metrics, metrics)
+            write_jsonl(metrics, (rec.to_json() for rec in res.metrics))
             paths.append((ckpt, metrics))
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()

@@ -9,6 +9,7 @@ from hklm.corpus import (
     Section,
     build_vocab,
     generate_synthetic_corpus,
+    write_jsonl,
 )
 from hklm.metrics import bio_tags_to_spans, is_valid_bio
 from hklm.tasks import (
@@ -22,7 +23,6 @@ from hklm.tasks import (
     make_rank_data,
     read_task_data,
     split_entities,
-    write_task_data,
 )
 import oracles
 
@@ -106,11 +106,16 @@ class TestEt:
     def test_ent_markers_and_labels(self, world):
         _, truth, vocab = world
         train, evals = make_et_data(truth, vocab, 3, n_train=40, n_eval=20)
-        by_id = {r["title"]: r for r in truth}
+        # The ids of each entity's name and kind -> the type paths of the
+        # entities that have them.
+        type_paths = {}
+        for r in truth:
+            type_paths.setdefault(tuple(vocab.encode_tokens([r["name"], r["kind"]])), []).append(r["type_path"])
         for ex in train + evals:
             assert ex.tokens.count(ENT_ID) == 2
-            s, e = ex.mention
-            assert ex.tokens[s] == ENT_ID and ex.tokens[e - 1] == ENT_ID
+            s, e = [i for i, t in enumerate(ex.tokens) if t == ENT_ID]
+            assert e - s == 3  # the pair surrounds the name and kind tokens
+            assert list(ex.labels) in type_paths[tuple(ex.tokens[s + 1 : e])]
             assert len(ex.labels) == 2
             assert ex.labels[0].count("/") == 1 and ex.labels[1].count("/") == 2
             assert ex.labels[1].startswith(ex.labels[0])
@@ -216,9 +221,16 @@ class TestIO:
         corpus, truth, vocab = world
         train, _ = make_ner_data(truth, vocab, 3, n_train=20, n_eval=5)
         path = tmp_path / "ner.jsonl"
-        write_task_data(train, path)
+        write_jsonl(path, (ex.to_json() for ex in train))
         back = read_task_data(path)
         assert back == train
+
+    def test_et_record_mention_key_ignored(self):
+        """Entity-typing records carry no `mention`; an older record that has
+        one still loads, without it."""
+        record = {"id": "x", "variant": "et", "tokens": [20, ENT_ID, 21, ENT_ID], "labels": ["a"]}
+        ex = TaskExample.from_json(record | {"mention": [1, 4]})
+        assert ex.to_json() == record
 
     def test_et_without_pair_rejected(self):
         with pytest.raises(TaskError, match="ENT"):
@@ -229,11 +241,11 @@ class TestIO:
         oie, _ = make_oie_data(truth, vocab, 3, n_train=20, n_eval=5)
         rank, _ = make_rank_data(corpus, truth, vocab, 3, n_train=6, n_eval=2, n_candidates=5)
         for name, records in (("oie", oie), ("rank", rank)):
-            write_task_data(records, tmp_path / name)
+            write_jsonl(tmp_path / name, (ex.to_json() for ex in records))
             assert read_task_data(tmp_path / name) == records
 
     @pytest.mark.parametrize("gold, ok", [(0, True), (2, True), (3, False), (-1, False), (99, False),
-                                          ("0", False), (1.0, False)])
+                                          ("0", False), (1.0, False), (True, False), (False, False)])
     def test_rank_gold_must_index_a_candidate(self, gold, ok):
         record = {"id": "x", "variant": "rank", "tokens": [20], "candidates": [[21], [22], [23]], "gold": gold}
         if ok:
@@ -245,7 +257,7 @@ class TestIO:
     @pytest.mark.parametrize("span, ok", [([0, 4], True), ([3, 4], True), ([0, 1], True), ([2, 2], False),
                                           ([3, 2], False), ([-1, 1], False), ([0, 5], False), ([0, 99], False),
                                           ([1], False), ([0, 1, 2], False), ([0.0, 1], False), ("01", False),
-                                          (None, False)])
+                                          (None, False), ([False, True], False), ([0, True], False)])
     @pytest.mark.parametrize("role", ["subj", "pred", "obj"])
     def test_oie_spans_must_lie_in_the_tokens(self, role, span, ok):
         triple = {"subj": [0, 1], "pred": [1, 2], "obj": [2, 4]} | {role: span}
