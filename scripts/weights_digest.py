@@ -6,7 +6,9 @@ On the seed-3, 30-entity synthetic corpus it pretrains six times at d=32,
 2 layers, 30 steps of 16 examples (past an epoch boundary): joint (hklm)
 mode at `grad_accum` 1 and 2, plain mode, and three KG-degraded joint arms
 (half the retrieved triples kept, objects noised, headings dropped). Each
-run's checkpoint file (header and tensors) and `metrics.jsonl` are hashed.
+run's checkpoint file (header and tensors), its `metrics.jsonl` and its
+trained tensors alone (`params`, hashed like the adapters below) are hashed:
+a change to the checkpoint header alone moves `checkpoint` but not `params`.
 From the first joint run it then fine-tunes every adapter for one
 epoch (NER, entity typing, both open-IE stages, QA and dialogue ranking) and
 hashes each adapter's tensors in order. The BLAS thread variables are printed
@@ -63,7 +65,8 @@ def main():
             ckpt, metrics = Path(tmp, name + ".ckpt"), Path(tmp, name + ".jsonl")
             save_checkpoint(ckpt, res.params, res.model_config, res.vocab.hash_hex())
             write_jsonl(metrics, (rec.to_json() for rec in res.metrics))
-            out[name] = {"checkpoint": sha256_file(ckpt), "metrics": sha256_file(metrics)}
+            out[name] = {"checkpoint": sha256_file(ckpt), "metrics": sha256_file(metrics),
+                         "params": sha256_params(res.params)}
             joint = joint or res
 
     vocab, sub_corpus, sub_truth = joint.vocab, Corpus(documents=corpus.documents[:10]), truth[:10]

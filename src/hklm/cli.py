@@ -124,34 +124,36 @@ def _config_inputs(args) -> list:
     return [args.corpus] + ([args.config] if args.config else [])
 
 
-def _aligned_training_split(args, mode=None):
+def _aligned_training_split(args, outputs, mode=None):
     """The prologue of `align` and `gen-examples`: loads the corpus, builds the
-    config and vocab, writes the manifest of args.out, and aligns the training
-    split. Returns (corpus, config, vocab, the training split's aligned
-    fragments)."""
+    config and vocab, writes the manifest of args.out, which lists `outputs`,
+    and aligns the training split. Returns (corpus, config, vocab, the
+    training split's aligned fragments)."""
     corpus = load_corpus(args.corpus)
     config = _train_config(args, mode)
     vocab = build_vocab(corpus, config.vocab_min_freq)
     write_manifest(manifest_path_for(args.out), args.subcommand, config.to_json(), _config_inputs(args),
-                   [args.out], seed=args.seed, extra={"vocab_hash": vocab.hash_hex()})
+                   outputs, seed=args.seed, extra={"vocab_hash": vocab.hash_hex()})
     train_aligned, _ = build_aligned(config, corpus, vocab)
     return corpus, config, vocab, train_aligned
 
 
 def cmd_align(args) -> int:
-    _, _, _, train_aligned = _aligned_training_split(args)
+    _, _, _, train_aligned = _aligned_training_split(args, [args.out])
     write_jsonl(args.out, map(aligned_to_json, train_aligned))
     return 0
 
 
 def cmd_gen_examples(args) -> int:
-    corpus, config, vocab, train_aligned = _aligned_training_split(args, args.mode)
+    sidecar = args.out + ".debug.jsonl"
+    outputs = [args.out, sidecar] if args.debug_sidecar else [args.out]
+    corpus, config, vocab, train_aligned = _aligned_training_split(args, outputs, args.mode)
     examples, stats = generate_pretrain_examples(
         corpus, train_aligned, vocab, epoch_sampler(config, 0), keep_debug=args.debug_sidecar
     )
     write_examples(examples, args.out, vocab.hash_hex())
     if args.debug_sidecar:
-        write_jsonl(args.out + ".debug.jsonl", (ex.debug or {} for ex in examples))
+        write_jsonl(sidecar, (ex.debug or {} for ex in examples))
     print(json.dumps({"examples": len(examples), "tc_skips": stats.tc_skips,
                       "tmt_skips": stats.tmt_skips}))
     return 0
@@ -232,8 +234,10 @@ def build_parser() -> _Parser:
     sc.add_argument("--seed", type=int, required=True)
     sc.add_argument("--entities", type=int, required=True)
     sc.add_argument("--out", required=True)
-    sc.add_argument("--mention-fraction", type=float, default=0.8, dest="mention_fraction")
-    sc.add_argument("--marker-density", type=float, default=0.35, dest="marker_density")
+    sc.add_argument("--mention-fraction", type=float, default=SynthParams.mention_fraction,
+                    dest="mention_fraction")
+    sc.add_argument("--marker-density", type=float, default=SynthParams.marker_density,
+                    dest="marker_density")
     sc.add_argument("--tasks-out", default=None, dest="tasks_out",
                     help="also emit the five synthetic task sets into this directory")
     sc.set_defaults(fn=cmd_synth_corpus)
@@ -267,9 +271,9 @@ def build_parser() -> _Parser:
     ft.add_argument("--eval", required=True)
     ft.add_argument("--out", required=True)
     ft.add_argument("--seed", type=int, required=True)
-    ft.add_argument("--epochs", type=int, default=3)
-    ft.add_argument("--batch-size", type=int, default=16, dest="batch_size")
-    ft.add_argument("--lr", type=float, default=3e-4)
+    ft.add_argument("--epochs", type=int, default=FinetuneConfig.epochs)
+    ft.add_argument("--batch-size", type=int, default=FinetuneConfig.batch_size, dest="batch_size")
+    ft.add_argument("--lr", type=float, default=FinetuneConfig.lr)
     ft.set_defaults(fn=cmd_finetune)
 
     return p

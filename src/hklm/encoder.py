@@ -9,15 +9,18 @@ a residual connection and layer norm.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .corpus import NUM_SPECIAL
-from .examples import PretrainExample
+from .examples import N_SEGMENTS, PretrainExample
 
 NEG_INF = -1e9
+# Added to the variance under every layer norm's square root.
+LN_EPS = 1e-5
 
 
 class ModelError(ValueError):
@@ -32,8 +35,6 @@ class ModelConfig:
     n_layers: int = 4
     ffn_mult: int = 4
     max_seq_len: int = 512
-    n_segments: int = 3
-    tie_mlm: bool = True
     dtype: str = "float32"
     init_std: float = 0.02
     # Query/key projections start wider than the rest: near-zero attention
@@ -41,22 +42,18 @@ class ModelConfig:
     attn_init_std: float = 0.1
     # Position table starts from a scaled sinusoidal pattern so offset-selective
     # attention (an anchor binding to its own following triple) is reachable.
-    pos_init: str = "sinusoidal"  # or "normal"
     pos_init_scale: float = 0.05
-    ln_eps: float = 1e-5
 
     def validate(self) -> None:
-        sizes = (self.d_model, self.n_heads, self.ffn_mult, self.max_seq_len, self.n_segments)
-        if min(sizes) < 1 or self.n_layers < 0:
-            raise ModelError("model sizes must be >= 1, n_layers >= 0")
+        sizes = (self.d_model, self.n_heads, self.n_layers, self.ffn_mult, self.max_seq_len)
+        if min(sizes) < 1:
+            raise ModelError("d_model, n_heads, n_layers, ffn_mult and max_seq_len must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ModelError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.vocab_size < NUM_SPECIAL:
             raise ModelError("vocab_size smaller than the special-token block")
         if self.dtype not in ("float32", "float64"):
             raise ModelError(f"unsupported dtype {self.dtype}")
-        if self.pos_init not in ("sinusoidal", "normal"):
-            raise ModelError(f"unknown pos_init {self.pos_init!r}")
         if not (self.init_std >= 0 and self.attn_init_std >= 0):
             raise ModelError("init_std and attn_init_std must be >= 0")
 
@@ -73,8 +70,19 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
-        """Fields a header lacks (older ones omit the init fields) take their defaults."""
+        """Fields a header lacks (older ones omit the init fields) take their
+        defaults. A retired key is dropped at the one value every model had;
+        at any other it raises ModelError naming it."""
+        obj = dict(obj)
+        for key, value in _RETIRED.items():
+            if key in obj and json.dumps(obj.pop(key)) != json.dumps(value):
+                raise ModelError(f"{key} other than {json.dumps(value)} is no longer supported")
         return cls(**obj)
+
+
+# Keys the headers of older checkpoints hold, each at the one value every
+# model is built with.
+_RETIRED = {"n_segments": N_SEGMENTS, "tie_mlm": True, "pos_init": "sinusoidal", "ln_eps": LN_EPS}
 
 
 def sinusoidal_table(n_pos: int, d: int) -> np.ndarray:
@@ -103,19 +111,16 @@ def encoder_param_names(config: ModelConfig) -> list[str]:
 
 def param_names(config: ModelConfig) -> list[str]:
     """Declaration order of all parameter tensors; fixes checkpoint layout."""
-    names = encoder_param_names(config) + ["mlm_w", "mlm_b", "mlm_ln_g", "mlm_ln_b"]
-    if not config.tie_mlm:
-        names.append("mlm_out_w")
-    names += ["mlm_out_b", "tc_w", "tc_b", "tmt_w", "tmt_b"]
-    return names
+    return encoder_param_names(config) + ["mlm_w", "mlm_b", "mlm_ln_g", "mlm_ln_b", "mlm_out_b",
+                                          "tc_w", "tc_b", "tmt_w", "tmt_b"]
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Shape of every parameter tensor, in declaration order."""
     d, f, v = config.d_model, config.d_ffn, config.vocab_size
     by_leaf = {
-        "tok_emb": (v, d), "pos_emb": (config.max_seq_len, d), "seg_emb": (config.n_segments, d),
-        "ffn_w1": (d, f), "ffn_b1": (f,), "ffn_w2": (f, d), "mlm_out_w": (d, v), "mlm_out_b": (v,),
+        "tok_emb": (v, d), "pos_emb": (config.max_seq_len, d), "seg_emb": (N_SEGMENTS, d),
+        "ffn_w1": (d, f), "ffn_b1": (f,), "ffn_w2": (f, d), "mlm_out_b": (v,),
         "tc_w": (d, 2), "tc_b": (2,), "tmt_w": (d, 2), "tmt_b": (2,),
     }
 
@@ -130,20 +135,15 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     """Gains 1, biases 0, matrices normal (query/key projections at
     attn_init_std) drawn in declaration order. The position table is a
-    scaled sinusoid, or normal and drawn before every other tensor."""
+    sinusoid scaled by pos_init_scale."""
     config.validate()
     rng = np.random.default_rng(seed)
     dt = config.np_dtype
-    shapes = param_shapes(config)
-    if config.pos_init == "sinusoidal":
-        pos_emb = (sinusoidal_table(*shapes["pos_emb"]) * config.pos_init_scale).astype(dt)
-    else:
-        pos_emb = rng.normal(0.0, config.init_std, size=shapes["pos_emb"]).astype(dt)
     params: dict[str, np.ndarray] = {}
-    for name, shape in shapes.items():
+    for name, shape in param_shapes(config).items():
         leaf = name.rsplit(".", 1)[-1]
         if leaf == "pos_emb":
-            params[name] = pos_emb
+            params[name] = (sinusoidal_table(*shape) * config.pos_init_scale).astype(dt)
         elif leaf.endswith("_g"):
             params[name] = np.ones(shape, dtype=dt)
         elif len(shape) == 1:
@@ -495,13 +495,13 @@ def _merge_heads(m):
 # projection is a single GEMM.
 
 
-def _embed(params, config: ModelConfig, batch: Batch):
+def _embed(params, batch: Batch):
     """LN(token + position + segment embedding) at every token, (B*L, d)."""
     b, l = batch.ids.shape
     ids, seg = batch.ids.reshape(-1), batch.seg.reshape(-1)
     emb = params["tok_emb"][ids] + params["seg_emb"][seg]
     emb.reshape(b, l, -1)[:] += params["pos_emb"][:l][None]
-    x, ln = layer_norm(emb, params["emb_ln_g"], params["emb_ln_b"], config.ln_eps)
+    x, ln = layer_norm(emb, params["emb_ln_g"], params["emb_ln_b"], LN_EPS)
     return x, {"ids": ids, "seg": seg, "l": l, "ln": ln}
 
 
@@ -581,7 +581,7 @@ def _self_attention(params, config: ModelConfig, p: str, x, bias, rows=None):
         ctx = ctx[slot]
     out = _affine(ctx, params[p + "o_w"], params[p + "o_b"])
     out += res
-    y, ln = layer_norm(out, params[p + "ln1_g"], params[p + "ln1_b"], config.ln_eps)
+    y, ln = layer_norm(out, params[p + "ln1_g"], params[p + "ln1_b"], LN_EPS)
     return y, {"x": x, "rows": rows, "slot": slot, "q": q, "k": k, "v": v, "probs": probs,
                "ctx": ctx, "ln1": ln}
 
@@ -615,7 +615,7 @@ def _self_attention_backward(params, p: str, c, dy, grads):
     return dx
 
 
-def _feed_forward(params, config: ModelConfig, p: str, y):
+def _feed_forward(params, p: str, y):
     """LN(y + GELU(y @ ffn_w1 + ffn_b1) @ ffn_w2 + ffn_b2) for the block with
     parameter prefix p, at the rows of y. The cache keeps the GELU input and
     its tanh, not its output: the backward re-derives that (one multiply per
@@ -624,7 +624,7 @@ def _feed_forward(params, config: ModelConfig, p: str, y):
     act, gelu_t = gelu_forward(pre)
     out = _affine(act, params[p + "ffn_w2"], params[p + "ffn_b2"])
     out += y
-    z, ln = layer_norm(out, params[p + "ln2_g"], params[p + "ln2_b"], config.ln_eps)
+    z, ln = layer_norm(out, params[p + "ln2_g"], params[p + "ln2_b"], LN_EPS)
     return z, {"y": y, "ffn_pre": pre, "gelu_t": gelu_t, "ln2": ln}
 
 
@@ -666,18 +666,16 @@ def encode(params, config: ModelConfig, batch: Batch, rows, want_cache: bool = F
     if int(batch.ids.min(initial=0)) < 0 or int(batch.ids.max(initial=0)) >= config.vocab_size:
         raise ModelError("token id outside the model vocabulary")
     rows = _check_rows(rows, b * l)
-    x, emb = _embed(params, config, batch)
+    x, emb = _embed(params, batch)
     bias = ((1.0 - batch.mask) * NEG_INF)[:, None, None, :].astype(config.np_dtype)
     layers = []
     for i in range(config.n_layers):
         p = f"layers.{i}."
         y, attn = _self_attention(params, config, p, x, bias, rows if i == config.n_layers - 1 else None)
-        x, ffn = _feed_forward(params, config, p, y)
+        x, ffn = _feed_forward(params, p, y)
         if want_cache:
             layers.append(attn | ffn)
-    if config.n_layers == 0:  # no block gathered the rows
-        x = x[rows]
-    return x, ({"emb": emb, "layers": layers, "rows": rows} if want_cache else None)
+    return x, ({"emb": emb, "layers": layers} if want_cache else None)
 
 
 def encoder_backward(params, config: ModelConfig, cache, d_hidden):
@@ -692,10 +690,8 @@ def encoder_backward(params, config: ModelConfig, cache, d_hidden):
     second backward over the same cache raises ModelError.
     """
     grads: dict[str, np.ndarray] = {}
-    layers, emb, rows = _take(cache, "layers"), _take(cache, "emb"), _take(cache, "rows")
+    layers, emb = _take(cache, "layers"), _take(cache, "emb")
     dx = d_hidden
-    if config.n_layers == 0:
-        dx = _scatter_rows(dx, rows, emb["ids"].size)
     for i in reversed(range(config.n_layers)):
         p = f"layers.{i}."
         c = layers.pop()  # emptied by the two backwards, then freed
@@ -731,25 +727,20 @@ def head_rows(batch: Batch):
     return rows, np.split(inverse, np.cumsum([len(f) for f in flat[:-1]]))
 
 
-def _mlm_decoder(params, config: ModelConfig):
-    """The MLM head's (d, V) output matrix: the token embeddings' transpose
-    when tied."""
-    return params["tok_emb"].T if config.tie_mlm else params["mlm_out_w"]
-
-
-def _mlm_head(params, config: ModelConfig, g):
-    """MLM logits at the masked rows g: dense + GELU + layer norm + decoder."""
+def _mlm_head(params, g):
+    """MLM logits at the masked rows g: dense + GELU + layer norm + decoder,
+    the decoder being the token embeddings' transpose."""
     pre = _affine(g, params["mlm_w"], params["mlm_b"])
     act, gelu_t = gelu_forward(pre)
-    h, ln = layer_norm(act, params["mlm_ln_g"], params["mlm_ln_b"], config.ln_eps)
-    logits = _affine(h, _mlm_decoder(params, config), params["mlm_out_b"])
+    h, ln = layer_norm(act, params["mlm_ln_g"], params["mlm_ln_b"], LN_EPS)
+    logits = _affine(h, params["tok_emb"].T, params["mlm_out_b"])
     return logits, {"g": g, "pre": pre, "gelu_t": gelu_t, "h": h, "ln": ln}
 
 
-def _mlm_head_backward(params, config: ModelConfig, c, d_logits, grads):
+def _mlm_head_backward(params, c, d_logits, grads):
     """Mirrors `_mlm_head`; returns the gradients wrt g and wrt the decoder,
-    which `backward_batch` adds to the token embeddings' when tied."""
-    d_decoder, grads["mlm_out_b"], d_h = _affine_backward(c.pop("h"), _mlm_decoder(params, config), d_logits)
+    which `backward_batch` adds to the token embeddings'."""
+    d_decoder, grads["mlm_out_b"], d_h = _affine_backward(c.pop("h"), params["tok_emb"].T, d_logits)
     d_act, grads["mlm_ln_g"], grads["mlm_ln_b"] = layer_norm_backward(d_h, c.pop("ln"), params["mlm_ln_g"])
     d_pre = gelu_grad(c.pop("pre"), c.pop("gelu_t"), dout=d_act)
     grads["mlm_w"], grads["mlm_b"], d_g = _affine_backward(c.pop("g"), params["mlm_w"], d_pre)
@@ -761,7 +752,7 @@ def forward_batch(params, config: ModelConfig, batch: Batch, want_cache: bool = 
     hidden, cache = encode(params, config, batch, rows, want_cache)
     head_in = {head: hidden[r] for head, r in zip(HEADS, head_r)}
     logits = {}
-    logits["mlm"], mlm_cache = _mlm_head(params, config, head_in["mlm"])
+    logits["mlm"], mlm_cache = _mlm_head(params, head_in["mlm"])
     for head in HEADS[1:]:  # TC and TMT: an affine map to two logits
         logits[head] = _affine(head_in[head], params[head + "_w"], params[head + "_b"])
     if want_cache:
@@ -825,7 +816,7 @@ def backward_batch(params, config: ModelConfig, batch: Batch, result: ForwardRes
 
     grads: dict[str, np.ndarray] = {}
     d_in = {}
-    d_in["mlm"], d_decoder = _mlm_head_backward(params, config, mlm_cache, d_logits["mlm"], grads)
+    d_in["mlm"], d_decoder = _mlm_head_backward(params, mlm_cache, d_logits["mlm"], grads)
     for head in HEADS[1:]:
         grads[head + "_w"], grads[head + "_b"], d_in[head] = _affine_backward(
             head_in.pop(head), params[head + "_w"], d_logits[head])
@@ -834,8 +825,5 @@ def backward_batch(params, config: ModelConfig, batch: Batch, result: ForwardRes
         _add_rows_at(d_hidden, r, d_in[head])
 
     grads.update(encoder_backward(params, config, cache, d_hidden))
-    if config.tie_mlm:
-        grads["tok_emb"] += d_decoder.T
-    else:
-        grads["mlm_out_w"] = d_decoder
+    grads["tok_emb"] += d_decoder.T
     return loss, {name: grads[name] for name in param_names(config)}

@@ -26,6 +26,7 @@ from .align import AlignedFragment
 SEG_TEXT = 0
 SEG_HEADING = 1
 SEG_TRIPLES = 2
+N_SEGMENTS = 3  # rows of the segment embedding table
 
 
 class ExampleError(ValueError):
@@ -37,7 +38,6 @@ class SamplerConfig:
     mask_prob: float = 0.15
     mask_token_frac: float = 0.8
     random_token_frac: float = 0.1
-    keep_frac: float = 0.1
     p_neg_tc: float = 0.5
     p_neg_tmt: float = 0.5
     max_seq_len: int = 512
@@ -56,15 +56,16 @@ class SamplerConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        rates = ("mask_prob", "mask_token_frac", "random_token_frac", "keep_frac", "p_neg_tc", "p_neg_tmt",
+        rates = ("mask_prob", "mask_token_frac", "random_token_frac", "p_neg_tc", "p_neg_tmt",
                  "triple_keep_fraction")
         for name in rates:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ExampleError(f"{name} must be in [0, 1], got {v}")
-        total = self.mask_token_frac + self.random_token_frac + self.keep_frac
-        if abs(total - 1.0) > 1e-9:
-            raise ExampleError(f"mask split must sum to 1, got {total}")
+        # A masked token keeps its id with the probability these two leave over.
+        total = self.mask_token_frac + self.random_token_frac
+        if total > 1.0 + 1e-9:
+            raise ExampleError(f"mask_token_frac + random_token_frac must be <= 1, got {total}")
         if self.max_seq_len < 16:
             raise ExampleError("max_seq_len must be >= 16")
         if self.triples_per_example is not None and self.triples_per_example < 1:
@@ -194,8 +195,9 @@ def apply_mlm_mask(
     """BERT-style masking over non-special positions.
 
     Each position with id >= NUM_SPECIAL is independently selected with
-    probability mask_prob; selected positions become [MASK] / a random
-    non-special id / stay put at the configured split. Three fixed-length
+    probability mask_prob; selected positions become [MASK] with probability
+    mask_token_frac, a random non-special id with probability
+    random_token_frac, and otherwise stay put. Three fixed-length
     draws keep the stream deterministic regardless of what gets selected.
     """
     n = len(input_ids)

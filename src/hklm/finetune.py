@@ -241,18 +241,14 @@ def finetune_token_classifier(
     model_cfg: ModelConfig,
     train: list[TaskExample],
     cfg: FinetuneConfig,
-    tagset: list[str] | None = None,
 ) -> TokenTagger:
-    tagset = tagset or build_tagset(train)
+    tagset = build_tagset(train)
     tag_to_id = {t: i for i, t in enumerate(tagset)}
     for ex in train:
         tags = ex.tags or []
         if len(tags) != len(ex.tokens):
             raise FinetuneError(
                 f"example {ex.example_id} has {len(tags)} tags for {len(ex.tokens)} tokens")
-        for t in tags:
-            if t not in tag_to_id:
-                raise FinetuneError(f"tag {t!r} outside the tag vocabulary")
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "ner-head", len(tagset))
     items = [(_wrap(ex.tokens), [tag_to_id[t] for t in ex.tags]) for ex in train]
     _train_loop(params, model_cfg, items, cfg, _token_rows, _tag_loss)

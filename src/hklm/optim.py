@@ -11,12 +11,15 @@ class DivergenceError(RuntimeError):
     """Training met a non-finite loss or gradient; the message names the step."""
 
 
+# The moments' decay rates and the denominator's epsilon.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamWConfig:
     lr: float = 3e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
 
@@ -47,27 +50,27 @@ def adamw_step(
             raise DivergenceError(f"non-finite gradient in {name!r} at step {state.step}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - config.beta1**t
-    bc2 = 1.0 - config.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     # The update below is
-    #   m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * (g * g)
-    #   p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps));  p -= lr * wd * p
+    #   m = BETA1 * m + (1 - BETA1) * g;  v = BETA2 * v + (1 - BETA2) * (g * g)
+    #   p -= lr * ((m / bc1) / (sqrt(v / bc2) + EPS));  p -= lr * wd * p
     # evaluated operation by operation in this order, with three temporaries
     # per tensor reused in place instead of one per operator.
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        g_tmp = np.multiply(g, 1.0 - config.beta1)
-        m *= config.beta1
+        g_tmp = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
         m += g_tmp
         np.multiply(g, g, out=g_tmp)
-        g_tmp *= 1.0 - config.beta2
-        v *= config.beta2
+        g_tmp *= 1.0 - BETA2
+        v *= BETA2
         v += g_tmp
         denom = np.divide(v, bc2)
         np.sqrt(denom, out=denom)
-        denom += config.eps
+        denom += EPS
         update = np.divide(m, bc1)
         update /= denom
         update *= config.lr

@@ -46,7 +46,7 @@ _JSON_FIELD_TYPES = {
 class TrainConfig:
     """Every setting of a pretraining run, flat as `--config` files hold
     them. The model and sampler configs take the fields they share with it
-    by name."""
+    by name, and those fields take their defaults from them."""
 
     mode: str = "hklm"  # "plain" or "hklm"
     lam: float = 1.0
@@ -59,37 +59,34 @@ class TrainConfig:
     steps: int = 2000
     eval_every: int = 200
     grad_accum: int = 1
-    seed: int = 0
+    seed: int = SamplerConfig.seed
     heldout_fraction: float = 0.05
     vocab_min_freq: int = 1
     max_fragment_len: int = 400
     tau: float = 0.05
     k_max: int = 8
     # model
-    d_model: int = 128
-    n_heads: int = 4
-    n_layers: int = 4
-    ffn_mult: int = 4
-    max_seq_len: int = 512
-    tie_mlm: bool = True
-    dtype: str = "float32"
-    init_std: float = 0.02
-    attn_init_std: float = 0.1
-    pos_init: str = "sinusoidal"
-    pos_init_scale: float = 0.05
+    d_model: int = ModelConfig.d_model
+    n_heads: int = ModelConfig.n_heads
+    n_layers: int = ModelConfig.n_layers
+    ffn_mult: int = ModelConfig.ffn_mult
+    max_seq_len: int = ModelConfig.max_seq_len
+    dtype: str = ModelConfig.dtype
+    init_std: float = ModelConfig.init_std
+    attn_init_std: float = ModelConfig.attn_init_std
+    pos_init_scale: float = ModelConfig.pos_init_scale
     # sampler
-    mask_prob: float = 0.15
-    mask_token_frac: float = 0.8
-    random_token_frac: float = 0.1
-    keep_frac: float = 0.1
-    p_neg_tc: float = 0.5
-    p_neg_tmt: float = 0.5
-    triples_per_example: int | None = None
+    mask_prob: float = SamplerConfig.mask_prob
+    mask_token_frac: float = SamplerConfig.mask_token_frac
+    random_token_frac: float = SamplerConfig.random_token_frac
+    p_neg_tc: float = SamplerConfig.p_neg_tc
+    p_neg_tmt: float = SamplerConfig.p_neg_tmt
+    triples_per_example: int | None = SamplerConfig.triples_per_example
     # sampler: KG ablation switches
-    drop_headings: bool = False
-    drop_triples: bool = False
-    triple_keep_fraction: float = 1.0
-    value_noise: bool = False
+    drop_headings: bool = SamplerConfig.drop_headings
+    drop_triples: bool = SamplerConfig.drop_triples
+    triple_keep_fraction: float = SamplerConfig.triple_keep_fraction
+    value_noise: bool = SamplerConfig.value_noise
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):

@@ -85,6 +85,12 @@ class TaskExample:
         missing = [key for key in _VARIANT_FIELDS.get(ex.variant, ()) if obj.get(key) is None]
         if missing:
             raise TaskError(f"{ex.variant} record {ex.example_id} lacks {missing}")
+        if ex.variant in ("ner", "et"):  # a string would read as one tag or label per character
+            key = "tags" if ex.variant == "ner" else "labels"
+            value = obj[key]
+            if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+                raise TaskError(f"{ex.variant} record {ex.example_id}: {key} {json.dumps(value)}"
+                                " is not a list of strings")
         if ex.variant == "rank" and not (type(ex.gold) is int and 0 <= ex.gold < len(ex.candidates)):
             raise TaskError(f"rank record {ex.example_id}: gold {json.dumps(ex.gold)} is not the index of"
                             f" one of its {len(ex.candidates)} candidates")

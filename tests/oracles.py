@@ -266,19 +266,20 @@ def adamw_step(params, grads, state, config):
             raise DivergenceError(f"non-finite gradient in {name!r} at step {state.step}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - config.beta1**t
-    bc2 = 1.0 - config.beta2**t
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        p -= config.lr * (m_hat / (np.sqrt(v_hat) + config.eps))
+        p -= config.lr * (m_hat / (np.sqrt(v_hat) + eps))
         if config.weight_decay:
             p -= config.lr * config.weight_decay * p
     return params
@@ -289,7 +290,8 @@ def adamw_step(params, grads, state, config):
 
 
 def init_params(config, seed: int):
-    from hklm.encoder import ModelError, param_names, sinusoidal_table
+    from hklm.encoder import param_names, sinusoidal_table
+    from hklm.examples import N_SEGMENTS
 
     config.validate()
     rng = np.random.default_rng(seed)
@@ -308,16 +310,10 @@ def init_params(config, seed: int):
     def ones(*shape):
         return np.ones(shape, dtype=dt)
 
-    if config.pos_init == "sinusoidal":
-        pos_emb = (sinusoidal_table(config.max_seq_len, d) * config.pos_init_scale).astype(dt)
-    elif config.pos_init == "normal":
-        pos_emb = normal(config.max_seq_len, d)
-    else:
-        raise ModelError(f"unknown pos_init {config.pos_init!r}")
     params = {
         "tok_emb": normal(v, d),
-        "pos_emb": pos_emb,
-        "seg_emb": normal(config.n_segments, d),
+        "pos_emb": (sinusoidal_table(config.max_seq_len, d) * config.pos_init_scale).astype(dt),
+        "seg_emb": normal(N_SEGMENTS, d),
         "emb_ln_g": ones(d),
         "emb_ln_b": zeros(d),
     }
@@ -343,8 +339,6 @@ def init_params(config, seed: int):
     params["mlm_b"] = zeros(d)
     params["mlm_ln_g"] = ones(d)
     params["mlm_ln_b"] = zeros(d)
-    if not config.tie_mlm:
-        params["mlm_out_w"] = normal(d, v)
     params["mlm_out_b"] = zeros(v)
     params["tc_w"] = normal(d, 2)
     params["tc_b"] = zeros(2)
@@ -441,7 +435,7 @@ def make_rank_data(corpus, truth, vocab, seed, n_train=80, n_eval=40, n_candidat
 
 
 def encode(params, config, batch, want_cache: bool = False, rows=None):
-    from hklm.encoder import NEG_INF, ModelError, _affine, _check_rows, gelu_forward, layer_norm, softmax
+    from hklm.encoder import LN_EPS, NEG_INF, ModelError, _affine, _check_rows, gelu_forward, layer_norm, softmax
 
     dt = config.np_dtype
     ids, seg, mask = batch.ids, batch.seg, batch.mask
@@ -460,7 +454,7 @@ def encode(params, config, batch, want_cache: bool = False, rows=None):
 
     emb = params["tok_emb"][ids_flat] + params["seg_emb"][seg_flat]
     emb.reshape(b, l, d)[:] += params["pos_emb"][:l][None]
-    x, emb_ln_cache = layer_norm(emb, params["emb_ln_g"], params["emb_ln_b"], config.ln_eps)
+    x, emb_ln_cache = layer_norm(emb, params["emb_ln_g"], params["emb_ln_b"], LN_EPS)
 
     attn_bias = ((1.0 - mask) * NEG_INF)[:, None, None, :].astype(dt)
 
@@ -483,12 +477,12 @@ def encode(params, config, batch, want_cache: bool = False, rows=None):
             ctx, res = ctx[rows], x[rows]
         attn_out = _affine(ctx, params[p + "o_w"], params[p + "o_b"])
         attn_out += res
-        y, ln1_cache = layer_norm(attn_out, params[p + "ln1_g"], params[p + "ln1_b"], config.ln_eps)
+        y, ln1_cache = layer_norm(attn_out, params[p + "ln1_g"], params[p + "ln1_b"], LN_EPS)
         ffn_pre = _affine(y, params[p + "ffn_w1"], params[p + "ffn_b1"])
         act, gelu_t = gelu_forward(ffn_pre)
         ffn_out = _affine(act, params[p + "ffn_w2"], params[p + "ffn_b2"])
         ffn_out += y
-        z, ln2_cache = layer_norm(ffn_out, params[p + "ln2_g"], params[p + "ln2_b"], config.ln_eps)
+        z, ln2_cache = layer_norm(ffn_out, params[p + "ln2_g"], params[p + "ln2_b"], LN_EPS)
         if want_cache:
             layer_caches.append(
                 {"x": x, "q": q, "k": k, "v": v, "probs": probs, "ctx": ctx,
@@ -503,13 +497,11 @@ def encode(params, config, batch, want_cache: bool = False, rows=None):
                  "ids": ids_flat, "seg": seg_flat, "b": b, "l": l, "rows": rows}
     if rows is None:
         return x.reshape(b, l, d), cache
-    if config.n_layers == 0:  # no block gathered the rows
-        x = x[rows]
     return x, cache
 
 
 def forward_batch(params, config, batch, want_cache: bool = False):
-    from hklm.encoder import ForwardResult, _affine, gelu_forward, layer_norm
+    from hklm.encoder import LN_EPS, ForwardResult, _affine, gelu_forward, layer_norm
 
     hidden, cache = encode(params, config, batch, want_cache)
 
@@ -517,9 +509,8 @@ def forward_batch(params, config, batch, want_cache: bool = False):
     g = hidden[batch.mlm_b, batch.mlm_i]
     mlm_pre = _affine(g, params["mlm_w"], params["mlm_b"])
     mlm_act, mlm_gelu_t = gelu_forward(mlm_pre)
-    mlm_h, mlm_ln_cache = layer_norm(mlm_act, params["mlm_ln_g"], params["mlm_ln_b"], config.ln_eps)
-    out_w = params["tok_emb"].T if config.tie_mlm else params["mlm_out_w"]
-    mlm_logits = _affine(mlm_h, out_w, params["mlm_out_b"])
+    mlm_h, mlm_ln_cache = layer_norm(mlm_act, params["mlm_ln_g"], params["mlm_ln_b"], LN_EPS)
+    mlm_logits = _affine(mlm_h, params["tok_emb"].T, params["mlm_out_b"])
 
     tc_h = hidden[batch.tc_b, batch.tc_i]
     tc_logits = _affine(tc_h, params["tc_w"], params["tc_b"])
@@ -551,8 +542,6 @@ def encoder_backward(params, config, cache, d_hidden):
     dh = d // h
     scale = 1.0 / math.sqrt(dh)
     dx = d_hidden.reshape(-1, d)
-    if rows is not None and config.n_layers == 0:
-        dx = _scatter_rows(dx, rows, b * l)
 
     for i in reversed(range(config.n_layers)):
         p = f"layers.{i}."
@@ -625,10 +614,9 @@ def backward_batch(params, config, batch, result, lam: float, mu: float):
 
     # MLM head
     mlm_h = cache["mlm_h"]
-    out_w = params["tok_emb"].T if config.tie_mlm else params["mlm_out_w"]
     grads["mlm_out_b"] = d_mlm_logits.sum(axis=0)
     d_out_w = mlm_h.T @ d_mlm_logits
-    d_mlm_h = d_mlm_logits @ out_w.T
+    d_mlm_h = d_mlm_logits @ params["tok_emb"]
     d_mlm_act, d_ln_g, d_ln_b = layer_norm_backward(d_mlm_h, cache["mlm_ln"], params["mlm_ln_g"])
     grads["mlm_ln_g"], grads["mlm_ln_b"] = d_ln_g, d_ln_b
     d_mlm_pre = gelu_grad(cache["mlm_pre"], cache["mlm_gelu_t"], dout=d_mlm_act)
@@ -650,10 +638,7 @@ def backward_batch(params, config, batch, result, lam: float, mu: float):
     enc_grads = encoder_backward(params, config, cache, d_hidden)
     for k, v in enc_grads.items():
         grads[k] = v
-    if config.tie_mlm:
-        grads["tok_emb"] += d_out_w.T
-    else:
-        grads["mlm_out_w"] = d_out_w
+    grads["tok_emb"] += d_out_w.T
 
     full = {name: grads.get(name) for name in param_names(config)}
     for name, g in full.items():

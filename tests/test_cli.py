@@ -133,6 +133,7 @@ class TestAlignAndExamples:
         assert records and all(set(json.loads(r)) >= {"ids", "seg", "mlm"} for r in records)
         man = json.loads((pipeline_dir / "ex.jsonl.manifest.json").read_text())
         assert man["extra"]["vocab_hash"] == header["vocab_hash"]
+        assert man["outputs"] == [str(pipeline_dir / "ex.jsonl")]
 
     def test_align_rerun_identical(self, pipeline_dir, tmp_path):
         a1, a2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"
@@ -154,6 +155,8 @@ class TestAlignAndExamples:
         assert all(isinstance(rec["heading"], str) and "predicates" in rec for rec in lines)
         assert any(rec["predicates"] for rec in lines)
         assert out.read_bytes() == (pipeline_dir / "ex.jsonl").read_bytes()
+        man = json.loads((tmp_path / "ex.jsonl.manifest.json").read_text())
+        assert man["outputs"] == [str(out), str(tmp_path / "ex.jsonl.debug.jsonl")]
 
     def test_debug_sidecar_writes_non_ascii_unescaped(self, pipeline_dir, tmp_path):
         heading = "Frühgeschichte – 歴史"
@@ -329,6 +332,10 @@ class TestMalformedInputs:
             {"init_std": -0.02},
             {"attn_init_std": -1},
             {"mask_token_frac": 1.2, "random_token_frac": -0.3},
+            {"mask_token_frac": 0.8, "random_token_frac": 0.3},
+            {"keep_frac": 0.1},
+            {"tie_mlm": False},
+            {"n_layers": 0},
             {"vocab_min_freq": 0},
             {"max_fragment_len": 8},
         ],
@@ -405,9 +412,13 @@ class TestMalformedInputs:
             lambda h: h.update(opt={"step": 1}),
             lambda h: h["tensors"].append({"name": "extra", "shape": [1]}),
             lambda h: h.update(tensors=None),
+            # Retired keys load only at the value every model was built with.
+            lambda h: h["config"].update(tie_mlm=False),
+            lambda h: h["config"].update(pos_init="normal"),
+            lambda h: h["config"].update(n_segments=4),
         ],
         ids=["unknown-key", "float16", "no-config", "narrow-d-model", "zero-heads", "shape", "no-moments",
-             "extra-tensor", "no-tensors"],
+             "extra-tensor", "no-tensors", "untied-decoder", "normal-positions", "four-segments"],
     )
     def test_malformed_checkpoint_header(self, pipeline_dir, checkpoint, tmp_path, capsys, edit):
         header_line, tensors = checkpoint.read_bytes().split(b"\n", 1)
@@ -475,6 +486,29 @@ class TestMalformedInputs:
                     "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
         err = _assert_one_line_error(code, capsys)
         assert str(files["train"]) in err and "line 2" in err and field in err and shown in err
+        assert not (tmp_path / "ft" / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("task, field, value", [("et", "labels", "person"), ("ner", "tags", "OOO"),
+                                                    ("et", "labels", ["person", 1])],
+                             ids=["et-labels-string", "ner-tags-string", "et-labels-int"])
+    def test_task_record_with_labels_or_tags_not_a_list_of_strings(self, pipeline_dir, checkpoint, tmp_path,
+                                                                     capsys, task, field, value):
+        """A string would read as one label or tag per character: "person"
+        would score 0.0, and "OOO" on three tokens would train as three O
+        tags."""
+        files = {s: pipeline_dir / "tasks" / f"{task}-{s}.jsonl" for s in ("train", "eval")}
+        first, second, *rest = files["train"].read_text().splitlines()
+        record = json.loads(second)
+        record[field] = value
+        if task == "ner":  # as many tags as tokens
+            record["tokens"] = record["tokens"][:len(value)]
+        files["train"] = tmp_path / "bad.jsonl"
+        files["train"].write_text("\n".join([first, json.dumps(record), *rest]) + "\n")
+        code = run(["finetune", "--checkpoint", str(checkpoint), "--task", task,
+                    "--train", str(files["train"]), "--eval", str(files["eval"]),
+                    "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
+        err = _assert_one_line_error(code, capsys)
+        assert str(files["train"]) in err and "line 2" in err and field in err and json.dumps(value) in err
         assert not (tmp_path / "ft" / "metrics.jsonl").exists()
 
     @pytest.mark.parametrize("task, bad", [("ner", -3), ("ner", True), ("ner", 2.7), ("qa", -3)],

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hklm import encoder, pretrain
+from hklm import encoder, optim, pretrain
 from hklm.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from hklm.encoder import (
     ModelConfig,
@@ -105,10 +105,10 @@ class TestForward:
         ids = np.array(rich_example.input_ids)
         seg = np.array(rich_example.layout.seg_ids)
         emb = params["tok_emb"][ids] + params["pos_emb"][: len(ids)] + params["seg_emb"][seg]
-        x, _ = layer_norm(emb, params["emb_ln_g"], params["emb_ln_b"], cfg.ln_eps)
+        x, _ = layer_norm(emb, params["emb_ln_g"], params["emb_ln_b"], encoder.LN_EPS)
         for i in range(cfg.n_layers):
-            x, _ = layer_norm(x, params[f"layers.{i}.ln1_g"], params[f"layers.{i}.ln1_b"], cfg.ln_eps)
-            x, _ = layer_norm(x, params[f"layers.{i}.ln2_g"], params[f"layers.{i}.ln2_b"], cfg.ln_eps)
+            x, _ = layer_norm(x, params[f"layers.{i}.ln1_g"], params[f"layers.{i}.ln1_b"], encoder.LN_EPS)
+            x, _ = layer_norm(x, params[f"layers.{i}.ln2_g"], params[f"layers.{i}.ln2_b"], encoder.LN_EPS)
         np.testing.assert_allclose(hidden, x, atol=1e-12)
 
     def test_uniform_attention_when_qk_zero(self, rich_example):
@@ -263,13 +263,13 @@ class TestBackward:
         np.testing.assert_allclose(g2["tc_w"], 2.0 * g1["tc_w"], rtol=1e-12)
         np.testing.assert_allclose(g2["mlm_w"], g1["mlm_w"], rtol=0, atol=0)
 
+    # The ids' `True` names the tied MLM decoder, the only one there is.
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("n_layers", [0, 1, 2])
-    @pytest.mark.parametrize("tie", [True, False])
-    def test_one_gradient_per_parameter(self, rich_example, plain_example, tie, n_layers, dtype):
+    @pytest.mark.parametrize("n_layers", [1, 2], ids=["True-1", "True-2"])
+    def test_one_gradient_per_parameter(self, rich_example, plain_example, n_layers, dtype):
         """Exactly one gradient per parameter, in declaration order, shaped and
         typed like it: also when a head has no target in the batch."""
-        cfg = tiny_config(n_layers=n_layers, tie_mlm=tie, dtype=dtype)
+        cfg = tiny_config(n_layers=n_layers, dtype=dtype)
         params = init_params(cfg, 1)
         unmasked = mk_example(text=[20, 21], heading=[30], triples=[[40, 41]], mlm=[], tc=[1], tmt=0)
         for examples in ([rich_example, plain_example], [plain_example], [unmasked]):
@@ -280,12 +280,10 @@ class TestBackward:
             for name, g in grads.items():
                 assert (g.shape, g.dtype) == (params[name].shape, params[name].dtype), name
 
-    @pytest.mark.parametrize("tie,n_layers", [
-        pytest.param(True, 1, id="True"), pytest.param(False, 1, id="False"),
-        pytest.param(True, 2, id="True-2layers"), pytest.param(False, 2, id="False-2layers"),
-    ])
-    def test_gradcheck_small(self, rich_example, plain_example, tie, n_layers):
-        cfg = tiny_config(n_layers=n_layers, tie_mlm=tie)
+    # The ids' `True` names the tied MLM decoder, the only one there is.
+    @pytest.mark.parametrize("n_layers", [pytest.param(1, id="True"), pytest.param(2, id="True-2layers")])
+    def test_gradcheck_small(self, rich_example, plain_example, n_layers):
+        cfg = tiny_config(n_layers=n_layers)
         params = init_params(cfg, 3)
         batch = make_batch([rich_example, plain_example], dtype=np.float64)
         res = forward_batch(params, cfg, batch, want_cache=True)
@@ -313,7 +311,7 @@ class TestAdamW:
         state = AdamWState.for_params(params)
         cfg = AdamWConfig(lr=0.01)
         adamw_step(params, {"w": g.copy()}, state, cfg)
-        expected = -cfg.lr * g / (np.abs(g) + cfg.eps)
+        expected = -cfg.lr * g / (np.abs(g) + optim.EPS)
         np.testing.assert_allclose(params["w"], expected, rtol=1e-9)
 
     def test_quadratic_bowl_descends(self):
@@ -367,21 +365,15 @@ class TestCheckpoint:
 
     def test_config_roundtrip_keeps_every_field(self, tmp_path):
         cfg = ModelConfig(vocab_size=V, d_model=16, n_heads=2, n_layers=1, ffn_mult=2,
-                          max_seq_len=32, n_segments=4, tie_mlm=False, dtype="float64",
-                          init_std=0.05, attn_init_std=0.3, pos_init="normal",
-                          pos_init_scale=0.2, ln_eps=1e-6)
+                          max_seq_len=32, dtype="float64", init_std=0.05, attn_init_std=0.3,
+                          pos_init_scale=0.2)
         assert set(cfg.to_json()) == {f.name for f in dataclasses.fields(ModelConfig)}
         assert ModelConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, init_params(cfg, 5), cfg, "x")
         assert load_checkpoint(path)[1] == cfg
 
-    @pytest.mark.parametrize(
-        "kw",
-        [{}, {"tie_mlm": False}, {"pos_init": "normal"}, {"n_layers": 0, "dtype": "float64"},
-         {"pos_init": "normal", "tie_mlm": False, "dtype": "float64", "ffn_mult": 3, "n_segments": 4}],
-        ids=repr,
-    )
+    @pytest.mark.parametrize("kw", [{}, {"dtype": "float64", "ffn_mult": 3, "pos_init_scale": 0.2}], ids=repr)
     def test_init_params_matches_oracle(self, kw):
         cfg = ModelConfig(**{"vocab_size": V, "d_model": 16, "n_heads": 2, "n_layers": 2,
                              "max_seq_len": 20, **kw})
@@ -393,11 +385,40 @@ class TestCheckpoint:
 
     def test_header_without_init_fields_takes_defaults(self):
         cfg = ModelConfig(vocab_size=V, d_model=16, n_heads=2, n_layers=1)
-        old_header = {k: v for k, v in cfg.to_json().items()
-                      if k not in ("attn_init_std", "pos_init", "pos_init_scale")}
+        old_header = {k: v for k, v in cfg.to_json().items() if k not in ("attn_init_std", "pos_init_scale")}
         loaded = ModelConfig.from_json(old_header)
         assert loaded == cfg
-        assert (loaded.attn_init_std, loaded.pos_init, loaded.pos_init_scale) == (0.1, "sinusoidal", 0.05)
+        assert (loaded.attn_init_std, loaded.pos_init_scale) == (0.1, 0.05)
+
+    # The config of a header written while ModelConfig still had the fields
+    # n_segments, tie_mlm, pos_init and ln_eps, each at the value every model
+    # was built with.
+    OLD_CONFIG = {"vocab_size": V, "d_model": 16, "n_heads": 2, "n_layers": 1, "ffn_mult": 4,
+                  "max_seq_len": 512, "n_segments": 3, "tie_mlm": True, "dtype": "float32",
+                  "init_std": 0.02, "attn_init_std": 0.1, "pos_init": "sinusoidal",
+                  "pos_init_scale": 0.05, "ln_eps": 1e-05}
+
+    def test_header_with_retired_keys_at_their_built_values_loads(self, tmp_path):
+        cfg = ModelConfig(vocab_size=V, d_model=16, n_heads=2, n_layers=1)
+        params = init_params(cfg, 5)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, cfg, "x")
+        header_line, tensors = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        assert set(self.OLD_CONFIG) - set(header["config"]) == {"n_segments", "tie_mlm", "pos_init", "ln_eps"}
+        header["config"] = self.OLD_CONFIG
+        path.write_bytes(json.dumps(header).encode() + b"\n" + tensors)
+        got, loaded, _, _ = load_checkpoint(path)
+        assert loaded == cfg
+        assert list(got) == list(params)
+        for name in params:
+            assert_identical(got[name], params[name])
+
+    @pytest.mark.parametrize("key, value", [("tie_mlm", False), ("pos_init", "normal"), ("n_segments", 4),
+                                            ("ln_eps", 1e-6), ("tie_mlm", 1), ("n_segments", 3.0)])
+    def test_retired_key_at_another_value_rejected(self, key, value):
+        with pytest.raises(ModelError, match=key):
+            ModelConfig.from_json(dict(self.OLD_CONFIG, **{key: value}))
 
     def test_truncated_rejected(self, tmp_path):
         cfg = ModelConfig(vocab_size=V, d_model=16, n_heads=2, n_layers=1)
@@ -715,13 +736,13 @@ class TestHeadRowsMatchFullRows:
     the logits, losses and gradients of the full-row pass kept in
     tests/oracles.py, within 1e-10 relative."""
 
+    # The ids' `True` names the tied MLM decoder, the only one there is.
     @pytest.mark.parametrize("n_examples", [1, 8])
     @pytest.mark.parametrize("n_layers", [1, 2])
-    @pytest.mark.parametrize("tie", [True, False])
-    @pytest.mark.parametrize("mode", ["hklm", "plain"])
-    def test_joint_step(self, mode_runs, mode, tie, n_layers, n_examples):
+    @pytest.mark.parametrize("mode", ["hklm", "plain"], ids=["hklm-True", "plain-True"])
+    def test_joint_step(self, mode_runs, mode, n_layers, n_examples):
         run = mode_runs[mode]
-        cfg = dataclasses.replace(run.model_config, tie_mlm=tie, n_layers=n_layers, dtype="float64")
+        cfg = dataclasses.replace(run.model_config, n_layers=n_layers, dtype="float64")
         rng = np.random.default_rng(n_layers)
         params = {k: v + rng.normal(0.0, 0.05, v.shape) for k, v in init_params(cfg, 4).items()}
         batch = make_batch(run.train_examples[:n_examples], dtype=np.float64)
@@ -744,7 +765,7 @@ class TestHeadRowsMatchFullRows:
             assert getattr(loss, part) == pytest.approx(getattr(want_loss, part), rel=1e-10, abs=0)
         assert_grads_close(grads, want_grads, 1e-10)
 
-    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    @pytest.mark.parametrize("n_layers", [1, 2])
     def test_encode_at_rows_matches_full_rows(self, mode_runs, n_layers):
         run = mode_runs["plain"]
         cfg = dataclasses.replace(run.model_config, n_layers=n_layers, dtype="float64")

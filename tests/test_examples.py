@@ -280,7 +280,7 @@ class TestMasking:
     @pytest.mark.parametrize("vocab_size", [NUM_SPECIAL, NUM_SPECIAL + 1, 500])
     @pytest.mark.parametrize("mask_prob", [0.0, 0.15, 1.0])
     def test_matches_reference_and_draw_count(self, vocab_size, mask_prob):
-        cfg = self._cfg(mask_prob=mask_prob, mask_token_frac=0.5, random_token_frac=0.3, keep_frac=0.2)
+        cfg = self._cfg(mask_prob=mask_prob, mask_token_frac=0.5, random_token_frac=0.3)
         source = np.random.default_rng(4)
         for n in (0, 1, 7, 45, 300):
             ids = [int(x) for x in source.integers(0, vocab_size + 4, n)]

@@ -109,11 +109,10 @@ class TestSpanPrimitives:
 
 class TestEntityTyperLogic:
     def _oracle_typer(self, labels, gold_label):
-        # zero-layer model whose [CLS] state is known in closed form, with a
+        # one-layer model whose [CLS] state is read from `encode`, with a
         # head crafted to fire only on the gold label (on none for None)
-        cfg = ModelConfig(vocab_size=40, d_model=8, n_heads=2, n_layers=0, max_seq_len=16)
+        cfg = ModelConfig(vocab_size=40, d_model=8, n_heads=2, n_layers=1, max_seq_len=16)
         params = init_params(cfg, 0)
-        from hklm.encoder import layer_norm
         from hklm.finetune import _simple_batch
         from hklm.encoder import encode
 
@@ -164,12 +163,6 @@ class TestAdapters:
         # a scratch encoder cannot generalize to held-out entities, but the
         # training loop must at least fit the entities it saw
         assert evaluate_ner(model, train[:40])["f1"] > 0.9
-
-    def test_ner_unknown_tag_rejected(self, world):
-        _, truth, vocab, cfg, params = world
-        train, _ = make_ner_data(truth, vocab, 5, n_train=4, n_eval=2)
-        with pytest.raises(FinetuneError, match="tag"):
-            finetune_token_classifier(params, cfg, train, FinetuneConfig(epochs=0), tagset=["O"])
 
     def test_ner_tag_count_mismatch_rejected(self, world):
         _, truth, vocab, cfg, params = world
@@ -325,24 +318,20 @@ class TestAdapters:
 
 def test_adapters_hold_no_pretraining_heads(world):
     corpus, truth, vocab, cfg, params = world
-    untied = dataclasses.replace(cfg, tie_mlm=False)
-    untied_params = init_params(untied, 0)
-    assert "mlm_out_w" in untied_params
     ner, _ = make_ner_data(truth, vocab, 5, n_train=8, n_eval=2)
     et, _ = make_et_data(truth, vocab, 5, n_train=8, n_eval=2)
     oie, _ = make_oie_data(truth, vocab, 5, n_train=8, n_eval=2)
     rank, _ = make_rank_data(corpus, truth, vocab, 5, n_train=4, n_eval=2, n_candidates=4)
-    for model_cfg, prm in ((cfg, params), (untied, untied_params)):
-        ft = FinetuneConfig(epochs=1, seed=4)
-        models = [
-            finetune_token_classifier(prm, model_cfg, ner, ft),
-            finetune_entity_typing(prm, model_cfg, et, ft),
-            finetune_span_stage1(prm, model_cfg, oie, ft),
-            finetune_span_stage2(prm, model_cfg, oie, ft),
-            finetune_ranker(prm, model_cfg, rank, ft),
-        ]
-        for model in models:
-            assert list(model.params) == encoder_param_names(model_cfg) + ["head_w", "head_b"]
+    ft = FinetuneConfig(epochs=1, seed=4)
+    models = [
+        finetune_token_classifier(params, cfg, ner, ft),
+        finetune_entity_typing(params, cfg, et, ft),
+        finetune_span_stage1(params, cfg, oie, ft),
+        finetune_span_stage2(params, cfg, oie, ft),
+        finetune_ranker(params, cfg, rank, ft),
+    ]
+    for model in models:
+        assert list(model.params) == encoder_param_names(cfg) + ["head_w", "head_b"]
 
 
 def full_row_encode(params, cfg, batch, rows, want_cache=False):

@@ -74,9 +74,13 @@ class TestConfig:
     def test_sub_configs_take_every_field_but_their_own(self):
         # A field renamed on one side alone would silently keep its default.
         names = {f.name for f in dataclasses.fields(TrainConfig)}
-        for cls, own in ((ModelConfig, {"vocab_size", "n_segments", "ln_eps"}),
-                         (SamplerConfig, set())):
+        for cls, own in ((ModelConfig, {"vocab_size"}), (SamplerConfig, set())):
             assert {f.name for f in dataclasses.fields(cls)} - names == own
+
+    def test_sub_configs_of_the_default_take_their_own_defaults(self):
+        # ModelConfig and SamplerConfig each define max_seq_len.
+        assert TrainConfig().model_config(100) == ModelConfig(vocab_size=100)
+        assert TrainConfig().sampler_config() == SamplerConfig()
 
     def test_triples_serialized_per_example_bound_the_retrieval_cap(self):
         TrainConfig(k_max=12, triples_per_example=8).validate()
