@@ -24,9 +24,10 @@ the `live_mb` when it starts and its `peak_mb`.
 
 A last line sums it up: the parameters plus AdamW moments, the largest
 `peak_mb` of a step and of an evaluation (`eval_peak_mb`), the largest
-`cache_mb` plus `transient_mb` of one step (`max_step_mb`), and `left_mb`, the
-largest `live_mb` minus that of the first forward: what one step keeps alive
-into the next. Run it from the repository root against any checkout's `src/`
+`cache_mb` plus `transient_mb` of one step (`max_step_mb`), `left_mb`, the
+largest `live_mb` minus that of the first forward (what one step keeps alive
+into the next), and `cache_by_entry_mb`, the activation cache of the step with
+the largest `cache_mb` by entry (see `cache_by_entry`). Run it from the repository root against any checkout's `src/`
 to compare two versions:
 
     PYTHONPATH=src python3 scripts/step_memory.py --steps 6
@@ -38,10 +39,45 @@ import json
 import resource
 import tracemalloc
 
+import numpy as np
+
 from hklm import pretrain
 from hklm.corpus import generate_synthetic_corpus
 
 MB = 1e6
+
+
+def cache_by_entry(cache):
+    """MB per entry of a `forward_batch` activation cache: each block entry
+    summed over the blocks (`layers.q`), the embedding's and the MLM head's
+    entries under their prefix (`emb.ln`, `mlm.pre`), the head rows and head
+    inputs whole. An array held under two entries counts at the first
+    (`mlm.g` is `head_in`'s MLM rows)."""
+    sizes, seen = {}, set()
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (tuple, list, dict)):
+            for item in obj.values() if isinstance(obj, dict) else obj:
+                yield from arrays(item)
+
+    def add(name, obj):
+        for a in arrays(obj):
+            sizes[name] = sizes.get(name, 0) + (0 if id(a) in seen else a.nbytes)
+            seen.add(id(a))
+
+    for key, value in cache.items():
+        if key == "layers":
+            for layer in value:
+                for sub, item in layer.items():
+                    add(f"layers.{sub}", item)
+        elif key in ("emb", "mlm"):
+            for sub, item in value.items():
+                add(f"{key}.{sub}", item)
+        else:
+            add(key, value)
+    return {name: round(n / MB, 2) for name, n in sizes.items()}
 
 
 def main():
@@ -60,7 +96,7 @@ def main():
     def minor_faults():
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-    records, evals = [], []
+    records, evals, by_entry = [], [], []
     forward, backward = pretrain.forward_batch, pretrain.backward_batch
     evaluate = pretrain.evaluate_pretrain_heads
 
@@ -80,6 +116,7 @@ def main():
             "cache_mb": round((tracemalloc.get_traced_memory()[0] - live) / MB, 1),
             "faults": faults,
         })
+        by_entry.append(cache_by_entry(res.cache))
         return res
 
     def traced_backward(*args, **kwargs):
@@ -121,6 +158,7 @@ def main():
         "eval_peak_mb": max((e["peak_mb"] for e in evals), default=None),
         "max_step_mb": max(round(r["cache_mb"] + r["transient_mb"], 1) for r in records),
         "left_mb": round(max(r["live_mb"] for r in records) - records[0]["live_mb"], 1),
+        "cache_by_entry_mb": by_entry[max(range(len(records)), key=lambda k: records[k]["cache_mb"])],
     }))
 
 

@@ -281,57 +281,71 @@ def _gelu_tanh(x, out):
     np.tanh(out, out=out)
 
 
-def gelu_forward(x: np.ndarray):
-    """(0.5 * x * (1.0 + t), t) with t = tanh(C * (x + A * x * x * x))."""
+def gelu_forward(x: np.ndarray) -> np.ndarray:
+    """0.5 * x * (1.0 + t) with t = tanh(C * (x + A * x * x * x)). The tanh
+    lives in one block-sized buffer: `gelu_grad` re-derives it from x."""
     x = np.ascontiguousarray(x)
     act = np.empty_like(x)
-    t = np.empty_like(x)
     buf = np.empty(min(x.size, _BLOCK), dtype=x.dtype)
-    for xb, ab, tb in _blocks(x, act, t):
+    for xb, ab in _blocks(x, act):
+        tb = buf[: xb.size]
         _gelu_tanh(xb, tb)
         np.multiply(xb, 0.5, out=ab)
-        ab *= np.add(tb, 1.0, out=buf[: xb.size])
-    return act, t
+        tb += 1.0
+        ab *= tb
+    return act
 
 
-def gelu_grad(x: np.ndarray, t: np.ndarray, dout: np.ndarray, act: np.ndarray | None = None) -> np.ndarray:
+def gelu_grad(x: np.ndarray, dout: np.ndarray, act: np.ndarray | None = None) -> np.ndarray:
     """dout * GELU'(x), written into `dout` (C-contiguous, shaped like x), with
     GELU'(x) = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * (C * (1.0 + 3 * A * x * x))
-    and t the second output of `gelu_forward(x)`.
+    and t = tanh(C * (x + A * x * x * x)), re-derived block by block with
+    `gelu_forward`'s operations.
 
-    Given `act` (C-contiguous, shaped like x; it may be t itself), the same
-    pass also writes GELU(x) into it, with `gelu_forward`'s operations, so a
-    backward can re-derive the GELU output instead of keeping it from the
-    forward.
+    Given `act` (C-contiguous, shaped like x; it may be x itself), the same
+    pass also writes GELU(x) = 0.5 * x * (1.0 + t) into it, so a backward can
+    re-derive the GELU output instead of keeping it from the forward.
     """
     x = np.ascontiguousarray(x)
-    t = np.ascontiguousarray(t)
     for out, name in ((dout, "dout"), (act, "act")):
         if out is not None and (out.shape != x.shape or not out.flags.c_contiguous):
             raise ModelError(f"gelu_grad: {name} must be a C-contiguous array shaped like x")
-    a_buf = np.empty(min(x.size, _BLOCK), dtype=x.dtype)
-    b_buf = np.empty_like(a_buf)
+    n = min(x.size, _BLOCK)
+    t_buf, half_buf, one_t_buf, du_buf = (np.empty(n, dtype=x.dtype) for _ in range(4))
     outs = (dout,) if act is None else (dout, act)
-    for xb, tb, ob, *act_b in _blocks(x, t, *outs):
-        a, b = a_buf[: xb.size], b_buf[: xb.size]
-        np.multiply(xb, 0.5, out=a)
-        np.multiply(tb, tb, out=b)
-        np.subtract(1.0, b, out=b)
-        a *= b                      # 0.5 * x * (1 - t * t)
-        np.multiply(xb, 3.0 * _GELU_A, out=b)
-        b *= xb
-        b += 1.0
-        b *= _GELU_C
-        a *= b                      # ... * du
-        np.add(tb, 1.0, out=b)
-        b *= 0.5
-        b += a
-        ob *= b
-        for gb in act_b:            # GELU(x); t's last read is above, so act may be t
-            np.add(tb, 1.0, out=a)
-            np.multiply(xb, 0.5, out=gb)
-            gb *= a
+    for xb, ob, *act_b in _blocks(x, *outs):
+        t, half_x, one_t, du = (buf[: xb.size] for buf in (t_buf, half_buf, one_t_buf, du_buf))
+        _gelu_tanh(xb, t)
+        np.multiply(xb, 0.5, out=half_x)
+        np.add(t, 1.0, out=one_t)
+        t *= t
+        np.subtract(1.0, t, out=t)
+        t *= half_x                 # 0.5 * x * (1 - t * t)
+        np.multiply(xb, 3.0 * _GELU_A, out=du)
+        du *= xb
+        du += 1.0
+        du *= _GELU_C
+        t *= du                     # ... * du
+        np.multiply(one_t, 0.5, out=du)
+        du += t
+        ob *= du
+        for gb in act_b:            # GELU(x); x's last read is above, so act may be x
+            np.multiply(half_x, one_t, out=gb)
     return dout
+
+
+def _scale_shift(xn, g, b, out=None):
+    """xn * g + b: a layer norm's output from its normalized input."""
+    out = np.multiply(xn, g, out=out)
+    out += b
+    return out
+
+
+def _ln_output(params, name: str, ln_cache):
+    """The output of the layer norm with gain name_g and bias name_b, rebuilt
+    from its cache (xn, inv) with the forward's own operations. A backward
+    rebuilds each layer-norm output it reads this way instead of caching it."""
+    return _scale_shift(ln_cache[0], params[name + "_g"], params[name + "_b"])
 
 
 def layer_norm(x, g, b, eps):
@@ -344,9 +358,7 @@ def layer_norm(x, g, b, eps):
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xn *= inv
-    np.multiply(xn, g, out=out)
-    out += b
-    return out, (xn, inv)
+    return _scale_shift(xn, g, b, out=out), (xn, inv)
 
 
 def layer_norm_backward(dout, cache, g):
@@ -526,19 +538,26 @@ def _segment_grad(d_emb, seg, seg_emb):
     return d_seg
 
 
-def _attention_core(q, k, v, bias):
-    """softmax(q @ k^T / sqrt(dh) + bias) @ v for (B, H, n, dh) queries,
-    (B, H, L, dh) keys and values and an additive (B, 1, 1, L) key mask: the
-    context (B, H, n, dh) and the probabilities (B, H, n, L)."""
+def _attention_probs(q, k, bias):
+    """softmax(q @ k^T / sqrt(dh) + bias) for (B, H, n, dh) queries, (B, H, L,
+    dh) keys and an additive (B, 1, 1, L) key mask: (B, H, n, L)."""
     scores = q @ k.transpose(0, 1, 3, 2)
     scores *= 1.0 / math.sqrt(q.shape[-1])
     scores += bias
-    probs = softmax(scores)
-    return probs @ v, probs
+    return softmax(scores)
+
+
+def _attention_context(probs, v, slot):
+    """probs @ v for (B, H, L, dh) values with the heads merged, (B*n, d),
+    then taken at the query slots `slot` unless it is None. The backward
+    rebuilds the context with it from the cached probabilities and values."""
+    ctx = _merge_heads(probs @ v)
+    return ctx if slot is None else ctx[slot]
 
 
 def _attention_core_backward(d_ctx, q, k, v, probs):
-    """The query, key and value gradients of `_attention_core`."""
+    """The query, key and value gradients of `_attention_context` over
+    `_attention_probs`, given the gradient wrt the unmerged context."""
     scale = 1.0 / math.sqrt(q.shape[-1])
     d_probs = d_ctx @ v.transpose(0, 1, 3, 2)
     dv = probs.transpose(0, 1, 3, 2) @ d_ctx
@@ -575,31 +594,31 @@ def _self_attention(params, config: ModelConfig, p: str, x, bias, rows=None):
     q = _split_heads(q, b, h)
     k = _split_heads(_affine(x, params[p + "k_w"], params[p + "k_b"]), b, h)
     v = _split_heads(_affine(x, params[p + "v_w"], params[p + "v_b"]), b, h)
-    ctx, probs = _attention_core(q, k, v, bias)
-    ctx = _merge_heads(ctx)
-    if rows is not None:
-        ctx = ctx[slot]
-    out = _affine(ctx, params[p + "o_w"], params[p + "o_b"])
+    probs = _attention_probs(q, k, bias)
+    out = _affine(_attention_context(probs, v, slot), params[p + "o_w"], params[p + "o_b"])
     out += res
     y, ln = layer_norm(out, params[p + "ln1_g"], params[p + "ln1_b"], LN_EPS)
-    return y, {"x": x, "rows": rows, "slot": slot, "q": q, "k": k, "v": v, "probs": probs,
-               "ctx": ctx, "ln1": ln}
+    return y, {"rows": rows, "slot": slot, "q": q, "k": k, "v": v, "probs": probs, "ln1": ln}
 
 
-def _self_attention_backward(params, p: str, c, dy, grads):
+def _self_attention_backward(params, p: str, c, dy, grads, x_ln):
     """Mirrors `_self_attention`; returns the gradient wrt x at every token.
-    At `rows` the output projection backpropagates over the R rows, the
-    context gradient goes into the query slots, the attention core's backward
-    runs over R_max query rows per example, and the query gradient is
-    gathered back to the R rows for the query weights."""
+    x is rebuilt from x_ln, the parameter name and cache of the layer norm
+    that produced it, as the context is from the probabilities and values. At
+    `rows` the output projection backpropagates over the R rows, the context
+    gradient goes into the query slots, the attention core's backward runs
+    over R_max query rows per example, and the query gradient is gathered
+    back to the R rows for the query weights."""
     d_out, grads[p + "ln1_g"], grads[p + "ln1_b"] = layer_norm_backward(dy, c.pop("ln1"), params[p + "ln1_g"])
-    grads[p + "o_w"], grads[p + "o_b"], d_ctx = _affine_backward(c.pop("ctx"), params[p + "o_w"], d_out)
-    x, rows, slot = c.pop("x"), c.pop("rows"), c.pop("slot")
+    rows, slot = c.pop("rows"), c.pop("slot")
+    grads[p + "o_w"], grads[p + "o_b"], d_ctx = _affine_backward(
+        _attention_context(c["probs"], c["v"], slot), params[p + "o_w"], d_out)
     b, h, n_queries = c["probs"].shape[:3]
     if rows is not None:
         d_ctx = _scatter_rows(d_ctx, slot, b * n_queries)
     dq, dk, dv = _attention_core_backward(
         _split_heads(d_ctx, b, h), c.pop("q"), c.pop("k"), c.pop("v"), c.pop("probs"))
+    x = _ln_output(params, *x_ln)
     dq, xq = _merge_heads(dq), x
     if rows is not None:
         dq, xq = dq[slot], x[rows]
@@ -617,28 +636,30 @@ def _self_attention_backward(params, p: str, c, dy, grads):
 
 def _feed_forward(params, p: str, y):
     """LN(y + GELU(y @ ffn_w1 + ffn_b1) @ ffn_w2 + ffn_b2) for the block with
-    parameter prefix p, at the rows of y. The cache keeps the GELU input and
-    its tanh, not its output: the backward re-derives that (one multiply per
-    element) instead of holding a third FFN-wide array per block."""
+    parameter prefix p, at the rows of y. The cache keeps the GELU input
+    alone: the backward re-derives the GELU's tanh and output from it, and y
+    from the layer norm that produced it, instead of holding them."""
     pre = _affine(y, params[p + "ffn_w1"], params[p + "ffn_b1"])
-    act, gelu_t = gelu_forward(pre)
-    out = _affine(act, params[p + "ffn_w2"], params[p + "ffn_b2"])
+    out = _affine(gelu_forward(pre), params[p + "ffn_w2"], params[p + "ffn_b2"])
     out += y
     z, ln = layer_norm(out, params[p + "ln2_g"], params[p + "ln2_b"], LN_EPS)
-    return z, {"y": y, "ffn_pre": pre, "gelu_t": gelu_t, "ln2": ln}
+    return z, {"ffn_pre": pre, "ln2": ln}
 
 
-def _feed_forward_backward(params, p: str, c, dz, grads):
-    """Mirrors `_feed_forward`. The GELU-derivative pass also writes the GELU
-    output, bit for bit the forward's, over the cached tanh (read for the
-    last time there); the ffn_w2 gradient is taken from it after that."""
+def _feed_forward_backward(params, p: str, c, dz, grads, y_ln):
+    """Mirrors `_feed_forward`, with y rebuilt from y_ln, the parameter name
+    and cache of the layer norm that produced it. The GELU-derivative pass
+    also writes the GELU output, bit for bit the forward's, over the cached
+    GELU input (read for the last time there); the ffn_w2 gradient is taken
+    from it after that."""
     d_out, grads[p + "ln2_g"], grads[p + "ln2_b"] = layer_norm_backward(dz, c.pop("ln2"), params[p + "ln2_g"])
     d_act = d_out @ params[p + "ffn_w2"].T
-    act = c.pop("gelu_t")
-    d_pre = gelu_grad(c.pop("ffn_pre"), act, dout=d_act, act=act)
+    act = c.pop("ffn_pre")
+    d_pre = gelu_grad(act, dout=d_act, act=act)
     grads[p + "ffn_w2"], grads[p + "ffn_b2"] = _affine_param_grads(act, d_out)
     del act
-    grads[p + "ffn_w1"], grads[p + "ffn_b1"], dy = _affine_backward(c.pop("y"), params[p + "ffn_w1"], d_pre)
+    grads[p + "ffn_w1"], grads[p + "ffn_b1"], dy = _affine_backward(
+        _ln_output(params, *y_ln), params[p + "ffn_w1"], d_pre)
     d_out += dy  # no read of d_out follows: accumulate in place
     return d_out
 
@@ -684,7 +705,10 @@ def encoder_backward(params, config: ModelConfig, cache, d_hidden):
     parameters: each sublayer's backward, last to first. The last block's
     feed-forward backpropagates over the R rows, and its self-attention
     backward (see `_self_attention_backward`) returns the gradient at every
-    token to the blocks below.
+    token to the blocks below. Each sublayer's input is rebuilt from the
+    normalized input its producing layer norm cached (the block's LN1 for the
+    feed-forward; the previous block's LN2, or the embedding layer norm, for
+    the self-attention), which is still held when the rebuild runs.
 
     The backward consumes `cache`, freeing each activation once read; a
     second backward over the same cache raises ModelError.
@@ -695,8 +719,9 @@ def encoder_backward(params, config: ModelConfig, cache, d_hidden):
     for i in reversed(range(config.n_layers)):
         p = f"layers.{i}."
         c = layers.pop()  # emptied by the two backwards, then freed
-        dx = _feed_forward_backward(params, p, c, dx, grads)
-        dx = _self_attention_backward(params, p, c, dx, grads)
+        dx = _feed_forward_backward(params, p, c, dx, grads, (p + "ln1", c["ln1"]))
+        dx = _self_attention_backward(  # its input is the output of the LN2 below or the embedding LN
+            params, p, c, dx, grads, (f"layers.{i - 1}.ln2", layers[-1]["ln2"]) if i else ("emb_ln", emb["ln"]))
     _embed_backward(params, emb, dx, grads)
     return grads
 
@@ -729,20 +754,21 @@ def head_rows(batch: Batch):
 
 def _mlm_head(params, g):
     """MLM logits at the masked rows g: dense + GELU + layer norm + decoder,
-    the decoder being the token embeddings' transpose."""
+    the decoder being the token embeddings' transpose. The cache keeps the
+    GELU input and the layer norm's, from which the backward rebuilds h."""
     pre = _affine(g, params["mlm_w"], params["mlm_b"])
-    act, gelu_t = gelu_forward(pre)
-    h, ln = layer_norm(act, params["mlm_ln_g"], params["mlm_ln_b"], LN_EPS)
+    h, ln = layer_norm(gelu_forward(pre), params["mlm_ln_g"], params["mlm_ln_b"], LN_EPS)
     logits = _affine(h, params["tok_emb"].T, params["mlm_out_b"])
-    return logits, {"g": g, "pre": pre, "gelu_t": gelu_t, "h": h, "ln": ln}
+    return logits, {"g": g, "pre": pre, "ln": ln}
 
 
 def _mlm_head_backward(params, c, d_logits, grads):
     """Mirrors `_mlm_head`; returns the gradients wrt g and wrt the decoder,
     which `backward_batch` adds to the token embeddings'."""
-    d_decoder, grads["mlm_out_b"], d_h = _affine_backward(c.pop("h"), params["tok_emb"].T, d_logits)
+    d_decoder, grads["mlm_out_b"], d_h = _affine_backward(
+        _ln_output(params, "mlm_ln", c["ln"]), params["tok_emb"].T, d_logits)
     d_act, grads["mlm_ln_g"], grads["mlm_ln_b"] = layer_norm_backward(d_h, c.pop("ln"), params["mlm_ln_g"])
-    d_pre = gelu_grad(c.pop("pre"), c.pop("gelu_t"), dout=d_act)
+    d_pre = gelu_grad(c.pop("pre"), dout=d_act)
     grads["mlm_w"], grads["mlm_b"], d_g = _affine_backward(c.pop("g"), params["mlm_w"], d_pre)
     return d_g, d_decoder
 

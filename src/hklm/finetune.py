@@ -24,7 +24,7 @@ import numpy as np
 from .corpus import CLS_ID, ENT_ID, REL_ID, SEP_ID, derive_seed
 from .encoder import (Batch, ModelConfig, _affine, _affine_backward, encode, encoder_backward,
                       encoder_param_names, pad_tokens, softmax)
-from .metrics import bio_tags_to_spans, compute_task_metrics, is_valid_bio
+from .metrics import bio_tags_to_spans, bio_transition_allowed, compute_task_metrics, is_valid_bio
 from .optim import AdamWConfig, AdamWState, adamw_step
 from .tasks import TaskExample
 
@@ -193,26 +193,14 @@ def build_tagset(examples: list[TaskExample]) -> list[str]:
     return sorted(tags)
 
 
-def _bio_allowed(prev: str, tagset: list[str]) -> np.ndarray:
-    """Mask of tags permitted after prev: I-X only after B-X or I-X."""
-    allowed = np.zeros(len(tagset), dtype=bool)
-    for j, tag in enumerate(tagset):
-        if tag.startswith("I-"):
-            typ = tag[2:]
-            allowed[j] = prev != "O" and prev[2:] == typ
-        else:
-            allowed[j] = True
-    return allowed
-
-
 def decode_bio(token_logits: np.ndarray, tagset: list[str]) -> list[str]:
-    """Greedy argmax with invalid transitions masked out."""
-    tags = []
-    prev = "O"
+    """Greedy argmax with invalid transitions masked out. allowed[s] masks
+    the tags that may follow state s: the start (s = 0) or tagset[s - 1]."""
+    allowed = np.array([[bio_transition_allowed(prev, tag) for tag in tagset] for prev in ["O", *tagset]])
+    tags, state = [], 0
     for row in token_logits:
-        masked = np.where(_bio_allowed(prev, tagset), row, -np.inf)
-        prev = tagset[int(masked.argmax())]
-        tags.append(prev)
+        state = int(np.where(allowed[state], row, -np.inf).argmax()) + 1
+        tags.append(tagset[state - 1])
     return tags
 
 

@@ -153,15 +153,19 @@ def bio_tags_to_spans(tags: list[str]) -> list[tuple[int, int, str]]:
     return spans
 
 
+def is_bio_tag(tag: str) -> bool:
+    """Whether tag is O, B-<type> or I-<type> with a nonempty type."""
+    return tag == "O" or (tag[:2] in ("B-", "I-") and len(tag) > 2)
+
+
+def bio_transition_allowed(prev: str, tag: str) -> bool:
+    """The BIO transition rule: I-X only after B-X or I-X. A sequence starts
+    after O."""
+    return not tag.startswith("I-") or (prev != "O" and prev[2:] == tag[2:])
+
+
 def is_valid_bio(tags: list[str]) -> bool:
-    prev = "O"
-    for tag in tags:
-        if tag.startswith("I-"):
-            typ = tag[2:]
-            if prev == "O" or prev[2:] != typ:
-                return False
-        prev = tag
-    return True
+    return all(map(bio_transition_allowed, ["O", *tags], tags))
 
 
 # ---------------------------------------------------------------------------

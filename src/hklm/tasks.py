@@ -23,6 +23,7 @@ from .corpus import (
     derive_seed,
     tokenize_text,
 )
+from .metrics import is_bio_tag
 
 
 class TaskError(ValueError):
@@ -91,6 +92,10 @@ class TaskExample:
             if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
                 raise TaskError(f"{ex.variant} record {ex.example_id}: {key} {json.dumps(value)}"
                                 " is not a list of strings")
+        for tag in ex.tags if ex.variant == "ner" else ():
+            if not is_bio_tag(tag):  # the evaluation reads spans from B-<type> and I-<type>
+                raise TaskError(f"ner record {ex.example_id}: tag {json.dumps(tag)} is not O,"
+                                " B-<type> or I-<type>")
         if ex.variant == "rank" and not (type(ex.gold) is int and 0 <= ex.gold < len(ex.candidates)):
             raise TaskError(f"rank record {ex.example_id}: gold {json.dumps(ex.gold)} is not the index of"
                             f" one of its {len(ex.candidates)} candidates")

@@ -435,7 +435,7 @@ def make_rank_data(corpus, truth, vocab, seed, n_train=80, n_eval=40, n_candidat
 
 
 def encode(params, config, batch, want_cache: bool = False, rows=None):
-    from hklm.encoder import LN_EPS, NEG_INF, ModelError, _affine, _check_rows, gelu_forward, layer_norm, softmax
+    from hklm.encoder import LN_EPS, NEG_INF, ModelError, _affine, _check_rows, layer_norm, softmax
 
     dt = config.np_dtype
     ids, seg, mask = batch.ids, batch.seg, batch.mask
@@ -501,7 +501,7 @@ def encode(params, config, batch, want_cache: bool = False, rows=None):
 
 
 def forward_batch(params, config, batch, want_cache: bool = False):
-    from hklm.encoder import LN_EPS, ForwardResult, _affine, gelu_forward, layer_norm
+    from hklm.encoder import LN_EPS, ForwardResult, _affine, layer_norm
 
     hidden, cache = encode(params, config, batch, want_cache)
 
@@ -532,7 +532,7 @@ def forward_batch(params, config, batch, want_cache: bool = False):
 
 def encoder_backward(params, config, cache, d_hidden):
     from hklm.encoder import (
-        _scatter_rows, _segment_grad, _softmax_backward, gelu_grad, layer_norm_backward,
+        _scatter_rows, _segment_grad, _softmax_backward, layer_norm_backward,
     )
 
     grads: dict[str, np.ndarray] = {}
@@ -553,7 +553,7 @@ def encoder_backward(params, config, cache, d_hidden):
         grads[p + "ffn_w2"] = c["act"].T @ d_ffn_out
         grads[p + "ffn_b2"] = d_ffn_out.sum(axis=0)
         d_act = d_ffn_out @ params[p + "ffn_w2"].T
-        d_ffn_pre = gelu_grad(c["ffn_pre"], c["gelu_t"], dout=d_act)
+        d_ffn_pre = d_act * gelu_grad(c["ffn_pre"], c["gelu_t"])
         grads[p + "ffn_w1"] = y.T @ d_ffn_pre
         grads[p + "ffn_b1"] = d_ffn_pre.sum(axis=0)
         dy = d_ffn_out  # no read of d_ffn_out follows: accumulate in place
@@ -598,7 +598,7 @@ def encoder_backward(params, config, cache, d_hidden):
 
 
 def backward_batch(params, config, batch, result, lam: float, mu: float):
-    from hklm.encoder import ModelError, gelu_grad, joint_loss, layer_norm_backward, param_names
+    from hklm.encoder import ModelError, joint_loss, layer_norm_backward, param_names
 
     if result.cache is None:
         raise ModelError("forward_batch must be called with want_cache=True before backward")
@@ -619,7 +619,7 @@ def backward_batch(params, config, batch, result, lam: float, mu: float):
     d_mlm_h = d_mlm_logits @ params["tok_emb"]
     d_mlm_act, d_ln_g, d_ln_b = layer_norm_backward(d_mlm_h, cache["mlm_ln"], params["mlm_ln_g"])
     grads["mlm_ln_g"], grads["mlm_ln_b"] = d_ln_g, d_ln_b
-    d_mlm_pre = gelu_grad(cache["mlm_pre"], cache["mlm_gelu_t"], dout=d_mlm_act)
+    d_mlm_pre = d_mlm_act * gelu_grad(cache["mlm_pre"], cache["mlm_gelu_t"])
     grads["mlm_w"] = cache["mlm_g"].T @ d_mlm_pre
     grads["mlm_b"] = d_mlm_pre.sum(axis=0)
     d_g = d_mlm_pre @ params["mlm_w"].T

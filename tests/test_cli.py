@@ -435,7 +435,10 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "record",
         [{"variant": "ner", "tokens": [20]}, {"id": "x", "tokens": [20]}, {"id": "x", "variant": "ner"},
-         {"id": "x", "variant": "ner", "tokens": 20}, [1, 2], "ner"],
+         {"id": "x", "variant": "ner", "tokens": 20}, [1, 2], "ner",
+         # Tags outside the BIO scheme: a bare type and a prefix without one.
+         {"id": "x", "variant": "ner", "tokens": [20], "tags": ["building"]},
+         {"id": "x", "variant": "ner", "tokens": [20], "tags": ["B-"]}],
         ids=repr,
     )
     def test_malformed_task_record(self, pipeline_dir, checkpoint, tmp_path, capsys, record):

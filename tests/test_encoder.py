@@ -487,27 +487,24 @@ class TestKernelsMatchPlainNumpy:
         x = kernel_input(shape, dtype, 0)
         dout = kernel_input(shape, dtype, 1)
         x0, dout0 = x.copy(), dout.copy()
-        act, t = encoder.gelu_forward(x)
-        want_act, want_t = oracles.gelu_forward(x)
-        assert_identical(act, want_act)
-        assert_identical(t, want_t)
-        assert_identical(encoder.gelu_grad(x, t, np.ones_like(x)), oracles.gelu_grad(x, t))
+        want_act, t = oracles.gelu_forward(x)
+        assert_identical(encoder.gelu_forward(x), want_act)
+        assert_identical(encoder.gelu_grad(x, np.ones_like(x)), oracles.gelu_grad(x, t))
         d = dout.copy()
-        got = encoder.gelu_grad(x, t, dout=d)
+        got = encoder.gelu_grad(x, dout=d)
         assert got is d
         assert_identical(got, dout * oracles.gelu_grad(x, t))
         assert_identical(x, x0)
-        assert_identical(t, want_t)
         # The same pass re-derives the forward's output, into a buffer of its
-        # own or over the tanh it reads.
+        # own or over the input it reads.
         d, act = dout.copy(), np.empty_like(x)
-        assert encoder.gelu_grad(x, t, dout=d, act=act) is d
+        assert encoder.gelu_grad(x, dout=d, act=act) is d
         assert_identical(d, dout * oracles.gelu_grad(x, t))
         assert_identical(act, want_act)
-        d, t_over = dout.copy(), t.copy()
-        encoder.gelu_grad(x, t_over, dout=d, act=t_over)
+        d, x_over = dout.copy(), x.copy()
+        encoder.gelu_grad(x_over, dout=d, act=x_over)
         assert_identical(d, dout * oracles.gelu_grad(x, t))
-        assert_identical(t_over, want_act)
+        assert_identical(x_over, want_act)
         assert_identical(x, x0)
 
     def test_layer_norm(self, shape, dtype):
@@ -654,15 +651,17 @@ def test_training_steps_match_plain_numpy_kernels(synth20, monkeypatch):
     corpus, _ = synth20
     cfg = joint_train_config()
     fast = run_pretraining(cfg, corpus)
-    for name in ("gelu_forward", "layer_norm", "layer_norm_backward", "softmax"):
+    for name in ("layer_norm", "layer_norm_backward", "softmax"):
         monkeypatch.setattr(encoder, name, getattr(oracles, name))
 
-    def plain_gelu_grad(x, t, dout, act=None):
+    def plain_gelu_grad(x, dout, act=None):
+        act_x, t = oracles.gelu_forward(x)  # the tanh, re-derived from x alone
         d = dout * oracles.gelu_grad(x, t)
-        if act is not None:  # the forward's GELU output, re-derived from x alone
-            act[...] = oracles.gelu_forward(x)[0]
+        if act is not None:  # the forward's GELU output, likewise
+            act[...] = act_x
         return d
 
+    monkeypatch.setattr(encoder, "gelu_forward", lambda x: oracles.gelu_forward(x)[0])
     monkeypatch.setattr(encoder, "gelu_grad", plain_gelu_grad)
     monkeypatch.setattr(encoder, "_softmax_backward", oracles.softmax_backward)
     monkeypatch.setattr(encoder, "_affine", oracles.affine)
@@ -713,6 +712,59 @@ def mode_runs(synth20):
     corpus, _ = synth20
     return {mode: run_pretraining(joint_train_config(mode=mode, steps=0, eval_every=0), corpus)
             for mode in ("hklm", "plain")}
+
+
+def _cache_nbytes(obj, seen):
+    """Bytes of the distinct arrays a cache holds, through dicts, lists and
+    tuples (an array held twice counts once)."""
+    if isinstance(obj, np.ndarray):
+        new = id(obj) not in seen
+        seen.add(id(obj))
+        return obj.nbytes if new else 0
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return sum(_cache_nbytes(item, seen) for item in obj) if isinstance(obj, (list, tuple)) else 0
+
+
+def test_activation_cache_holds_what_the_backward_cannot_rebuild(mode_runs):
+    """Per block the cache keeps the queries, keys, values and attention
+    probabilities, the GELU input and each layer norm's (xn, inv): no
+    layer-norm output, attention context or GELU tanh, which the backward
+    rebuilds. Its bytes are those of the listed arrays and nothing more."""
+    run = mode_runs["hklm"]
+    cfg = dataclasses.replace(run.model_config, dtype="float64")
+    params = init_params(cfg, 5)
+    batch = make_batch(run.train_examples[:5], dtype=np.float64)
+    b, l = batch.ids.shape
+    n, d, f, h = b * l, cfg.d_model, cfg.d_ffn, cfg.n_heads
+    rows, head_r = encoder.head_rows(batch)
+    r, r_max, m = len(rows), int(np.bincount(rows // l).max()), len(head_r[0])
+
+    def ln(k):  # xn and inv
+        return k * d + k
+
+    # Elements, all 8 bytes (float64 activations, int64 indices).
+    emb = 2 * n + ln(n)  # ids, seg
+    full_block = 3 * n * d + h * b * l * l + ln(n) + n * f + ln(n)
+    last_block = 2 * r + b * r_max * d + 2 * n * d + h * b * r_max * l + ln(r) + r * f + ln(r)
+    encoder_elems = emb + (cfg.n_layers - 1) * full_block + last_block
+    block_keys = {"rows", "slot", "q", "k", "v", "probs", "ln1", "ffn_pre", "ln2"}
+
+    _, cache = encode(params, cfg, batch, rows, want_cache=True)
+    assert set(cache) == {"emb", "layers"} and set(cache["emb"]) == {"ids", "seg", "l", "ln"}
+    assert [set(c) for c in cache["layers"]] == [block_keys] * cfg.n_layers
+    assert _cache_nbytes(cache, set()) == 8 * encoder_elems
+
+    cache = forward_batch(params, cfg, batch, want_cache=True).cache
+    assert set(cache) == {"emb", "layers", "head_rows", "head_in", "mlm"}
+    assert [set(c) for c in cache["layers"]] == [block_keys] * cfg.n_layers
+    assert set(cache["mlm"]) == {"g", "pre", "ln"}
+    assert cache["mlm"]["g"] is cache["head_in"]["mlm"]
+    n_targets = sum(len(t) for t in head_r)
+    # head_rows and head_in: an index and a hidden row per target; the MLM
+    # head: its GELU input and layer norm at each masked row.
+    heads = n_targets + n_targets * d + m * d + ln(m)
+    assert _cache_nbytes(cache, set()) == 8 * (encoder_elems + heads)
 
 
 def assert_grads_close(got, want, rtol):
@@ -826,13 +878,15 @@ class TestHeadRowsMatchFullRows:
         for rows in (mixed_rows(b, l), _cls_rows(batch), encoder.head_rows(batch)[0]):
             _, cache = encode(params, cfg, batch, want_cache=True, rows=rows)
             last = cache["layers"][-1]
+            # The encoder keeps no block input; the reference caches it.
+            x_last = oracles.encode(params, cfg, batch, want_cache=True, rows=rows)[1]["layers"][-1]["x"]
             per_example = [[r for r in rows if r // l == k] for k in range(b)]
             r_max = max(len(e) for e in per_example)
             assert last["probs"].shape == (b, cfg.n_heads, r_max, l)
             q = last["q"].transpose(0, 2, 1, 3).reshape(b, r_max, cfg.d_model)
             for k, ex_rows in enumerate(per_example):
                 n = len(ex_rows)
-                want = last["x"][ex_rows] @ params[p + "q_w"] + params[p + "q_b"]
+                want = x_last[ex_rows] @ params[p + "q_w"] + params[p + "q_b"]
                 np.testing.assert_allclose(q[k, :n], want, rtol=0, atol=1e-12)
                 assert (q[k, n:] == 0.0).all()
         assert r_max < l  # the head rows leave most query rows out

@@ -52,6 +52,24 @@ class TestBioDecode:
         tags = decode_bio(logits, TAGSET)
         assert is_valid_bio(tags)
 
+    @pytest.mark.parametrize("tagset", [TAGSET, ["B-a", "B-b", "B-c", "I-a", "I-b", "I-c", "O"], ["O"]])
+    def test_matches_per_token_mask_decode(self, tagset):
+        """One transition mask per tag set decodes as a mask rebuilt at every
+        token from the previous tag."""
+        def per_token_decode(token_logits):
+            tags, prev = [], "O"
+            for row in token_logits:
+                allowed = [not t.startswith("I-") or (prev != "O" and prev[2:] == t[2:]) for t in tagset]
+                prev = tagset[int(np.where(allowed, row, -np.inf).argmax())]
+                tags.append(prev)
+            return tags
+
+        rng = np.random.default_rng(4)
+        for n in (0, 1, 7, 40):
+            for _ in range(25):
+                logits = rng.normal(size=(n, len(tagset)))
+                assert decode_bio(logits, tagset) == per_token_decode(logits)
+
     def test_oracle_logits_recovered(self):
         gold = ["O", "B-x", "I-x", "O", "B-y"]
         logits = np.full((5, len(TAGSET)), -10.0)

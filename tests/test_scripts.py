@@ -39,4 +39,9 @@ def test_step_memory_prints_a_line_per_micro_batch_and_evaluation_and_a_summary(
                              "transient_mb", "faults"}
     assert evaluation["eval"] == "heads" and evaluation["examples"] > 0
     assert set(summary) == {"params_and_moments_mb", "max_peak_mb", "eval_peak_mb", "max_step_mb",
-                            "left_mb"}
+                            "left_mb", "cache_by_entry_mb"}
+    # No layer-norm output, attention context or GELU tanh: the backward rebuilds them.
+    assert set(summary["cache_by_entry_mb"]) == {
+        "emb.ids", "emb.seg", "emb.ln", "head_rows", "head_in", "mlm.g", "mlm.pre", "mlm.ln",
+        *(f"layers.{k}" for k in ("rows", "slot", "q", "k", "v", "probs", "ln1", "ffn_pre", "ln2"))}
+    assert summary["cache_by_entry_mb"]["mlm.g"] == 0  # the MLM rows of head_in

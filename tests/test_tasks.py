@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 from hklm.corpus import (
@@ -235,6 +238,12 @@ class TestIO:
     def test_et_without_pair_rejected(self):
         with pytest.raises(TaskError, match="ENT"):
             TaskExample.from_json({"id": "x", "variant": "et", "tokens": [ENT_ID, 20]})
+
+    @pytest.mark.parametrize("tag", ["building", "B-", "I-", "b-x", "", "OO"])
+    def test_ner_tag_outside_bio_rejected_naming_record_and_tag(self, tag):
+        record = {"id": "r7", "variant": "ner", "tokens": [20, 21], "tags": ["O", tag]}
+        with pytest.raises(TaskError, match=f"record r7: tag {re.escape(json.dumps(tag))} is not O"):
+            TaskExample.from_json(record)
 
     def test_generated_oie_and_rank_records_read_back(self, world, tmp_path):
         corpus, truth, vocab = world
