@@ -160,10 +160,8 @@ class ExactCosines:
 
 @dataclass
 class TfIdfIndex:
-    """Document frequencies over the corpus of all fragments plus all triples."""
+    """Inverse document frequencies over the corpus of all fragments plus all triples."""
 
-    n_docs: int
-    df: dict[int, int]
     idf: dict[int, float]
 
     @classmethod
@@ -175,7 +173,7 @@ class TfIdfIndex:
             df.update(set(_terms(tokens)))
         n = len(docs)
         idf = {t: math.log(n / n_t) for t, n_t in df.items()}
-        return cls(n_docs=n, df=dict(df), idf=idf)
+        return cls(idf=idf)
 
 
 def build_tfidf_index(corpus: Corpus, vocab: Vocab, fragments: dict[str, list[Fragment]]) -> TfIdfIndex:

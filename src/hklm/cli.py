@@ -35,7 +35,7 @@ from .finetune import (
 )
 from .manifest import manifest_path_for, write_manifest
 from .optim import DivergenceError
-from .pretrain import TrainConfig, build_aligned, epoch_sampler, run_pretraining
+from .pretrain import ConfigError, TrainConfig, build_aligned, epoch_sampler, run_pretraining
 from .tasks import (
     RankPool,
     TaskError,
@@ -106,11 +106,13 @@ def cmd_synth_corpus(args) -> int:
 def _train_config(args, mode=None, steps=None) -> TrainConfig:
     """TrainConfig from --config (every field optional, defaults fill the
     rest) with --seed and any given flag on top, validated."""
-    cfg_obj = {}
+    config = TrainConfig()
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg_obj = json.load(fh)
-    config = TrainConfig.from_json(cfg_obj)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                config = TrainConfig.from_json(json.load(fh))
+        except ValueError as exc:  # the file's own errors; an OSError names it already
+            raise ConfigError(f"{args.config}: {exc}") from exc
     config.seed = args.seed  # flags beat the config file
     if mode is not None:
         config.mode = mode
@@ -186,13 +188,13 @@ def cmd_finetune(args) -> int:
     train = read_task_data(args.train)
     evals = read_task_data(args.eval)
     variant = _TASK_VARIANT[args.task]
-    for path, examples in ((args.train, train), (args.eval, evals)):
+    for flag, path, examples in (("--train", args.train, train), ("--eval", args.eval, evals)):
+        if not examples:
+            raise FinetuneError(f"no examples in {flag} file {path}")
         for ex in examples:
             if ex.variant != variant:
                 raise TaskError(f"{path}: record {ex.example_id!r} has variant {ex.variant!r},"
                                 f" --task {args.task} needs {variant!r}")
-    if not evals:
-        raise FinetuneError(f"no examples in --eval file {args.eval}")
     cfg = FinetuneConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr, seed=args.seed)
     cfg.validate()
     os.makedirs(args.out, exist_ok=True)

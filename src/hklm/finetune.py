@@ -25,7 +25,7 @@ from .corpus import CLS_ID, ENT_ID, REL_ID, SEP_ID, derive_seed
 from .encoder import (Batch, ModelConfig, _affine, _affine_backward, encode, encoder_backward,
                       encoder_param_names, pad_tokens, softmax)
 from .metrics import bio_tags_to_spans, bio_transition_allowed, compute_task_metrics, is_valid_bio
-from .optim import AdamWConfig, AdamWState, adamw_step
+from .optim import AdamWState, adamw_step
 from .tasks import TaskExample
 
 # Entity typing predicts every label whose probability reaches THETA_ET.
@@ -126,7 +126,6 @@ def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, rows
     if not items:
         raise FinetuneError("no training examples")
     dt = model_cfg.np_dtype
-    opt_cfg = AdamWConfig(lr=cfg.lr)
     state = AdamWState.for_params(params)
     rng = np.random.default_rng(derive_seed(cfg.seed, "finetune-order"))
     for _epoch in range(cfg.epochs):
@@ -142,7 +141,7 @@ def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, rows
             # The backward frees the activation cache, a step's largest
             # allocation, as it reads it.
             grads.update(encoder_backward(params, model_cfg, cache, d_h))
-            adamw_step(params, grads, state, opt_cfg)
+            adamw_step(params, grads, state, cfg.lr)
 
 
 def _head_logits(params, cfg: ModelConfig, sequences: list[list[int]], rows_of) -> np.ndarray:

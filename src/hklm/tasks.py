@@ -148,11 +148,16 @@ def _task_sets(truth, seed, task, prefix, n_train, n_eval, example, *seed_parts,
     *seed_parts)`, where `id_prefix` is `<prefix>-tr-` or `<prefix>-ev-`; its
     examples are `example(recs, rng, example_id)` over the split's records
     (those `keep` accepts, when given), with ids numbered from `id_prefix`00000.
+    Raises TaskError when a split that must yield examples has no record.
     """
     def build(recs, count, split):
         id_prefix = f"{prefix}-{split}-"
         rng = np.random.default_rng(derive_seed(seed, task, id_prefix, *seed_parts))
         recs = [rec for rec in recs if keep is None or keep(rec)]
+        if count and not recs:
+            name = {"tr": "training", "ev": "eval"}[split]
+            raise TaskError(f"{prefix} task: no usable entity in its {name} split to draw"
+                            f" {count} examples from ({len(truth)} entities in all)")
         return [example(recs, rng, f"{id_prefix}{i:05d}") for i in range(count)]
 
     train_recs, eval_recs = split_entities(truth, seed)

@@ -257,8 +257,8 @@ def segment_grad(d_emb, seg, seg_emb):
     return d_seg
 
 
-def adamw_step(params, grads, state, config):
-    """One in-place update; aborts (state untouched) on any non-finite gradient."""
+def adamw_step(params, grads, state, lr):
+    """One in-place update at rate `lr`; aborts (state untouched) on any non-finite gradient."""
     from hklm.optim import DivergenceError
 
     for name, g in grads.items():
@@ -279,9 +279,7 @@ def adamw_step(params, grads, state, config):
         v += (1.0 - beta2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        p -= config.lr * (m_hat / (np.sqrt(v_hat) + eps))
-        if config.weight_decay:
-            p -= config.lr * config.weight_decay * p
+        p -= lr * (m_hat / (np.sqrt(v_hat) + eps))
     return params
 
 

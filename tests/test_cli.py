@@ -111,7 +111,7 @@ class TestErrors:
         import numpy as np
 
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"steps": 40, "lr": 1e18, "lr_scale": 1e18,
+        cfg.write_text(json.dumps({"steps": 40, "peak_lr": 1e36,
                                    "d_model": 32, "n_layers": 1, "n_heads": 2,
                                    "heldout_fraction": 0.15, "batch_size": 8}))
         with np.errstate(all="ignore"):
@@ -318,6 +318,15 @@ class TestMalformedInputs:
             {"lam": float("nan")},
             {"lam": float("inf")},
             {"lr": float("inf")},
+            {"peak_lr": "1e-3"},
+            {"peak_lr": False},
+            {"peak_lr": -1},
+            {"peak_lr": 0},
+            {"peak_lr": float("inf")},
+            # Retired keys, at the values runs used to set.
+            {"lr": 3e-5},
+            {"lr_scale": 10},
+            {"weight_decay": 0.01},
             {"mask_token_frac": float("nan")},
             {"init_std": float("nan")},
             {"pos_init_scale": float("inf")},
@@ -350,6 +359,32 @@ class TestMalformedInputs:
         assert not isinstance(config, dict) or any(name in err for name in config)
         assert not (tmp_path / "run").exists()  # rejected before data preparation
 
+    @pytest.mark.parametrize("text", ["{steps: 3}", "", json.dumps([{"steps": 3}]), json.dumps({"lr": 3e-5})],
+                             ids=["not-json", "empty", "list", "retired-key"])
+    def test_config_file_error_names_the_file(self, pipeline_dir, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = run(["pretrain", "--corpus", str(pipeline_dir / "c.jsonl"), "--seed", "1",
+                    "--steps", "1", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert _assert_one_line_error(code, capsys).startswith(f"error: {cfg}: ")
+        assert not (tmp_path / "run").exists()
+
+    def test_flag_error_does_not_name_the_config_file(self, pipeline_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        code = run(["pretrain", "--corpus", str(pipeline_dir / "c.jsonl"), "--seed", "1",
+                    "--config", str(cfg), "--steps", "-1", "--out", str(tmp_path / "run")])
+        err = _assert_one_line_error(code, capsys)
+        assert "steps" in err and str(cfg) not in err
+
+    def test_task_sets_of_too_few_entities(self, tmp_path, capsys):
+        """One entity goes to the eval split and leaves the training split
+        none to draw task examples from."""
+        code = run(["synth-corpus", "--seed", "1", "--entities", "1", "--out", str(tmp_path / "c.jsonl"),
+                    "--tasks-out", str(tmp_path / "tasks")])
+        err = _assert_one_line_error(code, capsys)
+        assert "ner task" in err and "training split" in err
+
     @pytest.fixture(scope="class")
     def checkpoint(self, pipeline_dir, tmp_path_factory):
         rundir = tmp_path_factory.mktemp("tiny-run")
@@ -369,8 +404,9 @@ class TestMalformedInputs:
         code = run(["finetune", "--checkpoint", str(checkpoint), "--task", task,
                     "--train", str(files["train"]), "--eval", str(files["eval"]),
                     "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
-        _assert_one_line_error(code, capsys)
-        assert not (tmp_path / "ft" / "metrics.jsonl").exists()
+        err = _assert_one_line_error(code, capsys)
+        assert f"--{empty} file {files[empty]}" in err
+        assert not (tmp_path / "ft").exists()
 
     @pytest.mark.parametrize("split", ["train", "eval"])
     @pytest.mark.parametrize("task, other", [("ner", "et"), ("et", "oie"), ("oie", "ner"),

@@ -10,7 +10,7 @@ import pytest
 from hklm import align, pretrain
 from hklm.checkpoint import save_checkpoint
 from hklm.corpus import SEP0_ID, SEPI_IDS, generate_synthetic_corpus, write_jsonl
-from hklm.encoder import ModelConfig, param_names
+from hklm.encoder import HEADS, ModelConfig, param_names
 from hklm.examples import SamplerConfig
 from hklm.pretrain import (
     ConfigError,
@@ -62,8 +62,8 @@ class TestConfig:
         assert again == cfg
 
     def test_int_accepted_for_float_and_optional_int(self):
-        cfg = TrainConfig.from_json({"lr": 1, "lr_scale": 2, "triples_per_example": 3})
-        assert (cfg.lr, cfg.lr_scale, cfg.triples_per_example) == (1, 2, 3)
+        cfg = TrainConfig.from_json({"peak_lr": 1, "lam": 2, "triples_per_example": 3})
+        assert (cfg.peak_lr, cfg.lam, cfg.triples_per_example) == (1, 2, 3)
         cfg.validate()
         assert TrainConfig.from_json({"triples_per_example": None}).triples_per_example is None
 
@@ -86,8 +86,10 @@ class TestConfig:
         TrainConfig(k_max=12, triples_per_example=8).validate()
         TrainConfig(k_max=8, triples_per_example=12).validate()
 
-    def test_effective_lr(self):
-        assert small_cfg(lr=3e-5, lr_scale=10.0).effective_lr() == pytest.approx(3e-4)
+    def test_default_peak_lr_keeps_the_bits_of_its_product(self):
+        # The rate the retired lr * lr_scale gave, not the float nearest 3e-4.
+        assert TrainConfig().peak_lr == 3e-5 * 10.0
+        assert repr(TrainConfig().peak_lr) == "0.00030000000000000003"
 
 
 class TestSplit:
@@ -193,7 +195,7 @@ class TestRunPretraining:
         np.testing.assert_array_equal(res_off.params["tc_b"], init["tc_b"])
 
     def test_divergence_aborts(self, corpus30):
-        cfg = small_cfg(steps=50, lr=1e18, lr_scale=1e18)
+        cfg = small_cfg(steps=50, peak_lr=1e36)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="at step"):
             run_pretraining(cfg, corpus30)
 
@@ -209,6 +211,36 @@ class TestRunPretraining:
                 "tc_acc", "tmt_acc", "mlm_acc",
             }
             assert np.isfinite(obj["loss_total"])
+
+    @pytest.mark.parametrize("mode, grad_accum", [("plain", 1), ("hklm", 1), ("hklm", 2)])
+    def test_head_without_targets_logs_null(self, corpus30, monkeypatch, mode, grad_accum):
+        """A recorded head loss is None when none of the step's micro-batches
+        had a target for the head, and a float when one had. At 48-token
+        fragments some batches of short examples hold no triple."""
+        real_backward = pretrain.backward_batch
+        targets = []  # each micro-batch's target count per head
+
+        def counting_backward(params, model_cfg, batch, *args):
+            targets.append({head: len(getattr(batch, f"{head}_label")) for head in HEADS})
+            return real_backward(params, model_cfg, batch, *args)
+
+        monkeypatch.setattr(pretrain, "backward_batch", counting_backward)
+        cfg = small_cfg(mode=mode, steps=8, eval_every=1, max_fragment_len=48, grad_accum=grad_accum)
+        res = run_pretraining(cfg, corpus30)
+        nulls = set()
+        for m in res.metrics:
+            micro = targets[(m.step - 1) * grad_accum : m.step * grad_accum]
+            for head in HEADS:
+                loss = getattr(m, f"loss_{head}")
+                assert (loss is None) == (sum(t[head] for t in micro) == 0), (m.step, head)
+                if loss is None:
+                    nulls.add(head)
+                    assert f'"loss_{head}": null' in json.dumps(m.to_json())
+        assert np.isfinite([m.loss_total for m in res.metrics]).all()
+        if mode == "plain":
+            assert nulls == {"tc", "tmt"}
+        elif grad_accum == 1:
+            assert nulls == {"tc"}
 
     def test_grad_accumulation_runs(self, corpus30):
         cfg = small_cfg(steps=2, grad_accum=2)
@@ -267,8 +299,8 @@ class TestRunPretraining:
         real_step = pretrain.adamw_step
         snapshots = {}
 
-        def snapshotting_step(params, grads, state, opt_cfg):
-            real_step(params, grads, state, opt_cfg)
+        def snapshotting_step(params, grads, state, lr):
+            real_step(params, grads, state, lr)
             if state.step in ks:
                 snapshots[state.step] = {name: arr.copy() for name, arr in params.items()}
 
