@@ -73,8 +73,19 @@ def cmd_synth_corpus(args) -> int:
     corpus, truth = generate_synthetic_corpus(args.seed, args.entities, params)
     truth_path = args.out.rsplit(".jsonl", 1)[0] + ".truth.jsonl" if args.out.endswith(".jsonl") else args.out + ".truth.jsonl"
     outputs = [args.out, truth_path]
-    task_paths = {}  # task -> its train and eval file paths
+    # Task -> its (train, eval) examples, built before anything is written
+    # so that an error in them leaves no output behind, and its two paths.
+    sets, task_paths = {}, {}
     if args.tasks_out:
+        vocab = build_vocab(corpus, 1)
+        pool = RankPool(corpus, vocab)
+        sets = {
+            "ner": make_ner_data(truth, vocab, args.seed),
+            "et": make_et_data(truth, vocab, args.seed),
+            "oie": make_oie_data(truth, vocab, args.seed),
+            "qa": make_rank_data(pool, truth, vocab, args.seed),
+            "dialog": make_rank_data(pool, truth, vocab, args.seed, dialog=True),
+        }
         os.makedirs(args.tasks_out, exist_ok=True)
         task_paths = {task: [os.path.join(args.tasks_out, f"{task}-{split}.jsonl") for split in ("train", "eval")]
                       for task in _TASK_VARIANT}
@@ -87,19 +98,9 @@ def cmd_synth_corpus(args) -> int:
     )
     write_jsonl(args.out, (doc.to_json() for doc in corpus))
     write_jsonl(truth_path, truth)
-    if args.tasks_out:
-        vocab = build_vocab(corpus, 1)
-        pool = RankPool(corpus, vocab)
-        sets = {
-            "ner": make_ner_data(truth, vocab, args.seed),
-            "et": make_et_data(truth, vocab, args.seed),
-            "oie": make_oie_data(truth, vocab, args.seed),
-            "qa": make_rank_data(pool, truth, vocab, args.seed),
-            "dialog": make_rank_data(pool, truth, vocab, args.seed, dialog=True),
-        }
-        for task, splits in sets.items():
-            for path, examples in zip(task_paths[task], splits):
-                write_jsonl(path, (ex.to_json() for ex in examples))
+    for task, splits in sets.items():
+        for path, examples in zip(task_paths[task], splits):
+            write_jsonl(path, (ex.to_json() for ex in examples))
     return 0
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CLS_ID, ENT_ID, REL_ID, SEP_ID, derive_seed
+from .corpus import CLS_ID, REL_ID, SEP_ID, derive_seed
 from .encoder import (Batch, ModelConfig, _affine, _affine_backward, encode, encoder_backward,
                       encoder_param_names, pad_tokens, softmax)
 from .metrics import bio_tags_to_spans, bio_transition_allowed, compute_task_metrics, is_valid_bio
@@ -231,11 +231,6 @@ def finetune_token_classifier(
 ) -> TokenTagger:
     tagset = build_tagset(train)
     tag_to_id = {t: i for i, t in enumerate(tagset)}
-    for ex in train:
-        tags = ex.tags or []
-        if len(tags) != len(ex.tokens):
-            raise FinetuneError(
-                f"example {ex.example_id} has {len(tags)} tags for {len(ex.tokens)} tokens")
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "ner-head", len(tagset))
     items = [(_wrap(ex.tokens), [tag_to_id[t] for t in ex.tags]) for ex in train]
     _train_loop(params, model_cfg, items, cfg, _token_rows, _tag_loss)
@@ -283,9 +278,6 @@ def finetune_entity_typing(
     train: list[TaskExample],
     cfg: FinetuneConfig,
 ) -> EntityTyper:
-    for ex in train:
-        if ex.tokens.count(ENT_ID) != 2:
-            raise FinetuneError(f"example {ex.example_id} lacks an [ENT] pair")
     label_set = sorted({lab for ex in train for lab in ex.labels or []})
     lab_to_id = {lab: i for i, lab in enumerate(label_set)}
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "et-head", len(label_set))

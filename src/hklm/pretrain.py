@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -123,6 +124,10 @@ class TrainConfig:
                               f" allow {serialized}")
         self.model_config(NUM_SPECIAL).validate()
         self.sampler_config().validate()
+        # [CLS] and a separator frame every fragment's text.
+        if self.max_fragment_len + 2 > self.max_seq_len:
+            raise ConfigError(f"max_fragment_len {self.max_fragment_len} leaves no room in max_seq_len"
+                              f" {self.max_seq_len} for [CLS] and a separator")
 
     def _shared(self, cls, **values):
         """A `cls` holding this config's fields of the same name, with `values` over them."""
@@ -252,10 +257,26 @@ def _length_bucketed_batches(
     return batches
 
 
+def _training_batches(config: TrainConfig, corpus: Corpus, train_aligned: list[AlignedFragment],
+                       vocab: Vocab, first_epoch: list[PretrainExample], dtype):
+    """The training batches of epoch after epoch, without end.
+
+    Each epoch's examples run in length-bucketed batches, in the order of one
+    permutation drawn per epoch from the `order` stream. Epoch 0 is
+    `first_epoch`; each later epoch's examples are drawn afresh with
+    `epoch_sampler`, when its first batch is asked for.
+    """
+    order_rng = np.random.default_rng(derive_seed(config.seed, "order"))
+    examples = first_epoch
+    for next_epoch in itertools.count(1):
+        batches = _length_bucketed_batches(examples, config.batch_size, dtype)
+        for i in order_rng.permutation(len(batches)):
+            yield batches[i]
+        examples, _ = generate_pretrain_examples(corpus, train_aligned, vocab, epoch_sampler(config, next_epoch))
+
+
 def head_accuracy(logits: np.ndarray, labels: np.ndarray) -> tuple[int, int]:
     """(correct, total) for argmax predictions; total is 0 when unsupported."""
-    if logits.shape[0] == 0:
-        return 0, 0
     pred = logits.argmax(axis=-1)
     return int((pred == labels).sum()), int(len(labels))
 
@@ -275,7 +296,7 @@ def evaluate_pretrain_heads(params, model_config: ModelConfig, examples: list[Pr
     for batch in _length_bucketed_batches(examples, _EVAL_BATCH, model_config.np_dtype):
         res = forward_batch(params, model_config, batch)
         for head in HEADS:
-            c, t = head_accuracy(res.logits(head), getattr(batch, f"{head}_label"))
+            c, t = head_accuracy(res.logits(head), batch.targets(head)[2])
             totals[head][0] += c
             totals[head][1] += t
     return {head: (c / t if t else None) for head, (c, t) in totals.items()} | {
@@ -355,40 +376,9 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
     params = init_params_seeded(model_cfg, config.seed)
     state = AdamWState.for_params(params)
 
-    epoch = 0
-    batches = _length_bucketed_batches(train_ex, config.batch_size, model_cfg.np_dtype)
-    order_rng = np.random.default_rng(derive_seed(config.seed, "order"))
-
+    batches = _training_batches(config, corpus, train_aligned, vocab, train_ex, model_cfg.np_dtype)
     metrics: list[MetricsRecord] = []
     loss_trace: list[tuple[float, float, float, float]] = []
-
-    def record(step: int, breakdown, supported: set[str]) -> None:
-        ev = evaluate_pretrain_heads(params, model_cfg, held_ex) if held_ex else dict.fromkeys(HEADS)
-        metrics.append(
-            MetricsRecord(
-                step=step,
-                loss_total=float(breakdown[0]),
-                **{f"loss_{head}": float(loss) if head in supported else None
-                   for head, loss in zip(HEADS, breakdown[1:])},
-                tc_acc=ev["tc"],
-                tmt_acc=ev["tmt"],
-                mlm_acc=ev["mlm"],
-            )
-        )
-
-    schedule: list[int] = []
-
-    def next_batch():
-        nonlocal schedule, epoch, batches
-        if not schedule:
-            if epoch > 0:  # fresh corruptions and masks for the new epoch
-                regen, _ = generate_pretrain_examples(
-                    corpus, train_aligned, vocab, epoch_sampler(config, epoch)
-                )
-                batches = _length_bucketed_batches(regen, config.batch_size, model_cfg.np_dtype)
-            schedule = list(order_rng.permutation(len(batches)))
-            epoch += 1
-        return batches[int(schedule.pop(0))]
 
     # Nothing of a step outlives it: a micro-batch's activation cache, the
     # largest allocation of a step, is freed by its backward as it is read,
@@ -396,19 +386,17 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
     # when `accum` is reset. So no forward runs beside an earlier cache or an
     # earlier step's gradients.
     with _freed_heap_retained():
-        step = 0
-        while step < config.steps:
+        for step in range(1, config.steps + 1):
             accum = None
             breakdown = np.zeros(4)
             supported = set()  # the heads with a target in some micro-batch
-            for _ in range(config.grad_accum):
-                batch = next_batch()
-                supported.update(head for head in HEADS if len(getattr(batch, f"{head}_label")))
+            for batch in itertools.islice(batches, config.grad_accum):
+                supported.update(head for head in HEADS if len(batch.targets(head)[2]))
                 res = forward_batch(params, model_cfg, batch, want_cache=True)
                 loss, grads = backward_batch(params, model_cfg, batch, res, config.lam, config.mu)
                 del res
                 if not np.isfinite(loss.total):
-                    raise DivergenceError(f"non-finite loss at step {step}: {loss}")
+                    raise DivergenceError(f"non-finite loss at step {step - 1}: {loss}")
                 breakdown += (loss.total, loss.mlm, loss.tc, loss.tmt)
                 if accum is None:
                     accum = grads
@@ -422,12 +410,22 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
             breakdown /= config.grad_accum
             lr = config.peak_lr
             if config.warmup_steps > 0:
-                lr *= min(1.0, (step + 1) / config.warmup_steps)
+                lr *= min(1.0, step / config.warmup_steps)
             adamw_step(params, accum, state, lr)
-            step += 1
             loss_trace.append(tuple(float(x) for x in breakdown))
             if config.eval_every > 0 and (step % config.eval_every == 0 or step == config.steps):
-                record(step, breakdown, supported)
+                ev = evaluate_pretrain_heads(params, model_cfg, held_ex) if held_ex else dict.fromkeys(HEADS)
+                metrics.append(
+                    MetricsRecord(
+                        step=step,
+                        loss_total=float(breakdown[0]),
+                        **{f"loss_{head}": float(loss) if head in supported else None
+                           for head, loss in zip(HEADS, breakdown[1:])},
+                        tc_acc=ev["tc"],
+                        tmt_acc=ev["tmt"],
+                        mlm_acc=ev["mlm"],
+                    )
+                )
             if progress is not None:
                 progress(step, breakdown)
 

@@ -66,6 +66,8 @@ class TaskExample:
         missing = [key for key in ("id", "variant", "tokens") if key not in obj]
         if missing:
             raise TaskError(f"task record lacks {missing}")
+        if not isinstance(obj["id"], str):  # ids key the evaluation's predictions
+            raise TaskError(f"task record id {json.dumps(obj['id'])} is not a string")
         ex = cls(
             example_id=obj["id"],
             variant=obj["variant"],
@@ -96,6 +98,8 @@ class TaskExample:
             if not is_bio_tag(tag):  # the evaluation reads spans from B-<type> and I-<type>
                 raise TaskError(f"ner record {ex.example_id}: tag {json.dumps(tag)} is not O,"
                                 " B-<type> or I-<type>")
+        if ex.variant == "ner" and len(ex.tags) != len(ex.tokens):
+            raise TaskError(f"ner record {ex.example_id} has {len(ex.tags)} tags for {len(ex.tokens)} tokens")
         if ex.variant == "rank" and not (type(ex.gold) is int and 0 <= ex.gold < len(ex.candidates)):
             raise TaskError(f"rank record {ex.example_id}: gold {json.dumps(ex.gold)} is not the index of"
                             f" one of its {len(ex.candidates)} candidates")
@@ -115,14 +119,21 @@ def _is_span(span, n: int) -> bool:
 
 
 def read_task_data(path) -> list[TaskExample]:
+    """The records of a task file; each `id` may appear on one line only."""
     out = []
+    id_lines: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    out.append(TaskExample.from_json(json.loads(line)))
+                    ex = TaskExample.from_json(json.loads(line))
                 except (ValueError, TypeError) as exc:  # TaskError and JSONDecodeError included
                     raise TaskError(f"{path} line {lineno}: {exc}") from exc
+                if ex.example_id in id_lines:
+                    raise TaskError(f"{path} line {lineno}: duplicate id {ex.example_id!r}"
+                                    f" (first seen on line {id_lines[ex.example_id]})")
+                id_lines[ex.example_id] = lineno
+                out.append(ex)
     return out
 
 

@@ -347,6 +347,7 @@ class TestMalformedInputs:
             {"n_layers": 0},
             {"vocab_min_freq": 0},
             {"max_fragment_len": 8},
+            {"max_fragment_len": 600, "max_seq_len": 64},
         ],
         ids=repr,
     )
@@ -384,6 +385,8 @@ class TestMalformedInputs:
                     "--tasks-out", str(tmp_path / "tasks")])
         err = _assert_one_line_error(code, capsys)
         assert "ner task" in err and "training split" in err
+        for name in ("c.jsonl", "c.truth.jsonl", "c.jsonl.manifest.json", "tasks"):
+            assert not (tmp_path / name).exists(), name
 
     @pytest.fixture(scope="class")
     def checkpoint(self, pipeline_dir, tmp_path_factory):
@@ -474,7 +477,11 @@ class TestMalformedInputs:
          {"id": "x", "variant": "ner", "tokens": 20}, [1, 2], "ner",
          # Tags outside the BIO scheme: a bare type and a prefix without one.
          {"id": "x", "variant": "ner", "tokens": [20], "tags": ["building"]},
-         {"id": "x", "variant": "ner", "tokens": [20], "tags": ["B-"]}],
+         {"id": "x", "variant": "ner", "tokens": [20], "tags": ["B-"]},
+         # An id that is not a string, one that line 1 has, and a tag past the tokens.
+         {"id": [1], "variant": "ner", "tokens": [20], "tags": ["O"]},
+         {"id": "ner-tr-00000", "variant": "ner", "tokens": [20], "tags": ["O"]},
+         {"id": "x", "variant": "ner", "tokens": [20], "tags": ["O", "O"]}],
         ids=repr,
     )
     def test_malformed_task_record(self, pipeline_dir, checkpoint, tmp_path, capsys, record):

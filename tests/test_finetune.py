@@ -28,7 +28,7 @@ from hklm.finetune import (
     rank_candidates,
 )
 from hklm.metrics import is_valid_bio
-from hklm.tasks import TaskExample, make_et_data, make_ner_data, make_oie_data, make_rank_data
+from hklm.tasks import TaskError, TaskExample, make_et_data, make_ner_data, make_oie_data, make_rank_data
 import oracles
 from test_encoder import assert_grads_close
 
@@ -162,13 +162,10 @@ class TestEntityTyperLogic:
         out = evaluate_et(typer, [ex])
         assert out["macro_f1"] == 0.0
 
-    def test_missing_ent_pair_rejected(self, world):
-        _, _, _, cfg, params = world
-        from hklm.tasks import TaskExample
-
-        bad = TaskExample(example_id="x", variant="et", tokens=[20, 21], labels=["a"])
-        with pytest.raises(FinetuneError, match="ENT"):
-            finetune_entity_typing(params, cfg, [bad], FinetuneConfig(epochs=0))
+    def test_missing_ent_pair_rejected(self):
+        """The pair is checked when a record is read, not by the adapter."""
+        with pytest.raises(TaskError, match="ENT"):
+            TaskExample.from_json({"id": "x", "variant": "et", "tokens": [20, 21], "labels": ["a"]})
 
 
 class TestAdapters:
@@ -183,11 +180,13 @@ class TestAdapters:
         assert evaluate_ner(model, train[:40])["f1"] > 0.9
 
     def test_ner_tag_count_mismatch_rejected(self, world):
-        _, truth, vocab, cfg, params = world
+        """The count is checked when a record is read, for training and
+        evaluation files alike, not by the adapter."""
+        _, truth, vocab, _, _ = world
         train, _ = make_ner_data(truth, vocab, 5, n_train=4, n_eval=2)
-        train[1] = dataclasses.replace(train[1], tags=train[1].tags[:-1])
-        with pytest.raises(FinetuneError, match="tags for"):
-            finetune_token_classifier(params, cfg, train, FinetuneConfig(epochs=1))
+        record = train[1].to_json() | {"tags": train[1].tags[:-1]}
+        with pytest.raises(TaskError, match="tags for"):
+            TaskExample.from_json(record)
 
     def test_all_o_predictions_zero_recall(self, world):
         corpus, truth, vocab, cfg, params = world

@@ -289,6 +289,42 @@ class TestRunPretraining:
             assert live_grads == ([n - micro] if micro else []), f"forward {n}"
 
     @pytest.mark.parametrize("grad_accum", [1, 2])
+    def test_each_epoch_drawn_when_its_first_batch_is_needed(self, corpus30, monkeypatch, grad_accum):
+        """Epoch 0's and the held-out split's examples are generated before
+        the first step; epoch 1's only when its first batch is needed, inside
+        that step. With E batches per epoch, a run of at most E micro-batches
+        (steps=0 included) makes two calls, one that needs batch E + 1 three,
+        the third with epoch 1's sampler."""
+        real_generate, real_backward = pretrain.generate_pretrain_examples, pretrain.backward_batch
+        calls = []  # (steps finished, micro-batches trained, the sampler) at each call
+        finished, trained = [], []
+
+        def counting_generate(corpus, aligned, vocab, sampler, *args, **kwargs):
+            calls.append((len(finished), len(trained), sampler))
+            return real_generate(corpus, aligned, vocab, sampler, *args, **kwargs)
+
+        def counting_backward(*args):
+            trained.append(None)
+            return real_backward(*args)
+
+        monkeypatch.setattr(pretrain, "generate_pretrain_examples", counting_generate)
+        monkeypatch.setattr(pretrain, "backward_batch", counting_backward)
+        cfg = small_cfg(max_fragment_len=48, batch_size=32, eval_every=0, grad_accum=grad_accum)
+        res = run_pretraining(dataclasses.replace(cfg, steps=0), corpus30)
+        per_epoch = -(-len(res.train_examples) // cfg.batch_size)
+        within = per_epoch // grad_accum  # the most steps that stay in epoch 0
+        assert within >= 1
+        for steps in (0, within, within + 1):
+            calls.clear()
+            finished.clear()
+            trained.clear()
+            run_pretraining(dataclasses.replace(cfg, steps=steps), corpus30,
+                            progress=lambda step, _breakdown: finished.append(step))
+            assert [call[:2] for call in calls[:2]] == [(0, 0), (0, 0)], steps
+            assert len(calls) == (3 if steps > within else 2), steps
+        assert calls[2] == (within, per_epoch, pretrain.epoch_sampler(cfg, 1))
+
+    @pytest.mark.parametrize("grad_accum", [1, 2])
     def test_weights_after_step_k_equal_a_k_step_run(self, corpus30, monkeypatch, grad_accum):
         """A k-step run is a snapshot of a longer run: warmup, the epoch order
         and each epoch's corruptions and masks depend on the step and the
@@ -376,6 +412,9 @@ class TestHeads:
         logits[np.arange(4), labels] = 5.0
         correct, total = head_accuracy(logits, labels)
         assert (correct, total) == (4, 4)
+
+    def test_no_rows_count_zero(self):
+        assert head_accuracy(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)) == (0, 0)
 
     def test_no_support_returns_none(self, corpus30):
         res = run_pretraining(small_cfg(mode="plain", steps=0), corpus30)

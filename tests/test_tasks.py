@@ -245,6 +245,21 @@ class TestIO:
         with pytest.raises(TaskError, match=f"record r7: tag {re.escape(json.dumps(tag))} is not O"):
             TaskExample.from_json(record)
 
+    @pytest.mark.parametrize("bad_id", [[1], 7, None, True])
+    def test_id_not_a_string_rejected_naming_the_line(self, tmp_path, bad_id):
+        path = tmp_path / "ner.jsonl"
+        write_jsonl(path, [{"id": "a", "variant": "ner", "tokens": [20], "tags": ["O"]},
+                           {"id": bad_id, "variant": "ner", "tokens": [20], "tags": ["O"]}])
+        with pytest.raises(TaskError, match=f"line 2: task record id {re.escape(json.dumps(bad_id))}"
+                                            " is not a string"):
+            read_task_data(path)
+
+    def test_repeated_id_rejected_naming_both_lines(self, tmp_path):
+        path = tmp_path / "ner.jsonl"
+        write_jsonl(path, [{"id": id_, "variant": "ner", "tokens": [20], "tags": ["O"]} for id_ in "aba"])
+        with pytest.raises(TaskError, match="line 3: duplicate id 'a' \\(first seen on line 1\\)"):
+            read_task_data(path)
+
     def test_generated_oie_and_rank_records_read_back(self, world, tmp_path):
         corpus, truth, vocab = world
         oie, _ = make_oie_data(truth, vocab, 3, n_train=20, n_eval=5)
