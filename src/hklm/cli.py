@@ -18,9 +18,10 @@ import numpy as np
 from . import __version__
 from .align import aligned_to_json
 from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import SynthParams, build_vocab, generate_synthetic_corpus, load_corpus, write_jsonl
+from .corpus import build_vocab, generate_synthetic_corpus, load_corpus, write_jsonl
 from .examples import generate_pretrain_examples, write_examples
 from .finetune import (
+    FRAME_TOKENS,
     FinetuneConfig,
     FinetuneError,
     evaluate_et,
@@ -63,14 +64,17 @@ class _Parser(argparse.ArgumentParser):
 # The task-record variant each task set holds and each --task trains and
 # scores on.
 _TASK_VARIANT = {"ner": "ner", "et": "et", "oie": "oie", "qa": "rank", "dialog": "rank"}
+# Whether a training record gives the adapter something to learn, and what a
+# --train file lacks when no record does; every ranking record has its gold.
+_TRAIN_TARGET = {
+    "ner": (lambda ex: any(tag != "O" for tag in ex.tags), "every tag is O"),
+    "et": (lambda ex: ex.labels, "no record has a label"),
+    "oie": (lambda ex: ex.triples, "no record has a triple"),
+}
 
 
 def cmd_synth_corpus(args) -> int:
-    params = SynthParams(
-        mention_fraction=args.mention_fraction,
-        marker_density=args.marker_density,
-    )
-    corpus, truth = generate_synthetic_corpus(args.seed, args.entities, params)
+    corpus, truth = generate_synthetic_corpus(args.seed, args.entities)
     truth_path = args.out.rsplit(".jsonl", 1)[0] + ".truth.jsonl" if args.out.endswith(".jsonl") else args.out + ".truth.jsonl"
     outputs = [args.out, truth_path]
     # Task -> its (train, eval) examples, built before anything is written
@@ -92,8 +96,7 @@ def cmd_synth_corpus(args) -> int:
         outputs += [path for pair in task_paths.values() for path in pair]
     write_manifest(
         manifest_path_for(args.out), "synth-corpus",
-        {"entities": args.entities, "mention_fraction": args.mention_fraction,
-         "marker_density": args.marker_density, "tasks_out": args.tasks_out},
+        {"entities": args.entities, "tasks_out": args.tasks_out},
         [], outputs, seed=args.seed,
     )
     write_jsonl(args.out, (doc.to_json() for doc in corpus))
@@ -196,6 +199,13 @@ def cmd_finetune(args) -> int:
             if ex.variant != variant:
                 raise TaskError(f"{path}: record {ex.example_id!r} has variant {ex.variant!r},"
                                 f" --task {args.task} needs {variant!r}")
+            framed = len(ex.tokens) + FRAME_TOKENS[variant]
+            if framed > model_cfg.max_seq_len:
+                raise TaskError(f"{flag} file {path}: record {ex.example_id!r} makes a {framed}-token sequence,"
+                                f" over the checkpoint's max_seq_len {model_cfg.max_seq_len}")
+    target = _TRAIN_TARGET.get(variant)
+    if target and not any(map(target[0], train)):
+        raise FinetuneError(f"--train file {args.train}: {target[1]}, so the adapter has nothing to learn")
     cfg = FinetuneConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr, seed=args.seed)
     cfg.validate()
     os.makedirs(args.out, exist_ok=True)
@@ -237,10 +247,6 @@ def build_parser() -> _Parser:
     sc.add_argument("--seed", type=int, required=True)
     sc.add_argument("--entities", type=int, required=True)
     sc.add_argument("--out", required=True)
-    sc.add_argument("--mention-fraction", type=float, default=SynthParams.mention_fraction,
-                    dest="mention_fraction")
-    sc.add_argument("--marker-density", type=float, default=SynthParams.marker_density,
-                    dest="marker_density")
     sc.add_argument("--tasks-out", default=None, dest="tasks_out",
                     help="also emit the five synthetic task sets into this directory")
     sc.set_defaults(fn=cmd_synth_corpus)

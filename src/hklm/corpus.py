@@ -358,6 +358,15 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
 
+def entity_split(items: list, fraction: float, seed: int, stream: str) -> tuple[list, list]:
+    """(kept, held), both in input order: the first max(1, round(fraction * n))
+    items of a permutation drawn from `derive_seed(seed, stream)` are held."""
+    order = np.random.default_rng(derive_seed(seed, stream)).permutation(len(items))
+    held = set(order[: max(1, round(fraction * len(items)))].tolist())
+    return ([x for i, x in enumerate(items) if i not in held],
+            [x for i, x in enumerate(items) if i in held])
+
+
 # ---------------------------------------------------------------------------
 # Synthetic corpus generator
 # ---------------------------------------------------------------------------
@@ -429,28 +438,17 @@ _ALIAS_SYLLABLES = ["so", "pe", "du", "gal", "ren", "ost", "yul", "bri"]
 
 # Desk-scale document shape: inclusive (low, high) ranges drawn per document
 # (sections, infobox triples), per section (paragraphs) and per paragraph
-# (words), and the chance that a paragraph mentions the title or carries a
-# relation snippet.
+# (words), the chance that a paragraph mentions the title or carries a
+# relation snippet, that a non-alias infobox object is mentioned in a
+# paragraph, and that a paragraph word is a topic marker rather than filler.
 SYNTH_SECTIONS = (2, 6)
 SYNTH_PARAGRAPHS = (2, 3)
 SYNTH_PARAGRAPH_LEN = (30, 50)
 SYNTH_TRIPLES = (4, 12)
 TITLE_MENTION_PROB = 0.6
 RELATION_SNIPPET_PROB = 0.35
-
-
-@dataclass
-class SynthParams:
-    """Knobs for the synthetic corpus generator; defaults are desk scale."""
-
-    mention_fraction: float = 0.8
-    marker_density: float = 0.35
-
-    def validate(self) -> None:
-        for name in ("mention_fraction", "marker_density"):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise CorpusError(f"{name} must be in [0, 1], got {val}")
+OBJECT_MENTION_PROB = 0.8
+TOPIC_MARKER_PROB = 0.35
 
 
 def _pseudo_word(rng, syllables: list[str]) -> str:
@@ -458,9 +456,7 @@ def _pseudo_word(rng, syllables: list[str]) -> str:
     return "".join(syllables[int(rng.integers(0, len(syllables)))] for _ in range(n))
 
 
-def generate_synthetic_corpus(
-    seed: int, n_entities: int, params: SynthParams | None = None
-) -> tuple[Corpus, list[dict]]:
+def generate_synthetic_corpus(seed: int, n_entities: int) -> tuple[Corpus, list[dict]]:
     """Deterministic synthetic corpus plus side-channel ground truth.
 
     Ground truth records, one per entity: which triples are lexically
@@ -470,8 +466,6 @@ def generate_synthetic_corpus(
     """
     if n_entities < 1:
         raise CorpusError(f"n_entities must be >= 1, got {n_entities}")
-    params = params or SynthParams()
-    params.validate()
 
     documents: list[Document] = []
     truths: list[dict] = []
@@ -505,7 +499,7 @@ def generate_synthetic_corpus(
                 units = [
                     [
                         markers[int(rng.integers(0, len(markers)))]
-                        if rng.random() < params.marker_density
+                        if rng.random() < TOPIC_MARKER_PROB
                         else FILLER_WORDS[int(rng.integers(0, len(FILLER_WORDS)))]
                     ]
                     for _ in range(n_tok)
@@ -546,7 +540,7 @@ def generate_synthetic_corpus(
             if triple.predicate == ALIAS_PREDICATE:
                 mentioned.append(False)
                 continue
-            if rng.random() < params.mention_fraction:
+            if rng.random() < OBJECT_MENTION_PROB:
                 si = int(rng.integers(0, len(para_units)))
                 pi = int(rng.integers(0, len(para_units[si])))
                 units = para_units[si][pi]

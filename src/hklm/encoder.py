@@ -241,9 +241,24 @@ def make_batch(examples: list[PretrainExample], dtype=np.float32) -> Batch:
                 col_i.append(pos)
                 col_label.append(label)
                 col_weight.append(w)
-    fields = {f"{head}_{part}": np.asarray(col, dtype=np.float64 if part == "weight" else np.int64)
-              for head, cols in columns.items() for part, col in zip(_TARGET_PARTS, cols)}
-    return Batch(ids=ids, seg=seg, mask=mask, size=b, **fields)
+    return Batch(ids=ids, seg=seg, mask=mask, size=b, **_target_fields(columns))
+
+
+def _target_fields(columns) -> dict[str, np.ndarray]:
+    """Batch fields of the head targets `columns`: per head, its example,
+    position, label and weight columns, in the order of _TARGET_PARTS."""
+    return {f"{head}_{part}": np.asarray(col, dtype=np.float64 if part == "weight" else np.int64)
+            for head, cols in columns.items() for part, col in zip(_TARGET_PARTS, cols)}
+
+
+# Zero-length target arrays, built once and shared by every head-less batch.
+_NO_TARGETS = _target_fields({head: ([], [], [], []) for head in HEADS})
+
+
+def token_batch(sequences: list[list[int]], dtype) -> Batch:
+    """Batch of token lists with segment 0 everywhere and no pretraining-head
+    targets, as fine-tuning encodes them."""
+    return Batch(*pad_tokens(sequences, dtype), size=len(sequences), **_NO_TARGETS)
 
 
 # ---------------------------------------------------------------------------

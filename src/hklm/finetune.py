@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import CLS_ID, REL_ID, SEP_ID, derive_seed
 from .encoder import (Batch, ModelConfig, _affine, _affine_backward, encode, encoder_backward,
-                      encoder_param_names, pad_tokens, softmax)
+                      encoder_param_names, softmax, token_batch)
 from .metrics import bio_tags_to_spans, bio_transition_allowed, compute_task_metrics, is_valid_bio
 from .optim import AdamWState, adamw_step
 from .tasks import TaskExample
@@ -38,6 +38,10 @@ SPAN_CAP = 10
 N_NEGATIVES = 4
 # Sequences per batch when scoring.
 SCORE_BATCH = 32
+# The tokens the adapter of each task-record variant adds to a record's tokens
+# in the longest sequence it builds: [CLS] and [SEP]; for open IE's stage 2
+# also a [REL] pair; for a ranking query a [SEP] and one candidate token.
+FRAME_TOKENS = {"ner": 2, "et": 2, "oie": 4, "rank": 4}
 
 
 class FinetuneError(ValueError):
@@ -65,19 +69,6 @@ class FinetuneConfig:
 
 def _wrap(tokens: list[int]) -> list[int]:
     return [CLS_ID] + tokens + [SEP_ID]
-
-
-def _simple_batch(sequences: list[list[int]], dtype) -> Batch:
-    """Batch with segment 0 everywhere and no pretraining-head positions."""
-    empty_i = np.zeros(0, dtype=np.int64)
-    empty_f = np.zeros(0, dtype=np.float64)
-    return Batch(
-        *pad_tokens(sequences, dtype),  # ids, seg, mask
-        mlm_b=empty_i, mlm_i=empty_i, mlm_label=empty_i, mlm_weight=empty_f,
-        tc_b=empty_i, tc_i=empty_i, tc_label=empty_i, tc_weight=empty_f,
-        tmt_b=empty_i, tmt_i=empty_i, tmt_label=empty_i, tmt_weight=empty_f,
-        size=len(sequences),
-    )
 
 
 # Row functions: the flat token rows of a padded batch that a head reads, in
@@ -132,7 +123,7 @@ def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, rows
         order = rng.permutation(len(items))
         for start in range(0, len(order), cfg.batch_size):
             chunk = [items[int(i)] for i in order[start : start + cfg.batch_size]]
-            batch = _simple_batch([seq for seq, _target in chunk], dt)
+            batch = token_batch([seq for seq, _target in chunk], dt)
             h, cache = encode(params, model_cfg, batch, rows_of(batch), want_cache=True)
             logits = _affine(h, params["head_w"], params["head_b"]).astype(np.float64)
             _loss, d_logits = loss_grad(logits, [target for _seq, target in chunk], batch)
@@ -149,7 +140,7 @@ def _head_logits(params, cfg: ModelConfig, sequences: list[list[int]], rows_of) 
     SCORE_BATCH sequences, in sequence order; (0, k) for no sequences."""
     out = [np.zeros((0, len(params["head_b"])))]
     for start in range(0, len(sequences), SCORE_BATCH):
-        batch = _simple_batch(sequences[start : start + SCORE_BATCH], cfg.np_dtype)
+        batch = token_batch(sequences[start : start + SCORE_BATCH], cfg.np_dtype)
         h, _ = encode(params, cfg, batch, rows_of(batch))
         out.append(_affine(h, params["head_w"], params["head_b"]).astype(np.float64))
     return np.concatenate(out)
@@ -354,7 +345,7 @@ def finetune_span_stage1(
 def _check_stage2_fits(tokens: list[int], cfg: ModelConfig) -> None:
     """A stage-2 sequence wraps the sentence in [CLS] .. [SEP] and marks its
     predicate with a [REL] pair: four tokens more than the sentence."""
-    if len(tokens) + 4 > cfg.max_seq_len:
+    if len(tokens) + FRAME_TOKENS["oie"] > cfg.max_seq_len:
         raise FinetuneError(f"sentence of {len(tokens)} tokens plus 4 markers exceeds"
                             f" max_seq_len {cfg.max_seq_len}")
 
@@ -461,10 +452,9 @@ def evaluate_oie(stage1: SpanModel, stage2: SpanModel, examples: list[TaskExampl
 
 def _pair_sequence(query: list[int], candidate: list[int], max_seq_len: int) -> list[int]:
     """[CLS] query [SEP] candidate [SEP], the candidate cut to fit max_seq_len."""
-    budget = max_seq_len - 3 - len(query)
-    if budget < 1:
+    if len(query) + FRAME_TOKENS["rank"] > max_seq_len:
         raise FinetuneError("query alone exceeds max_seq_len")
-    return [CLS_ID] + query + [SEP_ID] + candidate[:budget] + [SEP_ID]
+    return [CLS_ID] + query + [SEP_ID] + candidate[: max_seq_len - 3 - len(query)] + [SEP_ID]
 
 
 def _rank_loss(logits: np.ndarray, targets: list[int], batch: Batch):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .align import AlignedFragment, align_corpus, build_tfidf_index, fragment_corpus, unaligned_corpus
-from .corpus import MAX_TRIPLES_PER_EXAMPLE, NUM_SPECIAL, Corpus, Vocab, build_vocab, derive_seed
+from .corpus import MAX_TRIPLES_PER_EXAMPLE, NUM_SPECIAL, Corpus, Vocab, build_vocab, derive_seed, entity_split
 from .encoder import (
     HEADS,
     Batch,
@@ -196,16 +196,11 @@ class PretrainResult:
 
 def split_corpus(corpus: Corpus, heldout_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
     """Entity-level held-out split; content of held documents never reaches training."""
-    n = len(corpus)
-    if n < 2:
-        raise ConfigError(f"corpus of {n} document(s) is too small for a held-out split")
-    order = np.random.default_rng(derive_seed(seed, "split")).permutation(n)
-    n_held = max(1, round(heldout_fraction * n))
-    if n - n_held < 1:
+    if len(corpus) < 2:
+        raise ConfigError(f"corpus of {len(corpus)} document(s) is too small for a held-out split")
+    train_docs, held_docs = entity_split(corpus.documents, heldout_fraction, seed, "split")
+    if not train_docs:
         raise ConfigError("held-out split would leave no training documents")
-    held_idx = set(int(i) for i in order[:n_held])
-    train_docs = [doc for i, doc in enumerate(corpus.documents) if i not in held_idx]
-    held_docs = [doc for i, doc in enumerate(corpus.documents) if i in held_idx]
     return Corpus(documents=train_docs), Corpus(documents=held_docs)
 
 

@@ -21,6 +21,7 @@ from .corpus import (
     Corpus,
     Vocab,
     derive_seed,
+    entity_split,
     tokenize_text,
 )
 from .metrics import is_bio_tag
@@ -32,6 +33,8 @@ class TaskError(ValueError):
 
 # The fields a record of each variant needs beside `id`, `variant` and `tokens`.
 _VARIANT_FIELDS = {"ner": ("tags",), "et": ("labels",), "oie": ("triples",), "rank": ("candidates", "gold")}
+# Every variant's fields, in the order a record's JSON object holds them.
+_RECORD_FIELDS = tuple(key for keys in _VARIANT_FIELDS.values() for key in keys)
 
 
 @dataclass
@@ -47,16 +50,7 @@ class TaskExample:
 
     def to_json(self) -> dict:
         obj = {"id": self.example_id, "variant": self.variant, "tokens": self.tokens}
-        if self.tags is not None:
-            obj["tags"] = self.tags
-        if self.labels is not None:
-            obj["labels"] = self.labels
-        if self.triples is not None:
-            obj["triples"] = self.triples
-        if self.candidates is not None:
-            obj["candidates"] = self.candidates
-        if self.gold is not None:
-            obj["gold"] = self.gold
+        obj.update((key, getattr(self, key)) for key in _RECORD_FIELDS if getattr(self, key) is not None)
         return obj
 
     @classmethod
@@ -72,11 +66,7 @@ class TaskExample:
             example_id=obj["id"],
             variant=obj["variant"],
             tokens=list(obj["tokens"]),
-            tags=obj.get("tags"),
-            labels=obj.get("labels"),
-            triples=obj.get("triples"),
-            candidates=obj.get("candidates"),
-            gold=obj.get("gold"),
+            **{key: obj.get(key) for key in _RECORD_FIELDS},
         )
         for seq in [ex.tokens, *(ex.candidates or ())]:
             bad = [t for t in seq if type(t) is not int or t < 0]  # JSON true is not token 1
@@ -143,15 +133,6 @@ _EVAL_FRACTION = 0.3
 _CANDIDATE_LEN = 24
 
 
-def split_entities(truth: list[dict], seed: int):
-    order = np.random.default_rng(derive_seed(seed, "task-split")).permutation(len(truth))
-    n_eval = max(1, round(_EVAL_FRACTION * len(truth)))
-    eval_idx = set(int(i) for i in order[:n_eval])
-    train = [t for i, t in enumerate(truth) if i not in eval_idx]
-    evals = [t for i, t in enumerate(truth) if i in eval_idx]
-    return train, evals
-
-
 def _task_sets(truth, seed, task, prefix, n_train, n_eval, example, *seed_parts, keep=None):
     """(train, eval) sets of one task over the entity split of `truth`.
 
@@ -171,7 +152,7 @@ def _task_sets(truth, seed, task, prefix, n_train, n_eval, example, *seed_parts,
                             f" {count} examples from ({len(truth)} entities in all)")
         return [example(recs, rng, f"{id_prefix}{i:05d}") for i in range(count)]
 
-    train_recs, eval_recs = split_entities(truth, seed)
+    train_recs, eval_recs = entity_split(truth, _EVAL_FRACTION, seed, "task-split")
     return build(train_recs, n_train, "tr"), build(eval_recs, n_eval, "ev")
 
 

@@ -367,12 +367,12 @@ def make_rank_data(corpus, truth, vocab, seed, n_train=80, n_eval=40, n_candidat
     """Candidate ranking by scoring every query against the whole universe
     and fully sorting (formerly hklm.tasks.make_rank_data)."""
     from hklm.align import TfIdfIndex, cosine, tfidf_vector
-    from hklm.corpus import SEP_ID, derive_seed
-    from hklm.tasks import TaskExample, split_entities
+    from hklm.corpus import SEP_ID, derive_seed, entity_split
+    from hklm.tasks import _EVAL_FRACTION, TaskExample
 
     by_id = {rec["entity_id"]: rec for rec in truth}
     sentences = entity_sentences(corpus)
-    train_recs, eval_recs = split_entities(truth, seed)
+    train_recs, eval_recs = entity_split(truth, _EVAL_FRACTION, seed, "task-split")
 
     # candidate universe across entities, encoded once
     universe: list[tuple[str, list[int]]] = []

@@ -20,7 +20,6 @@ from hklm.align import (
     triple_vectors,
 )
 from hklm.corpus import (
-    SynthParams,
     build_vocab,
     generate_synthetic_corpus,
     parse_corpus,
@@ -259,8 +258,7 @@ class TestCoverage:
         assert alignment_coverage(corpus, vocab) == 0.0
 
     def test_coverage_matches_truth(self):
-        params = SynthParams(mention_fraction=0.8)
-        corpus, truth = generate_synthetic_corpus(42, 30, params)
+        corpus, truth = generate_synthetic_corpus(42, 30)
         vocab = build_vocab(corpus, 1)
         cov = alignment_coverage(corpus, vocab, tau=0.05)
 

@@ -5,6 +5,7 @@ import pytest
 
 from hklm import tasks
 from hklm.align import aligned_to_json
+from hklm.checkpoint import load_checkpoint
 from hklm.cli import run
 from hklm.corpus import build_vocab, load_corpus, write_jsonl
 from hklm.examples import example_to_json
@@ -575,6 +576,52 @@ class TestMalformedInputs:
         err = _assert_one_line_error(code, capsys)
         assert str(files["train"]) in err and "line 1" in err and json.dumps(bad) in err
         assert not (tmp_path / "ft" / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("task, edit", [
+        ("ner", lambda record: record.update(tags=["O"] * len(record["tags"]))),
+        ("et", lambda record: record.update(labels=[])),
+        ("oie", lambda record: record.update(triples=[])),
+    ], ids=["ner-every-tag-O", "et-no-label", "oie-no-triple"])
+    def test_train_file_with_nothing_to_learn(self, pipeline_dir, checkpoint, tmp_path, capsys, task, edit):
+        """A tag set of O alone, an empty label set or no predicate span
+        would train and score 0.0 (or fail later, naming no file)."""
+        files = {s: pipeline_dir / "tasks" / f"{task}-{s}.jsonl" for s in ("train", "eval")}
+        records = [json.loads(line) for line in files["train"].read_text().splitlines()]
+        for record in records:
+            edit(record)
+        files["train"] = tmp_path / "bad.jsonl"
+        write_jsonl(files["train"], records)
+        code = run(["finetune", "--checkpoint", str(checkpoint), "--task", task,
+                    "--train", str(files["train"]), "--eval", str(files["eval"]),
+                    "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
+        err = _assert_one_line_error(code, capsys)
+        assert f"--train file {files['train']}" in err and "nothing to learn" in err
+        assert not (tmp_path / "ft").exists()
+
+    @pytest.mark.parametrize("task, split, markers", [("ner", "eval", 2), ("et", "train", 2),
+                                                      ("oie", "eval", 4), ("qa", "train", 4)])
+    def test_task_record_longer_than_the_model_reads(self, pipeline_dir, checkpoint, tmp_path, capsys,
+                                                     task, split, markers):
+        """A record whose tokens and the adapter's markers make a sequence one
+        token longer than the checkpoint's max_seq_len is named before
+        fine-tuning, not after it."""
+        max_seq_len = load_checkpoint(str(checkpoint))[1].max_seq_len
+        files = {s: pipeline_dir / "tasks" / f"{task}-{s}.jsonl" for s in ("train", "eval")}
+        first, second, *rest = files[split].read_text().splitlines()
+        record = json.loads(second)
+        n_more = max_seq_len - markers + 1 - len(record["tokens"])
+        record["tokens"] += [record["tokens"][-1]] * n_more  # never [ENT]: an et record keeps one pair
+        if task == "ner":
+            record["tags"] += ["O"] * n_more
+        files[split] = tmp_path / "long.jsonl"
+        files[split].write_text("\n".join([first, json.dumps(record), *rest]) + "\n")
+        code = run(["finetune", "--checkpoint", str(checkpoint), "--task", task,
+                    "--train", str(files["train"]), "--eval", str(files["eval"]),
+                    "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
+        err = _assert_one_line_error(code, capsys)
+        assert f"--{split} file {files[split]}" in err and repr(record["id"]) in err
+        assert f"{max_seq_len + 1}-token" in err and f"max_seq_len {max_seq_len}" in err
+        assert not (tmp_path / "ft").exists()
 
     def test_finetune_divergence(self, pipeline_dir, checkpoint, tmp_path, capsys, recwarn):
         tasks = pipeline_dir / "tasks"

@@ -11,7 +11,6 @@ from hklm.corpus import (
     NUM_SPECIAL,
     UNK_ID,
     CorpusError,
-    SynthParams,
     Vocab,
     build_vocab,
     derive_seed,
@@ -291,21 +290,21 @@ class TestSynthetic:
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
         assert ta == tb
 
-    def test_mention_fraction_one(self):
-        params = SynthParams(mention_fraction=1.0)
-        corpus, truth = generate_synthetic_corpus(5, 8, params)
+    def test_mentioned_objects_occur_in_paragraphs(self):
+        corpus, truth = generate_synthetic_corpus(5, 8)
         for doc, rec in zip(corpus, truth):
             paras = [tokenize_text(p) for sec in doc.sections for p in sec.paragraphs]
             for triple, mentioned in zip(doc.infobox, rec["object_mentioned"]):
-                if triple.predicate == ALIAS_PREDICATE:
+                assert not (mentioned and triple.predicate == ALIAS_PREDICATE)
+                if not mentioned:
                     continue
-                assert mentioned
                 obj = tokenize_text(triple.object)
                 assert any(
                     para[i : i + len(obj)] == obj
                     for para in paras
                     for i in range(len(para) - len(obj) + 1)
                 )
+        assert any(any(rec["object_mentioned"]) for rec in truth)
 
     def test_truth_matches_brute_force_scan(self):
         corpus, truth = generate_synthetic_corpus(42, 50)
@@ -336,8 +335,6 @@ class TestSynthetic:
                 assert tr.subject == doc.title
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(CorpusError):
-            generate_synthetic_corpus(1, 1, SynthParams(mention_fraction=1.5))
         with pytest.raises(CorpusError):
             generate_synthetic_corpus(1, 0)
 

@@ -17,8 +17,10 @@ from hklm.encoder import (
     joint_loss,
     layer_norm,
     make_batch,
+    pad_tokens,
     param_names,
     softmax,
+    token_batch,
 )
 from hklm.examples import PretrainExample, SegmentLayout, assemble_input
 from hklm.finetune import _cls_rows
@@ -169,6 +171,21 @@ class TestForward:
         bad = mk_example([20, -3], [30], [], [], [], 1)
         with pytest.raises(ModelError, match="vocabulary"):
             forward_one(params, cfg, bad)
+
+    def test_token_batch_has_tokens_and_no_head_targets(self, rich_example):
+        sequences = [[2, 20, 21, 3], [2, 22, 3]]
+        batch = token_batch(sequences, np.float32)
+        targets = make_batch([rich_example]).targets("mlm")
+        assert [t.dtype for t in targets] == [np.int64, np.int64, np.int64, np.float64]
+        for head in encoder.HEADS:
+            got = batch.targets(head)
+            assert [t.shape for t in got] == [(0,)] * 4
+            assert [t.dtype for t in got] == [t.dtype for t in targets]
+        want = pad_tokens(sequences, np.float32)
+        for got, expected in zip((batch.ids, batch.seg, batch.mask), want):
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+        assert batch.size == len(sequences)
 
 
 class TestLoss:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hklm import finetune
 from hklm.corpus import build_vocab, generate_synthetic_corpus
-from hklm.encoder import ModelConfig, encoder_param_names, init_params
+from hklm.encoder import ModelConfig, encoder_param_names, init_params, token_batch
 from hklm.finetune import (
     FinetuneConfig,
     FinetuneError,
@@ -131,10 +131,9 @@ class TestEntityTyperLogic:
         # head crafted to fire only on the gold label (on none for None)
         cfg = ModelConfig(vocab_size=40, d_model=8, n_heads=2, n_layers=1, max_seq_len=16)
         params = init_params(cfg, 0)
-        from hklm.finetune import _simple_batch
         from hklm.encoder import encode
 
-        batch = _simple_batch([[2, 20, 14, 21, 14, 3]], cfg.np_dtype)
+        batch = token_batch([[2, 20, 14, 21, 14, 3]], cfg.np_dtype)
         h, _ = encode(params, cfg, batch, [0])
         cls = h[0]
         w = np.zeros((8, len(labels)), dtype=cfg.np_dtype)
@@ -530,7 +529,7 @@ def test_loss_grad_matches_finite_differences(case):
     some gradient at every row."""
     loss_grad, rows_of, want_rows, n_out, targets = LOSS_CASES[case]
     rng = np.random.default_rng(11)
-    batch = finetune._simple_batch([[2] * n for n in LENGTHS], np.float64)
+    batch = token_batch([[2] * n for n in LENGTHS], np.float64)
     assert rows_of(batch).tolist() == want_rows
     logits = rng.normal(0.0, 2.0, size=(len(want_rows), n_out))
     loss, d_logits = loss_grad(logits.copy(), targets, batch)

@@ -1,11 +1,13 @@
+import importlib.util
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
-from hklm.cli import BLAS_THREAD_ENV
+from hklm.cli import BLAS_THREAD_ENV, build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,3 +47,34 @@ def test_step_memory_prints_a_line_per_micro_batch_and_evaluation_and_a_summary(
         "emb.ids", "emb.seg", "emb.ln", "head_rows", "head_in", "mlm.g", "mlm.pre", "mlm.ln",
         *(f"layers.{k}" for k in ("rows", "slot", "q", "k", "v", "probs", "ln1", "ffn_pre", "ln2"))}
     assert summary["cache_by_entry_mb"]["mlm.g"] == 0  # the MLM rows of head_in
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the `hklm ...` commands in README's fenced blocks."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[\w-]*\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("hklm ")]
+
+
+def test_readme_commands_parse():
+    """A flag the CLI no longer has fails here, not at a reader's shell."""
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"synth-corpus", "align", "gen-examples", "pretrain", "finetune"}
+    for argv in commands:
+        build_parser().parse_args(argv)
+
+
+def test_run_pipeline_commands_parse(tmp_path, monkeypatch):
+    """Every command scripts/run_pipeline.py runs parses; none is run."""
+    monkeypatch.setattr(sys, "argv", ["run_pipeline.py"])
+    spec = importlib.util.spec_from_file_location("run_pipeline", ROOT / "scripts" / "run_pipeline.py")
+    run_pipeline = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_pipeline)
+    commands = []
+    monkeypatch.setattr(run_pipeline, "WORK", tmp_path)
+    monkeypatch.setattr(run_pipeline.subprocess, "run", lambda cmd, check: commands.append(cmd))
+    run_pipeline.main()
+    assert [cmd[:3] for cmd in commands] == [[sys.executable, "-m", "hklm.cli"]] * 5
+    for cmd in commands:
+        build_parser().parse_args(cmd[3:])

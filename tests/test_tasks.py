@@ -11,11 +11,13 @@ from hklm.corpus import (
     Document,
     Section,
     build_vocab,
+    entity_split,
     generate_synthetic_corpus,
     write_jsonl,
 )
 from hklm.metrics import bio_tags_to_spans, is_valid_bio
 from hklm.tasks import (
+    _EVAL_FRACTION,
     RankPool,
     TaskError,
     TaskExample,
@@ -25,7 +27,6 @@ from hklm.tasks import (
     make_oie_data,
     make_rank_data,
     read_task_data,
-    split_entities,
 )
 import oracles
 
@@ -40,8 +41,8 @@ def world():
 class TestSplits:
     def test_disjoint_and_seeded(self, world):
         _, truth, _ = world
-        tr1, ev1 = split_entities(truth, 9)
-        tr2, ev2 = split_entities(truth, 9)
+        tr1, ev1 = entity_split(truth, _EVAL_FRACTION, 9, "task-split")
+        tr2, ev2 = entity_split(truth, _EVAL_FRACTION, 9, "task-split")
         assert [t["entity_id"] for t in tr1] == [t["entity_id"] for t in tr2]
         ids_tr = {t["entity_id"] for t in tr1}
         ids_ev = {t["entity_id"] for t in ev1}
@@ -80,7 +81,7 @@ class TestNer:
 
     def test_entity_split_respected(self, world):
         _, truth, vocab = world
-        tr_recs, ev_recs = split_entities(truth, 3)
+        tr_recs, ev_recs = entity_split(truth, _EVAL_FRACTION, 3, "task-split")
         tr_names = {vocab.token_to_id[r["name"]] for r in tr_recs}
         ev_names = {vocab.token_to_id[r["name"]] for r in ev_recs}
         train, evals = make_ner_data(
