@@ -9,7 +9,8 @@ example) and prints one JSON line per training micro-batch:
 - `rows` and `row_fraction`: R, the distinct token rows the MLM, TC and TMT
   heads read (the rows the last block runs at), and R ÷ (batch × tokens);
 - `live_mb`: traced memory when its forward starts (corpus, examples,
-  batches, parameters, AdamW moments, and whatever the previous step left);
+  its batch, parameters, AdamW moments, and whatever the previous step
+  left);
 - `cache_mb`: what its forward added (the activation cache and the logits);
 - `peak_mb`: the peak from the start of its forward to the end of its
   backward;

@@ -65,11 +65,13 @@ class _Parser(argparse.ArgumentParser):
 # scores on.
 _TASK_VARIANT = {"ner": "ner", "et": "et", "oie": "oie", "qa": "rank", "dialog": "rank"}
 # Whether a training record gives the adapter something to learn, and what a
-# --train file lacks when no record does; every ranking record has its gold.
+# --train file lacks when no record does; a ranking record teaches only with
+# a negative candidate beside its gold one.
 _TRAIN_TARGET = {
     "ner": (lambda ex: any(tag != "O" for tag in ex.tags), "every tag is O"),
     "et": (lambda ex: ex.labels, "no record has a label"),
     "oie": (lambda ex: ex.triples, "no record has a triple"),
+    "rank": (lambda ex: len(ex.candidates) > 1, "no record has a candidate besides its gold one"),
 }
 
 

@@ -229,28 +229,60 @@ def apply_mlm_mask(
 # ---------------------------------------------------------------------------
 
 
-def generate_pretrain_examples(
+@dataclass
+class SerializedExamples:
+    """Serialized examples whose MLM masks are drawn when first asked for.
+
+    Until `masked(i)` draws them, `examples[i]` holds its serialized ids and
+    no MLM labels, and `streams[i]` its own stream where its corruption draws
+    left it, or None when they drew nothing (the stream is then created at
+    the mask draws). No two examples share a stream, so the order in which
+    they are masked cannot change them.
+    """
+
+    examples: list[PretrainExample]
+    streams: dict[int, np.random.Generator | None]
+    vocab_size: int
+    config: SamplerConfig
+
+    def masked(self, i: int) -> PretrainExample:
+        ex = self.examples[i]
+        if i in self.streams:
+            rng = self.streams.pop(i)
+            if rng is None:
+                rng = np.random.default_rng(ex.seed)
+            ex.input_ids, ex.mlm_labels = apply_mlm_mask(ex.input_ids, self.vocab_size, rng, self.config)
+        return ex
+
+    def all_masked(self) -> list[PretrainExample]:
+        for i in list(self.streams):
+            self.masked(i)
+        return self.examples
+
+
+def serialize_pretrain_examples(
     corpus: Corpus,
     aligned: list[AlignedFragment],
     vocab: Vocab,
     config: SamplerConfig,
     keep_debug: bool = False,
-) -> tuple[list[PretrainExample], GenStats]:
-    """Degrade, corrupt, serialize, and mask every aligned fragment.
+) -> tuple[SerializedExamples, GenStats]:
+    """Degrade, corrupt and serialize every aligned fragment; masking is
+    left to `SerializedExamples.masked`.
 
     Per-example rng seeds derive from (master seed, entity_id, fragment
     index), so generation order and parallelism cannot change the output.
     The KG ablation's keep and noise coins come from streams of their own,
     so keep_fraction=1 with no noise is bit-identical to no ablation.
-    Corruption draws happen before masking draws.
+    Corruption draws happen before masking draws, on the same stream.
     """
     config.validate()
     stats = GenStats()
     predicates = corpus.predicates()
     headings_by_id = {doc.entity_id: doc.headings() for doc in corpus}
-    vocab_size = len(vocab)
     per_example = config.triples_per_example
     examples: list[PretrainExample] = []
+    streams: dict[int, np.random.Generator | None] = {}
     for af in aligned:
         frag = af.fragment
         triples = [] if config.drop_triples else [t for t, _score in af.triples]
@@ -264,7 +296,8 @@ def generate_pretrain_examples(
         chosen = list(zip(triples, noised))
 
         ex_seed = derive_seed(config.seed, frag.entity_id, frag.index)
-        rng = np.random.default_rng(ex_seed)
+        # The triple choice and the corruptions draw only with a triple or a heading.
+        rng = np.random.default_rng(ex_seed) if chosen or not config.drop_headings else None
         if per_example is not None and len(chosen) > per_example:
             picked = rng.choice(len(chosen), size=per_example, replace=False).tolist()
             chosen = [chosen[i] for i in sorted(picked)]
@@ -295,7 +328,6 @@ def generate_pretrain_examples(
         ids, layout = assemble_input(frag.token_ids, heading_ids, triple_ids, config.max_seq_len)
         # Truncation may have shed low-scored triples; align the labels.
         n_kept = len(layout.triples)
-        masked, mlm_labels = apply_mlm_mask(ids, vocab_size, rng, config)
         debug = None
         if keep_debug and config.drop_headings and not chosen:
             debug = {"heading": None, "predicates": []}
@@ -306,18 +338,32 @@ def generate_pretrain_examples(
                 "predicates": [t.predicate for t, _noise in chosen[:n_kept]],
                 "serialized_predicates": [t.predicate for t in serialized_triples[:n_kept]],
             }
+        streams[len(examples)] = rng
         examples.append(
             PretrainExample(
-                input_ids=masked,
+                input_ids=ids,
                 layout=layout,
-                mlm_labels=mlm_labels,
+                mlm_labels=[],
                 tc_labels=tc_labels[:n_kept],
                 tmt_label=tmt_label,
                 seed=ex_seed,
                 debug=debug,
             )
         )
-    return examples, stats
+    return SerializedExamples(examples, streams, len(vocab), config), stats
+
+
+def generate_pretrain_examples(
+    corpus: Corpus,
+    aligned: list[AlignedFragment],
+    vocab: Vocab,
+    config: SamplerConfig,
+    keep_debug: bool = False,
+) -> tuple[list[PretrainExample], GenStats]:
+    """Degrade, corrupt, serialize, and mask every aligned fragment: the
+    examples of `serialize_pretrain_examples`, each one masked."""
+    serialized, stats = serialize_pretrain_examples(corpus, aligned, vocab, config, keep_debug)
+    return serialized.all_masked(), stats
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,8 @@ def finetune_entity_typing(
     cfg: FinetuneConfig,
 ) -> EntityTyper:
     label_set = sorted({lab for ex in train for lab in ex.labels or []})
+    if not label_set:
+        raise FinetuneError("no training record has a label, so entity typing has nothing to learn")
     lab_to_id = {lab: i for i, lab in enumerate(label_set)}
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "et-head", len(label_set))
     items = [(_wrap(ex.tokens), [lab_to_id[lab] for lab in ex.labels]) for ex in train]
@@ -485,6 +487,9 @@ def finetune_ranker(
     cfg: FinetuneConfig,
 ) -> Ranker:
     """Binary relevance training on gold + sampled-negative pairs per query."""
+    if not any(len(ex.candidates) > 1 for ex in train):
+        raise FinetuneError("no training record has a candidate besides its gold one,"
+                            " so the ranker has no negative pair to learn from")
     params, rng = _new_adapter(pretrained_params, model_cfg, cfg.seed, "rank-head", 2)
     pairs = []
     for ex in train:

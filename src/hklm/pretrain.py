@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -17,14 +18,19 @@ from .align import AlignedFragment, align_corpus, build_tfidf_index, fragment_co
 from .corpus import MAX_TRIPLES_PER_EXAMPLE, NUM_SPECIAL, Corpus, Vocab, build_vocab, derive_seed, entity_split
 from .encoder import (
     HEADS,
-    Batch,
     ModelConfig,
     backward_batch,
     forward_batch,
     init_params,
     make_batch,
 )
-from .examples import PretrainExample, SamplerConfig, generate_pretrain_examples
+from .examples import (
+    PretrainExample,
+    SamplerConfig,
+    SerializedExamples,
+    generate_pretrain_examples,
+    serialize_pretrain_examples,
+)
 from .optim import AdamWState, DivergenceError, adamw_step
 
 
@@ -229,9 +235,12 @@ def epoch_sampler(config: TrainConfig, epoch: int) -> SamplerConfig:
 
     Corruptions and masks are redrawn every epoch (deterministically from the
     master seed) so a small corpus cannot be beaten by memorizing one frozen
-    set of negatives. Epoch 0 uses the master seed itself. `hklm gen-examples`
-    writes epoch 0's examples of the training split, the same records that
-    `run_pretraining` returns as `train_examples`.
+    set of negatives. Epoch 0 uses the master seed itself: `run_pretraining`
+    serializes it before the first step and masks each example when a step
+    first needs it, and later epochs are generated whole, each in the step
+    that needs its first batch. `hklm gen-examples` writes epoch 0's
+    examples of the training split, the same records that `run_pretraining`
+    returns as `train_examples`.
     """
     sampler = config.sampler_config()
     if epoch > 0:
@@ -239,35 +248,34 @@ def epoch_sampler(config: TrainConfig, epoch: int) -> SamplerConfig:
     return sampler
 
 
-def _length_bucketed_batches(
-    examples: list[PretrainExample], batch_size: int, dtype
-) -> list[Batch]:
-    # Sorting by length keeps padding waste near zero; the per-epoch shuffle
-    # then permutes whole batches, preserving determinism.
+def _length_buckets(examples: list[PretrainExample], batch_size: int) -> list[list[int]]:
+    """The example indices in order of length (ties by index), cut into
+    batches of `batch_size`. Sorting by length keeps padding waste near zero."""
     order = sorted(range(len(examples)), key=lambda i: (len(examples[i].input_ids), i))
-    batches = []
-    for start in range(0, len(order), batch_size):
-        chunk = [examples[i] for i in order[start : start + batch_size]]
-        batches.append(make_batch(chunk, dtype=dtype))
-    return batches
+    return [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
 
 
 def _training_batches(config: TrainConfig, corpus: Corpus, train_aligned: list[AlignedFragment],
-                       vocab: Vocab, first_epoch: list[PretrainExample], dtype):
-    """The training batches of epoch after epoch, without end.
+                       vocab: Vocab, first_epoch: SerializedExamples, dtype):
+    """The training batches of epoch after epoch, without end, each built
+    when it is asked for.
 
     Each epoch's examples run in length-bucketed batches, in the order of one
-    permutation drawn per epoch from the `order` stream. Epoch 0 is
-    `first_epoch`; each later epoch's examples are drawn afresh with
-    `epoch_sampler`, when its first batch is asked for.
+    permutation of the buckets drawn per epoch from the `order` stream.
+    Epoch 0 is `first_epoch`, serialized, and each of its examples is masked
+    when the batch holding it is built; masking leaves an example's length
+    as it is, so the buckets are those of the masked examples. Each later
+    epoch's examples are generated whole with `epoch_sampler`, when its
+    first batch is asked for.
     """
     order_rng = np.random.default_rng(derive_seed(config.seed, "order"))
-    examples = first_epoch
+    examples, example = first_epoch.examples, first_epoch.masked
     for next_epoch in itertools.count(1):
-        batches = _length_bucketed_batches(examples, config.batch_size, dtype)
-        for i in order_rng.permutation(len(batches)):
-            yield batches[i]
+        buckets = _length_buckets(examples, config.batch_size)
+        for i in order_rng.permutation(len(buckets)):
+            yield make_batch([example(j) for j in buckets[i]], dtype=dtype)
         examples, _ = generate_pretrain_examples(corpus, train_aligned, vocab, epoch_sampler(config, next_epoch))
+        example = examples.__getitem__
 
 
 def head_accuracy(logits: np.ndarray, labels: np.ndarray) -> tuple[int, int]:
@@ -285,10 +293,12 @@ _EVAL_BATCH = 32
 def evaluate_pretrain_heads(params, model_config: ModelConfig, examples: list[PretrainExample]) -> dict:
     """Inference-mode accuracy of the three heads over a fixed example set,
     and each head's number of targets (`n_<head>`). The examples run in
-    length-bucketed batches, as in training, so padding stays low and the
-    largest batch is no longer than the longest examples need."""
+    length-bucketed batches, as in training, each built when it is reached,
+    so padding stays low and the largest batch is no longer than the
+    longest examples need."""
     totals = {head: [0, 0] for head in HEADS}
-    for batch in _length_bucketed_batches(examples, _EVAL_BATCH, model_config.np_dtype):
+    for bucket in _length_buckets(examples, _EVAL_BATCH):
+        batch = make_batch([examples[i] for i in bucket], dtype=model_config.np_dtype)
         res = forward_batch(params, model_config, batch)
         for head in HEADS:
             c, t = head_accuracy(res.logits(head), batch.targets(head)[2])
@@ -350,6 +360,14 @@ def _freed_heap_retained():
 def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> PretrainResult:
     """End-to-end fragment -> align -> corrupt -> train pipeline.
 
+    Before the first step it does only what that step needs: the
+    vocabulary, both splits' alignment, epoch 0's serialized examples (their
+    lengths set the length buckets) and the initial weights. Each step masks
+    and builds its own batches (see `_training_batches`). The held-out
+    examples are generated at the first evaluation, or after the last step
+    when `eval_every` is 0, and epoch 0's examples that no step reached are
+    masked after the last step, so `train_examples` is all of epoch 0.
+
     Deterministic given (config, corpus) and the BLAS thread count: every
     random stream derives from config.seed, but a multithreaded BLAS may sum
     GEMMs in another order, which moves the weights in the last bits.
@@ -362,16 +380,17 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
     config.validate()
     vocab = build_vocab(corpus, config.vocab_min_freq)
     train_aligned, held_aligned = build_aligned(config, corpus, vocab)
-    train_ex, _ = generate_pretrain_examples(corpus, train_aligned, vocab, epoch_sampler(config, 0))
-    held_ex, _ = generate_pretrain_examples(corpus, held_aligned, vocab, config.sampler_config())
-    if not train_ex:
+    first_epoch, _ = serialize_pretrain_examples(corpus, train_aligned, vocab, epoch_sampler(config, 0))
+    if not first_epoch.examples:
         raise ConfigError("no training examples were generated")
+    held_examples = functools.cache(
+        lambda: generate_pretrain_examples(corpus, held_aligned, vocab, config.sampler_config())[0])
 
     model_cfg = config.model_config(len(vocab))
     params = init_params_seeded(model_cfg, config.seed)
     state = AdamWState.for_params(params)
 
-    batches = _training_batches(config, corpus, train_aligned, vocab, train_ex, model_cfg.np_dtype)
+    batches = _training_batches(config, corpus, train_aligned, vocab, first_epoch, model_cfg.np_dtype)
     metrics: list[MetricsRecord] = []
     loss_trace: list[tuple[float, float, float, float]] = []
 
@@ -409,6 +428,7 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
             adamw_step(params, accum, state, lr)
             loss_trace.append(tuple(float(x) for x in breakdown))
             if config.eval_every > 0 and (step % config.eval_every == 0 or step == config.steps):
+                held_ex = held_examples()
                 ev = evaluate_pretrain_heads(params, model_cfg, held_ex) if held_ex else dict.fromkeys(HEADS)
                 metrics.append(
                     MetricsRecord(
@@ -429,8 +449,8 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
         model_config=model_cfg,
         vocab=vocab,
         metrics=metrics,
-        train_examples=train_ex,
-        held_examples=held_ex,
+        train_examples=first_epoch.all_masked(),
+        held_examples=held_examples(),
         loss_trace=loss_trace,
     )
 

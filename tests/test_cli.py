@@ -581,10 +581,14 @@ class TestMalformedInputs:
         ("ner", lambda record: record.update(tags=["O"] * len(record["tags"]))),
         ("et", lambda record: record.update(labels=[])),
         ("oie", lambda record: record.update(triples=[])),
-    ], ids=["ner-every-tag-O", "et-no-label", "oie-no-triple"])
+        ("qa", lambda record: record.update(candidates=[record["candidates"][record["gold"]]], gold=0)),
+        ("dialog", lambda record: record.update(candidates=[record["candidates"][record["gold"]]], gold=0)),
+    ], ids=["ner-every-tag-O", "et-no-label", "oie-no-triple", "qa-gold-only", "dialog-gold-only"])
     def test_train_file_with_nothing_to_learn(self, pipeline_dir, checkpoint, tmp_path, capsys, task, edit):
-        """A tag set of O alone, an empty label set or no predicate span
-        would train and score 0.0 (or fail later, naming no file)."""
+        """A tag set of O alone, an empty label set, no predicate span or no
+        candidate besides the gold one would train and score 0.0 or a
+        ranking learnt from positive pairs alone (or fail later, naming no
+        file)."""
         files = {s: pipeline_dir / "tasks" / f"{task}-{s}.jsonl" for s in ("train", "eval")}
         records = [json.loads(line) for line in files["train"].read_text().splitlines()]
         for record in records:

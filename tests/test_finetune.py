@@ -324,6 +324,39 @@ class TestAdapters:
         with pytest.raises(FinetuneError, match="empty"):
             ranker.score([20], [])
 
+    def test_ranker_without_a_negative_pair_rejected(self, world, monkeypatch):
+        """Records that each hold only their gold candidate would train the
+        relevance head on positive pairs alone; the ranker refuses them
+        before it draws its head. One record with a negative is enough."""
+        corpus, truth, vocab, cfg, params = world
+        train, _ = make_rank_data(corpus, truth, vocab, 5, n_train=6, n_eval=2, n_candidates=4)
+        gold_only = [dataclasses.replace(ex, candidates=[ex.candidates[ex.gold]], gold=0) for ex in train]
+        real_new_adapter, drawn = finetune._new_adapter, []
+
+        def recording_new_adapter(*args):
+            drawn.append(args[3])
+            return real_new_adapter(*args)
+
+        monkeypatch.setattr(finetune, "_new_adapter", recording_new_adapter)
+        with pytest.raises(FinetuneError, match="no negative pair"):
+            finetune_ranker(params, cfg, gold_only, FinetuneConfig(epochs=1, seed=3))
+        assert drawn == []
+        finetune_ranker(params, cfg, gold_only[:-1] + train[-1:], FinetuneConfig(epochs=1, seed=3))
+        assert drawn == ["rank-head"]
+
+    def test_entity_typing_without_a_label_rejected(self, world, monkeypatch):
+        """With no label in the training set the head would be zero columns
+        wide, every step's loss NaN and the accuracy 0.0; the adapter
+        refuses the set before it draws the head."""
+        _, truth, vocab, cfg, params = world
+        train, _ = make_et_data(truth, vocab, 5, n_train=8, n_eval=2)
+        unlabeled = [dataclasses.replace(ex, labels=[]) for ex in train]
+        drawn = []
+        monkeypatch.setattr(finetune, "_new_adapter", lambda *args: drawn.append(args))
+        with pytest.raises(FinetuneError, match="no training record has a label"):
+            finetune_entity_typing(params, cfg, unlabeled, FinetuneConfig(epochs=1, seed=3))
+        assert drawn == []
+
     def test_dialog_metrics_shape(self, world):
         corpus, truth, vocab, cfg, params = world
         train, evals = make_rank_data(corpus, truth, vocab, 5, n_train=6, n_eval=4, n_candidates=6, dialog=True)

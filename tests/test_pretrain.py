@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from hklm import align, pretrain
+from hklm import examples as hklm_examples
 from hklm.checkpoint import save_checkpoint
-from hklm.corpus import SEP0_ID, SEPI_IDS, generate_synthetic_corpus, write_jsonl
+from hklm.corpus import SEP0_ID, SEPI_IDS, build_vocab, generate_synthetic_corpus, write_jsonl
 from hklm.encoder import HEADS, ModelConfig, param_names
-from hklm.examples import SamplerConfig
+from hklm.examples import SamplerConfig, generate_pretrain_examples
 from hklm.pretrain import (
     ConfigError,
     DivergenceError,
@@ -290,39 +291,106 @@ class TestRunPretraining:
 
     @pytest.mark.parametrize("grad_accum", [1, 2])
     def test_each_epoch_drawn_when_its_first_batch_is_needed(self, corpus30, monkeypatch, grad_accum):
-        """Epoch 0's and the held-out split's examples are generated before
-        the first step; epoch 1's only when its first batch is needed, inside
-        that step. With E batches per epoch, a run of at most E micro-batches
-        (steps=0 included) makes two calls, one that needs batch E + 1 three,
-        the third with epoch 1's sampler."""
-        real_generate, real_backward = pretrain.generate_pretrain_examples, pretrain.backward_batch
-        calls = []  # (steps finished, micro-batches trained, the sampler) at each call
-        finished, trained = [], []
+        """Before the first step only epoch 0 is serialized. The k-th training
+        forward comes after exactly k batches were built, and within epoch 0
+        after exactly their examples were masked; so before the first
+        `progress` call, `grad_accum` batches' examples are masked and built.
+        Epoch 1 is drawn whole (and masked) in the step that needs its first
+        batch, with epoch 1's sampler. The held-out examples are drawn once,
+        at the first evaluation, or after the last step when eval_every is 0.
+        """
+        real_generate, real_mask = pretrain.generate_pretrain_examples, hklm_examples.apply_mlm_mask
+        real_batch, real_forward = pretrain.make_batch, pretrain.forward_batch
+        real_evaluate = pretrain.evaluate_pretrain_heads
+        count = Counter()  # masks, training batches built and their examples, progress calls, forwards
+        calls = []  # (progress calls, training forwards, evaluations, the sampler) per call
+        at_forward = []  # (masks, batches built, examples batched, evaluations) at each training forward
 
         def counting_generate(corpus, aligned, vocab, sampler, *args, **kwargs):
-            calls.append((len(finished), len(trained), sampler))
+            calls.append((count["progress"], count["train"], count["eval"], sampler))
             return real_generate(corpus, aligned, vocab, sampler, *args, **kwargs)
 
-        def counting_backward(*args):
-            trained.append(None)
-            return real_backward(*args)
+        def counting_mask(*args):
+            count["mask"] += 1
+            return real_mask(*args)
+
+        def counting_batch(chunk, *args, **kwargs):
+            if not count["evaluating"]:
+                count["batch"] += 1
+                count["batched"] += len(chunk)
+            return real_batch(chunk, *args, **kwargs)
+
+        def counting_forward(params, model_cfg, batch, want_cache=False):
+            if want_cache:
+                count["train"] += 1
+                at_forward.append((count["mask"], count["batch"], count["batched"], count["eval"]))
+            return real_forward(params, model_cfg, batch, want_cache)
+
+        def counting_evaluate(*args):
+            count["evaluating"] = 1
+            try:
+                return real_evaluate(*args)
+            finally:
+                count["evaluating"] = 0
+                count["eval"] += 1
+
+        def progress(_step, _breakdown):
+            if not count["progress"]:
+                assert count["batch"] == grad_accum
+                assert count["mask"] == count["batched"] == at_forward[grad_accum - 1][2]
+            count["progress"] += 1
 
         monkeypatch.setattr(pretrain, "generate_pretrain_examples", counting_generate)
-        monkeypatch.setattr(pretrain, "backward_batch", counting_backward)
+        monkeypatch.setattr(hklm_examples, "apply_mlm_mask", counting_mask)
+        monkeypatch.setattr(pretrain, "make_batch", counting_batch)
+        monkeypatch.setattr(pretrain, "forward_batch", counting_forward)
+        monkeypatch.setattr(pretrain, "evaluate_pretrain_heads", counting_evaluate)
         cfg = small_cfg(max_fragment_len=48, batch_size=32, eval_every=0, grad_accum=grad_accum)
         res = run_pretraining(dataclasses.replace(cfg, steps=0), corpus30)
-        per_epoch = -(-len(res.train_examples) // cfg.batch_size)
+        n_train, n_held = len(res.train_examples), len(res.held_examples)
+        per_epoch = -(-n_train // cfg.batch_size)
         within = per_epoch // grad_accum  # the most steps that stay in epoch 0
-        assert within >= 1
-        for steps in (0, within, within + 1):
+        assert within >= 2
+        held = pretrain.epoch_sampler(cfg, 0)
+        assert held == cfg.sampler_config()
+        for steps, eval_every in ((0, 0), (within, 0), (within + 1, 0), (within + 1, 2)):
+            count.clear()
             calls.clear()
-            finished.clear()
-            trained.clear()
-            run_pretraining(dataclasses.replace(cfg, steps=steps), corpus30,
-                            progress=lambda step, _breakdown: finished.append(step))
-            assert [call[:2] for call in calls[:2]] == [(0, 0), (0, 0)], steps
-            assert len(calls) == (3 if steps > within else 2), steps
-        assert calls[2] == (within, per_epoch, pretrain.epoch_sampler(cfg, 1))
+            at_forward.clear()
+            run_pretraining(dataclasses.replace(cfg, steps=steps, eval_every=eval_every), corpus30,
+                            progress=progress)
+            assert count["progress"] == steps and len(at_forward) == steps * grad_accum
+            for k, (masks, built, batched, evaluations) in enumerate(at_forward, start=1):
+                assert built == k, (steps, k)
+                train_masks = batched if k <= per_epoch else n_train + n_train
+                assert masks == train_masks + n_held * bool(evaluations), (steps, k)
+            first_eval = [(eval_every - 1, eval_every * grad_accum, 0, held)] if eval_every else []
+            after_loop = [] if eval_every else [(steps, steps * grad_accum, 0, held)]
+            evaluated = within // eval_every if eval_every else 0
+            next_epoch = [(within, per_epoch, evaluated, pretrain.epoch_sampler(cfg, 1))] if steps > within else []
+            assert calls == sorted(first_eval + next_epoch) + after_loop, steps
+            # After the loop: the rest of epoch 0, then the held-out split when no evaluation ran.
+            assert count["mask"] == n_train + n_train * bool(next_epoch) + n_held
+
+    @pytest.mark.parametrize("mode", ["hklm", "plain"])
+    @pytest.mark.parametrize("grad_accum", [1, 2])
+    def test_returned_examples_are_the_generated_ones(self, corpus30, mode, grad_accum):
+        """`train_examples` is all of epoch 0 and `held_examples` the held-out
+        split, masked, as `generate_pretrain_examples` makes them, whether no
+        step, one step or a run past the first epoch boundary masked some of
+        them first, and whether the held-out examples were drawn at an
+        evaluation (eval_every = steps) or after the loop (steps 0)."""
+        cfg = small_cfg(mode=mode, max_fragment_len=48, batch_size=32, grad_accum=grad_accum)
+        vocab = build_vocab(corpus30, cfg.vocab_min_freq)
+        train_aligned, held_aligned = build_aligned(cfg, corpus30, vocab)
+        want_train, _ = generate_pretrain_examples(corpus30, train_aligned, vocab, pretrain.epoch_sampler(cfg, 0))
+        want_held, _ = generate_pretrain_examples(corpus30, held_aligned, vocab, cfg.sampler_config())
+        assert any(ex.mlm_labels for ex in want_train) and any(ex.mlm_labels for ex in want_held)
+        per_epoch = -(-len(want_train) // cfg.batch_size)
+        for steps in (0, 1, per_epoch // grad_accum + 1):
+            res = run_pretraining(dataclasses.replace(cfg, steps=steps, eval_every=steps), corpus30)
+            assert res.train_examples == want_train, steps
+            assert res.held_examples == want_held, steps
 
     @pytest.mark.parametrize("grad_accum", [1, 2])
     def test_weights_after_step_k_equal_a_k_step_run(self, corpus30, monkeypatch, grad_accum):
