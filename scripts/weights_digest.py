@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """SHA-256 of every weight set a small seeded pretraining and fine-tuning run
-produces, as one JSON line.
+produces, and of what the fine-tuned adapters score, as one JSON line.
 
 On the seed-3, 30-entity synthetic corpus it pretrains six times at d=32,
 2 layers, 30 steps of 16 examples (past an epoch boundary): joint (hklm)
@@ -11,10 +11,13 @@ trained tensors alone (`params`, hashed like the adapters below) are hashed:
 a change to the checkpoint header alone moves `checkpoint` but not `params`.
 From the first joint run it then fine-tunes every adapter for one
 epoch (NER, entity typing, both open-IE stages, QA and dialogue ranking) and
-hashes each adapter's tensors in order. The BLAS thread variables are printed
-beside the digests: a multithreaded BLAS may sum GEMMs in another order, so
-compare lines taken under the same settings. Two versions of the code that
-print the same line train the same weights byte for byte:
+hashes each adapter's tensors in order (`finetune_<adapter>`). It then scores
+each task's eval split and hashes what the adapters predict (tags, label
+sets, triples or candidate scores) with the metric dict (`score_<task>`).
+The BLAS thread variables are printed beside the digests: a multithreaded
+BLAS may sum GEMMs in another order, so compare lines taken under the same
+settings. Two versions of the code that print the same line train the same
+weights, and score the same outputs with them, byte for byte:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/weights_digest.py
 """
@@ -52,6 +55,10 @@ def sha256_params(params) -> str:
     return h.hexdigest()
 
 
+def sha256_json(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
 def main():
     corpus, truth = generate_synthetic_corpus(SEED, ENTITIES)
     out = {"blas_env": {k: os.environ.get(k) for k in BLAS_THREAD_ENV}}
@@ -70,14 +77,14 @@ def main():
             joint = joint or res
 
     vocab, sub_corpus, sub_truth = joint.vocab, Corpus(documents=corpus.documents[:10]), truth[:10]
-    sets = {
-        "ner": tasks.make_ner_data(sub_truth, vocab, SEED, n_train=16, n_eval=4)[0],
-        "et": tasks.make_et_data(sub_truth, vocab, SEED, n_train=16, n_eval=4)[0],
-        "oie": tasks.make_oie_data(sub_truth, vocab, SEED, n_train=8, n_eval=4)[0],
+    sets = {  # task -> (train, eval)
+        "ner": tasks.make_ner_data(sub_truth, vocab, SEED, n_train=16, n_eval=4),
+        "et": tasks.make_et_data(sub_truth, vocab, SEED, n_train=16, n_eval=4),
+        "oie": tasks.make_oie_data(sub_truth, vocab, SEED, n_train=8, n_eval=4),
         "qa": tasks.make_rank_data(sub_corpus, sub_truth, vocab, SEED, n_train=6, n_eval=2,
-                                   n_candidates=6)[0],
+                                   n_candidates=6),
         "dialog": tasks.make_rank_data(sub_corpus, sub_truth, vocab, SEED, n_train=6, n_eval=2,
-                                       n_candidates=6, dialog=True)[0],
+                                       n_candidates=6, dialog=True),
     }
     ft = finetune.FinetuneConfig(epochs=1, batch_size=4, seed=SEED)
     adapters = {
@@ -88,9 +95,25 @@ def main():
         "qa": (finetune.finetune_ranker, "qa"),
         "dialog": (finetune.finetune_ranker, "dialog"),
     }
+    models = {}
     for name, (adapt, task) in adapters.items():
-        model = adapt(joint.params, joint.model_config, sets[task], ft)
-        out["finetune_" + name] = sha256_params(model.params)
+        models[name] = adapt(joint.params, joint.model_config, sets[task][0], ft)
+        out["finetune_" + name] = sha256_params(models[name].params)
+
+    # task -> (its predictions, its metric dict) on the eval split
+    scorers = {
+        "ner": lambda ev: (models["ner"].predict(ev), finetune.evaluate_ner(models["ner"], ev)),
+        "et": lambda ev: ([sorted(labels) for labels in models["et"].predict(ev)],
+                          finetune.evaluate_et(models["et"], ev)),
+        "oie": lambda ev: (finetune.extract_open_triples(models["oie1"], models["oie2"], [ex.tokens for ex in ev]),
+                           finetune.evaluate_oie(models["oie1"], models["oie2"], ev)),
+        "qa": lambda ev: ([models["qa"].score(ex.tokens, ex.candidates) for ex in ev],
+                          finetune.evaluate_rank(models["qa"], ev)),
+        "dialog": lambda ev: ([models["dialog"].score(ex.tokens, ex.candidates) for ex in ev],
+                              finetune.evaluate_rank(models["dialog"], ev, dialog=True)),
+    }
+    for task, score in scorers.items():
+        out["score_" + task] = sha256_json(score(sets[task][1]))
     print(json.dumps(out, sort_keys=True))
 
 

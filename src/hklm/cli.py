@@ -2,7 +2,8 @@
 
 Every stochastic subcommand requires an explicit --seed; every run writes a
 manifest (`manifest.write_manifest`) next to its outputs before producing
-them, and every JSON-lines output goes through `corpus.write_jsonl`. Exit
+them. Every JSON-lines output goes through `corpus.write_jsonl`, except that
+`finetune` appends its one metrics line to its metrics.jsonl itself. Exit
 codes: 0 success, 1 usage/config/serialization errors, 2 training divergence.
 """
 
@@ -21,9 +22,9 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import build_vocab, generate_synthetic_corpus, load_corpus, write_jsonl
 from .examples import generate_pretrain_examples, write_examples
 from .finetune import (
-    FRAME_TOKENS,
     FinetuneConfig,
     FinetuneError,
+    check_records,
     evaluate_et,
     evaluate_ner,
     evaluate_oie,
@@ -39,7 +40,6 @@ from .optim import DivergenceError
 from .pretrain import ConfigError, TrainConfig, build_aligned, epoch_sampler, run_pretraining
 from .tasks import (
     RankPool,
-    TaskError,
     make_et_data,
     make_ner_data,
     make_oie_data,
@@ -64,15 +64,6 @@ class _Parser(argparse.ArgumentParser):
 # The task-record variant each task set holds and each --task trains and
 # scores on.
 _TASK_VARIANT = {"ner": "ner", "et": "et", "oie": "oie", "qa": "rank", "dialog": "rank"}
-# Whether a training record gives the adapter something to learn, and what a
-# --train file lacks when no record does; a ranking record teaches only with
-# a negative candidate beside its gold one.
-_TRAIN_TARGET = {
-    "ner": (lambda ex: any(tag != "O" for tag in ex.tags), "every tag is O"),
-    "et": (lambda ex: ex.labels, "no record has a label"),
-    "oie": (lambda ex: ex.triples, "no record has a triple"),
-    "rank": (lambda ex: len(ex.candidates) > 1, "no record has a candidate besides its gold one"),
-}
 
 
 def cmd_synth_corpus(args) -> int:
@@ -193,21 +184,11 @@ def cmd_finetune(args) -> int:
     params, model_cfg, vocab_hash, _opt = load_checkpoint(args.checkpoint)
     train = read_task_data(args.train)
     evals = read_task_data(args.eval)
-    variant = _TASK_VARIANT[args.task]
-    for flag, path, examples in (("--train", args.train, train), ("--eval", args.eval, evals)):
-        if not examples:
-            raise FinetuneError(f"no examples in {flag} file {path}")
-        for ex in examples:
-            if ex.variant != variant:
-                raise TaskError(f"{path}: record {ex.example_id!r} has variant {ex.variant!r},"
-                                f" --task {args.task} needs {variant!r}")
-            framed = len(ex.tokens) + FRAME_TOKENS[variant]
-            if framed > model_cfg.max_seq_len:
-                raise TaskError(f"{flag} file {path}: record {ex.example_id!r} makes a {framed}-token sequence,"
-                                f" over the checkpoint's max_seq_len {model_cfg.max_seq_len}")
-    target = _TRAIN_TARGET.get(variant)
-    if target and not any(map(target[0], train)):
-        raise FinetuneError(f"--train file {args.train}: {target[1]}, so the adapter has nothing to learn")
+    for flag, path, records in (("--train", args.train, train), ("--eval", args.eval, evals)):
+        try:
+            check_records(records, _TASK_VARIANT[args.task], model_cfg, train=flag == "--train")
+        except FinetuneError as exc:
+            raise FinetuneError(f"{flag} file {path}: {exc}") from exc
     cfg = FinetuneConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr, seed=args.seed)
     cfg.validate()
     os.makedirs(args.out, exist_ok=True)

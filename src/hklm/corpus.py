@@ -90,12 +90,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.documents)
 
-    def by_id(self, entity_id: str) -> Document:
-        for doc in self.documents:
-            if doc.entity_id == entity_id:
-                return doc
-        raise KeyError(entity_id)
-
     def predicates(self) -> list[str]:
         """Sorted universe of attributes across the whole KG."""
         return sorted({t.predicate for doc in self.documents for t in doc.infobox})

@@ -400,8 +400,8 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     with many short rows (attention scores: B*H*n rows of L keys) a loop of
     np.maximum over the L columns, each a pass over every row, is several
     times faster and takes the same, exact, maximum. With few rows per key
-    (batch-1 scoring, a [CLS] row per example) the loop's per-column
-    overhead costs more than the reduction, which is kept there."""
+    (a [CLS] row per example) the loop's per-column overhead costs more than
+    the reduction, which is kept there."""
     n = x.shape[-1]
     if n < 2 or x.size < 8 * n * n:  # fewer than 8 rows per key
         return x.max(axis=-1, keepdims=True)

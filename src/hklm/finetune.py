@@ -11,7 +11,9 @@ with AdamW, and `_head_logits` scores sequences with the trained head. Each
 adapter then decodes the logits and evaluates with its task's metric bundle:
 token tagging (NER), multi-label typing on [CLS] with [ENT] markers, two-stage
 span extraction for open IE with [REL] markers, and [CLS]-scored candidate
-ranking shared by QA and dialogue.
+ranking shared by QA and dialogue. Every training function first passes its
+set to `check_records`, which holds every rule a fine-tuning set must meet;
+`hklm finetune` runs the same check on its --train and --eval files.
 """
 
 from __future__ import annotations
@@ -42,6 +44,16 @@ SCORE_BATCH = 32
 # in the longest sequence it builds: [CLS] and [SEP]; for open IE's stage 2
 # also a [REL] pair; for a ranking query a [SEP] and one candidate token.
 FRAME_TOKENS = {"ner": 2, "et": 2, "oie": 4, "rank": 4}
+# Whether a training record gives the adapter of each variant something to
+# learn, and what a training set lacks when no record does; a ranking record
+# teaches only with a negative candidate beside its gold one.
+_TRAIN_TARGET = {
+    "ner": (lambda ex: any(tag != "O" for tag in ex.tags), "every tag is O"),
+    "et": (lambda ex: ex.labels, "no training record has a label"),
+    "oie": (lambda ex: ex.triples, "no training record has a triple"),
+    "rank": (lambda ex: len(ex.candidates) > 1,
+             "no training record has a candidate besides its gold one (no negative pair)"),
+}
 
 
 class FinetuneError(ValueError):
@@ -65,6 +77,35 @@ class FinetuneConfig:
             raise FinetuneError(f"--batch-size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise FinetuneError(f"--lr must be finite and > 0, got {self.lr}")
+
+
+def _check_fits(tokens: list[int], variant: str, cfg: ModelConfig, what: str) -> None:
+    """Reject `tokens`, which `what` names, if the longest sequence the
+    `variant` adapter builds from them exceeds cfg.max_seq_len."""
+    framed = len(tokens) + FRAME_TOKENS[variant]
+    if framed > cfg.max_seq_len:
+        raise FinetuneError(f"{what} makes a {framed}-token sequence, over max_seq_len {cfg.max_seq_len}")
+
+
+def check_records(records: list[TaskExample], variant: str, cfg: ModelConfig, train: bool = False) -> None:
+    """Reject a set of `variant` records that the model `cfg` cannot read:
+    an empty set, a record of another variant, a token id (of the tokens or
+    of a ranking candidate) outside the vocabulary, or a record too long once
+    the adapter's FRAME_TOKENS are added; and, for a training set (`train`),
+    one in which no record gives the adapter anything to learn."""
+    if not records:
+        raise FinetuneError("no examples")
+    for ex in records:
+        name = f"record {ex.example_id!r}"
+        if ex.variant != variant:
+            raise FinetuneError(f"{name} has variant {ex.variant!r}, not {variant!r}")
+        top = max(max(seq, default=0) for seq in [ex.tokens, *(ex.candidates or ())])
+        if top >= cfg.vocab_size:
+            raise FinetuneError(f"{name} has token id {top}, outside the model's vocabulary of {cfg.vocab_size}")
+        _check_fits(ex.tokens, variant, cfg, name)
+    has_target, lacking = _TRAIN_TARGET[variant]
+    if train and not any(map(has_target, records)):
+        raise FinetuneError(f"{lacking}, so the adapter has nothing to learn")
 
 
 def _wrap(tokens: list[int]) -> list[int]:
@@ -114,8 +155,6 @@ def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, rows
     batch)`, backpropagates through head and encoder and takes one AdamW step.
     """
     cfg.validate()
-    if not items:
-        raise FinetuneError("no training examples")
     dt = model_cfg.np_dtype
     state = AdamWState.for_params(params)
     rng = np.random.default_rng(derive_seed(cfg.seed, "finetune-order"))
@@ -179,7 +218,7 @@ def _softmax_xent(x: np.ndarray, index: tuple):
 def build_tagset(examples: list[TaskExample]) -> list[str]:
     tags = {"O"}
     for ex in examples:
-        tags.update(ex.tags or [])
+        tags.update(ex.tags)
     return sorted(tags)
 
 
@@ -220,6 +259,7 @@ def finetune_token_classifier(
     train: list[TaskExample],
     cfg: FinetuneConfig,
 ) -> TokenTagger:
+    check_records(train, "ner", model_cfg, train=True)
     tagset = build_tagset(train)
     tag_to_id = {t: i for i, t in enumerate(tagset)}
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "ner-head", len(tagset))
@@ -269,9 +309,8 @@ def finetune_entity_typing(
     train: list[TaskExample],
     cfg: FinetuneConfig,
 ) -> EntityTyper:
-    label_set = sorted({lab for ex in train for lab in ex.labels or []})
-    if not label_set:
-        raise FinetuneError("no training record has a label, so entity typing has nothing to learn")
+    check_records(train, "et", model_cfg, train=True)
+    label_set = sorted({lab for ex in train for lab in ex.labels})
     lab_to_id = {lab: i for i, lab in enumerate(label_set)}
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "et-head", len(label_set))
     items = [(_wrap(ex.tokens), [lab_to_id[lab] for lab in ex.labels]) for ex in train]
@@ -338,18 +377,11 @@ def _span_targets(ex: TaskExample) -> np.ndarray:
 def finetune_span_stage1(
     pretrained_params, model_cfg: ModelConfig, train: list[TaskExample], cfg: FinetuneConfig
 ) -> SpanModel:
+    check_records(train, "oie", model_cfg, train=True)
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "oie1-head", 2)  # start, end
     items = [(_wrap(ex.tokens), _span_targets(ex)) for ex in train]
     _train_loop(params, model_cfg, items, cfg, _token_rows, _span_loss)
     return SpanModel(params=params, model_config=model_cfg)
-
-
-def _check_stage2_fits(tokens: list[int], cfg: ModelConfig) -> None:
-    """A stage-2 sequence wraps the sentence in [CLS] .. [SEP] and marks its
-    predicate with a [REL] pair: four tokens more than the sentence."""
-    if len(tokens) + FRAME_TOKENS["oie"] > cfg.max_seq_len:
-        raise FinetuneError(f"sentence of {len(tokens)} tokens plus 4 markers exceeds"
-                            f" max_seq_len {cfg.max_seq_len}")
 
 
 def _stage2_sequence(tokens: list[int], pred_span: tuple[int, int]) -> list[int]:
@@ -396,10 +428,10 @@ def _pointer_loss(logits: np.ndarray, targets: list[list[int]], batch: Batch):
 def finetune_span_stage2(
     pretrained_params, model_cfg: ModelConfig, train: list[TaskExample], cfg: FinetuneConfig
 ) -> SpanModel:
+    check_records(train, "oie", model_cfg, train=True)
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "oie2-head", 4)  # ss, se, os, oe
     items = []
     for ex in train:
-        _check_stage2_fits(ex.tokens, model_cfg)
         for tr in ex.triples:
             pred = tuple(tr["pred"])
             bounds = (tr["subj"][0], tr["subj"][1] - 1, tr["obj"][0], tr["obj"][1] - 1)
@@ -416,7 +448,7 @@ def extract_open_triples(stage1: SpanModel, stage2: SpanModel, sentences: list[l
     stage 2 every (sentence, predicate) sequence in another."""
     cfg = stage1.model_config
     for tokens in sentences:
-        _check_stage2_fits(tokens, cfg)
+        _check_fits(tokens, "oie", cfg, f"sentence of {len(tokens)} tokens")
     probs = _sigmoid(_head_logits(stage1.params, cfg, [_wrap(tokens) for tokens in sentences], _token_rows))
     jobs = []  # (sentence index, predicate span [s, e)); stage 1 gives inclusive (i, j)
     for k, (tokens, end) in enumerate(zip(sentences, np.cumsum([len(t) for t in sentences]))):
@@ -454,8 +486,6 @@ def evaluate_oie(stage1: SpanModel, stage2: SpanModel, examples: list[TaskExampl
 
 def _pair_sequence(query: list[int], candidate: list[int], max_seq_len: int) -> list[int]:
     """[CLS] query [SEP] candidate [SEP], the candidate cut to fit max_seq_len."""
-    if len(query) + FRAME_TOKENS["rank"] > max_seq_len:
-        raise FinetuneError("query alone exceeds max_seq_len")
     return [CLS_ID] + query + [SEP_ID] + candidate[: max_seq_len - 3 - len(query)] + [SEP_ID]
 
 
@@ -475,6 +505,7 @@ class Ranker:
         if not candidates:
             raise FinetuneError("empty candidate list")
         cfg = self.model_config
+        _check_fits(query, "rank", cfg, f"query of {len(query)} tokens")
         seqs = [_pair_sequence(query, cand, cfg.max_seq_len) for cand in candidates]
         probs = softmax(_head_logits(self.params, cfg, seqs, _cls_rows))
         return [float(x) for x in probs[:, 1]]
@@ -487,9 +518,7 @@ def finetune_ranker(
     cfg: FinetuneConfig,
 ) -> Ranker:
     """Binary relevance training on gold + sampled-negative pairs per query."""
-    if not any(len(ex.candidates) > 1 for ex in train):
-        raise FinetuneError("no training record has a candidate besides its gold one,"
-                            " so the ranker has no negative pair to learn from")
+    check_records(train, "rank", model_cfg, train=True)
     params, rng = _new_adapter(pretrained_params, model_cfg, cfg.seed, "rank-head", 2)
     pairs = []
     for ex in train:

@@ -924,12 +924,12 @@ def generate_pretrain_examples(corpus, aligned, vocab, config, keep_debug=False)
 
 def extract_open_triples(stage1, stage2, tokens):
     from hklm.finetune import (
-        SPAN_CAP, THETA_SPAN, _check_stage2_fits, _head_logits, _real_rows, _sigmoid, _stage1_spans,
+        SPAN_CAP, THETA_SPAN, _check_fits, _head_logits, _real_rows, _sigmoid, _stage1_spans,
         _stage2_map_position, _stage2_sequence, _token_rows, _wrap, pointer_decode,
     )
 
     cfg = stage1.model_config
-    _check_stage2_fits(tokens, cfg)
+    _check_fits(tokens, "oie", cfg, "sentence")
     probs = _sigmoid(_head_logits(stage1.params, cfg, [_wrap(tokens)], _token_rows))
     spans = _stage1_spans(probs[:, 0], probs[:, 1], THETA_SPAN, SPAN_CAP)
 

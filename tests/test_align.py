@@ -180,7 +180,7 @@ class TestRetrieval:
         vocab = build_vocab(hand5_corpus, 1)
         fragments = fragment_corpus(hand5_corpus, vocab, DEFAULTS.max_fragment_len)
         index = build_tfidf_index(hand5_corpus, vocab, fragments=fragments)
-        d3 = hand5_corpus.by_id("d3")
+        d3 = next(doc for doc in hand5_corpus if doc.entity_id == "d3")
         frag = fragments["d3"][0]  # repeats "bronze bells"
         vecs = triple_vectors(d3.infobox, index, vocab)
         aligned = retrieve_triples(frag, d3.infobox, vecs, index, tau=0.0, k_max=DEFAULTS.k_max)
@@ -198,7 +198,7 @@ class TestRetrieval:
         vocab = build_vocab(hand5_corpus, 1)
         fragments = fragment_corpus(hand5_corpus, vocab, DEFAULTS.max_fragment_len)
         index = build_tfidf_index(hand5_corpus, vocab, fragments=fragments)
-        d1 = hand5_corpus.by_id("d1")
+        d1 = next(doc for doc in hand5_corpus if doc.entity_id == "d1")
         vecs = triple_vectors(d1.infobox, index, vocab)
         aligned = retrieve_triples(fragments["d1"][0], d1.infobox, vecs, index, 1.01, DEFAULTS.k_max)
         assert aligned.triples == []
@@ -215,7 +215,7 @@ class TestRetrieval:
         vocab = build_vocab(corpus, 1)
         fragments = fragment_corpus(corpus, vocab, DEFAULTS.max_fragment_len)
         index = build_tfidf_index(corpus, vocab, fragments=fragments)
-        doc = corpus.by_id("e")
+        doc, = corpus.documents
         vecs = triple_vectors(doc.infobox, index, vocab)
         aligned = retrieve_triples(fragments["e"][0], doc.infobox, vecs, index, 0.0, DEFAULTS.k_max)
         assert [t.predicate for t, _ in aligned.triples] == ["aaa", "bbb"]

@@ -627,6 +627,25 @@ class TestMalformedInputs:
         assert f"{max_seq_len + 1}-token" in err and f"max_seq_len {max_seq_len}" in err
         assert not (tmp_path / "ft").exists()
 
+    @pytest.mark.parametrize("task, field", [("ner", "tokens"), ("qa", "candidates")])
+    def test_eval_record_with_a_token_id_outside_the_vocabulary(self, pipeline_dir, checkpoint, tmp_path, capsys,
+                                                               task, field):
+        """A token id at or above the checkpoint's vocabulary size, in the
+        tokens or in a ranking candidate, is named with its file and record
+        before fine-tuning, not met by the encoder after it."""
+        files = {s: pipeline_dir / "tasks" / f"{task}-{s}.jsonl" for s in ("train", "eval")}
+        first, second, *rest = files["eval"].read_text().splitlines()
+        record = json.loads(second)
+        (record["candidates"][-1] if field == "candidates" else record["tokens"])[-1] = 99999
+        files["eval"] = tmp_path / "bad.jsonl"
+        files["eval"].write_text("\n".join([first, json.dumps(record), *rest]) + "\n")
+        code = run(["finetune", "--checkpoint", str(checkpoint), "--task", task,
+                    "--train", str(files["train"]), "--eval", str(files["eval"]),
+                    "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
+        err = _assert_one_line_error(code, capsys)
+        assert f"--eval file {files['eval']}" in err and repr(record["id"]) in err and "99999" in err
+        assert not (tmp_path / "ft").exists()
+
     def test_finetune_divergence(self, pipeline_dir, checkpoint, tmp_path, capsys, recwarn):
         tasks = pipeline_dir / "tasks"
         code = run(["finetune", "--checkpoint", str(checkpoint), "--task", "ner",

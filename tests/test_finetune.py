@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -309,11 +310,11 @@ class TestAdapters:
         params = init_params(cfg, 0)
         query = list(range(20, 34))
         ex = TaskExample(example_id="q", variant="rank", tokens=query, candidates=[[34, 35], [36]], gold=0)
-        with pytest.raises(FinetuneError, match="query alone exceeds max_seq_len"):
+        with pytest.raises(FinetuneError, match="makes a 18-token sequence, over max_seq_len 16"):
             finetune_ranker(params, cfg, [ex], FinetuneConfig(epochs=1))
         ranker = Ranker(params=dict(params, head_w=np.zeros((cfg.d_model, 2), dtype=cfg.np_dtype),
                                     head_b=np.zeros(2, dtype=cfg.np_dtype)), model_config=cfg)
-        with pytest.raises(FinetuneError, match="query alone exceeds max_seq_len"):
+        with pytest.raises(FinetuneError, match="makes a 18-token sequence, over max_seq_len 16"):
             ranker.score(query, ex.candidates)
 
     def test_ranker_empty_candidates_rejected(self, world):
@@ -363,6 +364,66 @@ class TestAdapters:
         ranker = finetune_ranker(params, cfg, train, FinetuneConfig(epochs=1, seed=3))
         out = evaluate_rank(ranker, evals, dialog=True)
         assert set(out) == {"hits@1", "hits@3", "distinct-1", "distinct-2", "distinct-3", "distinct-4"}
+
+
+# A record of each variant that gives its adapter nothing to learn.
+NOTHING_TO_LEARN = {
+    "ner": lambda ex: dataclasses.replace(ex, tags=["O"] * len(ex.tags)),
+    "et": lambda ex: dataclasses.replace(ex, labels=[]),
+    "oie": lambda ex: dataclasses.replace(ex, triples=[]),
+    "rank": lambda ex: dataclasses.replace(ex, candidates=[ex.candidates[ex.gold]], gold=0),
+}
+
+
+def small_training_set(world, variant):
+    corpus, truth, vocab, _, _ = world
+    return {
+        "ner": lambda: make_ner_data(truth, vocab, 5, n_train=6, n_eval=2),
+        "et": lambda: make_et_data(truth, vocab, 5, n_train=6, n_eval=2),
+        "oie": lambda: make_oie_data(truth, vocab, 5, n_train=6, n_eval=2),
+        "rank": lambda: make_rank_data(corpus, truth, vocab, 5, n_train=4, n_eval=2, n_candidates=4),
+    }[variant]()[0]
+
+
+@pytest.mark.parametrize("case", ["empty", "other-variant", "out-of-vocabulary", "overlong", "nothing-to-learn"])
+@pytest.mark.parametrize("adapt, variant", [
+    (finetune_token_classifier, "ner"), (finetune_entity_typing, "et"), (finetune_span_stage1, "oie"),
+    (finetune_span_stage2, "oie"), (finetune_ranker, "rank"),
+], ids=["ner", "et", "oie1", "oie2", "rank"])
+def test_training_set_rejected_before_the_head_is_drawn(world, monkeypatch, adapt, variant, case):
+    """Every training function checks its set as `hklm finetune` checks its
+    files: an empty set, another variant's records, a token id (of the
+    tokens, or of a ranking candidate) outside the vocabulary, a record too
+    long once the adapter's markers are added, and a set in which no record
+    teaches anything raise FinetuneError before the head is drawn."""
+    _, _, _, cfg, params = world
+    train = small_training_set(world, variant)
+    first = train[0]
+    if variant == "rank":
+        oov = dataclasses.replace(first, candidates=first.candidates[:-1] + [[cfg.vocab_size]])
+    else:
+        oov = dataclasses.replace(first, tokens=first.tokens[:-1] + [cfg.vocab_size])
+    other = small_training_set(world, "et" if variant == "ner" else "ner")
+    short = dataclasses.replace(cfg, max_seq_len=max(len(ex.tokens) for ex in train)
+                                + finetune.FRAME_TOKENS[variant] - 1)
+    records, model_cfg, message = {
+        "empty": ([], cfg, "no examples"),
+        "other-variant": (other, cfg, f"has variant {other[0].variant!r}, not {variant!r}"),
+        "out-of-vocabulary": ([oov] + train[1:], cfg,
+                              f"record {first.example_id!r} has token id {cfg.vocab_size}, outside"),
+        "overlong": (train, short, f"over max_seq_len {short.max_seq_len}"),
+        "nothing-to-learn": ([NOTHING_TO_LEARN[variant](ex) for ex in train], cfg, "nothing to learn"),
+    }[case]
+    real_new_adapter, drawn = finetune._new_adapter, []
+
+    def recording_new_adapter(*args):
+        drawn.append(args[3])
+        return real_new_adapter(*args)
+
+    monkeypatch.setattr(finetune, "_new_adapter", recording_new_adapter)
+    with pytest.raises(FinetuneError, match=re.escape(message)):
+        adapt(params, model_cfg, records, FinetuneConfig(epochs=1, seed=3))
+    assert drawn == []
 
 
 def test_adapters_hold_no_pretraining_heads(world):

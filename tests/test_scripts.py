@@ -29,7 +29,8 @@ def test_weights_digest_prints_one_line_of_digests():
     assert set(blas_env) == set(BLAS_THREAD_ENV) and blas_env["OPENBLAS_NUM_THREADS"] == "1"
     runs = [out.pop(name) for name in ("joint", "joint_accum2", "plain", "half_kg", "noisy_kg", "drop_headings")]
     assert all(set(run) == {"checkpoint", "metrics", "params"} for run in runs)
-    assert set(out) == {f"finetune_{name}" for name in ("ner", "et", "oie1", "oie2", "qa", "dialog")}
+    assert set(out) == ({f"finetune_{name}" for name in ("ner", "et", "oie1", "oie2", "qa", "dialog")}
+                        | {f"score_{task}" for task in ("ner", "et", "oie", "qa", "dialog")})
     digests = list(out.values()) + [digest for run in runs for digest in run.values()]
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest in digests)
 
