@@ -55,11 +55,9 @@ def _header_config(header) -> ModelConfig:
     if not isinstance(obj, dict):
         raise CheckpointError("checkpoint header has no config object")
     try:
-        config = ModelConfig.from_json(obj)
-        config.validate()
+        return ModelConfig.from_json(obj)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad checkpoint config: {exc}") from exc
-    return config
 
 
 def load_checkpoint(path):

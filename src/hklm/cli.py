@@ -102,21 +102,17 @@ def cmd_synth_corpus(args) -> int:
 
 def _train_config(args, mode=None, steps=None) -> TrainConfig:
     """TrainConfig from --config (every field optional, defaults fill the
-    rest) with --seed and any given flag on top, validated."""
-    config = TrainConfig()
+    rest) with --seed and any given flag on top: flags beat the config file,
+    and the config is checked once they have."""
+    values = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                config = TrainConfig.from_json(json.load(fh))
+                values = TrainConfig.json_fields(json.load(fh))
         except ValueError as exc:  # the file's own errors; an OSError names it already
             raise ConfigError(f"{args.config}: {exc}") from exc
-    config.seed = args.seed  # flags beat the config file
-    if mode is not None:
-        config.mode = mode
-    if steps is not None:
-        config.steps = steps
-    config.validate()
-    return config
+    flags = {"seed": args.seed, "mode": mode, "steps": steps}
+    return TrainConfig(**values | {name: value for name, value in flags.items() if value is not None})
 
 
 def _config_inputs(args) -> list:
@@ -186,11 +182,10 @@ def cmd_finetune(args) -> int:
     evals = read_task_data(args.eval)
     for flag, path, records in (("--train", args.train, train), ("--eval", args.eval, evals)):
         try:
-            check_records(records, _TASK_VARIANT[args.task], model_cfg, train=flag == "--train")
+            check_records(records, _TASK_VARIANT[args.task], model_cfg)
         except FinetuneError as exc:
             raise FinetuneError(f"{flag} file {path}: {exc}") from exc
     cfg = FinetuneConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr, seed=args.seed)
-    cfg.validate()
     os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.jsonl")
     inputs = [args.checkpoint, args.train, args.eval]

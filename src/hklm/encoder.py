@@ -44,7 +44,7 @@ class ModelConfig:
     # attention (an anchor binding to its own following triple) is reachable.
     pos_init_scale: float = 0.05
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         sizes = (self.d_model, self.n_heads, self.n_layers, self.ffn_mult, self.max_seq_len)
         if min(sizes) < 1:
             raise ModelError("d_model, n_heads, n_layers, ffn_mult and max_seq_len must be >= 1")
@@ -136,7 +136,6 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     """Gains 1, biases 0, matrices normal (query/key projections at
     attn_init_std) drawn in declaration order. The position table is a
     sinusoid scaled by pos_init_scale."""
-    config.validate()
     rng = np.random.default_rng(seed)
     dt = config.np_dtype
     params: dict[str, np.ndarray] = {}

@@ -55,7 +55,7 @@ class SamplerConfig:
     value_noise: bool = False
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         rates = ("mask_prob", "mask_token_frac", "random_token_frac", "p_neg_tc", "p_neg_tmt",
                  "triple_keep_fraction")
         for name in rates:
@@ -276,7 +276,6 @@ def serialize_pretrain_examples(
     so keep_fraction=1 with no noise is bit-identical to no ablation.
     Corruption draws happen before masking draws, on the same stream.
     """
-    config.validate()
     stats = GenStats()
     predicates = corpus.predicates()
     headings_by_id = {doc.entity_id: doc.headings() for doc in corpus}

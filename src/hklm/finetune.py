@@ -11,9 +11,10 @@ with AdamW, and `_head_logits` scores sequences with the trained head. Each
 adapter then decodes the logits and evaluates with its task's metric bundle:
 token tagging (NER), multi-label typing on [CLS] with [ENT] markers, two-stage
 span extraction for open IE with [REL] markers, and [CLS]-scored candidate
-ranking shared by QA and dialogue. Every training function first passes its
-set to `check_records`, which holds every rule a fine-tuning set must meet;
-`hklm finetune` runs the same check on its --train and --eval files.
+ranking shared by QA and dialogue. Every training and evaluation function
+first passes its set to `check_records`, which holds the rules a set must
+meet beyond those each `TaskExample` checks when built; `hklm finetune` runs
+the same check on its --train and --eval files before it writes anything.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ SCORE_BATCH = 32
 # in the longest sequence it builds: [CLS] and [SEP]; for open IE's stage 2
 # also a [REL] pair; for a ranking query a [SEP] and one candidate token.
 FRAME_TOKENS = {"ner": 2, "et": 2, "oie": 4, "rank": 4}
-# Whether a training record gives the adapter of each variant something to
-# learn, and what a training set lacks when no record does; a ranking record
-# teaches only with a negative candidate beside its gold one.
-_TRAIN_TARGET = {
+# Whether a record gives the adapter of each variant something to learn or
+# score, and what a set lacks when no record does; a ranking record counts
+# only with a negative candidate beside its gold one.
+_TARGET = {
     "ner": (lambda ex: any(tag != "O" for tag in ex.tags), "every tag is O"),
     "et": (lambda ex: ex.labels, "no training record has a label"),
     "oie": (lambda ex: ex.triples, "no training record has a triple"),
@@ -68,7 +69,7 @@ class FinetuneConfig:
     seed: int = 0
     max_seq_len: int = 512
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Reject settings that would train nothing or diverge, naming the
         `hklm finetune` flag that sets each."""
         if self.epochs < 1:
@@ -87,12 +88,12 @@ def _check_fits(tokens: list[int], variant: str, cfg: ModelConfig, what: str) ->
         raise FinetuneError(f"{what} makes a {framed}-token sequence, over max_seq_len {cfg.max_seq_len}")
 
 
-def check_records(records: list[TaskExample], variant: str, cfg: ModelConfig, train: bool = False) -> None:
+def check_records(records: list[TaskExample], variant: str, cfg: ModelConfig) -> None:
     """Reject a set of `variant` records that the model `cfg` cannot read:
     an empty set, a record of another variant, a token id (of the tokens or
     of a ranking candidate) outside the vocabulary, or a record too long once
-    the adapter's FRAME_TOKENS are added; and, for a training set (`train`),
-    one in which no record gives the adapter anything to learn."""
+    the adapter's FRAME_TOKENS are added; and a set, for training or for
+    scoring, in which no record gives the adapter anything to learn or score."""
     if not records:
         raise FinetuneError("no examples")
     for ex in records:
@@ -103,9 +104,9 @@ def check_records(records: list[TaskExample], variant: str, cfg: ModelConfig, tr
         if top >= cfg.vocab_size:
             raise FinetuneError(f"{name} has token id {top}, outside the model's vocabulary of {cfg.vocab_size}")
         _check_fits(ex.tokens, variant, cfg, name)
-    has_target, lacking = _TRAIN_TARGET[variant]
-    if train and not any(map(has_target, records)):
-        raise FinetuneError(f"{lacking}, so the adapter has nothing to learn")
+    has_target, lacking = _TARGET[variant]
+    if not any(map(has_target, records)):
+        raise FinetuneError(f"{lacking}, so the adapter has nothing to learn or score")
 
 
 def _wrap(tokens: list[int]) -> list[int]:
@@ -154,7 +155,6 @@ def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, rows
     respect to the float64 (R, k) logits from `loss_grad(logits, targets,
     batch)`, backpropagates through head and encoder and takes one AdamW step.
     """
-    cfg.validate()
     dt = model_cfg.np_dtype
     state = AdamWState.for_params(params)
     rng = np.random.default_rng(derive_seed(cfg.seed, "finetune-order"))
@@ -259,7 +259,7 @@ def finetune_token_classifier(
     train: list[TaskExample],
     cfg: FinetuneConfig,
 ) -> TokenTagger:
-    check_records(train, "ner", model_cfg, train=True)
+    check_records(train, "ner", model_cfg)
     tagset = build_tagset(train)
     tag_to_id = {t: i for i, t in enumerate(tagset)}
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "ner-head", len(tagset))
@@ -269,6 +269,7 @@ def finetune_token_classifier(
 
 
 def evaluate_ner(tagger: TokenTagger, examples: list[TaskExample]) -> dict:
+    check_records(examples, "ner", tagger.model_config)
     pred = tagger.predict(examples)
     predictions = {ex.example_id: bio_tags_to_spans(p) for ex, p in zip(examples, pred)}
     gold = {ex.example_id: bio_tags_to_spans(ex.tags) for ex in examples}
@@ -309,7 +310,7 @@ def finetune_entity_typing(
     train: list[TaskExample],
     cfg: FinetuneConfig,
 ) -> EntityTyper:
-    check_records(train, "et", model_cfg, train=True)
+    check_records(train, "et", model_cfg)
     label_set = sorted({lab for ex in train for lab in ex.labels})
     lab_to_id = {lab: i for i, lab in enumerate(label_set)}
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "et-head", len(label_set))
@@ -319,6 +320,7 @@ def finetune_entity_typing(
 
 
 def evaluate_et(typer: EntityTyper, examples: list[TaskExample]) -> dict:
+    check_records(examples, "et", typer.model_config)
     pred = typer.predict(examples)
     predictions = {ex.example_id: p for ex, p in zip(examples, pred)}
     gold = {ex.example_id: set(ex.labels) for ex in examples}
@@ -377,7 +379,7 @@ def _span_targets(ex: TaskExample) -> np.ndarray:
 def finetune_span_stage1(
     pretrained_params, model_cfg: ModelConfig, train: list[TaskExample], cfg: FinetuneConfig
 ) -> SpanModel:
-    check_records(train, "oie", model_cfg, train=True)
+    check_records(train, "oie", model_cfg)
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "oie1-head", 2)  # start, end
     items = [(_wrap(ex.tokens), _span_targets(ex)) for ex in train]
     _train_loop(params, model_cfg, items, cfg, _token_rows, _span_loss)
@@ -428,7 +430,7 @@ def _pointer_loss(logits: np.ndarray, targets: list[list[int]], batch: Batch):
 def finetune_span_stage2(
     pretrained_params, model_cfg: ModelConfig, train: list[TaskExample], cfg: FinetuneConfig
 ) -> SpanModel:
-    check_records(train, "oie", model_cfg, train=True)
+    check_records(train, "oie", model_cfg)
     params, _ = _new_adapter(pretrained_params, model_cfg, cfg.seed, "oie2-head", 4)  # ss, se, os, oe
     items = []
     for ex in train:
@@ -467,6 +469,7 @@ def extract_open_triples(stage1: SpanModel, stage2: SpanModel, sentences: list[l
 
 
 def evaluate_oie(stage1: SpanModel, stage2: SpanModel, examples: list[TaskExample]) -> dict:
+    check_records(examples, "oie", stage1.model_config)
     predictions = {}
     gold = {}
     for ex, pred in zip(examples, extract_open_triples(stage1, stage2, [ex.tokens for ex in examples])):
@@ -518,7 +521,7 @@ def finetune_ranker(
     cfg: FinetuneConfig,
 ) -> Ranker:
     """Binary relevance training on gold + sampled-negative pairs per query."""
-    check_records(train, "rank", model_cfg, train=True)
+    check_records(train, "rank", model_cfg)
     params, rng = _new_adapter(pretrained_params, model_cfg, cfg.seed, "rank-head", 2)
     pairs = []
     for ex in train:
@@ -539,6 +542,7 @@ def rank_candidates(ranker: Ranker, query: list[int], candidates: list[list[int]
 
 
 def evaluate_rank(ranker: Ranker, examples: list[TaskExample], dialog: bool = False) -> dict:
+    check_records(examples, "rank", ranker.model_config)
     predictions = {}
     gold = {}
     for ex in examples:

@@ -95,7 +95,7 @@ class TrainConfig:
     triple_keep_fraction: float = SamplerConfig.triple_keep_fraction
     value_noise: bool = SamplerConfig.value_noise
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
@@ -128,8 +128,7 @@ class TrainConfig:
             raise ConfigError(f"an example may serialize at most {MAX_TRIPLES_PER_EXAMPLE} triples;"
                               f" k_max {self.k_max} and triples_per_example {per_example}"
                               f" allow {serialized}")
-        self.model_config(NUM_SPECIAL).validate()
-        self.sampler_config().validate()
+        self.model_config(NUM_SPECIAL), self.sampler_config()  # each checks its own fields when built
         # [CLS] and a separator frame every fragment's text.
         if self.max_fragment_len + 2 > self.max_seq_len:
             raise ConfigError(f"max_fragment_len {self.max_fragment_len} leaves no room in max_seq_len"
@@ -155,6 +154,11 @@ class TrainConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "TrainConfig":
         """Config from a JSON object of field values; every field is optional."""
+        return cls(**cls.json_fields(obj))
+
+    @classmethod
+    def json_fields(cls, obj: dict) -> dict:
+        """`obj` if it is a JSON object of fields, each value of its field's type; else ConfigError."""
         if not isinstance(obj, dict):
             raise ConfigError(f"config must be a JSON object, got {type(obj).__name__}")
         types = {f.name: f.type for f in dataclasses.fields(cls)}
@@ -166,7 +170,7 @@ class TrainConfig:
             # bool is a subclass of int, but true is not a step count.
             if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
                 raise ConfigError(f"config field {name!r} must be {types[name]}, got {json.dumps(value)}")
-        return cls(**obj)
+        return obj
 
 
 
@@ -244,7 +248,7 @@ def epoch_sampler(config: TrainConfig, epoch: int) -> SamplerConfig:
     """
     sampler = config.sampler_config()
     if epoch > 0:
-        sampler.seed = derive_seed(config.seed, "epoch", epoch)
+        sampler = dataclasses.replace(sampler, seed=derive_seed(config.seed, "epoch", epoch))
     return sampler
 
 
@@ -377,7 +381,6 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
     of them, a fixed 32 MiB mmap threshold, holds for the rest of the
     process (see `_freed_heap_retained`).
     """
-    config.validate()
     vocab = build_vocab(corpus, config.vocab_min_freq)
     train_aligned, held_aligned = build_aligned(config, corpus, vocab)
     first_epoch, _ = serialize_pretrain_examples(corpus, train_aligned, vocab, epoch_sampler(config, 0))

@@ -3,6 +3,8 @@
 Every generator splits by entity (seeded), builds sentences only from words
 guaranteed to be in the corpus vocabulary, and records gold labels from the
 side-channel truth, so all five task schemes run without external data.
+A `TaskExample` checks its fields when built, so a record made in Python
+meets the rules a task file's must; `read_task_data` adds unique ids.
 """
 
 from __future__ import annotations
@@ -48,6 +50,44 @@ class TaskExample:
     candidates: list[list[int]] | None = None     # rank: candidate sequences
     gold: int | None = None                       # rank: gold candidate index
 
+    def __post_init__(self) -> None:
+        """Reject a record its variant's adapter cannot read, however it was built."""
+        if not isinstance(self.example_id, str):  # ids key the evaluation's predictions
+            raise TaskError(f"task record id {json.dumps(self.example_id)} is not a string")
+        if self.variant not in tuple(_VARIANT_FIELDS):  # compared, not hashed: JSON may give a list
+            raise TaskError(f"record {self.example_id}: variant {json.dumps(self.variant)} is not ner, et, oie or rank")
+        for seq in [self.tokens, *(self.candidates or ())]:
+            bad = [t for t in seq if type(t) is not int or t < 0]  # JSON true is not token 1
+            if bad:
+                raise TaskError(f"{self.variant} record {self.example_id}: token {json.dumps(bad[0])}"
+                                " is not a nonnegative integer id")
+        if self.variant == "et" and self.tokens.count(ENT_ID) != 2:
+            raise TaskError(f"example {self.example_id}: [ENT] markers must appear as a pair")
+        missing = [key for key in _VARIANT_FIELDS[self.variant] if getattr(self, key) is None]
+        if missing:
+            raise TaskError(f"{self.variant} record {self.example_id} lacks {missing}")
+        if self.variant in ("ner", "et"):  # a string would read as one tag or label per character
+            key = "tags" if self.variant == "ner" else "labels"
+            value = getattr(self, key)
+            if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+                raise TaskError(f"{self.variant} record {self.example_id}: {key} {json.dumps(value)}"
+                                " is not a list of strings")
+        for tag in self.tags if self.variant == "ner" else ():
+            if not is_bio_tag(tag):  # the evaluation reads spans from B-<type> and I-<type>
+                raise TaskError(f"ner record {self.example_id}: tag {json.dumps(tag)} is not O,"
+                                " B-<type> or I-<type>")
+        if self.variant == "ner" and len(self.tags) != len(self.tokens):
+            raise TaskError(f"ner record {self.example_id} has {len(self.tags)} tags for {len(self.tokens)} tokens")
+        if self.variant == "rank" and not (type(self.gold) is int and 0 <= self.gold < len(self.candidates)):
+            raise TaskError(f"rank record {self.example_id}: gold {json.dumps(self.gold)} is not the index of"
+                            f" one of its {len(self.candidates)} candidates")
+        for triple in self.triples if self.variant == "oie" else ():
+            for role in ("subj", "pred", "obj"):
+                span = triple.get(role) if isinstance(triple, dict) else None
+                if not _is_span(span, len(self.tokens)):
+                    raise TaskError(f"oie record {self.example_id}: {role} {json.dumps(span)} is not a span"
+                                    f" [s, e) with 0 <= s < e <= {len(self.tokens)}")
+
     def to_json(self) -> dict:
         obj = {"id": self.example_id, "variant": self.variant, "tokens": self.tokens}
         obj.update((key, getattr(self, key)) for key in _RECORD_FIELDS if getattr(self, key) is not None)
@@ -60,46 +100,8 @@ class TaskExample:
         missing = [key for key in ("id", "variant", "tokens") if key not in obj]
         if missing:
             raise TaskError(f"task record lacks {missing}")
-        if not isinstance(obj["id"], str):  # ids key the evaluation's predictions
-            raise TaskError(f"task record id {json.dumps(obj['id'])} is not a string")
-        ex = cls(
-            example_id=obj["id"],
-            variant=obj["variant"],
-            tokens=list(obj["tokens"]),
-            **{key: obj.get(key) for key in _RECORD_FIELDS},
-        )
-        for seq in [ex.tokens, *(ex.candidates or ())]:
-            bad = [t for t in seq if type(t) is not int or t < 0]  # JSON true is not token 1
-            if bad:
-                raise TaskError(f"{ex.variant} record {ex.example_id}: token {json.dumps(bad[0])}"
-                                " is not a nonnegative integer id")
-        if ex.variant == "et" and ex.tokens.count(ENT_ID) != 2:
-            raise TaskError(f"example {ex.example_id}: [ENT] markers must appear as a pair")
-        missing = [key for key in _VARIANT_FIELDS.get(ex.variant, ()) if obj.get(key) is None]
-        if missing:
-            raise TaskError(f"{ex.variant} record {ex.example_id} lacks {missing}")
-        if ex.variant in ("ner", "et"):  # a string would read as one tag or label per character
-            key = "tags" if ex.variant == "ner" else "labels"
-            value = obj[key]
-            if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
-                raise TaskError(f"{ex.variant} record {ex.example_id}: {key} {json.dumps(value)}"
-                                " is not a list of strings")
-        for tag in ex.tags if ex.variant == "ner" else ():
-            if not is_bio_tag(tag):  # the evaluation reads spans from B-<type> and I-<type>
-                raise TaskError(f"ner record {ex.example_id}: tag {json.dumps(tag)} is not O,"
-                                " B-<type> or I-<type>")
-        if ex.variant == "ner" and len(ex.tags) != len(ex.tokens):
-            raise TaskError(f"ner record {ex.example_id} has {len(ex.tags)} tags for {len(ex.tokens)} tokens")
-        if ex.variant == "rank" and not (type(ex.gold) is int and 0 <= ex.gold < len(ex.candidates)):
-            raise TaskError(f"rank record {ex.example_id}: gold {json.dumps(ex.gold)} is not the index of"
-                            f" one of its {len(ex.candidates)} candidates")
-        for triple in ex.triples if ex.variant == "oie" else ():
-            for role in ("subj", "pred", "obj"):
-                span = triple.get(role) if isinstance(triple, dict) else None
-                if not _is_span(span, len(ex.tokens)):
-                    raise TaskError(f"oie record {ex.example_id}: {role} {json.dumps(span)} is not a span"
-                                    f" [s, e) with 0 <= s < e <= {len(ex.tokens)}")
-        return ex
+        return cls(example_id=obj["id"], variant=obj["variant"], tokens=obj["tokens"],
+                   **{key: obj.get(key) for key in _RECORD_FIELDS})
 
 
 def _is_span(span, n: int) -> bool:

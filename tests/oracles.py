@@ -291,7 +291,6 @@ def init_params(config, seed: int):
     from hklm.encoder import param_names, sinusoidal_table
     from hklm.examples import N_SEGMENTS
 
-    config.validate()
     rng = np.random.default_rng(seed)
     d, v = config.d_model, config.vocab_size
     dt = config.np_dtype
@@ -816,7 +815,6 @@ def generate_pretrain_examples(corpus, aligned, vocab, config, keep_debug=False)
     from hklm.corpus import UNK_ID, derive_seed, tokenize_text
     from hklm.examples import GenStats, PretrainExample
 
-    config.validate()
     stats = GenStats()
 
     predicates = corpus.predicates()

@@ -278,6 +278,18 @@ class TestPretrainFinetune:
         man = json.loads((rundir / "manifest.json").read_text())
         assert man["config"]["steps"] == 2
 
+    def test_flag_settles_a_conflict_in_the_config_file(self, pipeline_dir, tmp_path):
+        """Plain mode with value noise is no config, but --mode hklm over the
+        file's mode makes one: the config is checked once the flags are on."""
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"mode": "plain", "value_noise": True, "d_model": 16, "n_layers": 1,
+                                   "n_heads": 2, "heldout_fraction": 0.15, "batch_size": 8}))
+        rundir = tmp_path / "run"
+        assert run(["pretrain", "--corpus", str(pipeline_dir / "c.jsonl"), "--seed", "1", "--mode", "hklm",
+                    "--steps", "1", "--config", str(cfg), "--out", str(rundir)]) == 0
+        man = json.loads((rundir / "manifest.json").read_text())
+        assert (man["config"]["mode"], man["config"]["value_noise"]) == ("hklm", True)
+
 
 def _assert_one_line_error(code, capsys):
     """Exit 1 with one `error:` line on stderr and nothing on stdout; returns
@@ -378,6 +390,15 @@ class TestMalformedInputs:
                     "--config", str(cfg), "--steps", "-1", "--out", str(tmp_path / "run")])
         err = _assert_one_line_error(code, capsys)
         assert "steps" in err and str(cfg) not in err
+
+    def test_value_out_of_range_in_the_config_file(self, pipeline_dir, tmp_path, capsys):
+        """The file parses as a config, so the error names the value alone."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau": 2}))
+        code = run(["pretrain", "--corpus", str(pipeline_dir / "c.jsonl"), "--seed", "1",
+                    "--config", str(cfg), "--steps", "1", "--out", str(tmp_path / "run")])
+        assert _assert_one_line_error(code, capsys) == "error: tau must be in [0, 1], got 2\n"
+        assert not (tmp_path / "run").exists()
 
     def test_task_sets_of_too_few_entities(self, tmp_path, capsys):
         """One entity goes to the eval split and leaves the training split
@@ -600,6 +621,29 @@ class TestMalformedInputs:
                     "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
         err = _assert_one_line_error(code, capsys)
         assert f"--train file {files['train']}" in err and "nothing to learn" in err
+        assert not (tmp_path / "ft").exists()
+
+    @pytest.mark.parametrize("task, edit", [
+        ("ner", lambda record: record.update(tags=["O"] * len(record["tags"]))),
+        ("et", lambda record: record.update(labels=[])),
+        ("oie", lambda record: record.update(triples=[])),
+        ("qa", lambda record: record.update(candidates=[record["candidates"][record["gold"]]], gold=0)),
+    ], ids=["ner-every-tag-O", "et-no-label", "oie-no-triple", "qa-gold-only"])
+    def test_eval_file_with_nothing_to_score(self, pipeline_dir, checkpoint, tmp_path, capsys, task, edit):
+        """An eval set with no span, label or triple would score 0.0, and one
+        with no candidate besides the gold one a perfect ranking; either is
+        named before fine-tuning."""
+        files = {s: pipeline_dir / "tasks" / f"{task}-{s}.jsonl" for s in ("train", "eval")}
+        records = [json.loads(line) for line in files["eval"].read_text().splitlines()]
+        for record in records:
+            edit(record)
+        files["eval"] = tmp_path / "bad.jsonl"
+        write_jsonl(files["eval"], records)
+        code = run(["finetune", "--checkpoint", str(checkpoint), "--task", task,
+                    "--train", str(files["train"]), "--eval", str(files["eval"]),
+                    "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
+        err = _assert_one_line_error(code, capsys)
+        assert err.startswith(f"error: --eval file {files['eval']}: ") and "nothing to learn or score" in err
         assert not (tmp_path / "ft").exists()
 
     @pytest.mark.parametrize("task, split, markers", [("ner", "eval", 2), ("et", "train", 2),

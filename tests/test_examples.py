@@ -412,7 +412,7 @@ class TestGeneration:
 
     def test_conflicting_flags_rejected(self):
         with pytest.raises(ExampleError):
-            SamplerConfig(drop_triples=True, triple_keep_fraction=0.5).validate()
+            SamplerConfig(drop_triples=True, triple_keep_fraction=0.5)
 
 
 class TestGenerationMatchesReference:

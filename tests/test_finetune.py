@@ -426,6 +426,24 @@ def test_training_set_rejected_before_the_head_is_drawn(world, monkeypatch, adap
     assert drawn == []
 
 
+@pytest.mark.parametrize("variant", ["ner", "et", "oie", "rank"])
+def test_eval_set_with_nothing_to_score_rejected_before_scoring(world, variant):
+    """An evaluation set with no span, label or triple would score 0.0, and
+    one with no candidate besides the gold one a perfect ranking. Each
+    evaluate function refuses it before it scores: the models here hold no
+    weights, so a scoring pass would fail otherwise."""
+    _, _, _, cfg, _ = world
+    evals = [NOTHING_TO_LEARN[variant](ex) for ex in small_training_set(world, variant)]
+    evaluate = {
+        "ner": lambda: evaluate_ner(finetune.TokenTagger({}, cfg, ["O"]), evals),
+        "et": lambda: evaluate_et(EntityTyper({}, cfg, []), evals),
+        "oie": lambda: finetune.evaluate_oie(finetune.SpanModel({}, cfg), finetune.SpanModel({}, cfg), evals),
+        "rank": lambda: evaluate_rank(Ranker({}, cfg), evals),
+    }[variant]
+    with pytest.raises(FinetuneError, match="so the adapter has nothing to learn or score"):
+        evaluate()
+
+
 def test_adapters_hold_no_pretraining_heads(world):
     corpus, truth, vocab, cfg, params = world
     ner, _ = make_ner_data(truth, vocab, 5, n_train=8, n_eval=2)

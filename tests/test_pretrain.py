@@ -45,17 +45,17 @@ def corpus30():
 class TestConfig:
     def test_plain_mode_rejects_kg_degradation(self):
         with pytest.raises(ConfigError):
-            TrainConfig(mode="plain", triple_keep_fraction=0.5).validate()
+            TrainConfig(mode="plain", triple_keep_fraction=0.5)
         with pytest.raises(ConfigError):
-            TrainConfig(mode="plain", value_noise=True).validate()
+            TrainConfig(mode="plain", value_noise=True)
 
     def test_conflicting_ablations_rejected(self):
         with pytest.raises(Exception):
-            TrainConfig(mode="hklm", drop_triples=True, triple_keep_fraction=0.5).validate()
+            TrainConfig(mode="hklm", drop_triples=True, triple_keep_fraction=0.5)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
-            TrainConfig(mode="bert").validate()
+            TrainConfig(mode="bert")
 
     def test_json_roundtrip(self):
         cfg = small_cfg(lam=0.5, value_noise=True)
@@ -65,7 +65,6 @@ class TestConfig:
     def test_int_accepted_for_float_and_optional_int(self):
         cfg = TrainConfig.from_json({"peak_lr": 1, "lam": 2, "triples_per_example": 3})
         assert (cfg.peak_lr, cfg.lam, cfg.triples_per_example) == (1, 2, 3)
-        cfg.validate()
         assert TrainConfig.from_json({"triples_per_example": None}).triples_per_example is None
 
     def test_unknown_field_rejected(self):
@@ -84,8 +83,8 @@ class TestConfig:
         assert TrainConfig().sampler_config() == SamplerConfig()
 
     def test_triples_serialized_per_example_bound_the_retrieval_cap(self):
-        TrainConfig(k_max=12, triples_per_example=8).validate()
-        TrainConfig(k_max=8, triples_per_example=12).validate()
+        TrainConfig(k_max=12, triples_per_example=8)
+        TrainConfig(k_max=8, triples_per_example=12)
 
     def test_default_peak_lr_keeps_the_bits_of_its_product(self):
         # The rate the retired lr * lr_scale gave, not the float nearest 3e-4.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -15,6 +16,8 @@ from hklm.corpus import (
     generate_synthetic_corpus,
     write_jsonl,
 )
+from hklm.encoder import ModelConfig
+from hklm.finetune import FinetuneError, check_records
 from hklm.metrics import bio_tags_to_spans, is_valid_bio
 from hklm.tasks import (
     _EVAL_FRACTION,
@@ -296,3 +299,90 @@ class TestIO:
     def test_oie_triple_must_be_an_object(self):
         with pytest.raises(TaskError, match="subj"):
             TaskExample.from_json({"id": "x", "variant": "oie", "tokens": [20], "triples": [[0, 1]]})
+
+
+# A valid record of each variant.
+VALID_RECORDS = {
+    "ner": {"id": "r1", "variant": "ner", "tokens": [20, 21], "tags": ["B-x", "I-x"]},
+    "et": {"id": "r1", "variant": "et", "tokens": [20, ENT_ID, 21, ENT_ID], "labels": ["a"]},
+    "oie": {"id": "r1", "variant": "oie", "tokens": [20, 21, 22],
+            "triples": [{"subj": [0, 1], "pred": [1, 2], "obj": [2, 3]}]},
+    "rank": {"id": "r1", "variant": "rank", "tokens": [20], "candidates": [[21], [22]], "gold": 1},
+}
+# Each record rule, broken by one edit of a valid record: (case, variant,
+# edit, the error message it gives).
+RULE_BREAKS = [
+    ("id-not-a-string", "ner", {"id": 7}, "task record id 7 is not a string"),
+    ("unknown-variant", "ner", {"variant": "foo"}, 'record r1: variant "foo" is not ner, et, oie or rank'),
+    ("negative-token", "ner", {"tokens": [20, -1]}, "ner record r1: token -1 is not a nonnegative integer id"),
+    ("boolean-token", "et", {"tokens": [True, ENT_ID, 21, ENT_ID]},
+     "et record r1: token true is not a nonnegative integer id"),
+    ("float-token-in-a-candidate", "rank", {"candidates": [[21], [22.0]]},
+     "rank record r1: token 22.0 is not a nonnegative integer id"),
+    ("et-without-an-ent-pair", "et", {"tokens": [20, ENT_ID, 21]}, "example r1: [ENT] markers must appear as a pair"),
+    ("ner-without-tags", "ner", {"tags": None}, "ner record r1 lacks ['tags']"),
+    ("et-without-labels", "et", {"labels": None}, "et record r1 lacks ['labels']"),
+    ("oie-without-triples", "oie", {"triples": None}, "oie record r1 lacks ['triples']"),
+    ("rank-without-gold", "rank", {"gold": None}, "rank record r1 lacks ['gold']"),
+    ("tags-a-string", "ner", {"tags": "OO"}, 'ner record r1: tags "OO" is not a list of strings'),
+    ("label-not-a-string", "et", {"labels": [1]}, "et record r1: labels [1] is not a list of strings"),
+    ("tag-outside-bio", "ner", {"tags": ["O", "building"]},
+     'ner record r1: tag "building" is not O, B-<type> or I-<type>'),
+    ("fewer-tags-than-tokens", "ner", {"tags": ["B-x"]}, "ner record r1 has 1 tags for 2 tokens"),
+    ("gold-past-the-candidates", "rank", {"gold": 2},
+     "rank record r1: gold 2 is not the index of one of its 2 candidates"),
+    ("boolean-gold", "rank", {"gold": True}, "rank record r1: gold true is not the index of one of its 2 candidates"),
+    ("span-past-the-tokens", "oie", {"triples": [{"subj": [0, 1], "pred": [1, 2], "obj": [2, 4]}]},
+     "oie record r1: obj [2, 4] is not a span [s, e) with 0 <= s < e <= 3"),
+    ("triple-not-an-object", "oie", {"triples": [[0, 1]]},
+     "oie record r1: subj null is not a span [s, e) with 0 <= s < e <= 3"),
+]
+
+
+def _record_fields(obj: dict) -> dict:
+    """TaskExample keyword arguments of a record's JSON keys."""
+    return {("example_id" if key == "id" else key): value for key, value in obj.items()}
+
+
+class TestRecordRules:
+    @pytest.mark.parametrize("variant", sorted(VALID_RECORDS))
+    def test_valid_record_builds_alike_from_json_and_in_python(self, variant):
+        record = VALID_RECORDS[variant]
+        assert TaskExample.from_json(record) == TaskExample(**_record_fields(record))
+
+    @pytest.mark.parametrize("variant, edit, message", [case[1:] for case in RULE_BREAKS],
+                             ids=[case[0] for case in RULE_BREAKS])
+    def test_rule_holds_however_the_record_is_built(self, variant, edit, message):
+        """A record read from JSON, built with the constructor or edited
+        with dataclasses.replace meets each rule with the same message."""
+        record = VALID_RECORDS[variant] | edit
+        valid = TaskExample(**_record_fields(VALID_RECORDS[variant]))
+        builds = {
+            "from_json": lambda: TaskExample.from_json(record),
+            "constructor": lambda: TaskExample(**_record_fields(record)),
+            "replace": lambda: dataclasses.replace(valid, **_record_fields(edit)),
+        }
+        for how, build in builds.items():
+            with pytest.raises(TaskError) as caught:
+                build()
+            assert str(caught.value) == message, how
+
+    def test_check_records_of_an_unknown_variant(self):
+        """No record can hold an unknown variant, so none reaches
+        check_records' per-variant table, and a set checked against one
+        fails on its first record's variant."""
+        record = TaskExample(**_record_fields(VALID_RECORDS["ner"]))
+        cfg = ModelConfig(vocab_size=40, max_seq_len=16)
+        with pytest.raises(TaskError, match='variant "foo" is not'):
+            check_records([dataclasses.replace(record, variant="foo")], "foo", cfg)
+        with pytest.raises(FinetuneError, match="record 'r1' has variant 'ner', not 'foo'"):
+            check_records([record], "foo", cfg)
+
+    def test_generated_records_round_trip_through_json(self, world):
+        corpus, truth, vocab = world
+        pool = RankPool(corpus, vocab)
+        sets = [make_ner_data(truth, vocab, 3), make_et_data(truth, vocab, 3), make_oie_data(truth, vocab, 3),
+                make_rank_data(pool, truth, vocab, 3), make_rank_data(pool, truth, vocab, 3, dialog=True)]
+        for train, evals in sets:
+            for ex in train + evals:
+                assert TaskExample.from_json(json.loads(json.dumps(ex.to_json()))) == ex
