@@ -21,31 +21,11 @@ from .align import aligned_to_json
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import build_vocab, generate_synthetic_corpus, load_corpus, write_jsonl
 from .examples import generate_pretrain_examples, write_examples
-from .finetune import (
-    FinetuneConfig,
-    FinetuneError,
-    check_records,
-    evaluate_et,
-    evaluate_ner,
-    evaluate_oie,
-    evaluate_rank,
-    finetune_entity_typing,
-    finetune_ranker,
-    finetune_span_stage1,
-    finetune_span_stage2,
-    finetune_token_classifier,
-)
+from .finetune import TASKS, FinetuneConfig, FinetuneError, check_records
 from .manifest import manifest_path_for, write_manifest
 from .optim import DivergenceError
 from .pretrain import ConfigError, TrainConfig, build_aligned, epoch_sampler, run_pretraining
-from .tasks import (
-    RankPool,
-    make_et_data,
-    make_ner_data,
-    make_oie_data,
-    make_rank_data,
-    read_task_data,
-)
+from .tasks import make_task_sets, read_task_data
 
 # Every error class of the package, and json.JSONDecodeError, is a ValueError.
 USER_ERRORS = (OSError, ValueError)
@@ -61,11 +41,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-# The task-record variant each task set holds and each --task trains and
-# scores on.
-_TASK_VARIANT = {"ner": "ner", "et": "et", "oie": "oie", "qa": "rank", "dialog": "rank"}
-
-
 def cmd_synth_corpus(args) -> int:
     corpus, truth = generate_synthetic_corpus(args.seed, args.entities)
     truth_path = args.out.rsplit(".jsonl", 1)[0] + ".truth.jsonl" if args.out.endswith(".jsonl") else args.out + ".truth.jsonl"
@@ -74,18 +49,10 @@ def cmd_synth_corpus(args) -> int:
     # so that an error in them leaves no output behind, and its two paths.
     sets, task_paths = {}, {}
     if args.tasks_out:
-        vocab = build_vocab(corpus, 1)
-        pool = RankPool(corpus, vocab)
-        sets = {
-            "ner": make_ner_data(truth, vocab, args.seed),
-            "et": make_et_data(truth, vocab, args.seed),
-            "oie": make_oie_data(truth, vocab, args.seed),
-            "qa": make_rank_data(pool, truth, vocab, args.seed),
-            "dialog": make_rank_data(pool, truth, vocab, args.seed, dialog=True),
-        }
+        sets = make_task_sets(corpus, truth, build_vocab(corpus, 1), args.seed)
         os.makedirs(args.tasks_out, exist_ok=True)
         task_paths = {task: [os.path.join(args.tasks_out, f"{task}-{split}.jsonl") for split in ("train", "eval")]
-                      for task in _TASK_VARIANT}
+                      for task in sets}
         outputs += [path for pair in task_paths.values() for path in pair]
     write_manifest(
         manifest_path_for(args.out), "synth-corpus",
@@ -178,11 +145,12 @@ def cmd_pretrain(args) -> int:
 
 def cmd_finetune(args) -> int:
     params, model_cfg, vocab_hash, _opt = load_checkpoint(args.checkpoint)
+    task = TASKS[args.task]
     train = read_task_data(args.train)
     evals = read_task_data(args.eval)
     for flag, path, records in (("--train", args.train, train), ("--eval", args.eval, evals)):
         try:
-            check_records(records, _TASK_VARIANT[args.task], model_cfg)
+            check_records(records, task.variant, model_cfg)
         except FinetuneError as exc:
             raise FinetuneError(f"{flag} file {path}: {exc}") from exc
     cfg = FinetuneConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr, seed=args.seed)
@@ -195,20 +163,7 @@ def cmd_finetune(args) -> int:
         inputs, [metrics_path], seed=args.seed, extra={"vocab_hash": vocab_hash},
     )
 
-    if args.task == "ner":
-        model = finetune_token_classifier(params, model_cfg, train, cfg)
-        metrics = evaluate_ner(model, evals)
-    elif args.task == "et":
-        model = finetune_entity_typing(params, model_cfg, train, cfg)
-        metrics = evaluate_et(model, evals)
-    elif args.task == "oie":
-        stage1 = finetune_span_stage1(params, model_cfg, train, cfg)
-        stage2 = finetune_span_stage2(params, model_cfg, train, cfg)
-        metrics = evaluate_oie(stage1, stage2, evals)
-    else:  # qa, dialog
-        model = finetune_ranker(params, model_cfg, train, cfg)
-        metrics = evaluate_rank(model, evals, dialog=args.task == "dialog")
-
+    metrics = task.evaluate(*(fn(params, model_cfg, train, cfg) for fn in task.train), evals)
     line = json.dumps({"task": args.task, **metrics})
     print(line)
     with open(metrics_path, "a", encoding="utf-8") as fh:
@@ -253,7 +208,7 @@ def build_parser() -> _Parser:
 
     ft = sub.add_parser("finetune", help="fine-tune a task adapter and score it on --eval")
     ft.add_argument("--checkpoint", required=True)
-    ft.add_argument("--task", choices=tuple(_TASK_VARIANT), required=True)
+    ft.add_argument("--task", choices=tuple(TASKS), required=True)
     ft.add_argument("--train", required=True)
     ft.add_argument("--eval", required=True)
     ft.add_argument("--out", required=True)

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -50,10 +52,9 @@ FRAME_TOKENS = {"ner": 2, "et": 2, "oie": 4, "rank": 4}
 # only with a negative candidate beside its gold one.
 _TARGET = {
     "ner": (lambda ex: any(tag != "O" for tag in ex.tags), "every tag is O"),
-    "et": (lambda ex: ex.labels, "no training record has a label"),
-    "oie": (lambda ex: ex.triples, "no training record has a triple"),
-    "rank": (lambda ex: len(ex.candidates) > 1,
-             "no training record has a candidate besides its gold one (no negative pair)"),
+    "et": (lambda ex: ex.labels, "no record has a label"),
+    "oie": (lambda ex: ex.triples, "no record has a triple"),
+    "rank": (lambda ex: len(ex.candidates) > 1, "no record has a candidate besides its gold one (no negative pair)"),
 }
 
 
@@ -553,3 +554,23 @@ def evaluate_rank(ranker: Ranker, examples: list[TaskExample], dialog: bool = Fa
             predictions[ex.example_id] = ranking
         gold[ex.example_id] = {ex.gold}
     return compute_task_metrics("dialog" if dialog else "qa", predictions, gold)
+
+
+@dataclass(frozen=True)
+class Task:
+    """One `hklm finetune --task`: the record `variant` its files hold, its
+    adapter functions in training order, and the evaluation that takes the
+    trained adapters and the eval records."""
+
+    variant: str
+    train: tuple[Callable, ...]
+    evaluate: Callable
+
+
+TASKS = {
+    "ner": Task("ner", (finetune_token_classifier,), evaluate_ner),
+    "et": Task("et", (finetune_entity_typing,), evaluate_et),
+    "oie": Task("oie", (finetune_span_stage1, finetune_span_stage2), evaluate_oie),
+    "qa": Task("rank", (finetune_ranker,), evaluate_rank),
+    "dialog": Task("rank", (finetune_ranker,), partial(evaluate_rank, dialog=True)),
+}

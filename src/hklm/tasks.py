@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,6 +38,9 @@ class TaskError(ValueError):
 _VARIANT_FIELDS = {"ner": ("tags",), "et": ("labels",), "oie": ("triples",), "rank": ("candidates", "gold")}
 # Every variant's fields, in the order a record's JSON object holds them.
 _RECORD_FIELDS = tuple(key for keys in _VARIANT_FIELDS.values() for key in keys)
+# A value in an error message, as JSON; a value JSON cannot hold, such as a
+# numpy integer or a set, by its repr.
+_show = partial(json.dumps, default=repr)
 
 
 @dataclass
@@ -53,39 +57,42 @@ class TaskExample:
     def __post_init__(self) -> None:
         """Reject a record its variant's adapter cannot read, however it was built."""
         if not isinstance(self.example_id, str):  # ids key the evaluation's predictions
-            raise TaskError(f"task record id {json.dumps(self.example_id)} is not a string")
+            raise TaskError(f"task record id {_show(self.example_id)} is not a string")
         if self.variant not in tuple(_VARIANT_FIELDS):  # compared, not hashed: JSON may give a list
-            raise TaskError(f"record {self.example_id}: variant {json.dumps(self.variant)} is not ner, et, oie or rank")
-        for seq in [self.tokens, *(self.candidates or ())]:
+            raise TaskError(f"record {self.example_id}: variant {_show(self.variant)} is not ner, et, oie or rank")
+        name = f"{self.variant} record {self.example_id}"
+        for key, value in (("triples", self.triples), ("candidates", self.candidates)):
+            if value is not None and not isinstance(value, list):  # iterated below, as are tokens and candidates
+                raise TaskError(f"{name}: {key} {_show(value)} is not a list (type {type(value).__name__})")
+        for key, seq in [("tokens", self.tokens), *(("candidate", c) for c in self.candidates or ())]:
+            if not isinstance(seq, list):
+                raise TaskError(f"{name}: {key} {_show(seq)} is not a list (type {type(seq).__name__})")
             bad = [t for t in seq if type(t) is not int or t < 0]  # JSON true is not token 1
             if bad:
-                raise TaskError(f"{self.variant} record {self.example_id}: token {json.dumps(bad[0])}"
-                                " is not a nonnegative integer id")
+                raise TaskError(f"{name}: token {_show(bad[0])} is not a nonnegative integer id")
         if self.variant == "et" and self.tokens.count(ENT_ID) != 2:
             raise TaskError(f"example {self.example_id}: [ENT] markers must appear as a pair")
         missing = [key for key in _VARIANT_FIELDS[self.variant] if getattr(self, key) is None]
         if missing:
-            raise TaskError(f"{self.variant} record {self.example_id} lacks {missing}")
+            raise TaskError(f"{name} lacks {missing}")
         if self.variant in ("ner", "et"):  # a string would read as one tag or label per character
             key = "tags" if self.variant == "ner" else "labels"
             value = getattr(self, key)
             if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
-                raise TaskError(f"{self.variant} record {self.example_id}: {key} {json.dumps(value)}"
-                                " is not a list of strings")
+                raise TaskError(f"{name}: {key} {_show(value)} is not a list of strings")
         for tag in self.tags if self.variant == "ner" else ():
             if not is_bio_tag(tag):  # the evaluation reads spans from B-<type> and I-<type>
-                raise TaskError(f"ner record {self.example_id}: tag {json.dumps(tag)} is not O,"
-                                " B-<type> or I-<type>")
+                raise TaskError(f"{name}: tag {_show(tag)} is not O, B-<type> or I-<type>")
         if self.variant == "ner" and len(self.tags) != len(self.tokens):
-            raise TaskError(f"ner record {self.example_id} has {len(self.tags)} tags for {len(self.tokens)} tokens")
+            raise TaskError(f"{name} has {len(self.tags)} tags for {len(self.tokens)} tokens")
         if self.variant == "rank" and not (type(self.gold) is int and 0 <= self.gold < len(self.candidates)):
-            raise TaskError(f"rank record {self.example_id}: gold {json.dumps(self.gold)} is not the index of"
+            raise TaskError(f"{name}: gold {_show(self.gold)} is not the index of"
                             f" one of its {len(self.candidates)} candidates")
         for triple in self.triples if self.variant == "oie" else ():
             for role in ("subj", "pred", "obj"):
                 span = triple.get(role) if isinstance(triple, dict) else None
                 if not _is_span(span, len(self.tokens)):
-                    raise TaskError(f"oie record {self.example_id}: {role} {json.dumps(span)} is not a span"
+                    raise TaskError(f"{name}: {role} {_show(span)} is not a span"
                                     f" [s, e) with 0 <= s < e <= {len(self.tokens)}")
 
     def to_json(self) -> dict:
@@ -411,3 +418,16 @@ def make_rank_data(
 
     return _task_sets(truth, seed, "rank", "dlg" if dialog else "qa", n_train, n_eval, example,
                       dialog, keep=lambda rec: sentences.get(rec["entity_id"]))
+
+
+def make_task_sets(corpus: Corpus, truth: list[dict], vocab: Vocab, seed: int) -> dict:
+    """Task -> its (train, eval) sets, for all five tasks at their default
+    sizes; QA and dialogue draw from one `RankPool`."""
+    pool = RankPool(corpus, vocab)
+    return {
+        "ner": make_ner_data(truth, vocab, seed),
+        "et": make_et_data(truth, vocab, seed),
+        "oie": make_oie_data(truth, vocab, seed),
+        "qa": make_rank_data(pool, truth, vocab, seed),
+        "dialog": make_rank_data(pool, truth, vocab, seed, dialog=True),
+    }

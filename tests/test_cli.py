@@ -35,6 +35,18 @@ def _prep_flags(root):
     return ["--corpus", str(root / "c.jsonl"), "--seed", "42", "--config", str(root / "train.json")]
 
 
+@pytest.fixture(scope="module")
+def checkpoint(pipeline_dir, tmp_path_factory):
+    """A one-step pretraining checkpoint of a tiny model over the pipeline's corpus."""
+    rundir = tmp_path_factory.mktemp("tiny-run")
+    cfg = rundir / "cfg.json"
+    cfg.write_text(json.dumps({"d_model": 16, "n_layers": 1, "n_heads": 2,
+                               "heldout_fraction": 0.15, "batch_size": 8}))
+    assert run(["pretrain", "--corpus", str(pipeline_dir / "c.jsonl"), "--seed", "1",
+                "--steps", "1", "--config", str(cfg), "--out", str(rundir)]) == 0
+    return rundir / "model.ckpt"
+
+
 class TestSynthCorpus:
     def test_writes_corpus_truth_manifest(self, pipeline_dir):
         assert (pipeline_dir / "c.jsonl").exists()
@@ -253,6 +265,24 @@ class TestPretrainFinetune:
         assert code == 0
         assert json.loads((ft2 / "metrics.jsonl").read_text().splitlines()[-1]) == rec
 
+    # The metric key each --task's evaluation reports, and no other of these.
+    METRIC_KEYS = {"et": "micro_f1", "oie": "f1", "qa": "map", "dialog": "hits@1"}
+
+    @pytest.mark.parametrize("task", sorted(METRIC_KEYS))
+    def test_every_task_end_to_end(self, pipeline_dir, checkpoint, tmp_path, task):
+        """Each --task trains its adapters on its `synth-corpus --tasks-out`
+        files and writes its own metrics."""
+        ft = tmp_path / "ft"
+        code = run(["finetune", "--checkpoint", str(checkpoint), "--task", task,
+                    "--train", str(pipeline_dir / "tasks" / f"{task}-train.jsonl"),
+                    "--eval", str(pipeline_dir / "tasks" / f"{task}-eval.jsonl"),
+                    "--out", str(ft), "--seed", "3", "--epochs", "1"])
+        assert code == 0
+        [line] = (ft / "metrics.jsonl").read_text().splitlines()
+        rec = json.loads(line)
+        assert rec["task"] == task
+        assert {key for key in self.METRIC_KEYS.values() if key in rec} == {self.METRIC_KEYS[task]}
+
     def _cfg(self, tmp_path):
         p = tmp_path / "train.json"
         p.write_text(json.dumps({"d_model": 32, "n_layers": 1, "n_heads": 2,
@@ -409,16 +439,6 @@ class TestMalformedInputs:
         assert "ner task" in err and "training split" in err
         for name in ("c.jsonl", "c.truth.jsonl", "c.jsonl.manifest.json", "tasks"):
             assert not (tmp_path / name).exists(), name
-
-    @pytest.fixture(scope="class")
-    def checkpoint(self, pipeline_dir, tmp_path_factory):
-        rundir = tmp_path_factory.mktemp("tiny-run")
-        cfg = rundir / "cfg.json"
-        cfg.write_text(json.dumps({"d_model": 16, "n_layers": 1, "n_heads": 2,
-                                   "heldout_fraction": 0.15, "batch_size": 8}))
-        assert run(["pretrain", "--corpus", str(pipeline_dir / "c.jsonl"), "--seed", "1",
-                    "--steps", "1", "--config", str(cfg), "--out", str(rundir)]) == 0
-        return rundir / "model.ckpt"
 
     @pytest.mark.parametrize("empty", ["train", "eval"])
     @pytest.mark.parametrize("task", ["ner", "et", "oie", "qa", "dialog"])
@@ -643,7 +663,9 @@ class TestMalformedInputs:
                     "--train", str(files["train"]), "--eval", str(files["eval"]),
                     "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
         err = _assert_one_line_error(code, capsys)
-        assert err.startswith(f"error: --eval file {files['eval']}: ") and "nothing to learn or score" in err
+        prefix = f"error: --eval file {files['eval']}: "
+        assert err.startswith(prefix) and "nothing to learn or score" in err
+        assert "training" not in err[len(prefix):]  # the rule holds for every set
         assert not (tmp_path / "ft").exists()
 
     @pytest.mark.parametrize("task, split, markers", [("ner", "eval", 2), ("et", "train", 2),

@@ -354,7 +354,7 @@ class TestAdapters:
         unlabeled = [dataclasses.replace(ex, labels=[]) for ex in train]
         drawn = []
         monkeypatch.setattr(finetune, "_new_adapter", lambda *args: drawn.append(args))
-        with pytest.raises(FinetuneError, match="no training record has a label"):
+        with pytest.raises(FinetuneError, match="no record has a label"):
             finetune_entity_typing(params, cfg, unlabeled, FinetuneConfig(epochs=1, seed=3))
         assert drawn == []
 

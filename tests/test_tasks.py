@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
 from hklm.corpus import (
@@ -29,6 +30,7 @@ from hklm.tasks import (
     make_ner_data,
     make_oie_data,
     make_rank_data,
+    make_task_sets,
     read_task_data,
 )
 import oracles
@@ -336,6 +338,18 @@ RULE_BREAKS = [
      "oie record r1: obj [2, 4] is not a span [s, e) with 0 <= s < e <= 3"),
     ("triple-not-an-object", "oie", {"triples": [[0, 1]]},
      "oie record r1: subj null is not a span [s, e) with 0 <= s < e <= 3"),
+    # Values that a record built in Python may hold and JSON cannot: each is
+    # named by its repr.
+    ("numpy-token", "ner", {"tokens": [20, np.int64(21)]},
+     f"ner record r1: token {json.dumps(repr(np.int64(21)))} is not a nonnegative integer id"),
+    ("numpy-gold", "rank", {"gold": np.int64(1)},
+     f"rank record r1: gold {json.dumps(repr(np.int64(1)))} is not the index of one of its 2 candidates"),
+    ("tags-a-set", "ner", {"tags": {"B-x"}}, """ner record r1: tags "{'B-x'}" is not a list of strings"""),
+    ("tokens-not-a-list", "ner", {"tokens": 5}, "ner record r1: tokens 5 is not a list (type int)"),
+    ("triples-not-a-list", "oie", {"triples": 5}, "oie record r1: triples 5 is not a list (type int)"),
+    ("candidates-not-a-list", "rank", {"candidates": 5}, "rank record r1: candidates 5 is not a list (type int)"),
+    ("tokens-a-tuple", "ner", {"tokens": (20, 21)}, "ner record r1: tokens [20, 21] is not a list (type tuple)"),
+    ("candidate-not-a-list", "rank", {"candidates": [[21], 5]}, "rank record r1: candidate 5 is not a list (type int)"),
 ]
 
 
@@ -379,10 +393,6 @@ class TestRecordRules:
             check_records([record], "foo", cfg)
 
     def test_generated_records_round_trip_through_json(self, world):
-        corpus, truth, vocab = world
-        pool = RankPool(corpus, vocab)
-        sets = [make_ner_data(truth, vocab, 3), make_et_data(truth, vocab, 3), make_oie_data(truth, vocab, 3),
-                make_rank_data(pool, truth, vocab, 3), make_rank_data(pool, truth, vocab, 3, dialog=True)]
-        for train, evals in sets:
+        for train, evals in make_task_sets(*world, 3).values():
             for ex in train + evals:
                 assert TaskExample.from_json(json.loads(json.dumps(ex.to_json()))) == ex
