@@ -3,7 +3,7 @@
 
 Runs a few joint pretraining steps on the seed-7, 200-entity synthetic corpus
 at the trend-study shape (d=128, 4 layers, 4 heads, batch 32, one triple per
-example) and prints one JSON line per training micro-batch:
+example) and prints one JSON line per training step:
 
 - `batch`: its shape, batch × tokens;
 - `rows` and `row_fraction`: R, the distinct token rows the MLM, TC and TMT

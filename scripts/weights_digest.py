@@ -2,18 +2,20 @@
 """SHA-256 of every weight set a small seeded pretraining and fine-tuning run
 produces, and of what the fine-tuned adapters score, as one JSON line.
 
-On the seed-3, 30-entity synthetic corpus it pretrains six times at d=32,
+On the seed-3, 30-entity synthetic corpus it pretrains five times at d=32,
 2 layers, 30 steps of 16 examples (past an epoch boundary): joint (hklm)
-mode at `grad_accum` 1 and 2, plain mode, and three KG-degraded joint arms
-(half the retrieved triples kept, objects noised, headings dropped). Each
-run's checkpoint file (header and tensors), its `metrics.jsonl` and its
-trained tensors alone (`params`, hashed like the adapters below) are hashed:
-a change to the checkpoint header alone moves `checkpoint` but not `params`.
-From the first joint run it then fine-tunes every adapter for one
-epoch (NER, entity typing, both open-IE stages, QA and dialogue ranking) and
-hashes each adapter's tensors in order (`finetune_<adapter>`). It then scores
-each task's eval split and hashes what the adapters predict (tags, label
-sets, triples or candidate scores) with the metric dict (`score_<task>`).
+mode, plain mode, and three KG-degraded joint arms (half the retrieved
+triples kept, objects noised, headings dropped). Each run's checkpoint file
+(header and tensors), its `metrics.jsonl` and its trained tensors alone
+(`params`, hashed like the adapters below) are hashed: a change to the
+checkpoint header alone moves `checkpoint` but not `params`.
+From the joint run it then fine-tunes every adapter of each task in
+`finetune.TASKS` for one epoch (NER, entity typing, both open-IE stages, QA
+and dialogue ranking) and hashes each adapter's tensors in order
+(`finetune_<task>`, or `finetune_oie1` and `finetune_oie2` for open IE's two
+stages). It then scores each task's eval split and hashes what the adapters
+predict (tags, label sets, triples or candidate scores) with the metric dict
+(`score_<task>`).
 The BLAS thread variables are printed beside the digests: a multithreaded
 BLAS may sum GEMMs in another order, so compare lines taken under the same
 settings. Two versions of the code that print the same line train the same
@@ -39,11 +41,24 @@ SEED = 3
 ENTITIES = 30
 PRETRAIN = {
     "joint": dict(mode="hklm"),
-    "joint_accum2": dict(mode="hklm", grad_accum=2),
     "plain": dict(mode="plain"),
     "half_kg": dict(mode="hklm", triple_keep_fraction=0.5),
     "noisy_kg": dict(mode="hklm", value_noise=True),
     "drop_headings": dict(mode="hklm", drop_headings=True),
+}
+
+
+def rank_scores(ranker, examples) -> list[list[float]]:
+    return [ranker.score(ex.tokens, ex.candidates) for ex in examples]
+
+
+# task -> what its trained adapters predict on an eval split
+PREDICT = {
+    "ner": lambda ner, ev: ner.predict(ev),
+    "et": lambda et, ev: [sorted(labels) for labels in et.predict(ev)],
+    "oie": lambda stage1, stage2, ev: finetune.extract_open_triples(stage1, stage2, [ex.tokens for ex in ev]),
+    "qa": rank_scores,
+    "dialog": rank_scores,
 }
 
 
@@ -62,7 +77,6 @@ def sha256_json(obj) -> str:
 def main():
     corpus, truth = generate_synthetic_corpus(SEED, ENTITIES)
     out = {"blas_env": {k: os.environ.get(k) for k in BLAS_THREAD_ENV}}
-    joint = None
     with tempfile.TemporaryDirectory() as tmp:
         for name, kw in PRETRAIN.items():
             cfg = TrainConfig(steps=30, eval_every=10, batch_size=16, max_fragment_len=48,
@@ -74,7 +88,8 @@ def main():
             write_jsonl(metrics, (rec.to_json() for rec in res.metrics))
             out[name] = {"checkpoint": sha256_file(ckpt), "metrics": sha256_file(metrics),
                          "params": sha256_params(res.params)}
-            joint = joint or res
+            if name == "joint":
+                joint = res
 
     vocab, sub_corpus, sub_truth = joint.vocab, Corpus(documents=corpus.documents[:10]), truth[:10]
     sets = {  # task -> (train, eval)
@@ -87,33 +102,12 @@ def main():
                                        n_candidates=6, dialog=True),
     }
     ft = finetune.FinetuneConfig(epochs=1, batch_size=4, seed=SEED)
-    adapters = {
-        "ner": (finetune.finetune_token_classifier, "ner"),
-        "et": (finetune.finetune_entity_typing, "et"),
-        "oie1": (finetune.finetune_span_stage1, "oie"),
-        "oie2": (finetune.finetune_span_stage2, "oie"),
-        "qa": (finetune.finetune_ranker, "qa"),
-        "dialog": (finetune.finetune_ranker, "dialog"),
-    }
-    models = {}
-    for name, (adapt, task) in adapters.items():
-        models[name] = adapt(joint.params, joint.model_config, sets[task][0], ft)
-        out["finetune_" + name] = sha256_params(models[name].params)
-
-    # task -> (its predictions, its metric dict) on the eval split
-    scorers = {
-        "ner": lambda ev: (models["ner"].predict(ev), finetune.evaluate_ner(models["ner"], ev)),
-        "et": lambda ev: ([sorted(labels) for labels in models["et"].predict(ev)],
-                          finetune.evaluate_et(models["et"], ev)),
-        "oie": lambda ev: (finetune.extract_open_triples(models["oie1"], models["oie2"], [ex.tokens for ex in ev]),
-                           finetune.evaluate_oie(models["oie1"], models["oie2"], ev)),
-        "qa": lambda ev: ([models["qa"].score(ex.tokens, ex.candidates) for ex in ev],
-                          finetune.evaluate_rank(models["qa"], ev)),
-        "dialog": lambda ev: ([models["dialog"].score(ex.tokens, ex.candidates) for ex in ev],
-                              finetune.evaluate_rank(models["dialog"], ev, dialog=True)),
-    }
-    for task, score in scorers.items():
-        out["score_" + task] = sha256_json(score(sets[task][1]))
+    for task, spec in finetune.TASKS.items():
+        train, ev = sets[task]
+        models = [adapt(joint.params, joint.model_config, train, ft) for adapt in spec.train]
+        for stage, model in enumerate(models, start=1):
+            out[f"finetune_{task}{stage if len(models) > 1 else ''}"] = sha256_params(model.params)
+        out["score_" + task] = sha256_json((PREDICT[task](*models, ev), spec.evaluate(*models, ev)))
     print(json.dumps(out, sort_keys=True))
 
 

@@ -65,7 +65,6 @@ class TrainConfig:
     batch_size: int = 32
     steps: int = 2000
     eval_every: int = 200
-    grad_accum: int = 1
     seed: int = SamplerConfig.seed
     heldout_fraction: float = 0.05
     vocab_min_freq: int = 1
@@ -110,8 +109,8 @@ class TrainConfig:
             raise ConfigError("warmup_steps and eval_every must be >= 0")
         if self.mode == "plain" and (self.triple_keep_fraction != 1.0 or self.value_noise):
             raise ConfigError("triple_keep_fraction and value_noise require hklm mode")
-        if self.steps < 0 or self.batch_size < 1 or self.grad_accum < 1:
-            raise ConfigError("steps must be >= 0, batch_size and grad_accum >= 1")
+        if self.steps < 0 or self.batch_size < 1:
+            raise ConfigError("steps must be >= 0 and batch_size >= 1")
         if not 0.0 < self.heldout_fraction < 1.0:
             raise ConfigError("heldout_fraction must be in (0, 1)")
         if self.vocab_min_freq < 1 or self.max_fragment_len < 16:
@@ -177,8 +176,7 @@ class TrainConfig:
 @dataclass
 class MetricsRecord:
     """The recorded step's batch losses and the held-out head accuracies. A
-    head's loss is None when none of the step's micro-batches had a target
-    for it."""
+    head's loss is None when the step's batch had no target for it."""
 
     step: int
     loss_total: float
@@ -397,38 +395,24 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
     metrics: list[MetricsRecord] = []
     loss_trace: list[tuple[float, float, float, float]] = []
 
-    # Nothing of a step outlives it: a micro-batch's activation cache, the
+    # Nothing of a step outlives it: the batch's activation cache, the
     # largest allocation of a step, is freed by its backward as it is read,
-    # its logits die with `res`, its gradients once summed, the step's sum
-    # when `accum` is reset. So no forward runs beside an earlier cache or an
-    # earlier step's gradients.
+    # its logits die with `res` and its gradients once AdamW has applied
+    # them. So no forward runs beside an earlier step's cache or gradients.
     with _freed_heap_retained():
         for step in range(1, config.steps + 1):
-            accum = None
-            breakdown = np.zeros(4)
-            supported = set()  # the heads with a target in some micro-batch
-            for batch in itertools.islice(batches, config.grad_accum):
-                supported.update(head for head in HEADS if len(batch.targets(head)[2]))
-                res = forward_batch(params, model_cfg, batch, want_cache=True)
-                loss, grads = backward_batch(params, model_cfg, batch, res, config.lam, config.mu)
-                del res
-                if not np.isfinite(loss.total):
-                    raise DivergenceError(f"non-finite loss at step {step - 1}: {loss}")
-                breakdown += (loss.total, loss.mlm, loss.tc, loss.tmt)
-                if accum is None:
-                    accum = grads
-                else:
-                    for name in accum:
-                        accum[name] += grads[name]
-                del grads
-            if config.grad_accum > 1:
-                for name in accum:
-                    accum[name] /= config.grad_accum
-            breakdown /= config.grad_accum
+            batch = next(batches)
+            res = forward_batch(params, model_cfg, batch, want_cache=True)
+            loss, grads = backward_batch(params, model_cfg, batch, res, config.lam, config.mu)
+            del res
+            if not np.isfinite(loss.total):
+                raise DivergenceError(f"non-finite loss at step {step - 1}: {loss}")
             lr = config.peak_lr
             if config.warmup_steps > 0:
                 lr *= min(1.0, step / config.warmup_steps)
-            adamw_step(params, accum, state, lr)
+            adamw_step(params, grads, state, lr)
+            del grads
+            breakdown = np.array((loss.total, loss.mlm, loss.tc, loss.tmt), dtype=np.float64)
             loss_trace.append(tuple(float(x) for x in breakdown))
             if config.eval_every > 0 and (step % config.eval_every == 0 or step == config.steps):
                 held_ex = held_examples()
@@ -437,8 +421,8 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
                     MetricsRecord(
                         step=step,
                         loss_total=float(breakdown[0]),
-                        **{f"loss_{head}": float(loss) if head in supported else None
-                           for head, loss in zip(HEADS, breakdown[1:])},
+                        **{f"loss_{head}": float(head_loss) if len(batch.targets(head)[2]) else None
+                           for head, head_loss in zip(HEADS, breakdown[1:])},
                         tc_acc=ev["tc"],
                         tmt_acc=ev["tmt"],
                         mlm_acc=ev["mlm"],

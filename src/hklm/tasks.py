@@ -43,6 +43,10 @@ _RECORD_FIELDS = tuple(key for keys in _VARIANT_FIELDS.values() for key in keys)
 _show = partial(json.dumps, default=repr)
 
 
+def _not_a_list(name: str, key: str, value) -> TaskError:
+    return TaskError(f"{name}: {key} {_show(value)} is not a list (type {type(value).__name__})")
+
+
 @dataclass
 class TaskExample:
     example_id: str
@@ -63,10 +67,10 @@ class TaskExample:
         name = f"{self.variant} record {self.example_id}"
         for key, value in (("triples", self.triples), ("candidates", self.candidates)):
             if value is not None and not isinstance(value, list):  # iterated below, as are tokens and candidates
-                raise TaskError(f"{name}: {key} {_show(value)} is not a list (type {type(value).__name__})")
+                raise _not_a_list(name, key, value)
         for key, seq in [("tokens", self.tokens), *(("candidate", c) for c in self.candidates or ())]:
             if not isinstance(seq, list):
-                raise TaskError(f"{name}: {key} {_show(seq)} is not a list (type {type(seq).__name__})")
+                raise _not_a_list(name, key, seq)
             bad = [t for t in seq if type(t) is not int or t < 0]  # JSON true is not token 1
             if bad:
                 raise TaskError(f"{name}: token {_show(bad[0])} is not a nonnegative integer id")
@@ -78,7 +82,9 @@ class TaskExample:
         if self.variant in ("ner", "et"):  # a string would read as one tag or label per character
             key = "tags" if self.variant == "ner" else "labels"
             value = getattr(self, key)
-            if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+            if not isinstance(value, list):
+                raise _not_a_list(name, key, value)
+            if not all(isinstance(x, str) for x in value):
                 raise TaskError(f"{name}: {key} {_show(value)} is not a list of strings")
         for tag in self.tags if self.variant == "ner" else ():
             if not is_bio_tag(tag):  # the evaluation reads spans from B-<type> and I-<type>

@@ -370,6 +370,7 @@ class TestMalformedInputs:
             {"lr": 3e-5},
             {"lr_scale": 10},
             {"weight_decay": 0.01},
+            {"grad_accum": 2},
             {"mask_token_frac": float("nan")},
             {"init_std": float("nan")},
             {"pos_init_scale": float("inf")},

@@ -212,46 +212,35 @@ class TestRunPretraining:
             }
             assert np.isfinite(obj["loss_total"])
 
-    @pytest.mark.parametrize("mode, grad_accum", [("plain", 1), ("hklm", 1), ("hklm", 2)])
-    def test_head_without_targets_logs_null(self, corpus30, monkeypatch, mode, grad_accum):
-        """A recorded head loss is None when none of the step's micro-batches
-        had a target for the head, and a float when one had. At 48-token
-        fragments some batches of short examples hold no triple."""
+    @pytest.mark.parametrize("mode", ["plain", "hklm"])
+    def test_head_without_targets_logs_null(self, corpus30, monkeypatch, mode):
+        """A recorded head loss is None when the step's batch had no target
+        for the head, and a float when it had one. At 48-token fragments some
+        batches of short examples hold no triple."""
         real_backward = pretrain.backward_batch
-        targets = []  # each micro-batch's target count per head
+        targets = []  # each step's target count per head
 
         def counting_backward(params, model_cfg, batch, *args):
             targets.append({head: len(getattr(batch, f"{head}_label")) for head in HEADS})
             return real_backward(params, model_cfg, batch, *args)
 
         monkeypatch.setattr(pretrain, "backward_batch", counting_backward)
-        cfg = small_cfg(mode=mode, steps=8, eval_every=1, max_fragment_len=48, grad_accum=grad_accum)
+        cfg = small_cfg(mode=mode, steps=8, eval_every=1, max_fragment_len=48)
         res = run_pretraining(cfg, corpus30)
         nulls = set()
         for m in res.metrics:
-            micro = targets[(m.step - 1) * grad_accum : m.step * grad_accum]
             for head in HEADS:
                 loss = getattr(m, f"loss_{head}")
-                assert (loss is None) == (sum(t[head] for t in micro) == 0), (m.step, head)
+                assert (loss is None) == (targets[m.step - 1][head] == 0), (m.step, head)
                 if loss is None:
                     nulls.add(head)
                     assert f'"loss_{head}": null' in json.dumps(m.to_json())
         assert np.isfinite([m.loss_total for m in res.metrics]).all()
-        if mode == "plain":
-            assert nulls == {"tc", "tmt"}
-        elif grad_accum == 1:
-            assert nulls == {"tc"}
+        assert nulls == ({"tc", "tmt"} if mode == "plain" else {"tc"})
 
-    def test_grad_accumulation_runs(self, corpus30):
-        cfg = small_cfg(steps=2, grad_accum=2)
-        res = run_pretraining(cfg, corpus30)
-        assert len(res.loss_trace) == 2
-
-    @pytest.mark.parametrize("grad_accum", [1, 2])
-    def test_step_buffers_freed_before_next_forward(self, corpus30, monkeypatch, grad_accum):
-        """When a training forward starts, every earlier activation cache is
-        gone, and so is every earlier gradient dict except the current step's
-        running sum (its first micro-batch's dict)."""
+    def test_step_buffers_freed_before_next_forward(self, corpus30, monkeypatch):
+        """When a training forward starts, every earlier activation cache and
+        every earlier gradient dict is gone."""
         real_forward, real_backward = pretrain.forward_batch, pretrain.backward_batch
         caches: list[weakref.ref] = []
         grads: list[weakref.ref] = []
@@ -280,20 +269,18 @@ class TestRunPretraining:
         monkeypatch.setattr(pretrain, "forward_batch", tracking_forward)
         monkeypatch.setattr(pretrain, "backward_batch", tracking_backward)
         steps = 3
-        res = run_pretraining(small_cfg(steps=steps, eval_every=2, grad_accum=grad_accum), corpus30)
+        res = run_pretraining(small_cfg(steps=steps, eval_every=2), corpus30)
         assert len(res.loss_trace) == steps
-        assert len(live_at_forward) == steps * grad_accum
+        assert len(live_at_forward) == steps
         for n, (live_caches, live_grads) in enumerate(live_at_forward):
-            micro = n % grad_accum
             assert live_caches == [], f"forward {n}"
-            assert live_grads == ([n - micro] if micro else []), f"forward {n}"
+            assert live_grads == [], f"forward {n}"
 
-    @pytest.mark.parametrize("grad_accum", [1, 2])
-    def test_each_epoch_drawn_when_its_first_batch_is_needed(self, corpus30, monkeypatch, grad_accum):
+    def test_each_epoch_drawn_when_its_first_batch_is_needed(self, corpus30, monkeypatch):
         """Before the first step only epoch 0 is serialized. The k-th training
         forward comes after exactly k batches were built, and within epoch 0
         after exactly their examples were masked; so before the first
-        `progress` call, `grad_accum` batches' examples are masked and built.
+        `progress` call, one batch's examples are masked and built.
         Epoch 1 is drawn whole (and masked) in the step that needs its first
         batch, with epoch 1's sampler. The held-out examples are drawn once,
         at the first evaluation, or after the last step when eval_every is 0.
@@ -335,8 +322,8 @@ class TestRunPretraining:
 
         def progress(_step, _breakdown):
             if not count["progress"]:
-                assert count["batch"] == grad_accum
-                assert count["mask"] == count["batched"] == at_forward[grad_accum - 1][2]
+                assert count["batch"] == 1
+                assert count["mask"] == count["batched"] == at_forward[0][2]
             count["progress"] += 1
 
         monkeypatch.setattr(pretrain, "generate_pretrain_examples", counting_generate)
@@ -344,11 +331,11 @@ class TestRunPretraining:
         monkeypatch.setattr(pretrain, "make_batch", counting_batch)
         monkeypatch.setattr(pretrain, "forward_batch", counting_forward)
         monkeypatch.setattr(pretrain, "evaluate_pretrain_heads", counting_evaluate)
-        cfg = small_cfg(max_fragment_len=48, batch_size=32, eval_every=0, grad_accum=grad_accum)
+        cfg = small_cfg(max_fragment_len=48, batch_size=32, eval_every=0)
         res = run_pretraining(dataclasses.replace(cfg, steps=0), corpus30)
         n_train, n_held = len(res.train_examples), len(res.held_examples)
         per_epoch = -(-n_train // cfg.batch_size)
-        within = per_epoch // grad_accum  # the most steps that stay in epoch 0
+        within = per_epoch  # the most steps that stay in epoch 0
         assert within >= 2
         held = pretrain.epoch_sampler(cfg, 0)
         assert held == cfg.sampler_config()
@@ -358,13 +345,13 @@ class TestRunPretraining:
             at_forward.clear()
             run_pretraining(dataclasses.replace(cfg, steps=steps, eval_every=eval_every), corpus30,
                             progress=progress)
-            assert count["progress"] == steps and len(at_forward) == steps * grad_accum
+            assert count["progress"] == steps and len(at_forward) == steps
             for k, (masks, built, batched, evaluations) in enumerate(at_forward, start=1):
                 assert built == k, (steps, k)
                 train_masks = batched if k <= per_epoch else n_train + n_train
                 assert masks == train_masks + n_held * bool(evaluations), (steps, k)
-            first_eval = [(eval_every - 1, eval_every * grad_accum, 0, held)] if eval_every else []
-            after_loop = [] if eval_every else [(steps, steps * grad_accum, 0, held)]
+            first_eval = [(eval_every - 1, eval_every, 0, held)] if eval_every else []
+            after_loop = [] if eval_every else [(steps, steps, 0, held)]
             evaluated = within // eval_every if eval_every else 0
             next_epoch = [(within, per_epoch, evaluated, pretrain.epoch_sampler(cfg, 1))] if steps > within else []
             assert calls == sorted(first_eval + next_epoch) + after_loop, steps
@@ -372,33 +359,30 @@ class TestRunPretraining:
             assert count["mask"] == n_train + n_train * bool(next_epoch) + n_held
 
     @pytest.mark.parametrize("mode", ["hklm", "plain"])
-    @pytest.mark.parametrize("grad_accum", [1, 2])
-    def test_returned_examples_are_the_generated_ones(self, corpus30, mode, grad_accum):
+    def test_returned_examples_are_the_generated_ones(self, corpus30, mode):
         """`train_examples` is all of epoch 0 and `held_examples` the held-out
         split, masked, as `generate_pretrain_examples` makes them, whether no
         step, one step or a run past the first epoch boundary masked some of
         them first, and whether the held-out examples were drawn at an
         evaluation (eval_every = steps) or after the loop (steps 0)."""
-        cfg = small_cfg(mode=mode, max_fragment_len=48, batch_size=32, grad_accum=grad_accum)
+        cfg = small_cfg(mode=mode, max_fragment_len=48, batch_size=32)
         vocab = build_vocab(corpus30, cfg.vocab_min_freq)
         train_aligned, held_aligned = build_aligned(cfg, corpus30, vocab)
         want_train, _ = generate_pretrain_examples(corpus30, train_aligned, vocab, pretrain.epoch_sampler(cfg, 0))
         want_held, _ = generate_pretrain_examples(corpus30, held_aligned, vocab, cfg.sampler_config())
         assert any(ex.mlm_labels for ex in want_train) and any(ex.mlm_labels for ex in want_held)
         per_epoch = -(-len(want_train) // cfg.batch_size)
-        for steps in (0, 1, per_epoch // grad_accum + 1):
+        for steps in (0, 1, per_epoch + 1):
             res = run_pretraining(dataclasses.replace(cfg, steps=steps, eval_every=steps), corpus30)
             assert res.train_examples == want_train, steps
             assert res.held_examples == want_held, steps
 
-    @pytest.mark.parametrize("grad_accum", [1, 2])
-    def test_weights_after_step_k_equal_a_k_step_run(self, corpus30, monkeypatch, grad_accum):
+    def test_weights_after_step_k_equal_a_k_step_run(self, corpus30, monkeypatch):
         """A k-step run is a snapshot of a longer run: warmup, the epoch order
         and each epoch's corruptions and masks depend on the step and the
         epoch, never on `steps`. So a schedule that does (LR decay) fails."""
         ks, steps = (5, 14), 16
-        cfg = small_cfg(max_fragment_len=48, batch_size=32, warmup_steps=8, eval_every=0,
-                        grad_accum=grad_accum)
+        cfg = small_cfg(max_fragment_len=48, batch_size=32, warmup_steps=8, eval_every=0)
         real_step = pretrain.adamw_step
         snapshots = {}
 
@@ -411,7 +395,7 @@ class TestRunPretraining:
         res = run_pretraining(dataclasses.replace(cfg, steps=steps), corpus30)
         per_epoch = -(-len(res.train_examples) // cfg.batch_size)
         # One snapshot before the first epoch boundary, one after it.
-        assert ks[0] * grad_accum <= per_epoch < ks[1] * grad_accum
+        assert ks[0] <= per_epoch < ks[1]
         monkeypatch.setattr(pretrain, "adamw_step", real_step)
         for k in ks:
             short = run_pretraining(dataclasses.replace(cfg, steps=k), corpus30).params

@@ -27,7 +27,7 @@ def test_weights_digest_prints_one_line_of_digests():
     out = json.loads(lines[0])
     blas_env = out.pop("blas_env")
     assert set(blas_env) == set(BLAS_THREAD_ENV) and blas_env["OPENBLAS_NUM_THREADS"] == "1"
-    runs = [out.pop(name) for name in ("joint", "joint_accum2", "plain", "half_kg", "noisy_kg", "drop_headings")]
+    runs = [out.pop(name) for name in ("joint", "plain", "half_kg", "noisy_kg", "drop_headings")]
     assert all(set(run) == {"checkpoint", "metrics", "params"} for run in runs)
     assert set(out) == ({f"finetune_{name}" for name in ("ner", "et", "oie1", "oie2", "qa", "dialog")}
                         | {f"score_{task}" for task in ("ner", "et", "oie", "qa", "dialog")})

@@ -326,7 +326,7 @@ RULE_BREAKS = [
     ("et-without-labels", "et", {"labels": None}, "et record r1 lacks ['labels']"),
     ("oie-without-triples", "oie", {"triples": None}, "oie record r1 lacks ['triples']"),
     ("rank-without-gold", "rank", {"gold": None}, "rank record r1 lacks ['gold']"),
-    ("tags-a-string", "ner", {"tags": "OO"}, 'ner record r1: tags "OO" is not a list of strings'),
+    ("tags-a-string", "ner", {"tags": "OO"}, 'ner record r1: tags "OO" is not a list (type str)'),
     ("label-not-a-string", "et", {"labels": [1]}, "et record r1: labels [1] is not a list of strings"),
     ("tag-outside-bio", "ner", {"tags": ["O", "building"]},
      'ner record r1: tag "building" is not O, B-<type> or I-<type>'),
@@ -344,11 +344,13 @@ RULE_BREAKS = [
      f"ner record r1: token {json.dumps(repr(np.int64(21)))} is not a nonnegative integer id"),
     ("numpy-gold", "rank", {"gold": np.int64(1)},
      f"rank record r1: gold {json.dumps(repr(np.int64(1)))} is not the index of one of its 2 candidates"),
-    ("tags-a-set", "ner", {"tags": {"B-x"}}, """ner record r1: tags "{'B-x'}" is not a list of strings"""),
+    ("tags-a-set", "ner", {"tags": {"B-x"}}, """ner record r1: tags "{'B-x'}" is not a list (type set)"""),
     ("tokens-not-a-list", "ner", {"tokens": 5}, "ner record r1: tokens 5 is not a list (type int)"),
     ("triples-not-a-list", "oie", {"triples": 5}, "oie record r1: triples 5 is not a list (type int)"),
     ("candidates-not-a-list", "rank", {"candidates": 5}, "rank record r1: candidates 5 is not a list (type int)"),
     ("tokens-a-tuple", "ner", {"tokens": (20, 21)}, "ner record r1: tokens [20, 21] is not a list (type tuple)"),
+    ("tags-a-tuple", "ner", {"tags": ("B-x", "I-x")}, 'ner record r1: tags ["B-x", "I-x"] is not a list (type tuple)'),
+    ("labels-a-tuple", "et", {"labels": ("a",)}, 'et record r1: labels ["a"] is not a list (type tuple)'),
     ("candidate-not-a-list", "rank", {"candidates": [[21], 5]}, "rank record r1: candidate 5 is not a list (type int)"),
 ]
 
