@@ -262,8 +262,5 @@ def aligned_to_json(af: AlignedFragment) -> dict:
         "entity_id": af.fragment.entity_id,
         "heading": af.fragment.heading,
         "tokens": af.fragment.token_ids,
-        "triples": [
-            {"s": t.subject, "p": t.predicate, "o": t.object, "score": float(f"{score:.9g}")}
-            for t, score in af.triples
-        ],
+        "triples": [t.to_json() | {"score": float(f"{score:.9g}")} for t, score in af.triples],
     }

@@ -49,7 +49,7 @@ def cmd_synth_corpus(args) -> int:
     # so that an error in them leaves no output behind, and its two paths.
     sets, task_paths = {}, {}
     if args.tasks_out:
-        sets = make_task_sets(corpus, truth, build_vocab(corpus, 1), args.seed)
+        sets = make_task_sets(corpus, truth, build_vocab(corpus), args.seed)
         os.makedirs(args.tasks_out, exist_ok=True)
         task_paths = {task: [os.path.join(args.tasks_out, f"{task}-{split}.jsonl") for split in ("train", "eval")]
                       for task in sets}
@@ -93,7 +93,7 @@ def _aligned_training_split(args, outputs, mode=None):
     training split's aligned fragments)."""
     corpus = load_corpus(args.corpus)
     config = _train_config(args, mode)
-    vocab = build_vocab(corpus, config.vocab_min_freq)
+    vocab = build_vocab(corpus)
     write_manifest(manifest_path_for(args.out), args.subcommand, config.to_json(), _config_inputs(args),
                    outputs, seed=args.seed, extra={"vocab_hash": vocab.hash_hex()})
     train_aligned, _ = build_aligned(config, corpus, vocab)

@@ -161,32 +161,26 @@ def assemble_input(
     return ids, SegmentLayout(text_span, sep0_pos, heading_span, triples, seg)
 
 
+def resample_from_pool(value: str, pool: list[str], rng, p_neg: float) -> tuple[str, int, bool]:
+    """The rule behind both TC and TMT negatives: with probability p_neg
+    swap `value` for a uniform draw over the sorted distinct other values of
+    `pool`. Returns (value, label, skipped); label 1 means intact, and
+    skipped means a swap was drawn but the pool held no other value."""
+    if rng.random() < p_neg:
+        alternatives = sorted(set(pool) - {value})
+        if not alternatives:
+            return value, 1, True
+        return alternatives[int(rng.integers(0, len(alternatives)))], 0, False
+    return value, 1, False
+
+
 def corrupt_triple(
     triple: Triple, predicates: list[str], rng, p_neg: float
 ) -> tuple[Triple, int, bool]:
-    """Attribute resampling: with probability p_neg swap the predicate for a
-    uniform draw over the other attributes in the KG. Subject and object are
-    never altered. Returns (triple, label, skipped); label 1 means intact.
-    """
-    if rng.random() < p_neg:
-        alternatives = [p for p in predicates if p != triple.predicate]
-        if not alternatives:
-            return triple, 1, True
-        new_pred = alternatives[int(rng.integers(0, len(alternatives)))]
-        return Triple(triple.subject, new_pred, triple.object), 0, False
-    return triple, 1, False
-
-
-def corrupt_heading(
-    heading: str, doc_headings: list[str], rng, p_neg: float
-) -> tuple[str, int, bool]:
-    """Heading resampling over the other headings of the same document."""
-    if rng.random() < p_neg:
-        alternatives = sorted(set(doc_headings) - {heading})
-        if not alternatives:
-            return heading, 1, True
-        return alternatives[int(rng.integers(0, len(alternatives)))], 0, False
-    return heading, 1, False
+    """Attribute resampling: the predicate resampled over the KG's
+    attributes; subject and object are never altered."""
+    predicate, label, skipped = resample_from_pool(triple.predicate, predicates, rng, p_neg)
+    return (triple if label else Triple(triple.subject, predicate, triple.object)), label, skipped
 
 
 def apply_mlm_mask(
@@ -304,7 +298,7 @@ def serialize_pretrain_examples(
         tmt_label: int | None = None
         heading = heading_ids = None
         if not config.drop_headings:
-            heading, tmt_label, skipped = corrupt_heading(
+            heading, tmt_label, skipped = resample_from_pool(
                 frag.heading, headings_by_id[frag.entity_id], rng, config.p_neg_tmt
             )
             stats.tmt_skips += skipped

@@ -67,7 +67,6 @@ class TrainConfig:
     eval_every: int = 200
     seed: int = SamplerConfig.seed
     heldout_fraction: float = 0.05
-    vocab_min_freq: int = 1
     max_fragment_len: int = 400
     tau: float = 0.05
     k_max: int = 8
@@ -113,8 +112,8 @@ class TrainConfig:
             raise ConfigError("steps must be >= 0 and batch_size >= 1")
         if not 0.0 < self.heldout_fraction < 1.0:
             raise ConfigError("heldout_fraction must be in (0, 1)")
-        if self.vocab_min_freq < 1 or self.max_fragment_len < 16:
-            raise ConfigError("vocab_min_freq must be >= 1 and max_fragment_len >= 16")
+        if self.max_fragment_len < 16:
+            raise ConfigError(f"max_fragment_len must be >= 16, got {self.max_fragment_len}")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
         if self.k_max < 1:
@@ -379,7 +378,7 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
     of them, a fixed 32 MiB mmap threshold, holds for the rest of the
     process (see `_freed_heap_retained`).
     """
-    vocab = build_vocab(corpus, config.vocab_min_freq)
+    vocab = build_vocab(corpus)
     train_aligned, held_aligned = build_aligned(config, corpus, vocab)
     first_epoch, _ = serialize_pretrain_examples(corpus, train_aligned, vocab, epoch_sampler(config, 0))
     if not first_epoch.examples:
@@ -412,16 +411,16 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
                 lr *= min(1.0, step / config.warmup_steps)
             adamw_step(params, grads, state, lr)
             del grads
-            breakdown = np.array((loss.total, loss.mlm, loss.tc, loss.tmt), dtype=np.float64)
-            loss_trace.append(tuple(float(x) for x in breakdown))
+            breakdown = (loss.total, loss.mlm, loss.tc, loss.tmt)
+            loss_trace.append(breakdown)
             if config.eval_every > 0 and (step % config.eval_every == 0 or step == config.steps):
                 held_ex = held_examples()
                 ev = evaluate_pretrain_heads(params, model_cfg, held_ex) if held_ex else dict.fromkeys(HEADS)
                 metrics.append(
                     MetricsRecord(
                         step=step,
-                        loss_total=float(breakdown[0]),
-                        **{f"loss_{head}": float(head_loss) if len(batch.targets(head)[2]) else None
+                        loss_total=breakdown[0],
+                        **{f"loss_{head}": head_loss if len(batch.targets(head)[2]) else None
                            for head, head_loss in zip(HEADS, breakdown[1:])},
                         tc_acc=ev["tc"],
                         tmt_acc=ev["tmt"],

@@ -25,7 +25,6 @@ from .corpus import (
     Vocab,
     derive_seed,
     entity_split,
-    tokenize_text,
 )
 from .metrics import is_bio_tag
 
@@ -339,32 +338,29 @@ def make_oie_data(
     return _task_sets(truth, seed, "oie", "oie", n_train, n_eval, example)
 
 
-def _entity_sentences(corpus: Corpus) -> dict[str, list[tuple[str, list[str]]]]:
-    """Per-entity candidate answer pool: (heading, paragraph-prefix tokens)."""
-    out: dict[str, list[tuple[str, list[str]]]] = {}
+def _entity_sentences(corpus: Corpus, vocab: Vocab) -> dict[str, list[tuple[str, list[int]]]]:
+    """Per-entity candidate answer pool: (heading, paragraph-prefix ids)."""
+    out: dict[str, list[tuple[str, list[int]]]] = {}
     for doc in corpus:
         sents = []
         for sec in doc.sections:
             for para in sec.paragraphs:
-                # Each whitespace chunk yields at least one token, so the
-                # first _CANDIDATE_LEN chunks hold the first _CANDIDATE_LEN tokens.
-                toks = tokenize_text(" ".join(para.split()[:_CANDIDATE_LEN]))[:_CANDIDATE_LEN]
-                if toks:
-                    sents.append((sec.heading, toks))
+                ids = vocab.encode(para)[:_CANDIDATE_LEN]
+                if ids:
+                    sents.append((sec.heading, ids))
         out[doc.entity_id] = sents
     return out
 
 
 class RankPool:
     """The ranking sets' candidates over one corpus, built once for QA and
-    dialogue: each entity's (heading, paragraph-prefix tokens) sentences,
-    every sentence encoded as a candidate of its entity, and the candidates'
-    own TF-IDF index and exact cosines."""
+    dialogue: each entity's (heading, paragraph-prefix ids) sentences,
+    every sentence a candidate of its entity, and the candidates' own
+    TF-IDF index and exact cosines."""
 
     def __init__(self, corpus: Corpus, vocab: Vocab):
-        self.sentences = _entity_sentences(corpus)
-        universe = [(eid, vocab.encode_tokens(toks))
-                    for eid, sents in sorted(self.sentences.items()) for _heading, toks in sents]
+        self.sentences = _entity_sentences(corpus, vocab)
+        universe = [(eid, ids) for eid, sents in sorted(self.sentences.items()) for _heading, ids in sents]
         self.candidates = [ids for _, ids in universe]
         self.eids = np.array([eid for eid, _ in universe])
         self.index = TfIdfIndex.from_token_docs(self.candidates)
@@ -407,7 +403,7 @@ def make_rank_data(
     def example(recs, rng, example_id):
         rec = recs[int(rng.integers(0, len(recs)))]
         eid = rec["entity_id"]
-        heading, gold_toks = sentences[eid][int(rng.integers(0, len(sentences[eid])))]
+        heading, gold_ids = sentences[eid][int(rng.integers(0, len(sentences[eid])))]
         query = vocab.encode_tokens([rec["name"], rec["kind"]]) + vocab.encode(heading)
         if dialog:
             turn1 = vocab.encode_tokens(["travellers", "near", rec["name"], rec["kind"]])
@@ -418,7 +414,7 @@ def make_rank_data(
             example_id=example_id,
             variant="rank",
             tokens=query,
-            candidates=distractors[:gold_pos] + [vocab.encode_tokens(gold_toks)] + distractors[gold_pos:],
+            candidates=distractors[:gold_pos] + [gold_ids] + distractors[gold_pos:],
             gold=gold_pos,
         )
 

@@ -79,7 +79,7 @@ class TestSynthCorpus:
     def test_tasks_out_builds_one_rank_pool(self, tmp_path, monkeypatch):
         calls = []
         real = tasks._entity_sentences
-        monkeypatch.setattr(tasks, "_entity_sentences", lambda corpus: calls.append(1) or real(corpus))
+        monkeypatch.setattr(tasks, "_entity_sentences", lambda corpus, vocab: calls.append(1) or real(corpus, vocab))
         assert run(["synth-corpus", "--seed", "7", "--entities", "6", "--out", str(tmp_path / "c.jsonl"),
                     "--tasks-out", str(tmp_path / "tasks")]) == 0
         assert len(calls) == 1
@@ -229,7 +229,7 @@ class TestAlignAndExamples:
     @pytest.mark.parametrize("obj", PREP_CONFIGS, ids=lambda obj: obj.get("mode", "hklm"))
     def test_align_writes_training_split(self, pipeline_dir, tmp_path, obj):
         lines, config, corpus = self._prep(pipeline_dir, tmp_path, "align", obj)
-        train_aligned, _ = build_aligned(config, corpus, build_vocab(corpus, config.vocab_min_freq))
+        train_aligned, _ = build_aligned(config, corpus, build_vocab(corpus))
         assert lines == [json.dumps(aligned_to_json(af), ensure_ascii=False) for af in train_aligned]
 
 
@@ -390,6 +390,7 @@ class TestMalformedInputs:
             {"tie_mlm": False},
             {"n_layers": 0},
             {"vocab_min_freq": 0},
+            {"vocab_min_freq": 1},
             {"max_fragment_len": 8},
             {"max_fragment_len": 600, "max_seq_len": 64},
         ],

@@ -29,10 +29,10 @@ from hklm.examples import (
     SegmentLayout,
     apply_mlm_mask,
     assemble_input,
-    corrupt_heading,
     corrupt_triple,
     example_to_json,
     generate_pretrain_examples,
+    resample_from_pool,
     write_examples,
 )
 
@@ -210,20 +210,20 @@ class TestCorruption:
 
     def test_heading_forced_replacement(self):
         rng = np.random.default_rng(0)
-        out, label, _ = corrupt_heading("Abstract", ["Abstract", "History"], rng, 1.0)
+        out, label, _ = resample_from_pool("Abstract", ["Abstract", "History"], rng, 1.0)
         assert (out, label) == ("History", 0)
 
     def test_heading_p_neg_one_always_negative(self):
         rng = np.random.default_rng(0)
         headings = ["a", "b", "c"]
         for _ in range(100):
-            out, label, _ = corrupt_heading("a", headings, rng, 1.0)
+            out, label, _ = resample_from_pool("a", headings, rng, 1.0)
             assert label == 0
             assert out != "a"
 
     def test_heading_singleton_skips(self):
         rng = np.random.default_rng(0)
-        out, label, skipped = corrupt_heading("a", ["a"], rng, 1.0)
+        out, label, skipped = resample_from_pool("a", ["a"], rng, 1.0)
         assert (out, label, skipped) == ("a", 1, True)
 
     def test_heading_uniformity(self):
@@ -232,7 +232,7 @@ class TestCorruption:
         counts = {}
         n = 20000
         for _ in range(n):
-            out, _, _ = corrupt_heading("h0", headings, rng, 1.0)
+            out, _, _ = resample_from_pool("h0", headings, rng, 1.0)
             counts[out] = counts.get(out, 0) + 1
         assert len(counts) == 4
         for c in counts.values():

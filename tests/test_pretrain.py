@@ -366,7 +366,7 @@ class TestRunPretraining:
         them first, and whether the held-out examples were drawn at an
         evaluation (eval_every = steps) or after the loop (steps 0)."""
         cfg = small_cfg(mode=mode, max_fragment_len=48, batch_size=32)
-        vocab = build_vocab(corpus30, cfg.vocab_min_freq)
+        vocab = build_vocab(corpus30)
         train_aligned, held_aligned = build_aligned(cfg, corpus30, vocab)
         want_train, _ = generate_pretrain_examples(corpus30, train_aligned, vocab, pretrain.epoch_sampler(cfg, 0))
         want_held, _ = generate_pretrain_examples(corpus30, held_aligned, vocab, cfg.sampler_config())

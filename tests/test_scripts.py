@@ -35,7 +35,7 @@ def test_weights_digest_prints_one_line_of_digests():
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest in digests)
 
 
-def test_step_memory_prints_a_line_per_micro_batch_and_evaluation_and_a_summary():
+def test_step_memory_prints_a_line_per_step_and_evaluation_and_a_summary():
     *steps, evaluation, summary = map(json.loads, run_script("step_memory.py", "--steps", "1"))
     assert len(steps) == 1
     assert set(steps[0]) == {"batch", "rows", "row_fraction", "live_mb", "cache_mb", "peak_mb",

@@ -200,8 +200,11 @@ class TestRank:
             Document("E2", "e2", [Section("Edge", 1, ["", "  ", ". , ;"])], []),
         ])
         for c in (corpus, crafted):
-            assert _entity_sentences(c) == oracles.entity_sentences(c)
-        assert [len(toks) for _, toks in _entity_sentences(crafted)["E1"]] == [24, 24, 24, 2, 24]
+            vocab = build_vocab(c)
+            want = {eid: [(heading, vocab.encode_tokens(toks)) for heading, toks in sents]
+                    for eid, sents in oracles.entity_sentences(c).items()}
+            assert _entity_sentences(c, vocab) == want
+        assert [len(ids) for _, ids in _entity_sentences(crafted, vocab)["E1"]] == [24, 24, 24, 2, 24]
 
     @pytest.mark.parametrize("dialog", [False, True])
     @pytest.mark.parametrize("n_candidates", [1, 12, 60, 1000])
