@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .align import aligned_to_json
 from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import build_vocab, generate_synthetic_corpus, load_corpus, write_jsonl
+from .corpus import build_vocab, check_json_fields, generate_synthetic_corpus, load_corpus, write_jsonl
 from .examples import generate_pretrain_examples, write_examples
 from .finetune import TASKS, FinetuneConfig, FinetuneError, check_records
 from .manifest import manifest_path_for, write_manifest
@@ -75,7 +75,7 @@ def _train_config(args, mode=None, steps=None) -> TrainConfig:
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                values = TrainConfig.json_fields(json.load(fh))
+                values = check_json_fields(TrainConfig, json.load(fh), ConfigError)
         except ValueError as exc:  # the file's own errors; an OSError names it already
             raise ConfigError(f"{args.config}: {exc}") from exc
     flags = {"seed": args.seed, "mode": mode, "steps": steps}

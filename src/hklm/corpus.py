@@ -9,7 +9,7 @@ import re
 import string
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
@@ -246,63 +246,62 @@ def triple_token_ids(triple: Triple, vocab: Vocab) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_document(obj: dict, lineno: int) -> Document:
-    def fail(msg: str):
-        raise CorpusError(f"line {lineno}: {msg}")
-
+def _parse_document(obj: dict) -> Document:
     if not isinstance(obj, dict):
-        fail("record is not a JSON object")
+        raise CorpusError("record is not a JSON object")
     for key in ("entity_id", "title", "sections", "infobox"):
         if key not in obj:
-            fail(f"missing field {key!r}")
+            raise CorpusError(f"missing field {key!r}")
     entity_id = obj["entity_id"]
     title = obj["title"]
     if not isinstance(entity_id, str) or not entity_id:
-        fail("entity_id must be a non-empty string")
+        raise CorpusError("entity_id must be a non-empty string")
     if not isinstance(title, str) or not title:
-        fail("title must be a non-empty string")
+        raise CorpusError("title must be a non-empty string")
     if not isinstance(obj["sections"], list) or not obj["sections"]:
-        fail("sections must be a non-empty list")
+        raise CorpusError("sections must be a non-empty list")
+    if not isinstance(obj["infobox"], list):
+        raise CorpusError("infobox must be a list")
 
     sections = []
     prev_level = None
     for k, sec in enumerate(obj["sections"]):
         if not isinstance(sec, dict):
-            fail(f"section {k} is not an object")
+            raise CorpusError(f"section {k} is not an object")
         heading = sec.get("heading")
         level = sec.get("level")
         paragraphs = sec.get("paragraphs")
         if not isinstance(heading, str) or not heading:
-            fail(f"section {k}: heading must be a non-empty string")
-        if not isinstance(level, int) or level < 1:
-            fail(f"section {k}: level must be an integer >= 1")
+            raise CorpusError(f"section {k}: heading must be a non-empty string")
+        if type(level) is not int or level < 1:  # JSON true is not level 1
+            raise CorpusError(f"section {k}: level must be an integer >= 1")
         if prev_level is None:
             if level != 1:
-                fail(f"section {k}: first section must have level 1")
+                raise CorpusError(f"section {k}: first section must have level 1")
         elif level > prev_level + 1:
-            fail(f"section {k}: level jumps from {prev_level} to {level}")
+            raise CorpusError(f"section {k}: level jumps from {prev_level} to {level}")
         prev_level = level
         if not isinstance(paragraphs, list) or not all(isinstance(p, str) for p in paragraphs):
-            fail(f"section {k}: paragraphs must be a list of strings")
+            raise CorpusError(f"section {k}: paragraphs must be a list of strings")
         sections.append(Section(heading=heading, level=level, paragraphs=list(paragraphs)))
 
     triples = []
     seen_po: set[tuple[str, str]] = set()
     for k, tr in enumerate(obj["infobox"]):
         if not isinstance(tr, dict):
-            fail(f"triple {k} is not an object")
+            raise CorpusError(f"triple {k} is not an object")
         s, p, o = tr.get("s"), tr.get("p"), tr.get("o")
         for name, val in (("s", s), ("p", p), ("o", o)):
             if not isinstance(val, str) or not val:
-                fail(f"triple {k}: field {name!r} must be a non-empty string")
+                raise CorpusError(f"triple {k}: field {name!r} must be a non-empty string")
         if (p, o) in seen_po:
-            fail(f"triple {k}: duplicate (predicate, object) pair ({p!r}, {o!r})")
+            raise CorpusError(f"triple {k}: duplicate (predicate, object) pair ({p!r}, {o!r})")
         seen_po.add((p, o))
         if s != title:
             # Infobox scrapes commonly carry display variants; predicate
             # resampling never touches the subject, so repair instead of reject.
             logger.warning(
-                "line %d: triple %d subject %r != title %r, rewriting subject", lineno, k, s, title
+                "entity %r: triple %d subject %r != title %r, rewriting subject", entity_id, k, s, title
             )
             s = title
         triples.append(Triple(subject=s, predicate=p, object=o))
@@ -312,30 +311,76 @@ def _parse_document(obj: dict, lineno: int) -> Document:
 
 def parse_corpus(lines) -> Corpus:
     """Parse line-delimited document records; reject the whole stream on any bad line."""
-    documents: list[Document] = []
-    seen_ids: dict[str, int] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+    return Corpus(documents=parse_jsonl(lines, _parse_document, "entity_id", CorpusError))
+
+
+def load_corpus(path) -> Corpus:
+    return Corpus(documents=read_jsonl(path, _parse_document, "entity_id", CorpusError))
+
+
+def parse_jsonl(lines, parse, unique: str, error: type[ValueError]) -> list:
+    """The records `parse` builds from the JSON value of each nonblank line:
+    the one reader of every JSON-lines input. No two lines may hold one value
+    of the field `unique`. A line that is not JSON, that `parse` rejects or
+    that repeats a `unique` value raises `error`, led by `line N: `."""
+    records, first_lines = [], {}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
         if not line:
             continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        doc = _parse_document(obj, lineno)
-        if doc.entity_id in seen_ids:
-            raise CorpusError(
-                f"line {lineno}: duplicate entity_id {doc.entity_id!r}"
-                f" (first seen on line {seen_ids[doc.entity_id]})"
-            )
-        seen_ids[doc.entity_id] = lineno
-        documents.append(doc)
-    return Corpus(documents=documents)
+            raise error(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        try:
+            record = parse(obj)
+        except (ValueError, TypeError) as exc:
+            raise error(f"line {lineno}: {exc}") from exc
+        key = obj[unique]
+        if key in first_lines:
+            raise error(f"line {lineno}: duplicate {unique} {key!r} (first seen on line {first_lines[key]})")
+        first_lines[key] = lineno
+        records.append(record)
+    return records
 
 
-def load_corpus(path) -> Corpus:
+def read_jsonl(path, parse, unique: str, error: type[ValueError]) -> list:
+    """`parse_jsonl` over the UTF-8 file at `path`; its errors, and bytes
+    that are not UTF-8, raise `error` led by the path."""
     with open(path, encoding="utf-8") as fh:
-        return parse_corpus(fh)
+        try:
+            return parse_jsonl(fh, parse, unique, error)
+        except (UnicodeDecodeError, error) as exc:
+            raise error(f"{path}: {exc}") from exc
+
+
+# The Python types a JSON value may decode to for each config field
+# annotation; an int is accepted where a float is expected.
+_JSON_FIELD_TYPES = {
+    "str": (str,),
+    "bool": (bool,),
+    "int": (int,),
+    "float": (int, float),
+    "int | None": (int, type(None)),
+}
+
+
+def check_json_fields(cls, obj, error: type[ValueError]) -> dict:
+    """`obj` if it is a JSON object of fields of the dataclass `cls`, each
+    value of its field's type: the one check of every JSON object that
+    becomes a config. Otherwise raises `error`."""
+    if not isinstance(obj, dict):
+        raise error(f"config must be a JSON object, got {type(obj).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(obj) - set(types)
+    if unknown:
+        raise error(f"unknown config fields: {sorted(unknown)}")
+    for name, value in obj.items():
+        accepted = _JSON_FIELD_TYPES[types[name]]
+        # bool is a subclass of int, but true is not a step count.
+        if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+            raise error(f"config field {name!r} must be {types[name]}, got {json.dumps(value)}")
+    return obj
 
 
 def write_jsonl(path, records) -> None:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .corpus import NUM_SPECIAL
+from .corpus import NUM_SPECIAL, check_json_fields
 from .examples import N_SEGMENTS, PretrainExample
 
 NEG_INF = -1e9
@@ -72,12 +72,13 @@ class ModelConfig:
     def from_json(cls, obj: dict) -> "ModelConfig":
         """Fields a header lacks (older ones omit the init fields) take their
         defaults. A retired key is dropped at the one value every model had;
-        at any other it raises ModelError naming it."""
+        at any other it raises ModelError naming it. Every other value must
+        have its field's JSON type."""
         obj = dict(obj)
         for key, value in _RETIRED.items():
             if key in obj and json.dumps(obj.pop(key)) != json.dumps(value):
                 raise ModelError(f"{key} other than {json.dumps(value)} is no longer supported")
-        return cls(**obj)
+        return cls(**check_json_fields(cls, obj, ModelError))
 
 
 # Keys the headers of older checkpoints hold, each at the one value every

@@ -70,8 +70,9 @@ class SamplerConfig:
             raise ExampleError("max_seq_len must be >= 16")
         if self.triples_per_example is not None and self.triples_per_example < 1:
             raise ExampleError("triples_per_example must be >= 1 when set")
-        if self.drop_triples and self.triple_keep_fraction < 1.0:
-            raise ExampleError("drop_triples conflicts with triple_keep_fraction < 1")
+        if self.drop_triples and (self.triple_keep_fraction < 1.0 or self.value_noise):
+            raise ExampleError("triple_keep_fraction < 1 and value_noise need serialized triples;"
+                               " drop_triples and plain mode serialize none")
 
 
 @dataclass
@@ -129,11 +130,7 @@ def assemble_input(
     ids = [CLS_ID, *text_ids]
     text_span = (1, len(ids))
     if heading_ids is None and not triple_ids:
-        ids.append(SEP_ID)
-        if len(ids) > max_seq_len:
-            raise ExampleError(f"text length {len(ids)} exceeds max_seq_len {max_seq_len}")
-        return ids, SegmentLayout(text_span, None, (0, 0), [], [SEG_TEXT] * len(ids))
-
+        ids.append(SEP_ID)  # the plain-text form: its core is the whole sequence
     sep0_pos = None if heading_ids is None else len(ids)
     core = len(ids) if heading_ids is None else len(ids) + 1
     if core > max_seq_len:

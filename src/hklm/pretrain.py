@@ -7,7 +7,6 @@ import ctypes
 import dataclasses
 import functools
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -36,17 +35,6 @@ from .optim import AdamWState, DivergenceError, adamw_step
 
 class ConfigError(ValueError):
     pass
-
-
-# The Python types a JSON value may decode to for each TrainConfig field
-# annotation; an int is accepted where a float is expected.
-_JSON_FIELD_TYPES = {
-    "str": (str,),
-    "bool": (bool,),
-    "int": (int,),
-    "float": (int, float),
-    "int | None": (int, type(None)),
-}
 
 
 @dataclass
@@ -106,8 +94,6 @@ class TrainConfig:
             raise ConfigError(f"peak_lr must be > 0, got {self.peak_lr}")
         if self.warmup_steps < 0 or self.eval_every < 0:
             raise ConfigError("warmup_steps and eval_every must be >= 0")
-        if self.mode == "plain" and (self.triple_keep_fraction != 1.0 or self.value_noise):
-            raise ConfigError("triple_keep_fraction and value_noise require hklm mode")
         if self.steps < 0 or self.batch_size < 1:
             raise ConfigError("steps must be >= 0 and batch_size >= 1")
         if not 0.0 < self.heldout_fraction < 1.0:
@@ -148,28 +134,6 @@ class TrainConfig:
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TrainConfig":
-        """Config from a JSON object of field values; every field is optional."""
-        return cls(**cls.json_fields(obj))
-
-    @classmethod
-    def json_fields(cls, obj: dict) -> dict:
-        """`obj` if it is a JSON object of fields, each value of its field's type; else ConfigError."""
-        if not isinstance(obj, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(obj).__name__}")
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(obj) - set(types)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        for name, value in obj.items():
-            accepted = _JSON_FIELD_TYPES[types[name]]
-            # bool is a subclass of int, but true is not a step count.
-            if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
-                raise ConfigError(f"config field {name!r} must be {types[name]}, got {json.dumps(value)}")
-        return obj
-
 
 
 @dataclass

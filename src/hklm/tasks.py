@@ -25,6 +25,7 @@ from .corpus import (
     Vocab,
     derive_seed,
     entity_split,
+    read_jsonl,
 )
 from .metrics import is_bio_tag
 
@@ -124,21 +125,7 @@ def _is_span(span, n: int) -> bool:
 
 def read_task_data(path) -> list[TaskExample]:
     """The records of a task file; each `id` may appear on one line only."""
-    out = []
-    id_lines: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    ex = TaskExample.from_json(json.loads(line))
-                except (ValueError, TypeError) as exc:  # TaskError and JSONDecodeError included
-                    raise TaskError(f"{path} line {lineno}: {exc}") from exc
-                if ex.example_id in id_lines:
-                    raise TaskError(f"{path} line {lineno}: duplicate id {ex.example_id!r}"
-                                    f" (first seen on line {id_lines[ex.example_id]})")
-                id_lines[ex.example_id] = lineno
-                out.append(ex)
-    return out
+    return read_jsonl(path, TaskExample.from_json, "id", TaskError)
 
 
 # Share of entities whose sentences go to the eval split.

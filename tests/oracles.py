@@ -688,8 +688,8 @@ def assemble_input(text_ids, heading_ids, triple_ids, max_seq_len):
         if triple_ids:
             raise ExampleError("plain-text form cannot carry triples")
         ids = [CLS_ID] + list(text_ids) + [SEP_ID]
-        if len(ids) > max_seq_len:
-            raise ExampleError(f"text length {len(ids)} exceeds max_seq_len {max_seq_len}")
+        if len(ids) > max_seq_len:  # the whole sequence is the plain-text form's core
+            raise ExampleError(f"core length {len(ids)} exceeds max_seq_len {max_seq_len}")
         layout = SegmentLayout(
             text_span=(1, 1 + len(text_ids)),
             sep0_pos=None,

@@ -7,10 +7,10 @@ from hklm import tasks
 from hklm.align import aligned_to_json
 from hklm.checkpoint import load_checkpoint
 from hklm.cli import run
-from hklm.corpus import build_vocab, load_corpus, write_jsonl
+from hklm.corpus import build_vocab, check_json_fields, load_corpus, write_jsonl
 from hklm.examples import example_to_json
 from hklm.manifest import sha256_file
-from hklm.pretrain import TrainConfig, build_aligned, run_pretraining
+from hklm.pretrain import ConfigError, TrainConfig, build_aligned, run_pretraining
 
 
 def sha(path):
@@ -118,7 +118,7 @@ class TestErrors:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{broken\n")
         assert run(["align", "--corpus", str(bad), "--seed", "1", "--out", str(tmp_path / "a.jsonl")]) == 1
-        assert "line 1" in capsys.readouterr().err
+        assert f"error: {bad}: line 1: invalid JSON" in capsys.readouterr().err
 
     def test_divergence_exit_two(self, pipeline_dir, tmp_path):
         import numpy as np
@@ -217,7 +217,8 @@ class TestAlignAndExamples:
         corpus = pipeline_dir / "c.jsonl"
         assert run([command, "--corpus", str(corpus), "--seed", "42", "--config", str(cfg),
                     "--out", str(out)]) == 0
-        config = TrainConfig.from_json(dict(obj, seed=42, steps=0, d_model=16, n_heads=2, n_layers=1))
+        fields = dict(obj, seed=42, steps=0, d_model=16, n_heads=2, n_layers=1)
+        config = TrainConfig(**check_json_fields(TrainConfig, fields, ConfigError))
         return out.read_text().splitlines(), config, load_corpus(corpus)
 
     @pytest.mark.parametrize("obj", PREP_CONFIGS, ids=lambda obj: obj.get("mode", "hklm"))
@@ -499,9 +500,15 @@ class TestMalformedInputs:
             lambda h: h["config"].update(tie_mlm=False),
             lambda h: h["config"].update(pos_init="normal"),
             lambda h: h["config"].update(n_segments=4),
+            # Values of another JSON type than their field's, even where they
+            # compare equal to the checkpoint's own (16 and 1 layer).
+            lambda h: h["config"].update(d_model=16.0),
+            lambda h: h["config"].update(n_layers=True),
+            lambda h: h["config"].update(vocab_size=float(h["config"]["vocab_size"])),
         ],
         ids=["unknown-key", "float16", "no-config", "narrow-d-model", "zero-heads", "shape", "no-moments",
-             "extra-tensor", "no-tensors", "untied-decoder", "normal-positions", "four-segments"],
+             "extra-tensor", "no-tensors", "untied-decoder", "normal-positions", "four-segments",
+             "float-d-model", "bool-layers", "float-vocab-size"],
     )
     def test_malformed_checkpoint_header(self, pipeline_dir, checkpoint, tmp_path, capsys, edit):
         header_line, tensors = checkpoint.read_bytes().split(b"\n", 1)
@@ -514,6 +521,34 @@ class TestMalformedInputs:
                     "--train", str(tasks / "ner-train.jsonl"), "--eval", str(tasks / "ner-eval.jsonl"),
                     "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
         assert "checkpoint" in _assert_one_line_error(code, capsys)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [(b"\xff\n", "'utf-8' codec can't decode byte 0xff"),
+         (json.dumps({"entity_id": "e", "title": "t", "infobox": [],
+                      "sections": [{"heading": "h", "level": True, "paragraphs": ["a"]}]}).encode(),
+          "line 1: section 0: level must be an integer >= 1"),
+         (json.dumps({"entity_id": "e", "title": "t", "infobox": 5,
+                      "sections": [{"heading": "h", "level": 1, "paragraphs": ["a"]}]}).encode(),
+          "line 1: infobox must be a list")],
+        ids=["not-utf-8", "level-true", "infobox-not-a-list"],
+    )
+    def test_malformed_corpus_names_the_file(self, tmp_path, capsys, data, message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(data)
+        code = run(["align", "--corpus", str(bad), "--seed", "1", "--out", str(tmp_path / "a.jsonl")])
+        assert _assert_one_line_error(code, capsys).startswith(f"error: {bad}: {message}")
+        assert not (tmp_path / "a.jsonl").exists()
+
+    def test_task_file_not_utf8_is_named(self, pipeline_dir, checkpoint, tmp_path, capsys):
+        tasks = pipeline_dir / "tasks"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes((tasks / "ner-train.jsonl").read_bytes() + b"\xff\n")
+        code = run(["finetune", "--checkpoint", str(checkpoint), "--task", "ner",
+                    "--train", str(bad), "--eval", str(tasks / "ner-eval.jsonl"),
+                    "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
+        assert _assert_one_line_error(code, capsys).startswith(f"error: {bad}: 'utf-8' codec can't decode")
+        assert not (tmp_path / "ft").exists()
 
     @pytest.mark.parametrize(
         "record",

@@ -430,6 +430,12 @@ class TestCheckpoint:
         with pytest.raises(ModelError, match=key):
             ModelConfig.from_json(dict(self.OLD_CONFIG, **{key: value}))
 
+    @pytest.mark.parametrize("key, value", [("dtype", 32), ("init_std", "0.02")])
+    def test_header_value_of_another_json_type_rejected(self, key, value):
+        """The check a --config file gets (the CLI tests cover ints: 16.0 and true)."""
+        with pytest.raises(ModelError, match=key):
+            ModelConfig.from_json(dict(self.OLD_CONFIG, **{key: value}))
+
     def test_truncated_rejected(self, tmp_path):
         cfg = ModelConfig(vocab_size=V, d_model=16, n_heads=2, n_layers=1)
         params = init_params(cfg, 5)

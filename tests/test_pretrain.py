@@ -10,9 +10,9 @@ import pytest
 from hklm import align, pretrain
 from hklm import examples as hklm_examples
 from hklm.checkpoint import save_checkpoint
-from hklm.corpus import SEP0_ID, SEPI_IDS, build_vocab, generate_synthetic_corpus, write_jsonl
+from hklm.corpus import SEP0_ID, SEPI_IDS, build_vocab, check_json_fields, generate_synthetic_corpus, write_jsonl
 from hklm.encoder import HEADS, ModelConfig, param_names
-from hklm.examples import SamplerConfig, generate_pretrain_examples
+from hklm.examples import ExampleError, SamplerConfig, generate_pretrain_examples
 from hklm.pretrain import (
     ConfigError,
     DivergenceError,
@@ -44,10 +44,11 @@ def corpus30():
 
 class TestConfig:
     def test_plain_mode_rejects_kg_degradation(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(mode="plain", triple_keep_fraction=0.5)
-        with pytest.raises(ConfigError):
-            TrainConfig(mode="plain", value_noise=True)
+        """Plain mode, like drop_triples, serializes no triple to thin out or noise."""
+        for kw in (dict(mode="plain", triple_keep_fraction=0.5), dict(mode="plain", value_noise=True),
+                   dict(mode="hklm", drop_triples=True, value_noise=True)):
+            with pytest.raises(ExampleError, match="need serialized triples"):
+                TrainConfig(**kw)
 
     def test_conflicting_ablations_rejected(self):
         with pytest.raises(Exception):
@@ -59,17 +60,19 @@ class TestConfig:
 
     def test_json_roundtrip(self):
         cfg = small_cfg(lam=0.5, value_noise=True)
-        again = TrainConfig.from_json(json.loads(json.dumps(cfg.to_json())))
+        again = TrainConfig(**check_json_fields(TrainConfig, json.loads(json.dumps(cfg.to_json())), ConfigError))
         assert again == cfg
 
     def test_int_accepted_for_float_and_optional_int(self):
-        cfg = TrainConfig.from_json({"peak_lr": 1, "lam": 2, "triples_per_example": 3})
+        cfg = TrainConfig(**check_json_fields(TrainConfig, {"peak_lr": 1, "lam": 2, "triples_per_example": 3},
+                                              ConfigError))
         assert (cfg.peak_lr, cfg.lam, cfg.triples_per_example) == (1, 2, 3)
-        assert TrainConfig.from_json({"triples_per_example": None}).triples_per_example is None
+        fields = check_json_fields(TrainConfig, {"triples_per_example": None}, ConfigError)
+        assert TrainConfig(**fields).triples_per_example is None
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
-            TrainConfig.from_json({"modex": 1})
+            TrainConfig(**check_json_fields(TrainConfig, {"modex": 1}, ConfigError))
 
     def test_sub_configs_take_every_field_but_their_own(self):
         # A field renamed on one side alone would silently keep its default.
