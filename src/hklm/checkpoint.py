@@ -83,8 +83,9 @@ def load_checkpoint(path):
         if not isinstance(header.get("vocab_hash"), str):
             raise CheckpointError("checkpoint header has no vocab_hash string")
         opt_meta = header.get("opt")
-        if opt_meta is not None and not (isinstance(opt_meta, dict) and isinstance(opt_meta.get("step"), int)):
-            raise CheckpointError('checkpoint header\'s "opt" must be null or {"step": <int>}')
+        step = opt_meta.get("step") if isinstance(opt_meta, dict) else None
+        if opt_meta is not None and not (type(step) is int and step >= 0):
+            raise CheckpointError('checkpoint header\'s "opt" must be null or {"step": <int >= 0>}')
         config = _header_config(header)
         # The layout save_checkpoint writes: parameters, then the moments.
         layout = list(param_shapes(config).items())

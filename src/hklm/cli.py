@@ -24,7 +24,7 @@ from .examples import generate_pretrain_examples, write_examples
 from .finetune import TASKS, FinetuneConfig, FinetuneError, check_records
 from .manifest import manifest_path_for, write_manifest
 from .optim import DivergenceError
-from .pretrain import ConfigError, TrainConfig, build_aligned, epoch_sampler, run_pretraining
+from .pretrain import ConfigError, TrainConfig, build_aligned, run_pretraining
 from .tasks import make_task_sets, read_task_data
 
 # Every error class of the package, and json.JSONDecodeError, is a ValueError.
@@ -111,7 +111,7 @@ def cmd_gen_examples(args) -> int:
     outputs = [args.out, sidecar] if args.debug_sidecar else [args.out]
     corpus, config, vocab, train_aligned = _aligned_training_split(args, outputs, args.mode)
     examples, stats = generate_pretrain_examples(
-        corpus, train_aligned, vocab, epoch_sampler(config, 0), keep_debug=args.debug_sidecar
+        corpus, train_aligned, vocab, config.sampler_config(), keep_debug=args.debug_sidecar
     )
     write_examples(examples, args.out, vocab.hash_hex())
     if args.debug_sidecar:

@@ -345,13 +345,25 @@ def parse_jsonl(lines, parse, unique: str, error: type[ValueError]) -> list:
 
 
 def read_jsonl(path, parse, unique: str, error: type[ValueError]) -> list:
-    """`parse_jsonl` over the UTF-8 file at `path`; its errors, and bytes
-    that are not UTF-8, raise `error` led by the path."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """`parse_jsonl` over the UTF-8 file at `path`; its errors raise `error`
+    led by the path, and bytes that are not UTF-8 name the line and the file
+    offset of the first of them."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             return parse_jsonl(fh, parse, unique, error)
-        except (UnicodeDecodeError, error) as exc:
-            raise error(f"{path}: {exc}") from exc
+    except error as exc:
+        raise error(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # The text decoder counts its position from its read chunk, not from
+        # the start of the file; decoding the whole file finds the byte.
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            line = data.count(b"\n", 0, whole.start) + 1
+            raise error(f"{path}: line {line}: not UTF-8 (byte {whole.start})") from exc
+        raise
 
 
 # The Python types a JSON value may decode to for each config field

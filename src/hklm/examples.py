@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,46 +222,46 @@ def apply_mlm_mask(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SerializedExamples:
-    """Serialized examples whose MLM masks are drawn when first asked for.
+class PretrainExamples(Sequence):
+    """One generated epoch of examples, each masked the first time it is read.
 
-    Until `masked(i)` draws them, `examples[i]` holds its serialized ids and
-    no MLM labels, and `streams[i]` its own stream where its corruption draws
-    left it, or None when they drew nothing (the stream is then created at
-    the mask draws). No two examples share a stream, so the order in which
-    they are masked cannot change them.
+    `examples[i]` draws example i's MLM masks from its own stream, where its
+    corruption draws left it (or from a new stream of its seed when they
+    drew nothing), and keeps the masked example for later reads. No two
+    examples share a stream, so the order of the reads cannot change them.
+    `lengths[i]` is example i's length, which masking leaves as it is.
+    Indices are ints, negative ones counted from the end; slices are refused.
     """
 
-    examples: list[PretrainExample]
-    streams: dict[int, np.random.Generator | None]
-    vocab_size: int
-    config: SamplerConfig
+    def __init__(self, examples: list[PretrainExample], streams: dict[int, np.random.Generator | int],
+                 vocab_size: int, config: SamplerConfig):
+        self._examples = examples
+        self._streams = streams  # each unmasked example's stream, or its seed
+        self._vocab_size = vocab_size
+        self._config = config
+        self.lengths = [len(ex.input_ids) for ex in examples]
 
-    def masked(self, i: int) -> PretrainExample:
-        ex = self.examples[i]
-        if i in self.streams:
-            rng = self.streams.pop(i)
-            if rng is None:
-                rng = np.random.default_rng(ex.seed)
-            ex.input_ids, ex.mlm_labels = apply_mlm_mask(ex.input_ids, self.vocab_size, rng, self.config)
+    def __len__(self) -> int:
+        return len(self._examples)
+
+    def __getitem__(self, i) -> PretrainExample:
+        i = range(len(self._examples))[operator.index(i)]
+        ex = self._examples[i]
+        if i in self._streams:
+            rng = np.random.default_rng(self._streams.pop(i))
+            ex.input_ids, ex.mlm_labels = apply_mlm_mask(ex.input_ids, self._vocab_size, rng, self._config)
         return ex
 
-    def all_masked(self) -> list[PretrainExample]:
-        for i in list(self.streams):
-            self.masked(i)
-        return self.examples
 
-
-def serialize_pretrain_examples(
+def generate_pretrain_examples(
     corpus: Corpus,
     aligned: list[AlignedFragment],
     vocab: Vocab,
     config: SamplerConfig,
     keep_debug: bool = False,
-) -> tuple[SerializedExamples, GenStats]:
-    """Degrade, corrupt and serialize every aligned fragment; masking is
-    left to `SerializedExamples.masked`.
+) -> tuple[PretrainExamples, GenStats]:
+    """Degrade, corrupt and serialize every aligned fragment; each example
+    is masked when it is first read (see `PretrainExamples`).
 
     Per-example rng seeds derive from (master seed, entity_id, fragment
     index), so generation order and parallelism cannot change the output.
@@ -272,7 +274,7 @@ def serialize_pretrain_examples(
     headings_by_id = {doc.entity_id: doc.headings() for doc in corpus}
     per_example = config.triples_per_example
     examples: list[PretrainExample] = []
-    streams: dict[int, np.random.Generator | None] = {}
+    streams: dict[int, np.random.Generator | int] = {}
     for af in aligned:
         frag = af.fragment
         triples = [] if config.drop_triples else [t for t, _score in af.triples]
@@ -328,7 +330,7 @@ def serialize_pretrain_examples(
                 "predicates": [t.predicate for t, _noise in chosen[:n_kept]],
                 "serialized_predicates": [t.predicate for t in serialized_triples[:n_kept]],
             }
-        streams[len(examples)] = rng
+        streams[len(examples)] = ex_seed if rng is None else rng
         examples.append(
             PretrainExample(
                 input_ids=ids,
@@ -340,20 +342,7 @@ def serialize_pretrain_examples(
                 debug=debug,
             )
         )
-    return SerializedExamples(examples, streams, len(vocab), config), stats
-
-
-def generate_pretrain_examples(
-    corpus: Corpus,
-    aligned: list[AlignedFragment],
-    vocab: Vocab,
-    config: SamplerConfig,
-    keep_debug: bool = False,
-) -> tuple[list[PretrainExample], GenStats]:
-    """Degrade, corrupt, serialize, and mask every aligned fragment: the
-    examples of `serialize_pretrain_examples`, each one masked."""
-    serialized, stats = serialize_pretrain_examples(corpus, aligned, vocab, config, keep_debug)
-    return serialized.all_masked(), stats
+    return PretrainExamples(examples, streams, len(vocab), config), stats
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,7 @@ from .encoder import (
     init_params,
     make_batch,
 )
-from .examples import (
-    PretrainExample,
-    SamplerConfig,
-    SerializedExamples,
-    generate_pretrain_examples,
-    serialize_pretrain_examples,
-)
+from .examples import PretrainExample, PretrainExamples, SamplerConfig, generate_pretrain_examples
 from .optim import AdamWState, DivergenceError, adamw_step
 
 
@@ -195,52 +189,36 @@ def build_aligned(
             align_corpus(held_corpus, vocab, held_frags, index, config.tau, config.k_max))
 
 
-def epoch_sampler(config: TrainConfig, epoch: int) -> SamplerConfig:
-    """Sampler for one training epoch.
-
-    Corruptions and masks are redrawn every epoch (deterministically from the
-    master seed) so a small corpus cannot be beaten by memorizing one frozen
-    set of negatives. Epoch 0 uses the master seed itself: `run_pretraining`
-    serializes it before the first step and masks each example when a step
-    first needs it, and later epochs are generated whole, each in the step
-    that needs its first batch. `hklm gen-examples` writes epoch 0's
-    examples of the training split, the same records that `run_pretraining`
-    returns as `train_examples`.
-    """
-    sampler = config.sampler_config()
-    if epoch > 0:
-        sampler = dataclasses.replace(sampler, seed=derive_seed(config.seed, "epoch", epoch))
-    return sampler
-
-
-def _length_buckets(examples: list[PretrainExample], batch_size: int) -> list[list[int]]:
+def _length_buckets(lengths: list[int], batch_size: int) -> list[list[int]]:
     """The example indices in order of length (ties by index), cut into
     batches of `batch_size`. Sorting by length keeps padding waste near zero."""
-    order = sorted(range(len(examples)), key=lambda i: (len(examples[i].input_ids), i))
+    order = sorted(range(len(lengths)), key=lambda i: (lengths[i], i))
     return [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
 
 
 def _training_batches(config: TrainConfig, corpus: Corpus, train_aligned: list[AlignedFragment],
-                       vocab: Vocab, first_epoch: SerializedExamples, dtype):
+                       vocab: Vocab, first_epoch: PretrainExamples, dtype):
     """The training batches of epoch after epoch, without end, each built
     when it is asked for.
 
-    Each epoch's examples run in length-bucketed batches, in the order of one
-    permutation of the buckets drawn per epoch from the `order` stream.
-    Epoch 0 is `first_epoch`, serialized, and each of its examples is masked
-    when the batch holding it is built; masking leaves an example's length
-    as it is, so the buckets are those of the masked examples. Each later
-    epoch's examples are generated whole with `epoch_sampler`, when its
-    first batch is asked for.
+    Corruptions and masks are redrawn every epoch, deterministically from
+    the master seed, so a small corpus cannot be beaten by memorizing one
+    frozen set of negatives. Epoch 0 is `first_epoch`, generated with
+    `config.sampler_config()` before the first step; epoch k > 0 is
+    generated with that sampler reseeded to `derive_seed(config.seed,
+    "epoch", k)`, when its first batch is asked for. Each epoch's examples
+    run in length-bucketed batches, in the order of one permutation of the
+    buckets drawn per epoch from the `order` stream, and each example is
+    masked when the batch holding it is built.
     """
     order_rng = np.random.default_rng(derive_seed(config.seed, "order"))
-    examples, example = first_epoch.examples, first_epoch.masked
+    examples = first_epoch
     for next_epoch in itertools.count(1):
-        buckets = _length_buckets(examples, config.batch_size)
+        buckets = _length_buckets(examples.lengths, config.batch_size)
         for i in order_rng.permutation(len(buckets)):
-            yield make_batch([example(j) for j in buckets[i]], dtype=dtype)
-        examples, _ = generate_pretrain_examples(corpus, train_aligned, vocab, epoch_sampler(config, next_epoch))
-        example = examples.__getitem__
+            yield make_batch([examples[j] for j in buckets[i]], dtype=dtype)
+        sampler = dataclasses.replace(config.sampler_config(), seed=derive_seed(config.seed, "epoch", next_epoch))
+        examples, _ = generate_pretrain_examples(corpus, train_aligned, vocab, sampler)
 
 
 def head_accuracy(logits: np.ndarray, labels: np.ndarray) -> tuple[int, int]:
@@ -262,7 +240,7 @@ def evaluate_pretrain_heads(params, model_config: ModelConfig, examples: list[Pr
     so padding stays low and the largest batch is no longer than the
     longest examples need."""
     totals = {head: [0, 0] for head in HEADS}
-    for bucket in _length_buckets(examples, _EVAL_BATCH):
+    for bucket in _length_buckets([len(ex.input_ids) for ex in examples], _EVAL_BATCH):
         batch = make_batch([examples[i] for i in bucket], dtype=model_config.np_dtype)
         res = forward_batch(params, model_config, batch)
         for head in HEADS:
@@ -331,7 +309,8 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
     and builds its own batches (see `_training_batches`). The held-out
     examples are generated at the first evaluation, or after the last step
     when `eval_every` is 0, and epoch 0's examples that no step reached are
-    masked after the last step, so `train_examples` is all of epoch 0.
+    masked after the last step, so `train_examples` is all of epoch 0, the
+    examples `hklm gen-examples` writes.
 
     Deterministic given (config, corpus) and the BLAS thread count: every
     random stream derives from config.seed, but a multithreaded BLAS may sum
@@ -344,11 +323,11 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
     """
     vocab = build_vocab(corpus)
     train_aligned, held_aligned = build_aligned(config, corpus, vocab)
-    first_epoch, _ = serialize_pretrain_examples(corpus, train_aligned, vocab, epoch_sampler(config, 0))
-    if not first_epoch.examples:
+    first_epoch, _ = generate_pretrain_examples(corpus, train_aligned, vocab, config.sampler_config())
+    if not first_epoch:
         raise ConfigError("no training examples were generated")
     held_examples = functools.cache(
-        lambda: generate_pretrain_examples(corpus, held_aligned, vocab, config.sampler_config())[0])
+        lambda: list(generate_pretrain_examples(corpus, held_aligned, vocab, config.sampler_config())[0]))
 
     model_cfg = config.model_config(len(vocab))
     params = init_params_seeded(model_cfg, config.seed)
@@ -399,7 +378,7 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
         model_config=model_cfg,
         vocab=vocab,
         metrics=metrics,
-        train_examples=first_epoch.all_masked(),
+        train_examples=list(first_epoch),
         held_examples=held_examples(),
         loss_trace=loss_trace,
     )

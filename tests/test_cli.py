@@ -524,14 +524,15 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize(
         "data, message",
-        [(b"\xff\n", "'utf-8' codec can't decode byte 0xff"),
+        [(b"\xff\n", "line 1: not UTF-8 (byte 0)"),
+         (b"\n" * 20000 + b"\xff\n", "line 20001: not UTF-8 (byte 20000)"),
          (json.dumps({"entity_id": "e", "title": "t", "infobox": [],
                       "sections": [{"heading": "h", "level": True, "paragraphs": ["a"]}]}).encode(),
           "line 1: section 0: level must be an integer >= 1"),
          (json.dumps({"entity_id": "e", "title": "t", "infobox": 5,
                       "sections": [{"heading": "h", "level": 1, "paragraphs": ["a"]}]}).encode(),
           "line 1: infobox must be a list")],
-        ids=["not-utf-8", "level-true", "infobox-not-a-list"],
+        ids=["not-utf-8", "not-utf-8-past-the-read-chunk", "level-true", "infobox-not-a-list"],
     )
     def test_malformed_corpus_names_the_file(self, tmp_path, capsys, data, message):
         bad = tmp_path / "bad.jsonl"
@@ -543,11 +544,13 @@ class TestMalformedInputs:
     def test_task_file_not_utf8_is_named(self, pipeline_dir, checkpoint, tmp_path, capsys):
         tasks = pipeline_dir / "tasks"
         bad = tmp_path / "bad.jsonl"
-        bad.write_bytes((tasks / "ner-train.jsonl").read_bytes() + b"\xff\n")
+        good = (tasks / "ner-train.jsonl").read_bytes()
+        bad.write_bytes(good + b"\xff\n")
         code = run(["finetune", "--checkpoint", str(checkpoint), "--task", "ner",
                     "--train", str(bad), "--eval", str(tasks / "ner-eval.jsonl"),
                     "--out", str(tmp_path / "ft"), "--seed", "3", "--epochs", "1"])
-        assert _assert_one_line_error(code, capsys).startswith(f"error: {bad}: 'utf-8' codec can't decode")
+        line = good.count(b"\n") + 1
+        assert _assert_one_line_error(code, capsys) == f"error: {bad}: line {line}: not UTF-8 (byte {len(good)})\n"
         assert not (tmp_path / "ft").exists()
 
     @pytest.mark.parametrize(

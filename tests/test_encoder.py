@@ -436,6 +436,19 @@ class TestCheckpoint:
         with pytest.raises(ModelError, match=key):
             ModelConfig.from_json(dict(self.OLD_CONFIG, **{key: value}))
 
+    @pytest.mark.parametrize("step", [True, -3], ids=["bool", "negative"])
+    def test_optimizer_step_not_a_nonnegative_int_rejected(self, tmp_path, step):
+        cfg = ModelConfig(vocab_size=V, d_model=8, n_heads=1, n_layers=1)
+        params = init_params(cfg, 5)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, cfg, "x", opt_state=AdamWState.for_params(params))
+        header_line, tensors = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["opt"]["step"] = step
+        path.write_bytes(json.dumps(header).encode() + b"\n" + tensors)
+        with pytest.raises(CheckpointError, match='"opt" must be null'):
+            load_checkpoint(path)
+
     def test_truncated_rejected(self, tmp_path):
         cfg = ModelConfig(vocab_size=V, d_model=16, n_heads=2, n_layers=1)
         params = init_params(cfg, 5)

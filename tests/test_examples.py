@@ -415,6 +415,47 @@ class TestGeneration:
             SamplerConfig(drop_triples=True, triple_keep_fraction=0.5)
 
 
+class TestMaskedWhenFirstRead:
+    """A generated epoch masks each example the first time it is read, from
+    the example's own stream, so no order of reads changes a byte."""
+
+    MODES = {
+        "hklm": SamplerConfig(seed=3),
+        "plain": SamplerConfig(seed=3, drop_headings=True, drop_triples=True),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @given(reads=st.lists(st.integers(-10**6, 10**6), max_size=40))
+    def test_any_read_order_gives_the_in_order_examples(self, synth_aligned, mode, reads):
+        corpus, vocab, aligned = synth_aligned
+        cfg = self.MODES[mode]
+        want = [example_to_json(ex) for ex in generate_pretrain_examples(corpus, aligned, vocab, cfg)[0]]
+        assert any(ex["mlm"] for ex in want)
+        examples, _ = generate_pretrain_examples(corpus, aligned, vocab, cfg)
+        n = len(examples)
+        for read in reads:
+            i = read % (2 * n) - n  # an index from -n to n - 1
+            assert example_to_json(examples[i]) == want[i], i
+        assert [example_to_json(ex) for ex in examples] == want
+
+    def test_negative_index_is_masked_and_slices_refused(self, synth_aligned):
+        corpus, vocab, aligned = synth_aligned
+        cfg = self.MODES["hklm"]
+        want = list(generate_pretrain_examples(corpus, aligned, vocab, cfg)[0])
+        examples, _ = generate_pretrain_examples(corpus, aligned, vocab, cfg)
+        n = len(examples)
+        assert examples.lengths == [len(ex.input_ids) for ex in want]
+        assert example_to_json(examples[-1]) == example_to_json(want[-1])
+        assert examples[-1] is examples[n - 1]
+        for index in (slice(0, 2), slice(None), 1.0, "0"):
+            with pytest.raises(TypeError):
+                examples[index]
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                examples[index]
+        assert list(examples) == want
+
+
 class TestGenerationMatchesReference:
     """Generation equals the former per-position numpy loop byte for byte,
     debug records and statistics included."""
@@ -444,7 +485,7 @@ class TestGenerationMatchesReference:
         (got_ex, got_stats), (want_ex, want_stats) = got, want
         assert [example_to_json(x) for x in got_ex] == [example_to_json(x) for x in want_ex]
         assert [x.debug for x in got_ex] == [x.debug for x in want_ex]
-        assert got_ex == want_ex
+        assert list(got_ex) == want_ex
         assert got_stats == want_stats
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -10,7 +10,15 @@ import pytest
 from hklm import align, pretrain
 from hklm import examples as hklm_examples
 from hklm.checkpoint import save_checkpoint
-from hklm.corpus import SEP0_ID, SEPI_IDS, build_vocab, check_json_fields, generate_synthetic_corpus, write_jsonl
+from hklm.corpus import (
+    SEP0_ID,
+    SEPI_IDS,
+    build_vocab,
+    check_json_fields,
+    derive_seed,
+    generate_synthetic_corpus,
+    write_jsonl,
+)
 from hklm.encoder import HEADS, ModelConfig, param_names
 from hklm.examples import ExampleError, SamplerConfig, generate_pretrain_examples
 from hklm.pretrain import (
@@ -280,13 +288,14 @@ class TestRunPretraining:
             assert live_grads == [], f"forward {n}"
 
     def test_each_epoch_drawn_when_its_first_batch_is_needed(self, corpus30, monkeypatch):
-        """Before the first step only epoch 0 is serialized. The k-th training
-        forward comes after exactly k batches were built, and within epoch 0
-        after exactly their examples were masked; so before the first
-        `progress` call, one batch's examples are masked and built.
-        Epoch 1 is drawn whole (and masked) in the step that needs its first
-        batch, with epoch 1's sampler. The held-out examples are drawn once,
-        at the first evaluation, or after the last step when eval_every is 0.
+        """Epoch 0 is generated once, before the first step, with the config's
+        sampler. The k-th training forward comes after exactly k batches were
+        built and, in every epoch, after exactly their examples were masked;
+        so before the first `progress` call, one batch's examples are masked
+        and built. Epoch 1 is generated in the step that needs its first
+        batch, with the sampler reseeded to derive_seed(seed, "epoch", 1).
+        The held-out examples are drawn once, at the first evaluation, or
+        after the last step when eval_every is 0.
         """
         real_generate, real_mask = pretrain.generate_pretrain_examples, hklm_examples.apply_mlm_mask
         real_batch, real_forward = pretrain.make_batch, pretrain.forward_batch
@@ -340,8 +349,8 @@ class TestRunPretraining:
         per_epoch = -(-n_train // cfg.batch_size)
         within = per_epoch  # the most steps that stay in epoch 0
         assert within >= 2
-        held = pretrain.epoch_sampler(cfg, 0)
-        assert held == cfg.sampler_config()
+        sampler = cfg.sampler_config()
+        epoch_1 = dataclasses.replace(sampler, seed=derive_seed(cfg.seed, "epoch", 1))
         for steps, eval_every in ((0, 0), (within, 0), (within + 1, 0), (within + 1, 2)):
             count.clear()
             calls.clear()
@@ -351,15 +360,15 @@ class TestRunPretraining:
             assert count["progress"] == steps and len(at_forward) == steps
             for k, (masks, built, batched, evaluations) in enumerate(at_forward, start=1):
                 assert built == k, (steps, k)
-                train_masks = batched if k <= per_epoch else n_train + n_train
-                assert masks == train_masks + n_held * bool(evaluations), (steps, k)
-            first_eval = [(eval_every - 1, eval_every, 0, held)] if eval_every else []
-            after_loop = [] if eval_every else [(steps, steps, 0, held)]
+                assert masks == batched + n_held * bool(evaluations), (steps, k)
+            first_eval = [(eval_every - 1, eval_every, 0, sampler)] if eval_every else []
+            after_loop = [] if eval_every else [(steps, steps, 0, sampler)]
             evaluated = within // eval_every if eval_every else 0
-            next_epoch = [(within, per_epoch, evaluated, pretrain.epoch_sampler(cfg, 1))] if steps > within else []
-            assert calls == sorted(first_eval + next_epoch) + after_loop, steps
-            # After the loop: the rest of epoch 0, then the held-out split when no evaluation ran.
-            assert count["mask"] == n_train + n_train * bool(next_epoch) + n_held
+            next_epoch = [(within, per_epoch, evaluated, epoch_1)] if steps > within else []
+            assert calls == [(0, 0, 0, sampler)] + sorted(first_eval + next_epoch) + after_loop, steps
+            # After the loop: the rest of epoch 0, then the held-out split when
+            # no evaluation ran; epoch 1's examples outside its built batches stay unmasked.
+            assert count["mask"] == max(count["batched"], n_train) + n_held
 
     @pytest.mark.parametrize("mode", ["hklm", "plain"])
     def test_returned_examples_are_the_generated_ones(self, corpus30, mode):
@@ -371,8 +380,8 @@ class TestRunPretraining:
         cfg = small_cfg(mode=mode, max_fragment_len=48, batch_size=32)
         vocab = build_vocab(corpus30)
         train_aligned, held_aligned = build_aligned(cfg, corpus30, vocab)
-        want_train, _ = generate_pretrain_examples(corpus30, train_aligned, vocab, pretrain.epoch_sampler(cfg, 0))
-        want_held, _ = generate_pretrain_examples(corpus30, held_aligned, vocab, cfg.sampler_config())
+        want_train = list(generate_pretrain_examples(corpus30, train_aligned, vocab, cfg.sampler_config())[0])
+        want_held = list(generate_pretrain_examples(corpus30, held_aligned, vocab, cfg.sampler_config())[0])
         assert any(ex.mlm_labels for ex in want_train) and any(ex.mlm_labels for ex in want_held)
         per_epoch = -(-len(want_train) // cfg.batch_size)
         for steps in (0, 1, per_epoch + 1):
