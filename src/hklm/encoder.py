@@ -9,8 +9,11 @@ a residual connection and layer norm.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -684,6 +687,36 @@ def _feed_forward_backward(params, p: str, c, dz, grads, y_ln):
 # ---------------------------------------------------------------------------
 
 
+# glibc's mallopt parameters (malloc.h) and its largest mmap threshold on
+# 64-bit platforms.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """On glibc, keep freed heap memory in the process from now on.
+
+    Each forward allocates an activation cache (tens to hundreds of MB) of
+    about the size the last one freed. By default glibc hands a freed heap
+    top back to the OS, and the next forward page-faults every page of it in
+    again. With arrays up to 32 MiB served from the heap and no trimming,
+    the next cache reuses those pages. The mmap threshold is fixed at 32 MiB,
+    the ceiling glibc itself raises it to as large arrays are freed. Set once
+    per process, at its first `encode`, and kept until exit; a no-op on
+    other C libraries.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):  # no confstr, or no such name
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+
+
 def encode(params, config: ModelConfig, batch: Batch, rows, want_cache: bool = False):
     """Run the encoder stack; returns the last hidden states (R, d) at `rows`,
     distinct indices into the flat (B*L) token axis, in the order of `rows`,
@@ -696,6 +729,7 @@ def encode(params, config: ModelConfig, batch: Batch, rows, want_cache: bool = F
     at them too. This is exact in real arithmetic; the row-subset GEMMs may
     round differently in the last bits from a pass over every token.
     """
+    _keep_freed_heap()
     b, l = batch.ids.shape
     if l > config.max_seq_len:
         raise ModelError(f"sequence length {l} exceeds max_seq_len {config.max_seq_len}")

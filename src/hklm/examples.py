@@ -83,12 +83,10 @@ class SegmentLayout:
 
     Order is [CLS], text, [SEP0], heading, then ([SEPi], triple_i) for
     i = 1..k. Plain-text examples instead end with a trailing [SEP] and have
-    no heading/triple spans.
+    no [SEP0] or triples.
     """
 
-    text_span: tuple[int, int]
     sep0_pos: int | None
-    heading_span: tuple[int, int]
     triples: list[tuple[int, tuple[int, int]]]  # ([SEPi] position, triple span)
     seg_ids: list[int]
 
@@ -130,7 +128,6 @@ def assemble_input(
     if len(triple_ids) > MAX_TRIPLES_PER_EXAMPLE:
         raise ExampleError(f"at most {MAX_TRIPLES_PER_EXAMPLE} triples per example, got {len(triple_ids)}")
     ids = [CLS_ID, *text_ids]
-    text_span = (1, len(ids))
     if heading_ids is None and not triple_ids:
         ids.append(SEP_ID)  # the plain-text form: its core is the whole sequence
     sep0_pos = None if heading_ids is None else len(ids)
@@ -143,12 +140,10 @@ def assemble_input(
         n_triples -= 1
         total -= 1 + len(triple_ids[n_triples])
     seg = [SEG_TEXT] * len(ids)
-    heading_span = (0, 0)
     if heading_ids is not None:
         # With every triple shed, the heading keeps what fits after the core.
         ids.append(SEP0_ID)
         ids.extend(heading_ids[: max_seq_len - core])
-        heading_span = (core, len(ids))
         seg += [SEG_HEADING] * (len(ids) - len(seg))
     triples = []
     for i in range(n_triples):
@@ -157,7 +152,7 @@ def assemble_input(
         ids.extend(triple_ids[i])
         triples.append((pos, (pos + 1, len(ids))))
     seg += [SEG_TRIPLES] * (len(ids) - len(seg))
-    return ids, SegmentLayout(text_span, sep0_pos, heading_span, triples, seg)
+    return ids, SegmentLayout(sep0_pos, triples, seg)
 
 
 def resample_from_pool(value: str, pool: list[str], rng, p_neg: float) -> tuple[str, int, bool]:

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import dataclasses
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,55 +248,6 @@ def evaluate_pretrain_heads(params, model_config: ModelConfig, examples: list[Pr
         f"n_{head}": t for head, (_c, t) in totals.items()}
 
 
-# glibc's mallopt parameters (malloc.h), its largest mmap threshold on 64-bit
-# platforms, and the trim threshold glibc pairs with it (twice the mmap
-# threshold) when it raises the threshold itself.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD_MAX = 32 << 20
-_TRIM_THRESHOLD_AFTER = 2 * _MMAP_THRESHOLD_MAX
-
-
-def _glibc():
-    """The C library of this process if it is glibc, else None."""
-    try:
-        return ctypes.CDLL(None) if os.confstr("CS_GNU_LIBC_VERSION") else None
-    except (AttributeError, OSError, ValueError):  # no confstr, or no such name
-        return None
-
-
-@contextlib.contextmanager
-def _freed_heap_retained():
-    """Within the block, glibc keeps freed heap memory in the process.
-
-    Training frees each step's activation cache (tens to hundreds of MB)
-    before the next forward allocates one of about the same size. By default
-    glibc hands a freed heap top back to the OS, and the next forward
-    page-faults every page of it in again. With arrays up to 32 MiB served
-    from the heap and no trimming, the next cache reuses those pages; the
-    peak resident size stays one cache.
-
-    On exit the retained memory goes back to the OS (`malloc_trim`) and
-    trimming is back on, at the 64 MiB threshold glibc pairs with a 32 MiB
-    mmap threshold. The mmap threshold stays at 32 MiB, the ceiling of the
-    threshold glibc raises by itself as large arrays are freed, and that
-    raising stays off. A no-op on other C libraries.
-    """
-    libc = _glibc()
-    if libc is None:
-        yield
-        return
-    mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    malloc_trim.argtypes = (ctypes.c_size_t,)
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
-    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
-    try:
-        yield
-    finally:
-        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_AFTER)
-        malloc_trim(0)
-
-
 def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> PretrainResult:
     """End-to-end fragment -> align -> corrupt -> train pipeline.
 
@@ -317,9 +265,9 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
     GEMMs in another order, which moves the weights in the last bits.
     Raises DivergenceError on non-finite loss or gradients.
 
-    On glibc the training loop changes the C allocator's settings, and one
-    of them, a fixed 32 MiB mmap threshold, holds for the rest of the
-    process (see `_freed_heap_retained`).
+    Like every forward, its steps run under the process's heap policy
+    (`encoder._keep_freed_heap`): on glibc, memory one step frees stays in
+    the process for the next step to reuse.
     """
     vocab = build_vocab(corpus)
     train_aligned, held_aligned = build_aligned(config, corpus, vocab)
@@ -341,37 +289,36 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
     # largest allocation of a step, is freed by its backward as it is read,
     # its logits die with `res` and its gradients once AdamW has applied
     # them. So no forward runs beside an earlier step's cache or gradients.
-    with _freed_heap_retained():
-        for step in range(1, config.steps + 1):
-            batch = next(batches)
-            res = forward_batch(params, model_cfg, batch, want_cache=True)
-            loss, grads = backward_batch(params, model_cfg, batch, res, config.lam, config.mu)
-            del res
-            if not np.isfinite(loss.total):
-                raise DivergenceError(f"non-finite loss at step {step - 1}: {loss}")
-            lr = config.peak_lr
-            if config.warmup_steps > 0:
-                lr *= min(1.0, step / config.warmup_steps)
-            adamw_step(params, grads, state, lr)
-            del grads
-            breakdown = (loss.total, loss.mlm, loss.tc, loss.tmt)
-            loss_trace.append(breakdown)
-            if config.eval_every > 0 and (step % config.eval_every == 0 or step == config.steps):
-                held_ex = held_examples()
-                ev = evaluate_pretrain_heads(params, model_cfg, held_ex) if held_ex else dict.fromkeys(HEADS)
-                metrics.append(
-                    MetricsRecord(
-                        step=step,
-                        loss_total=breakdown[0],
-                        **{f"loss_{head}": head_loss if len(batch.targets(head)[2]) else None
-                           for head, head_loss in zip(HEADS, breakdown[1:])},
-                        tc_acc=ev["tc"],
-                        tmt_acc=ev["tmt"],
-                        mlm_acc=ev["mlm"],
-                    )
+    for step in range(1, config.steps + 1):
+        batch = next(batches)
+        res = forward_batch(params, model_cfg, batch, want_cache=True)
+        loss, grads = backward_batch(params, model_cfg, batch, res, config.lam, config.mu)
+        del res
+        if not np.isfinite(loss.total):
+            raise DivergenceError(f"non-finite loss at step {step - 1}: {loss}")
+        lr = config.peak_lr
+        if config.warmup_steps > 0:
+            lr *= min(1.0, step / config.warmup_steps)
+        adamw_step(params, grads, state, lr)
+        del grads
+        breakdown = (loss.total, loss.mlm, loss.tc, loss.tmt)
+        loss_trace.append(breakdown)
+        if config.eval_every > 0 and (step % config.eval_every == 0 or step == config.steps):
+            held_ex = held_examples()
+            ev = evaluate_pretrain_heads(params, model_cfg, held_ex) if held_ex else dict.fromkeys(HEADS)
+            metrics.append(
+                MetricsRecord(
+                    step=step,
+                    loss_total=breakdown[0],
+                    **{f"loss_{head}": head_loss if len(batch.targets(head)[2]) else None
+                       for head, head_loss in zip(HEADS, breakdown[1:])},
+                    tc_acc=ev["tc"],
+                    tmt_acc=ev["tmt"],
+                    mlm_acc=ev["mlm"],
                 )
-            if progress is not None:
-                progress(step, breakdown)
+            )
+        if progress is not None:
+            progress(step, breakdown)
 
     return PretrainResult(
         params=params,

@@ -691,9 +691,7 @@ def assemble_input(text_ids, heading_ids, triple_ids, max_seq_len):
         if len(ids) > max_seq_len:  # the whole sequence is the plain-text form's core
             raise ExampleError(f"core length {len(ids)} exceeds max_seq_len {max_seq_len}")
         layout = SegmentLayout(
-            text_span=(1, 1 + len(text_ids)),
             sep0_pos=None,
-            heading_span=(0, 0),
             triples=[],
             seg_ids=[SEG_TEXT] * len(ids),
         )
@@ -719,7 +717,6 @@ def assemble_input(text_ids, heading_ids, triple_ids, max_seq_len):
     ids = [CLS_ID] + list(text_ids) + [SEP0_ID] + heading_ids
     seg = [SEG_TEXT] * (1 + len(text_ids)) + [SEG_HEADING] * (1 + len(heading_ids))
     sep0_pos = 1 + len(text_ids)
-    heading_span = (sep0_pos + 1, sep0_pos + 1 + len(heading_ids))
     triples = []
     for i, t in enumerate(triple_ids):
         pos = len(ids)
@@ -728,9 +725,7 @@ def assemble_input(text_ids, heading_ids, triple_ids, max_seq_len):
         seg.extend([SEG_TRIPLES] * (1 + len(t)))
         triples.append((pos, (pos + 1, pos + 1 + len(t))))
     layout = SegmentLayout(
-        text_span=(1, 1 + len(text_ids)),
         sep0_pos=sep0_pos,
-        heading_span=heading_span,
         triples=triples,
         seg_ids=seg,
     )
@@ -759,9 +754,7 @@ def assemble_headingless(text_ids, triple_ids, max_seq_len):
         seg.extend([SEG_TRIPLES] * (1 + len(t)))
         triples.append((pos, (pos + 1, pos + 1 + len(t))))
     layout = SegmentLayout(
-        text_span=(1, 1 + len(text_ids)),
         sep0_pos=None,
-        heading_span=(0, 0),
         triples=triples,
         seg_ids=seg,
     )

@@ -1,5 +1,9 @@
+import ctypes
 import dataclasses
 import json
+import os
+import platform
+import types
 
 import numpy as np
 import pytest
@@ -82,8 +86,7 @@ class TestForward:
         assert res.mlm_logits.shape == (2, V)
         assert res.tc_logits.shape == (2, 2)
         assert res.tmt_logits.shape == (1, 2)
-        text_start, text_end = layout.text_span
-        assert hidden[text_start:text_end].shape == (4, cfg.d_model)
+        assert hidden[1:layout.sep0_pos].shape == (4, cfg.d_model)
         assert hidden[layout.sep0_pos].shape == (cfg.d_model,)
         assert hidden[layout.sep_positions()].shape == (2, cfg.d_model)
 
@@ -490,6 +493,59 @@ class TestNumerics:
         out, _ = layer_norm(x, np.ones(8), np.zeros(8), 1e-12)
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-9)
         np.testing.assert_allclose((out**2).mean(axis=-1), 1.0, atol=1e-6)
+
+
+class TestHeapPolicy:
+    """The first `encode` of a process sets its heap policy, and no later one."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_process_policy(self):
+        encoder._keep_freed_heap.cache_clear()
+        yield
+        encoder._keep_freed_heap.cache_clear()  # the next encode sets the real policy
+
+    @staticmethod
+    def encode_once(example):
+        cfg = tiny_config()
+        encode(init_params(cfg, 0), cfg, make_batch([example], dtype=cfg.np_dtype), [0])
+
+    def fake_libc(self, monkeypatch, confstr):
+        calls = []
+        libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+        monkeypatch.setattr(os, "confstr", confstr)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        return calls
+
+    def test_glibc_policy_set_at_first_encode_only(self, rich_example, monkeypatch):
+        calls = self.fake_libc(monkeypatch, lambda name: "glibc 2.99")
+        self.encode_once(rich_example)
+        assert calls == [(-3, 32 << 20), (-1, 2**31 - 1)]
+        self.encode_once(rich_example)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("error", [None, ValueError, OSError, AttributeError])
+    def test_other_c_library_untouched(self, rich_example, monkeypatch, error):
+        def confstr(name):
+            if error is not None:
+                raise error(name)
+            return None
+
+        calls = self.fake_libc(monkeypatch, confstr)
+        self.encode_once(rich_example)
+        assert calls == []
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    def test_freed_heap_stays_in_the_process(self, rich_example):
+        def rss():
+            with open("/proc/self/statm") as fh:
+                return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        self.encode_once(rich_example)
+        mib = 1 << 20
+        arrays = [np.ones(mib // 2) for _ in range(16)]  # 16 × 4 MiB, heap-served
+        held = rss()
+        del arrays
+        assert held - rss() < 8 * mib
 
 
 def assert_identical(got, want):

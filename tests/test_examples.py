@@ -23,6 +23,8 @@ from hklm.corpus import (
 )
 from hklm.corpus import derive_seed
 from hklm.examples import (
+    SEG_HEADING,
+    SEG_TEXT,
     ExampleError,
     PretrainExample,
     SamplerConfig,
@@ -50,7 +52,7 @@ class TestAssemble:
         ids, layout = assemble_input([20, 21, 22], [30], [], 64)
         assert ids == [CLS_ID, 20, 21, 22, SEP0_ID, 30]
         assert layout.sep0_pos == 4
-        assert layout.heading_span == (5, 6)
+        assert layout.seg_ids == [0, 0, 0, 0, 1, 1]
         assert layout.triples == []
         assert not any(i in SEPI_IDS for i in ids)
 
@@ -75,9 +77,9 @@ class TestAssemble:
         # core = 3, heading = 2, triples 2x2 tokens -> total 3+2+6 = 11
         ids, layout = assemble_input([20], [30, 31], [[40, 41], [50, 51]], 8)
         # one triple dropped (lowest-scored end), heading intact
-        assert len(ids) == 8
+        assert ids == [CLS_ID, 20, SEP0_ID, 30, 31, SEPI_IDS[0], 40, 41]
         assert len(layout.triples) == 1
-        assert layout.heading_span == (3, 5)
+        assert layout.seg_ids == [0, 0, 1, 1, 1, 2, 2, 2]
         # all triples dropped, heading still whole
         ids2, layout2 = assemble_input([20], [30, 31], [[40, 41], [50, 51]], 5)
         assert ids2 == [CLS_ID, 20, SEP0_ID, 30, 31]
@@ -85,7 +87,8 @@ class TestAssemble:
         # heading tokens shed from the end, [SEP0] core untouched
         ids3, layout3 = assemble_input([20], [30, 31], [[40, 41], [50, 51]], 4)
         assert ids3 == [CLS_ID, 20, SEP0_ID, 30]
-        assert layout3.heading_span == (3, 4)
+        assert layout3.sep0_pos == 2
+        assert layout3.seg_ids == [0, 0, 1, 1]
 
     def test_core_overflow_raises(self):
         with pytest.raises(ExampleError):
@@ -99,8 +102,6 @@ class TestAssemble:
         ids, layout = assemble_input([20], None, [[40, 41], [50]], 64)
         assert ids == [CLS_ID, 20, SEPI_IDS[0], 40, 41, SEPI_IDS[1], 50]
         assert layout.sep0_pos is None
-        assert layout.heading_span == (0, 0)
-        assert layout.text_span == (1, 2)
         assert layout.triples == [(2, (3, 5)), (5, (6, 7))]
         assert layout.seg_ids == [0, 0, 2, 2, 2, 2, 2]
         assert SEP0_ID not in ids and SEP_ID not in ids
@@ -151,10 +152,11 @@ class TestAssemble:
     )
     def test_roundtrip_reconstruction(self, text, heading, triples):
         ids, layout = assemble_input(text, heading, triples, 512)
-        s, e = layout.text_span
-        assert ids[s:e] == text
-        hs, he = layout.heading_span
-        assert ids[hs:he] == heading
+        sep0 = layout.sep0_pos
+        assert ids[1:sep0] == text
+        heading_end = layout.triples[0][0] if layout.triples else len(ids)
+        assert ids[sep0 + 1:heading_end] == heading
+        assert layout.seg_ids[:heading_end] == [SEG_TEXT] * sep0 + [SEG_HEADING] * (heading_end - sep0)
         got_triples = [ids[ts:te] for _, (ts, te) in layout.triples]
         assert got_triples == triples
         for k, (pos, _) in enumerate(layout.triples):
@@ -344,10 +346,10 @@ class TestGeneration:
         corpus, vocab, aligned = synth_aligned
         examples, _ = generate_pretrain_examples(corpus, aligned, vocab, SamplerConfig(seed=3))
         for ex in examples:
-            spans = [ex.layout.text_span, ex.layout.heading_span]
-            spans += [sp for _, sp in ex.layout.triples]
+            # Text, heading and triples: every position but the separators.
+            separators = {0, ex.layout.sep0_pos, *ex.layout.sep_positions()}
             for pos, _ in ex.mlm_labels:
-                assert any(s <= pos < e for s, e in spans)
+                assert 0 <= pos < len(ex.input_ids) and pos not in separators
                 assert ex.input_ids[pos] != CLS_ID
 
     def test_drop_headings_removes_sep0(self, synth_aligned):

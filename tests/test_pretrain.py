@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import os
 import weakref
 from collections import Counter
 
@@ -414,22 +413,6 @@ class TestRunPretraining:
             assert list(short) == list(snapshots[k])
             for name, arr in short.items():
                 np.testing.assert_array_equal(arr, snapshots[k][name], err_msg=f"step {k}: {name}")
-
-    @pytest.mark.skipif(pretrain._glibc() is None, reason="glibc only")
-    def test_freed_heap_retained_only_within_training(self):
-        def rss():
-            with open("/proc/self/statm") as fh:
-                return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-
-        mib = 1 << 20
-        with pretrain._freed_heap_retained():
-            arrays = [np.ones(mib // 2) for _ in range(16)]  # 16 × 4 MiB, heap-served
-            held = rss()
-            del arrays
-            kept = rss()
-        after = rss()
-        assert held - kept < 8 * mib  # freed inside: kept in the process
-        assert kept - after > 48 * mib  # on exit: handed back to the OS
 
 
 class TestHeads:
