@@ -689,7 +689,7 @@ def _feed_forward_backward(params, p: str, c, dz, grads, y_ln):
 
 # glibc's mallopt parameters (malloc.h) and its largest mmap threshold on
 # 64-bit platforms.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _MMAP_THRESHOLD_MAX = 32 << 20
 
 
@@ -702,9 +702,13 @@ def _keep_freed_heap() -> None:
     top back to the OS, and the next forward page-faults every page of it in
     again. With arrays up to 32 MiB served from the heap and no trimming,
     the next cache reuses those pages. The mmap threshold is fixed at 32 MiB,
-    the ceiling glibc itself raises it to as large arrays are freed. Set once
-    per process, at its first `encode`, and kept until exit; a no-op on
-    other C libraries.
+    the ceiling glibc itself raises it to as large arrays are freed. Every
+    thread allocates from the one main arena: a scoring thread with an arena
+    of its own would keep that arena's freed pages too. glibc fixes its arena
+    limit when a second thread first needs an arena, so the policy must be set
+    before any thread that encodes starts (see `finetune._score_batches`).
+    Set once per process, at its first `encode` or scoring call, and kept
+    until exit; a no-op on other C libraries.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -715,6 +719,7 @@ def _keep_freed_heap() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
     mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def encode(params, config: ModelConfig, batch: Batch, rows, want_cache: bool = False):

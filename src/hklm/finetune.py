@@ -7,7 +7,9 @@ tokens between [CLS] and [SEP], or every real token), and the encoder's last
 block runs at those rows only; the loss maps the head's (R, k) logits at those
 rows to a loss and its gradient. The rest is shared: `_new_adapter` clones
 the encoder and draws an affine head, `_train_loop` fine-tunes the whole stack
-with AdamW, and `_head_logits` scores sequences with the trained head. Each
+with AdamW, and `_score_batches` scores batches of sequences with the trained
+head, one thread per usable core (`_head_logits` cuts a list of sequences into
+those batches; the ranker cuts each query's candidates). Each
 adapter then decodes the logits and evaluates with its task's metric bundle:
 token tagging (NER), multi-label typing on [CLS] with [ENT] markers, two-stage
 span extraction for open IE with [REL] markers, and [CLS]-scored candidate
@@ -20,6 +22,8 @@ the same check on its --train and --eval files before it writes anything.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -27,8 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .corpus import CLS_ID, REL_ID, SEP_ID, derive_seed
-from .encoder import (Batch, ModelConfig, _affine, _affine_backward, encode, encoder_backward,
-                      encoder_param_names, softmax, token_batch)
+from .encoder import (Batch, ModelConfig, _affine, _affine_backward, _keep_freed_heap, encode,
+                      encoder_backward, encoder_param_names, softmax, token_batch)
 from .metrics import bio_tags_to_spans, bio_transition_allowed, compute_task_metrics, is_valid_bio
 from .optim import AdamWState, adamw_step
 from .tasks import TaskExample
@@ -175,15 +179,49 @@ def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, rows
             adamw_step(params, grads, state, cfg.lr)
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _score_batches(params, cfg: ModelConfig, batches: list[list[list[int]]], rows_of) -> list[np.ndarray]:
+    """Float64 head logits (R, k) at the rows `rows_of` names in each batch of
+    sequences, in batch order.
+
+    The batches are encoded on one thread per usable core, at most one per
+    batch (serially for one); numpy and BLAS release the GIL while they
+    compute. Each batch is encoded as it would be on one thread, so with
+    BLAS at one thread per call every logit is bit-identical to a serial
+    pass's. The heap policy is set in this thread before the workers start,
+    as glibc fixes its arena limit when a second thread first allocates (see
+    `encoder._keep_freed_heap`).
+    """
+    def logits(sequences):
+        batch = token_batch(sequences, cfg.np_dtype)
+        h, _ = encode(params, cfg, batch, rows_of(batch))
+        return _affine(h, params["head_w"], params["head_b"]).astype(np.float64)
+
+    workers = min(_usable_cores(), len(batches))
+    if workers <= 1:
+        return [logits(sequences) for sequences in batches]
+    _keep_freed_heap()
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(logits, batches))
+
+
+def _in_batches(sequences: list[list[int]]) -> list[list[list[int]]]:
+    """`sequences` cut into batches of SCORE_BATCH, in order."""
+    return [sequences[start : start + SCORE_BATCH] for start in range(0, len(sequences), SCORE_BATCH)]
+
+
 def _head_logits(params, cfg: ModelConfig, sequences: list[list[int]], rows_of) -> np.ndarray:
     """Float64 head logits (R, k) at the rows `rows_of` names in each batch of
     SCORE_BATCH sequences, in sequence order; (0, k) for no sequences."""
-    out = [np.zeros((0, len(params["head_b"])))]
-    for start in range(0, len(sequences), SCORE_BATCH):
-        batch = token_batch(sequences[start : start + SCORE_BATCH], cfg.np_dtype)
-        h, _ = encode(params, cfg, batch, rows_of(batch))
-        out.append(_affine(h, params["head_w"], params["head_b"]).astype(np.float64))
-    return np.concatenate(out)
+    out = _score_batches(params, cfg, _in_batches(sequences), rows_of)
+    return np.concatenate([np.zeros((0, len(params["head_b"])))] + out)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -506,13 +544,22 @@ class Ranker:
 
     def score(self, query: list[int], candidates: list[list[int]]) -> list[float]:
         """Positive-class probability of each (query [SEP] candidate) pair."""
-        if not candidates:
-            raise FinetuneError("empty candidate list")
+        return self.score_queries([(query, candidates)])[0]
+
+    def score_queries(self, queries: list[tuple[list[int], list[list[int]]]]) -> list[list[float]]:
+        """`score` of each (query, candidates) pair. Each query's candidates
+        form its own batches of SCORE_BATCH; every query's batches are scored
+        in one `_score_batches` call."""
         cfg = self.model_config
-        _check_fits(query, "rank", cfg, f"query of {len(query)} tokens")
-        seqs = [_pair_sequence(query, cand, cfg.max_seq_len) for cand in candidates]
-        probs = softmax(_head_logits(self.params, cfg, seqs, _cls_rows))
-        return [float(x) for x in probs[:, 1]]
+        groups = []
+        for query, candidates in queries:
+            if not candidates:
+                raise FinetuneError("empty candidate list")
+            _check_fits(query, "rank", cfg, f"query of {len(query)} tokens")
+            groups.append(_in_batches([_pair_sequence(query, cand, cfg.max_seq_len) for cand in candidates]))
+        logits = iter(_score_batches(self.params, cfg, [batch for group in groups for batch in group], _cls_rows))
+        probs = [softmax(np.concatenate([next(logits) for _batch in group])) for group in groups]
+        return [[float(x) for x in p[:, 1]] for p in probs]
 
 
 def finetune_ranker(
@@ -538,16 +585,20 @@ def finetune_ranker(
 def rank_candidates(ranker: Ranker, query: list[int], candidates: list[list[int]]):
     """Scores plus the score-descending ranking (ties by candidate index)."""
     scores = ranker.score(query, candidates)
-    ranking = sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
-    return scores, ranking
+    return scores, _ranking(scores)
+
+
+def _ranking(scores: list[float]) -> list[int]:
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
 def evaluate_rank(ranker: Ranker, examples: list[TaskExample], dialog: bool = False) -> dict:
     check_records(examples, "rank", ranker.model_config)
     predictions = {}
     gold = {}
-    for ex in examples:
-        _scores, ranking = rank_candidates(ranker, ex.tokens, ex.candidates)
+    scores = ranker.score_queries([(ex.tokens, ex.candidates) for ex in examples])
+    for ex, ex_scores in zip(examples, scores):
+        ranking = _ranking(ex_scores)
         if dialog:
             predictions[ex.example_id] = (ranking, ex.candidates)
         else:

@@ -3,12 +3,13 @@ import dataclasses
 import json
 import os
 import platform
+import threading
 import types
 
 import numpy as np
 import pytest
 
-from hklm import encoder, optim, pretrain
+from hklm import encoder, finetune, optim, pretrain
 from hklm.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from hklm.encoder import (
     ModelConfig,
@@ -519,9 +520,36 @@ class TestHeapPolicy:
     def test_glibc_policy_set_at_first_encode_only(self, rich_example, monkeypatch):
         calls = self.fake_libc(monkeypatch, lambda name: "glibc 2.99")
         self.encode_once(rich_example)
-        assert calls == [(-3, 32 << 20), (-1, 2**31 - 1)]
+        assert calls == [(-3, 32 << 20), (-1, 2**31 - 1), (-8, 1)]
         self.encode_once(rich_example)
-        assert len(calls) == 2
+        assert len(calls) == 3
+
+    def test_first_scoring_call_sets_policy_before_workers_encode(self, monkeypatch):
+        """In a process whose first `encode` is a scoring call on a thread
+        pool, the calling thread sets the policy, arena cap included, before
+        any worker encodes: glibc fixes its arena limit when a second thread
+        first needs an arena."""
+        events = []
+        libc = types.SimpleNamespace(
+            mallopt=lambda param, value: events.append(("mallopt", param, threading.get_ident())))
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.99")
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        real_encode = finetune.encode
+
+        def logged_encode(*args, **kwargs):
+            events.append(("encode", None, threading.get_ident()))
+            return real_encode(*args, **kwargs)
+
+        monkeypatch.setattr(finetune, "encode", logged_encode)
+        monkeypatch.setattr(finetune, "_usable_cores", lambda: 2)
+        cfg = tiny_config()
+        params = init_params(cfg, 0) | {"head_w": np.ones((cfg.d_model, 2)), "head_b": np.zeros(2)}
+        seqs = [[2, 20 + i % 30, 3] for i in range(3 * finetune.SCORE_BATCH)]
+        assert finetune._head_logits(params, cfg, seqs, _cls_rows).shape == (len(seqs), 2)
+        caller = threading.get_ident()
+        assert events[:3] == [("mallopt", -3, caller), ("mallopt", -1, caller), ("mallopt", -8, caller)]
+        assert [what for what, _param, _thread in events[3:]] == ["encode"] * 3
+        assert caller not in {thread for _what, _param, thread in events[3:]}
 
     @pytest.mark.parametrize("error", [None, ValueError, OSError, AttributeError])
     def test_other_c_library_untouched(self, rich_example, monkeypatch, error):

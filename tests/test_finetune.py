@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from hklm import finetune
 from hklm.corpus import build_vocab, generate_synthetic_corpus
-from hklm.encoder import ModelConfig, encoder_param_names, init_params, token_batch
+from hklm.encoder import ModelConfig, ModelError, encoder_param_names, init_params, token_batch
 from hklm.finetune import (
     FinetuneConfig,
     FinetuneError,
@@ -650,3 +651,121 @@ def test_loss_grad_matches_finite_differences(case):
     want = numeric_grad(lambda x: loss_grad(x, targets, batch)[0], logits.copy())
     np.testing.assert_allclose(d_logits, want, rtol=1e-6, atol=1e-9)
     assert np.all(np.abs(d_logits).sum(axis=-1) > 0)
+
+
+@pytest.fixture()
+def workers(monkeypatch):
+    """Sets the scoring thread count, as if the process had that many cores,
+    so that a one-core machine still runs the thread pool."""
+    return lambda n: monkeypatch.setattr(finetune, "_usable_cores", lambda: n)
+
+
+@pytest.fixture(scope="module")
+def trained_tasks(world):
+    """Each task's one-epoch adapters and an eval set of more than one batch
+    (QA and dialogue: one batch per query)."""
+    corpus, truth, vocab, cfg, params = world
+    data = {
+        "ner": make_ner_data(truth, vocab, 5, n_train=8, n_eval=40),
+        "et": make_et_data(truth, vocab, 5, n_train=8, n_eval=40),
+        "oie": make_oie_data(truth, vocab, 5, n_train=8, n_eval=40),
+        "qa": make_rank_data(corpus, truth, vocab, 5, n_train=4, n_eval=5, n_candidates=8),
+        "dialog": make_rank_data(corpus, truth, vocab, 5, n_train=4, n_eval=5, n_candidates=8, dialog=True),
+    }
+    ft = FinetuneConfig(epochs=1, seed=5)
+    return {task: ([adapt(params, cfg, data[task][0], ft) for adapt in spec.train], data[task][1])
+            for task, spec in finetune.TASKS.items()}
+
+
+@pytest.fixture()
+def random_ranker(world):
+    _, _, _, cfg, params = world
+    rng = np.random.default_rng(8)
+    head = {"head_w": rng.normal(0.0, 1.0, (cfg.d_model, 2)).astype(cfg.np_dtype),
+            "head_b": np.zeros(2, dtype=cfg.np_dtype)}
+    return Ranker(params=params | head, model_config=cfg)
+
+
+def random_candidates(cfg, n, seed):
+    """`n` distinct candidates of 1 to 8 tokens."""
+    rng = np.random.default_rng(seed)
+    cands = {}
+    while len(cands) < n:
+        cand = rng.integers(20, cfg.vocab_size, size=rng.integers(1, 9)).tolist()
+        cands[tuple(cand)] = cand
+    return list(cands.values())
+
+
+@pytest.mark.parametrize("task", sorted(finetune.TASKS))
+def test_thread_pool_scores_as_one_worker(trained_tasks, workers, monkeypatch, task):
+    """Every task's metrics, and the bytes of every batch's logits, are the
+    same on two scoring threads as on one; with two, no batch is encoded on
+    the calling thread, and no thread outlives the call."""
+    models, evals = trained_tasks[task]
+    score_batches, encode, logits, threads = finetune._score_batches, finetune.encode, [], set()
+
+    def recorded_score_batches(*args):
+        out = score_batches(*args)
+        logits.extend(a.tobytes() for a in out)
+        return out
+
+    def recorded_encode(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(finetune, "_score_batches", recorded_score_batches)
+    monkeypatch.setattr(finetune, "encode", recorded_encode)
+    runs, before = [], threading.active_count()
+    for n in (1, 2):
+        workers(n)
+        logits.clear()
+        threads.clear()
+        runs.append((finetune.TASKS[task].evaluate(*models, evals), list(logits)))
+        assert (threading.get_ident() in threads) == (n == 1)
+        assert threading.active_count() == before
+    assert len(runs[0][1]) > 1
+    assert runs[0] == runs[1]
+
+
+def test_ranking_keeps_candidate_order_across_batches(random_ranker, workers):
+    """A query of more than SCORE_BATCH candidates is scored in batches of
+    SCORE_BATCH, in candidate order, on two threads as on one: its scores
+    are each batch's scores alone, joined in order, and several queries
+    scored in one call get the scores each gets alone."""
+    cfg = random_ranker.model_config
+    queries = [([20, 21], random_candidates(cfg, 2 * finetune.SCORE_BATCH + 7, 1)),
+               ([22], random_candidates(cfg, finetune.SCORE_BATCH + 1, 2)),
+               ([23, 24, 25], random_candidates(cfg, 3, 3))]
+    workers(1)
+    alone = [random_ranker.score(q, cands) for q, cands in queries]
+    query, cands = queries[0]
+    assert alone[0] == [score for start in range(0, len(cands), finetune.SCORE_BATCH)
+                        for score in random_ranker.score(query, cands[start : start + finetune.SCORE_BATCH])]
+    assert len(set(alone[0])) == len(cands)
+    workers(2)
+    assert [random_ranker.score(q, cands) for q, cands in queries] == alone
+    assert random_ranker.score_queries(queries) == alone
+
+
+def test_worker_error_reaches_the_caller(random_ranker, workers, monkeypatch):
+    """An encoder error on a worker thread is raised to the caller as the
+    same exception, and no scoring thread outlives the call."""
+    cfg = random_ranker.model_config
+    cands = random_candidates(cfg, 2 * finetune.SCORE_BATCH + 5, 4)
+    workers(2)
+    before = threading.active_count()
+    with pytest.raises(ModelError, match="outside the model vocabulary"):
+        random_ranker.score([20], cands[:-1] + [[cfg.vocab_size]])
+    assert threading.active_count() == before
+    error, encode = ModelError("worker failed"), finetune.encode
+
+    def failing_encode(params, model_cfg, batch, rows, want_cache=False):
+        if batch.size < finetune.SCORE_BATCH:
+            raise error
+        return encode(params, model_cfg, batch, rows, want_cache)
+
+    monkeypatch.setattr(finetune, "encode", failing_encode)
+    with pytest.raises(ModelError) as raised:
+        random_ranker.score([20], cands)
+    assert raised.value is error
+    assert threading.active_count() == before
