@@ -21,7 +21,9 @@ example) and prints one JSON line per training step:
 
 Each held-out evaluation of the pretraining heads (`evaluate_pretrain_heads`,
 at the end of the run) gets a line too: its `examples`, its largest `batch`,
-the `live_mb` when it starts and its `peak_mb`.
+the `live_mb` when it starts and its `peak_mb`. The evaluation runs one batch
+per usable core at a time, so its `peak_mb` covers the batches that run side
+by side.
 
 A last line sums it up: the parameters plus AdamW moments, the largest
 `peak_mb` of a step and of an evaluation (`eval_peak_mb`), the largest
@@ -97,13 +99,13 @@ def main():
     def minor_faults():
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-    records, evals, by_entry = [], [], []
+    records, evals, eval_shapes, by_entry = [], [], [], []
     forward, backward = pretrain.forward_batch, pretrain.backward_batch
     evaluate = pretrain.evaluate_pretrain_heads
 
     def traced_forward(params, model_cfg, batch, want_cache=False):
-        if not want_cache:  # held-out evaluation
-            evals[-1]["batch"] = max(evals[-1]["batch"], batch.ids.shape, key=lambda s: s[0] * s[1])
+        if not want_cache:  # held-out evaluation, on one thread per usable core
+            eval_shapes.append(batch.ids.shape)
             return forward(params, model_cfg, batch, want_cache)
         faults = minor_faults()
         live = tracemalloc.get_traced_memory()[0]
@@ -130,12 +132,14 @@ def main():
         return out
 
     def traced_evaluate(params, model_cfg, examples):
-        evals.append({"eval": "heads", "examples": len(examples), "batch": (0, 0),
+        eval_shapes.clear()
+        evals.append({"eval": "heads", "examples": len(examples), "batch": None,
                       "live_mb": round(tracemalloc.get_traced_memory()[0] / MB, 1)})
         tracemalloc.reset_peak()
         out = evaluate(params, model_cfg, examples)
         evals[-1]["peak_mb"] = round(tracemalloc.get_traced_memory()[1] / MB, 1)
-        evals[-1]["batch"] = "x".join(map(str, evals[-1]["batch"]))
+        largest = max(eval_shapes, key=lambda s: s[0] * s[1], default=(0, 0))
+        evals[-1]["batch"] = "x".join(map(str, largest))
         print(json.dumps(evals[-1]), flush=True)
         return out
 

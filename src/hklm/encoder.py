@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -703,12 +704,12 @@ def _keep_freed_heap() -> None:
     again. With arrays up to 32 MiB served from the heap and no trimming,
     the next cache reuses those pages. The mmap threshold is fixed at 32 MiB,
     the ceiling glibc itself raises it to as large arrays are freed. Every
-    thread allocates from the one main arena: a scoring thread with an arena
+    thread allocates from the one main arena: a worker thread with an arena
     of its own would keep that arena's freed pages too. glibc fixes its arena
     limit when a second thread first needs an arena, so the policy must be set
-    before any thread that encodes starts (see `finetune._score_batches`).
-    Set once per process, at its first `encode` or scoring call, and kept
-    until exit; a no-op on other C libraries.
+    before any thread that encodes starts (see `map_batches`). Set once per
+    process, at its first `encode` or `map_batches` call, and kept until
+    exit; a no-op on other C libraries.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -720,6 +721,31 @@ def _keep_freed_heap() -> None:
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
     mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
     mallopt(_M_ARENA_MAX, 1)
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def map_batches(fn, batches: list) -> list:
+    """`fn(batch)` for each of `batches`, in input order: the runner of every
+    forward-only pass. The batches run on one thread per usable core, at most
+    one per batch (serially for one), as numpy and BLAS release the GIL. Each
+    runs as it would on one thread, so with BLAS at one thread per call every
+    result is bit-identical to a serial pass's. A worker's exception reaches
+    the caller, and no thread outlives the call. The heap policy is set in
+    this thread first: glibc fixes its arena limit when a second thread first
+    allocates (see `_keep_freed_heap`)."""
+    _keep_freed_heap()
+    workers = min(_usable_cores(), len(batches))
+    if workers <= 1:
+        return [fn(batch) for batch in batches]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, batches))
 
 
 def encode(params, config: ModelConfig, batch: Batch, rows, want_cache: bool = False):

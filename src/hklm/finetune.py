@@ -5,25 +5,24 @@ each training item into the token ids the encoder reads; the row function
 names the flat token rows of a padded batch that the head reads ([CLS], the
 tokens between [CLS] and [SEP], or every real token), and the encoder's last
 block runs at those rows only; the loss maps the head's (R, k) logits at those
-rows to a loss and its gradient. The rest is shared: `_new_adapter` clones
-the encoder and draws an affine head, `_train_loop` fine-tunes the whole stack
+rows to a loss and its gradient. The rest is shared: `_new_adapter` clones the
+encoder and draws an affine head, `_train_loop` fine-tunes the whole stack
 with AdamW, and `_score_batches` scores batches of sequences with the trained
-head, one thread per usable core (`_head_logits` cuts a list of sequences into
-those batches; the ranker cuts each query's candidates). Each
-adapter then decodes the logits and evaluates with its task's metric bundle:
-token tagging (NER), multi-label typing on [CLS] with [ENT] markers, two-stage
-span extraction for open IE with [REL] markers, and [CLS]-scored candidate
-ranking shared by QA and dialogue. Every training and evaluation function
-first passes its set to `check_records`, which holds the rules a set must
-meet beyond those each `TaskExample` checks when built; `hklm finetune` runs
-the same check on its --train and --eval files before it writes anything.
+head on the encoder's forward-only runner, `map_batches` (`_head_logits` cuts
+a list of sequences into those batches; the ranker cuts each query's
+candidates). Each adapter then decodes the logits and evaluates with its
+task's metric bundle: token tagging (NER), multi-label typing on [CLS] with
+[ENT] markers, two-stage span extraction for open IE with [REL] markers, and
+[CLS]-scored candidate ranking shared by QA and dialogue. Every training and
+evaluation function first passes its set to `check_records`, which holds the
+rules a set must meet beyond those each `TaskExample` checks when built;
+`hklm finetune` runs the same check on its --train and --eval files before it
+writes anything.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -31,8 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .corpus import CLS_ID, REL_ID, SEP_ID, derive_seed
-from .encoder import (Batch, ModelConfig, _affine, _affine_backward, _keep_freed_heap, encode,
-                      encoder_backward, encoder_param_names, softmax, token_batch)
+from .encoder import (Batch, ModelConfig, _affine, _affine_backward, encode, encoder_backward,
+                      encoder_param_names, map_batches, softmax, token_batch)
 from .metrics import bio_tags_to_spans, bio_transition_allowed, compute_task_metrics, is_valid_bio
 from .optim import AdamWState, adamw_step
 from .tasks import TaskExample
@@ -179,37 +178,15 @@ def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, rows
             adamw_step(params, grads, state, cfg.lr)
 
 
-def _usable_cores() -> int:
-    """The cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def _score_batches(params, cfg: ModelConfig, batches: list[list[list[int]]], rows_of) -> list[np.ndarray]:
     """Float64 head logits (R, k) at the rows `rows_of` names in each batch of
-    sequences, in batch order.
-
-    The batches are encoded on one thread per usable core, at most one per
-    batch (serially for one); numpy and BLAS release the GIL while they
-    compute. Each batch is encoded as it would be on one thread, so with
-    BLAS at one thread per call every logit is bit-identical to a serial
-    pass's. The heap policy is set in this thread before the workers start,
-    as glibc fixes its arena limit when a second thread first allocates (see
-    `encoder._keep_freed_heap`).
-    """
+    sequences, in batch order, encoded by `map_batches`."""
     def logits(sequences):
         batch = token_batch(sequences, cfg.np_dtype)
         h, _ = encode(params, cfg, batch, rows_of(batch))
         return _affine(h, params["head_w"], params["head_b"]).astype(np.float64)
 
-    workers = min(_usable_cores(), len(batches))
-    if workers <= 1:
-        return [logits(sequences) for sequences in batches]
-    _keep_freed_heap()
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(logits, batches))
+    return map_batches(logits, batches)
 
 
 def _in_batches(sequences: list[list[int]]) -> list[list[list[int]]]:
@@ -580,12 +557,6 @@ def finetune_ranker(
             pairs.append((_pair_sequence(ex.tokens, ex.candidates[cand], model_cfg.max_seq_len), label))
     _train_loop(params, model_cfg, pairs, cfg, _cls_rows, _rank_loss)
     return Ranker(params=params, model_config=model_cfg)
-
-
-def rank_candidates(ranker: Ranker, query: list[int], candidates: list[list[int]]):
-    """Scores plus the score-descending ranking (ties by candidate index)."""
-    scores = ranker.score(query, candidates)
-    return scores, _ranking(scores)
 
 
 def _ranking(scores: list[float]) -> list[int]:

@@ -19,6 +19,7 @@ from .encoder import (
     forward_batch,
     init_params,
     make_batch,
+    map_batches,
 )
 from .examples import PretrainExample, PretrainExamples, SamplerConfig, generate_pretrain_examples
 from .optim import AdamWState, DivergenceError, adamw_step
@@ -233,19 +234,18 @@ _EVAL_BATCH = 32
 def evaluate_pretrain_heads(params, model_config: ModelConfig, examples: list[PretrainExample]) -> dict:
     """Inference-mode accuracy of the three heads over a fixed example set,
     and each head's number of targets (`n_<head>`). The examples run in
-    length-bucketed batches, as in training, each built when it is reached,
-    so padding stays low and the largest batch is no longer than the
-    longest examples need."""
-    totals = {head: [0, 0] for head in HEADS}
-    for bucket in _length_buckets([len(ex.input_ids) for ex in examples], _EVAL_BATCH):
+    length-bucketed batches, as in training, so padding stays low and the
+    largest batch is no longer than the longest examples need. Each batch is
+    built, run and counted on `map_batches`, and the counts are summed."""
+    def counts(bucket):
         batch = make_batch([examples[i] for i in bucket], dtype=model_config.np_dtype)
         res = forward_batch(params, model_config, batch)
-        for head in HEADS:
-            c, t = head_accuracy(res.logits(head), batch.targets(head)[2])
-            totals[head][0] += c
-            totals[head][1] += t
-    return {head: (c / t if t else None) for head, (c, t) in totals.items()} | {
-        f"n_{head}": t for head, (_c, t) in totals.items()}
+        return np.array([head_accuracy(res.logits(head), batch.targets(head)[2]) for head in HEADS])
+
+    buckets = _length_buckets([len(ex.input_ids) for ex in examples], _EVAL_BATCH)
+    totals = sum(map_batches(counts, buckets), np.zeros((len(HEADS), 2), dtype=np.int64)).tolist()
+    return {head: (c / t if t else None) for head, (c, t) in zip(HEADS, totals)} | {
+        f"n_{head}": t for head, (_c, t) in zip(HEADS, totals)}
 
 
 def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> PretrainResult:

@@ -524,32 +524,52 @@ class TestHeapPolicy:
         self.encode_once(rich_example)
         assert len(calls) == 3
 
-    def test_first_scoring_call_sets_policy_before_workers_encode(self, monkeypatch):
-        """In a process whose first `encode` is a scoring call on a thread
-        pool, the calling thread sets the policy, arena cap included, before
-        any worker encodes: glibc fixes its arena limit when a second thread
-        first needs an arena."""
+    @staticmethod
+    def log_policy_and_calls(monkeypatch, module, name):
+        """Events (what, mallopt parameter, thread) of a two-worker process on
+        glibc: each `mallopt` call and each call of `module.name`."""
         events = []
         libc = types.SimpleNamespace(
             mallopt=lambda param, value: events.append(("mallopt", param, threading.get_ident())))
         monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.99")
         monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
-        real_encode = finetune.encode
+        real = getattr(module, name)
 
-        def logged_encode(*args, **kwargs):
-            events.append(("encode", None, threading.get_ident()))
-            return real_encode(*args, **kwargs)
+        def logged(*args, **kwargs):
+            events.append((name, None, threading.get_ident()))
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(finetune, "encode", logged_encode)
-        monkeypatch.setattr(finetune, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(module, name, logged)
+        monkeypatch.setattr(encoder, "_usable_cores", lambda: 2)
+        return events
+
+    @staticmethod
+    def assert_policy_before_workers(events, name, calls):
+        caller = threading.get_ident()
+        assert events[:3] == [("mallopt", -3, caller), ("mallopt", -1, caller), ("mallopt", -8, caller)]
+        assert [what for what, _param, _thread in events[3:]] == [name] * calls
+        assert caller not in {thread for _what, _param, thread in events[3:]}
+
+    def test_first_scoring_call_sets_policy_before_workers_encode(self, monkeypatch):
+        """In a process whose first `encode` is a scoring call on a thread
+        pool, the calling thread sets the policy, arena cap included, before
+        any worker encodes: glibc fixes its arena limit when a second thread
+        first needs an arena."""
+        events = self.log_policy_and_calls(monkeypatch, finetune, "encode")
         cfg = tiny_config()
         params = init_params(cfg, 0) | {"head_w": np.ones((cfg.d_model, 2)), "head_b": np.zeros(2)}
         seqs = [[2, 20 + i % 30, 3] for i in range(3 * finetune.SCORE_BATCH)]
         assert finetune._head_logits(params, cfg, seqs, _cls_rows).shape == (len(seqs), 2)
-        caller = threading.get_ident()
-        assert events[:3] == [("mallopt", -3, caller), ("mallopt", -1, caller), ("mallopt", -8, caller)]
-        assert [what for what, _param, _thread in events[3:]] == ["encode"] * 3
-        assert caller not in {thread for _what, _param, thread in events[3:]}
+        self.assert_policy_before_workers(events, "encode", 3)
+
+    def test_first_evaluation_sets_policy_before_workers_forward(self, rich_example, monkeypatch):
+        """The same holds when a process's first forward is a held-out
+        evaluation of the pretraining heads."""
+        events = self.log_policy_and_calls(monkeypatch, pretrain, "forward_batch")
+        cfg = tiny_config()
+        ev = pretrain.evaluate_pretrain_heads(init_params(cfg, 0), cfg, [rich_example] * (2 * pretrain._EVAL_BATCH))
+        assert ev["n_tmt"] == 2 * pretrain._EVAL_BATCH
+        self.assert_policy_before_workers(events, "forward_batch", 2)
 
     @pytest.mark.parametrize("error", [None, ValueError, OSError, AttributeError])
     def test_other_c_library_untouched(self, rich_example, monkeypatch, error):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hklm import finetune
+from hklm import encoder, finetune
 from hklm.corpus import build_vocab, generate_synthetic_corpus
 from hklm.encoder import ModelConfig, ModelError, encoder_param_names, init_params, token_batch
 from hklm.finetune import (
@@ -27,7 +27,6 @@ from hklm.finetune import (
     finetune_span_stage2,
     finetune_token_classifier,
     pointer_decode,
-    rank_candidates,
 )
 from hklm.metrics import is_valid_bio
 from hklm.tasks import TaskError, TaskExample, make_et_data, make_ner_data, make_oie_data, make_rank_data
@@ -290,7 +289,8 @@ class TestAdapters:
         ranker = finetune_ranker(params, cfg, train, FinetuneConfig(epochs=1, seed=3))
         out = evaluate_rank(ranker, evals)
         assert set(out) == {"map", "mrr@1", "mrr@5", "mrr@10"}
-        scores, ranking = rank_candidates(ranker, evals[0].tokens, evals[0].candidates)
+        scores = ranker.score(evals[0].tokens, evals[0].candidates)
+        ranking = finetune._ranking(scores)
         assert len(scores) == len(evals[0].candidates)
         assert sorted(ranking, key=lambda i: (-scores[i], i)) == ranking
 
@@ -300,9 +300,10 @@ class TestAdapters:
         p["head_w"] = np.zeros((cfg.d_model, 2), dtype=cfg.np_dtype)
         p["head_b"] = np.zeros(2, dtype=cfg.np_dtype)
         ranker = Ranker(params=p, model_config=cfg)
-        scores, ranking = rank_candidates(ranker, [20, 21], [[22], [23], [24]])
+        scores = ranker.score([20, 21], [[22], [23], [24]])
         assert scores == [0.5, 0.5, 0.5]
-        assert ranking == [0, 1, 2]
+        assert finetune._ranking(scores) == [0, 1, 2]
+        assert finetune._ranking([0.2, 0.7, 0.2, 0.7]) == [1, 3, 0, 2]
 
     def test_ranker_overlong_query_rejected(self):
         # 14 query tokens leave no room for a candidate in 16 positions, in
@@ -657,7 +658,7 @@ def test_loss_grad_matches_finite_differences(case):
 def workers(monkeypatch):
     """Sets the scoring thread count, as if the process had that many cores,
     so that a one-core machine still runs the thread pool."""
-    return lambda n: monkeypatch.setattr(finetune, "_usable_cores", lambda: n)
+    return lambda n: monkeypatch.setattr(encoder, "_usable_cores", lambda: n)
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import threading
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from hklm import align, pretrain
+from hklm import align, encoder, pretrain
 from hklm import examples as hklm_examples
 from hklm.checkpoint import save_checkpoint
 from hklm.corpus import (
@@ -18,7 +19,7 @@ from hklm.corpus import (
     generate_synthetic_corpus,
     write_jsonl,
 )
-from hklm.encoder import HEADS, ModelConfig, param_names
+from hklm.encoder import HEADS, ModelConfig, ModelError, param_names
 from hklm.examples import ExampleError, SamplerConfig, generate_pretrain_examples
 from hklm.pretrain import (
     ConfigError,
@@ -443,14 +444,59 @@ class TestHeads:
         lengths = sorted(len(ex.input_ids) for ex in examples)
         size = pretrain._EVAL_BATCH
         assert len(examples) > 2 * size
-        assert shapes == [(len(lengths[i : i + size]), lengths[i : i + size][-1])
-                          for i in range(0, len(lengths), size)]
+        assert sorted(shapes) == sorted((len(lengths[i : i + size]), lengths[i : i + size][-1])
+                                        for i in range(0, len(lengths), size))
         one_by_one = [evaluate_pretrain_heads(res.params, res.model_config, [ex]) for ex in examples]
         for head in ("mlm", "tc", "tmt"):
             n = [e[f"n_{head}"] for e in one_by_one]
             assert ev[f"n_{head}"] == sum(n)
             correct = sum(round(e[head] * k) for e, k in zip(one_by_one, n) if k)
             assert ev[head] == correct / sum(n)
+
+    @pytest.mark.parametrize("mode", ["hklm", "plain"])
+    def test_evaluation_on_two_workers_counts_as_on_one(self, corpus30, monkeypatch, mode):
+        """Held-out evaluation returns the same dict on two worker threads as
+        on one; with two, no batch runs on the calling thread, and no thread
+        outlives the call."""
+        res = run_pretraining(small_cfg(mode=mode, steps=2, heldout_fraction=0.5), corpus30)
+        examples = res.train_examples + res.held_examples
+        assert len(examples) > 2 * pretrain._EVAL_BATCH
+        forward, threads = pretrain.forward_batch, set()
+
+        def recording(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(pretrain, "forward_batch", recording)
+        runs, before = [], threading.active_count()
+        for n in (1, 2):
+            monkeypatch.setattr(encoder, "_usable_cores", lambda: n)
+            threads.clear()
+            runs.append(evaluate_pretrain_heads(res.params, res.model_config, examples))
+            assert (threading.get_ident() in threads) == (n == 1)
+            assert threading.active_count() == before
+        assert runs[0] == runs[1]
+
+    def test_evaluation_worker_error_reaches_the_caller(self, corpus30, monkeypatch):
+        """A `ModelError` raised in an evaluation worker is raised to the
+        caller as the same object, and no thread outlives the call."""
+        res = run_pretraining(small_cfg(steps=0, heldout_fraction=0.5), corpus30)
+        examples = res.train_examples + res.held_examples
+        longest = max(len(ex.input_ids) for ex in examples)
+        error, forward = ModelError("worker failed"), pretrain.forward_batch
+
+        def failing_forward(params, cfg, batch, want_cache=False):
+            if batch.ids.shape[1] == longest:
+                raise error
+            return forward(params, cfg, batch, want_cache)
+
+        monkeypatch.setattr(pretrain, "forward_batch", failing_forward)
+        monkeypatch.setattr(encoder, "_usable_cores", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(ModelError) as raised:
+            evaluate_pretrain_heads(res.params, res.model_config, examples)
+        assert raised.value is error
+        assert threading.active_count() == before
 
     def test_oracle_logits_give_accuracy_one(self):
         labels = np.array([0, 1, 1, 0])
