@@ -9,12 +9,15 @@ a residual connection and layer norm.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import types
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -444,9 +447,12 @@ def _affine_param_grads(x, d):
     return x.T @ d, d.sum(axis=0)
 
 
-def _affine_backward(x, w, d):
-    """`_affine_param_grads`, then the gradient wrt x (d @ w.T)."""
-    return *_affine_param_grads(x, d), d @ w.T
+def _affine_backward(x, w, d, grads, names):
+    """Hands `_affine_param_grads(x, d)` to `_defer` as grads[names], then
+    returns the gradient wrt x, d @ w.T. Neither x nor d may be written
+    afterwards."""
+    _defer(grads, names, _affine_param_grads, x, d)
+    return d @ w.T
 
 
 def _add_rows_at(out, rows, values) -> None:
@@ -630,8 +636,8 @@ def _self_attention_backward(params, p: str, c, dy, grads, x_ln):
     back to the R rows for the query weights."""
     d_out, grads[p + "ln1_g"], grads[p + "ln1_b"] = layer_norm_backward(dy, c.pop("ln1"), params[p + "ln1_g"])
     rows, slot = c.pop("rows"), c.pop("slot")
-    grads[p + "o_w"], grads[p + "o_b"], d_ctx = _affine_backward(
-        _attention_context(c["probs"], c["v"], slot), params[p + "o_w"], d_out)
+    d_ctx = _affine_backward(_attention_context(c["probs"], c["v"], slot), params[p + "o_w"], d_out,
+                             grads, (p + "o_w", p + "o_b"))
     b, h, n_queries = c["probs"].shape[:3]
     if rows is not None:
         d_ctx = _scatter_rows(d_ctx, slot, b * n_queries)
@@ -641,15 +647,12 @@ def _self_attention_backward(params, p: str, c, dy, grads, x_ln):
     dq, xq = _merge_heads(dq), x
     if rows is not None:
         dq, xq = dq[slot], x[rows]
-    grads[p + "q_w"], grads[p + "q_b"], dx_q = _affine_backward(xq, params[p + "q_w"], dq)
-    dx = d_out  # no read of d_out follows: accumulate in place
-    dx += dx_q
+    dx = d_out + _affine_backward(xq, params[p + "q_w"], dq, grads, (p + "q_w", p + "q_b"))
     if rows is not None:
         dx = _scatter_rows(dx, rows, len(x))
     for name, dmat in (("k", dk), ("v", dv)):
-        w = p + name + "_w"
-        grads[w], grads[p + name + "_b"], dx_kv = _affine_backward(x, params[w], _merge_heads(dmat))
-        dx += dx_kv
+        dx += _affine_backward(x, params[p + name + "_w"], _merge_heads(dmat), grads,
+                               (p + name + "_w", p + name + "_b"))
     return dx
 
 
@@ -675,12 +678,10 @@ def _feed_forward_backward(params, p: str, c, dz, grads, y_ln):
     d_act = d_out @ params[p + "ffn_w2"].T
     act = c.pop("ffn_pre")
     d_pre = gelu_grad(act, dout=d_act, act=act)
-    grads[p + "ffn_w2"], grads[p + "ffn_b2"] = _affine_param_grads(act, d_out)
+    _defer(grads, (p + "ffn_w2", p + "ffn_b2"), _affine_param_grads, act, d_out)
     del act
-    grads[p + "ffn_w1"], grads[p + "ffn_b1"], dy = _affine_backward(
-        _ln_output(params, *y_ln), params[p + "ffn_w1"], d_pre)
-    d_out += dy  # no read of d_out follows: accumulate in place
-    return d_out
+    return d_out + _affine_backward(_ln_output(params, *y_ln), params[p + "ffn_w1"], d_pre,
+                                    grads, (p + "ffn_w1", p + "ffn_b1"))
 
 
 # ---------------------------------------------------------------------------
@@ -707,8 +708,9 @@ def _keep_freed_heap() -> None:
     thread allocates from the one main arena: a worker thread with an arena
     of its own would keep that arena's freed pages too. glibc fixes its arena
     limit when a second thread first needs an arena, so the policy must be set
-    before any thread that encodes starts (see `map_batches`). Set once per
-    process, at its first `encode` or `map_batches` call, and kept until
+    before any thread that encodes starts (see `map_batches`) or takes a
+    backward's jobs (see `training_cores`). Set once per process, at its
+    first `encode`, `map_batches` call or training scope, and kept until
     exit; a no-op on other C libraries.
     """
     try:
@@ -723,28 +725,123 @@ def _keep_freed_heap() -> None:
     mallopt(_M_ARENA_MAX, 1)
 
 
-def _usable_cores() -> int:
-    """The cores this process may run on."""
+# `scope`: the training scope open on this thread (see `training_cores`), if
+# any. Per thread, so that a backward on any other thread runs inline.
+_thread = threading.local()
+
+
+def _thread_cores() -> set[int]:
+    """The cores the calling thread may run on."""
     try:
-        return len(os.sched_getaffinity(0))
+        return os.sched_getaffinity(0)
     except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+        return set(range(os.cpu_count() or 1))
+
+
+def _usable_cores() -> list[int]:
+    """The cores this process may run on, in order: the calling thread's, or
+    inside a training scope those it had before the scope pinned it."""
+    scope = getattr(_thread, "scope", None)
+    return scope.cores if scope is not None else sorted(_thread_cores())
+
+
+def _pin(cores) -> None:
+    """Let the calling thread run on `cores` alone (a no-op where threads
+    cannot choose)."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, cores)
+
+
+def _current_core(cores: list[int]) -> int:
+    """The one of `cores` the calling thread runs on (glibc's sched_getcpu),
+    or the first of them where that is unknown."""
+    try:
+        sched_getcpu = ctypes.CDLL(None).sched_getcpu
+    except (AttributeError, OSError):  # not glibc
+        return cores[0]
+    sched_getcpu.argtypes, sched_getcpu.restype = (), ctypes.c_int
+    core = sched_getcpu()
+    return core if core in cores else cores[0]
+
+
+@contextlib.contextmanager
+def training_cores():
+    """Run the backwards of the enclosed training steps on two cores.
+
+    The input-gradient chain of a backward stays on the calling thread, which
+    is pinned to the core it is on; each parameter-gradient job it hands to
+    `_defer` runs on one worker thread pinned to another usable core, as
+    numpy and BLAS release the GIL. Nothing below a layer reads its weight
+    gradients, so the two overlap, and `encoder_backward` and
+    `backward_batch` wait for every job before they return the same
+    gradients, bit for bit, as a serial backward. Two threads of one process
+    left to the scheduler tend to share one core, so both are pinned.
+    `map_batches` inside the scope still runs one thread per core the
+    process may use. With one usable core no thread starts and every job
+    runs where it is handed off. The heap policy is set before the worker
+    starts (see `_keep_freed_heap`); on exit the worker is joined and the
+    calling thread's cores are restored."""
+    cores = _usable_cores()
+    if len(cores) < 2:
+        yield
+        return
+    _keep_freed_heap()
+    mask, here = _thread_cores(), _current_core(cores)
+    _pin({here})
+    other = cores[cores.index(here) - 1]  # the usable core before `here`, wrapping round
+    worker = ThreadPoolExecutor(1, initializer=_pin, initargs=({other},))
+    _thread.scope = types.SimpleNamespace(cores=cores, worker=worker, jobs=[])
+    try:
+        yield
+    finally:
+        _thread.scope = None
+        worker.shutdown()
+        _pin(mask)
+
+
+def _defer(grads: dict, names: tuple[str, ...], fn, *args) -> None:
+    """Set grads[name] for each of `names` to the results of fn(*args), in
+    order: on the worker of this thread's training scope, or here and now
+    outside one. The names take their places in `grads` at once, so its
+    order is the same either way. No array in `args` may be written
+    afterwards; `_finish_jobs` waits for the results."""
+    scope = getattr(_thread, "scope", None)
+    if scope is None:
+        grads.update(zip(names, fn(*args)))
+        return
+    grads.update(dict.fromkeys(names))
+    scope.jobs.append(scope.worker.submit(lambda: grads.update(zip(names, fn(*args)))))
+
+
+def _finish_jobs() -> None:
+    """Wait for every job this thread has handed to `_defer`. Once all have
+    finished, the first that failed raises its exception here."""
+    scope = getattr(_thread, "scope", None)
+    if scope is None:
+        return
+    jobs, scope.jobs = scope.jobs, []
+    wait(jobs)
+    for job in jobs:
+        job.result()
 
 
 def map_batches(fn, batches: list) -> list:
     """`fn(batch)` for each of `batches`, in input order: the runner of every
     forward-only pass. The batches run on one thread per usable core, at most
-    one per batch (serially for one), as numpy and BLAS release the GIL. Each
-    runs as it would on one thread, so with BLAS at one thread per call every
-    result is bit-identical to a serial pass's. A worker's exception reaches
-    the caller, and no thread outlives the call. The heap policy is set in
-    this thread first: glibc fixes its arena limit when a second thread first
+    one per batch (serially for one), the k-th thread pinned to the k-th
+    core, as numpy and BLAS release the GIL. Each runs as it would on one
+    thread, so with BLAS at one thread per call every result is
+    bit-identical to a serial pass's. A worker's exception reaches the
+    caller, and no thread outlives the call. The heap policy is set in this
+    thread first: glibc fixes its arena limit when a second thread first
     allocates (see `_keep_freed_heap`)."""
     _keep_freed_heap()
-    workers = min(_usable_cores(), len(batches))
+    cores = _usable_cores()
+    workers = min(len(cores), len(batches))
     if workers <= 1:
         return [fn(batch) for batch in batches]
-    with ThreadPoolExecutor(workers) as pool:
+    free = iter(cores)
+    with ThreadPoolExecutor(workers, initializer=lambda: _pin({next(free)})) as pool:
         return list(pool.map(fn, batches))
 
 
@@ -790,7 +887,9 @@ def encoder_backward(params, config: ModelConfig, cache, d_hidden):
     feed-forward; the previous block's LN2, or the embedding layer norm, for
     the self-attention), which is still held when the rebuild runs.
 
-    The backward consumes `cache`, freeing each activation once read; a
+    Each sublayer hands its parameter gradients to `_defer`; the backward
+    waits for them (and for every job handed off before it) before it
+    returns. It consumes `cache`, freeing each activation once read; a
     second backward over the same cache raises ModelError.
     """
     grads: dict[str, np.ndarray] = {}
@@ -803,6 +902,7 @@ def encoder_backward(params, config: ModelConfig, cache, d_hidden):
         dx = _self_attention_backward(  # its input is the output of the LN2 below or the embedding LN
             params, p, c, dx, grads, (f"layers.{i - 1}.ln2", layers[-1]["ln2"]) if i else ("emb_ln", emb["ln"]))
     _embed_backward(params, emb, dx, grads)
+    _finish_jobs()
     return grads
 
 
@@ -843,14 +943,14 @@ def _mlm_head(params, g):
 
 
 def _mlm_head_backward(params, c, d_logits, grads):
-    """Mirrors `_mlm_head`; returns the gradients wrt g and wrt the decoder,
-    which `backward_batch` adds to the token embeddings'."""
-    d_decoder, grads["mlm_out_b"], d_h = _affine_backward(
-        _ln_output(params, "mlm_ln", c["ln"]), params["tok_emb"].T, d_logits)
+    """Mirrors `_mlm_head`; returns the gradient wrt g. The decoder's weight
+    gradient goes into grads["mlm_decoder"], which `backward_batch` adds to
+    the token embeddings'."""
+    d_h = _affine_backward(_ln_output(params, "mlm_ln", c["ln"]), params["tok_emb"].T, d_logits,
+                           grads, ("mlm_decoder", "mlm_out_b"))
     d_act, grads["mlm_ln_g"], grads["mlm_ln_b"] = layer_norm_backward(d_h, c.pop("ln"), params["mlm_ln_g"])
     d_pre = gelu_grad(c.pop("pre"), dout=d_act)
-    grads["mlm_w"], grads["mlm_b"], d_g = _affine_backward(c.pop("g"), params["mlm_w"], d_pre)
-    return d_g, d_decoder
+    return _affine_backward(c.pop("g"), params["mlm_w"], d_pre, grads, ("mlm_w", "mlm_b"))
 
 
 def forward_batch(params, config: ModelConfig, batch: Batch, want_cache: bool = False) -> ForwardResult:
@@ -911,8 +1011,9 @@ def joint_loss(result: ForwardResult, batch: Batch, lam: float, mu: float):
 def backward_batch(params, config: ModelConfig, batch: Batch, result: ForwardResult,
                    lam: float, mu: float):
     """Exact gradients of the joint loss wrt every parameter tensor, in
-    declaration order. Like `encoder_backward` it consumes the activation
-    cache: a second backward over one ForwardResult raises ModelError."""
+    declaration order. Like `encoder_backward` it waits for every job it
+    hands to `_defer`, and consumes the activation cache: a second backward
+    over one ForwardResult raises ModelError."""
     if result.cache is None:
         raise ModelError("forward_batch must be called with want_cache=True before backward")
     cache = result.cache
@@ -921,15 +1022,14 @@ def backward_batch(params, config: ModelConfig, batch: Batch, result: ForwardRes
     d_logits = {head: d.astype(config.np_dtype) for head, d in zip(HEADS, d_logits)}
 
     grads: dict[str, np.ndarray] = {}
-    d_in = {}
-    d_in["mlm"], d_decoder = _mlm_head_backward(params, mlm_cache, d_logits["mlm"], grads)
+    d_in = {"mlm": _mlm_head_backward(params, mlm_cache, d_logits["mlm"], grads)}
     for head in HEADS[1:]:
-        grads[head + "_w"], grads[head + "_b"], d_in[head] = _affine_backward(
-            head_in.pop(head), params[head + "_w"], d_logits[head])
+        d_in[head] = _affine_backward(head_in.pop(head), params[head + "_w"], d_logits[head],
+                                      grads, (head + "_w", head + "_b"))
     d_hidden = np.zeros_like(result.hidden)
     for head, r in zip(HEADS, head_r):
         _add_rows_at(d_hidden, r, d_in[head])
 
     grads.update(encoder_backward(params, config, cache, d_hidden))
-    grads["tok_emb"] += d_decoder.T
+    grads["tok_emb"] += grads.pop("mlm_decoder").T
     return loss, {name: grads[name] for name in param_names(config)}

@@ -31,7 +31,7 @@ import numpy as np
 
 from .corpus import CLS_ID, REL_ID, SEP_ID, derive_seed
 from .encoder import (Batch, ModelConfig, _affine, _affine_backward, encode, encoder_backward,
-                      encoder_param_names, map_batches, softmax, token_batch)
+                      encoder_param_names, map_batches, softmax, token_batch, training_cores)
 from .metrics import bio_tags_to_spans, bio_transition_allowed, compute_task_metrics, is_valid_bio
 from .optim import AdamWState, adamw_step
 from .tasks import TaskExample
@@ -158,24 +158,26 @@ def _train_loop(params, model_cfg: ModelConfig, items, cfg: FinetuneConfig, rows
     names, applies the head there, takes the loss and its gradient with
     respect to the float64 (R, k) logits from `loss_grad(logits, targets,
     batch)`, backpropagates through head and encoder and takes one AdamW step.
+    The steps run in a `training_cores` scope.
     """
     dt = model_cfg.np_dtype
     state = AdamWState.for_params(params)
     rng = np.random.default_rng(derive_seed(cfg.seed, "finetune-order"))
-    for _epoch in range(cfg.epochs):
-        order = rng.permutation(len(items))
-        for start in range(0, len(order), cfg.batch_size):
-            chunk = [items[int(i)] for i in order[start : start + cfg.batch_size]]
-            batch = token_batch([seq for seq, _target in chunk], dt)
-            h, cache = encode(params, model_cfg, batch, rows_of(batch), want_cache=True)
-            logits = _affine(h, params["head_w"], params["head_b"]).astype(np.float64)
-            _loss, d_logits = loss_grad(logits, [target for _seq, target in chunk], batch)
-            grads = {}
-            grads["head_w"], grads["head_b"], d_h = _affine_backward(h, params["head_w"], d_logits.astype(dt))
-            # The backward frees the activation cache, a step's largest
-            # allocation, as it reads it.
-            grads.update(encoder_backward(params, model_cfg, cache, d_h))
-            adamw_step(params, grads, state, cfg.lr)
+    with training_cores():
+        for _epoch in range(cfg.epochs):
+            order = rng.permutation(len(items))
+            for start in range(0, len(order), cfg.batch_size):
+                chunk = [items[int(i)] for i in order[start : start + cfg.batch_size]]
+                batch = token_batch([seq for seq, _target in chunk], dt)
+                h, cache = encode(params, model_cfg, batch, rows_of(batch), want_cache=True)
+                logits = _affine(h, params["head_w"], params["head_b"]).astype(np.float64)
+                _loss, d_logits = loss_grad(logits, [target for _seq, target in chunk], batch)
+                grads = {}
+                d_h = _affine_backward(h, params["head_w"], d_logits.astype(dt), grads, ("head_w", "head_b"))
+                # The backward frees the activation cache, a step's largest
+                # allocation, as it reads it.
+                grads.update(encoder_backward(params, model_cfg, cache, d_h))
+                adamw_step(params, grads, state, cfg.lr)
 
 
 def _score_batches(params, cfg: ModelConfig, batches: list[list[list[int]]], rows_of) -> list[np.ndarray]:

@@ -20,6 +20,7 @@ from .encoder import (
     init_params,
     make_batch,
     map_batches,
+    training_cores,
 )
 from .examples import PretrainExample, PretrainExamples, SamplerConfig, generate_pretrain_examples
 from .optim import AdamWState, DivergenceError, adamw_step
@@ -289,36 +290,39 @@ def run_pretraining(config: TrainConfig, corpus: Corpus, progress=None) -> Pretr
     # largest allocation of a step, is freed by its backward as it is read,
     # its logits die with `res` and its gradients once AdamW has applied
     # them. So no forward runs beside an earlier step's cache or gradients.
-    for step in range(1, config.steps + 1):
-        batch = next(batches)
-        res = forward_batch(params, model_cfg, batch, want_cache=True)
-        loss, grads = backward_batch(params, model_cfg, batch, res, config.lam, config.mu)
-        del res
-        if not np.isfinite(loss.total):
-            raise DivergenceError(f"non-finite loss at step {step - 1}: {loss}")
-        lr = config.peak_lr
-        if config.warmup_steps > 0:
-            lr *= min(1.0, step / config.warmup_steps)
-        adamw_step(params, grads, state, lr)
-        del grads
-        breakdown = (loss.total, loss.mlm, loss.tc, loss.tmt)
-        loss_trace.append(breakdown)
-        if config.eval_every > 0 and (step % config.eval_every == 0 or step == config.steps):
-            held_ex = held_examples()
-            ev = evaluate_pretrain_heads(params, model_cfg, held_ex) if held_ex else dict.fromkeys(HEADS)
-            metrics.append(
-                MetricsRecord(
-                    step=step,
-                    loss_total=breakdown[0],
-                    **{f"loss_{head}": head_loss if len(batch.targets(head)[2]) else None
-                       for head, head_loss in zip(HEADS, breakdown[1:])},
-                    tc_acc=ev["tc"],
-                    tmt_acc=ev["tmt"],
-                    mlm_acc=ev["mlm"],
+    # The steps run on two cores where the process has them (see
+    # `training_cores`).
+    with training_cores():
+        for step in range(1, config.steps + 1):
+            batch = next(batches)
+            res = forward_batch(params, model_cfg, batch, want_cache=True)
+            loss, grads = backward_batch(params, model_cfg, batch, res, config.lam, config.mu)
+            del res
+            if not np.isfinite(loss.total):
+                raise DivergenceError(f"non-finite loss at step {step - 1}: {loss}")
+            lr = config.peak_lr
+            if config.warmup_steps > 0:
+                lr *= min(1.0, step / config.warmup_steps)
+            adamw_step(params, grads, state, lr)
+            del grads
+            breakdown = (loss.total, loss.mlm, loss.tc, loss.tmt)
+            loss_trace.append(breakdown)
+            if config.eval_every > 0 and (step % config.eval_every == 0 or step == config.steps):
+                held_ex = held_examples()
+                ev = evaluate_pretrain_heads(params, model_cfg, held_ex) if held_ex else dict.fromkeys(HEADS)
+                metrics.append(
+                    MetricsRecord(
+                        step=step,
+                        loss_total=breakdown[0],
+                        **{f"loss_{head}": head_loss if len(batch.targets(head)[2]) else None
+                           for head, head_loss in zip(HEADS, breakdown[1:])},
+                        tc_acc=ev["tc"],
+                        tmt_acc=ev["tmt"],
+                        mlm_acc=ev["mlm"],
+                    )
                 )
-            )
-        if progress is not None:
-            progress(step, breakdown)
+            if progress is not None:
+                progress(step, breakdown)
 
     return PretrainResult(
         params=params,

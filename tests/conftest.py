@@ -1,14 +1,25 @@
 import json
+import os
 
 import pytest
 from hypothesis import settings
 
+from hklm import encoder
 from hklm.align import align_corpus, build_tfidf_index, fragment_corpus
 from hklm.corpus import build_vocab, generate_synthetic_corpus, parse_corpus
 from hklm.pretrain import TrainConfig
 
 settings.register_profile("default", deadline=None, max_examples=50)
 settings.load_profile("default")
+
+
+@pytest.fixture()
+def cores(monkeypatch):
+    """Sets the cores the encoder's threads see, `n` of them, as if the
+    process had that many. Each is the first core the process may run on, so
+    a one-core machine still runs every thread, all on that core."""
+    core = min(os.sched_getaffinity(0))
+    return lambda n: monkeypatch.setattr(encoder, "_usable_cores", lambda: [core] * n)
 
 
 # Pretraining's default fragment length and retrieval thresholds.

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import platform
+import sys
 import threading
 import types
 
@@ -26,6 +27,7 @@ from hklm.encoder import (
     param_names,
     softmax,
     token_batch,
+    training_cores,
 )
 from hklm.examples import PretrainExample, SegmentLayout, assemble_input
 from hklm.finetune import _cls_rows
@@ -525,9 +527,10 @@ class TestHeapPolicy:
         assert len(calls) == 3
 
     @staticmethod
-    def log_policy_and_calls(monkeypatch, module, name):
-        """Events (what, mallopt parameter, thread) of a two-worker process on
-        glibc: each `mallopt` call and each call of `module.name`."""
+    def log_policy_and_calls(monkeypatch, cores, module, name):
+        """Events (what, mallopt parameter, thread) of a fresh two-core
+        process on glibc: each `mallopt` call and each call of `module.name`."""
+        encoder._keep_freed_heap.cache_clear()  # fixtures may have encoded
         events = []
         libc = types.SimpleNamespace(
             mallopt=lambda param, value: events.append(("mallopt", param, threading.get_ident())))
@@ -540,7 +543,7 @@ class TestHeapPolicy:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, logged)
-        monkeypatch.setattr(encoder, "_usable_cores", lambda: 2)
+        cores(2)
         return events
 
     @staticmethod
@@ -550,26 +553,38 @@ class TestHeapPolicy:
         assert [what for what, _param, _thread in events[3:]] == [name] * calls
         assert caller not in {thread for _what, _param, thread in events[3:]}
 
-    def test_first_scoring_call_sets_policy_before_workers_encode(self, monkeypatch):
+    def test_first_scoring_call_sets_policy_before_workers_encode(self, monkeypatch, cores):
         """In a process whose first `encode` is a scoring call on a thread
         pool, the calling thread sets the policy, arena cap included, before
         any worker encodes: glibc fixes its arena limit when a second thread
         first needs an arena."""
-        events = self.log_policy_and_calls(monkeypatch, finetune, "encode")
+        events = self.log_policy_and_calls(monkeypatch, cores, finetune, "encode")
         cfg = tiny_config()
         params = init_params(cfg, 0) | {"head_w": np.ones((cfg.d_model, 2)), "head_b": np.zeros(2)}
         seqs = [[2, 20 + i % 30, 3] for i in range(3 * finetune.SCORE_BATCH)]
         assert finetune._head_logits(params, cfg, seqs, _cls_rows).shape == (len(seqs), 2)
         self.assert_policy_before_workers(events, "encode", 3)
 
-    def test_first_evaluation_sets_policy_before_workers_forward(self, rich_example, monkeypatch):
+    def test_first_evaluation_sets_policy_before_workers_forward(self, rich_example, monkeypatch, cores):
         """The same holds when a process's first forward is a held-out
         evaluation of the pretraining heads."""
-        events = self.log_policy_and_calls(monkeypatch, pretrain, "forward_batch")
+        events = self.log_policy_and_calls(monkeypatch, cores, pretrain, "forward_batch")
         cfg = tiny_config()
         ev = pretrain.evaluate_pretrain_heads(init_params(cfg, 0), cfg, [rich_example] * (2 * pretrain._EVAL_BATCH))
         assert ev["n_tmt"] == 2 * pretrain._EVAL_BATCH
         self.assert_policy_before_workers(events, "forward_batch", 2)
+
+    def test_training_scope_sets_policy_before_the_worker_s_first_job(self, mode_runs, monkeypatch, cores):
+        """The same holds when a process's first training step runs in a
+        training scope: the scope sets the policy before its worker takes the
+        first parameter-gradient job, and every job runs on the worker."""
+        run = mode_runs["hklm"]
+        events = self.log_policy_and_calls(monkeypatch, cores, encoder, "_affine_param_grads")
+        with training_cores():
+            train_backward(run)
+        # Per block: Q, K, V, output and both FFN projections; then the MLM
+        # decoder and dense layer and the TC and TMT heads.
+        self.assert_policy_before_workers(events, "_affine_param_grads", 6 * run.model_config.n_layers + 4)
 
     @pytest.mark.parametrize("error", [None, ValueError, OSError, AttributeError])
     def test_other_c_library_untouched(self, rich_example, monkeypatch, error):
@@ -845,6 +860,157 @@ def mode_runs(synth20):
     corpus, _ = synth20
     return {mode: run_pretraining(joint_train_config(mode=mode, steps=0, eval_every=0), corpus)
             for mode in ("hklm", "plain")}
+
+
+def train_backward(run):
+    """Loss and gradients of one joint training step of `run`'s initial
+    weights on its first 16 examples."""
+    params, cfg = run.params, run.model_config
+    batch = make_batch(run.train_examples[:16])
+    return backward_batch(params, cfg, batch, forward_batch(params, cfg, batch, want_cache=True), 0.7, 1.3)
+
+
+def hold_jobs(monkeypatch):
+    """Make each job handed to `_defer` wait until the thread that handed it
+    waits for its jobs, so that every job reads its arrays only after the
+    whole input-gradient chain has run. Returns the list of threads the jobs
+    ran on, in order."""
+    release, threads = threading.Event(), []
+    defer, finish = encoder._defer, encoder._finish_jobs
+
+    def held(grads, names, fn, *args):
+        def job(*args):
+            assert release.wait(timeout=60), "job held outside a training scope"
+            threads.append(threading.get_ident())
+            return fn(*args)
+
+        defer(grads, names, job, *args)
+
+    def release_then_finish():
+        release.set()
+        try:
+            finish()
+        finally:
+            release.clear()
+
+    monkeypatch.setattr(encoder, "_defer", held)
+    monkeypatch.setattr(encoder, "_finish_jobs", release_then_finish)
+    return threads
+
+
+def record_jobs(monkeypatch, fail_at=None):
+    """Record (thread, its cores) of each `_affine_param_grads` job; the
+    job numbered `fail_at` (from 0) raises instead. Returns the records and
+    the exception."""
+    error, param_grads, seen = ModelError("job failed"), encoder._affine_param_grads, []
+
+    def recorded(x, d):
+        seen.append((threading.get_ident(), frozenset(os.sched_getaffinity(0))))
+        if len(seen) - 1 == fail_at:
+            raise error
+        return param_grads(x, d)
+
+    monkeypatch.setattr(encoder, "_affine_param_grads", recorded)
+    return seen, error
+
+
+class TestTrainingCores:
+    """Inside `training_cores` a backward hands its parameter gradients to
+    one worker thread and returns, bit for bit and in the same order, the
+    loss and gradients of the inline path."""
+
+    @staticmethod
+    def assert_same_step(got, want):
+        assert got[0] == want[0]
+        assert list(got[1]) == list(want[1])
+        for name in want[1]:
+            assert_identical(got[1][name], want[1][name])
+
+    @pytest.mark.parametrize("mode", ["hklm", "plain"])
+    def test_backward_on_a_worker_matches_inline(self, mode_runs, monkeypatch, cores, mode):
+        """Also with the interpreter switching threads every few microseconds,
+        so that the worker's writes into a gradient dict interleave with the
+        caller's."""
+        run = mode_runs[mode]
+        want = train_backward(run)
+        seen, _ = record_jobs(monkeypatch)
+        cores(2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with training_cores():
+                for _ in range(3):
+                    self.assert_same_step(train_backward(run), want)
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen and threading.get_ident() not in {thread for thread, _cores in seen}
+
+    def test_jobs_held_until_the_chain_ends_change_nothing(self, mode_runs, monkeypatch, cores):
+        """No array handed to a job is written after the handoff: with every
+        job held until the input-gradient chain has finished, the gradients
+        are still those of the inline path."""
+        run = mode_runs["hklm"]
+        want = train_backward(run)
+        threads = hold_jobs(monkeypatch)
+        cores(2)
+        with training_cores():
+            self.assert_same_step(train_backward(run), want)
+        assert len(threads) == 6 * run.model_config.n_layers + 4
+        assert threading.get_ident() not in threads
+
+    def test_job_error_reaches_the_caller(self, mode_runs, monkeypatch, cores):
+        """A job's exception is raised to the caller as the same object once
+        every job has finished, and no thread outlives the scope."""
+        seen, error = record_jobs(monkeypatch, fail_at=2)
+        cores(2)
+        before = threading.active_count()
+        with pytest.raises(ModelError) as raised:
+            with training_cores():
+                train_backward(mode_runs["hklm"])
+        assert raised.value is error
+        assert len(seen) == 6 * mode_runs["hklm"].model_config.n_layers + 4
+        assert threading.active_count() == before
+
+    def test_one_core_starts_no_thread(self, mode_runs, monkeypatch, cores):
+        run = mode_runs["hklm"]
+        want = train_backward(run)
+        seen, _ = record_jobs(monkeypatch)
+        cores(1)
+        before = threading.active_count()
+        with training_cores():
+            self.assert_same_step(train_backward(run), want)
+            assert threading.active_count() == before
+        assert {thread for thread, _cores in seen} == {threading.get_ident()}
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
+    def test_caller_and_worker_each_pinned_to_a_core_until_exit(self, mode_runs, monkeypatch):
+        mask, before = os.sched_getaffinity(0), threading.active_count()
+        seen, _ = record_jobs(monkeypatch)
+        with training_cores():
+            caller = frozenset(os.sched_getaffinity(0))
+            train_backward(mode_runs["hklm"])
+        (worker, worker_cores), = set(seen)
+        assert worker != threading.get_ident()
+        assert len(caller) == len(worker_cores) == 1 and caller != worker_cores
+        assert caller | worker_cores <= mask
+        assert os.sched_getaffinity(0) == mask and threading.active_count() == before
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
+    def test_runner_in_a_scope_pins_a_thread_to_each_core(self):
+        """`map_batches` inside a training scope, whose caller runs on one
+        core, still runs one thread per core the process may use, the k-th
+        pinned to the k-th."""
+        mask = os.sched_getaffinity(0)
+        both = threading.Barrier(2, timeout=60)  # two batches running at once need two threads
+
+        def thread_cores(_batch):
+            both.wait()
+            return threading.get_ident(), frozenset(os.sched_getaffinity(0))
+
+        with training_cores():
+            got = encoder.map_batches(thread_cores, [0, 1])
+        assert len({thread for thread, _cores in got}) == 2
+        assert {thread_cores for _thread, thread_cores in got} == {frozenset([c]) for c in sorted(mask)[:2]}
 
 
 def _cache_nbytes(obj, seen):

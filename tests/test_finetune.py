@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import re
 import threading
 
@@ -31,7 +32,7 @@ from hklm.finetune import (
 from hklm.metrics import is_valid_bio
 from hklm.tasks import TaskError, TaskExample, make_et_data, make_ner_data, make_oie_data, make_rank_data
 import oracles
-from test_encoder import assert_grads_close
+from test_encoder import assert_grads_close, hold_jobs
 
 TAGSET = ["B-x", "B-y", "I-x", "I-y", "O"]
 
@@ -654,13 +655,6 @@ def test_loss_grad_matches_finite_differences(case):
     assert np.all(np.abs(d_logits).sum(axis=-1) > 0)
 
 
-@pytest.fixture()
-def workers(monkeypatch):
-    """Sets the scoring thread count, as if the process had that many cores,
-    so that a one-core machine still runs the thread pool."""
-    return lambda n: monkeypatch.setattr(encoder, "_usable_cores", lambda: n)
-
-
 @pytest.fixture(scope="module")
 def trained_tasks(world):
     """Each task's one-epoch adapters and an eval set of more than one batch
@@ -698,7 +692,7 @@ def random_candidates(cfg, n, seed):
 
 
 @pytest.mark.parametrize("task", sorted(finetune.TASKS))
-def test_thread_pool_scores_as_one_worker(trained_tasks, workers, monkeypatch, task):
+def test_thread_pool_scores_as_one_worker(trained_tasks, cores, monkeypatch, task):
     """Every task's metrics, and the bytes of every batch's logits, are the
     same on two scoring threads as on one; with two, no batch is encoded on
     the calling thread, and no thread outlives the call."""
@@ -718,7 +712,7 @@ def test_thread_pool_scores_as_one_worker(trained_tasks, workers, monkeypatch, t
     monkeypatch.setattr(finetune, "encode", recorded_encode)
     runs, before = [], threading.active_count()
     for n in (1, 2):
-        workers(n)
+        cores(n)
         logits.clear()
         threads.clear()
         runs.append((finetune.TASKS[task].evaluate(*models, evals), list(logits)))
@@ -728,7 +722,44 @@ def test_thread_pool_scores_as_one_worker(trained_tasks, workers, monkeypatch, t
     assert runs[0] == runs[1]
 
 
-def test_ranking_keeps_candidate_order_across_batches(random_ranker, workers):
+@pytest.mark.parametrize("task", sorted(finetune.TASKS))
+def test_two_cores_train_the_bytes_of_one(world, cores, monkeypatch, task):
+    """Every adapter of every task trains the same tensors, bit for bit, on
+    the process's own cores, on one and on two forced ones, and on two with
+    every backward job held until the input-gradient chain has finished; and
+    each leaves the thread count and the calling thread's cores as it found
+    them."""
+    corpus, truth, vocab, cfg, params = world
+    train = {
+        "ner": lambda: make_ner_data(truth, vocab, 5, n_train=8, n_eval=2),
+        "et": lambda: make_et_data(truth, vocab, 5, n_train=8, n_eval=2),
+        "oie": lambda: make_oie_data(truth, vocab, 5, n_train=8, n_eval=2),
+        "qa": lambda: make_rank_data(corpus, truth, vocab, 5, n_train=4, n_eval=2, n_candidates=8),
+        "dialog": lambda: make_rank_data(corpus, truth, vocab, 5, n_train=4, n_eval=2, n_candidates=8,
+                                         dialog=True),
+    }[task]()[0]
+    ft = FinetuneConfig(epochs=1, batch_size=4, seed=5)
+    mask, before = os.sched_getaffinity(0), threading.active_count()
+    runs = []
+    for n, held in ((None, False), (1, False), (2, False), (2, True)):
+        if n is not None:
+            cores(n)
+        if held:
+            threads = hold_jobs(monkeypatch)
+        for adapt in finetune.TASKS[task].train:
+            runs.append(adapt(params, cfg, train, ft).params)
+            assert threading.active_count() == before
+            assert os.sched_getaffinity(0) == mask
+    assert threads and threading.get_ident() not in threads
+    n_adapters = len(finetune.TASKS[task].train)
+    for k, got in enumerate(runs):
+        want = runs[k % n_adapters]
+        assert list(got) == list(want)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+def test_ranking_keeps_candidate_order_across_batches(random_ranker, cores):
     """A query of more than SCORE_BATCH candidates is scored in batches of
     SCORE_BATCH, in candidate order, on two threads as on one: its scores
     are each batch's scores alone, joined in order, and several queries
@@ -737,23 +768,23 @@ def test_ranking_keeps_candidate_order_across_batches(random_ranker, workers):
     queries = [([20, 21], random_candidates(cfg, 2 * finetune.SCORE_BATCH + 7, 1)),
                ([22], random_candidates(cfg, finetune.SCORE_BATCH + 1, 2)),
                ([23, 24, 25], random_candidates(cfg, 3, 3))]
-    workers(1)
+    cores(1)
     alone = [random_ranker.score(q, cands) for q, cands in queries]
     query, cands = queries[0]
     assert alone[0] == [score for start in range(0, len(cands), finetune.SCORE_BATCH)
                         for score in random_ranker.score(query, cands[start : start + finetune.SCORE_BATCH])]
     assert len(set(alone[0])) == len(cands)
-    workers(2)
+    cores(2)
     assert [random_ranker.score(q, cands) for q, cands in queries] == alone
     assert random_ranker.score_queries(queries) == alone
 
 
-def test_worker_error_reaches_the_caller(random_ranker, workers, monkeypatch):
+def test_worker_error_reaches_the_caller(random_ranker, cores, monkeypatch):
     """An encoder error on a worker thread is raised to the caller as the
     same exception, and no scoring thread outlives the call."""
     cfg = random_ranker.model_config
     cands = random_candidates(cfg, 2 * finetune.SCORE_BATCH + 5, 4)
-    workers(2)
+    cores(2)
     before = threading.active_count()
     with pytest.raises(ModelError, match="outside the model vocabulary"):
         random_ranker.score([20], cands[:-1] + [[cfg.vocab_size]])

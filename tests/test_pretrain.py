@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import threading
 import weakref
 from collections import Counter
@@ -182,6 +183,25 @@ class TestRunPretraining:
             paths.append((ckpt, metrics))
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
+
+    def test_two_cores_train_the_bytes_of_one(self, corpus30, cores):
+        """Pretraining, with its held-out evaluations, ends at the same
+        weights, losses and metrics on the process's own cores, on one and
+        on two forced ones, and leaves the thread count and the calling
+        thread's cores as it found them."""
+        mask, before = os.sched_getaffinity(0), threading.active_count()
+        runs = []
+        for n in (None, 1, 2):
+            if n is not None:
+                cores(n)
+            runs.append(run_pretraining(small_cfg(steps=4, eval_every=2), corpus30))
+            assert threading.active_count() == before
+            assert os.sched_getaffinity(0) == mask
+        for res in runs[1:]:
+            assert res.loss_trace == runs[0].loss_trace and res.metrics == runs[0].metrics
+            assert list(res.params) == list(runs[0].params)
+            for name, arr in res.params.items():
+                np.testing.assert_array_equal(arr, runs[0].params[name], err_msg=name)
 
     def test_drop_both_lambda_mu_zero_trace_equals_plain(self, corpus30):
         hklm_cfg = small_cfg(
@@ -454,7 +474,7 @@ class TestHeads:
             assert ev[head] == correct / sum(n)
 
     @pytest.mark.parametrize("mode", ["hklm", "plain"])
-    def test_evaluation_on_two_workers_counts_as_on_one(self, corpus30, monkeypatch, mode):
+    def test_evaluation_on_two_workers_counts_as_on_one(self, corpus30, monkeypatch, cores, mode):
         """Held-out evaluation returns the same dict on two worker threads as
         on one; with two, no batch runs on the calling thread, and no thread
         outlives the call."""
@@ -470,14 +490,14 @@ class TestHeads:
         monkeypatch.setattr(pretrain, "forward_batch", recording)
         runs, before = [], threading.active_count()
         for n in (1, 2):
-            monkeypatch.setattr(encoder, "_usable_cores", lambda: n)
+            cores(n)
             threads.clear()
             runs.append(evaluate_pretrain_heads(res.params, res.model_config, examples))
             assert (threading.get_ident() in threads) == (n == 1)
             assert threading.active_count() == before
         assert runs[0] == runs[1]
 
-    def test_evaluation_worker_error_reaches_the_caller(self, corpus30, monkeypatch):
+    def test_evaluation_worker_error_reaches_the_caller(self, corpus30, monkeypatch, cores):
         """A `ModelError` raised in an evaluation worker is raised to the
         caller as the same object, and no thread outlives the call."""
         res = run_pretraining(small_cfg(steps=0, heldout_fraction=0.5), corpus30)
@@ -491,7 +511,7 @@ class TestHeads:
             return forward(params, cfg, batch, want_cache)
 
         monkeypatch.setattr(pretrain, "forward_batch", failing_forward)
-        monkeypatch.setattr(encoder, "_usable_cores", lambda: 2)
+        cores(2)
         before = threading.active_count()
         with pytest.raises(ModelError) as raised:
             evaluate_pretrain_heads(res.params, res.model_config, examples)
