@@ -21,9 +21,24 @@ example) and prints one JSON line per training step:
 
 Each held-out evaluation of the pretraining heads (`evaluate_pretrain_heads`,
 at the end of the run) gets a line too: its `examples`, its largest `batch`,
-the `live_mb` when it starts and its `peak_mb`. The evaluation runs one batch
-per usable core at a time, so its `peak_mb` covers the batches that run side
-by side.
+the `live_mb` when it starts and its `peak_mb`.
+
+The steps and evaluations run on one core: the script narrows the process's
+CPU mask to the first core it may use, and restores the mask at the end. So
+no thread starts (see `encoder.training_cores` and `encoder.map_batches`),
+every array is made and freed on the one thread, and the figures repeat from
+run to run. On two cores a step holds more: a forward's half on the worker
+holds that half's arrays until it has copied them into the full-batch cache,
+and a backward's weight-gradient job holds its inputs until the worker
+reaches it, and when each lets go depends on how the threads interleave.
+Measured on a 2-vCPU VM with `OPENBLAS_NUM_THREADS=1`, `--steps 6` reads
+`max_peak_mb` 63.9 MB in every run on one core, and 64.3–66.2 MB over five
+runs of the same steps on two (0.4–2.3 MB more); `--steps 24
+--max-fragment-len 400` reads 175.2 MB on one core and 175.3 MB in each of
+three runs on two. The evaluation, which on two cores runs one batch per
+core at a time, peaks at 31.9 MB on one core against 40.1–41.3 MB on two
+(`--steps 6`), and at 50.9 against 56.0–58.8 MB (`--steps 24
+--max-fragment-len 400`).
 
 A last line sums it up: the parameters plus AdamW moments, the largest
 `peak_mb` of a step and of an evaluation (`eval_peak_mb`), the largest
@@ -39,6 +54,7 @@ to compare two versions:
 
 import argparse
 import json
+import os
 import resource
 import tracemalloc
 
@@ -148,11 +164,14 @@ def main():
     saved = {name: getattr(pretrain, name) for name in patched}
     for name, fn in patched.items():
         setattr(pretrain, name, fn)
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
     tracemalloc.start()
     try:
         result = pretrain.run_pretraining(config, corpus)
     finally:
         tracemalloc.stop()
+        os.sched_setaffinity(0, mask)
         for name, fn in saved.items():
             setattr(pretrain, name, fn)
 

@@ -532,10 +532,11 @@ def _merge_heads(m):
 # projection is a single GEMM.
 
 
-def _embed(params, batch: Batch):
-    """LN(token + position + segment embedding) at every token, (B*L, d)."""
-    b, l = batch.ids.shape
-    ids, seg = batch.ids.reshape(-1), batch.seg.reshape(-1)
+def _embed(params, ids, seg):
+    """LN(token + position + segment embedding) at every token of the (B, L)
+    token and segment ids, (B*L, d)."""
+    b, l = ids.shape
+    ids, seg = ids.reshape(-1), seg.reshape(-1)
     emb = params["tok_emb"][ids] + params["seg_emb"][seg]
     emb.reshape(b, l, -1)[:] += params["pos_emb"][:l][None]
     x, ln = layer_norm(emb, params["emb_ln_g"], params["emb_ln_b"], LN_EPS)
@@ -708,8 +709,9 @@ def _keep_freed_heap() -> None:
     thread allocates from the one main arena: a worker thread with an arena
     of its own would keep that arena's freed pages too. glibc fixes its arena
     limit when a second thread first needs an arena, so the policy must be set
-    before any thread that encodes starts (see `map_batches`) or takes a
-    backward's jobs (see `training_cores`). Set once per process, at its
+    before any thread that encodes starts (see `map_batches`) or runs a
+    forward's half or a backward's jobs (see `training_cores`). Set once per
+    process, at its
     first `encode`, `map_batches` call or training scope, and kept until
     exit; a no-op on other C libraries.
     """
@@ -766,21 +768,26 @@ def _current_core(cores: list[int]) -> int:
 
 @contextlib.contextmanager
 def training_cores():
-    """Run the backwards of the enclosed training steps on two cores.
+    """Run the forwards and backwards of the enclosed training steps on two
+    cores.
 
-    The input-gradient chain of a backward stays on the calling thread, which
-    is pinned to the core it is on; each parameter-gradient job it hands to
-    `_defer` runs on one worker thread pinned to another usable core, as
-    numpy and BLAS release the GIL. Nothing below a layer reads its weight
-    gradients, so the two overlap, and `encoder_backward` and
-    `backward_batch` wait for every job before they return the same
-    gradients, bit for bit, as a serial backward. Two threads of one process
-    left to the scheduler tend to share one core, so both are pinned.
-    `map_batches` inside the scope still runs one thread per core the
-    process may use. With one usable core no thread starts and every job
-    runs where it is handed off. The heap policy is set before the worker
-    starts (see `_keep_freed_heap`); on exit the worker is joined and the
-    calling thread's cores are restored."""
+    The calling thread is pinned to the core it is on and one worker thread
+    to another usable core; numpy and BLAS release the GIL, so the two run
+    at once. A forward's embedding and every block below the last run on two
+    example halves, the first here and the second on the worker (see
+    `_encode_lower`); the last block and the heads run here. A backward's
+    input-gradient chain stays here, and each parameter-gradient job it
+    hands to `_defer` runs on the worker: nothing below a layer reads its
+    weight gradients, so the two overlap, and `encoder_backward` and
+    `backward_batch` wait for every job before they return. Each thread runs
+    a serial pass's operations on its share of the arrays, so the
+    activations and gradients are a serial pass's, bit for bit. Two threads
+    of one process left to the scheduler tend to share one core, so both are
+    pinned. `map_batches` inside the scope still runs one thread per core
+    the process may use. With one usable core no thread starts and
+    everything runs here. The heap policy is set before the worker starts
+    (see `_keep_freed_heap`); on exit the worker is joined and the calling
+    thread's cores are restored."""
     cores = _usable_cores()
     if len(cores) < 2:
         yield
@@ -810,7 +817,20 @@ def _defer(grads: dict, names: tuple[str, ...], fn, *args) -> None:
         grads.update(zip(names, fn(*args)))
         return
     grads.update(dict.fromkeys(names))
-    scope.jobs.append(scope.worker.submit(lambda: grads.update(zip(names, fn(*args)))))
+    scope.jobs.append(_submit(scope, lambda: grads.update(zip(names, fn(*args)))))
+
+
+def _submit(scope, fn):
+    """fn() on the worker of the training scope `scope`, as a future, under
+    this thread's numpy error handling (`np.errstate` holds per thread), so
+    that an overflow the caller ignores raises no warning on the worker."""
+    errors = np.geterr()
+
+    def job():
+        with np.errstate(**errors):
+            return fn()
+
+    return scope.worker.submit(job)
 
 
 def _finish_jobs() -> None:
@@ -845,17 +865,109 @@ def map_batches(fn, batches: list) -> list:
         return list(pool.map(fn, batches))
 
 
+class _ExampleRows:
+    """Full-batch arrays of a `b`-example batch, which parts of the batch,
+    example ranges [lo, hi), fill in from their own arrays, each on the
+    thread that ran it. Every array a part makes is example-major: its first
+    axis holds one equal block per example, in order."""
+
+    def __init__(self, b: int):
+        self.b, self.arrays, self.lock = b, {}, threading.Lock()
+
+    def put(self, key: str, value, lo: int, hi: int):
+        """Copy each array in `value`, made by the part [lo, hi), into its
+        rows of a full-batch array, and return `value` with each array
+        replaced by that full-batch array. Dicts and tuples are walked; an
+        array's full-batch array is named by `key` and the array's place in
+        `value`, and made by the first part to reach it. Other values stay
+        as they are, and a part that is the whole batch is returned as it
+        is."""
+        if hi - lo == self.b:
+            return value
+        if isinstance(value, dict):
+            return {k: self.put(f"{key}.{k}", v, lo, hi) for k, v in value.items()}
+        if isinstance(value, tuple):
+            return tuple(self.put(f"{key}.{k}", v, lo, hi) for k, v in enumerate(value))
+        if not isinstance(value, np.ndarray):
+            return value
+        per = len(value) // (hi - lo)
+        with self.lock:
+            full = self.arrays.get(key)
+            if full is None:
+                full = self.arrays[key] = np.empty((self.b * per, *value.shape[1:]), dtype=value.dtype)
+        full[lo * per : hi * per] = value
+        return full
+
+
+def _encode_part(params, config: ModelConfig, batch: Batch, bias, want_cache: bool,
+                 out: _ExampleRows, lo: int, hi: int):
+    """`_encode_lower` over the examples [lo, hi) of `batch`. Each sublayer's
+    cache goes into `out` as soon as the sublayer has run (or is dropped
+    without `want_cache`), and so does the last output, so the part's own
+    copies are freed as it goes."""
+    def keep(key, cache):
+        return out.put(key, cache, lo, hi) if want_cache else None
+
+    part = slice(lo, hi)
+    x, emb = _embed(params, batch.ids[part], batch.seg[part])
+    emb, layers = keep("emb", emb), []
+    for i in range(config.n_layers - 1):
+        p = f"layers.{i}."
+        y, attn = _self_attention(params, config, p, x, bias[part])
+        attn = keep(p + "attn", attn)
+        x, ffn = _feed_forward(params, p, y)
+        ffn = keep(p + "ffn", ffn)
+        if want_cache:
+            layers.append(attn | ffn)
+    return out.put("x", x, lo, hi), emb, layers
+
+
+def _encode_lower(params, config: ModelConfig, batch: Batch, bias, want_cache: bool):
+    """The embedding sublayer and every block below the last, at every token
+    of `batch` under the key mask `bias`: the last block's input (B*L, d),
+    and with `want_cache` the embedding's cache and those blocks' (else None
+    and []).
+
+    In a training scope (see `training_cores`) a batch of two or more
+    examples runs in two parts: this thread takes examples [0, B//2) and the
+    scope's worker [B//2, B). Each part slices the batch's ids, segments and
+    key mask, so its padding length is the batch's, and copies what each
+    sublayer makes into its rows of full-batch arrays (`_ExampleRows`). No
+    sublayer below the last block mixes examples: each computes an
+    example's rows from that example's rows alone, and with BLAS at one
+    thread per call a GEMM's output row does not depend on how many rows the
+    call has (tests/test_encoder.py checks a step at the benchmark's shape).
+    So the output and the cache have the layout and bits of a one-part pass.
+    Anywhere else the batch is the one part, run here, and nothing is
+    copied. The worker's failure is raised here, as the same object, once
+    both parts have finished.
+    """
+    b = len(batch.ids)
+    scope = getattr(_thread, "scope", None)
+    cut = b // 2 if scope is not None else 0  # where the worker's part starts; 0 for none
+    part = functools.partial(_encode_part, params, config, batch, bias, want_cache, _ExampleRows(b))
+    jobs = [_submit(scope, functools.partial(part, cut, b))] if cut else []
+    try:
+        return part(0, cut or b)
+    finally:
+        wait(jobs)
+        for job in jobs:
+            job.result()
+
+
 def encode(params, config: ModelConfig, batch: Batch, rows, want_cache: bool = False):
     """Run the encoder stack; returns the last hidden states (R, d) at `rows`,
     distinct indices into the flat (B*L) token axis, in the order of `rows`,
     and (optionally) the activation cache needed for the backward pass.
 
     The stack is the embedding sublayer, then per block a self-attention and
-    a feed-forward sublayer. Every block but the last runs at every token.
-    The last block's self-attention builds its queries at the R rows alone
-    and returns those rows (see `_self_attention`), so its feed-forward runs
-    at them too. This is exact in real arithmetic; the row-subset GEMMs may
-    round differently in the last bits from a pass over every token.
+    a feed-forward sublayer. The embedding and every block but the last run
+    at every token, in a training scope on two example halves, one per core
+    (see `_encode_lower`). The last block runs here, on the whole batch: its
+    self-attention builds its queries at the R rows alone and returns those
+    rows (see `_self_attention`), so its feed-forward runs at them too. This
+    is exact in real arithmetic; the row-subset GEMMs may round differently
+    in the last bits from a pass over every token.
     """
     _keep_freed_heap()
     b, l = batch.ids.shape
@@ -864,15 +976,13 @@ def encode(params, config: ModelConfig, batch: Batch, rows, want_cache: bool = F
     if int(batch.ids.min(initial=0)) < 0 or int(batch.ids.max(initial=0)) >= config.vocab_size:
         raise ModelError("token id outside the model vocabulary")
     rows = _check_rows(rows, b * l)
-    x, emb = _embed(params, batch)
     bias = ((1.0 - batch.mask) * NEG_INF)[:, None, None, :].astype(config.np_dtype)
-    layers = []
-    for i in range(config.n_layers):
-        p = f"layers.{i}."
-        y, attn = _self_attention(params, config, p, x, bias, rows if i == config.n_layers - 1 else None)
-        x, ffn = _feed_forward(params, p, y)
-        if want_cache:
-            layers.append(attn | ffn)
+    x, emb, layers = _encode_lower(params, config, batch, bias, want_cache)
+    p = f"layers.{config.n_layers - 1}."
+    y, attn = _self_attention(params, config, p, x, bias, rows)
+    x, ffn = _feed_forward(params, p, y)
+    if want_cache:
+        layers.append(attn | ffn)
     return x, ({"emb": emb, "layers": layers} if want_cache else None)
 
 

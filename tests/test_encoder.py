@@ -6,12 +6,14 @@ import platform
 import sys
 import threading
 import types
+import warnings
 
 import numpy as np
 import pytest
 
 from hklm import encoder, finetune, optim, pretrain
 from hklm.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from hklm.corpus import generate_synthetic_corpus
 from hklm.encoder import (
     ModelConfig,
     ModelError,
@@ -914,10 +916,66 @@ def record_jobs(monkeypatch, fail_at=None):
     return seen, error
 
 
+def record_parts(monkeypatch, hold=False):
+    """Record (thread, lo, hi) of each example part `_encode_lower` runs,
+    in the order the parts start. With `hold`, a part that runs off the
+    calling thread waits until the calling thread's part has returned."""
+    caller, encode_part, seen, returned = threading.get_ident(), encoder._encode_part, [], threading.Event()
+
+    def recorded(*args):
+        here = threading.get_ident() == caller
+        if hold and not here:
+            assert returned.wait(timeout=60), "the calling thread's part never returned"
+            returned.clear()
+        seen.append((threading.get_ident(), *args[-2:]))
+        try:
+            return encode_part(*args)
+        finally:
+            if here:
+                returned.set()
+
+    monkeypatch.setattr(encoder, "_encode_part", recorded)
+    return seen
+
+
+def assert_same_tree(got, want):
+    """The same nesting of dicts (keys in order), lists and tuples, holding
+    arrays of the same shape, dtype, C-contiguity and bytes and equal other
+    values."""
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same_tree(got[key], want[key])
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_tree(g, w)
+    elif isinstance(want, np.ndarray):
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert_identical(got, want)
+    else:
+        assert got == want
+
+
+@pytest.fixture(scope="module")
+def joint_short_step():
+    """The initial weights (d=128, 4 layers) of the `joint-short` benchmark
+    workload's training run on a 200-entity corpus at 48-token fragments,
+    and a 32-example batch of its longest training examples."""
+    corpus, _ = generate_synthetic_corpus(801, 200)
+    run = run_pretraining(TrainConfig(mode="hklm", steps=0, eval_every=0, batch_size=32, max_fragment_len=48,
+                                      triples_per_example=1, seed=1, d_model=128, n_layers=4, n_heads=4),
+                          corpus)
+    longest = sorted(run.train_examples, key=lambda ex: len(ex.input_ids))[-32:]
+    return run.params, run.model_config, make_batch(longest)
+
+
 class TestTrainingCores:
-    """Inside `training_cores` a backward hands its parameter gradients to
-    one worker thread and returns, bit for bit and in the same order, the
-    loss and gradients of the inline path."""
+    """Inside `training_cores` a forward runs its lower blocks on two
+    example halves, one on the scope's worker, and a backward hands its
+    parameter gradients to that worker; both return, bit for bit and in the
+    same order, the results of the inline path."""
 
     @staticmethod
     def assert_same_step(got, want):
@@ -1011,6 +1069,125 @@ class TestTrainingCores:
             got = encoder.map_batches(thread_cores, [0, 1])
         assert len({thread for thread, _cores in got}) == 2
         assert {thread_cores for _thread, thread_cores in got} == {frozenset([c]) for c in sorted(mask)[:2]}
+
+    @pytest.mark.parametrize("hold", [False, True], ids=["free", "held"])
+    @pytest.mark.parametrize("n_examples", [1, 2, 3, 5])
+    @pytest.mark.parametrize("mode", ["hklm", "plain"])
+    def test_forward_on_two_halves_matches_inline(self, mode_runs, monkeypatch, cores, mode, n_examples, hold):
+        """On two cores a forward gives the inline forward's logits, hidden
+        states and activation cache: the caller runs examples [0, B//2) and
+        the worker [B//2, B), with the interpreter switching threads every
+        few microseconds, or with the worker's half held until the caller's
+        has returned. A single example never reaches the worker."""
+        run = mode_runs[mode]
+        params, cfg = run.params, run.model_config
+        batch = make_batch(run.train_examples[:n_examples])
+        want = forward_batch(params, cfg, batch, want_cache=True)
+        parts = record_parts(monkeypatch, hold)
+        cores(2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with training_cores():
+                got = forward_batch(params, cfg, batch, want_cache=True)
+        finally:
+            sys.setswitchinterval(interval)
+        for part in ("hidden", "mlm_logits", "tc_logits", "tmt_logits", "cache"):
+            assert_same_tree(getattr(got, part), getattr(want, part))
+        caller, half = threading.get_ident(), n_examples // 2
+        if n_examples == 1:
+            assert parts == [(caller, 0, 1)]
+            return
+        owner = {(lo, hi): thread for thread, lo, hi in parts}
+        assert sorted(owner) == [(0, half), (half, n_examples)]
+        assert owner[0, half] == caller != owner[half, n_examples]
+        if hold:
+            assert list(owner)[0] == (0, half)
+
+    def test_half_error_reaches_the_caller(self, mode_runs, monkeypatch, cores):
+        """An exception in the worker's half of a forward is raised to the
+        caller as the same object, no thread outlives the scope, and the next
+        step in the scope trains as it does inline."""
+        run = mode_runs["hklm"]
+        want = train_backward(run)
+        caller, encode_part = threading.get_ident(), encoder._encode_part
+        error, failed = ModelError("half failed"), []
+
+        def failing(*args):
+            if threading.get_ident() != caller and not failed:
+                failed.append(args[-2:])
+                raise error
+            return encode_part(*args)
+
+        monkeypatch.setattr(encoder, "_encode_part", failing)
+        cores(2)
+        before = threading.active_count()
+        with training_cores():
+            with pytest.raises(ModelError) as raised:
+                train_backward(run)
+            assert raised.value is error and failed == [(8, 16)]
+            self.assert_same_step(train_backward(run), want)
+        assert threading.active_count() == before
+
+    def test_worker_keeps_the_caller_s_error_handling(self, mode_runs, cores):
+        """The worker runs a forward's half and a backward's jobs under the
+        caller's `np.errstate`: with every floating-point error ignored
+        there, an overflowing training step warns on neither thread."""
+        run = mode_runs["hklm"]
+        params = {name: p * np.float32(1e30) for name, p in run.params.items()}
+        batch = make_batch(run.train_examples[:4])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            forward_batch(params, run.model_config, batch)
+        cores(2)
+        with training_cores(), warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            res = forward_batch(params, run.model_config, batch, want_cache=True)
+            backward_batch(params, run.model_config, batch, res, 1.0, 1.0)
+
+    def test_encode_entered_once_per_forward(self, mode_runs, monkeypatch, cores):
+        """The halves run a helper of `encode`, not `encode`: on two cores a
+        pretraining forward enters `encode` once, and each fine-tuning step
+        enters `hklm.finetune.encode` once."""
+        run = mode_runs["hklm"]
+        calls = []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(encoder, "encode", counted("encoder.encode", encoder.encode))
+        monkeypatch.setattr(finetune, "encode", counted("finetune.encode", finetune.encode))
+        parts = record_parts(monkeypatch)
+        cores(2)
+        with training_cores():
+            train_backward(run)
+        assert calls == ["encoder.encode"] and len(parts) == 2
+        params, _rng = finetune._new_adapter(run.params, run.model_config, 0, "count", 2)
+        items = [(ex.input_ids, None) for ex in run.train_examples[:8]]
+        finetune._train_loop(params, run.model_config, items, finetune.FinetuneConfig(epochs=1, batch_size=4),
+                             _cls_rows, lambda logits, _targets, _batch: (0.0, np.full_like(logits, 0.01)))
+        assert calls == ["encoder.encode"] + ["finetune.encode"] * 2 and len(parts) == 6
+
+    def test_one_step_at_the_benchmark_shape_is_the_same_on_two_cores(self, joint_short_step, cores):
+        """One training step of the `joint-short` benchmark's model on a
+        32×59 batch ends at the same weights on one core and on two.
+        OpenBLAS picks its kernels by matrix size, so the small models above
+        do not run the GEMMs of a d=128 step."""
+        params0, cfg, batch = joint_short_step
+        assert batch.ids.shape == (32, 59) and (cfg.d_model, cfg.n_layers) == (128, 4)
+        stepped = []
+        for n in (1, 2):
+            cores(n)
+            params = {name: p.copy() for name, p in params0.items()}
+            with training_cores():
+                res = forward_batch(params, cfg, batch, want_cache=True)
+                _loss, grads = backward_batch(params, cfg, batch, res, 1.0, 1.0)
+            adamw_step(params, grads, AdamWState.for_params(params), 1e-3)
+            stepped.append(params)
+        for name, want in stepped[0].items():
+            assert_identical(stepped[1][name], want)
 
 
 def _cache_nbytes(obj, seen):
